@@ -47,7 +47,8 @@
 //! assert!(fused < unfused);
 //! ```
 
-use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
+use crate::planner::{LayerPlan, MemoryPlanner};
+use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{
@@ -103,9 +104,8 @@ impl FusedGroup {
     }
 
     /// The plan entry for this group on `device` — the single source of
-    /// the name/kind/measured/fits accounting, so the planning surface
-    /// ([`FusedPlanner::plan_model`]) and the engine's execution report
-    /// can never disagree.
+    /// the name/kind/measured/fits accounting behind
+    /// [`Schedule::memory_plan`].
     pub fn layer_plan(&self, device: &Device) -> LayerPlan {
         let measured = self.demand_bytes() + device.runtime_overhead_bytes;
         LayerPlan {
@@ -156,9 +156,8 @@ impl FusionNode {
         }
     }
 
-    /// The plan entry for this node on `device` — one accounting source
-    /// shared by [`FusedPlanner::plan_model`], the patched planner's tail
-    /// (`crate::patch`), and the engine's execution reports.
+    /// The plan entry for this node on `device` — the fused, patched-tail
+    /// and split-stage rows of [`Schedule::memory_plan`].
     pub fn layer_plan(&self, graph: &Graph, device: &Device) -> LayerPlan {
         match self {
             FusionNode::Single {
@@ -372,33 +371,6 @@ impl Default for FusedPlanner {
     }
 }
 
-impl FusedPlanner {
-    /// Builds the whole-model [`MemoryPlan`] from an **already computed**
-    /// fusion plan — one entry per execution node. [`plan_model`]
-    /// delegates here; callers that keep the [`FusionPlan`] around (the
-    /// engine's deploy step memoizes it for execution) derive the memory
-    /// plan without running the fusion pass a second time.
-    ///
-    /// [`plan_model`]: MemoryPlanner::plan_model
-    pub fn plan_model_from(
-        &self,
-        fusion: &FusionPlan,
-        graph: &Graph,
-        device: &Device,
-    ) -> MemoryPlan {
-        let layers = fusion
-            .nodes
-            .iter()
-            .map(|node| node.layer_plan(graph, device))
-            .collect();
-        MemoryPlan {
-            planner: self.name(),
-            device: device.name.clone(),
-            layers,
-        }
-    }
-}
-
 impl MemoryPlanner for FusedPlanner {
     fn name(&self) -> &'static str {
         "vMCU-fused"
@@ -411,23 +383,14 @@ impl MemoryPlanner for FusedPlanner {
         .plan_layer(layer)
     }
 
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        if !graph.is_chain() {
-            // No fusion on DAGs: price the default order with held-tensor
-            // liveness, exactly like the per-layer vMCU planner.
-            crate::telemetry::record_plan_call();
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::peak_for_order(self, graph, &order);
+    /// Fused chains thread exactly one activation stream, so branchy
+    /// DAGs run node by node.
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        if graph.is_chain() {
+            Schedule::Fused(fuse_graph(graph, self.scheme))
+        } else {
+            Schedule::Nodes(None)
         }
-        fuse_graph(graph, self.scheme).peak_demand_bytes()
-    }
-
-    fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
-        if !graph.is_chain() {
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::plan_model_for_order(self, graph, device, &order);
-        }
-        self.plan_model_from(&fuse_graph(graph, self.scheme), graph, device)
     }
 }
 

@@ -10,7 +10,6 @@
 //!   im2col staging (the paper's strongest baseline);
 //! * [`HmcosPlanner`] — scheduling only, no in-place (weakest on linear
 //!   chains);
-//! * [`arena`] — a TFLM-style greedy arena as an extra baseline;
 //! * [`headroom`] — the Figure 11/12 NAS-headroom searches;
 //! * [`capacity`] — whole-graph peak-demand and concurrent-capacity
 //!   lookups, the admission-control surface used by fleet serving
@@ -18,9 +17,6 @@
 //! * [`fusion`] — the multi-layer segment fusion pass and the
 //!   fusion-aware [`FusedPlanner`], which groups fusable layer runs into
 //!   single fused chains so fat intermediates never materialize;
-//! * [`lowering`] — per-device kernel lowering selection: direct
-//!   segment-aware kernels vs the im2col + lane-blocked matmul path,
-//!   decided analytically from the device's `CostModel`;
 //! * [`order`] — execution-order search on branchy DAGs and the
 //!   [`ReorderPlanner`]: per-node vMCU windows priced with last-consumer
 //!   liveness, executed in the searched minimum-peak topological order,
@@ -29,6 +25,10 @@
 //!   [`PatchedPlanner`]: high-resolution front layers execute as spatial
 //!   patches whose receptive-field slabs, not whole tensors, set the
 //!   peak — the policy that deploys models whose *input* exceeds SRAM;
+//! * [`schedule`] — the deployed [`Schedule`] every planner returns from
+//!   [`MemoryPlanner::schedule`]: nodes in a default or searched order,
+//!   fused chains, a patched front, or split stages — priced by
+//!   [`Schedule::memory_plan`] and executed step for step by the engine;
 //! * [`split`] — layer-wise partitioning across 2–8 networked MCUs and
 //!   the [`SplitPlanner`]: contiguous per-device stages chosen to
 //!   minimize the max per-device peak, the policy that deploys models
@@ -52,16 +52,15 @@
 //! assert!(vm.bottleneck_bytes() < te.bottleneck_bytes());
 //! ```
 
-pub mod arena;
 pub mod capacity;
 pub mod chain;
 pub mod fusion;
 pub mod headroom;
 pub mod hmcos_planner;
-pub mod lowering;
 pub mod order;
 pub mod patch;
 pub mod planner;
+pub mod schedule;
 pub mod split;
 pub mod telemetry;
 pub mod tinyengine_planner;
@@ -71,10 +70,10 @@ pub use capacity::{concurrent_capacity, peak_demand_bytes, plan_graph};
 pub use chain::{plan_chain, ChainPlan};
 pub use fusion::{fuse_graph, FusedPlanner, FusionNode, FusionPlan};
 pub use hmcos_planner::HmcosPlanner;
-pub use lowering::{select_conv2d_lowering, select_fc_lowering, LoweringChoice, LoweringKind};
 pub use order::{plan_order, OrderPlan, ReorderPlanner};
 pub use patch::{PatchPlan, PatchedPlanner};
 pub use planner::{LayerPlan, MemoryPlan, MemoryPlanner};
+pub use schedule::Schedule;
 pub use split::{plan_split, SplitPlan, SplitPlanner, SplitStage};
 pub use tinyengine_planner::TinyEnginePlanner;
 pub use vmcu_planner::VmcuPlanner;

@@ -33,6 +33,7 @@
 //! plan with an unchanged peak.
 
 use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
+use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
 use vmcu_graph::{Graph, NodeInput};
 use vmcu_kernels::IbScheme;
@@ -71,19 +72,46 @@ fn tensor_bytes(graph: &Graph) -> Vec<usize> {
     tb
 }
 
+/// Tensor id of an input edge.
+fn tensor_id(edge: &NodeInput) -> usize {
+    match edge {
+        NodeInput::GraphInput => 0,
+        NodeInput::Node(j) => 1 + *j,
+    }
+}
+
 /// Consumer node lists per tensor id.
 fn consumers(graph: &Graph) -> Vec<Vec<usize>> {
     let mut cons = vec![Vec::new(); graph.len() + 1];
     for (i, ins) in graph.inputs().iter().enumerate() {
         for edge in ins {
-            let t = match edge {
-                NodeInput::GraphInput => 0,
-                NodeInput::Node(j) => 1 + *j,
-            };
-            cons[t].push(i);
+            cons[tensor_id(edge)].push(i);
         }
     }
     cons
+}
+
+/// Distinct input tensors of node `v`, each with the number of input
+/// slots it fills.
+fn input_uses(graph: &Graph, v: usize) -> Vec<(usize, usize)> {
+    let mut uses: Vec<(usize, usize)> = Vec::new();
+    for edge in graph.node_inputs(v) {
+        let t = tensor_id(edge);
+        match uses.iter_mut().find(|(id, _)| *id == t) {
+            Some((_, k)) => *k += 1,
+            None => uses.push((t, 1)),
+        }
+    }
+    uses
+}
+
+/// Bytes of the inputs whose last remaining consumer is this step —
+/// consumed inside the executing node's window.
+fn dying_bytes(uses: &[(usize, usize)], remaining: &[usize], tb: &[usize]) -> usize {
+    uses.iter()
+        .filter(|(t, k)| remaining[*t] == *k)
+        .map(|(t, _)| tb[*t])
+        .sum()
 }
 
 fn node_windows<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<(usize, usize)> {
@@ -108,6 +136,9 @@ pub fn price_order<P: MemoryPlanner + ?Sized>(
 ) -> Vec<(usize, usize)> {
     let n = graph.len();
     assert_eq!(order.len(), n, "order must cover every node");
+    if n == 0 {
+        return Vec::new();
+    }
     let tb = tensor_bytes(graph);
     let cons = consumers(graph);
     let windows = node_windows(planner, graph);
@@ -119,30 +150,18 @@ pub fn price_order<P: MemoryPlanner + ?Sized>(
     let mut out = Vec::with_capacity(n);
     for &v in order {
         assert!(!produced[v], "order repeats node {v}");
-        // Distinct input tensors of v and how many slots each fills.
-        let mut uses: Vec<(usize, usize)> = Vec::new();
-        for edge in graph.node_inputs(v) {
-            let t = match edge {
-                NodeInput::GraphInput => 0,
-                NodeInput::Node(j) => {
-                    assert!(produced[*j], "order runs node {v} before its input {j}");
-                    1 + *j
-                }
-            };
-            match uses.iter_mut().find(|(id, _)| *id == t) {
-                Some((_, k)) => *k += 1,
-                None => uses.push((t, 1)),
-            }
+        let uses = input_uses(graph, v);
+        for &(t, _) in &uses {
+            assert!(
+                t == 0 || produced[t - 1],
+                "order runs node {v} before its input {}",
+                t - 1
+            );
         }
         // Inputs whose last consumer is v are consumed inside the
         // window; everything else live is held at full size beside it.
-        let dying: usize = uses
-            .iter()
-            .filter(|(t, k)| remaining[*t] == *k)
-            .map(|(t, _)| tb[*t])
-            .sum();
         let (act, ws) = windows[v];
-        out.push((act + live_bytes - dying, ws));
+        out.push((act + live_bytes - dying_bytes(&uses, &remaining, &tb), ws));
         for (t, k) in uses {
             remaining[t] -= k;
             if remaining[t] == 0 && live[t] {
@@ -254,10 +273,7 @@ fn resident(
     // Inputs of v with no consumer after this step die in-window.
     let mut seen = 0u64;
     for edge in graph.node_inputs(v) {
-        let t = match edge {
-            NodeInput::GraphInput => 0,
-            NodeInput::Node(j) => 1 + *j,
-        };
+        let t = tensor_id(edge);
         if seen & (1u64 << t) != 0 {
             continue;
         }
@@ -337,22 +353,7 @@ fn search_greedy<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<u
             {
                 continue;
             }
-            let mut uses: Vec<(usize, usize)> = Vec::new();
-            for edge in graph.node_inputs(v) {
-                let t = match edge {
-                    NodeInput::GraphInput => 0,
-                    NodeInput::Node(j) => 1 + *j,
-                };
-                match uses.iter_mut().find(|(id, _)| *id == t) {
-                    Some((_, k)) => *k += 1,
-                    None => uses.push((t, 1)),
-                }
-            }
-            let dying: usize = uses
-                .iter()
-                .filter(|(t, k)| remaining[*t] == *k)
-                .map(|(t, _)| tb[*t])
-                .sum();
+            let dying = dying_bytes(&input_uses(graph, v), &remaining, &tb);
             let (act, ws) = windows[v];
             let res = act + ws + live_bytes - dying;
             if pick.is_none() || (res, v) < pick.unwrap() {
@@ -361,10 +362,7 @@ fn search_greedy<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<u
         }
         let (_, v) = pick.expect("a DAG always has a ready node");
         for edge in graph.node_inputs(v) {
-            let t = match edge {
-                NodeInput::GraphInput => 0,
-                NodeInput::Node(j) => 1 + *j,
-            };
+            let t = tensor_id(edge);
             remaining[t] -= 1;
             if remaining[t] == 0 && (t == 0 || produced[t - 1]) {
                 live_bytes -= tb[t];
@@ -440,13 +438,8 @@ impl MemoryPlanner for ReorderPlanner {
         self.inner.plan_layer(layer)
     }
 
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        plan_order(self, graph).peak_bytes
-    }
-
-    fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
-        let order = plan_order(self, graph);
-        plan_model_for_order(self, graph, device, &order.order)
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        Schedule::Nodes(Some(plan_order(self, graph)))
     }
 }
 

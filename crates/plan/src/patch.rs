@@ -24,8 +24,9 @@
 //! [`crate::capacity::peak_demand_bytes`] and fleet admission pick the
 //! patched pricing up unchanged.
 
-use crate::fusion::{fuse_graph, FusionNode, FusionPlan};
-use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
+use crate::fusion::{chain_op, fuse_graph, FusionNode, FusionPlan};
+use crate::planner::{LayerPlan, MemoryPlanner};
+use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::conv2d::conv2d_exec_footprint;
@@ -36,17 +37,11 @@ use vmcu_kernels::{ChainOp, IbScheme};
 use vmcu_sim::Device;
 
 /// Maps a spatially patchable layer to its operator; `None` ends the
-/// front stage (fully-connected layers have no spatial axes, inverted
-/// bottlenecks are already their own fused unit).
+/// front stage. Patchable layers are the fusable ones
+/// ([`chain_op`]) minus fully-connected layers, which have no spatial
+/// axes.
 pub fn patch_op(layer: &LayerDesc) -> Option<ChainOp> {
-    match layer {
-        LayerDesc::Pointwise(p) => Some(ChainOp::Pointwise(*p)),
-        LayerDesc::Depthwise(p) => Some(ChainOp::Depthwise(*p)),
-        LayerDesc::Conv2d(p) => Some(ChainOp::Conv2d(*p)),
-        LayerDesc::Dense(_) | LayerDesc::Ib(_) => None,
-        // Merges take two inputs; a patched front threads exactly one.
-        LayerDesc::Add(_) | LayerDesc::Concat(_) => None,
-    }
+    chain_op(layer).filter(|op| !matches!(op, ChainOp::Dense(_)))
 }
 
 /// Length of the patchable front stage: the maximal prefix of layers
@@ -321,30 +316,6 @@ impl PatchedPlanner {
     pub fn patch_plan(&self, graph: &Graph) -> PatchPlan {
         plan(graph, self.scheme, self.max_overhead())
     }
-
-    /// Builds the whole-model [`MemoryPlan`] from an **already computed**
-    /// patch plan. [`plan_model`] delegates here; callers that keep the
-    /// [`PatchPlan`] around (the engine's deploy step memoizes it for
-    /// execution) derive the memory plan without running the grid search
-    /// a second time.
-    ///
-    /// [`plan_model`]: MemoryPlanner::plan_model
-    pub fn plan_model_from(&self, pplan: &PatchPlan, graph: &Graph, device: &Device) -> MemoryPlan {
-        let mut layers = Vec::with_capacity(pplan.tail.nodes.len() + 1);
-        layers.extend(pplan.front_layer_plan(device));
-        layers.extend(
-            pplan
-                .tail
-                .nodes
-                .iter()
-                .map(|node| node.layer_plan(graph, device)),
-        );
-        MemoryPlan {
-            planner: self.name(),
-            device: device.name.clone(),
-            layers,
-        }
-    }
 }
 
 impl MemoryPlanner for PatchedPlanner {
@@ -359,23 +330,14 @@ impl MemoryPlanner for PatchedPlanner {
         .plan_layer(layer)
     }
 
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        if !graph.is_chain() {
-            // No patching on DAGs: price the default order with
-            // held-tensor liveness, like the per-layer vMCU planner.
-            crate::telemetry::record_plan_call();
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::peak_for_order(self, graph, &order);
+    /// Patch grids tile a straight spatial front, so branchy DAGs run
+    /// node by node.
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        if graph.is_chain() {
+            Schedule::Patched(self.patch_plan(graph))
+        } else {
+            Schedule::Nodes(None)
         }
-        self.patch_plan(graph).peak_demand_bytes()
-    }
-
-    fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
-        if !graph.is_chain() {
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::plan_model_for_order(self, graph, device, &order);
-        }
-        self.plan_model_from(&self.patch_plan(graph), graph, device)
     }
 }
 

@@ -6,6 +6,7 @@
 //! (TinyEngine), scheduling without in-place (HMCOS) — which is exactly
 //! the comparison of §7.
 
+use crate::schedule::Schedule;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_sim::Device;
 
@@ -88,40 +89,25 @@ pub trait MemoryPlanner: Send + Sync {
     /// Plans one layer: returns `(activation_bytes, workspace_bytes)`.
     fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize);
 
-    /// Peak SRAM demand of a whole model (activations + workspace at the
-    /// bottleneck, no runtime overhead). The default is the per-layer
-    /// maximum on chains; on branchy DAGs it prices the default
-    /// topological order with last-consumer liveness, so held branch
-    /// tensors are charged beside every window they outlive. Graph-aware
-    /// planners (fusion, reorder) override it.
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        if !graph.is_chain() {
-            crate::telemetry::record_plan_call();
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::peak_for_order(self, graph, &order);
-        }
-        crate::telemetry::record_plan_call();
-        graph
-            .layers()
-            .iter()
-            .map(|l| {
-                let (act, ws) = self.plan_layer(l);
-                act + ws
-            })
-            .max()
-            .unwrap_or(0)
+    /// The schedule this policy deploys `graph` with. The default runs
+    /// every node in its own window in index order; graph-aware planners
+    /// (fusion, patching, split, reorder) override it.
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        let _ = graph;
+        Schedule::Nodes(None)
     }
 
-    /// Plans a whole model for a device. The default plans layer by
-    /// layer on chains and prices the default topological order with
-    /// last-consumer liveness on DAGs; graph-aware planners (fusion,
-    /// reorder) override it with one plan entry per execution node.
+    /// Peak SRAM demand of a whole model (activations + workspace at the
+    /// bottleneck step, no runtime overhead), priced from
+    /// [`schedule`](Self::schedule).
+    fn model_demand_bytes(&self, graph: &Graph) -> usize {
+        self.schedule(graph).demand_bytes(self, graph)
+    }
+
+    /// Plans a whole model for a device: one entry per step of
+    /// [`schedule`](Self::schedule).
     fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
-        if !graph.is_chain() {
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::plan_model_for_order(self, graph, device, &order);
-        }
-        self.plan(&crate::capacity::named_graph_layers(graph), device)
+        self.schedule(graph).memory_plan(self, graph, device)
     }
 
     /// Plans a sequence of named layers for a device.

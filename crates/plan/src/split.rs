@@ -33,11 +33,11 @@
 //! ```
 
 use crate::fusion::{fuse_graph, FusionPlan};
-use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
+use crate::planner::MemoryPlanner;
+use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::IbScheme;
-use vmcu_sim::Device;
 
 /// One per-device stage of a split plan: a contiguous layer range, the
 /// memoized sub-graph and its fused execution plan, and the cut tensor
@@ -257,46 +257,6 @@ impl Default for SplitPlanner {
     }
 }
 
-impl SplitPlanner {
-    /// Builds the whole-model [`MemoryPlan`] from an **already computed**
-    /// split plan, in execution-report order: each stage's fusion nodes
-    /// (names prefixed `dev{k}:`, node names stage-local), then a `link`
-    /// entry for the cut tensor it ships downstream. The engine's deploy
-    /// step memoizes the [`SplitPlan`] and derives the memory plan here
-    /// without re-partitioning.
-    ///
-    /// A `link` entry's `activation_bytes` is the cut tensor; its
-    /// measured size never exceeds the sending stage's peak (a fused
-    /// window always covers its own output), so the plan's bottleneck —
-    /// and with it `Deployment::peak_demand_bytes` — stays at a stage.
-    pub fn plan_model_from(&self, split: &SplitPlan, device: &Device) -> MemoryPlan {
-        let mut layers = Vec::new();
-        for stage in split.stages() {
-            for node in &stage.fusion.nodes {
-                let mut plan = node.layer_plan(&stage.graph, device);
-                plan.name = format!("dev{}:{}", stage.device, plan.name);
-                layers.push(plan);
-            }
-            if stage.cut_bytes > 0 {
-                let measured = stage.cut_bytes + device.runtime_overhead_bytes;
-                layers.push(LayerPlan {
-                    name: format!("link:dev{}->dev{}", stage.device, stage.device + 1),
-                    kind: "link",
-                    activation_bytes: stage.cut_bytes,
-                    workspace_bytes: 0,
-                    measured_bytes: measured,
-                    fits: measured <= device.ram_bytes,
-                });
-            }
-        }
-        MemoryPlan {
-            planner: self.name(),
-            device: device.name.clone(),
-            layers,
-        }
-    }
-}
-
 impl MemoryPlanner for SplitPlanner {
     fn name(&self) -> &'static str {
         "vMCU-split"
@@ -309,19 +269,14 @@ impl MemoryPlanner for SplitPlanner {
         .plan_layer(layer)
     }
 
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        plan_split(graph, self.devices, self.scheme).max_stage_demand_bytes()
-    }
-
-    fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
-        if !graph.is_chain() {
-            // One unsplit stage (see `plan_split`): report the DAG-aware
-            // default-order rows so the plan's bottleneck matches
-            // `model_demand_bytes`.
-            let order: Vec<usize> = (0..graph.len()).collect();
-            return crate::order::plan_model_for_order(self, graph, device, &order);
+    /// Layer-wise cuts partition a chain; a branchy DAG stays whole on
+    /// one device and runs node by node.
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        if graph.is_chain() {
+            Schedule::Split(plan_split(graph, self.devices, self.scheme))
+        } else {
+            Schedule::Nodes(None)
         }
-        self.plan_model_from(&plan_split(graph, self.devices, self.scheme), device)
     }
 }
 
@@ -404,8 +359,11 @@ mod tests {
         let g = zoo::hires_split_only();
         let device = vmcu_sim::Device::stm32_f411re();
         let planner = SplitPlanner::default();
-        let split = plan_split(&g, planner.devices, planner.scheme);
-        let plan = planner.plan_model_from(&split, &device);
+        let schedule = planner.schedule(&g);
+        let Schedule::Split(split) = &schedule else {
+            panic!("a chain splits");
+        };
+        let plan = schedule.memory_plan(&planner, &g, &device);
         let links = plan.layers.iter().filter(|l| l.kind == "link").count();
         assert_eq!(links, split.device_count() - 1);
         // The bottleneck stays at a stage, never at a link, so the

@@ -1,4 +1,4 @@
-//! Per-policy audit dispatch: one entry point, [`audit`], that proves a
+//! Per-schedule audit dispatch: one entry point, [`audit`], that proves a
 //! resolved [`Deployment`] hazard-free from plan arithmetic alone.
 //!
 //! The auditor never executes a kernel. It takes each kernel's dry-run
@@ -12,16 +12,16 @@
 use crate::replay::{check_distance, replay_into, replay_layer, LayerSpec, PoolModel};
 use crate::schedule::{audit_schedule, canonical_frees};
 use crate::violation::{AuditReport, Violation};
-use vmcu::{Deployment, PlannerKind};
+use vmcu::Deployment;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes, ChainOp};
 use vmcu_kernels::trace::{exec_distance, ExecEvent};
 use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::chain_solver_distance;
-use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, PatchPlan, SplitPlan};
+use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, OrderPlan, PatchPlan, Schedule, SplitPlan};
 use vmcu_sim::Device;
 
-/// The dry-run store/free trace the executor's kernel would emit for one
+/// The dry-run store/free trace the deployed kernel would emit for one
 /// layer — the byte-interval event stream the whole audit replays.
 pub fn layer_events(layer: &LayerDesc, scheme: IbScheme) -> Vec<ExecEvent> {
     match layer {
@@ -35,27 +35,18 @@ pub fn layer_events(layer: &LayerDesc, scheme: IbScheme) -> Vec<ExecEvent> {
     }
 }
 
-/// The trace of one sliced patch-stage operator.
-fn op_events(op: &ChainOp) -> Vec<ExecEvent> {
-    match op {
-        ChainOp::Pointwise(p) => vmcu_kernels::fc::fc_exec_trace(&p.as_fc()),
-        ChainOp::Depthwise(p) => vmcu_kernels::depthwise::depthwise_exec_trace(p),
-        ChainOp::Conv2d(p) => vmcu_kernels::conv2d::conv2d_exec_trace(p),
-        ChainOp::Dense(p) => vmcu_kernels::fc::fc_exec_trace(p),
+/// The layer a sliced patch-stage operator runs as.
+fn op_layer(op: &ChainOp) -> LayerDesc {
+    match *op {
+        ChainOp::Pointwise(p) => LayerDesc::Pointwise(p),
+        ChainOp::Depthwise(p) => LayerDesc::Depthwise(p),
+        ChainOp::Conv2d(p) => LayerDesc::Conv2d(p),
+        ChainOp::Dense(p) => LayerDesc::Dense(p),
     }
 }
 
-fn op_io_bytes(op: &ChainOp) -> (usize, usize) {
-    match op {
-        ChainOp::Pointwise(p) => (p.in_bytes(), p.out_bytes()),
-        ChainOp::Depthwise(p) => (p.in_bytes(), p.out_bytes()),
-        ChainOp::Conv2d(p) => (p.in_bytes(), p.out_bytes()),
-        ChainOp::Dense(p) => (p.in_bytes(), p.out_bytes()),
-    }
-}
-
-/// Audits one layer in the overlapped per-node layout `exec_layer_vmcu`
-/// uses: input at logical 0, output at `−D`, window `(in+max(D,0)) ∨ out`.
+/// Audits one layer in the overlapped per-node layout the vMCU kernels
+/// run in: input at logical 0, output at `−D`, window `(in+max(D,0)) ∨ out`.
 /// Returns the violations plus the number of distances cross-checked.
 pub fn audit_node(site: &str, layer: &LayerDesc, scheme: IbScheme) -> (Vec<Violation>, usize) {
     let events = layer_events(layer, scheme);
@@ -291,8 +282,9 @@ pub fn audit_patch_plan(
                 }
                 for (si, stage) in front.patch_stages(ty, tx).iter().enumerate() {
                     let stage_site = format!("{site} stage {si} ({})", stage.op.kind());
-                    let events = op_events(&stage.op);
-                    let (in_len, out_len) = op_io_bytes(&stage.op);
+                    let layer = op_layer(&stage.op);
+                    let events = layer_events(&layer, scheme);
+                    let (in_len, out_len) = (layer.in_bytes(), layer.out_bytes());
                     let d = exec_distance(in_len, events.iter().copied());
                     v.extend(check_distance(&stage_site, d, in_len, &events));
                     distances += 1;
@@ -379,7 +371,7 @@ pub fn audit_split_plan(
         }
         expect_start = stage.end;
         let (sv, sn, sd) = audit_fusion_plan(&stage.graph, &stage.fusion, scheme, device);
-        v.extend(sv.into_iter().map(|viol| prefix_site(&site, viol)));
+        v.extend(sv.into_iter().map(|viol| viol.prefixed(&site)));
         nodes += sn;
         distances += sd;
         if stage.demand_bytes + device.runtime_overhead_bytes > device.ram_bytes {
@@ -417,98 +409,18 @@ pub fn audit_split_plan(
     (v, nodes, distances)
 }
 
-fn prefix_site(prefix: &str, v: Violation) -> Violation {
-    let tag = |site: String| format!("{prefix}: {site}");
-    match v {
-        Violation::Clobber { site, byte, len } => Violation::Clobber {
-            site: tag(site),
-            byte,
-            len,
-        },
-        Violation::OutOfBounds {
-            site,
-            needed,
-            budget,
-        } => Violation::OutOfBounds {
-            site: tag(site),
-            needed,
-            budget,
-        },
-        Violation::Leak {
-            site,
-            byte,
-            len,
-            detail,
-        } => Violation::Leak {
-            site: tag(site),
-            byte,
-            len,
-            detail,
-        },
-        Violation::DoubleFree { site, byte, len } => Violation::DoubleFree {
-            site: tag(site),
-            byte,
-            len,
-        },
-        Violation::DistanceTooSmall {
-            site,
-            planned,
-            derived,
-        } => Violation::DistanceTooSmall {
-            site: tag(site),
-            planned,
-            derived,
-        },
-        Violation::UseAfterFree {
-            site,
-            tensor,
-            detail,
-        } => Violation::UseAfterFree {
-            site: tag(site),
-            tensor,
-            detail,
-        },
-    }
-}
-
-fn scheme_of(kind: PlannerKind) -> IbScheme {
-    match kind {
-        PlannerKind::Vmcu(s)
-        | PlannerKind::VmcuFused(s)
-        | PlannerKind::VmcuPatched(s)
-        | PlannerKind::VmcuReorder(s) => s,
-        PlannerKind::VmcuSplit { scheme, .. } => scheme,
-        PlannerKind::TinyEngine | PlannerKind::Hmcos => IbScheme::RowBuffer,
-    }
-}
-
-/// Whether the policy executes each graph node in its own per-layer
-/// window (so plan rows are step-aligned and the per-step RAM budget is
-/// enforced at the schedule level).
-fn per_layer_policy(kind: PlannerKind) -> bool {
-    matches!(
-        kind,
-        PlannerKind::Vmcu(_)
-            | PlannerKind::TinyEngine
-            | PlannerKind::Hmcos
-            | PlannerKind::VmcuReorder(_)
-    )
-}
-
-/// Whether the policy's executor runs overlapped vMCU kernels per node
-/// (baselines place whole disjoint tensors instead, so the overlap
-/// replay does not model their layout).
-fn overlapped_policy(kind: PlannerKind) -> bool {
-    matches!(kind, PlannerKind::Vmcu(_) | PlannerKind::VmcuReorder(_))
-}
-
 /// Statically audits a resolved deployment, proving (or refuting) the
-/// hazard-freedom of its memory plan without executing a kernel.
+/// hazard-freedom of its memory plan without executing a kernel. The
+/// audit follows the deployed [`Schedule`]: node schedules are checked
+/// step by step against their plan rows (and, under vMCU kernels,
+/// replayed node by node in the overlapped layout); fused, patched and
+/// split schedules are audited artifact by artifact.
 pub fn audit(dep: &Deployment) -> AuditReport {
     let graph = dep.graph();
     let device = dep.device();
     let kind = dep.planner_kind();
-    let scheme = scheme_of(kind);
+    // Baselines replay no vMCU kernel; the scheme is unused for them.
+    let scheme = kind.scheme().unwrap_or(IbScheme::RowBuffer);
     let n = graph.len();
     let mut report = AuditReport {
         planner: kind.name().to_string(),
@@ -523,11 +435,11 @@ pub fn audit(dep: &Deployment) -> AuditReport {
         return report;
     }
 
-    // 1. Schedule-level liveness audit (every policy): producer-before-
+    // 1. Schedule-level liveness audit (every schedule): producer-before-
     //    consumer, freed exactly once at the last consumer, per-step
-    //    demand. Policies that do not execute per-layer windows (fusion
-    //    groups, patched tiles, split stages) enforce their budget at the
-    //    artifact level instead, so the schedule pass only checks
+    //    demand. Schedules that do not run every node in its own window
+    //    (fused groups, patched tiles, split stages) enforce their budget
+    //    at the artifact level instead, so the schedule pass only checks
     //    liveness for them.
     let order: Vec<usize> = dep
         .order_plan()
@@ -538,7 +450,8 @@ pub fn audit(dep: &Deployment) -> AuditReport {
         .iter()
         .map(|l| dep.planner().plan_layer(l))
         .collect();
-    let budget_device = if per_layer_policy(kind) {
+    let per_node = matches!(dep.schedule(), Schedule::Nodes(_));
+    let budget_device = if per_node {
         device.clone()
     } else {
         Device {
@@ -550,100 +463,118 @@ pub fn audit(dep: &Deployment) -> AuditReport {
     report.violations.extend(sched.violations);
     report.nodes_checked += n;
 
-    // 2. Plan-row cross-check for per-layer policies: rows are step-
-    //    aligned, so row k must price at least the independently derived
-    //    demand of the k-th executed node.
-    if per_layer_policy(kind) {
-        let rows = &dep.plan().layers;
-        if rows.len() == sched.step_demand_bytes.len() {
-            for (k, (row, derived)) in rows.iter().zip(&sched.step_demand_bytes).enumerate() {
-                let need = derived + device.runtime_overhead_bytes;
-                if row.measured_bytes < need {
-                    report.violations.push(Violation::OutOfBounds {
-                        site: format!("plan row {k} ({}) under-prices the step", row.name),
-                        needed: need,
-                        budget: row.measured_bytes,
-                    });
-                }
-                if row.fits && row.measured_bytes > device.ram_bytes {
-                    report.violations.push(Violation::OutOfBounds {
-                        site: format!("plan row {k} ({}) claims fit", row.name),
-                        needed: row.measured_bytes,
-                        budget: device.ram_bytes,
-                    });
+    // 2. Schedule-specific audits.
+    match dep.schedule() {
+        Schedule::Nodes(order_plan) => {
+            audit_node_rows(
+                &dep.plan().layers,
+                &sched.step_demand_bytes,
+                device,
+                &mut report,
+            );
+            // Overlapped replay of every node the vMCU kernels run in a
+            // per-node window (baselines place whole disjoint tensors
+            // instead, which this replay does not model).
+            if kind.scheme().is_some() {
+                for (i, layer) in graph.layers().iter().enumerate() {
+                    let site = format!("node {i} ({})", layer.kind());
+                    let (v, d) = audit_node(&site, layer, scheme);
+                    report.violations.extend(v);
+                    report.distances_checked += d;
                 }
             }
-        } else {
-            report.violations.push(Violation::OutOfBounds {
-                site: "plan rows are not step-aligned".into(),
-                needed: sched.step_demand_bytes.len(),
-                budget: rows.len(),
-            });
+            if let Some(order_plan) = order_plan {
+                audit_order_plan(order_plan, &sched.step_demand_bytes, &mut report);
+            }
         }
-    }
-
-    // 3. Per-node overlapped replay for policies running vMCU kernels in
-    //    per-layer windows.
-    if overlapped_policy(kind) {
-        for (i, layer) in graph.layers().iter().enumerate() {
-            let site = format!("node {i} ({})", layer.kind());
-            let (v, d) = audit_node(&site, layer, scheme);
-            report.violations.extend(v);
-            report.distances_checked += d;
-        }
-    }
-
-    // 4. Artifact-specific audits.
-    if let Some(chain) = dep.chain_plan() {
-        let (v, d) = audit_chain_plan(graph, chain, scheme, device);
-        report.violations.extend(v);
-        report.distances_checked += d;
-    }
-    if matches!(kind, PlannerKind::VmcuFused(_)) {
-        if let Some(fusion) = dep.fusion_plan() {
+        Schedule::Fused(fusion) => {
             let (v, nodes, d) = audit_fusion_plan(graph, fusion, scheme, device);
             report.violations.extend(v);
             report.nodes_checked += nodes;
             report.distances_checked += d;
         }
-    }
-    if let Some(patch) = dep.patch_plan() {
-        let (v, nodes, d) = audit_patch_plan(graph, patch, scheme, device);
-        report.violations.extend(v);
-        report.nodes_checked += nodes;
-        report.distances_checked += d;
-    }
-    if let Some(split) = dep.split_plan() {
-        let (v, nodes, d) = audit_split_plan(graph, split, scheme, device);
-        report.violations.extend(v);
-        report.nodes_checked += nodes;
-        report.distances_checked += d;
-    }
-    if let Some(order_plan) = dep.order_plan() {
-        if order_plan.step_demand_bytes.len() == sched.step_demand_bytes.len() {
-            for (k, (planned, derived)) in order_plan
-                .step_demand_bytes
-                .iter()
-                .zip(&sched.step_demand_bytes)
-                .enumerate()
-            {
-                if planned < derived {
-                    report.violations.push(Violation::OutOfBounds {
-                        site: format!("order plan step {k} under-prices demand"),
-                        needed: *derived,
-                        budget: *planned,
-                    });
-                }
-            }
+        Schedule::Patched(patch) => {
+            let (v, nodes, d) = audit_patch_plan(graph, patch, scheme, device);
+            report.violations.extend(v);
+            report.nodes_checked += nodes;
+            report.distances_checked += d;
         }
-        let peak = sched.step_demand_bytes.iter().copied().max().unwrap_or(0);
-        if order_plan.peak_bytes < peak {
+        Schedule::Split(split) => {
+            let (v, nodes, d) = audit_split_plan(graph, split, scheme, device);
+            report.violations.extend(v);
+            report.nodes_checked += nodes;
+            report.distances_checked += d;
+        }
+    }
+    if let Some(chain) = dep.chain_plan() {
+        let (v, d) = audit_chain_plan(graph, chain, scheme, device);
+        report.violations.extend(v);
+        report.distances_checked += d;
+    }
+    report
+}
+
+/// Plan-row cross-check for node schedules: rows are step-aligned, so
+/// row `k` must price at least the independently derived demand of the
+/// `k`-th executed node, and may only claim fit within the device.
+fn audit_node_rows(
+    rows: &[vmcu_plan::LayerPlan],
+    step_demand_bytes: &[usize],
+    device: &Device,
+    report: &mut AuditReport,
+) {
+    if rows.len() != step_demand_bytes.len() {
+        report.violations.push(Violation::OutOfBounds {
+            site: "plan rows are not step-aligned".into(),
+            needed: step_demand_bytes.len(),
+            budget: rows.len(),
+        });
+        return;
+    }
+    for (k, (row, derived)) in rows.iter().zip(step_demand_bytes).enumerate() {
+        let need = derived + device.runtime_overhead_bytes;
+        if row.measured_bytes < need {
             report.violations.push(Violation::OutOfBounds {
-                site: "order plan peak under-prices demand".into(),
-                needed: peak,
-                budget: order_plan.peak_bytes,
+                site: format!("plan row {k} ({}) under-prices the step", row.name),
+                needed: need,
+                budget: row.measured_bytes,
+            });
+        }
+        if row.fits && row.measured_bytes > device.ram_bytes {
+            report.violations.push(Violation::OutOfBounds {
+                site: format!("plan row {k} ({}) claims fit", row.name),
+                needed: row.measured_bytes,
+                budget: device.ram_bytes,
             });
         }
     }
-    report
+}
+
+/// The searched order's per-step and peak demands must cover the
+/// independently derived ones.
+fn audit_order_plan(order_plan: &OrderPlan, step_demand_bytes: &[usize], report: &mut AuditReport) {
+    if order_plan.step_demand_bytes.len() == step_demand_bytes.len() {
+        for (k, (planned, derived)) in order_plan
+            .step_demand_bytes
+            .iter()
+            .zip(step_demand_bytes)
+            .enumerate()
+        {
+            if planned < derived {
+                report.violations.push(Violation::OutOfBounds {
+                    site: format!("order plan step {k} under-prices demand"),
+                    needed: *derived,
+                    budget: *planned,
+                });
+            }
+        }
+    }
+    let peak = step_demand_bytes.iter().copied().max().unwrap_or(0);
+    if order_plan.peak_bytes < peak {
+        report.violations.push(Violation::OutOfBounds {
+            site: "order plan peak under-prices demand".into(),
+            needed: peak,
+            budget: order_plan.peak_bytes,
+        });
+    }
 }

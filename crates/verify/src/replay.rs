@@ -186,7 +186,7 @@ pub struct LayerSpec<'a> {
 
 /// Replays one layer standalone: input staged at logical 0, output at
 /// `−distance`, full leak check at the end. This is exactly the layout
-/// `exec_layer_vmcu` uses at runtime.
+/// the engine runs every vMCU node step in.
 pub fn replay_layer(spec: &LayerSpec<'_>) -> Vec<Violation> {
     let mut out = Vec::new();
     if spec.window == 0 {

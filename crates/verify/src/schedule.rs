@@ -42,7 +42,7 @@ fn last_consumer_step(graph: &Graph, order: &[usize]) -> Vec<Option<usize>> {
     last
 }
 
-/// The free schedule `infer_in_order` implicitly executes: every tensor
+/// The free schedule a node walk implicitly executes: every tensor
 /// is released at its last consumer's step; tensors nothing consumes are
 /// released at their production step (the graph input at step 0). The
 /// network output is the host's to read and is never freed.

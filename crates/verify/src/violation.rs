@@ -90,6 +90,20 @@ impl Violation {
         }
     }
 
+    /// The same finding with its site label prefixed (`"{prefix}: {site}"`),
+    /// e.g. by the split stage it was found in.
+    #[must_use]
+    pub fn prefixed(mut self, prefix: &str) -> Self {
+        let (Violation::Clobber { site, .. }
+        | Violation::OutOfBounds { site, .. }
+        | Violation::Leak { site, .. }
+        | Violation::DoubleFree { site, .. }
+        | Violation::DistanceTooSmall { site, .. }
+        | Violation::UseAfterFree { site, .. }) = &mut self;
+        *site = format!("{prefix}: {site}");
+        self
+    }
+
     /// Stable kind tag (the taxonomy of docs/VERIFY.md).
     pub fn kind(&self) -> &'static str {
         match self {
@@ -210,6 +224,49 @@ impl fmt::Display for AuditReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn prefixed_tags_the_site_of_every_kind() {
+        let all = [
+            Violation::Clobber {
+                site: "s".into(),
+                byte: 0,
+                len: 1,
+            },
+            Violation::OutOfBounds {
+                site: "s".into(),
+                needed: 2,
+                budget: 1,
+            },
+            Violation::Leak {
+                site: "s".into(),
+                byte: 0,
+                len: 1,
+                detail: "d".into(),
+            },
+            Violation::DoubleFree {
+                site: "s".into(),
+                byte: 0,
+                len: 1,
+            },
+            Violation::DistanceTooSmall {
+                site: "s".into(),
+                planned: 0,
+                derived: 1,
+            },
+            Violation::UseAfterFree {
+                site: "s".into(),
+                tensor: 0,
+                detail: "d".into(),
+            },
+        ];
+        for v in all {
+            let kind = v.kind();
+            let tagged = v.prefixed("stage 1");
+            assert_eq!(tagged.site(), "stage 1: s", "{kind}");
+            assert_eq!(tagged.kind(), kind);
+        }
+    }
 
     #[test]
     fn display_names_the_site_and_range() {

@@ -5,11 +5,11 @@
 //! device only executes a fixed schedule. This module makes that split a
 //! first-class API:
 //!
-//! * [`Deployment`] (built via [`Engine::deploy`]) validates device fit
-//!   **once**, memoizes every plan artifact the policy needs (the
-//!   [`MemoryPlan`] plus the policy's fusion/patch/chain plans in a
-//!   [`PlanSet`]), caches the resolved planner+executor pair, and owns
-//!   the weights that will be staged into Flash. Deployments are cheap
+//! * [`Deployment`] (built via [`Engine::deploy`]) validates the weights
+//!   and device fit **once**, memoizes the planner's [`Schedule`] with
+//!   the [`MemoryPlan`] pricing it (and, for vMCU chains, the §4 chain
+//!   plan) in a [`PlanSet`], caches the resolved planner, and owns the
+//!   weights that will be staged into Flash. Deployments are cheap
 //!   to clone (`Arc`-backed) and `Send + Sync`, so a fleet shares one
 //!   per model across workers.
 //! * [`Session`] ([`Deployment::session`]) boots a machine, stages the
@@ -17,50 +17,42 @@
 //!   [`Session::infer`] calls with **zero planning work** — checkable
 //!   via [`vmcu_plan::telemetry`]. Between inferences only the volatile
 //!   state (RAM, counters) resets; the flash image stays resident, and
-//!   a leaked-state bug (an executor programming Flash mid-inference)
+//!   a leaked-state bug (a kernel programming Flash mid-inference)
 //!   surfaces as a typed [`EngineError::StateLeak`], never as silent
 //!   corruption.
 //!
 //! [`Engine::deploy`]: crate::engine::Engine::deploy
 //! [`MemoryPlan`]: vmcu_plan::MemoryPlan
 
-use crate::engine::{InferenceReport, PlannerKind};
+use crate::engine::{check_fits, check_input, check_weights, InferenceReport, PlannerKind};
 use crate::error::EngineError;
-use crate::exec::{stage_graph, ExecCtx, Executor, StagedLayer};
+use crate::exec::{self, stage_graph, ExecCtx, StagedLayer};
 use std::sync::Arc;
 use std::time::Instant;
 use vmcu_graph::{Graph, LayerWeights};
 use vmcu_plan::planner::MemoryPlanner;
-use vmcu_plan::{ChainPlan, FusionPlan, MemoryPlan, OrderPlan, PatchPlan, SplitPlan};
+use vmcu_plan::{ChainPlan, FusionPlan, MemoryPlan, OrderPlan, PatchPlan, Schedule, SplitPlan};
 use vmcu_sim::{Device, Machine};
 use vmcu_tensor::Tensor;
 
-/// Every plan artifact a policy needs at inference time, memoized at
-/// deploy time. The [`MemoryPlan`] is always present (fit validation and
-/// per-node report accounting); the policy-specific plans are `Some`
-/// only for the executor that consumes them.
+/// Every plan artifact an inference needs, memoized at deploy time.
 #[derive(Debug, Clone)]
 pub struct PlanSet {
-    /// One plan entry per execution node — the accounting source for
-    /// every [`LayerReport`](crate::engine::LayerReport).
+    /// One row per step of [`schedule`](Self::schedule) — fit
+    /// validation and the accounting source for every
+    /// [`LayerReport`](crate::engine::LayerReport).
     pub memory: MemoryPlan,
-    /// The fusion plan (fused policy).
-    pub fusion: Option<FusionPlan>,
-    /// The patch plan (patched policy).
-    pub patch: Option<PatchPlan>,
+    /// The schedule the planner deploys the graph with, executed step
+    /// for step.
+    pub schedule: Schedule,
     /// The §4 whole-network chain plan (vMCU policy, chain graphs only).
     pub chain: Option<ChainPlan>,
-    /// The multi-device partition (split policy, chain graphs only).
-    pub split: Option<SplitPlan>,
-    /// The searched execution order (reorder policy).
-    pub order: Option<OrderPlan>,
 }
 
 struct DeployInner {
     device: Device,
     kind: PlannerKind,
     planner: Box<dyn MemoryPlanner>,
-    executor: Box<dyn Executor>,
     graph: Graph,
     weights: Vec<LayerWeights>,
     plans: PlanSet,
@@ -80,10 +72,10 @@ impl std::fmt::Debug for DeployInner {
     }
 }
 
-/// A model deployed to a device under one policy: fit validated once,
-/// plans memoized, planner+executor resolved, weights owned. Cheap to
-/// clone and share across threads; create per-device execution state
-/// with [`Deployment::session`].
+/// A model deployed to a device under one policy: weights and fit
+/// validated once, plans memoized, planner resolved, weights owned.
+/// Cheap to clone and share across threads; create per-device execution
+/// state with [`Deployment::session`].
 #[derive(Debug, Clone)]
 pub struct Deployment {
     inner: Arc<DeployInner>,
@@ -99,32 +91,48 @@ impl Deployment {
         weights: &[LayerWeights],
     ) -> Result<Self, EngineError> {
         let dep = Self::new_unchecked(device, kind, graph, weights)?;
-        let plan = &dep.inner.plans.memory;
-        if !plan.deployable() {
-            let worst = &plan.layers[plan.bottleneck()];
-            return Err(EngineError::DoesNotFit {
-                layer: worst.name.clone(),
-                needed: worst.measured_bytes,
-                available: dep.inner.device.ram_bytes,
-            });
-        }
+        check_fits(&dep.inner.plans.memory, &dep.inner.device)?;
         Ok(dep)
     }
 
-    /// Plans and stages without the whole-graph fit check — the legacy
-    /// chained path validates only its (smaller) chain window, so it must
-    /// not be gated on per-layer deployability.
+    /// Plans and stages without the whole-graph fit check — the chained
+    /// mode validates only its (smaller) chain window, so it must not be
+    /// gated on per-layer deployability.
     pub(crate) fn new_unchecked(
         device: Device,
         kind: PlannerKind,
         graph: &Graph,
         weights: &[LayerWeights],
     ) -> Result<Self, EngineError> {
-        assert_eq!(weights.len(), graph.len(), "weights/layers mismatch");
+        if weights.len() != graph.len() {
+            return Err(EngineError::ShapeMismatch {
+                what: "weight tensors".into(),
+                expected: vec![graph.len()],
+                found: vec![weights.len()],
+            });
+        }
+        for (i, (layer, w)) in graph.layers().iter().zip(weights).enumerate() {
+            check_weights(i, layer, w)?;
+        }
         let started = Instant::now();
         let planner = kind.planner();
-        let executor = kind.executor();
-        let plans = executor.prepare(&*planner, graph, &device);
+        // One planning pass serves both the executed schedule and the
+        // memory plan it is priced by.
+        let schedule = planner.schedule(graph);
+        let memory = schedule.memory_plan(&*planner, graph, &device);
+        // The §4 chain deployment model threads one circular window
+        // through consecutive layers — only defined on chains.
+        let chain = match kind {
+            PlannerKind::Vmcu(scheme) if graph.is_chain() => {
+                Some(vmcu_plan::plan_chain(graph, scheme))
+            }
+            _ => None,
+        };
+        let plans = PlanSet {
+            memory,
+            schedule,
+            chain,
+        };
         // Validate the firmware image up front so `session()` cannot
         // fail: a dry-run staging into a probe machine exercises the
         // exact code path sessions use (layer/weights kinds, Flash
@@ -139,7 +147,6 @@ impl Deployment {
                 device,
                 kind,
                 planner,
-                executor,
                 graph: graph.clone(),
                 weights: weights.to_vec(),
                 plans,
@@ -170,13 +177,8 @@ impl Deployment {
         &*self.inner.planner
     }
 
-    /// The cached executor — the other half of the policy pair.
-    pub fn executor(&self) -> &dyn Executor {
-        &*self.inner.executor
-    }
-
-    /// The memoized whole-graph memory plan (one entry per execution
-    /// node).
+    /// The memoized whole-graph memory plan (one entry per schedule
+    /// step).
     pub fn plan(&self) -> &MemoryPlan {
         &self.inner.plans.memory
     }
@@ -186,14 +188,25 @@ impl Deployment {
         &self.inner.plans
     }
 
-    /// The memoized fusion plan (fused policy only).
-    pub fn fusion_plan(&self) -> Option<&FusionPlan> {
-        self.inner.plans.fusion.as_ref()
+    /// The deployed schedule.
+    pub fn schedule(&self) -> &Schedule {
+        &self.inner.plans.schedule
     }
 
-    /// The memoized patch plan (patched policy only).
+    /// The memoized fusion plan (fused policy, chain graphs only).
+    pub fn fusion_plan(&self) -> Option<&FusionPlan> {
+        match &self.inner.plans.schedule {
+            Schedule::Fused(fusion) => Some(fusion),
+            _ => None,
+        }
+    }
+
+    /// The memoized patch plan (patched policy, chain graphs only).
     pub fn patch_plan(&self) -> Option<&PatchPlan> {
-        self.inner.plans.patch.as_ref()
+        match &self.inner.plans.schedule {
+            Schedule::Patched(patch) => Some(patch),
+            _ => None,
+        }
     }
 
     /// The memoized §4 chain plan (vMCU policy only).
@@ -201,14 +214,18 @@ impl Deployment {
         self.inner.plans.chain.as_ref()
     }
 
-    /// The memoized multi-device partition (split policy only).
+    /// The memoized multi-device partition (split policy, chain graphs
+    /// only).
     pub fn split_plan(&self) -> Option<&SplitPlan> {
-        self.inner.plans.split.as_ref()
+        match &self.inner.plans.schedule {
+            Schedule::Split(split) => Some(split),
+            _ => None,
+        }
     }
 
     /// The memoized execution-order search result (reorder policy only).
     pub fn order_plan(&self) -> Option<&OrderPlan> {
-        self.inner.plans.order.as_ref()
+        self.inner.plans.schedule.order()
     }
 
     /// Peak SRAM this model commits on its device (activations +
@@ -284,6 +301,18 @@ impl Deployment {
         self.inner.device.cycles_to_ms(cycles)
     }
 
+    /// The deployed state an inference runs against, with the weights
+    /// staged at `staged`.
+    fn ctx<'a>(&'a self, staged: &'a [StagedLayer]) -> ExecCtx<'a> {
+        ExecCtx {
+            kind: self.inner.kind,
+            device: &self.inner.device,
+            graph: &self.inner.graph,
+            plans: &self.inner.plans,
+            staged,
+        }
+    }
+
     /// Creates a session: boots a machine for the device and stages the
     /// firmware image (all weights into Flash) once. Everything that can
     /// fail was validated at deploy time.
@@ -345,12 +374,20 @@ impl Session {
         self.deployment.staging_ms()
     }
 
-    /// Resets volatile machine state between inferences and verifies the
-    /// deployed invariants first: the staged flash image must be exactly
-    /// as deploy left it — an executor that programmed Flash mid-run is
-    /// a leaked-state bug, reported as a typed error, never silently
-    /// absorbed.
-    fn reset_between_inferences(&mut self) -> Result<(), EngineError> {
+    /// Checks the input against the deployed graph, then resets volatile
+    /// machine state between inferences after verifying the deployed
+    /// invariants: the staged flash image must be exactly as deploy left
+    /// it — a kernel that programmed Flash mid-run is a leaked-state
+    /// bug, reported as a typed error, never silently absorbed.
+    fn prepare_inference(&mut self, input: &Tensor<i8>) -> Result<(), EngineError> {
+        let graph = &self.deployment.inner.graph;
+        if graph.is_empty() {
+            return Err(EngineError::Unsupported {
+                kind: "empty graph",
+                executor: self.deployment.inner.kind.name(),
+            });
+        }
+        check_input(&graph.in_shape(), input)?;
         let found = self.machine.flash.used();
         if found != self.staged_flash_bytes {
             return Err(EngineError::StateLeak {
@@ -365,59 +402,39 @@ impl Session {
 
     /// Runs one inference through the deployed schedule — no planning,
     /// no flash programming, no allocation beyond the report itself.
-    /// Results are bit-identical to the legacy `run_graph*` paths, call
-    /// after call.
+    /// Results are bit-identical call after call.
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::StateLeak`] when a previous inference
-    /// corrupted deployed state, [`EngineError::Unsupported`] for layer
-    /// kinds the executor cannot run, and pool/memory errors on internal
-    /// bugs.
+    /// Returns [`EngineError::ShapeMismatch`] when the input does not
+    /// match the graph's input shape, [`EngineError::StateLeak`] when a
+    /// previous inference corrupted deployed state,
+    /// [`EngineError::Unsupported`] for layer kinds the policy cannot
+    /// run, and pool/memory errors on internal bugs.
     pub fn infer(&mut self, input: &Tensor<i8>) -> Result<InferenceReport, EngineError> {
-        self.reset_between_inferences()?;
-        let report = {
-            let ctx = ExecCtx {
-                device: &self.deployment.inner.device,
-                graph: &self.deployment.inner.graph,
-                plans: &self.deployment.inner.plans,
-                staged: &self.staged,
-            };
-            self.deployment
-                .inner
-                .executor
-                .infer(&ctx, &mut self.machine, input)?
-        };
+        self.prepare_inference(input)?;
+        let ctx = self.deployment.ctx(&self.staged);
+        let report = exec::infer(&ctx, &mut self.machine, input)?;
         self.inferences += 1;
         Ok(report)
     }
 
     /// Runs one inference chained through a single circular pool (§4's
     /// whole-network deployment model). Only the vMCU policy supports
-    /// it.
+    /// it, on chain graphs.
     ///
     /// # Errors
     ///
-    /// [`EngineError::Unsupported`] for non-vMCU policies,
+    /// [`EngineError::Unsupported`] for non-vMCU policies and DAGs,
     /// [`EngineError::DoesNotFit`] when the chain window exceeds RAM,
     /// plus the [`Session::infer`] contract.
     pub fn infer_chained(
         &mut self,
         input: &Tensor<i8>,
     ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        self.reset_between_inferences()?;
-        let out = {
-            let ctx = ExecCtx {
-                device: &self.deployment.inner.device,
-                graph: &self.deployment.inner.graph,
-                plans: &self.deployment.inner.plans,
-                staged: &self.staged,
-            };
-            self.deployment
-                .inner
-                .executor
-                .infer_chained(&ctx, &mut self.machine, input)?
-        };
+        self.prepare_inference(input)?;
+        let ctx = self.deployment.ctx(&self.staged);
+        let out = exec::infer_chained(&ctx, &mut self.machine, input)?;
         self.inferences += 1;
         Ok(out)
     }
@@ -493,7 +510,7 @@ mod tests {
         let (dep, input) = deployed();
         let mut s = dep.session();
         s.infer(&input).unwrap();
-        // Simulate an executor bug: extra flash programmed mid-session.
+        // Simulate a kernel bug: extra flash programmed mid-session.
         s.machine.host_program_flash(&[0xAB; 16]).unwrap();
         let err = s.infer(&input).unwrap_err();
         match err {

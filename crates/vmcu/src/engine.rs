@@ -4,22 +4,19 @@
 //! planner policy, [`deploy`](Engine::deploy) a model once — fit is
 //! validated, every plan artifact is memoized, weights are staged into
 //! Flash — and run as many inferences as you like through the resulting
-//! [`Session`](crate::deploy::Session) with zero replanning. Policies are
-//! *pairs*: a [`MemoryPlanner`] decides RAM at deploy time, an
-//! [`Executor`] runs the deployed schedule; the
-//! engine core dispatches on neither. vMCU plans are additionally
-//! validated at run time by the checked pool — a planning bug turns into
-//! a typed error, never a wrong answer.
+//! [`Session`](crate::deploy::Session) with zero replanning. A policy's
+//! [`MemoryPlanner`] decides the deployed
+//! [`Schedule`](vmcu_plan::Schedule) and its RAM at deploy time; one
+//! schedule walk executes it, with each node's kernel body picked from
+//! the [`PlannerKind`]. vMCU plans are additionally validated at run
+//! time by the checked pool — a planning bug turns into a typed error,
+//! never a wrong answer.
 
 use crate::deploy::Deployment;
 use crate::error::EngineError;
-use crate::exec::{
-    stage_layer, Executor, FusedExecutor, HmcosExecutor, PatchedExecutor, ReorderExecutor,
-    SplitExecutor, TinyEngineExecutor, VmcuExecutor,
-};
+use crate::exec::{exec_node, stage_layer};
 use vmcu_graph::{Graph, LayerDesc, LayerWeights};
 use vmcu_kernels::IbScheme;
-use vmcu_plan::chain::ChainPlan;
 use vmcu_plan::planner::MemoryPlanner;
 use vmcu_plan::{
     FusedPlanner, HmcosPlanner, LayerPlan, MemoryPlan, PatchedPlanner, ReorderPlanner,
@@ -28,15 +25,17 @@ use vmcu_plan::{
 use vmcu_sim::{Device, ExecSummary, Machine};
 use vmcu_tensor::Tensor;
 
-/// Planner/executor policy selection.
+/// Policy selection.
 ///
-/// A `PlannerKind` resolves to a *pair*: the planning policy object
-/// ([`planner`](PlannerKind::planner)) that decides RAM at deploy time,
-/// and the executor ([`executor`](PlannerKind::executor)) that runs the
-/// deployed schedule. [`Engine::deploy`] resolves the pair once and
-/// caches it in the [`Deployment`]; adding a policy means adding a
-/// planner, an executor, and one arm here — the engine core never
-/// changes.
+/// A `PlannerKind` resolves to the planning policy object
+/// ([`planner`](PlannerKind::planner)) whose
+/// [`schedule`](MemoryPlanner::schedule) decides what runs and how much
+/// RAM it takes, and to the kernel bodies that run it: segment-level
+/// for every vMCU policy ([`scheme`](PlannerKind::scheme) is `Some`),
+/// tensor-level for the TinyEngine and HMCOS baselines.
+/// [`Engine::deploy`] resolves the planner once and caches it in the
+/// [`Deployment`]; adding a policy means adding a planner and one arm
+/// here — the schedule walk never changes.
 ///
 /// # Examples
 ///
@@ -81,7 +80,7 @@ pub enum PlannerKind {
     /// Split inference across up to `devices` networked MCUs: the graph
     /// is cut layer-wise into contiguous per-device stages minimizing
     /// the max per-device peak (each stage planned by the fusion pass),
-    /// and the pipelined executor streams the boundary activations
+    /// and the deployed schedule streams the boundary activations
     /// stage-to-stage with every transfer priced by the deterministic
     /// `vmcu_sim::LinkModel` — the policy for models no *single* device
     /// can hold.
@@ -139,21 +138,17 @@ impl PlannerKind {
         }
     }
 
-    /// The execution policy object for this kind — the other half of the
-    /// planner/executor pair a [`Deployment`] caches.
-    pub fn executor(&self) -> Box<dyn Executor> {
+    /// The fused-inverted-bottleneck workspace scheme of a vMCU policy's
+    /// segment-level kernels; `None` for the tensor-level baselines
+    /// (TinyEngine, HMCOS), which run the baseline kernels.
+    pub fn scheme(&self) -> Option<IbScheme> {
         match self {
-            PlannerKind::Vmcu(scheme) => Box::new(VmcuExecutor { scheme: *scheme }),
-            PlannerKind::VmcuFused(scheme) => Box::new(FusedExecutor { scheme: *scheme }),
-            PlannerKind::VmcuPatched(scheme) => Box::new(PatchedExecutor { scheme: *scheme }),
-            PlannerKind::TinyEngine => Box::new(TinyEngineExecutor),
-            PlannerKind::Hmcos => Box::new(HmcosExecutor),
-            PlannerKind::VmcuSplit { devices, scheme } => Box::new(SplitExecutor {
-                devices: *devices,
-                scheme: *scheme,
-                link: vmcu_sim::LinkModel::default(),
-            }),
-            PlannerKind::VmcuReorder(scheme) => Box::new(ReorderExecutor { scheme: *scheme }),
+            PlannerKind::Vmcu(scheme)
+            | PlannerKind::VmcuFused(scheme)
+            | PlannerKind::VmcuPatched(scheme)
+            | PlannerKind::VmcuReorder(scheme)
+            | PlannerKind::VmcuSplit { scheme, .. } => Some(*scheme),
+            PlannerKind::TinyEngine | PlannerKind::Hmcos => None,
         }
     }
 }
@@ -200,23 +195,6 @@ impl InferenceReport {
     }
 }
 
-/// Legacy reusable execution state, superseded by
-/// [`Session`](crate::deploy::Session) (which owns the machine, the
-/// staged flash image, and the memoized plans). The deprecated
-/// `run_*_scratch` wrappers accept it for source compatibility but no
-/// longer read it.
-#[deprecated(note = "use `Engine::deploy(..)` and keep the `Session` instead")]
-#[derive(Debug, Default)]
-pub struct InferenceScratch {}
-
-#[allow(deprecated)]
-impl InferenceScratch {
-    /// Creates an empty scratch.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// The inference engine.
 #[derive(Debug, Clone)]
 pub struct Engine {
@@ -234,26 +212,6 @@ impl Engine {
         }
     }
 
-    /// Deprecated checked constructor.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DoesNotFit`] naming the bottleneck layer
-    /// when any layer's planned RAM exceeds the device.
-    #[deprecated(
-        note = "use `Engine::new(device).planner(kind).deploy(graph, weights)` — \
-                         a `Deployment` validates fit once and memoizes every plan"
-    )]
-    pub fn with_model(
-        device: Device,
-        kind: PlannerKind,
-        graph: &Graph,
-    ) -> Result<Self, EngineError> {
-        let engine = Self { device, kind };
-        engine.check_fit(graph)?;
-        Ok(engine)
-    }
-
     /// Plans the whole graph and verifies every layer fits the device.
     ///
     /// # Errors
@@ -262,18 +220,11 @@ impl Engine {
     /// non-deployable plan.
     pub fn check_fit(&self, graph: &Graph) -> Result<MemoryPlan, EngineError> {
         let plan = vmcu_plan::plan_graph(&*self.kind.planner(), graph, &self.device);
-        if !plan.deployable() {
-            let worst = &plan.layers[plan.bottleneck()];
-            return Err(EngineError::DoesNotFit {
-                layer: worst.name.clone(),
-                needed: worst.measured_bytes,
-                available: self.device.ram_bytes,
-            });
-        }
+        check_fits(&plan, &self.device)?;
         Ok(plan)
     }
 
-    /// Selects the planner/executor policy.
+    /// Selects the policy.
     pub fn planner(mut self, kind: PlannerKind) -> Self {
         self.kind = kind;
         self
@@ -289,11 +240,10 @@ impl Engine {
         self.kind
     }
 
-    /// Deploys a model: validates device fit once, memoizes the
-    /// [`MemoryPlan`] plus every policy plan artifact
-    /// (fusion/patch/chain), resolves the planner+executor pair, and
-    /// takes ownership of the weights that sessions will stage into
-    /// Flash. This is the entry point of the plan-once/run-many flow:
+    /// Deploys a model: validates the weights and device fit once,
+    /// memoizes the planner's [`Schedule`](vmcu_plan::Schedule), its
+    /// [`MemoryPlan`] and (vMCU chains) the chain plan, and takes
+    /// ownership of the weights that sessions will stage into Flash. This is the entry point of the plan-once/run-many flow:
     ///
     /// ```
     /// use vmcu::prelude::*;
@@ -310,10 +260,12 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::DoesNotFit`] naming the bottleneck layer
-    /// for non-deployable models, [`EngineError::Unsupported`] for
-    /// layer/weights kinds that cannot stage, and a memory error when
-    /// the firmware image exceeds the device Flash.
+    /// Returns [`EngineError::ShapeMismatch`] when the weights do not
+    /// match the graph (count or per-layer size),
+    /// [`EngineError::DoesNotFit`] naming the bottleneck layer for
+    /// non-deployable models, [`EngineError::Unsupported`] for
+    /// layer/weights kinds that cannot stage, and a memory error when the
+    /// firmware image exceeds the device Flash.
     pub fn deploy(
         &self,
         graph: &Graph,
@@ -333,9 +285,10 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::Unsupported`] for layer/weights kinds that
-    /// cannot stage and a memory error when the firmware image exceeds
-    /// the device Flash.
+    /// Returns [`EngineError::ShapeMismatch`] when the weights do not
+    /// match the graph, [`EngineError::Unsupported`] for layer/weights
+    /// kinds that cannot stage and a memory error when the firmware
+    /// image exceeds the device Flash.
     pub fn deploy_unchecked(
         &self,
         graph: &Graph,
@@ -350,15 +303,8 @@ impl Engine {
             .kind
             .planner()
             .plan(&[(name.to_owned(), layer.clone())], &self.device);
-        let lp = plan.layers.into_iter().next().expect("one layer planned");
-        if !lp.fits {
-            return Err(EngineError::DoesNotFit {
-                layer: name.to_owned(),
-                needed: lp.measured_bytes,
-                available: self.device.ram_bytes,
-            });
-        }
-        Ok(lp)
+        check_fits(&plan, &self.device)?;
+        Ok(plan.layers.into_iter().next().expect("one layer planned"))
     }
 
     /// Runs a single layer on a fresh machine, returning the output and
@@ -368,9 +314,11 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::DoesNotFit`] when the plan exceeds device
-    /// RAM, [`EngineError::Unsupported`] for layer kinds the selected
-    /// executor cannot run, and pool/memory errors on internal bugs.
+    /// Returns [`EngineError::ShapeMismatch`] when the input or weights
+    /// do not match the layer, [`EngineError::DoesNotFit`] when the plan
+    /// exceeds device RAM, [`EngineError::Unsupported`] for layer kinds
+    /// the selected policy cannot run, and pool/memory errors on
+    /// internal bugs.
     pub fn run_layer(
         &self,
         name: &str,
@@ -378,14 +326,13 @@ impl Engine {
         weights: &LayerWeights,
         input: &Tensor<i8>,
     ) -> Result<(Tensor<i8>, LayerReport), EngineError> {
+        check_input(&layer.in_shape(), input)?;
+        check_weights(0, layer, weights)?;
         let plan = self.plan_layer(name, layer)?;
         let mut m = Machine::new(self.device.clone());
         let staged = stage_layer(&mut m, layer, weights)?;
         let before = m.snapshot();
-        let output = self
-            .kind
-            .executor()
-            .exec_layer(&mut m, layer, staged, input)?;
+        let output = exec_node(self.kind, &mut m, layer, staged, &[input])?;
         let exec = m.summarize_since(&before);
         Ok((
             output,
@@ -396,89 +343,48 @@ impl Engine {
             },
         ))
     }
+}
 
-    /// Deprecated [`run_layer`](Self::run_layer) variant; the scratch is
-    /// ignored (machine reuse now lives in
-    /// [`Session`](crate::deploy::Session)). Results are identical to
-    /// `run_layer`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_layer`](Self::run_layer).
-    #[deprecated(note = "use `run_layer`, or `Engine::deploy(..).session()` for reuse")]
-    #[allow(deprecated)]
-    pub fn run_layer_scratch(
-        &self,
-        name: &str,
-        layer: &LayerDesc,
-        weights: &LayerWeights,
-        input: &Tensor<i8>,
-        _scratch: &mut InferenceScratch,
-    ) -> Result<(Tensor<i8>, LayerReport), EngineError> {
-        self.run_layer(name, layer, weights, input)
+/// [`EngineError::DoesNotFit`] naming the bottleneck row of a plan in
+/// which any row exceeds the device.
+pub(crate) fn check_fits(plan: &MemoryPlan, device: &Device) -> Result<(), EngineError> {
+    if plan.deployable() {
+        return Ok(());
     }
+    let worst = &plan.layers[plan.bottleneck()];
+    Err(EngineError::DoesNotFit {
+        layer: worst.name.clone(),
+        needed: worst.measured_bytes,
+        available: device.ram_bytes,
+    })
+}
 
-    /// Deprecated one-shot graph run: deploys, opens a session, infers
-    /// once. Bit-identical to the historical per-call path, but pays
-    /// planning+staging on every call — hot paths should hold the
-    /// [`Deployment`] and its [`Session`](crate::deploy::Session).
-    ///
-    /// # Errors
-    ///
-    /// The [`deploy`](Engine::deploy) and
-    /// [`Session::infer`](crate::deploy::Session::infer) contracts.
-    #[deprecated(
-        note = "use `Engine::deploy(graph, weights)?.session().infer(input)` — \
-                         plan once, run many"
-    )]
-    pub fn run_graph(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        self.deploy(graph, weights)?.session().infer(input)
+/// Rejects an input whose shape is not `expected`.
+pub(crate) fn check_input(expected: &[usize], input: &Tensor<i8>) -> Result<(), EngineError> {
+    if input.shape() == expected {
+        return Ok(());
     }
+    Err(EngineError::ShapeMismatch {
+        what: "input shape".into(),
+        expected: expected.to_vec(),
+        found: input.shape().to_vec(),
+    })
+}
 
-    /// Deprecated [`run_graph`](Self::run_graph) variant; the scratch is
-    /// ignored (reuse now lives in [`Session`](crate::deploy::Session)).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`run_graph`](Self::run_graph).
-    #[deprecated(note = "deploy once (`Engine::deploy`) and reuse the `Session` instead")]
-    #[allow(deprecated)]
-    pub fn run_graph_scratch(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-        _scratch: &mut InferenceScratch,
-    ) -> Result<InferenceReport, EngineError> {
-        self.deploy(graph, weights)?.session().infer(input)
+/// Rejects weights whose byte size is not what layer `index` needs.
+pub(crate) fn check_weights(
+    index: usize,
+    layer: &LayerDesc,
+    weights: &LayerWeights,
+) -> Result<(), EngineError> {
+    if weights.bytes() == layer.weight_bytes() {
+        return Ok(());
     }
-
-    /// Deprecated chained run: deploys (without the per-layer fit gate —
-    /// the chain validates its own, smaller window) and infers through
-    /// one circular pool. Only available under the vMCU policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Unsupported`] for non-vMCU policies,
-    /// [`EngineError::DoesNotFit`] when the window exceeds RAM, and pool
-    /// errors on planning bugs (never silent corruption).
-    #[deprecated(note = "use `Engine::deploy(..)` then `Session::infer_chained` — the \
-                         deployment memoizes the `ChainPlan`")]
-    pub fn run_graph_chained(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-        input: &Tensor<i8>,
-    ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        self.deploy_unchecked(graph, weights)?
-            .session()
-            .infer_chained(input)
-    }
+    Err(EngineError::ShapeMismatch {
+        what: format!("weight bytes of layer {index} ({})", layer.kind()),
+        expected: vec![layer.weight_bytes()],
+        found: vec![weights.bytes()],
+    })
 }
 
 #[cfg(test)]
@@ -554,6 +460,22 @@ mod tests {
     }
 
     #[test]
+    fn only_the_baselines_run_without_a_segment_scheme() {
+        let scheme = IbScheme::PixelWindow;
+        for kind in [
+            PlannerKind::Vmcu(scheme),
+            PlannerKind::VmcuFused(scheme),
+            PlannerKind::VmcuPatched(scheme),
+            PlannerKind::VmcuSplit { devices: 2, scheme },
+            PlannerKind::VmcuReorder(scheme),
+        ] {
+            assert_eq!(kind.scheme(), Some(scheme), "{kind:?}");
+        }
+        assert_eq!(PlannerKind::TinyEngine.scheme(), None);
+        assert_eq!(PlannerKind::Hmcos.scheme(), None);
+    }
+
+    #[test]
     fn engine_and_work_items_are_send() {
         // The fleet scheduler moves engines, deployments, and sessions
         // into worker threads; regressions here break `vmcu-serve` at
@@ -582,33 +504,6 @@ mod tests {
         assert_eq!(warm.latency_ms(), fresh.latency_ms());
         assert_eq!(warm.energy_mj(), fresh.energy_mj());
         assert_eq!(warm.peak_ram_bytes(), fresh.peak_ram_bytes());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_wrappers_match_the_deploy_path_bit_for_bit() {
-        let g = zoo::demo_linear_net();
-        let weights = g.random_weights(21);
-        let input = random::tensor_i8(&g.in_shape(), 22);
-        let engine = Engine::new(Device::stm32_f767zi());
-        let legacy = engine.run_graph(&g, &weights, &input).unwrap();
-        let mut scratch = InferenceScratch::new();
-        let legacy_scratch = engine
-            .run_graph_scratch(&g, &weights, &input, &mut scratch)
-            .unwrap();
-        let new = infer(&engine, &g, &weights, &input);
-        for old in [&legacy, &legacy_scratch] {
-            assert_eq!(old.output, new.output);
-            assert_eq!(old.latency_ms(), new.latency_ms());
-            assert_eq!(old.energy_mj(), new.energy_mj());
-            assert_eq!(old.peak_ram_bytes(), new.peak_ram_bytes());
-        }
-        assert!(Engine::with_model(
-            Device::stm32_f767zi(),
-            PlannerKind::Vmcu(IbScheme::RowBuffer),
-            &g
-        )
-        .is_ok());
     }
 
     #[test]

@@ -18,17 +18,27 @@ pub enum EngineError {
         /// Device RAM bytes.
         available: usize,
     },
-    /// The selected planner/executor combination does not support this
-    /// layer kind.
+    /// The selected policy does not support this layer kind.
     Unsupported {
         /// Layer kind.
         kind: &'static str,
-        /// Executor name.
+        /// Policy (or stage) that rejected it.
         executor: &'static str,
+    },
+    /// An input or weight tensor does not match the graph it is run
+    /// against — rejected before any kernel runs, so malformed data never
+    /// panics and never yields an output.
+    ShapeMismatch {
+        /// What was checked (e.g. `input shape`, `weight tensors`).
+        what: String,
+        /// The shape (or count / byte size) the graph requires.
+        expected: Vec<usize>,
+        /// What the caller supplied.
+        found: Vec<usize>,
     },
     /// Deployed session state leaked between inferences — an invariant
     /// staged at deploy time (e.g. the flash firmware image) changed
-    /// during `infer`. Indicates an executor bug; surfaced as a typed
+    /// during `infer`. Indicates an execution bug; surfaced as a typed
     /// error on the next inference, never silently absorbed.
     StateLeak {
         /// The deployed invariant that changed.
@@ -59,6 +69,11 @@ impl fmt::Display for EngineError {
             EngineError::Unsupported { kind, executor } => {
                 write!(f, "{executor} executor does not support {kind} layers")
             }
+            EngineError::ShapeMismatch {
+                what,
+                expected,
+                found,
+            } => write!(f, "{what} mismatch: expected {expected:?}, found {found:?}"),
             EngineError::StateLeak {
                 what,
                 expected,

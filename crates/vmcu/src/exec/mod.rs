@@ -1,53 +1,43 @@
-//! Pluggable executors — one per planning policy.
+//! Schedule execution: one walk over a deployed [`Schedule`].
 //!
-//! The engine used to dispatch on [`PlannerKind`] inside its `run_*`
-//! bodies; every new policy meant editing the engine core. Executors
-//! invert that: a policy is a *pair* of a [`MemoryPlanner`] (how much
-//! RAM, decided at deploy time) and an [`Executor`] (how the deployed
-//! schedule runs), resolved once by [`PlannerKind::planner`] and
-//! [`PlannerKind::executor`] and cached in a
-//! [`Deployment`](crate::deploy::Deployment). Adding a policy is now a
-//! planner impl in `vmcu-plan`, an `Executor` impl here, and one arm in
-//! the `PlannerKind` resolution — the engine core never changes.
+//! The planner decides *what* runs — its [`Schedule`], memoized at
+//! deploy time in the [`PlanSet`] — and one walk, `exec::infer`, runs
+//! it for every policy, one step per memory-plan row: a graph node in
+//! its own pool window, a fused chain, a patched front stage, or a link
+//! transfer between split stages. The only per-policy choice left at
+//! run time is each node's kernel body, picked from the
+//! [`PlannerKind`]:
 //!
-//! Executors run against *deployed* state only: the graph, the plan
-//! artifacts memoized at deploy time ([`PlanSet`]), and the weights
-//! already staged into device Flash ([`StagedLayer`]). They must not
-//! plan (the plan-call telemetry in `vmcu_plan::telemetry` makes that
-//! checkable) and must not program Flash (the session's reset assertions
-//! turn that into a typed [`EngineError::StateLeak`]).
+//! * segment-level vMCU kernels for every vMCU policy (`exec/vmcu.rs`);
+//! * tensor-level baseline kernels for TinyEngine (`exec/tinyengine.rs`);
+//! * the same baseline kernels for HMCOS, which is a scheduling policy
+//!   and contributes no kernels of its own — it only lacks TinyEngine's
+//!   in-place add.
 //!
-//! [`PlannerKind`]: crate::engine::PlannerKind
-//! [`PlannerKind::planner`]: crate::engine::PlannerKind::planner
-//! [`PlannerKind::executor`]: crate::engine::PlannerKind::executor
-//! [`MemoryPlanner`]: vmcu_plan::MemoryPlanner
-//! [`EngineError::StateLeak`]: crate::error::EngineError::StateLeak
+//! The walk runs against *deployed* state only: the graph, the memoized
+//! plans and the weights already staged into device Flash
+//! ([`StagedLayer`]). It never plans (the plan-call telemetry in
+//! `vmcu_plan::telemetry` makes that checkable) and never programs Flash
+//! (the session's reset assertions turn that into a typed
+//! [`EngineError::StateLeak`]).
 
-pub mod fused;
-pub mod hmcos;
-pub mod patched;
-pub mod reorder;
-pub mod split;
-pub mod tinyengine;
-pub mod vmcu;
+mod tinyengine;
+mod vmcu;
+
+pub(crate) use self::vmcu::infer_chained;
 
 use crate::deploy::PlanSet;
-use crate::engine::{InferenceReport, LayerReport};
+use crate::engine::{InferenceReport, LayerReport, PlannerKind};
 use crate::error::EngineError;
 use vmcu_graph::{Graph, LayerDesc, LayerWeights, NodeInput};
+use vmcu_kernels::fused_chain::run_fused_chain;
 use vmcu_kernels::merge::{add_exec_distance, concat_exec_distance, run_add, run_concat};
-use vmcu_plan::{ChainPlan, LayerPlan};
+use vmcu_kernels::patched::run_patched_front;
+use vmcu_plan::fusion::FusedGroup;
+use vmcu_plan::{FusionNode, LayerPlan, PatchPlan, Schedule};
 use vmcu_pool::SegmentPool;
-use vmcu_sim::{Device, Machine};
+use vmcu_sim::{Counters, Device, ExecSummary, LinkModel, Machine};
 use vmcu_tensor::Tensor;
-
-pub use fused::FusedExecutor;
-pub use hmcos::HmcosExecutor;
-pub use patched::PatchedExecutor;
-pub use reorder::ReorderExecutor;
-pub use split::SplitExecutor;
-pub use tinyengine::TinyEngineExecutor;
-pub use vmcu::VmcuExecutor;
 
 /// Flash addresses of one layer's weights, staged at deploy time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,9 +77,8 @@ impl StagedLayer {
 }
 
 /// Programs one layer's weights into Flash, returning the staged
-/// addresses. Image order matches the historical per-layer staging
-/// (`w1`, `wdw`, `w2` for inverted bottlenecks), so deployed execution
-/// is bit-identical to the legacy program-per-run path.
+/// addresses (`w1`, `wdw`, `w2` in that order for inverted
+/// bottlenecks).
 ///
 /// # Errors
 ///
@@ -138,27 +127,28 @@ pub fn stage_graph(
         .collect()
 }
 
-/// Everything an executor sees at inference time: deployed, immutable
-/// state prepared once by `Engine::deploy`.
+/// Everything an inference sees: deployed, immutable state prepared once
+/// by `Engine::deploy`.
 #[derive(Debug, Clone, Copy)]
-pub struct ExecCtx<'a> {
+pub(crate) struct ExecCtx<'a> {
+    /// The deployed policy (selects each node's kernel body).
+    pub(crate) kind: PlannerKind,
     /// The target device.
-    pub device: &'a Device,
+    pub(crate) device: &'a Device,
     /// The deployed graph.
-    pub graph: &'a Graph,
+    pub(crate) graph: &'a Graph,
     /// Plan artifacts memoized at deploy time.
-    pub plans: &'a PlanSet,
+    pub(crate) plans: &'a PlanSet,
     /// Per-layer staged Flash addresses, in graph order.
-    pub staged: &'a [StagedLayer],
+    pub(crate) staged: &'a [StagedLayer],
 }
 
 impl ExecCtx<'_> {
-    /// The memoized plan entry for execution node `node` (layer index
-    /// for per-layer policies, node index for fused/patched plans),
-    /// re-checking device fit defensively — a deployment constructed
-    /// through the checked path can never hit the error.
-    pub fn node_plan(&self, node: usize) -> Result<LayerPlan, EngineError> {
-        let lp = self.plans.memory.layers[node].clone();
+    /// The memoized plan row for schedule step `row`, re-checking device
+    /// fit defensively — a deployment constructed through the checked
+    /// path can never hit the error.
+    fn step_plan(&self, row: usize) -> Result<LayerPlan, EngineError> {
+        let lp = self.plans.memory.layers[row].clone();
         if !lp.fits {
             return Err(EngineError::DoesNotFit {
                 layer: lp.name,
@@ -172,13 +162,13 @@ impl ExecCtx<'_> {
 
 /// How a merge kernel lays its output relative to its operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MergeMode {
+enum MergeMode {
     /// Segment-level overlap: the output lands at `−d` where `d` is the
     /// kernel's executable distance, so it reuses the dying operand
-    /// slots (vMCU policies).
+    /// slots (vMCU policies, and TinyEngine's in-place add at `d = 0`).
     Overlap,
-    /// Disjoint output after both operands (tensor-level baselines;
-    /// HMCOS, and TinyEngine's concat).
+    /// Disjoint output after both operands (HMCOS, and TinyEngine's
+    /// concat).
     Disjoint,
 }
 
@@ -187,7 +177,7 @@ pub enum MergeMode {
 /// merge kernel, and reads the output back. The window matches the
 /// planners' pricing for each mode, so executed peaks equal planned
 /// peaks byte for byte.
-pub fn exec_merge(
+fn exec_merge(
     m: &mut Machine,
     layer: &LayerDesc,
     inputs: &[&Tensor<i8>],
@@ -201,14 +191,8 @@ pub fn exec_merge(
     };
     match layer {
         LayerDesc::Add(p) => {
-            let (d, window) = match mode {
-                MergeMode::Overlap => {
-                    let d = add_exec_distance(p);
-                    let w = (p.in_bytes() as i64 + d.max(0)).max(p.out_bytes() as i64);
-                    (d, w as usize)
-                }
-                MergeMode::Disjoint => (-(p.in_bytes() as i64), p.in_bytes() + p.out_bytes()),
-            };
+            let (d, window) =
+                merge_layout(mode, p.in_bytes(), p.out_bytes(), || add_exec_distance(p));
             let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.tensor_bytes() as i64, &b.as_bytes())?;
@@ -217,14 +201,9 @@ pub fn exec_merge(
             Ok(Tensor::from_bytes(&[p.h, p.w, p.c], &out))
         }
         LayerDesc::Concat(p) => {
-            let (d, window) = match mode {
-                MergeMode::Overlap => {
-                    let d = concat_exec_distance(p);
-                    let w = (p.in_bytes() as i64 + d.max(0)).max(p.out_bytes() as i64);
-                    (d, w as usize)
-                }
-                MergeMode::Disjoint => (-(p.in_bytes() as i64), p.in_bytes() + p.out_bytes()),
-            };
+            let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), || {
+                concat_exec_distance(p)
+            });
             let mut pool = SegmentPool::new(m, 0, window, p.seg())?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.a_bytes() as i64, &b.as_bytes())?;
@@ -239,173 +218,199 @@ pub fn exec_merge(
     }
 }
 
-/// Walks a deployed graph in `order` (default index order when `None`),
-/// holding every produced activation host-side until its last consumer —
-/// the execution mirror of the planners' last-consumer liveness pricing.
-/// The memoized plan rows are consumed **by step** (row `k` prices the
-/// `k`-th executed node), which is the identity mapping for default-order
-/// plans and the searched order for reorder plans.
-///
-/// # Panics
-///
-/// Panics if `order` is not topological (a node executes before one of
-/// its producers) — deploy-time validation rules that out.
-pub fn infer_in_order<E: Executor + ?Sized>(
-    executor: &E,
+/// `(distance, window)` of a merge: the overlapped layout runs at the
+/// kernel's executable distance, the disjoint one parks the output past
+/// both operands.
+fn merge_layout(
+    mode: MergeMode,
+    in_bytes: usize,
+    out_bytes: usize,
+    distance: impl FnOnce() -> i64,
+) -> (i64, usize) {
+    match mode {
+        MergeMode::Overlap => {
+            let d = distance();
+            (
+                d,
+                (in_bytes as i64 + d.max(0)).max(out_bytes as i64) as usize,
+            )
+        }
+        MergeMode::Disjoint => (-(in_bytes as i64), in_bytes + out_bytes),
+    }
+}
+
+/// Executes one graph node given all of its input tensors in slot order,
+/// with the kernel body the policy selects. The machine's RAM is
+/// caller-cleared; Flash is never touched.
+pub(crate) fn exec_node(
+    kind: PlannerKind,
+    m: &mut Machine,
+    layer: &LayerDesc,
+    staged: StagedLayer,
+    inputs: &[&Tensor<i8>],
+) -> Result<Tensor<i8>, EngineError> {
+    match (kind.scheme(), inputs) {
+        (Some(scheme), [input]) => vmcu::exec_layer(m, layer, staged, input, scheme),
+        (Some(_), _) => exec_merge(m, layer, inputs, MergeMode::Overlap),
+        (None, [input]) => tinyengine::exec_layer(m, layer, staged, input, kind.name()),
+        // TinyEngine adds in place (one operand slot doubles as the
+        // output); HMCOS has no in-place update, and neither baseline
+        // overlaps a concat.
+        (None, _) if kind == PlannerKind::TinyEngine && matches!(layer, LayerDesc::Add(_)) => {
+            exec_merge(m, layer, inputs, MergeMode::Overlap)
+        }
+        (None, _) => exec_merge(m, layer, inputs, MergeMode::Disjoint),
+    }
+}
+
+/// One step of a deployed schedule; step `k` is priced by memory-plan
+/// row `k`.
+enum Step<'a> {
+    /// Kernel work on the machine.
+    Run(Work<'a>),
+    /// A cut tensor of this many bytes streamed to the next device.
+    Link(usize),
+}
+
+/// The kernel work of one step.
+enum Work<'a> {
+    /// Graph node `v` in its own pool window.
+    Node(usize),
+    /// A fused chain over graph layers `offset + group.start ..
+    /// offset + group.end`.
+    Fused {
+        group: &'a FusedGroup,
+        offset: usize,
+    },
+    /// The patched front stage.
+    Front(&'a PatchPlan),
+}
+
+/// The steps of `nodes` (a fusion plan whose node indices are relative
+/// to graph layer `offset`).
+fn fusion_steps(nodes: &[FusionNode], offset: usize) -> impl Iterator<Item = Step<'_>> {
+    nodes.iter().map(move |node| {
+        Step::Run(match node {
+            FusionNode::Single { index, .. } => Work::Node(offset + index),
+            FusionNode::Fused(group) => Work::Fused { group, offset },
+        })
+    })
+}
+
+/// The schedule's steps in execution order.
+fn steps(schedule: &Schedule, n: usize) -> Vec<Step<'_>> {
+    match schedule {
+        Schedule::Nodes(Some(order)) => order
+            .order
+            .iter()
+            .map(|&v| Step::Run(Work::Node(v)))
+            .collect(),
+        Schedule::Nodes(None) => (0..n).map(|v| Step::Run(Work::Node(v))).collect(),
+        Schedule::Fused(fusion) => fusion_steps(&fusion.nodes, 0).collect(),
+        Schedule::Patched(patch) => patch
+            .front
+            .as_ref()
+            .map(|_| Step::Run(Work::Front(patch)))
+            .into_iter()
+            .chain(fusion_steps(&patch.tail.nodes, 0))
+            .collect(),
+        Schedule::Split(split) => split
+            .stages()
+            .iter()
+            .flat_map(|stage| {
+                fusion_steps(&stage.fusion.nodes, stage.start)
+                    .chain((stage.cut_bytes > 0).then_some(Step::Link(stage.cut_bytes)))
+            })
+            .collect(),
+    }
+}
+
+/// Runs one step's kernel work, returning the graph node whose output
+/// it produced and that output.
+fn exec_work(
+    ctx: &ExecCtx<'_>,
+    m: &mut Machine,
+    work: &Work<'_>,
+    acts: &[Option<Tensor<i8>>],
+    input: &Tensor<i8>,
+) -> Result<(usize, Tensor<i8>), EngineError> {
+    let graph = ctx.graph;
+    let tensor = |edge: &NodeInput| match edge {
+        NodeInput::GraphInput => input,
+        NodeInput::Node(j) => acts[*j].as_ref().expect("schedules run producers first"),
+    };
+    match *work {
+        Work::Node(v) => {
+            let inputs: Vec<&Tensor<i8>> = graph.node_inputs(v).iter().map(tensor).collect();
+            let out = exec_node(ctx.kind, m, &graph.layers()[v], ctx.staged[v], &inputs)?;
+            Ok((v, out))
+        }
+        Work::Fused { group, offset } => {
+            let (start, end) = (offset + group.start, offset + group.end);
+            let flash = ctx.staged[start..end]
+                .iter()
+                .map(|s| s.single("vMCU-fused"))
+                .collect::<Result<Vec<_>, _>>()?;
+            let d = group.exec_distance;
+            let mut pool = SegmentPool::new(m, 0, group.window, group.chain.seg())?;
+            pool.host_fill_live(m, 0, &tensor(&graph.node_inputs(start)[0]).as_bytes())?;
+            run_fused_chain(m, &mut pool, &group.chain, 0, -d, &flash, group.window)?;
+            let out_layer = &graph.layers()[end - 1];
+            let out = pool.host_read(m, -d, out_layer.out_bytes())?;
+            Ok((end - 1, Tensor::from_bytes(&out_layer.out_shape(), &out)))
+        }
+        Work::Front(patch) => {
+            let front = patch.front.as_ref().expect("front steps carry a front");
+            let flash = ctx.staged[..patch.front_len]
+                .iter()
+                .map(|s| s.single("vMCU-patched"))
+                .collect::<Result<Vec<_>, _>>()?;
+            let out = run_patched_front(m, front, input, &flash)?;
+            Ok((patch.front_len - 1, out))
+        }
+    }
+}
+
+/// Executes the deployed schedule for one input: one step per plan row,
+/// RAM reset to boot state before each step (counters keep accumulating;
+/// reports use deltas), every activation held host-side for its
+/// consumers — the host-side hand-off between split stages *is* the
+/// modelled network hop, priced by the deterministic [`LinkModel`] with
+/// no machine counters touched.
+pub(crate) fn infer(
     ctx: &ExecCtx<'_>,
     m: &mut Machine,
     input: &Tensor<i8>,
 ) -> Result<InferenceReport, EngineError> {
     let n = ctx.graph.len();
-    let default_order: Vec<usize>;
-    let order: &[usize] = match &ctx.plans.order {
-        Some(plan) => &plan.order,
-        None => {
-            default_order = (0..n).collect();
-            &default_order
-        }
-    };
-    let mut layers = Vec::with_capacity(n);
+    let link = LinkModel::default();
     let mut acts: Vec<Option<Tensor<i8>>> = vec![None; n];
-    for (step, &v) in order.iter().enumerate() {
-        let plan = ctx.node_plan(step)?;
-        let layer = &ctx.graph.layers()[v];
-        let inputs: Vec<&Tensor<i8>> = ctx
-            .graph
-            .node_inputs(v)
-            .iter()
-            .map(|edge| match edge {
-                NodeInput::GraphInput => input,
-                NodeInput::Node(j) => acts[*j]
-                    .as_ref()
-                    .expect("topological order runs producers first"),
-            })
-            .collect();
-        // Between-node reset: RAM to boot state (bit-identical to the
-        // historical reset-per-layer path); counters keep accumulating —
-        // reports use deltas.
-        m.ram.clear();
-        let before = m.snapshot();
-        let out = executor.exec_node(m, layer, ctx.staged[v], &inputs)?;
-        let exec = m.summarize_since(&before);
+    let mut layers = Vec::with_capacity(ctx.plans.memory.layers.len());
+    for (row, step) in steps(&ctx.plans.schedule, n).iter().enumerate() {
+        let plan = ctx.step_plan(row)?;
+        let exec = match step {
+            Step::Run(work) => {
+                m.ram.clear();
+                let before = m.snapshot();
+                let (node, out) = exec_work(ctx, m, work, &acts, input)?;
+                acts[node] = Some(out);
+                m.summarize_since(&before)
+            }
+            Step::Link(bytes) => ExecSummary {
+                counters: Counters::default(),
+                latency_ms: link.transfer_ms(*bytes as u64),
+                energy_mj: link.transfer_energy_mj(*bytes as u64),
+            },
+        };
         layers.push(LayerReport {
             name: plan.name.clone(),
             plan,
             exec,
         });
-        acts[v] = Some(out);
     }
-    let output = acts[n - 1]
-        .take()
-        .expect("the last node is the graph output");
+    let output = acts
+        .pop()
+        .flatten()
+        .expect("sessions reject empty graphs; the last node is the output");
     Ok(InferenceReport { output, layers })
-}
-
-/// A policy's execution half: runs deployed graphs and single layers
-/// against pre-staged weights, with **zero planning work** — every plan
-/// artifact it needs was memoized at deploy time and arrives via
-/// [`ExecCtx`].
-pub trait Executor: std::fmt::Debug + Send + Sync {
-    /// Executor display name (matches the policy's planner name).
-    fn name(&self) -> &'static str;
-
-    /// Builds every plan artifact this executor will consume at
-    /// inference time — called **once**, at deploy. The default memoizes
-    /// only the whole-graph [`MemoryPlan`](vmcu_plan::MemoryPlan);
-    /// policies with extra artifacts (fusion plan, patch plan, chain
-    /// plan) override it and add theirs.
-    fn prepare(
-        &self,
-        planner: &dyn vmcu_plan::MemoryPlanner,
-        graph: &Graph,
-        device: &Device,
-    ) -> PlanSet {
-        PlanSet {
-            memory: vmcu_plan::plan_graph(planner, graph, device),
-            fusion: None,
-            patch: None,
-            chain: None,
-            split: None,
-            order: None,
-        }
-    }
-
-    /// Executes one layer whose weights are staged at `staged`, reading
-    /// the input from the host and returning the output tensor. The
-    /// machine's RAM is caller-cleared; Flash must not be touched.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::Unsupported`] for layer kinds this policy
-    /// cannot run, and pool/memory errors on internal bugs.
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError>;
-
-    /// Executes one graph node given **all** of its input tensors in
-    /// slot order — the arity-aware generalization of
-    /// [`exec_layer`](Executor::exec_layer). The default delegates
-    /// single-input layers to `exec_layer` and runs merges through the
-    /// shared [`exec_merge`] body with disjoint operands (the
-    /// tensor-level baseline layout); segment-level policies override
-    /// merges to the overlapped layout.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`exec_layer`](Executor::exec_layer).
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match inputs {
-            [single] => self.exec_layer(m, layer, staged, single),
-            _ => exec_merge(m, layer, inputs, MergeMode::Disjoint),
-        }
-    }
-
-    /// Executes the whole deployed graph for one input. The default walks
-    /// the nodes in the deployed execution order (the searched order for
-    /// reorder plans, index order otherwise) — one pool per node,
-    /// activations held host-side until their last consumer — consuming
-    /// the memoized per-step plan entries; graph-aware policies (fusion,
-    /// patching) override it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first per-node failure.
-    fn infer(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<InferenceReport, EngineError> {
-        infer_in_order(self, ctx, m, input)
-    }
-
-    /// Executes the deployed graph chained through one circular pool
-    /// (§4's multi-layer deployment model). Only the vMCU policy
-    /// supports it; the default is a typed error.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::Unsupported`] unless the policy overrides it.
-    fn infer_chained(
-        &self,
-        ctx: &ExecCtx<'_>,
-        m: &mut Machine,
-        input: &Tensor<i8>,
-    ) -> Result<(InferenceReport, ChainPlan), EngineError> {
-        let _ = (ctx, m, input);
-        Err(EngineError::Unsupported {
-            kind: "chained graph",
-            executor: self.name(),
-        })
-    }
 }

@@ -1,7 +1,7 @@
-//! The TinyEngine executor: tensor-level baseline kernels (in-place
-//! depthwise, im2col staging) — the paper's strongest baseline.
+//! Tensor-level baseline kernel bodies (in-place depthwise, im2col
+//! staging) — TinyEngine, the paper's strongest baseline, and HMCOS.
 
-use super::{exec_merge, Executor, MergeMode, StagedLayer};
+use super::StagedLayer;
 use crate::error::EngineError;
 use vmcu_graph::LayerDesc;
 use vmcu_kernels::tinyengine::{
@@ -11,14 +11,10 @@ use vmcu_kernels::PointwiseParams;
 use vmcu_sim::Machine;
 use vmcu_tensor::Tensor;
 
-/// Tensor-level baseline execution.
-#[derive(Debug, Clone, Copy)]
-pub struct TinyEngineExecutor;
-
-/// Shared baseline layer body — also the HMCOS executor's body (HMCOS is
-/// a scheduling policy and contributes no kernels of its own, §7).
-/// `executor` names the policy in typed errors.
-pub(crate) fn exec_layer_baseline(
+/// The tensor-level body of one single-input layer — TinyEngine's, and
+/// HMCOS's too (HMCOS is a scheduling policy and contributes no kernels
+/// of its own, §7). `executor` names the policy in typed errors.
+pub(super) fn exec_layer(
     m: &mut Machine,
     layer: &LayerDesc,
     staged: StagedLayer,
@@ -80,46 +76,13 @@ pub(crate) fn exec_layer_baseline(
             let out = m.host_read_ram(layout.d, p.out_bytes())?;
             Ok(Tensor::from_bytes(&[p.hw2(), p.hw2(), p.c_out], &out))
         }
-        // Merges take two inputs; they run through `Executor::exec_node`,
-        // never the single-input layer body.
+        // Merges take two inputs; they never reach the single-input
+        // layer body.
         LayerDesc::Conv2d(_) | LayerDesc::Add(_) | LayerDesc::Concat(_) => {
             Err(EngineError::Unsupported {
                 kind: layer.kind(),
                 executor,
             })
-        }
-    }
-}
-
-impl Executor for TinyEngineExecutor {
-    fn name(&self) -> &'static str {
-        "TinyEngine"
-    }
-
-    fn exec_layer(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        input: &Tensor<i8>,
-    ) -> Result<Tensor<i8>, EngineError> {
-        exec_layer_baseline(m, layer, staged, input, self.name())
-    }
-
-    /// TinyEngine adds in place (one operand slot doubles as the output —
-    /// the overlapped layout at distance 0) but materializes concat
-    /// outputs disjoint from both operands.
-    fn exec_node(
-        &self,
-        m: &mut Machine,
-        layer: &LayerDesc,
-        staged: StagedLayer,
-        inputs: &[&Tensor<i8>],
-    ) -> Result<Tensor<i8>, EngineError> {
-        match (layer, inputs) {
-            (_, [single]) => self.exec_layer(m, layer, staged, single),
-            (LayerDesc::Add(_), _) => exec_merge(m, layer, inputs, MergeMode::Overlap),
-            _ => exec_merge(m, layer, inputs, MergeMode::Disjoint),
         }
     }
 }

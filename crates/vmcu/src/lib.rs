@@ -20,7 +20,7 @@
 //! | [`vmcu_pool`] | §3–4 | the circular segment pool with clobber detection |
 //! | [`vmcu_kernels`] | §5, §6.1 | segment-aware kernels + TinyEngine baselines |
 //! | [`vmcu_graph`] | §7 | model graphs + the Table 2 / Figure 7 zoo |
-//! | [`vmcu_plan`] | §2.3, §4, §5.2 | vMCU / TinyEngine / HMCOS / arena planners + the multi-layer fusion pass |
+//! | [`vmcu_plan`] | §2.3, §4, §5.2 | vMCU / TinyEngine / HMCOS planners, the deployed `Schedule` + the multi-layer fusion pass |
 //! | [`vmcu_codegen`] | §6 | IR → C emission and the IR interpreter |
 //!
 //! ## Quickstart — plan once, run many
@@ -58,10 +58,7 @@ pub mod exec;
 pub use deploy::{Deployment, PlanSet, Session};
 pub use engine::{Engine, InferenceReport, LayerReport, PlannerKind};
 pub use error::EngineError;
-pub use exec::{ExecCtx, Executor, StagedLayer};
-
-#[allow(deprecated)]
-pub use engine::InferenceScratch;
+pub use exec::StagedLayer;
 
 // Re-export the workspace crates under their natural names.
 pub use vmcu_codegen;
@@ -79,7 +76,6 @@ pub mod prelude {
     pub use crate::deploy::{Deployment, Session};
     pub use crate::engine::{Engine, InferenceReport, LayerReport, PlannerKind};
     pub use crate::error::EngineError;
-    pub use crate::exec::Executor;
     pub use vmcu_graph::{Graph, LayerDesc, LayerWeights};
     pub use vmcu_kernels::{IbParams, IbScheme, PointwiseParams};
     pub use vmcu_plan::{

@@ -451,19 +451,26 @@ fn session_infer_performs_zero_planning_after_deploy() {
 }
 
 #[test]
-#[allow(deprecated)]
 fn chained_session_matches_the_legacy_chained_path() {
+    // The chained path deploys without the per-layer fit gate
+    // (`deploy_unchecked`: the chain validates its own, smaller window);
+    // a checked deployment must chain bit-identically.
     let g = zoo::demo_linear_net();
     let weights = g.random_weights(0xC4A1);
     let input = random::tensor_i8(&g.in_shape(), 0xC4A2);
     let engine = Engine::new(Device::stm32_f411re());
-    let (legacy, legacy_plan) = engine.run_graph_chained(&g, &weights, &input).unwrap();
+    let (unchecked, unchecked_plan) = engine
+        .deploy_unchecked(&g, &weights)
+        .unwrap()
+        .session()
+        .infer_chained(&input)
+        .unwrap();
     let deployment = engine.deploy(&g, &weights).unwrap();
     let mut session = deployment.session();
     let (new, plan) = session.infer_chained(&input).unwrap();
-    assert_eq!(legacy.output, new.output);
-    assert_eq!(legacy_plan, plan);
-    assert_eq!(legacy.latency_ms(), new.latency_ms());
+    assert_eq!(unchecked.output, new.output);
+    assert_eq!(unchecked_plan, plan);
+    assert_eq!(unchecked.latency_ms(), new.latency_ms());
     // And a second chained inference repeats exactly.
     let (again, _) = session.infer_chained(&input).unwrap();
     assert_eq!(new.output, again.output);

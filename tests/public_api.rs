@@ -7,7 +7,7 @@
 use std::path::PathBuf;
 
 /// The committed prelude surface. Update this list (and the docs —
-/// README quickstarts, `docs/MIGRATION.md`) when the prelude changes on
+/// README quickstarts, docs/ARCHITECTURE.md) when the prelude changes on
 /// purpose.
 const PRELUDE_SNAPSHOT: &[&str] = &[
     "crate::deploy::Deployment",
@@ -17,7 +17,6 @@ const PRELUDE_SNAPSHOT: &[&str] = &[
     "crate::engine::LayerReport",
     "crate::engine::PlannerKind",
     "crate::error::EngineError",
-    "crate::exec::Executor",
     "vmcu_graph::Graph",
     "vmcu_graph::LayerDesc",
     "vmcu_graph::LayerWeights",
@@ -110,23 +109,7 @@ fn prelude_surface_matches_the_committed_snapshot() {
         added.is_empty() && removed.is_empty(),
         "prelude surface drifted from the snapshot in tests/public_api.rs\n  \
          added (update the snapshot if intentional): {added:?}\n  \
-         removed (a breaking change — update snapshot + docs/MIGRATION.md): {removed:?}"
-    );
-}
-
-#[test]
-fn inference_scratch_is_no_longer_in_the_prelude() {
-    // Satellite contract: `InferenceScratch` left the prelude (it remains
-    // a deprecated crate-root re-export for one release).
-    let body = prelude_body(&facade_lib_rs());
-    assert!(
-        !body.contains("InferenceScratch"),
-        "InferenceScratch must stay out of the prelude"
-    );
-    let source = facade_lib_rs();
-    assert!(
-        source.contains("pub use engine::InferenceScratch"),
-        "the deprecated crate-root re-export must survive one release"
+         removed (a breaking change — update the snapshot and the docs): {removed:?}"
     );
 }
 
