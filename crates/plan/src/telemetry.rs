@@ -3,9 +3,11 @@
 //! The deploy-once/run-many contract ("plan once, run many") is only
 //! worth anything if it is *checkable*: a session's `infer` must do zero
 //! planning work after `deploy`. Every planning entry point in this
-//! crate — [`crate::planner::MemoryPlanner::plan`] and the default
-//! [`crate::planner::MemoryPlanner::model_demand_bytes`], the fusion
-//! pass ([`crate::fusion::fuse_graph`]), the patch search
+//! crate — [`crate::planner::MemoryPlanner::plan`], the node-schedule
+//! pricing ([`crate::order::plan_model_for_order`] and
+//! [`crate::schedule::Schedule::demand_bytes`]), the order search
+//! ([`crate::order::plan_order`]), the fusion pass
+//! ([`crate::fusion::fuse_graph`]), the patch search
 //! ([`crate::patch::plan`]), and the chain planner
 //! ([`crate::chain::plan_chain`]) — bumps this counter, so a test (or
 //! the serve-side bench gate) can snapshot it around a hot path and

@@ -32,9 +32,9 @@ use crate::error::EngineError;
 use vmcu_graph::{Graph, LayerDesc, LayerWeights, NodeInput};
 use vmcu_kernels::fused_chain::run_fused_chain;
 use vmcu_kernels::merge::{add_exec_distance, concat_exec_distance, run_add, run_concat};
-use vmcu_kernels::patched::run_patched_front;
+use vmcu_kernels::patched::{run_patched_front, PatchedFront};
 use vmcu_plan::fusion::FusedGroup;
-use vmcu_plan::{FusionNode, LayerPlan, PatchPlan, Schedule};
+use vmcu_plan::{FusionNode, LayerPlan, Schedule};
 use vmcu_pool::SegmentPool;
 use vmcu_sim::{Counters, Device, ExecSummary, LinkModel, Machine};
 use vmcu_tensor::Tensor;
@@ -282,8 +282,8 @@ enum Work<'a> {
         group: &'a FusedGroup,
         offset: usize,
     },
-    /// The patched front stage.
-    Front(&'a PatchPlan),
+    /// The patched front stage over graph layers `0..len`.
+    Front { front: &'a PatchedFront, len: usize },
 }
 
 /// The steps of `nodes` (a fusion plan whose node indices are relative
@@ -310,7 +310,12 @@ fn steps(schedule: &Schedule, n: usize) -> Vec<Step<'_>> {
         Schedule::Patched(patch) => patch
             .front
             .as_ref()
-            .map(|_| Step::Run(Work::Front(patch)))
+            .map(|front| {
+                Step::Run(Work::Front {
+                    front,
+                    len: patch.front_len,
+                })
+            })
             .into_iter()
             .chain(fusion_steps(&patch.tail.nodes, 0))
             .collect(),
@@ -359,14 +364,12 @@ fn exec_work(
             let out = pool.host_read(m, -d, out_layer.out_bytes())?;
             Ok((end - 1, Tensor::from_bytes(&out_layer.out_shape(), &out)))
         }
-        Work::Front(patch) => {
-            let front = patch.front.as_ref().expect("front steps carry a front");
-            let flash = ctx.staged[..patch.front_len]
+        Work::Front { front, len } => {
+            let flash = ctx.staged[..len]
                 .iter()
                 .map(|s| s.single("vMCU-patched"))
                 .collect::<Result<Vec<_>, _>>()?;
-            let out = run_patched_front(m, front, input, &flash)?;
-            Ok((patch.front_len - 1, out))
+            Ok((len - 1, run_patched_front(m, front, input, &flash)?))
         }
     }
 }
