@@ -8,6 +8,7 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
 use vmcu::vmcu_plan::headroom::{max_image_scale, tinyengine_budget};
 use vmcu::vmcu_plan::planner::named_ib_layers;
+use vmcu::vmcu_plan::{fuse_graph, plan_order, plan_split};
 
 fn bench_planning(c: &mut Criterion) {
     let device = Device::stm32_f767zi();
@@ -38,5 +39,31 @@ fn bench_headroom(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_planning, bench_headroom);
+/// The graph planning passes a deploy runs, one zoo model each: if a
+/// pass goes back to re-fusing every layer range, this group shows it
+/// within seconds.
+fn bench_plan_passes(c: &mut Criterion) {
+    let mut g = c.benchmark_group("plan-passes");
+    g.sample_size(10);
+    let split_only = zoo::hires_split_only();
+    g.bench_function("plan_split/hires-split-only/4", |b| {
+        b.iter(|| plan_split(black_box(&split_only), 4, IbScheme::RowBuffer));
+    });
+    let front = zoo::hires_front_stage();
+    g.bench_function("patch_plan/hires-front-stage", |b| {
+        let p = PatchedPlanner::default();
+        b.iter(|| p.patch_plan(black_box(&front)));
+    });
+    g.bench_function("fuse_graph/hires-split-only", |b| {
+        b.iter(|| fuse_graph(black_box(&split_only), IbScheme::RowBuffer));
+    });
+    let branchy = zoo::branchy_oom_net();
+    g.bench_function("plan_order/branchy-oom-net", |b| {
+        let p = VmcuPlanner::default();
+        b.iter(|| plan_order(&p, black_box(&branchy)));
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_planning, bench_headroom, bench_plan_passes);
 criterion_main!(benches);

@@ -27,7 +27,7 @@ use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
 
 /// One fusable operator of a chain.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ChainOp {
     /// Pointwise (1×1) convolution, stride 1.
     Pointwise(PointwiseParams),

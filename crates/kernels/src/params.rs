@@ -8,7 +8,7 @@ use vmcu_solver::closed_form;
 use vmcu_tensor::{Requant, NO_CLAMP};
 
 /// Fully-connected layer `In[M,K] × W[K,N] → Out[M,N]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FcParams {
     /// Batch/rows.
     pub m: usize,
@@ -60,7 +60,7 @@ impl FcParams {
 
 /// Pointwise (1×1) convolution `In[H,W,C] × W[C,K] → Out[H,W,K]`,
 /// stride 1 (strided pointwise appears only inside fused modules).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointwiseParams {
     /// Input height.
     pub h: usize,
@@ -126,7 +126,7 @@ impl PointwiseParams {
 }
 
 /// Dense 2D convolution `In[H,W,C] ⊛ W[R,S,C,K] → Out[P,Q,K]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Conv2dParams {
     /// Input height.
     pub h: usize,
@@ -225,7 +225,7 @@ impl Conv2dParams {
 }
 
 /// Depthwise convolution `In[H,W,C] ⊛ W[R,S,C] → Out[P,Q,C]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DepthwiseParams {
     /// Input height.
     pub h: usize,

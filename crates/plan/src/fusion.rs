@@ -10,6 +10,11 @@
 //! a time. Unfusable layers (inverted bottlenecks, which are already
 //! their own fused unit) break chains and become singleton nodes.
 //!
+//! The walk runs over a per-graph fusion table that prices each layer on
+//! its own once and builds each fused layer range at most once. The split
+//! partitioner and the patch search fuse many ranges of one graph, so
+//! they share one table per call instead of re-fusing every sub-graph.
+//!
 //! Two distances describe every chain:
 //!
 //! * the **executable** distance from the kernel's dry-run trace
@@ -50,6 +55,7 @@
 use crate::planner::{LayerPlan, MemoryPlanner};
 use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
+use std::collections::HashMap;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_schedule, chain_workspace_bytes, ChainStep, FusedChain,
@@ -260,7 +266,7 @@ fn fused_group(start: usize, ops: Vec<ChainOp>) -> FusedGroup {
     let exec_distance = chain_exec_distance(&chain);
     // Derive the window from the distance instead of calling
     // `chain_exec_footprint` — that would rebuild the whole schedule a
-    // second time, and the prefix search below calls this per candidate.
+    // second time for every range the fusion table builds.
     let window = (chain.in_bytes() + exec_distance.max(0) as usize).max(chain.out_bytes());
     let workspace = chain_workspace_bytes(&chain);
     FusedGroup {
@@ -273,12 +279,113 @@ fn fused_group(start: usize, ops: Vec<ChainOp>) -> FusedGroup {
     }
 }
 
+/// Per-graph memo of the fusion pass: each layer's single-layer
+/// `(activation, workspace)` is computed once, and each fusable range
+/// `[p, q)`'s [`FusedGroup`] is built at most once, however many layer
+/// ranges [`FusionTable::plan`] fuses over it. [`fuse_graph`] plans
+/// `[0, n)` from a fresh table; the split partitioner prices every
+/// sub-range of one graph from one table, and the patch search plans
+/// its fallback and its tail from one.
+pub(crate) struct FusionTable {
+    /// Chain operator per layer; `None` breaks a chain. Fusion threads
+    /// one tensor through one window — a chain pass — so on a branchy
+    /// DAG every layer is `None` and every node stays single (the
+    /// DAG-aware planner default and the order search own the branch
+    /// accounting).
+    ops: Vec<Option<ChainOp>>,
+    /// Single-layer vMCU `(activation, workspace)` per layer.
+    single: Vec<(usize, usize)>,
+    /// Fused groups built so far, keyed by graph-absolute `(start, end)`.
+    groups: HashMap<(usize, usize), FusedGroup>,
+}
+
+impl FusionTable {
+    /// Prices every layer of `graph` on its own under `scheme`; no
+    /// chain is built until a range asks for it.
+    pub(crate) fn new(graph: &Graph, scheme: IbScheme) -> Self {
+        let single = VmcuPlanner { scheme };
+        let chain = graph.is_chain();
+        let layers = graph.layers();
+        Self {
+            ops: layers
+                .iter()
+                .map(|l| chain_op(l).filter(|_| chain))
+                .collect(),
+            single: layers.iter().map(|l| single.plan_layer(l)).collect(),
+            groups: HashMap::new(),
+        }
+    }
+
+    /// Fused chains built so far — one per distinct range ever tried.
+    #[cfg(test)]
+    pub(crate) fn chains_built(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Fuses layers `[lo, hi)` exactly as [`fuse_graph`] fuses them as a
+    /// graph of their own — this is its greedy. Node indices are
+    /// graph-absolute and the nodes' layer ranges tile `[lo, hi)`.
+    pub(crate) fn plan(&mut self, lo: usize, hi: usize) -> FusionPlan {
+        let mut nodes = Vec::new();
+        let mut i = lo;
+        while i < hi {
+            let run = self.ops[i..hi].iter().take_while(|op| op.is_some()).count();
+            // Longest beneficial prefix: fuse only when it strictly beats
+            // planning the same layers one at a time — so a fused plan's
+            // demand never exceeds single-layer vMCU's.
+            let mut fused = None;
+            for end in (i + 2..=i + run).rev() {
+                let unfused_peak = self.single[i..end]
+                    .iter()
+                    .map(|(a, w)| a + w)
+                    .max()
+                    .expect("non-empty prefix");
+                let group = self.group(i, end);
+                if group.demand_bytes() < unfused_peak {
+                    fused = Some(group.clone());
+                    break;
+                }
+            }
+            match fused {
+                Some(group) => {
+                    i = group.end;
+                    nodes.push(FusionNode::Fused(group));
+                }
+                None => {
+                    // No beneficial chain starts here (unfusable layer,
+                    // run of one, or no profitable prefix): emit one
+                    // singleton and retry from the next layer — a suffix
+                    // may still fuse.
+                    let (activation_bytes, workspace_bytes) = self.single[i];
+                    nodes.push(FusionNode::Single {
+                        index: i,
+                        activation_bytes,
+                        workspace_bytes,
+                    });
+                    i += 1;
+                }
+            }
+        }
+        FusionPlan { nodes }
+    }
+
+    /// The fused group of layers `[start, end)`, built on first use.
+    fn group(&mut self, start: usize, end: usize) -> &FusedGroup {
+        let ops = &self.ops;
+        self.groups.entry((start, end)).or_insert_with(|| {
+            let run = ops[start..end].iter().map(|op| op.expect("a fusable run"));
+            fused_group(start, run.collect())
+        })
+    }
+}
+
 /// Fuses a linear graph: within each maximal run of fusable layers, the
 /// longest prefix whose fused footprint strictly undercuts planning those
 /// same layers one at a time becomes a fused group; the search then
 /// continues after it (so a profitable sub-chain is found even when the
 /// whole run is not profitable). Everything else stays layer-at-a-time,
-/// and the result's layer ranges tile the graph.
+/// and the result's layer ranges tile the graph. A branchy DAG stays
+/// node by node.
 ///
 /// # Panics
 ///
@@ -286,73 +393,7 @@ fn fused_group(start: usize, ops: Vec<ChainOp>) -> FusedGroup {
 /// from a non-empty run) — never for a well-formed graph.
 pub fn fuse_graph(graph: &Graph, scheme: IbScheme) -> FusionPlan {
     crate::telemetry::record_plan_call();
-    let single = VmcuPlanner { scheme };
-    let single_demand = |layer: &LayerDesc| {
-        let (a, w) = single.plan_layer(layer);
-        a + w
-    };
-    let single_node = |index: usize, layer: &LayerDesc| {
-        let (activation_bytes, workspace_bytes) = single.plan_layer(layer);
-        FusionNode::Single {
-            index,
-            activation_bytes,
-            workspace_bytes,
-        }
-    };
-    let mut nodes = Vec::new();
-    let layers = graph.layers();
-    // Fusion threads one tensor through one window — a chain pass. On a
-    // branchy DAG every node stays single; the DAG-aware planner default
-    // and the order search own the branch accounting.
-    if !graph.is_chain() {
-        return FusionPlan {
-            nodes: layers
-                .iter()
-                .enumerate()
-                .map(|(i, l)| single_node(i, l))
-                .collect(),
-        };
-    }
-    let mut i = 0;
-    while i < layers.len() {
-        // Collect the maximal fusable run starting at i.
-        let mut ops = Vec::new();
-        let mut j = i;
-        while j < layers.len() {
-            match chain_op(&layers[j]) {
-                Some(op) => ops.push(op),
-                None => break,
-            }
-            j += 1;
-        }
-        // Longest beneficial prefix: fuse only when it strictly beats
-        // planning the same layers one at a time — so a fused plan's
-        // demand never exceeds single-layer vMCU's.
-        let mut fused_len = 0;
-        for len in (2..=ops.len()).rev() {
-            let group = fused_group(i, ops[..len].to_vec());
-            let unfused_peak = layers[i..i + len]
-                .iter()
-                .map(single_demand)
-                .max()
-                .expect("non-empty prefix");
-            if group.demand_bytes() < unfused_peak {
-                nodes.push(FusionNode::Fused(group));
-                fused_len = len;
-                break;
-            }
-        }
-        if fused_len > 0 {
-            i += fused_len;
-        } else {
-            // No beneficial chain starts here (unfusable layer, run of
-            // one, or no profitable prefix): emit one singleton and
-            // retry from the next layer — a suffix may still fuse.
-            nodes.push(single_node(i, &layers[i]));
-            i += 1;
-        }
-    }
-    FusionPlan { nodes }
+    FusionTable::new(graph, scheme).plan(0, graph.len())
 }
 
 /// The fusion-aware vMCU planner: single layers price exactly like

@@ -114,6 +114,7 @@ fn dying_bytes(uses: &[(usize, usize)], remaining: &[usize], tb: &[usize]) -> us
         .sum()
 }
 
+/// Per-node planned `(act, ws)` windows — one dry run per node.
 fn node_windows<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<(usize, usize)> {
     graph
         .layers()
@@ -134,6 +135,11 @@ pub fn price_order<P: MemoryPlanner + ?Sized>(
     graph: &Graph,
     order: &[usize],
 ) -> Vec<(usize, usize)> {
+    price_with(graph, &node_windows(planner, graph), order)
+}
+
+/// [`price_order`] over precomputed per-node `(act, ws)` windows.
+fn price_with(graph: &Graph, windows: &[(usize, usize)], order: &[usize]) -> Vec<(usize, usize)> {
     let n = graph.len();
     assert_eq!(order.len(), n, "order must cover every node");
     if n == 0 {
@@ -141,7 +147,6 @@ pub fn price_order<P: MemoryPlanner + ?Sized>(
     }
     let tb = tensor_bytes(graph);
     let cons = consumers(graph);
-    let windows = node_windows(planner, graph);
     let mut remaining: Vec<usize> = cons.iter().map(Vec::len).collect();
     let mut produced = vec![false; n];
     let mut live: Vec<bool> = vec![false; n + 1];
@@ -185,11 +190,12 @@ pub fn peak_for_order<P: MemoryPlanner + ?Sized>(
     graph: &Graph,
     order: &[usize],
 ) -> usize {
-    price_order(planner, graph, order)
-        .iter()
-        .map(|(act, ws)| act + ws)
-        .max()
-        .unwrap_or(0)
+    peak_of(&price_order(planner, graph, order))
+}
+
+/// Peak of a priced order (0 for an empty graph).
+fn peak_of(priced: &[(usize, usize)]) -> usize {
+    priced.iter().map(|(act, ws)| act + ws).max().unwrap_or(0)
 }
 
 /// Builds a [`MemoryPlan`] whose rows follow `order` (one row per
@@ -286,8 +292,9 @@ fn resident(
     act + ws + held
 }
 
-/// Exact minimum-peak topological order via DP over executed subsets.
-fn search_exhaustive<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<usize> {
+/// Exact minimum-peak topological order via DP over executed subsets,
+/// over per-node `(act, ws)` windows.
+fn search_exhaustive(graph: &Graph, windows: &[(usize, usize)]) -> Vec<usize> {
     let n = graph.len();
     let tb = tensor_bytes(graph);
     let cons = consumers(graph);
@@ -295,7 +302,6 @@ fn search_exhaustive<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> V
         .iter()
         .map(|c| c.iter().fold(0u64, |m, &i| m | (1u64 << i)))
         .collect();
-    let windows = node_windows(planner, graph);
     let deps = dep_masks(graph);
     let full = (1u64 << n) - 1;
     let mut best = vec![usize::MAX; 1 << n];
@@ -311,7 +317,7 @@ fn search_exhaustive<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> V
             if s & bit != 0 || dep & !s != 0 {
                 continue;
             }
-            let peak = cur.max(resident(graph, &windows, &tb, &cons_masks, s, v));
+            let peak = cur.max(resident(graph, windows, &tb, &cons_masks, s, v));
             let t = (s | bit) as usize;
             if peak < best[t] {
                 best[t] = peak;
@@ -332,12 +338,12 @@ fn search_exhaustive<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> V
 
 /// Greedy memory-aware topological order: at every step run the ready
 /// node with the smallest resident bytes (ties to the lowest index —
-/// deterministic, and reproducing the identity order on chains).
-fn search_greedy<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<usize> {
+/// deterministic, and reproducing the identity order on chains), over
+/// per-node `(act, ws)` windows.
+fn search_greedy(graph: &Graph, windows: &[(usize, usize)]) -> Vec<usize> {
     let n = graph.len();
     let tb = tensor_bytes(graph);
     let cons = consumers(graph);
-    let windows = node_windows(planner, graph);
     let mut remaining: Vec<usize> = cons.iter().map(Vec::len).collect();
     let mut produced = vec![false; n];
     let mut live_bytes: usize = if remaining[0] > 0 { tb[0] } else { 0 };
@@ -384,23 +390,25 @@ fn search_greedy<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Vec<u
 pub fn plan_order<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> OrderPlan {
     crate::telemetry::record_plan_call();
     let n = graph.len();
+    // One dry run per node, shared by every pricing and search below.
+    let windows = node_windows(planner, graph);
     let ident = identity(n);
-    let default_peak = peak_for_order(planner, graph, &ident);
+    let default_peak = peak_of(&price_with(graph, &windows, &ident));
     let order = if graph.is_chain() || n < 2 {
         ident.clone()
     } else if n <= EXHAUSTIVE_NODE_CUTOFF {
-        search_exhaustive(planner, graph)
+        search_exhaustive(graph, &windows)
     } else {
-        search_greedy(planner, graph)
+        search_greedy(graph, &windows)
     };
-    let peak = peak_for_order(planner, graph, &order);
+    let peak = peak_of(&price_with(graph, &windows, &order));
     // Structural ≤-fallback: never ship an order worse than the default.
     let (order, peak) = if peak > default_peak {
         (ident, default_peak)
     } else {
         (order, peak)
     };
-    let step_demand_bytes = price_order(planner, graph, &order)
+    let step_demand_bytes = price_with(graph, &windows, &order)
         .iter()
         .map(|(act, ws)| act + ws)
         .collect();
@@ -506,8 +514,9 @@ mod tests {
             if g.len() > EXHAUSTIVE_NODE_CUTOFF {
                 continue;
             }
-            let exact = search_exhaustive(&vmcu(), &g);
-            let greedy = search_greedy(&vmcu(), &g);
+            let windows = node_windows(&vmcu(), &g);
+            let exact = search_exhaustive(&g, &windows);
+            let greedy = search_greedy(&g, &windows);
             let pe = peak_for_order(&vmcu(), &g, &exact);
             let pg = peak_for_order(&vmcu(), &g, &greedy);
             assert!(pe <= pg, "seed {seed}: exact {pe} > greedy {pg}");

@@ -24,10 +24,11 @@
 //! [`crate::capacity::peak_demand_bytes`] and fleet admission pick the
 //! patched pricing up unchanged.
 
-use crate::fusion::{chain_op, fuse_graph, FusionNode, FusionPlan};
+use crate::fusion::{chain_op, FusionPlan, FusionTable};
 use crate::planner::{LayerPlan, MemoryPlanner};
 use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
+use std::collections::HashMap;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::conv2d::conv2d_exec_footprint;
 use vmcu_kernels::depthwise::depthwise_exec_footprint;
@@ -137,14 +138,19 @@ fn sliced_footprint(op: &ChainOp) -> usize {
 /// Peak sliced per-layer footprint and total sliced MACs across every
 /// patch of a front — one walk over the patch stages serves both, so
 /// the grid search prices each candidate in a single pass.
-fn front_metrics(front: &PatchedFront) -> (usize, u64) {
+/// `footprints` memoizes [`sliced_footprint`] across the candidates:
+/// the same sliced operator recurs in many patches of many grids.
+fn front_metrics(front: &PatchedFront, footprints: &mut HashMap<ChainOp, usize>) -> (usize, u64) {
     let grid = front.grid();
     let mut peak = 0usize;
     let mut macs = 0u64;
     for ty in 0..grid.gy {
         for tx in 0..grid.gx {
             for stage in front.patch_stages(ty, tx) {
-                peak = peak.max(sliced_footprint(&stage.op));
+                let footprint = *footprints
+                    .entry(stage.op)
+                    .or_insert_with(|| sliced_footprint(&stage.op));
+                peak = peak.max(footprint);
                 macs += vmcu_kernels::patched::op_macs(&stage.op);
             }
         }
@@ -152,17 +158,66 @@ fn front_metrics(front: &PatchedFront) -> (usize, u64) {
     (peak, macs)
 }
 
-/// Shifts a tail fusion plan's node indices to graph-absolute positions.
-fn offset_nodes(plan: &mut FusionPlan, off: usize) {
-    for node in &mut plan.nodes {
-        match node {
-            FusionNode::Single { index, .. } => *index += off,
-            FusionNode::Fused(g) => {
-                g.start += off;
-                g.end += off;
+/// The grid search over a patchable front `ops`: every candidate grid
+/// within the recompute cap `max_overhead` is priced at its front demand
+/// (worst sliced footprint plus the front-output accumulator) against
+/// the tail's `tail_peak`, and the best grid is returned as `(front,
+/// front demand, halo overhead)` — or `None` when no grid strictly
+/// undercuts `unpatched_peak`.
+fn search_grids(
+    ops: &[ChainOp],
+    tail_peak: usize,
+    unpatched_peak: usize,
+    max_overhead: f64,
+    footprints: &mut HashMap<ChainOp, usize>,
+) -> Option<(PatchedFront, usize, f64)> {
+    let mut best = None;
+    // (peak, overhead, patches): strictly lower peak wins; at equal peak
+    // the cheaper recompute wins, then the coarser grid. The unpatched
+    // plan's overhead of 0 means patching must *strictly* lower the peak.
+    let mut best_key = (unpatched_peak, 0.0f64, 1usize);
+    let probe = PatchedFront::new(ops.to_vec(), PatchGrid { gy: 1, gx: 1 })
+        .expect("patchable prefix validates");
+    let (out_h, out_w, out_c) = probe.out_dims();
+    // Grid-independent, so computed once for the whole search. The
+    // front-output accumulator collects finished tiles and must stay
+    // SRAM-resident alongside the active slab window; the model input,
+    // by contrast, is streamed per patch (MCUNetV2 re-decodes it) and
+    // is not billed.
+    let front_out_bytes = out_h * out_w * out_c;
+    let unpatched_macs = probe.unpatched_macs();
+    for gy in GRID_CANDIDATES {
+        if gy > out_h {
+            continue;
+        }
+        for gx in GRID_CANDIDATES {
+            if gx > out_w {
+                continue;
+            }
+            let front = PatchedFront::new(ops.to_vec(), PatchGrid { gy, gx })
+                .expect("grid clamped to the output");
+            let (slab_peak, patched_macs) = front_metrics(&front, footprints);
+            let front_demand = slab_peak + front_out_bytes;
+            let overhead = if unpatched_macs == 0 {
+                0.0
+            } else {
+                patched_macs as f64 / unpatched_macs as f64 - 1.0
+            };
+            if overhead > max_overhead {
+                continue;
+            }
+            let peak = front_demand.max(tail_peak);
+            let key = (peak, overhead, gy * gx);
+            let better = key.0 < best_key.0
+                || (key.0 == best_key.0
+                    && (key.1 < best_key.1 || (key.1 == best_key.1 && key.2 < best_key.2)));
+            if better {
+                best_key = key;
+                best = Some((front, front_demand, overhead));
             }
         }
     }
+    best
 }
 
 /// Plans patch-based execution for a linear graph: the maximal patchable
@@ -200,12 +255,13 @@ fn offset_nodes(plan: &mut FusionPlan, off: usize) {
 /// lowering — unreachable, since `patchable_prefix` selected it.
 pub fn plan(graph: &Graph, scheme: IbScheme, max_overhead: f64) -> PatchPlan {
     crate::telemetry::record_plan_call();
+    let mut table = FusionTable::new(graph, scheme);
     let fallback = PatchPlan {
         front_len: 0,
         front: None,
         front_demand_bytes: 0,
         halo_overhead: 0.0,
-        tail: fuse_graph(graph, scheme),
+        tail: table.plan(0, graph.len()),
     };
     // Patching slices a *chain* prefix; on a branchy DAG the tail slice
     // below would not be a valid graph, so the plan stays unpatched.
@@ -221,68 +277,24 @@ pub fn plan(graph: &Graph, scheme: IbScheme, max_overhead: f64) -> PatchPlan {
         .iter()
         .map(|l| patch_op(l).expect("prefix is patchable"))
         .collect();
-    let tail_graph = Graph::linear(
-        format!("{}-tail", graph.name),
-        graph.layers()[front_len..].to_vec(),
-    )
-    .expect("a suffix of a validated graph chains");
-    let mut tail = fuse_graph(&tail_graph, scheme);
-    offset_nodes(&mut tail, front_len);
-    let tail_peak = tail.peak_demand_bytes();
-
-    let mut best = fallback;
-    // (peak, overhead, patches): strictly lower peak wins; at equal peak
-    // the cheaper recompute wins, then the coarser grid. The fallback's
-    // overhead of 0 means patching must *strictly* lower the peak.
-    let mut best_key = (best.peak_demand_bytes(), 0.0f64, 1usize);
-    let probe = PatchedFront::new(ops.clone(), PatchGrid { gy: 1, gx: 1 })
-        .expect("patchable prefix validates");
-    let (out_h, out_w, out_c) = probe.out_dims();
-    // Grid-independent, so computed once for the whole search. The
-    // front-output accumulator collects finished tiles and must stay
-    // SRAM-resident alongside the active slab window; the model input,
-    // by contrast, is streamed per patch (MCUNetV2 re-decodes it) and
-    // is not billed.
-    let front_out_bytes = out_h * out_w * out_c;
-    let unpatched_macs = probe.unpatched_macs();
-    for gy in GRID_CANDIDATES {
-        if gy > out_h {
-            continue;
-        }
-        for gx in GRID_CANDIDATES {
-            if gx > out_w {
-                continue;
-            }
-            let front = PatchedFront::new(ops.clone(), PatchGrid { gy, gx })
-                .expect("grid clamped to the output");
-            let (slab_peak, patched_macs) = front_metrics(&front);
-            let front_demand = slab_peak + front_out_bytes;
-            let overhead = if unpatched_macs == 0 {
-                0.0
-            } else {
-                patched_macs as f64 / unpatched_macs as f64 - 1.0
-            };
-            if overhead > max_overhead {
-                continue;
-            }
-            let peak = front_demand.max(tail_peak);
-            let key = (peak, overhead, gy * gx);
-            let better = key.0 < best_key.0
-                || (key.0 == best_key.0
-                    && (key.1 < best_key.1 || (key.1 == best_key.1 && key.2 < best_key.2)));
-            if better {
-                best_key = key;
-                best = PatchPlan {
-                    front_len,
-                    front: Some(front),
-                    front_demand_bytes: front_demand,
-                    halo_overhead: overhead,
-                    tail: tail.clone(),
-                };
-            }
-        }
+    let tail = table.plan(front_len, graph.len());
+    let best = search_grids(
+        &ops,
+        tail.peak_demand_bytes(),
+        fallback.peak_demand_bytes(),
+        max_overhead,
+        &mut HashMap::new(),
+    );
+    match best {
+        Some((front, front_demand_bytes, halo_overhead)) => PatchPlan {
+            front_len,
+            front: Some(front),
+            front_demand_bytes,
+            halo_overhead,
+            tail,
+        },
+        None => fallback,
     }
-    best
 }
 
 /// The patch-aware vMCU planner: single layers price exactly like
@@ -428,6 +440,24 @@ mod tests {
         );
         // The tail entries carry graph-absolute indices.
         assert!(plan.layers.iter().any(|l| l.name.contains("#4")));
+    }
+
+    #[test]
+    fn grid_search_dry_runs_each_distinct_sliced_op_once() {
+        // Pins the work, not the wall clock: the 36 candidate grids slice
+        // this chain's 3-layer front 1,728 times, but only 228 of the
+        // sliced operators are distinct, and each is dry-run once.
+        let g = zoo::wide_expand_chain();
+        let front_len = patchable_prefix(&g);
+        let ops: Vec<ChainOp> = g.layers()[..front_len]
+            .iter()
+            .map(|l| patch_op(l).unwrap())
+            .collect();
+        let patches: usize = GRID_CANDIDATES.iter().sum::<usize>().pow(2);
+        assert_eq!(patches * front_len, 1_728, "sliced operators walked");
+        let mut footprints = HashMap::new();
+        search_grids(&ops, 0, usize::MAX, 0.5, &mut footprints);
+        assert_eq!(footprints.len(), 228, "sliced_footprint dry runs");
     }
 
     #[test]

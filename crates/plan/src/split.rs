@@ -4,18 +4,22 @@
 //! Some models fit on *no* single device: even the fused and patched
 //! planners bottom out at the biggest single execution node. Following
 //! the split-CNN line of work, [`plan_split`] cuts a linear graph into
-//! 2–8 contiguous per-device sub-graphs, choosing the cut points that
-//! **minimize the maximum per-device peak** — each sub-graph is planned
-//! by the existing fusion pass ([`fuse_graph`]), so every stage inherits
-//! the single-device planners' savings. Cut edges ship the boundary
-//! activation tensor over a board-to-board link priced by
-//! `vmcu_sim::LinkModel`.
+//! at most `devices` (1–8) contiguous per-device sub-graphs, choosing
+//! the cut points that **minimize the maximum per-device peak** — each
+//! sub-graph is planned exactly as the fusion pass
+//! ([`fuse_graph`](crate::fusion::fuse_graph)) plans it as a graph of
+//! its own, so every stage inherits the single-device planners' savings.
+//! Cut edges ship the boundary activation tensor over a board-to-board
+//! link priced by `vmcu_sim::LinkModel`.
 //!
 //! The partitioner is exact: a dynamic program over contiguous
 //! partitions (O(devices · n²) table over O(n²) fused sub-range
 //! demands), deterministic under ties — fewest stages first, then
 //! earliest cut — so the same graph always splits the same way on any
-//! host.
+//! host. Every sub-range demand and every chosen stage's fusion plan
+//! come from one per-graph fusion table, which builds each fused layer
+//! range `[p, q)` at most once: at most n(n−1)/2 chain builds per
+//! partition, where fusing each sub-graph from scratch made O(n⁴).
 //!
 //! # Examples
 //!
@@ -32,7 +36,7 @@
 //! assert!(split.max_stage_demand_bytes() < peak_demand_bytes(&FusedPlanner::default(), &g));
 //! ```
 
-use crate::fusion::{fuse_graph, FusionPlan};
+use crate::fusion::{FusionNode, FusionPlan, FusionTable};
 use crate::planner::MemoryPlanner;
 use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
@@ -128,15 +132,38 @@ fn subgraph(graph: &Graph, start: usize, end: usize) -> Graph {
     .expect("a contiguous slice of a validated chain chains")
 }
 
+/// Re-bases a graph-absolute fusion plan of layers `[start, ..)` onto
+/// the stage sub-graph that starts at `start`.
+fn stage_local(mut plan: FusionPlan, start: usize) -> FusionPlan {
+    for node in &mut plan.nodes {
+        match node {
+            FusionNode::Single { index, .. } => *index -= start,
+            FusionNode::Fused(g) => {
+                g.start -= start;
+                g.end -= start;
+            }
+        }
+    }
+    plan
+}
+
 /// Partitions a linear graph into at most `devices` (clamped to 1..=8)
 /// contiguous stages minimizing the maximum per-stage fused peak.
 ///
 /// Exact dynamic program over contiguous partitions; among optima it
 /// prefers **fewest stages** (a model that fits one device is not split
 /// needlessly), then the earliest cut points. Each candidate range is
-/// priced by the fusion pass, so a 1-stage plan's demand equals
+/// priced exactly as the fusion pass prices it as a graph of its own, so
+/// a 1-stage plan's demand equals
 /// [`crate::FusedPlanner::model_demand_bytes`] exactly.
 pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
+    crate::telemetry::record_plan_call();
+    partition(&mut FusionTable::new(graph, scheme), graph, devices, scheme)
+}
+
+/// [`plan_split`] with every range priced from `table`, which must be
+/// `graph`'s own.
+fn partition(table: &mut FusionTable, graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     let n = graph.len();
     if n == 0 {
         return SplitPlan { stages: Vec::new() };
@@ -145,7 +172,7 @@ pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     // partition that way, so it stays whole on one device priced at its
     // DAG-aware default-order peak — splitting offers no relief here.
     if !graph.is_chain() {
-        let fusion = fuse_graph(graph, scheme);
+        let fusion = table.plan(0, n);
         let order: Vec<usize> = (0..n).collect();
         let demand_bytes = crate::order::peak_for_order(&VmcuPlanner { scheme }, graph, &order);
         return SplitPlan {
@@ -166,7 +193,7 @@ pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     let mut demand = vec![vec![0usize; n + 1]; n];
     for (i, row) in demand.iter_mut().enumerate() {
         for (j, slot) in row.iter_mut().enumerate().skip(i + 1) {
-            *slot = fuse_graph(&subgraph(graph, i, j), scheme).peak_demand_bytes();
+            *slot = table.plan(i, j).peak_demand_bytes();
         }
     }
 
@@ -212,8 +239,7 @@ pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     let stages = (0..stage_count)
         .map(|k| {
             let (start, end) = (bounds[k], bounds[k + 1]);
-            let sub = subgraph(graph, start, end);
-            let fusion = fuse_graph(&sub, scheme);
+            let fusion = stage_local(table.plan(start, end), start);
             let demand_bytes = fusion.peak_demand_bytes();
             let cut_bytes = if k + 1 < stage_count {
                 graph.layers()[end - 1].out_bytes()
@@ -224,7 +250,7 @@ pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
                 device: k,
                 start,
                 end,
-                graph: sub,
+                graph: subgraph(graph, start, end),
                 fusion,
                 demand_bytes,
                 cut_bytes,
@@ -373,6 +399,25 @@ mod tests {
             split.max_stage_demand_bytes()
         );
         assert!(plan.deployable(), "every stage must fit the 128 KB device");
+    }
+
+    #[test]
+    fn partitioning_builds_each_fused_range_at_most_once() {
+        // Pins the work, not the wall clock: one fusion table prices all
+        // O(n²) sub-ranges, so the partition builds at most one chain per
+        // range of two or more layers — n(n−1)/2 = 231 on this 22-layer
+        // model, where fusing every sub-graph from scratch built 1,836.
+        let g = zoo::hires_split_only();
+        let n = g.len();
+        assert_eq!(n, 22);
+        let mut table = FusionTable::new(&g, IbScheme::RowBuffer);
+        let split = partition(&mut table, &g, 4, IbScheme::RowBuffer);
+        assert_eq!(split, plan_split(&g, 4, IbScheme::RowBuffer));
+        assert!(
+            table.chains_built() <= n * (n - 1) / 2,
+            "{} chains built",
+            table.chains_built()
+        );
     }
 
     #[test]

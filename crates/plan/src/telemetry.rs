@@ -8,10 +8,12 @@
 //! [`crate::schedule::Schedule::demand_bytes`]), the order search
 //! ([`crate::order::plan_order`]), the fusion pass
 //! ([`crate::fusion::fuse_graph`]), the patch search
-//! ([`crate::patch::plan`]), and the chain planner
-//! ([`crate::chain::plan_chain`]) — bumps this counter, so a test (or
-//! the serve-side bench gate) can snapshot it around a hot path and
-//! assert the delta is zero.
+//! ([`crate::patch::plan`]), the split partitioner
+//! ([`crate::split::plan_split`]), and the chain planner
+//! ([`crate::chain::plan_chain`]) — bumps this counter once per call,
+//! so a test (or the serve-side bench gate) can snapshot it around a
+//! hot path and assert the delta is zero. The layer ranges a pass
+//! prices inside its own fusion table are part of that one call.
 //!
 //! The counter is **thread-local** on purpose: planning done by a worker
 //! thread is observable from that thread alone, so concurrently running

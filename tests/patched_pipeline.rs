@@ -4,11 +4,13 @@
 //! only under `PlannerKind::VmcuPatched`, with the halo recompute
 //! charged honestly and the planning surfaces agreeing with execution.
 
+use proptest::prelude::*;
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
 use vmcu::vmcu_kernels::patched::{PatchGrid, PatchedFront};
 use vmcu::vmcu_plan::patch;
 use vmcu::vmcu_plan::peak_demand_bytes;
+use vmcu::vmcu_plan::{fuse_graph, FusionNode, FusionPlan};
 use vmcu::vmcu_tensor::random;
 
 /// Deploy-once/infer-once through the new Session API.
@@ -208,5 +210,55 @@ fn seeded_random_fronts_stay_bit_exact_under_forced_grids() {
                 "seed {seed} grid {grid} front diverges"
             );
         }
+    }
+}
+
+/// A patch plan's tail next to the fusion pass's plan of the suffix
+/// after its front, shifted to graph-absolute indices — the two must be
+/// equal.
+fn tail_and_fused_suffix(g: &Graph, scheme: IbScheme) -> (bool, FusionPlan, FusionPlan) {
+    let p = patch::plan(g, scheme, 0.5);
+    let suffix = Graph::linear("suffix", g.layers()[p.front_len..].to_vec()).unwrap();
+    let mut expected = fuse_graph(&suffix, scheme);
+    for node in &mut expected.nodes {
+        match node {
+            FusionNode::Single { index, .. } => *index += p.front_len,
+            FusionNode::Fused(group) => {
+                group.start += p.front_len;
+                group.end += p.front_len;
+            }
+        }
+    }
+    (p.is_patched(), p.tail, expected)
+}
+
+#[test]
+fn patched_tail_is_the_fused_suffix_on_the_zoo_chains() {
+    let mut patched = 0;
+    for g in [
+        zoo::hires_front_stage(),
+        zoo::wide_expand_chain(),
+        zoo::hires_split_only(),
+        zoo::mbv2_block_unfused(),
+        zoo::demo_linear_net(),
+    ] {
+        let (is_patched, tail, expected) = tail_and_fused_suffix(&g, IbScheme::RowBuffer);
+        assert_eq!(tail, expected, "{}", g.name);
+        patched += usize::from(is_patched && !tail.nodes.is_empty());
+    }
+    assert!(
+        patched > 0,
+        "some zoo chain patches a front ahead of a tail"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn patched_tail_is_the_fused_suffix(seed in 0u64..1_000_000, layers in 1usize..12) {
+        let g = zoo::random_linear_net(seed, layers);
+        let (_, tail, expected) = tail_and_fused_suffix(&g, IbScheme::RowBuffer);
+        prop_assert_eq!(tail, expected);
     }
 }
