@@ -1,11 +1,12 @@
 //! Criterion micro-benchmarks for kernel simulation throughput: how fast
 //! the simulator executes the segment-aware kernels versus the TinyEngine
-//! baselines (host-side speed of the reproduction, not MCU speed).
+//! baselines, and how fast the reference oracle checks them (host-side
+//! speed of the reproduction, not MCU speed).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vmcu::prelude::*;
-use vmcu::vmcu_graph::zoo;
+use vmcu::vmcu_graph::{exec::run_reference, zoo};
 use vmcu::vmcu_tensor::random;
 
 fn bench_pointwise(c: &mut Criterion) {
@@ -56,5 +57,31 @@ fn bench_fused_ib(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_pointwise, bench_fused_ib);
+/// The correctness oracle every `Session::infer` output is compared with:
+/// the two heaviest `run_reference` calls of the repository benchmark's
+/// inference mix.
+fn bench_reference_oracle(c: &mut Criterion) {
+    let mut g = c.benchmark_group("reference-oracle");
+    g.sample_size(10);
+    let b4 = &zoo::mcunet_320kb_imagenet()[3];
+    let models = [
+        zoo::hires_split_only(),
+        Graph::linear(b4.name, vec![LayerDesc::Ib(b4.params)]).unwrap(),
+    ];
+    for graph in models {
+        let weights = graph.random_weights(5);
+        let input = random::tensor_i8(&graph.in_shape(), 6);
+        g.bench_function(&graph.name, |b| {
+            b.iter(|| run_reference(black_box(&graph), &weights, &input));
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_pointwise,
+    bench_fused_ib,
+    bench_reference_oracle
+);
 criterion_main!(benches);

@@ -7,6 +7,15 @@
 //! operators](mod@reference) that act as the correctness oracle for every
 //! optimized kernel in the workspace.
 //!
+//! The MAC operators walk contiguous rows: per output pixel they fill
+//! an `i32` accumulator row with the bias, add `x · w` across each
+//! contiguous weight row of the output channels, tap by tap and input
+//! channel by input channel, and requantize the row. Each output keeps
+//! the per-element summation order (bias, then taps and channels
+//! ascending), so it is bit-identical to the textbook definition. The
+//! oracle shares no code with `vmcu_kernels`: this crate depends on no
+//! other `vmcu-*` crate.
+//!
 //! # Examples
 //!
 //! ```

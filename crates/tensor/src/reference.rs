@@ -2,19 +2,70 @@
 //!
 //! Straightforward nested-loop implementations of every layer the paper's
 //! workloads use: dense/fully-connected, 2D convolution, pointwise
-//! convolution, depthwise convolution, elementwise add, and global average
-//! pooling — int8 with int32 accumulation and shared [`Requant`]
+//! convolution, depthwise convolution, elementwise add and channel
+//! concatenation — int8 with int32 accumulation and shared [`Requant`]
 //! arithmetic. Segment-aware kernels and baselines are tested bit-exact
 //! against these.
+//!
+//! # Loop order
+//!
+//! The four MAC operators ([`dense`], [`conv2d`], [`pointwise`],
+//! [`depthwise`]) walk contiguous rows. Per output pixel (per input row
+//! for [`dense`]) they fill one `i32` accumulator row with the bias or
+//! zero; for each tap and input channel they add `x · w` across the
+//! contiguous weight row of the output channels (for [`depthwise`], the
+//! input pixel's channel row times the tap's weight row); then they
+//! requantize the row. Each output element adds its products in the
+//! per-element definition's order — bias, then taps `(r, s)` and
+//! channels `c` ascending — so every output, and every debug-build
+//! overflow panic, is that definition's bit for bit
+//! (`tests/reference_props.rs` keeps the definition and checks it).
+//!
+//! The oracle shares no code with the kernels it checks: `vmcu-tensor`
+//! depends on no other `vmcu-*` crate, so nothing here comes from
+//! `vmcu_kernels`.
 
 use crate::quant::{sat8, Requant};
 use crate::tensor::Tensor;
+
+/// Resets an accumulator row to the bias (or zero).
+fn fill_acc(acc: &mut [i32], bias: Option<&[i32]>) {
+    match bias {
+        Some(b) => acc.copy_from_slice(b),
+        None => acc.fill(0),
+    }
+}
+
+/// Adds `x · w[j]` to `acc[j]` for every `j` of one weight row.
+fn mac_row(acc: &mut [i32], x: i8, w: &[i8]) {
+    for (a, &wv) in acc.iter_mut().zip(w) {
+        *a += i32::from(x) * i32::from(wv);
+    }
+}
+
+/// Requantizes an accumulator row into an output row.
+fn requantize_row(out: &mut [i8], acc: &[i32], rq: Requant, clamp: (i8, i8)) {
+    for (o, &a) in out.iter_mut().zip(acc) {
+        *o = rq.apply_clamped(a, clamp);
+    }
+}
+
+/// Output extent of a window of size `r` over `h` inputs padded by `pad`
+/// on both sides.
+fn out_extent(h: usize, r: usize, pad: usize, stride: usize) -> usize {
+    (h + 2 * pad)
+        .checked_sub(r)
+        .expect("window larger than padded input")
+        / stride
+        + 1
+}
 
 /// Fully-connected layer: `In[M,K] × W[K,N] → Out[M,N]`.
 ///
 /// # Panics
 ///
-/// Panics on rank/shape mismatches.
+/// Panics unless `input` and `weight` are both rank 2, and on shape
+/// mismatches.
 pub fn dense(
     input: &Tensor<i8>,
     weight: &Tensor<i8>,
@@ -22,6 +73,8 @@ pub fn dense(
     rq: Requant,
     clamp: (i8, i8),
 ) -> Tensor<i8> {
+    assert_eq!(input.shape().len(), 2, "dense expects an [M,K] input");
+    assert_eq!(weight.shape().len(), 2, "dense expects a [K,N] weight");
     let (m, k) = (input.shape()[0], input.shape()[1]);
     let (wk, n) = (weight.shape()[0], weight.shape()[1]);
     assert_eq!(k, wk, "dense K mismatch");
@@ -29,14 +82,17 @@ pub fn dense(
         assert_eq!(b.len(), n, "dense bias length mismatch");
     }
     let mut out = Tensor::<i8>::zeros(&[m, n]);
-    for mi in 0..m {
-        for ni in 0..n {
-            let mut acc: i32 = bias.map_or(0, |b| b[ni]);
-            for ki in 0..k {
-                acc += i32::from(input.at(&[mi, ki])) * i32::from(weight.at(&[ki, ni]));
-            }
-            *out.at_mut(&[mi, ni]) = rq.apply_clamped(acc, clamp);
+    let mut acc = vec![0i32; n];
+    for (x_row, out_row) in input
+        .data()
+        .chunks_exact(k)
+        .zip(out.data_mut().chunks_exact_mut(n))
+    {
+        fill_acc(&mut acc, bias);
+        for (&x, w_row) in x_row.iter().zip(weight.data().chunks_exact(n)) {
+            mac_row(&mut acc, x, w_row);
         }
+        requantize_row(out_row, &acc, rq, clamp);
     }
     out
 }
@@ -46,7 +102,8 @@ pub fn dense(
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches or empty output geometry.
+/// Panics unless `input` is rank 3, `weight` is rank 4 and
+/// `stride >= 1`, and on shape mismatches or empty output geometry.
 #[allow(clippy::too_many_arguments)]
 pub fn conv2d(
     input: &Tensor<i8>,
@@ -57,6 +114,12 @@ pub fn conv2d(
     rq: Requant,
     clamp: (i8, i8),
 ) -> Tensor<i8> {
+    assert_eq!(input.shape().len(), 3, "conv2d expects an [H,W,C] input");
+    assert_eq!(
+        weight.shape().len(),
+        4,
+        "conv2d expects an [R,S,C,K] weight"
+    );
     let (h, w, c) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (r, s, wc, k) = (
         weight.shape()[0],
@@ -66,40 +129,32 @@ pub fn conv2d(
     );
     assert_eq!(c, wc, "conv2d channel mismatch");
     assert!(stride >= 1, "stride must be >= 1");
-    let p = (h + 2 * pad)
-        .checked_sub(r)
-        .expect("window larger than padded input")
-        / stride
-        + 1;
-    let q = (w + 2 * pad)
-        .checked_sub(s)
-        .expect("window larger than padded input")
-        / stride
-        + 1;
+    let p = out_extent(h, r, pad, stride);
+    let q = out_extent(w, s, pad, stride);
     if let Some(b) = bias {
         assert_eq!(b.len(), k, "conv2d bias length mismatch");
     }
+    let (x, wt) = (input.data(), weight.data());
     let mut out = Tensor::<i8>::zeros(&[p, q, k]);
-    for pi in 0..p {
-        for qi in 0..q {
-            for ki in 0..k {
-                let mut acc: i32 = bias.map_or(0, |b| b[ki]);
-                for ri in 0..r {
-                    for si in 0..s {
-                        let hy = (pi * stride + ri) as isize - pad as isize;
-                        let wx = (qi * stride + si) as isize - pad as isize;
-                        if hy < 0 || wx < 0 || hy >= h as isize || wx >= w as isize {
-                            continue; // zero padding
-                        }
-                        for ci in 0..c {
-                            acc += i32::from(input.at(&[hy as usize, wx as usize, ci]))
-                                * i32::from(weight.at(&[ri, si, ci, ki]));
-                        }
-                    }
+    let mut acc = vec![0i32; k];
+    for (px, out_row) in out.data_mut().chunks_exact_mut(k).enumerate() {
+        let (pi, qi) = (px / q, px % q);
+        fill_acc(&mut acc, bias);
+        for ri in 0..r {
+            for si in 0..s {
+                let hy = (pi * stride + ri) as isize - pad as isize;
+                let wx = (qi * stride + si) as isize - pad as isize;
+                if hy < 0 || wx < 0 || hy >= h as isize || wx >= w as isize {
+                    continue; // zero padding
                 }
-                *out.at_mut(&[pi, qi, ki]) = rq.apply_clamped(acc, clamp);
+                let x_row = &x[(hy as usize * w + wx as usize) * c..][..c];
+                let w_tap = &wt[(ri * s + si) * c * k..][..c * k];
+                for (&xv, w_row) in x_row.iter().zip(w_tap.chunks_exact(k)) {
+                    mac_row(&mut acc, xv, w_row);
+                }
             }
         }
+        requantize_row(out_row, &acc, rq, clamp);
     }
     out
 }
@@ -109,7 +164,8 @@ pub fn conv2d(
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches.
+/// Panics unless `input` is rank 3, `weight` is rank 2 and
+/// `stride >= 1`, and on shape mismatches.
 pub fn pointwise(
     input: &Tensor<i8>,
     weight: &Tensor<i8>,
@@ -118,6 +174,9 @@ pub fn pointwise(
     rq: Requant,
     clamp: (i8, i8),
 ) -> Tensor<i8> {
+    assert_eq!(input.shape().len(), 3, "pointwise expects an [H,W,C] input");
+    assert_eq!(weight.shape().len(), 2, "pointwise expects a [C,K] weight");
+    assert!(stride >= 1, "stride must be >= 1");
     let (h, w, c) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (wc, k) = (weight.shape()[0], weight.shape()[1]);
     assert_eq!(c, wc, "pointwise channel mismatch");
@@ -126,18 +185,17 @@ pub fn pointwise(
     if let Some(b) = bias {
         assert_eq!(b.len(), k, "pointwise bias length mismatch");
     }
+    let (x, wt) = (input.data(), weight.data());
     let mut out = Tensor::<i8>::zeros(&[p, q, k]);
-    for pi in 0..p {
-        for qi in 0..q {
-            for ki in 0..k {
-                let mut acc: i32 = bias.map_or(0, |b| b[ki]);
-                for ci in 0..c {
-                    acc += i32::from(input.at(&[pi * stride, qi * stride, ci]))
-                        * i32::from(weight.at(&[ci, ki]));
-                }
-                *out.at_mut(&[pi, qi, ki]) = rq.apply_clamped(acc, clamp);
-            }
+    let mut acc = vec![0i32; k];
+    for (px, out_row) in out.data_mut().chunks_exact_mut(k).enumerate() {
+        let (pi, qi) = (px / q, px % q);
+        let x_row = &x[(pi * stride * w + qi * stride) * c..][..c];
+        fill_acc(&mut acc, bias);
+        for (&xv, w_row) in x_row.iter().zip(wt.chunks_exact(k)) {
+            mac_row(&mut acc, xv, w_row);
         }
+        requantize_row(out_row, &acc, rq, clamp);
     }
     out
 }
@@ -146,7 +204,8 @@ pub fn pointwise(
 ///
 /// # Panics
 ///
-/// Panics on shape mismatches or empty output geometry.
+/// Panics unless `input` is rank 3, `weight` is rank 3 and
+/// `stride >= 1`, and on shape mismatches or empty output geometry.
 #[allow(clippy::too_many_arguments)]
 pub fn depthwise(
     input: &Tensor<i8>,
@@ -157,41 +216,42 @@ pub fn depthwise(
     rq: Requant,
     clamp: (i8, i8),
 ) -> Tensor<i8> {
+    assert_eq!(input.shape().len(), 3, "depthwise expects an [H,W,C] input");
+    assert_eq!(
+        weight.shape().len(),
+        3,
+        "depthwise expects an [R,S,C] weight"
+    );
+    assert!(stride >= 1, "stride must be >= 1");
     let (h, w, c) = (input.shape()[0], input.shape()[1], input.shape()[2]);
     let (r, s, wc) = (weight.shape()[0], weight.shape()[1], weight.shape()[2]);
     assert_eq!(c, wc, "depthwise channel mismatch");
-    let p = (h + 2 * pad)
-        .checked_sub(r)
-        .expect("window larger than padded input")
-        / stride
-        + 1;
-    let q = (w + 2 * pad)
-        .checked_sub(s)
-        .expect("window larger than padded input")
-        / stride
-        + 1;
+    let p = out_extent(h, r, pad, stride);
+    let q = out_extent(w, s, pad, stride);
     if let Some(b) = bias {
         assert_eq!(b.len(), c, "depthwise bias length mismatch");
     }
+    let (x, wt) = (input.data(), weight.data());
     let mut out = Tensor::<i8>::zeros(&[p, q, c]);
-    for pi in 0..p {
-        for qi in 0..q {
-            for ci in 0..c {
-                let mut acc: i32 = bias.map_or(0, |b| b[ci]);
-                for ri in 0..r {
-                    for si in 0..s {
-                        let hy = (pi * stride + ri) as isize - pad as isize;
-                        let wx = (qi * stride + si) as isize - pad as isize;
-                        if hy < 0 || wx < 0 || hy >= h as isize || wx >= w as isize {
-                            continue;
-                        }
-                        acc += i32::from(input.at(&[hy as usize, wx as usize, ci]))
-                            * i32::from(weight.at(&[ri, si, ci]));
-                    }
+    let mut acc = vec![0i32; c];
+    for (px, out_row) in out.data_mut().chunks_exact_mut(c).enumerate() {
+        let (pi, qi) = (px / q, px % q);
+        fill_acc(&mut acc, bias);
+        for ri in 0..r {
+            for si in 0..s {
+                let hy = (pi * stride + ri) as isize - pad as isize;
+                let wx = (qi * stride + si) as isize - pad as isize;
+                if hy < 0 || wx < 0 || hy >= h as isize || wx >= w as isize {
+                    continue; // zero padding
                 }
-                *out.at_mut(&[pi, qi, ci]) = rq.apply_clamped(acc, clamp);
+                let x_row = &x[(hy as usize * w + wx as usize) * c..][..c];
+                let w_row = &wt[(ri * s + si) * c..][..c];
+                for ((a, &xv), &wv) in acc.iter_mut().zip(x_row).zip(w_row) {
+                    *a += i32::from(xv) * i32::from(wv);
+                }
             }
         }
+        requantize_row(out_row, &acc, rq, clamp);
     }
     out
 }
@@ -229,28 +289,6 @@ pub fn concat(a: &Tensor<i8>, b: &Tensor<i8>) -> Tensor<i8> {
         data.extend_from_slice(&b.data()[px * cb..(px + 1) * cb]);
     }
     Tensor::from_vec(&[h, w, ca + cb], data)
-}
-
-/// Global average pooling: `In[H,W,C] → Out[1,1,C]` with round-to-nearest.
-pub fn global_avg_pool(input: &Tensor<i8>) -> Tensor<i8> {
-    let (h, w, c) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-    let n = (h * w) as i64;
-    let mut out = Tensor::<i8>::zeros(&[1, 1, c]);
-    for ci in 0..c {
-        let mut acc = 0i64;
-        for hi in 0..h {
-            for wi in 0..w {
-                acc += i64::from(input.at(&[hi, wi, ci]));
-            }
-        }
-        let rounded = if acc >= 0 {
-            (acc + n / 2) / n
-        } else {
-            -((-acc + n / 2) / n)
-        };
-        *out.at_mut(&[0, 0, ci]) = sat8(rounded);
-    }
-    out
 }
 
 #[cfg(test)]
@@ -337,17 +375,145 @@ mod tests {
     }
 
     #[test]
-    fn global_avg_pool_rounds() {
-        let input = t(&[2, 2, 1], vec![1, 2, 2, 2]);
-        assert_eq!(global_avg_pool(&input).data(), &[2]); // 7/4 -> 2
-    }
-
-    #[test]
     fn strided_pointwise_subsamples() {
         let input = t(&[4, 4, 1], (0..16).map(|v| v as i8).collect());
         let weight = t(&[1, 1], vec![1]);
         let out = pointwise(&input, &weight, None, 2, Requant::identity(), NO_CLAMP);
         assert_eq!(out.shape(), &[2, 2, 1]);
         assert_eq!(out.data(), &[0, 2, 8, 10]);
+    }
+
+    // Slice indexing would read a wrong-rank operand as a prefix of its
+    // shape; every operator must refuse it instead.
+
+    fn zeros(shape: &[usize]) -> Tensor<i8> {
+        Tensor::zeros(shape)
+    }
+
+    #[test]
+    #[should_panic(expected = "dense expects an [M,K] input")]
+    fn dense_rejects_rank3_input() {
+        dense(
+            &zeros(&[1, 2, 1]),
+            &zeros(&[2, 1]),
+            None,
+            Requant::identity(),
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "dense expects a [K,N] weight")]
+    fn dense_rejects_rank3_weight() {
+        dense(
+            &zeros(&[1, 2]),
+            &zeros(&[2, 1, 3]),
+            None,
+            Requant::identity(),
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d expects an [H,W,C] input")]
+    fn conv2d_rejects_rank2_input() {
+        let rq = Requant::identity();
+        conv2d(
+            &zeros(&[4, 4]),
+            &zeros(&[1, 1, 4, 2]),
+            None,
+            1,
+            0,
+            rq,
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "conv2d expects an [R,S,C,K] weight")]
+    fn conv2d_rejects_rank3_weight() {
+        let rq = Requant::identity();
+        conv2d(
+            &zeros(&[4, 4, 2]),
+            &zeros(&[1, 1, 2]),
+            None,
+            1,
+            0,
+            rq,
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "pointwise expects an [H,W,C] input")]
+    fn pointwise_rejects_rank2_input() {
+        let rq = Requant::identity();
+        pointwise(&zeros(&[4, 4]), &zeros(&[4, 2]), None, 1, rq, NO_CLAMP);
+    }
+
+    #[test]
+    #[should_panic(expected = "pointwise expects a [C,K] weight")]
+    fn pointwise_rejects_rank3_weight() {
+        let rq = Requant::identity();
+        pointwise(
+            &zeros(&[2, 2, 3]),
+            &zeros(&[3, 1, 4]),
+            None,
+            1,
+            rq,
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be >= 1")]
+    fn pointwise_rejects_stride_zero() {
+        let rq = Requant::identity();
+        pointwise(&zeros(&[2, 2, 3]), &zeros(&[3, 4]), None, 0, rq, NO_CLAMP);
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise expects an [H,W,C] input")]
+    fn depthwise_rejects_rank4_input() {
+        let rq = Requant::identity();
+        depthwise(
+            &zeros(&[1, 4, 4, 2]),
+            &zeros(&[3, 3, 2]),
+            None,
+            1,
+            1,
+            rq,
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "depthwise expects an [R,S,C] weight")]
+    fn depthwise_rejects_rank4_weight() {
+        let rq = Requant::identity();
+        depthwise(
+            &zeros(&[4, 4, 2]),
+            &zeros(&[3, 3, 2, 1]),
+            None,
+            1,
+            1,
+            rq,
+            NO_CLAMP,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stride must be >= 1")]
+    fn depthwise_rejects_stride_zero() {
+        let rq = Requant::identity();
+        depthwise(
+            &zeros(&[4, 4, 2]),
+            &zeros(&[3, 3, 2]),
+            None,
+            0,
+            1,
+            rq,
+            NO_CLAMP,
+        );
     }
 }
