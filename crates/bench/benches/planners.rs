@@ -6,6 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
+use vmcu::vmcu_kernels::fc::fc_exec_trace;
+use vmcu::vmcu_kernels::trace::exec_distance;
 use vmcu::vmcu_plan::headroom::{max_image_scale, tinyengine_budget};
 use vmcu::vmcu_plan::planner::named_ib_layers;
 use vmcu::vmcu_plan::{fuse_graph, plan_order, plan_split};
@@ -65,5 +67,33 @@ fn bench_plan_passes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_planning, bench_headroom, bench_plan_passes);
+/// The byte-liveness bookkeeping behind certification and planning: the
+/// static auditor replaying a whole deployment, and the kernels'
+/// executable-distance bound over one layer's store/free trace.
+fn bench_audit(c: &mut Criterion) {
+    let mut g = c.benchmark_group("audit");
+    g.sample_size(10);
+    let graph = zoo::hires_split_only();
+    let dep = Engine::new(Device::stm32_f767zi())
+        .planner(PlannerKind::Vmcu(IbScheme::RowBuffer))
+        .deploy(&graph, &graph.random_weights(7))
+        .expect("hires_split_only deploys on the F767ZI");
+    g.bench_function("audit/hires-split-only/vmcu-rowbuffer/f767zi", |b| {
+        b.iter(|| vmcu_verify::audit(black_box(&dep)));
+    });
+    let fc = PointwiseParams::new(40, 40, 16, 96, Requant::identity()).as_fc();
+    let trace = fc_exec_trace(&fc);
+    g.bench_function("exec_distance/pointwise-40x40-16-96", |b| {
+        b.iter(|| exec_distance(fc.in_bytes(), black_box(&trace).iter().copied()));
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_planning,
+    bench_headroom,
+    bench_plan_passes,
+    bench_audit
+);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Ablations beyond the paper's figures: the fused-workspace scheme
-//! trade-off (DESIGN.md) and the §5.3 segment-size sweep.
+//! trade-off (`vmcu_kernels::IbScheme`) and the §5.3 segment-size sweep.
 
 use crate::result::{Check, ExpResult};
 use crate::table::{kb, Table};
@@ -82,7 +82,7 @@ pub fn ablation_ib_scheme() -> ExpResult {
         id: "ablation-ib-scheme".into(),
         title: "Fused inverted-bottleneck workspace scheme trade-off".into(),
         paper_claim: "the paper's 11-segment workspace implies recomputation; a row ring \
-                      trades a few KB for compute-once (DESIGN.md)"
+                      trades a few KB for compute-once (vmcu_kernels::IbScheme)"
             .into(),
         table: t,
         checks,

@@ -1,5 +1,5 @@
-//! One module per regenerated table/figure (see DESIGN.md's experiment
-//! index).
+//! One module per regenerated table/figure (see the `vmcu-bench` section
+//! of `docs/ARCHITECTURE.md`).
 
 pub mod ablations;
 pub mod fig1;

@@ -34,9 +34,9 @@ pub fn write_experiments_md(path: &Path, results: &[ExpResult]) -> std::io::Resu
         "# EXPERIMENTS — paper vs. measured\n\n\
          Auto-generated by `cargo run -p vmcu-bench --release --bin all_experiments`.\n\n\
          Absolute RAM numbers are decimal KB (the paper's unit) and include the\n\
-         4 KiB on-device runtime overhead documented in DESIGN.md. Latency and\n\
-         energy come from the simulator's calibrated cost/energy models: absolute\n\
-         values are indicative, ratios are the reproduced result.\n"
+         4 KiB on-device runtime overhead (`Device::runtime_overhead_bytes`).\n\
+         Latency and energy come from the simulator's calibrated cost/energy\n\
+         models: absolute values are indicative, ratios are the reproduced result.\n"
     )?;
     let passed = results.iter().filter(|r| r.passed()).count();
     writeln!(

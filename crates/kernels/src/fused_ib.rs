@@ -6,14 +6,18 @@
 //! output segments of `E` replace freed input segments of `A`, pushing the
 //! footprint reduction past the 50% single-layer bound.
 //!
-//! Two workspace schemes are implemented (see `DESIGN.md`):
+//! Three workspace schemes are implemented (see [`IbScheme`] and the
+//! `vmcu-kernels` section of `docs/ARCHITECTURE.md`):
 //!
 //! * [`IbScheme::PixelWindow`] — the paper's literal 11-segment workspace
 //!   (`3×3 + 1 + 1`): the expanded window is recomputed for every output
 //!   pixel (minimum memory, extra MACs);
+//! * [`IbScheme::SlidingWindow`] — the same window with only its entering
+//!   column recomputed as it slides: the scheme behind the paper's
+//!   measured latency parity with TinyEngine (Table 3 runs it);
 //! * [`IbScheme::RowBuffer`] — a ring of `R` expanded rows: every `B`
-//!   pixel is computed exactly once (default; matches the paper's measured
-//!   latency parity with TinyEngine).
+//!   pixel is computed exactly once (the planners' default; lowest
+//!   latency, a few extra KB of workspace).
 //!
 //! The kernel, its dry-run trace, and the free rules all derive from one
 //! shared schedule ([`ib_schedule`]), so the planner's offsets are correct

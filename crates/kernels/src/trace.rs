@@ -16,6 +16,8 @@
 //! verifies the result empirically (clean at `D_exec`, clobber at
 //! `D_exec − 1`).
 
+use vmcu_sim::ByteSet;
+
 /// One event of an executable kernel schedule, in address units of bytes
 /// relative to the tensor bases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -49,7 +51,7 @@ pub enum ExecEvent {
 /// Panics if a free is out of range or duplicated — traces come from our
 /// own kernels, so this indicates a kernel bug.
 pub fn exec_distance(in_size: usize, events: impl IntoIterator<Item = ExecEvent>) -> i64 {
-    let mut freed = vec![false; in_size];
+    let mut freed = ByteSet::new(in_size);
     let mut frontier: usize = 0; // first unfreed input byte
     let mut d = i64::MIN;
     for ev in events {
@@ -58,13 +60,13 @@ pub fn exec_distance(in_size: usize, events: impl IntoIterator<Item = ExecEvent>
                 assert!(addr >= 0, "free below input base");
                 let start = addr as usize;
                 assert!(start + len <= in_size, "free past input end");
-                for (b, f) in freed.iter_mut().enumerate().skip(start).take(len) {
-                    assert!(!*f, "double free at input byte {b}");
-                    *f = true;
+                if let Some(b) = freed.first(start, len, true) {
+                    panic!("double free at input byte {b}");
                 }
-                while frontier < in_size && freed[frontier] {
-                    frontier += 1;
-                }
+                freed.set(start, len, true);
+                frontier = freed
+                    .first(frontier, in_size - frontier, false)
+                    .unwrap_or(in_size);
             }
             ExecEvent::Store { addr, len } => {
                 if len == 0 {

@@ -8,10 +8,12 @@
 //! segments have already been freed, which is what lets input and output
 //! tensors overlap.
 //!
-//! [`SegmentPool`] tracks liveness at byte granularity and, in checked
-//! mode, turns any violation — a store clobbering live data, a read of
-//! dead bytes, a double free — into a typed [`PoolError`] instead of a
-//! silent wrong answer. The planners' minimality claims are validated
+//! [`SegmentPool`] tracks liveness at byte granularity in a word-packed
+//! [`ByteSet`]: every access is split into at most two physical spans
+//! (one modulo), and each span is checked and marked whole. In checked
+//! mode the pool turns any violation — a store clobbering live data, a
+//! read of dead bytes, a double free — into a typed [`PoolError`]
+//! instead of a silent wrong answer. The planners' minimality claims are validated
 //! empirically against this: running a kernel with the solver's offset
 //! succeeds; shrinking the pool by one segment makes it fail.
 //!
@@ -33,7 +35,7 @@
 //! ```
 
 use std::fmt;
-use vmcu_sim::{Machine, MemError};
+use vmcu_sim::{ByteSet, Machine, MemError};
 
 /// A pool-access failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -55,7 +57,7 @@ pub enum PoolError {
     },
     /// A free targeted a byte that was already free.
     DoubleFree {
-        /// Logical byte address of the free.
+        /// Logical byte address of the first byte that was already free.
         logical: i64,
     },
     /// The pool window does not fit in device RAM.
@@ -122,7 +124,7 @@ pub struct SegmentPool {
     base: usize,
     len: usize,
     seg_bytes: usize,
-    live: Vec<bool>,
+    live: ByteSet,
     live_count: usize,
     peak_live: usize,
     checked: bool,
@@ -165,7 +167,7 @@ impl SegmentPool {
             base,
             len,
             seg_bytes,
-            live: vec![false; len],
+            live: ByteSet::new(len),
             live_count: 0,
             peak_live: 0,
             checked: true,
@@ -220,16 +222,28 @@ impl SegmentPool {
         logical.rem_euclid(self.len as i64) as usize
     }
 
-    fn set_live(&mut self, phys: usize, live: bool) {
-        if self.live[phys] != live {
-            self.live[phys] = live;
-            if live {
-                self.live_count += 1;
-                self.peak_live = self.peak_live.max(self.live_count);
-            } else {
-                self.live_count -= 1;
-            }
+    /// Marks the physical span `[phys, phys + n)` live.
+    fn mark_live(&mut self, phys: usize, n: usize) {
+        self.live_count += self.live.set(phys, n, true);
+        self.peak_live = self.peak_live.max(self.live_count);
+    }
+
+    /// In checked mode, the first byte of the span `[phys, phys + n)`
+    /// whose liveness is `live`, as `(logical, phys)`; `off` is the
+    /// span's offset into an access that starts at `logical`.
+    fn offending(
+        &self,
+        logical: i64,
+        off: usize,
+        phys: usize,
+        n: usize,
+        live: bool,
+    ) -> Option<(i64, usize)> {
+        if !self.checked {
+            return None;
         }
+        let p = self.live.first(phys, n, live)?;
+        Some((logical + (off + p - phys) as i64, p))
     }
 
     /// Splits a possibly-wrapping range into at most two physical spans.
@@ -260,15 +274,8 @@ impl SegmentPool {
             if n == 0 {
                 continue;
             }
-            if self.checked {
-                for p in phys..phys + n {
-                    if !self.live[p] {
-                        return Err(PoolError::DeadRead {
-                            logical: logical + (off + (p - phys)) as i64,
-                            phys: p,
-                        });
-                    }
-                }
+            if let Some((logical, phys)) = self.offending(logical, off, phys, n, false) {
+                return Err(PoolError::DeadRead { logical, phys });
             }
             m.ram_load(self.base + phys, &mut dst[off..off + n])?;
             off += n;
@@ -292,22 +299,13 @@ impl SegmentPool {
             if n == 0 {
                 continue;
             }
-            if self.checked {
-                for p in phys..phys + n {
-                    if self.live[p] {
-                        return Err(PoolError::Clobber {
-                            logical: logical + (off + (p - phys)) as i64,
-                            phys: p,
-                        });
-                    }
-                }
+            if let Some((logical, phys)) = self.offending(logical, off, phys, n, true) {
+                return Err(PoolError::Clobber { logical, phys });
             }
             m.ram_store(self.base + phys, &src[off..off + n])?;
             #[cfg(feature = "shadow")]
             m.ram.shadow_mark_live(self.base + phys, n);
-            for p in phys..phys + n {
-                self.set_live(p, true);
-            }
+            self.mark_live(phys, n);
             off += n;
         }
         Ok(())
@@ -320,16 +318,16 @@ impl SegmentPool {
     /// # Errors
     ///
     /// Returns [`PoolError::DoubleFree`] in checked mode when any byte is
-    /// already free.
+    /// already free. The bytes before the first free one are retired
+    /// before the error returns.
     pub fn free(&mut self, logical: i64, len: usize) -> Result<(), PoolError> {
+        let mut off = 0usize;
         for (phys, n) in self.spans(logical, len) {
-            for p in phys..phys + n {
-                if self.checked && !self.live[p] {
-                    return Err(PoolError::DoubleFree {
-                        logical: logical + (p - phys) as i64,
-                    });
-                }
-                self.set_live(p, false);
+            let dead = self.offending(logical, off, phys, n, false);
+            let retired = dead.map_or(n, |(_, p)| p - phys);
+            self.live_count -= self.live.set(phys, retired, false);
+            if let Some((logical, _)) = dead {
+                return Err(PoolError::DoubleFree { logical });
             }
             // No machine handle here; queue the shadow update for the next
             // pool operation that has one.
@@ -337,6 +335,7 @@ impl SegmentPool {
             if n > 0 {
                 self.pending_dead.push((self.base + phys, n));
             }
+            off += n;
         }
         Ok(())
     }
@@ -365,9 +364,7 @@ impl SegmentPool {
             m.host_write_ram(self.base + phys, &data[off..off + n])?;
             #[cfg(feature = "shadow")]
             m.ram.shadow_mark_live(self.base + phys, n);
-            for p in phys..phys + n {
-                self.set_live(p, true);
-            }
+            self.mark_live(phys, n);
             off += n;
         }
         Ok(())
@@ -466,6 +463,25 @@ mod tests {
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.free(0, 4).unwrap();
         assert!(matches!(pool.free(0, 4), Err(PoolError::DoubleFree { .. })));
+    }
+
+    /// A free that wraps the window names the first dead byte by its
+    /// logical address, counting the first span's length like `load`.
+    #[test]
+    fn wrapping_double_free_reports_the_dead_byte() {
+        let (mut m, mut pool) = setup(8, 4);
+        pool.host_fill_live(&mut m, 4, &[1; 4]).unwrap(); // phys 4..8
+        let mut buf = [0u8; 4];
+        assert_eq!(
+            pool.load(&mut m, 6, &mut buf),
+            Err(PoolError::DeadRead {
+                logical: 8,
+                phys: 0
+            })
+        );
+        assert_eq!(pool.free(6, 4), Err(PoolError::DoubleFree { logical: 8 }));
+        // The live first span (logical 6, 7) was retired before the error.
+        assert_eq!(pool.live_bytes(), 2);
     }
 
     #[cfg(not(feature = "shadow"))]

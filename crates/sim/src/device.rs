@@ -43,8 +43,8 @@ pub struct Device {
     /// Core clock in Hz.
     pub clock_hz: u64,
     /// RAM permanently consumed by the runtime (stack, libc, vector
-    /// table). On-device measurements include it; set to 0 for pure
-    /// algorithmic footprints.
+    /// table): 4 KiB on every preset device. On-device measurements
+    /// include it; set to 0 for pure algorithmic footprints.
     pub runtime_overhead_bytes: usize,
     /// Cycle cost model.
     pub cost: CostModel,

@@ -28,6 +28,7 @@
 //! # Ok::<(), vmcu_sim::MemError>(())
 //! ```
 
+pub mod byteset;
 pub mod cost;
 pub mod counters;
 pub mod device;
@@ -36,6 +37,7 @@ pub mod link;
 pub mod machine;
 pub mod memory;
 
+pub use byteset::ByteSet;
 pub use cost::{CostModel, SimdCapability};
 pub use counters::Counters;
 pub use device::{Core, Device, PlatformSummary, TABLE1_PLATFORMS};

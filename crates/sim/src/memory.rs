@@ -6,6 +6,8 @@
 //! go through them, so out-of-range addressing is a typed error rather
 //! than silent corruption.
 
+#[cfg(feature = "shadow")]
+use crate::ByteSet;
 use std::fmt;
 
 /// Memory access failure.
@@ -75,16 +77,17 @@ impl std::error::Error for MemError {}
 
 /// Simulated SRAM.
 ///
-/// With the `shadow` feature, RAM additionally carries a per-byte
-/// liveness map mirrored from the segment pool: every store first checks
-/// that no target byte is still live, so an executor that drifts from its
-/// certified plan (double store, store before free) is caught at the
-/// memory layer even when pool-level checking is disabled.
+/// With the `shadow` feature, RAM additionally carries a byte liveness
+/// map (a word-packed [`ByteSet`](crate::ByteSet)) mirrored from the
+/// segment pool: every store first checks that no target byte is still
+/// live, so an executor that drifts from its certified plan (double
+/// store, store before free) is caught at the memory layer even when
+/// pool-level checking is disabled.
 #[derive(Debug, Clone)]
 pub struct Ram {
     data: Vec<u8>,
     #[cfg(feature = "shadow")]
-    live: Vec<bool>,
+    live: ByteSet,
 }
 
 impl Ram {
@@ -93,7 +96,7 @@ impl Ram {
         Self {
             data: vec![0; capacity],
             #[cfg(feature = "shadow")]
-            live: vec![false; capacity],
+            live: ByteSet::new(capacity),
         }
     }
 
@@ -163,52 +166,46 @@ impl Ram {
     pub fn clear(&mut self) {
         self.data.fill(0);
         #[cfg(feature = "shadow")]
-        self.live.fill(false);
+        self.live.set(0, self.live.capacity(), false);
     }
 
     #[cfg(feature = "shadow")]
     fn shadow_check(&self, addr: usize, len: usize) -> Result<(), MemError> {
-        let mut first = None;
-        let mut count = 0usize;
-        for (i, &l) in self.live[addr..addr + len].iter().enumerate() {
-            if l {
-                first.get_or_insert(addr + i);
-                count += 1;
-            }
-        }
-        match first {
+        match self.live.first(addr, len, true) {
             Some(a) => Err(MemError::ShadowClobber {
                 addr: a,
-                len: count,
+                len: self.live.count(addr, len),
             }),
             None => Ok(()),
         }
+    }
+
+    /// Marks the part of `[addr, addr + len)` inside RAM live or dead.
+    #[cfg(feature = "shadow")]
+    fn shadow_mark(&mut self, addr: usize, len: usize, live: bool) {
+        let end = (addr + len).min(self.live.capacity());
+        let lo = addr.min(end);
+        self.live.set(lo, end - lo, live);
     }
 
     /// Marks `[addr, addr + len)` live in the shadow map (pool mirror;
     /// called after a pool store or host fill).
     #[cfg(feature = "shadow")]
     pub fn shadow_mark_live(&mut self, addr: usize, len: usize) {
-        let end = (addr + len).min(self.live.len());
-        for b in &mut self.live[addr.min(end)..end] {
-            *b = true;
-        }
+        self.shadow_mark(addr, len, true);
     }
 
     /// Marks `[addr, addr + len)` dead in the shadow map (pool mirror;
     /// called when the pool frees those bytes).
     #[cfg(feature = "shadow")]
     pub fn shadow_mark_dead(&mut self, addr: usize, len: usize) {
-        let end = (addr + len).min(self.live.len());
-        for b in &mut self.live[addr.min(end)..end] {
-            *b = false;
-        }
+        self.shadow_mark(addr, len, false);
     }
 
     /// Number of bytes currently live in the shadow map.
     #[cfg(feature = "shadow")]
     pub fn shadow_live_bytes(&self) -> usize {
-        self.live.iter().filter(|&&l| l).count()
+        self.live.count(0, self.live.capacity())
     }
 }
 

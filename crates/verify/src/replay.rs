@@ -1,9 +1,13 @@
 //! Byte-interval replay: a static model of the checked segment pool.
 //!
-//! [`PoolModel`] mirrors `vmcu_pool::SegmentPool`'s per-byte liveness
+//! [`PoolModel`] mirrors `vmcu_pool::SegmentPool`'s byte liveness
 //! semantics — circular logical→physical mapping (`rem_euclid(window)`),
 //! live-on-store, dead-on-free — but consumes dry-run traces instead of
 //! executing kernels, so hazards are proven from plan arithmetic alone.
+//! Liveness sits in a word-packed [`ByteSet`] (the container the pool
+//! uses, not its logic): each event is replayed as at most two physical
+//! spans found with one `rem_euclid`, and each span is checked, counted
+//! and marked a word at a time.
 //!
 //! The module also re-derives the minimum execution distance from a
 //! trace ([`derive_min_distance`]) with its own interval bookkeeping and
@@ -15,14 +19,14 @@
 
 use crate::violation::Violation;
 use vmcu_kernels::trace::ExecEvent;
+use vmcu_sim::ByteSet;
 use vmcu_solver::multilayer::min_distance_events;
 use vmcu_solver::Event;
 
-/// Static per-byte liveness model of one circular pool window.
+/// Static byte-liveness model of one circular pool window.
 #[derive(Debug, Clone)]
 pub struct PoolModel {
-    window: usize,
-    live: Vec<bool>,
+    live: ByteSet,
 }
 
 impl PoolModel {
@@ -34,23 +38,47 @@ impl PoolModel {
     pub fn new(window: usize) -> Self {
         assert!(window > 0, "pool window must be non-empty");
         PoolModel {
-            window,
-            live: vec![false; window],
+            live: ByteSet::new(window),
         }
     }
 
     /// Window size in bytes.
     pub fn window(&self) -> usize {
-        self.window
+        self.live.capacity()
     }
 
     /// Currently live bytes.
     pub fn live_bytes(&self) -> usize {
-        self.live.iter().filter(|&&b| b).count()
+        self.live.count(0, self.window())
     }
 
-    fn phys(&self, logical: i64) -> usize {
-        logical.rem_euclid(self.window as i64) as usize
+    /// Splits the logical range `[base, base + len)`, `len <= window`,
+    /// into its two physical spans `(start, n)`: the part up to the end
+    /// of the window, then the part wrapped to its start (often empty).
+    fn spans(&self, base: i64, len: usize) -> [(usize, usize); 2] {
+        let window = self.window();
+        let start = base.rem_euclid(window as i64) as usize;
+        let first = len.min(window - start);
+        [(start, first), (0, len - first)]
+    }
+
+    /// Makes `[base, base + len)` live (`live`) or dead, returning the
+    /// first logical byte that already was, and how many were.
+    fn mark(&mut self, base: i64, len: usize, live: bool) -> Option<(i64, usize)> {
+        let mut first = None;
+        let mut already = 0;
+        let mut off = 0;
+        for (phys, n) in self.spans(base, len) {
+            if first.is_none() {
+                first = self
+                    .live
+                    .first(phys, n, live)
+                    .map(|p| base + (off + p - phys) as i64);
+            }
+            already += n - self.live.set(phys, n, live);
+            off += n;
+        }
+        first.map(|byte| (byte, already))
     }
 
     /// Marks `[base, base+len)` live as a host fill (staging an input).
@@ -63,26 +91,15 @@ impl PoolModel {
     /// becomes live. Overlong stores that wrap onto themselves are
     /// reported as [`Violation::OutOfBounds`].
     pub fn store(&mut self, site: &str, base: i64, len: usize, out: &mut Vec<Violation>) {
-        if len > self.window {
+        if len > self.window() {
             out.push(Violation::OutOfBounds {
                 site: site.into(),
                 needed: len,
-                budget: self.window,
+                budget: self.window(),
             });
             return;
         }
-        let mut clobbered: Option<(i64, usize)> = None;
-        for off in 0..len {
-            let p = self.phys(base + off as i64);
-            if self.live[p] {
-                match &mut clobbered {
-                    Some((_, n)) => *n += 1,
-                    None => clobbered = Some((base + off as i64, 1)),
-                }
-            }
-            self.live[p] = true;
-        }
-        if let Some((byte, n)) = clobbered {
+        if let Some((byte, n)) = self.mark(base, len, true) {
             out.push(Violation::Clobber {
                 site: site.into(),
                 byte,
@@ -94,26 +111,15 @@ impl PoolModel {
     /// Replays a consumer free: every target byte must be live, and
     /// becomes dead. Freeing a dead byte is a [`Violation::DoubleFree`].
     pub fn free(&mut self, site: &str, base: i64, len: usize, out: &mut Vec<Violation>) {
-        if len > self.window {
+        if len > self.window() {
             out.push(Violation::OutOfBounds {
                 site: site.into(),
                 needed: len,
-                budget: self.window,
+                budget: self.window(),
             });
             return;
         }
-        let mut dead: Option<(i64, usize)> = None;
-        for off in 0..len {
-            let p = self.phys(base + off as i64);
-            if !self.live[p] {
-                match &mut dead {
-                    Some((_, n)) => *n += 1,
-                    None => dead = Some((base + off as i64, 1)),
-                }
-            }
-            self.live[p] = false;
-        }
-        if let Some((byte, n)) = dead {
+        if let Some((byte, n)) = self.mark(base, len, false) {
             out.push(Violation::DoubleFree {
                 site: site.into(),
                 byte,
@@ -124,21 +130,23 @@ impl PoolModel {
 
     /// Asserts that exactly `[base, base+len)` is live: stray live bytes
     /// are leaks (inputs never freed); dead bytes inside the range are
-    /// outputs never produced. Both report as [`Violation::Leak`].
+    /// outputs never produced. Both report as [`Violation::Leak`], at
+    /// the lowest physical offset of their kind.
     pub fn expect_exactly(&self, site: &str, base: i64, len: usize, out: &mut Vec<Violation>) {
-        let mut expected = vec![false; self.window];
-        for off in 0..len.min(self.window) {
-            expected[self.phys(base + off as i64)] = true;
-        }
-        let stray = self
-            .live
-            .iter()
-            .zip(&expected)
-            .filter(|(l, e)| **l && !**e)
-            .count();
+        let window = self.window();
+        let [(start, first), (_, wrapped)] = self.spans(base, len.min(window));
+        // The expected bytes and the rest of the window, each as two
+        // ascending physical spans (either may be empty).
+        let expected = [(0, wrapped), (start, first)];
+        let others = [
+            (wrapped, start - wrapped),
+            (start + first, window - start - first),
+        ];
+        let stray: usize = others.iter().map(|&(p, n)| self.live.count(p, n)).sum();
         if stray > 0 {
-            let first = (0..self.window)
-                .find(|&p| self.live[p] && !expected[p])
+            let first = others
+                .iter()
+                .find_map(|&(p, n)| self.live.first(p, n, true))
                 .unwrap_or(0);
             out.push(Violation::Leak {
                 site: site.into(),
@@ -147,15 +155,14 @@ impl PoolModel {
                 detail: "bytes still live that are not part of the output".into(),
             });
         }
-        let missing = self
-            .live
+        let missing: usize = expected
             .iter()
-            .zip(&expected)
-            .filter(|(l, e)| !**l && **e)
-            .count();
+            .map(|&(p, n)| n - self.live.count(p, n))
+            .sum();
         if missing > 0 {
-            let first = (0..self.window)
-                .find(|&p| !self.live[p] && expected[p])
+            let first = expected
+                .iter()
+                .find_map(|&(p, n)| self.live.first(p, n, false))
                 .unwrap_or(0);
             out.push(Violation::Leak {
                 site: site.into(),
@@ -248,7 +255,7 @@ pub fn replay_into(
 /// only the placement question. A trace with no stores returns
 /// `−in_len` (any placement works).
 pub fn derive_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
-    let mut live = vec![true; in_len];
+    let mut freed = ByteSet::new(in_len);
     let mut lowest = 0usize; // first live input byte (lazily advanced)
     let mut d: Option<i64> = None;
     for ev in events {
@@ -257,13 +264,10 @@ pub fn derive_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
                 if addr < 0 {
                     continue;
                 }
-                let start = addr as usize;
-                for slot in live.iter_mut().take((start + len).min(in_len)).skip(start) {
-                    *slot = false;
-                }
-                while lowest < in_len && !live[lowest] {
-                    lowest += 1;
-                }
+                free_clipped(&mut freed, addr as usize, len);
+                lowest = freed
+                    .first(lowest, in_len - lowest, false)
+                    .unwrap_or(in_len);
             }
             ExecEvent::Store { addr, len } => {
                 if len == 0 {
@@ -278,6 +282,15 @@ pub fn derive_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
     d.unwrap_or(-(in_len as i64))
 }
 
+/// Marks the input bytes of a free of `len` bytes at `start` freed,
+/// ignoring the part past the input's `in_len = freed.capacity()` bytes.
+fn free_clipped(freed: &mut ByteSet, start: usize, len: usize) {
+    let end = (start + len).min(freed.capacity());
+    if start < end {
+        freed.set(start, end - start, true);
+    }
+}
+
 /// Reproduces the distance through `vmcu-solver`'s event bound: stores
 /// become writes of their last byte, frees reads of their first byte,
 /// input bytes never freed read back after the whole trace (they
@@ -289,7 +302,7 @@ pub fn derive_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
 /// `D* + 1` — the identity [`check_distance`] enforces.
 pub fn solver_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
     let mut ev = Vec::new();
-    let mut freed = vec![false; in_len];
+    let mut freed = ByteSet::new(in_len);
     let mut any_store = false;
     for e in events {
         match *e {
@@ -301,10 +314,7 @@ pub fn solver_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
             }
             ExecEvent::Free { addr, len } => {
                 if addr >= 0 {
-                    let start = addr as usize;
-                    for slot in freed.iter_mut().take((start + len).min(in_len)).skip(start) {
-                        *slot = true;
-                    }
+                    free_clipped(&mut freed, addr as usize, len);
                 }
                 ev.push(Event::Read(addr));
             }
@@ -313,10 +323,10 @@ pub fn solver_min_distance(in_len: usize, events: &[ExecEvent]) -> i64 {
     if !any_store {
         return -(in_len as i64);
     }
-    for (b, f) in freed.iter().enumerate() {
-        if !*f {
-            ev.push(Event::Read(b as i64));
-        }
+    let mut b = 0;
+    while let Some(lo) = freed.first(b, in_len - b, false) {
+        b = freed.first(lo, in_len - lo, true).unwrap_or(in_len);
+        ev.extend((lo..b).map(|x| Event::Read(x as i64)));
     }
     ev.push(Event::Read(in_len as i64));
     match min_distance_events(ev) {

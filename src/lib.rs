@@ -4,7 +4,8 @@
 //! directories; all functionality lives in the workspace crates and is
 //! re-exported through the [`vmcu`] facade.
 //!
-//! See `README.md` for a tour and `DESIGN.md` for the system inventory.
+//! See `README.md` for a tour and `docs/ARCHITECTURE.md` for the system
+//! inventory.
 
 pub use vmcu;
 
