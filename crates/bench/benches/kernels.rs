@@ -44,9 +44,13 @@ fn bench_fused_ib(c: &mut Criterion) {
     let w = LayerWeights::random(&layer, 3);
     let input = random::tensor_i8(&layer.in_shape(), 4);
     let dev = Device::stm32_f411re();
-    for scheme in [IbScheme::RowBuffer, IbScheme::PixelWindow] {
-        g.bench_function(format!("{scheme:?}"), |b| {
-            let engine = Engine::new(dev.clone()).planner(PlannerKind::Vmcu(scheme));
+    for (name, kind) in [
+        ("RowBuffer", PlannerKind::Vmcu(IbScheme::RowBuffer)),
+        ("PixelWindow", PlannerKind::Vmcu(IbScheme::PixelWindow)),
+        ("TinyEngine", PlannerKind::TinyEngine),
+    ] {
+        g.bench_function(name, |b| {
+            let engine = Engine::new(dev.clone()).planner(kind);
             b.iter(|| {
                 engine
                     .run_layer(m.name, black_box(&layer), &w, &input)

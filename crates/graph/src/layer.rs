@@ -131,6 +131,25 @@ impl LayerDesc {
             LayerDesc::Add(_) | LayerDesc::Concat(_) => 0,
         }
     }
+
+    /// The weight images this layer stages into Flash, in staging order:
+    /// each image's name and shape. [`LayerWeights::random`] builds
+    /// exactly these, and [`LayerWeights::shapes`] names a tensor's
+    /// images the same way, so the two compare directly.
+    pub fn weight_shapes(&self) -> Vec<(&'static str, Vec<usize>)> {
+        match self {
+            LayerDesc::Pointwise(p) => vec![("pointwise", vec![p.c, p.k])],
+            LayerDesc::Conv2d(p) => vec![("conv2d", vec![p.r, p.s, p.c, p.k])],
+            LayerDesc::Depthwise(p) => vec![("depthwise", vec![p.r, p.s, p.c])],
+            LayerDesc::Dense(p) => vec![("dense", vec![p.k, p.n])],
+            LayerDesc::Ib(p) => vec![
+                ("w1", vec![p.c_in, p.c_mid]),
+                ("wdw", vec![p.rs, p.rs, p.c_mid]),
+                ("w2", vec![p.c_mid, p.c_out]),
+            ],
+            LayerDesc::Add(_) | LayerDesc::Concat(_) => Vec::new(),
+        }
+    }
 }
 
 /// Synthetic weights for one layer (deterministic per seed).
@@ -159,25 +178,37 @@ pub enum LayerWeights {
 }
 
 impl LayerWeights {
-    /// Generates deterministic weights for a layer.
+    /// Generates deterministic weights for a layer: one tensor per
+    /// [`LayerDesc::weight_shapes`] image, image `i` seeded `seed + i`.
     pub fn random(layer: &LayerDesc, seed: u64) -> Self {
+        let shapes = layer.weight_shapes();
+        let image = |i: usize| random::tensor_i8(&shapes[i].1, seed.wrapping_add(i as u64));
         match layer {
-            LayerDesc::Pointwise(p) => {
-                LayerWeights::Pointwise(random::tensor_i8(&[p.c, p.k], seed))
-            }
-            LayerDesc::Conv2d(p) => {
-                LayerWeights::Conv2d(random::tensor_i8(&[p.r, p.s, p.c, p.k], seed))
-            }
-            LayerDesc::Depthwise(p) => {
-                LayerWeights::Depthwise(random::tensor_i8(&[p.r, p.s, p.c], seed))
-            }
-            LayerDesc::Dense(p) => LayerWeights::Dense(random::tensor_i8(&[p.k, p.n], seed)),
-            LayerDesc::Ib(p) => LayerWeights::Ib {
-                w1: random::tensor_i8(&[p.c_in, p.c_mid], seed),
-                wdw: random::tensor_i8(&[p.rs, p.rs, p.c_mid], seed.wrapping_add(1)),
-                w2: random::tensor_i8(&[p.c_mid, p.c_out], seed.wrapping_add(2)),
+            LayerDesc::Pointwise(_) => LayerWeights::Pointwise(image(0)),
+            LayerDesc::Conv2d(_) => LayerWeights::Conv2d(image(0)),
+            LayerDesc::Depthwise(_) => LayerWeights::Depthwise(image(0)),
+            LayerDesc::Dense(_) => LayerWeights::Dense(image(0)),
+            LayerDesc::Ib(_) => LayerWeights::Ib {
+                w1: image(0),
+                wdw: image(1),
+                w2: image(2),
             },
             LayerDesc::Add(_) | LayerDesc::Concat(_) => LayerWeights::None,
+        }
+    }
+
+    /// Each weight image's name and shape, in staging order, named as
+    /// [`LayerDesc::weight_shapes`] names them.
+    pub fn shapes(&self) -> Vec<(&'static str, &[usize])> {
+        match self {
+            LayerWeights::Pointwise(t) => vec![("pointwise", t.shape())],
+            LayerWeights::Conv2d(t) => vec![("conv2d", t.shape())],
+            LayerWeights::Depthwise(t) => vec![("depthwise", t.shape())],
+            LayerWeights::Dense(t) => vec![("dense", t.shape())],
+            LayerWeights::Ib { w1, wdw, w2 } => {
+                vec![("w1", w1.shape()), ("wdw", wdw.shape()), ("w2", w2.shape())]
+            }
+            LayerWeights::None => Vec::new(),
         }
     }
 
@@ -217,6 +248,40 @@ mod tests {
         assert_eq!(l.weight_bytes(), 16 * 48 + 9 * 48 + 48 * 16);
         let w = LayerWeights::random(&l, 3);
         assert_eq!(w.bytes(), l.weight_bytes());
+    }
+
+    #[test]
+    fn random_weights_have_the_layer_weight_shapes() {
+        let rq = Requant::identity();
+        let layers = [
+            LayerDesc::Pointwise(PointwiseParams::new(8, 8, 16, 24, rq)),
+            LayerDesc::Conv2d(Conv2dParams::new(8, 8, 3, 5, 3, 3, 1, 1, rq)),
+            LayerDesc::Depthwise(DepthwiseParams::new(8, 8, 6, 3, 3, 1, 1, rq)),
+            LayerDesc::Dense(FcParams::new(4, 8, 10, rq)),
+            LayerDesc::Ib(IbParams::new(20, 16, 48, 24, 3, (1, 1, 1))),
+            LayerDesc::Add(AddParams::new(8, 8, 4)),
+            LayerDesc::Concat(ConcatParams::new(8, 8, 6, 10)),
+        ];
+        for l in &layers {
+            let w = LayerWeights::random(l, 5);
+            let shapes: Vec<(&str, Vec<usize>)> = w
+                .shapes()
+                .into_iter()
+                .map(|(name, shape)| (name, shape.to_vec()))
+                .collect();
+            assert_eq!(shapes, l.weight_shapes(), "{}", l.kind());
+            assert_eq!(w.bytes(), l.weight_bytes(), "{}", l.kind());
+        }
+        // Image `i` is seeded `seed + i`.
+        let LayerDesc::Ib(p) = &layers[4] else {
+            unreachable!()
+        };
+        let LayerWeights::Ib { w1, wdw, w2 } = LayerWeights::random(&layers[4], 5) else {
+            unreachable!()
+        };
+        assert_eq!(w1, random::tensor_i8(&[p.c_in, p.c_mid], 5));
+        assert_eq!(wdw, random::tensor_i8(&[p.rs, p.rs, p.c_mid], 6));
+        assert_eq!(w2, random::tensor_i8(&[p.c_mid, p.c_out], 7));
     }
 
     #[test]

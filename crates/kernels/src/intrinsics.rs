@@ -62,14 +62,18 @@ pub fn dot_tile(
 
 /// Functional core of the byte-slice `Dot` variants: accumulates
 /// `acc[n] += Σ_k a[k] · b[k·b_stride + n]` reading int8 values straight
-/// from `u8` storage. The reduction is register-tiled four rows deep
-/// (`chunks_exact`), keeping each accumulator lane's addition order
-/// identical to the scalar `dot_tile` loop — bit-exact, just without the
-/// per-tile `Vec` conversions and per-element bounds checks the naive
-/// loop pays on the host.
-fn dot_accumulate_u8(a: &[u8], b: &[u8], b_stride: usize, acc: &mut [i32]) {
+/// from `u8` storage, charging nothing. The reduction is register-tiled
+/// four rows deep (`chunks_exact`), keeping each accumulator lane's
+/// addition order identical to the scalar `dot_tile` loop — bit-exact,
+/// just without the per-tile `Vec` conversions and per-element bounds
+/// checks the naive loop pays on the host. Kernels that price their dots
+/// separately (the TinyEngine baseline) call it directly.
+pub(crate) fn dot_accumulate_u8(a: &[u8], b: &[u8], b_stride: usize, acc: &mut [i32]) {
     let ki = a.len();
     let ni = acc.len();
+    if ki == 0 || ni == 0 {
+        return;
+    }
     assert!(
         (ki - 1) * b_stride + ni <= b.len(),
         "weight tile too small: need {} have {}",
@@ -162,7 +166,12 @@ pub fn dot_tile_lanes(
 /// charged one cycle per 4 lanes.
 pub fn broadcast(m: &mut Machine, dst: &mut [i32], value: i32) {
     dst.fill(value);
-    m.charge_cycles((dst.len() as u64).div_ceil(4));
+    m.charge_cycles(broadcast_cycles(dst.len()));
+}
+
+/// Cycles a [`broadcast`] of `lanes` registers costs: one per 4 lanes.
+pub(crate) fn broadcast_cycles(lanes: usize) -> u64 {
+    (lanes as u64).div_ceil(4)
 }
 
 /// Requantizes a row of int32 accumulators to int8 with a fused
@@ -172,11 +181,16 @@ pub fn broadcast(m: &mut Machine, dst: &mut [i32], value: i32) {
 ///
 /// Panics if `acc` and `out` have different lengths.
 pub fn requant_row(m: &mut Machine, acc: &[i32], rq: Requant, clamp: (i8, i8), out: &mut [u8]) {
+    requant_into(acc, rq, clamp, out);
+    m.charge_requant(acc.len() as u64);
+}
+
+/// The functional part of [`requant_row`], charging nothing.
+pub(crate) fn requant_into(acc: &[i32], rq: Requant, clamp: (i8, i8), out: &mut [u8]) {
     assert_eq!(acc.len(), out.len(), "requant row length mismatch");
     for (o, &a) in out.iter_mut().zip(acc) {
         *o = rq.apply_clamped(a, clamp) as u8;
     }
-    m.charge_requant(acc.len() as u64);
 }
 
 #[cfg(test)]

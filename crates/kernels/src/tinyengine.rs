@@ -15,14 +15,28 @@
 //!
 //! Functional results are bit-exact with the reference operators — the
 //! baselines differ from vMCU only in memory layout and cost.
+//!
+//! # Modelled loops, host loops
+//!
+//! [`TE_COL_TILE`] is the *modelled* tile: the device runs the CMSIS-NN
+//! 2-column GEMM loop, and the counters charge every access that loop
+//! makes at its modelled size, one call at a time. The host loop shape
+//! is free as long as that holds. [`run_pointwise_te`] computes a whole
+//! pixel's `K` outputs in one pass and adds the pixel's tile sequence,
+//! priced once per layer, per pixel; [`run_depthwise_te_inplace`] reads
+//! its weights once per layer and each ring tap in place, and adds the
+//! per-tap and per-pixel charges. `tests/tinyengine_props.rs` holds this:
+//! it keeps the per-tile and per-tap loops as oracles and requires the
+//! same RAM image and the same `Counters` from both.
 
-use crate::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::{DepthwiseParams, IbParams, PointwiseParams};
-use vmcu_sim::{Machine, MemError};
+use vmcu_sim::{CostModel, Counters, Machine, MemError};
 use vmcu_tensor::quant::sat8;
 
-/// Output channels computed per inner-loop pass by the baseline GEMM
-/// (CMSIS-NN processes 2 columns at a time; §8.1).
+/// Output channels per inner-loop pass of the *modelled* baseline GEMM
+/// (CMSIS-NN processes 2 columns at a time; §8.1). The host computes a
+/// whole pixel at once; this is the tile the counters charge.
 pub const TE_COL_TILE: usize = 2;
 
 /// Disjoint RAM layout of a TinyEngine pointwise convolution.
@@ -36,12 +50,41 @@ pub struct TePointwiseLayout {
     pub im2col: usize,
 }
 
+/// Counters one output pixel of [`run_pointwise_te`] charges on the
+/// device: the whole `[C, K]` weight matrix streamed from Flash, then per
+/// [`TE_COL_TILE`]-column tile a reload of the `C`-byte im2col row (the
+/// extra RAM traffic §7.2 attributes the energy gap to), the accumulator
+/// splat, a `C`-deep dot at fixed-depth unrolling (the stall penalty
+/// applies), the requant epilogue, the tile's store and the back-edge.
+fn pointwise_pixel_charge(cost: &CostModel, c: usize, k: usize) -> Counters {
+    let mut pixel = Counters::new();
+    pixel.charge_flash_load(cost, (c * k) as u64);
+    let mut k0 = 0;
+    while k0 < k {
+        let kw = TE_COL_TILE.min(k - k0);
+        pixel.charge_ram_load(cost, c as u64);
+        pixel.cycles += broadcast_cycles(kw);
+        pixel.charge_macs(cost, (c * kw) as u64, false);
+        pixel.charge_requant(cost, kw as u64);
+        pixel.charge_ram_store(cost, kw as u64);
+        pixel.charge_branches(cost, 1);
+        k0 += kw;
+    }
+    pixel
+}
+
 /// Runs the TinyEngine-style pointwise convolution (stride supported for
 /// fused-module use).
 ///
+/// The device streams the weights and reloads the im2col row per column
+/// tile; the counters charge exactly that ([`TE_COL_TILE`]). The host
+/// reads the weights once per layer — Flash is immutable during an
+/// inference — and computes each pixel's `K` outputs in one dot.
+///
 /// # Errors
 ///
-/// Returns memory errors on layout mistakes.
+/// Returns memory errors on layout mistakes, including a weight image
+/// that does not fit in Flash.
 ///
 /// # Panics
 ///
@@ -58,10 +101,10 @@ pub fn run_pointwise_te(
         assert_eq!(b.len(), p.k, "bias length mismatch");
     }
     let (h_out, w_out) = ((p.h - 1) / stride + 1, (p.w - 1) / stride + 1);
-    let mut a_reg = vec![0u8; p.c];
-    let mut w_full = vec![0u8; p.c * p.k];
-    let mut acc = [0i32; TE_COL_TILE];
-    let mut out_reg = [0u8; TE_COL_TILE];
+    let weights = m.flash.read(w_base, p.c * p.k)?.to_vec();
+    let pixel = pointwise_pixel_charge(&m.device.cost, p.c, p.k);
+    let mut acc = vec![0i32; p.k];
+    let mut out_reg = vec![0u8; p.k];
     for pi in 0..h_out {
         // im2col: stage the (subsampled) input row even though a pointwise
         // conv does not need it — TinyEngine does not bypass this step.
@@ -73,29 +116,16 @@ pub fn run_pointwise_te(
             )?;
         }
         for qi in 0..w_out {
-            // Whole weight matrix streamed from Flash per pixel.
-            m.flash_load(w_base, &mut w_full)?;
-            let mut k0 = 0;
-            while k0 < p.k {
-                let kw = TE_COL_TILE.min(p.k - k0);
-                // CMSIS-NN/TinyEngine templates compute 2 output channels
-                // at a time (§8.1) and re-read the input row per column
-                // pair — the extra RAM traffic §7.2 attributes the energy
-                // gap to.
-                m.ram_load(layout.im2col + qi * p.c, &mut a_reg)?;
-                broadcast(m, &mut acc[..kw], 0);
-                if let Some(b) = bias {
-                    for (a, &bv) in acc[..kw].iter_mut().zip(&b[k0..k0 + kw]) {
-                        *a = bv;
-                    }
-                }
-                // Fixed-depth unrolling: the stall penalty applies.
-                dot_tile_u8(m, &a_reg, &w_full[k0..], p.k, &mut acc[..kw], false);
-                requant_row(m, &acc[..kw], p.rq, p.clamp, &mut out_reg[..kw]);
-                m.ram_store(layout.output + (pi * w_out + qi) * p.k + k0, &out_reg[..kw])?;
-                m.charge_branches(1);
-                k0 += kw;
+            let a = m.ram.read(layout.im2col + qi * p.c, p.c)?;
+            match bias {
+                Some(b) => acc.copy_from_slice(b),
+                None => acc.fill(0),
             }
+            dot_accumulate_u8(a, &weights, p.k, &mut acc);
+            requant_into(&acc, p.rq, p.clamp, &mut out_reg);
+            m.ram
+                .write(layout.output + (pi * w_out + qi) * p.k, &out_reg)?;
+            m.counters += pixel;
         }
         m.charge_branches(1);
     }
@@ -106,9 +136,15 @@ pub fn run_pointwise_te(
 /// overwrites the input buffer at `buf`; a ring at `ring` keeps the
 /// original values of the last `R` input rows.
 ///
+/// The device loads each in-bounds tap's ring pixel and `C` weights; the
+/// counters charge exactly that. The host reads the `R·S·C` weights once
+/// per layer — Flash is immutable during an inference — and each ring
+/// tap in place.
+///
 /// # Errors
 ///
-/// Returns memory errors on layout mistakes.
+/// Returns memory errors on layout mistakes, including a weight image
+/// that does not fit in Flash.
 pub fn run_depthwise_te_inplace(
     m: &mut Machine,
     p: &DepthwiseParams,
@@ -118,8 +154,22 @@ pub fn run_depthwise_te_inplace(
 ) -> Result<(), MemError> {
     let (h_out, w_out) = (p.out_h(), p.out_w());
     let row_bytes = p.w * p.c;
-    let mut a_reg = vec![0u8; p.c];
-    let mut w_reg = vec![0u8; p.c];
+    let weights = m.flash.read(w_base, p.r * p.s * p.c)?.to_vec();
+    let (cost, c) = (m.device.cost, p.c as u64);
+    // Per in-bounds tap: the ring RAMLoad, the weight FlashLoad and one
+    // `C`-lane MAC tile at fixed-depth unrolling. `tap * taps` keeps each
+    // tap's own rounding, never a merged `mac_cost(C · taps)`.
+    let mut tap = Counters::new();
+    tap.charge_ram_load(&cost, c);
+    tap.charge_flash_load(&cost, c);
+    tap.charge_macs(&cost, c, false);
+    // Per output pixel: the accumulator splat, the requant epilogue, the
+    // store and the back-edge.
+    let mut pixel = Counters::new();
+    pixel.cycles += broadcast_cycles(p.c);
+    pixel.charge_requant(&cost, c);
+    pixel.charge_ram_store(&cost, c);
+    pixel.charge_branches(&cost, 1);
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
     let ring_rows = p.r.min(p.h); // the ring never exceeds the image height
@@ -136,7 +186,7 @@ pub fn run_depthwise_te_inplace(
             copied_upto += 1;
         }
         for qi in 0..w_out {
-            broadcast(m, &mut acc, 0);
+            acc.fill(0);
             let mut taps = 0u64;
             for ri in 0..p.r {
                 let y = (pi * p.stride + ri) as isize - p.pad as isize;
@@ -148,23 +198,20 @@ pub fn run_depthwise_te_inplace(
                     if x < 0 || x >= p.w as isize {
                         continue;
                     }
-                    m.ram_load(
+                    let a = m.ram.read(
                         ring + ((y as usize % ring_rows) * p.w + x as usize) * p.c,
-                        &mut a_reg,
+                        p.c,
                     )?;
-                    m.flash_load(w_base + (ri * p.s + si) * p.c, &mut w_reg)?;
-                    for c in 0..p.c {
-                        acc[c] += i32::from(a_reg[c] as i8) * i32::from(w_reg[c] as i8);
+                    let w = &weights[(ri * p.s + si) * p.c..][..p.c];
+                    for ((acc, &a), &w) in acc.iter_mut().zip(a).zip(w) {
+                        *acc += i32::from(a as i8) * i32::from(w as i8);
                     }
                     taps += 1;
                 }
             }
-            // Counter-identical to the per-tap charges this loop used to
-            // make (tiles × mac_cost, never a merged rounding).
-            m.charge_macs_batched(p.c as u64, taps, false);
-            requant_row(m, &acc, p.rq, p.clamp, &mut out_reg);
-            m.ram_store(buf + (pi * w_out + qi) * p.c, &out_reg)?;
-            m.charge_branches(1);
+            requant_into(&acc, p.rq, p.clamp, &mut out_reg);
+            m.ram.write(buf + (pi * w_out + qi) * p.c, &out_reg)?;
+            m.counters += pixel + tap * taps;
         }
         m.charge_branches(1);
     }

@@ -4,8 +4,9 @@
 //! functions of these counters plus the device models, which is what makes
 //! the reproduction's performance claims auditable.
 
+use crate::cost::CostModel;
 use std::fmt;
-use std::ops::{Add, AddAssign};
+use std::ops::{Add, AddAssign, Mul};
 
 /// Counted work of a (partial) kernel execution.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
@@ -59,6 +60,57 @@ impl Counters {
     }
 }
 
+/// Charge-only pricing: each helper adds one access kind's modelled
+/// price to `self` without touching memory. [`Machine`](crate::Machine)'s
+/// costed operations charge through them, and a kernel that prices a
+/// repeated access sequence once (into a delta it adds per repetition)
+/// uses the same ones, so there is one formula per access kind and the
+/// per-call `div_ceil` rounding is the same either way.
+impl Counters {
+    /// A `RAMLoad` of `n` bytes.
+    pub fn charge_ram_load(&mut self, cost: &CostModel, n: u64) {
+        self.ram_read_bytes += n;
+        self.cycles += cost.ram_move_cost(n) + cost.call_overhead_cycles;
+    }
+
+    /// A `RAMStore` of `n` bytes.
+    pub fn charge_ram_store(&mut self, cost: &CostModel, n: u64) {
+        self.ram_write_bytes += n;
+        self.cycles += cost.ram_move_cost(n) + cost.call_overhead_cycles;
+    }
+
+    /// A RAM-to-RAM copy of `n` bytes: read and write traffic, one call.
+    pub fn charge_ram_copy(&mut self, cost: &CostModel, n: u64) {
+        self.ram_read_bytes += n;
+        self.ram_write_bytes += n;
+        self.cycles += 2 * cost.ram_move_cost(n) + cost.call_overhead_cycles;
+    }
+
+    /// A `FlashLoad` of `n` bytes.
+    pub fn charge_flash_load(&mut self, cost: &CostModel, n: u64) {
+        self.flash_read_bytes += n;
+        self.cycles += cost.flash_read_cost(n) + cost.call_overhead_cycles;
+    }
+
+    /// `n` 8-bit MACs in one dot call (`fully_unrolled` selects the stall
+    /// model).
+    pub fn charge_macs(&mut self, cost: &CostModel, n: u64, fully_unrolled: bool) {
+        self.macs += n;
+        self.cycles += cost.mac_cost(n, fully_unrolled);
+    }
+
+    /// An `n`-element requantization epilogue.
+    pub fn charge_requant(&mut self, cost: &CostModel, n: u64) {
+        self.cycles += cost.requant_cost(n);
+    }
+
+    /// `n` taken branches.
+    pub fn charge_branches(&mut self, cost: &CostModel, n: u64) {
+        self.branches += n;
+        self.cycles += n * cost.branch_cycles;
+    }
+}
+
 impl Add for Counters {
     type Output = Counters;
 
@@ -78,6 +130,23 @@ impl Add for Counters {
 impl AddAssign for Counters {
     fn add_assign(&mut self, rhs: Counters) {
         *self = *self + rhs;
+    }
+}
+
+/// `n` repetitions of the same charges.
+impl Mul<u64> for Counters {
+    type Output = Counters;
+
+    fn mul(self, n: u64) -> Counters {
+        Counters {
+            cycles: self.cycles * n,
+            macs: self.macs * n,
+            ram_read_bytes: self.ram_read_bytes * n,
+            ram_write_bytes: self.ram_write_bytes * n,
+            flash_read_bytes: self.flash_read_bytes * n,
+            modulo_ops: self.modulo_ops * n,
+            branches: self.branches * n,
+        }
     }
 }
 
@@ -147,6 +216,22 @@ mod tests {
             ..Counters::new()
         };
         let _ = late.since(&early);
+    }
+
+    #[test]
+    fn repeated_charges_scale_every_field() {
+        let cost = CostModel::cortex_m7();
+        let mut once = Counters::new();
+        once.charge_ram_load(&cost, 7);
+        once.charge_flash_load(&cost, 7);
+        once.charge_macs(&cost, 7, false);
+        let mut looped = Counters::new();
+        for _ in 0..5 {
+            looped += once;
+        }
+        assert_eq!(once * 5, looped);
+        let none = 0;
+        assert_eq!(once * none, Counters::new());
     }
 
     #[test]

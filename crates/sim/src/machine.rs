@@ -79,12 +79,9 @@ impl Machine {
     ///
     /// Returns [`MemError`] on out-of-range addresses.
     pub fn ram_load(&mut self, addr: usize, dst: &mut [u8]) -> Result<(), MemError> {
-        let bytes = self.ram.read(addr, dst.len())?;
-        dst.copy_from_slice(bytes);
-        let n = dst.len() as u64;
-        self.counters.ram_read_bytes += n;
-        self.counters.cycles +=
-            self.device.cost.ram_move_cost(n) + self.device.cost.call_overhead_cycles;
+        dst.copy_from_slice(self.ram.read(addr, dst.len())?);
+        self.counters
+            .charge_ram_load(&self.device.cost, dst.len() as u64);
         Ok(())
     }
 
@@ -95,10 +92,8 @@ impl Machine {
     /// Returns [`MemError`] on out-of-range addresses.
     pub fn ram_store(&mut self, addr: usize, src: &[u8]) -> Result<(), MemError> {
         self.ram.write(addr, src)?;
-        let n = src.len() as u64;
-        self.counters.ram_write_bytes += n;
-        self.counters.cycles +=
-            self.device.cost.ram_move_cost(n) + self.device.cost.call_overhead_cycles;
+        self.counters
+            .charge_ram_store(&self.device.cost, src.len() as u64);
         Ok(())
     }
 
@@ -107,15 +102,11 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError`] on out-of-range addresses.
+    /// Returns [`MemError`] on out-of-range addresses (and, under the
+    /// `shadow` feature, on a store over live bytes), charging nothing.
     pub fn ram_copy(&mut self, src: usize, dst: usize, len: usize) -> Result<(), MemError> {
-        let bytes = self.ram.read(src, len)?.to_vec();
-        self.ram.write(dst, &bytes)?;
-        let n = len as u64;
-        self.counters.ram_read_bytes += n;
-        self.counters.ram_write_bytes += n;
-        self.counters.cycles +=
-            2 * self.device.cost.ram_move_cost(n) + self.device.cost.call_overhead_cycles;
+        self.ram.copy(src, dst, len)?;
+        self.counters.charge_ram_copy(&self.device.cost, len as u64);
         Ok(())
     }
 
@@ -125,19 +116,16 @@ impl Machine {
     ///
     /// Returns [`MemError`] on out-of-range addresses.
     pub fn flash_load(&mut self, addr: usize, dst: &mut [u8]) -> Result<(), MemError> {
-        let bytes = self.flash.read(addr, dst.len())?;
-        dst.copy_from_slice(bytes);
-        let n = dst.len() as u64;
-        self.counters.flash_read_bytes += n;
-        self.counters.cycles +=
-            self.device.cost.flash_read_cost(n) + self.device.cost.call_overhead_cycles;
+        dst.copy_from_slice(self.flash.read(addr, dst.len())?);
+        self.counters
+            .charge_flash_load(&self.device.cost, dst.len() as u64);
         Ok(())
     }
 
     /// Charges `n` 8-bit MACs (`fully_unrolled` selects the stall model).
     pub fn charge_macs(&mut self, n: u64, fully_unrolled: bool) {
-        self.counters.macs += n;
-        self.counters.cycles += self.device.cost.mac_cost(n, fully_unrolled);
+        self.counters
+            .charge_macs(&self.device.cost, n, fully_unrolled);
     }
 
     /// Charges `n` 8-bit MACs issued at `lanes_used` SIMD lanes per
@@ -164,7 +152,7 @@ impl Machine {
     /// Charges an `n`-element requantization epilogue at the device's
     /// [`requant_cycles_x100`](crate::cost::CostModel::requant_cycles_x100).
     pub fn charge_requant(&mut self, n: u64) {
-        self.counters.cycles += self.device.cost.requant_cost(n);
+        self.counters.charge_requant(&self.device.cost, n);
     }
 
     /// Charges `n` address-modulo operations (circular-buffer boundary
@@ -176,8 +164,7 @@ impl Machine {
 
     /// Charges `n` taken branches (loop back-edges).
     pub fn charge_branches(&mut self, n: u64) {
-        self.counters.branches += n;
-        self.counters.cycles += n * self.device.cost.branch_cycles;
+        self.counters.charge_branches(&self.device.cost, n);
     }
 
     /// Charges `n` generic ALU cycles (requantization epilogues etc.).
@@ -329,6 +316,41 @@ mod tests {
         assert_eq!(m.host_read_ram(64, 16).unwrap(), vec![3; 16]);
         assert_eq!(m.snapshot().ram_read_bytes, 16);
         assert_eq!(m.snapshot().ram_write_bytes, 16);
+        let cost = m.device.cost;
+        assert_eq!(
+            m.snapshot().cycles,
+            2 * cost.ram_move_cost(16) + cost.call_overhead_cycles
+        );
+        // A failed copy charges nothing.
+        let cap = m.ram.capacity();
+        assert!(m.ram_copy(cap - 8, 0, 16).is_err());
+        assert_eq!(m.snapshot().ram_read_bytes, 16);
+    }
+
+    #[test]
+    fn costed_operations_charge_through_the_counter_helpers() {
+        // One formula per access kind: a delta priced with the
+        // charge-only helpers equals what the data paths charge.
+        let mut m = Machine::new(Device::stm32_f767zi());
+        let base = m.host_program_flash(&[1; 40]).unwrap();
+        let mut regs = [0u8; 13];
+        m.ram_load(3, &mut regs).unwrap();
+        m.flash_load(base, &mut regs[..11]).unwrap();
+        m.ram_store(100, &regs[..5]).unwrap();
+        m.ram_copy(0, 200, 9).unwrap();
+        m.charge_macs(26, false);
+        m.charge_requant(3);
+        m.charge_branches(2);
+        let cost = m.device.cost;
+        let mut priced = Counters::new();
+        priced.charge_ram_load(&cost, 13);
+        priced.charge_flash_load(&cost, 11);
+        priced.charge_ram_store(&cost, 5);
+        priced.charge_ram_copy(&cost, 9);
+        priced.charge_macs(&cost, 26, false);
+        priced.charge_requant(&cost, 3);
+        priced.charge_branches(&cost, 2);
+        assert_eq!(m.snapshot(), priced);
     }
 
     #[test]

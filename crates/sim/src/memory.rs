@@ -145,6 +145,24 @@ impl Ram {
         Ok(())
     }
 
+    /// Copies `len` bytes from `src` to `dst` in place; the two ranges may
+    /// overlap (`copy_within` semantics).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::RamOutOfRange`] when either range exceeds
+    /// capacity (`src` is checked first), or (under the `shadow` feature)
+    /// [`MemError::ShadowClobber`] when a `dst` byte is still live in the
+    /// shadow map. RAM is unchanged on error.
+    pub(crate) fn copy(&mut self, src: usize, dst: usize, len: usize) -> Result<(), MemError> {
+        self.check(src, len)?;
+        self.check(dst, len)?;
+        #[cfg(feature = "shadow")]
+        self.shadow_check(dst, len)?;
+        self.data.copy_within(src..src + len, dst);
+        Ok(())
+    }
+
     /// Fills `len` bytes at `addr` with `value`.
     ///
     /// # Errors
@@ -327,6 +345,54 @@ mod tests {
     }
 
     #[test]
+    fn ram_copy_handles_overlap_in_both_directions() {
+        let mut ram = Ram::new(16);
+        ram.write(0, &[1, 2, 3, 4, 5, 6]).unwrap();
+        // Forward overlap: dst above src.
+        ram.copy(0, 2, 6).unwrap();
+        assert_eq!(ram.read(0, 8).unwrap(), &[1, 2, 1, 2, 3, 4, 5, 6]);
+        // Backward overlap: dst below src.
+        ram.copy(2, 1, 6).unwrap();
+        assert_eq!(ram.read(0, 8).unwrap(), &[1, 1, 2, 3, 4, 5, 6, 6]);
+        // Self-copy and empty copy at the end are no-ops.
+        ram.copy(3, 3, 4).unwrap();
+        ram.copy(16, 0, 0).unwrap();
+        assert_eq!(ram.read(0, 8).unwrap(), &[1, 1, 2, 3, 4, 5, 6, 6]);
+    }
+
+    #[test]
+    fn ram_copy_bounds_checks_both_ranges() {
+        let mut ram = Ram::new(16);
+        ram.write(0, &[7; 16]).unwrap();
+        let before = ram.read(0, 16).unwrap().to_vec();
+        assert_eq!(
+            ram.copy(12, 0, 8),
+            Err(MemError::RamOutOfRange {
+                addr: 12,
+                len: 8,
+                capacity: 16
+            })
+        );
+        assert_eq!(
+            ram.copy(0, 10, 8),
+            Err(MemError::RamOutOfRange {
+                addr: 10,
+                len: 8,
+                capacity: 16
+            })
+        );
+        // `src` is checked first, and overflow is an error, not a panic.
+        assert!(matches!(
+            ram.copy(usize::MAX, 20, 2),
+            Err(MemError::RamOutOfRange {
+                addr: usize::MAX,
+                ..
+            })
+        ));
+        assert_eq!(ram.read(0, 16).unwrap(), &before[..]);
+    }
+
+    #[test]
     fn ram_clear_restores_boot_state() {
         let mut ram = Ram::new(32);
         ram.write(5, &[9; 10]).unwrap();
@@ -387,6 +453,23 @@ mod tests {
         // Freeing the bytes makes the store legal again.
         ram.shadow_mark_dead(4, 4);
         ram.write(6, &[9, 9, 9]).unwrap();
+    }
+
+    #[cfg(feature = "shadow")]
+    #[test]
+    fn shadow_catches_copy_over_live_bytes() {
+        let mut ram = Ram::new(16);
+        ram.write(0, &[1, 2, 3, 4]).unwrap();
+        ram.shadow_mark_live(8, 4);
+        // Live source bytes may be read; only the destination is checked.
+        ram.shadow_mark_live(0, 4);
+        assert_eq!(
+            ram.copy(0, 6, 4),
+            Err(MemError::ShadowClobber { addr: 8, len: 2 })
+        );
+        assert_eq!(ram.read(6, 4).unwrap(), &[0; 4]);
+        ram.copy(0, 12, 4).unwrap();
+        assert_eq!(ram.read(12, 4).unwrap(), &[1, 2, 3, 4]);
     }
 
     #[cfg(feature = "shadow")]

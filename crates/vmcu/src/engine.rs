@@ -371,20 +371,45 @@ pub(crate) fn check_input(expected: &[usize], input: &Tensor<i8>) -> Result<(), 
     })
 }
 
-/// Rejects weights whose byte size is not what layer `index` needs.
+/// Rejects weights whose images are not the ones layer `index` stages:
+/// every image's kind and shape must be the one
+/// [`LayerDesc::weight_shapes`] names (what `LayerWeights::random`
+/// builds), so a transposed matrix or a mis-split module is refused even
+/// when its byte total is right. The error names the first bad image.
 pub(crate) fn check_weights(
     index: usize,
     layer: &LayerDesc,
     weights: &LayerWeights,
 ) -> Result<(), EngineError> {
-    if weights.bytes() == layer.weight_bytes() {
-        return Ok(());
+    let expected = layer.weight_shapes();
+    let found = weights.shapes();
+    for i in 0..expected.len().max(found.len()) {
+        let want = expected
+            .get(i)
+            .map(|(name, shape)| (*name, shape.as_slice()));
+        let got = found.get(i).copied();
+        if want == got {
+            continue;
+        }
+        let name = |img: Option<(&'static str, &[usize])>| img.map_or("none", |(name, _)| name);
+        let shape = |img: Option<(&str, &[usize])>| img.map_or_else(Vec::new, |(_, s)| s.to_vec());
+        let kind = layer.kind();
+        let what = if name(want) == name(got) {
+            format!("weight image `{}` of layer {index} ({kind})", name(want))
+        } else {
+            format!(
+                "weight image {i} of layer {index} ({kind}): `{}` given as `{}`,",
+                name(want),
+                name(got)
+            )
+        };
+        return Err(EngineError::ShapeMismatch {
+            what,
+            expected: shape(want),
+            found: shape(got),
+        });
     }
-    Err(EngineError::ShapeMismatch {
-        what: format!("weight bytes of layer {index} ({})", layer.kind()),
-        expected: vec![layer.weight_bytes()],
-        found: vec![weights.bytes()],
-    })
+    Ok(())
 }
 
 #[cfg(test)]

@@ -109,6 +109,100 @@ fn wrong_weights_are_typed_errors_at_deploy_under_every_policy() {
     }
 }
 
+/// Weights with the right byte total in the wrong shapes: the demo net's
+/// layer 0 pointwise weight transposed to `[K, C]` (C ≠ K), and its
+/// layer 2 IB with `w1` and `w2` swapped — a wrong split of the right
+/// total. Each case carries the bad layer and the image the error names.
+fn misshaped_weights(g: &Graph) -> [(&'static str, usize, Vec<LayerWeights>, &'static str); 2] {
+    let weights = g.random_weights(11);
+    let LayerDesc::Pointwise(pw) = &g.layers()[0] else {
+        panic!("demo net layer 0 is a pointwise conv");
+    };
+    assert_ne!(pw.c, pw.k);
+    let mut transposed = weights.clone();
+    transposed[0] = LayerWeights::Pointwise(random::tensor_i8(&[pw.k, pw.c], 12));
+    let LayerWeights::Ib { w1, wdw, w2 } = &weights[2] else {
+        panic!("demo net layer 2 is an IB");
+    };
+    assert_ne!(w1.len(), w2.len());
+    let mut mis_split = weights.clone();
+    mis_split[2] = LayerWeights::Ib {
+        w1: w2.clone(),
+        wdw: wdw.clone(),
+        w2: w1.clone(),
+    };
+    let cases = [
+        ("transposed pointwise", 0, transposed, "`pointwise`"),
+        ("mis-split IB", 2, mis_split, "`w1`"),
+    ];
+    for (what, _, w, _) in &cases {
+        for (layer, lw) in g.layers().iter().zip(w) {
+            assert_eq!(
+                lw.bytes(),
+                layer.weight_bytes(),
+                "{what}: byte totals match"
+            );
+        }
+    }
+    cases
+}
+
+/// Asserts a `ShapeMismatch` whose message contains every one of `names`.
+fn assert_names<T: std::fmt::Debug>(what: &str, names: &[&str], result: Result<T, EngineError>) {
+    match result {
+        Err(e @ EngineError::ShapeMismatch { .. }) => {
+            let msg = e.to_string();
+            assert!(names.iter().all(|n| msg.contains(n)), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected ShapeMismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn misshaped_weights_of_the_right_size_are_typed_errors_under_every_policy() {
+    let g = zoo::demo_linear_net();
+    let cases = misshaped_weights(&g);
+    for kind in all_kinds() {
+        let engine = Engine::new(Device::stm32_f767zi()).planner(kind);
+        for (what, layer, weights, image) in &cases {
+            let at = format!("layer {layer}");
+            let what = format!("{kind:?} {what}");
+            assert_names(&what, &[image, &at], engine.deploy(&g, weights));
+            assert_names(&what, &[image, &at], engine.deploy_unchecked(&g, weights));
+            let l = &g.layers()[*layer];
+            let input = random::tensor_i8(&l.in_shape(), 13);
+            assert_names(
+                &what,
+                &[image],
+                engine.run_layer("bad", l, &weights[*layer], &input),
+            );
+        }
+    }
+}
+
+#[test]
+fn a_mis_split_ib_names_the_image_and_both_shapes() {
+    let g = zoo::demo_linear_net();
+    let [_, (_, layer, weights, _)] = misshaped_weights(&g);
+    let LayerDesc::Ib(p) = &g.layers()[layer] else {
+        panic!("demo net layer 2 is an IB");
+    };
+    let err = Engine::new(Device::stm32_f767zi())
+        .deploy(&g, &weights)
+        .unwrap_err();
+    let EngineError::ShapeMismatch {
+        what,
+        expected,
+        found,
+    } = &err
+    else {
+        panic!("expected ShapeMismatch, got {err}");
+    };
+    assert!(what.contains("`w1` of layer 2"), "{err}");
+    assert_eq!(expected, &vec![p.c_in, p.c_mid]);
+    assert_eq!(found, &vec![p.c_mid, p.c_out]);
+}
+
 #[test]
 fn shape_mismatch_names_what_was_expected() {
     let g = zoo::demo_linear_net();
