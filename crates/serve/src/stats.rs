@@ -215,7 +215,9 @@ impl OnlineStats {
         planning: &PlanningStats,
         host_wall_ms: f64,
     ) -> Self {
-        completions.sort_unstable();
+        // Each worker logs in completion order, so the merged log is a
+        // few sorted runs: the stable sort merges them in linear time.
+        completions.sort();
         let completed = completions.len();
         let sojourns: Vec<u64> = completions.iter().map(|&(_, s)| s).collect();
         let (first, second) = sojourns.split_at(completed / 2);
@@ -268,7 +270,7 @@ impl OnlineStats {
 
 /// Nearest-rank percentile of unsorted integer-microsecond samples,
 /// reported in milliseconds (`q` in `[0, 1]`). Returns 0 for an empty
-/// sample. Integer sorting keeps the result bit-reproducible.
+/// sample. Integer selection keeps the result bit-reproducible.
 ///
 /// # Panics
 ///
@@ -278,10 +280,8 @@ pub fn percentile_us(samples: &[u64], q: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1] as f64 / 1e3
+    let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
+    *samples.to_vec().select_nth_unstable(rank - 1).1 as f64 / 1e3
 }
 
 /// Nearest-rank percentile of an unsorted sample (`q` in `[0, 1]`).

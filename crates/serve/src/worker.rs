@@ -170,9 +170,11 @@ pub(crate) struct OnlineWorkerRun {
 /// The event loop runs on an integer microsecond clock: pull arrivals
 /// that have occurred, pop the most urgent queued request, shed it if
 /// its deadline already passed, otherwise make its model resident
-/// (charging staging time on a swap) and serve it for its calibrated
-/// service time. `jobs` must be sorted by arrival time (routing
-/// preserves arrival order).
+/// (charging staging time on every staging) and serve it for its
+/// calibrated service time. Staging is ledger bookkeeping plus the
+/// simulated charge; the only [`Session`] the loop builds is the one
+/// that calibrates a model on its first service. `jobs` must be sorted
+/// by arrival time (routing preserves arrival order).
 pub(crate) fn run_online(
     models: &[Option<OnlineModel>],
     jobs: &[OnlineJob],
@@ -186,7 +188,6 @@ pub(crate) fn run_online(
     };
     let mut completions = Vec::with_capacity(jobs.len());
     let mut ledger = ResidencyLedger::new(ram_budget, flash_budget);
-    let mut sessions: HashMap<usize, Session> = HashMap::new();
     // Calibrated service profiles survive eviction: a model that swaps
     // back in pays staging time again, but never re-calibrates.
     let mut profiles: Vec<Option<Result<ServiceProfile, ()>>> = vec![None; models.len()];
@@ -226,11 +227,7 @@ pub(crate) fn run_online(
         // (`Deployment::staging_ms`), charged exactly once per staging.
         match ledger.request(job.model, model.ram_bytes, model.flash_bytes) {
             Admit::Hit => {}
-            Admit::Staged { evicted } => {
-                for e in evicted {
-                    sessions.remove(&e);
-                }
-                sessions.insert(job.model, model.deployment.session());
+            Admit::Staged { .. } => {
                 now += model.staging_us;
                 stats.staging_us += model.staging_us;
             }
@@ -238,19 +235,19 @@ pub(crate) fn run_online(
             // validated RAM and Flash), so this cannot happen.
             Admit::TooLarge => unreachable!("deployed models fit their device"),
         }
-        // Calibrate on first service: one real inference prices the
-        // model; every later request reuses the profile.
+        // Calibrate on first service: one real inference on a fresh
+        // session prices the model; every later request reuses the
+        // profile.
         let profile = match profiles[job.model] {
             Some(p) => p,
             None => {
-                let session = sessions
-                    .get_mut(&job.model)
-                    .expect("resident models have a session");
                 let input = random::tensor_i8(
                     &model.deployment.graph().in_shape(),
                     model_weight_seed(&model.name) ^ 0xCA11_B7A7,
                 );
-                let measured = session
+                let measured = model
+                    .deployment
+                    .session()
                     .infer(&input)
                     .map(|report| ServiceProfile {
                         service_us: ((report.latency_ms() * 1e3).round() as u64).max(1),
