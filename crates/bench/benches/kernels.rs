@@ -82,10 +82,57 @@ fn bench_reference_oracle(c: &mut Criterion) {
     g.finish();
 }
 
+/// The requantization epilogue every kernel and the oracle end with:
+/// `Requant::apply_row` next to the per-element `apply_clamped` loop it
+/// must equal, on rows of 16, 48 and 144 accumulators at the benchmark
+/// models' scale 1/64 with a ReLU clamp. One iteration requantizes a
+/// pool of 36,864 non-repeating accumulators row by row, so the branch
+/// predictor cannot learn their sign pattern; about half are negative
+/// and some saturate.
+fn bench_requant_row(c: &mut Criterion) {
+    let mut g = c.benchmark_group("requant-row");
+    g.sample_size(20);
+    let rq = Requant::from_scale(1.0 / 64.0, 0);
+    let relu = (0, 127);
+    let pool: Vec<i32> = random::bias_i32(144 * 256, 8)
+        .into_iter()
+        .map(|v| v * 16)
+        .collect();
+    let mut out = vec![0i8; pool.len()];
+    for len in [16, 48, 144] {
+        g.bench_function(format!("row/{len}"), |b| {
+            b.iter(|| {
+                let rq = black_box(rq);
+                for (acc, o) in black_box(&pool)
+                    .chunks_exact(len)
+                    .zip(out.chunks_exact_mut(len))
+                {
+                    rq.apply_row(acc, relu, o, |v| v);
+                }
+            });
+        });
+        g.bench_function(format!("apply_clamped/{len}"), |b| {
+            b.iter(|| {
+                let rq = black_box(rq);
+                for (acc, o) in black_box(&pool)
+                    .chunks_exact(len)
+                    .zip(out.chunks_exact_mut(len))
+                {
+                    for (v, &a) in o.iter_mut().zip(acc) {
+                        *v = rq.apply_clamped(a, relu);
+                    }
+                }
+            });
+        });
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_pointwise,
     bench_fused_ib,
-    bench_reference_oracle
+    bench_reference_oracle,
+    bench_requant_row
 );
 criterion_main!(benches);

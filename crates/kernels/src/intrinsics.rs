@@ -179,18 +179,17 @@ pub(crate) fn broadcast_cycles(lanes: usize) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `acc` and `out` have different lengths.
+/// Panics if `acc` and `out` have different lengths, and, on a
+/// non-empty row, if `clamp.0 > clamp.1`.
 pub fn requant_row(m: &mut Machine, acc: &[i32], rq: Requant, clamp: (i8, i8), out: &mut [u8]) {
     requant_into(acc, rq, clamp, out);
     m.charge_requant(acc.len() as u64);
 }
 
-/// The functional part of [`requant_row`], charging nothing.
+/// The functional part of [`requant_row`], charging nothing: the
+/// reference operators' [`Requant::apply_row`], stored as `u8` registers.
 pub(crate) fn requant_into(acc: &[i32], rq: Requant, clamp: (i8, i8), out: &mut [u8]) {
-    assert_eq!(acc.len(), out.len(), "requant row length mismatch");
-    for (o, &a) in out.iter_mut().zip(acc) {
-        *o = rq.apply_clamped(a, clamp) as u8;
-    }
+    rq.apply_row(acc, clamp, out, |v| v as u8);
 }
 
 #[cfg(test)]

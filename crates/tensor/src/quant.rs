@@ -3,10 +3,19 @@
 //! Quantized inference accumulates int8×int8 products in int32 and rescales
 //! back to int8 with a fixed-point multiplier, in the style of TFLite /
 //! CMSIS-NN: `out = sat8(round(acc · mult / 2^(31+shift)) + zero_point)`.
-//! Rounding is half-away-from-zero. The **same** [`Requant::apply`] is used
-//! by the reference operators, the segment-aware kernels, the baseline
-//! kernels, and the IR interpreter, so functional equivalence between them
-//! is bit-exact by construction.
+//! Rounding is half-away-from-zero. [`Requant::apply`] (with
+//! [`Requant::apply_clamped`] adding the activation clamp) is the
+//! per-element definition; the IR interpreter calls it directly.
+//!
+//! The reference operators, the segment-aware kernels and the baseline
+//! kernels requantize whole rows through the **same**
+//! [`Requant::apply_row`], so functional equivalence between them is
+//! bit-exact by construction. It equals `apply_clamped` on every element:
+//! when `mult > 0`, `32 <= 31 + shift <= 63` and `|zp| <= 2^30` (what
+//! [`Requant::from_scale`] builds for a scale in `[2^-33, 0.5)` that does
+//! not round up to 0.5, with such a zero point) it runs branch-free in
+//! `i32` lanes, which is exact there; any other requantization falls back
+//! to `apply_clamped` element by element.
 
 /// Saturates an integer to int8.
 pub fn sat8(v: i64) -> i8 {
@@ -19,8 +28,8 @@ pub fn sat8(v: i64) -> i8 {
 pub struct Requant {
     /// Multiplier in `[2^30, 2^31)` (Q31 fixed point).
     pub mult: i32,
-    /// Extra right shift; the total shift is `31 + shift` and must stay
-    /// positive.
+    /// Extra right shift; the total shift `31 + shift` must lie in
+    /// `[1, 63]`.
     pub shift: i32,
     /// Output zero point.
     pub zp: i32,
@@ -32,7 +41,9 @@ impl Requant {
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < scale < 1e9` (all DNN rescales are tiny).
+    /// Panics unless `0 < scale < 1e9` (all DNN rescales are tiny), and
+    /// for a scale below 2^-33, whose total shift `31 + shift` would
+    /// exceed 63.
     pub fn from_scale(scale: f64, zp: i32) -> Self {
         assert!(scale > 0.0 && scale < 1e9, "unreasonable scale {scale}");
         let mut shift = 0i32;
@@ -45,14 +56,16 @@ impl Requant {
             s /= 2.0;
             shift -= 1;
         }
-        // s in [0.5, 1): mult = s · 2^31 in [2^30, 2^31)
+        // s in [0.5, 1): mult = s · 2^31 in [2^30, 2^31]; a mantissa that
+        // rounds up to 2^31 is 2^30 with one bit less of shift.
         let mult = (s * (1u64 << 31) as f64).round() as i64;
         let (mult, shift) = if mult == 1 << 31 {
-            (1i64 << 30, shift + 1)
+            (1i64 << 30, shift - 1)
         } else {
             (mult, shift)
         };
         assert!(31 + shift >= 1, "scale too large for Q31 requantization");
+        assert!(31 + shift <= 63, "scale too small for Q31 requantization");
         Self {
             mult: mult as i32,
             shift,
@@ -89,6 +102,52 @@ impl Requant {
     pub fn apply_clamped(&self, acc: i32, clamp: (i8, i8)) -> i8 {
         self.apply(acc).clamp(clamp.0, clamp.1)
     }
+
+    /// Requantizes a row of accumulators with an activation clamp,
+    /// storing `put(v)` for each int8 result `v`: element for element,
+    /// [`apply_clamped`](Requant::apply_clamped) bit for bit. `put` picks
+    /// the output type (the reference operators store `i8`, the kernels
+    /// `u8` registers).
+    ///
+    /// When `mult > 0`, `32 <= 31 + shift <= 63` and `|zp| <= 2^30`, the
+    /// row runs branch-free in `i32` lanes the compiler vectorizes: the
+    /// product has the accumulator's sign, so the magnitude
+    /// `(|acc| · mult + 2^(30+shift)) >> (31+shift)` rounds as `apply`
+    /// does (at most `2^30`, since `|acc| · mult < 2^62`), the sign goes
+    /// back on, and `± magnitude + zp` stays inside `i32`. Saturation
+    /// to int8 and the clamp are one `max(lo).min(hi)`. Every other
+    /// requantization applies `apply_clamped` element by element.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `acc` and `out` differ in length, and, on a non-empty
+    /// row, if `clamp.0 > clamp.1`.
+    #[inline]
+    pub fn apply_row<T>(&self, acc: &[i32], clamp: (i8, i8), out: &mut [T], put: impl Fn(i8) -> T) {
+        assert_eq!(acc.len(), out.len(), "requant row length mismatch");
+        if acc.is_empty() {
+            return;
+        }
+        assert!(
+            clamp.0 <= clamp.1,
+            "activation clamp {clamp:?} has min > max"
+        );
+        if self.mult > 0 && (1..=32).contains(&self.shift) && self.zp.unsigned_abs() <= 1 << 30 {
+            let total_shift = 31 + self.shift.unsigned_abs();
+            let mult = u64::from(self.mult.unsigned_abs());
+            let half = 1u64 << (total_shift - 1);
+            let (lo, hi) = (i32::from(clamp.0), i32::from(clamp.1));
+            for (o, &a) in out.iter_mut().zip(acc) {
+                let mag = ((u64::from(a.unsigned_abs()) * mult + half) >> total_shift) as i32;
+                let sign = a >> 31;
+                *o = put(((mag ^ sign) - sign + self.zp).max(lo).min(hi) as i8);
+            }
+        } else {
+            for (o, &a) in out.iter_mut().zip(acc) {
+                *o = put(self.apply_clamped(a, clamp));
+            }
+        }
+    }
 }
 
 /// No activation: the full int8 range.
@@ -116,7 +175,20 @@ mod tests {
 
     #[test]
     fn from_scale_round_trips() {
-        for scale in [0.5, 0.003, 0.999, 1.5, 2.0, 1e-4] {
+        // The last three round their mantissa up to 2^31, which carries
+        // into the shift; 2^-33 needs the largest total shift, 63.
+        for scale in [
+            0.5,
+            0.003,
+            0.999,
+            1.5,
+            2.0,
+            1e-4,
+            2f64.powi(-33),
+            1.0 - 1e-12,
+            0.5 - 1e-13,
+            2f64.powi(-33) * (1.0 - 1e-12),
+        ] {
             let rq = Requant::from_scale(scale, 0);
             assert!(
                 (rq.scale() - scale).abs() / scale < 1e-6,
@@ -125,6 +197,20 @@ mod tests {
             );
             assert!(rq.mult >= 1 << 30);
         }
+    }
+
+    #[test]
+    fn the_smallest_scale_is_2_pow_minus_33() {
+        let rq = Requant::from_scale(2f64.powi(-33), 0);
+        assert_eq!((rq.mult, 31 + rq.shift), (1 << 30, 63));
+        assert_eq!(rq.apply(i32::MAX), 0);
+        assert_eq!(rq.apply(i32::MIN), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "scale too small")]
+    fn scales_below_2_pow_minus_33_are_rejected() {
+        let _ = Requant::from_scale(2f64.powi(-34), 0);
     }
 
     #[test]

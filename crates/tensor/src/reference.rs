@@ -15,15 +15,17 @@
 //! zero; for each tap and input channel they add `x · w` across the
 //! contiguous weight row of the output channels (for [`depthwise`], the
 //! input pixel's channel row times the tap's weight row); then they
-//! requantize the row. Each output element adds its products in the
-//! per-element definition's order — bias, then taps `(r, s)` and
-//! channels `c` ascending — so every output, and every debug-build
-//! overflow panic, is that definition's bit for bit
+//! requantize the row with [`Requant::apply_row`]. Each output element
+//! adds its products in the per-element definition's order — bias, then
+//! taps `(r, s)` and channels `c` ascending — so every output, and every
+//! debug-build overflow panic, is that definition's bit for bit
 //! (`tests/reference_props.rs` keeps the definition and checks it).
 //!
-//! The oracle shares no code with the kernels it checks: `vmcu-tensor`
-//! depends on no other `vmcu-*` crate, so nothing here comes from
-//! `vmcu_kernels`.
+//! The oracle shares no code with the kernels it checks but the
+//! requantization epilogue: `vmcu-tensor` depends on no other `vmcu-*`
+//! crate, so nothing here comes from `vmcu_kernels`. Both requantize
+//! through [`Requant::apply_row`], which `tests/quant_props.rs` checks
+//! against the per-element [`Requant::apply_clamped`].
 
 use crate::quant::{sat8, Requant};
 use crate::tensor::Tensor;
@@ -40,13 +42,6 @@ fn fill_acc(acc: &mut [i32], bias: Option<&[i32]>) {
 fn mac_row(acc: &mut [i32], x: i8, w: &[i8]) {
     for (a, &wv) in acc.iter_mut().zip(w) {
         *a += i32::from(x) * i32::from(wv);
-    }
-}
-
-/// Requantizes an accumulator row into an output row.
-fn requantize_row(out: &mut [i8], acc: &[i32], rq: Requant, clamp: (i8, i8)) {
-    for (o, &a) in out.iter_mut().zip(acc) {
-        *o = rq.apply_clamped(a, clamp);
     }
 }
 
@@ -92,7 +87,7 @@ pub fn dense(
         for (&x, w_row) in x_row.iter().zip(weight.data().chunks_exact(n)) {
             mac_row(&mut acc, x, w_row);
         }
-        requantize_row(out_row, &acc, rq, clamp);
+        rq.apply_row(&acc, clamp, out_row, |v| v);
     }
     out
 }
@@ -154,7 +149,7 @@ pub fn conv2d(
                 }
             }
         }
-        requantize_row(out_row, &acc, rq, clamp);
+        rq.apply_row(&acc, clamp, out_row, |v| v);
     }
     out
 }
@@ -195,7 +190,7 @@ pub fn pointwise(
         for (&xv, w_row) in x_row.iter().zip(wt.chunks_exact(k)) {
             mac_row(&mut acc, xv, w_row);
         }
-        requantize_row(out_row, &acc, rq, clamp);
+        rq.apply_row(&acc, clamp, out_row, |v| v);
     }
     out
 }
@@ -251,7 +246,7 @@ pub fn depthwise(
                 }
             }
         }
-        requantize_row(out_row, &acc, rq, clamp);
+        rq.apply_row(&acc, clamp, out_row, |v| v);
     }
     out
 }

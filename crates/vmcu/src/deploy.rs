@@ -24,7 +24,9 @@
 //! [`Engine::deploy`]: crate::engine::Engine::deploy
 //! [`MemoryPlan`]: vmcu_plan::MemoryPlan
 
-use crate::engine::{check_fits, check_input, check_weights, InferenceReport, PlannerKind};
+use crate::engine::{
+    check_epilogues, check_fits, check_input, check_weights, InferenceReport, PlannerKind,
+};
 use crate::error::EngineError;
 use crate::exec::{self, stage_graph, ExecCtx, StagedLayer};
 use std::sync::Arc;
@@ -113,6 +115,7 @@ impl Deployment {
         }
         for (i, (layer, w)) in graph.layers().iter().zip(weights).enumerate() {
             check_weights(i, layer, w)?;
+            check_epilogues(i, layer)?;
         }
         let started = Instant::now();
         let planner = kind.planner();

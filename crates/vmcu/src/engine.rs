@@ -262,6 +262,8 @@ impl Engine {
     ///
     /// Returns [`EngineError::ShapeMismatch`] when the weights do not
     /// match the graph (count or per-layer size),
+    /// [`EngineError::BadEpilogue`] naming a layer whose requantization
+    /// or activation clamp is out of range,
     /// [`EngineError::DoesNotFit`] naming the bottleneck layer for
     /// non-deployable models, [`EngineError::Unsupported`] for
     /// layer/weights kinds that cannot stage, and a memory error when the
@@ -286,9 +288,10 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`EngineError::ShapeMismatch`] when the weights do not
-    /// match the graph, [`EngineError::Unsupported`] for layer/weights
-    /// kinds that cannot stage and a memory error when the firmware
-    /// image exceeds the device Flash.
+    /// match the graph, [`EngineError::BadEpilogue`] for an out-of-range
+    /// requantization or activation clamp, [`EngineError::Unsupported`]
+    /// for layer/weights kinds that cannot stage and a memory error when
+    /// the firmware image exceeds the device Flash.
     pub fn deploy_unchecked(
         &self,
         graph: &Graph,
@@ -315,7 +318,9 @@ impl Engine {
     /// # Errors
     ///
     /// Returns [`EngineError::ShapeMismatch`] when the input or weights
-    /// do not match the layer, [`EngineError::DoesNotFit`] when the plan
+    /// do not match the layer, [`EngineError::BadEpilogue`] for an
+    /// out-of-range requantization or activation clamp,
+    /// [`EngineError::DoesNotFit`] when the plan
     /// exceeds device RAM, [`EngineError::Unsupported`] for layer kinds
     /// the selected policy cannot run, and pool/memory errors on
     /// internal bugs.
@@ -328,6 +333,7 @@ impl Engine {
     ) -> Result<(Tensor<i8>, LayerReport), EngineError> {
         check_input(&layer.in_shape(), input)?;
         check_weights(0, layer, weights)?;
+        check_epilogues(0, layer)?;
         let plan = self.plan_layer(name, layer)?;
         let mut m = Machine::new(self.device.clone());
         let staged = stage_layer(&mut m, layer, weights)?;
@@ -407,6 +413,44 @@ pub(crate) fn check_weights(
             what,
             expected: shape(want),
             found: shape(got),
+        });
+    }
+    Ok(())
+}
+
+/// Rejects a layer whose requantization epilogue some kernel could not
+/// compute without panicking. Every `(rq, clamp)` pair — one per fc,
+/// pointwise, conv2d and depthwise layer, one per stage of an IB, none
+/// on a merge — needs `clamp.0 <= clamp.1`, `mult` in `[2^30, 2^31)` and
+/// `1 <= 31 + shift <= 63`, the domain [`Requant`](vmcu_tensor::Requant)
+/// documents. The error names layer `index` and the first bad field.
+pub(crate) fn check_epilogues(index: usize, layer: &LayerDesc) -> Result<(), EngineError> {
+    let pairs = match layer {
+        LayerDesc::Pointwise(p) => vec![("", p.rq, p.clamp)],
+        LayerDesc::Conv2d(p) => vec![("", p.rq, p.clamp)],
+        LayerDesc::Depthwise(p) => vec![("", p.rq, p.clamp)],
+        LayerDesc::Dense(p) => vec![("", p.rq, p.clamp)],
+        LayerDesc::Ib(p) => vec![
+            ("1", p.rq1, p.clamp1),
+            ("2", p.rq2, p.clamp2),
+            ("3", p.rq3, p.clamp3),
+        ],
+        LayerDesc::Add(_) | LayerDesc::Concat(_) => Vec::new(),
+    };
+    for (stage, rq, clamp) in pairs {
+        let (field, found) = if clamp.0 > clamp.1 {
+            (format!("clamp{stage}"), format!("{clamp:?}"))
+        } else if !(1 << 30..=i32::MAX).contains(&rq.mult) {
+            (format!("rq{stage}.mult"), rq.mult.to_string())
+        } else if !(1..=63).contains(&(i64::from(rq.shift) + 31)) {
+            (format!("rq{stage}.shift"), rq.shift.to_string())
+        } else {
+            continue;
+        };
+        return Err(EngineError::BadEpilogue {
+            layer: index,
+            field,
+            found,
         });
     }
     Ok(())

@@ -36,6 +36,20 @@ pub enum EngineError {
         /// What the caller supplied.
         found: Vec<usize>,
     },
+    /// A layer's requantization epilogue is outside the domain every
+    /// kernel computes: an activation clamp with `min > max`, a
+    /// multiplier outside `[2^30, 2^31)` or a total shift `31 + shift`
+    /// outside `[1, 63]`. Rejected before any kernel runs.
+    BadEpilogue {
+        /// Index of the layer in its graph (0 for
+        /// [`Engine::run_layer`](crate::Engine::run_layer)).
+        layer: usize,
+        /// The field: `clamp`, `rq.mult` or `rq.shift`, numbered by stage
+        /// in an inverted bottleneck (`clamp2`, `rq3.shift`).
+        field: String,
+        /// The value found.
+        found: String,
+    },
     /// Deployed session state leaked between inferences — an invariant
     /// staged at deploy time (e.g. the flash firmware image) changed
     /// during `infer`. Indicates an execution bug; surfaced as a typed
@@ -74,6 +88,15 @@ impl fmt::Display for EngineError {
                 expected,
                 found,
             } => write!(f, "{what} mismatch: expected {expected:?}, found {found:?}"),
+            EngineError::BadEpilogue {
+                layer,
+                field,
+                found,
+            } => write!(
+                f,
+                "layer {layer}: epilogue `{field}` = {found} is out of range (a clamp needs \
+                 min <= max, a multiplier [2^30, 2^31), a total shift 31 + shift in [1, 63])"
+            ),
             EngineError::StateLeak {
                 what,
                 expected,

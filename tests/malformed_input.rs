@@ -1,9 +1,11 @@
 //! Malformed input and weights are rejected with a typed
-//! [`EngineError::ShapeMismatch`] under every policy — before any kernel
-//! runs, so they never panic and never yield an output.
+//! [`EngineError::ShapeMismatch`], and out-of-range requantization
+//! epilogues with [`EngineError::BadEpilogue`], under every policy —
+//! before any kernel runs, so they never panic and never yield an output.
 
 use vmcu::prelude::*;
-use vmcu::vmcu_graph::zoo;
+use vmcu::vmcu_graph::{exec::run_reference, zoo};
+use vmcu::vmcu_kernels::{Conv2dParams, FcParams};
 use vmcu::vmcu_tensor::random;
 
 fn all_kinds() -> [PlannerKind; 7] {
@@ -247,5 +249,132 @@ fn an_empty_graph_deploys_but_infers_a_typed_error() {
                 "{kind:?}: {result:?}"
             );
         }
+    }
+}
+
+/// `g` with the `(rq, clamp)` pair of layer `index`'s epilogue `stage`
+/// (1–3 in an IB, 1 otherwise) passed through `edit`.
+fn with_epilogue(
+    g: &Graph,
+    index: usize,
+    stage: usize,
+    edit: impl FnOnce(&mut Requant, &mut (i8, i8)),
+) -> Graph {
+    let mut layers = g.layers().to_vec();
+    let (rq, clamp) = match (&mut layers[index], stage) {
+        (LayerDesc::Pointwise(p), 1) => (&mut p.rq, &mut p.clamp),
+        (LayerDesc::Conv2d(p), 1) => (&mut p.rq, &mut p.clamp),
+        (LayerDesc::Depthwise(p), 1) => (&mut p.rq, &mut p.clamp),
+        (LayerDesc::Dense(p), 1) => (&mut p.rq, &mut p.clamp),
+        (LayerDesc::Ib(p), 1) => (&mut p.rq1, &mut p.clamp1),
+        (LayerDesc::Ib(p), 2) => (&mut p.rq2, &mut p.clamp2),
+        (LayerDesc::Ib(p), 3) => (&mut p.rq3, &mut p.clamp3),
+        (l, _) => panic!("{} has no epilogue stage {stage}", l.kind()),
+    };
+    edit(rq, clamp);
+    Graph::linear(&g.name, layers).expect("an epilogue edit keeps the shapes")
+}
+
+/// Graphs with one epilogue field out of range, as `(graph, layer,
+/// field)`: the reversed pointwise clamp that used to panic inside
+/// `infer`, every IB stage, each other layer kind, and both sides of the
+/// multiplier and total-shift domains.
+fn bad_epilogues() -> Vec<(Graph, usize, &'static str)> {
+    type Edit = fn(&mut Requant, &mut (i8, i8));
+    let demo = zoo::demo_linear_net();
+    let unfused = zoo::mbv2_block_unfused();
+    let rq = Requant::from_scale(1.0 / 64.0, 0);
+    let fc = Graph::linear("fc", vec![LayerDesc::Dense(FcParams::new(4, 8, 8, rq))]).unwrap();
+    let conv = Conv2dParams::new(7, 7, 3, 5, 3, 3, 1, 0, rq);
+    let conv = Graph::linear("conv", vec![LayerDesc::Conv2d(conv)]).unwrap();
+    let cases: [(&Graph, usize, usize, &str, Edit); 8] = [
+        (&demo, 0, 1, "clamp", |_, c| *c = (10, -10)),
+        (&demo, 1, 2, "clamp2", |_, c| *c = (5, 4)),
+        (&demo, 2, 1, "rq1.mult", |rq, _| rq.mult = (1 << 30) - 1),
+        (&demo, 2, 3, "rq3.shift", |rq, _| rq.shift = 33), // total shift 64
+        (&demo, 3, 1, "rq.mult", |rq, _| rq.mult = -(1 << 30)),
+        (&unfused, 1, 1, "rq.shift", |rq, _| rq.shift = -31), // total shift 0
+        (&fc, 0, 1, "rq.mult", |rq, _| rq.mult = 0),
+        (&conv, 0, 1, "clamp", |_, c| *c = (1, 0)),
+    ];
+    cases
+        .into_iter()
+        .map(|(g, layer, stage, field, edit)| (with_epilogue(g, layer, stage, edit), layer, field))
+        .collect()
+}
+
+/// Asserts a `BadEpilogue` naming `want`'s layer and field.
+fn assert_bad_epilogue<T: std::fmt::Debug>(
+    what: &str,
+    want: (usize, &str),
+    result: Result<T, EngineError>,
+) {
+    match &result {
+        Err(e @ EngineError::BadEpilogue { layer, field, .. }) => {
+            assert_eq!((*layer, field.as_str()), want, "{what}: {e}");
+            let msg = e.to_string();
+            let named = [format!("layer {layer}"), format!("`{field}`")];
+            assert!(named.iter().all(|n| msg.contains(n)), "{what}: {msg}");
+        }
+        other => panic!("{what}: expected BadEpilogue, got {other:?}"),
+    }
+}
+
+#[test]
+fn bad_epilogues_are_typed_errors_at_every_entry_point_under_every_policy() {
+    let dev = Device::stm32_f411re();
+    for (g, layer, field) in bad_epilogues() {
+        let weights = g.random_weights(14);
+        let l = &g.layers()[layer];
+        let input = random::tensor_i8(&l.in_shape(), 15);
+        for kind in all_kinds() {
+            let engine = Engine::new(dev.clone()).planner(kind);
+            let what = format!("{}/{kind:?} {field}", g.name);
+            assert_bad_epilogue(&what, (layer, field), engine.deploy(&g, &weights));
+            assert_bad_epilogue(&what, (layer, field), engine.deploy_unchecked(&g, &weights));
+            assert_bad_epilogue(
+                &what,
+                (0, field),
+                engine.run_layer("bad", l, &weights[layer], &input),
+            );
+        }
+    }
+}
+
+/// The edges of the epilogue domain deploy and infer bit-exact against
+/// the reference: total shifts 1 and 63, the largest multiplier, a
+/// single-value clamp.
+#[test]
+fn epilogues_at_the_domain_edges_deploy_and_infer() {
+    let g = with_epilogue(&zoo::demo_linear_net(), 0, 1, |rq, clamp| {
+        *rq = Requant {
+            mult: 1 << 30,
+            shift: -30,
+            zp: 0,
+        };
+        *clamp = (3, 3);
+    });
+    let g = with_epilogue(&g, 1, 2, |rq, _| {
+        *rq = Requant {
+            mult: i32::MAX,
+            shift: 32,
+            zp: 5,
+        };
+    });
+    let weights = g.random_weights(16);
+    let input = random::tensor_i8(&g.in_shape(), 17);
+    let expect = run_reference(&g, &weights, &input).pop().unwrap();
+    for kind in [
+        PlannerKind::Vmcu(IbScheme::RowBuffer),
+        PlannerKind::TinyEngine,
+    ] {
+        let report = Engine::new(Device::stm32_f767zi())
+            .planner(kind)
+            .deploy(&g, &weights)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"))
+            .session()
+            .infer(&input)
+            .unwrap();
+        assert_eq!(report.output, expect, "{kind:?}");
     }
 }
