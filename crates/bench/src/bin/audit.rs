@@ -6,13 +6,17 @@
 //! hazard-free. Combinations that do not fit a device are recorded as
 //! `undeployable` (that is the planner's verdict, not a failure).
 //!
-//! Emits `BENCH_audit.json` with one row per combination and exits
-//! non-zero if any audited deployment reports a violation (or nothing
-//! deployed at all, which would make the sweep vacuous).
+//! Emits `BENCH_audit.json` with one row per combination, keyed by model,
+//! device, planner and IB scheme (`null` for the tensor-level
+//! baselines), and exits non-zero if any audited deployment reports a
+//! violation, if nothing deployed at all (which would make the sweep
+//! vacuous), or if two rows share a key (which would make them
+//! indistinguishable in the certificate).
 //!
 //! Flags: `--out PATH` (default `BENCH_audit.json`), `--light` (skip the
 //! seeded random nets for quick CI smoke runs).
 
+use std::collections::HashSet;
 use vmcu::prelude::*;
 use vmcu_bench::json::Json;
 use vmcu_graph::zoo;
@@ -74,19 +78,35 @@ fn main() {
     let mut undeployable = 0usize;
     let mut violations = 0usize;
     let mut distances = 0usize;
+    let mut keys = HashSet::new();
+    let mut duplicates = 0usize;
     for (model_name, graph) in models(light) {
         let weights = graph.random_weights(0xA0D1);
         for device in Device::simd_ladder() {
             for kind in planner_kinds() {
+                let scheme = kind.scheme();
+                if !keys.insert((model_name.clone(), device.name.clone(), kind.name(), scheme)) {
+                    duplicates += 1;
+                    println!(
+                        "DUPLICATE row key {model_name} × {} × {scheme:?} × {}",
+                        kind.name(),
+                        device.name
+                    );
+                }
+                let mut row = vec![
+                    ("model".into(), Json::str(&*model_name)),
+                    ("device".into(), Json::str(&*device.name)),
+                    ("planner".into(), Json::str(kind.name())),
+                    (
+                        "scheme".into(),
+                        scheme.map_or(Json::Null, |s| Json::str(format!("{s:?}"))),
+                    ),
+                ];
                 let engine = Engine::new(device.clone()).planner(kind);
                 let Ok(dep) = engine.deploy(&graph, &weights) else {
                     undeployable += 1;
-                    rows.push(Json::Object(vec![
-                        ("model".into(), Json::str(&*model_name)),
-                        ("device".into(), Json::str(&*device.name)),
-                        ("planner".into(), Json::str(kind.name())),
-                        ("deployed".into(), Json::Bool(false)),
-                    ]));
+                    row.push(("deployed".into(), Json::Bool(false)));
+                    rows.push(Json::Object(row));
                     continue;
                 };
                 let report = vmcu_verify::audit(&dep);
@@ -103,10 +123,7 @@ fn main() {
                         println!("  - {v}");
                     }
                 }
-                rows.push(Json::Object(vec![
-                    ("model".into(), Json::str(&*model_name)),
-                    ("device".into(), Json::str(&*device.name)),
-                    ("planner".into(), Json::str(kind.name())),
+                row.extend([
                     ("deployed".into(), Json::Bool(true)),
                     ("clean".into(), Json::Bool(report.is_clean())),
                     (
@@ -121,7 +138,8 @@ fn main() {
                         "distances_checked".into(),
                         Json::Num(report.distances_checked as f64),
                     ),
-                ]));
+                ]);
+                rows.push(Json::Object(row));
             }
         }
     }
@@ -140,6 +158,6 @@ fn main() {
         "wrote {out_path}: {audited} deployments audited ({undeployable} undeployable), \
          {distances} distances cross-checked, {violations} violations"
     );
-    let ok = violations == 0 && audited > 0;
+    let ok = violations == 0 && audited > 0 && duplicates == 0;
     std::process::exit(i32::from(!ok));
 }

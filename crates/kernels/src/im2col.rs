@@ -7,8 +7,8 @@
 //! gap to), then the layer reduces to a plain GEMM driven through the
 //! lane-blocked [`dot_tile_lanes`] micro-kernel. Padding positions are
 //! zero-filled in the patch, so the GEMM is unconditional: no boundary
-//! branches in the inner loop, which is exactly what lets a compiler (or
-//! the vectorized codegen) keep the SIMD pipeline full.
+//! branches in the inner loop, which is exactly what lets a compiler keep
+//! the SIMD pipeline full.
 //!
 //! The lowering keeps the **same pool store/free order** as the direct
 //! kernels — output segments are produced pixel-major and input rows are

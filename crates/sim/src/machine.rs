@@ -1,9 +1,9 @@
 //! The execution context kernels run against.
 //!
 //! A [`Machine`] bundles a device model with its simulated RAM/Flash and a
-//! live [`Counters`] instance. Kernels (and the IR interpreter) perform all
-//! data movement and arithmetic through it, so functional results and
-//! modelled costs come from the same code path.
+//! live [`Counters`] instance. Kernels perform all data movement and
+//! arithmetic through it, so functional results and modelled costs come
+//! from the same code path.
 //!
 //! Host-side helpers (`host_*`) move data without charging cycles — they
 //! model the test bench (loading an input image, reading back results),

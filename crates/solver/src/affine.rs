@@ -5,6 +5,30 @@
 //! reaching linear memory through row-major *mapping vectors* `L`, so that
 //! the pool address of an access is `L·(A·i + V) + b`. This module provides
 //! exactly those pieces as plain integer types.
+//!
+//! # Examples
+//!
+//! Formulating the GEMM example of Figure 3:
+//!
+//! ```
+//! use vmcu_solver::affine::{AffineMap, IterDomain, LinearAccess, row_major_strides};
+//!
+//! let (m, n, k) = (4, 2, 3);
+//! let domain = IterDomain::new(vec![m, n, k]);
+//! // In[m,k] — mapping vector [K, 1]
+//! let read = LinearAccess::compose(
+//!     &row_major_strides(&[m, k]),
+//!     &AffineMap::new(vec![vec![1, 0, 0], vec![0, 0, 1]], vec![0, 0]),
+//! );
+//! // Out[m,n] — mapping vector [N, 1]
+//! let write = LinearAccess::compose(
+//!     &row_major_strides(&[m, n]),
+//!     &AffineMap::new(vec![vec![1, 0, 0], vec![0, 1, 0]], vec![0, 0]),
+//! );
+//! assert_eq!(read.eval(&[1, 0, 2]), 5);
+//! assert_eq!(write.eval(&[1, 1, 0]), 3);
+//! assert_eq!(domain.count(), 24);
+//! ```
 
 use std::fmt;
 
@@ -20,7 +44,7 @@ use std::fmt;
 /// # Examples
 ///
 /// ```
-/// use vmcu_ir::affine::IterDomain;
+/// use vmcu_solver::affine::IterDomain;
 /// let dom = IterDomain::new(vec![2, 3]);
 /// assert_eq!(dom.count(), 6);
 /// let pts: Vec<Vec<i64>> = dom.points().collect();
@@ -156,7 +180,7 @@ pub fn lex_le(a: &[i64], b: &[i64]) -> bool {
 /// The GEMM input access `S[m,n,k] -> In[m,k]` from Figure 3:
 ///
 /// ```
-/// use vmcu_ir::affine::AffineMap;
+/// use vmcu_solver::affine::AffineMap;
 /// let a_in = AffineMap::new(vec![vec![1, 0, 0], vec![0, 0, 1]], vec![0, 0]);
 /// assert_eq!(a_in.apply(&[4, 7, 2]), vec![4, 2]);
 /// ```
@@ -240,7 +264,7 @@ impl fmt::Display for AffineMap {
 /// # Examples
 ///
 /// ```
-/// use vmcu_ir::affine::row_major_strides;
+/// use vmcu_solver::affine::row_major_strides;
 /// assert_eq!(row_major_strides(&[4, 8, 3]), vec![24, 3, 1]);
 /// ```
 ///

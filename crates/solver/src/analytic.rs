@@ -20,8 +20,8 @@
 //! padded convolution problems this solver is *conservative*: its distance
 //! is an upper bound on the exact one.
 
+use crate::affine::LinearAccess;
 use crate::problem::{FootprintProblem, OffsetSolution};
-use vmcu_ir::affine::LinearAccess;
 
 /// `max_{0 <= x <= ub} c·x` for `ub >= 0`.
 fn axis_max(c: i64, ub: i64) -> i64 {

@@ -7,6 +7,10 @@
 //! pointers in the circular segment pool, and from it the minimal peak
 //! footprint.
 //!
+//! [`affine`] holds the §4 formulation the solvers optimize over:
+//! iteration domains, access functions (`u = A·i + V`), row-major mapping
+//! vectors, and composed linear address expressions.
+//!
 //! Three independent solvers cross-check each other:
 //!
 //! * [`enumerate`] — exact `O(|domain|)` lexicographic scan (ground truth);
@@ -32,6 +36,7 @@
 //! assert_eq!(solution.footprint, 7);    // vs 6 + 4 = 10 disjoint
 //! ```
 
+pub mod affine;
 pub mod analytic;
 pub mod closed_form;
 pub mod enumerate;

@@ -33,8 +33,8 @@
 //! assert_eq!(min_distance_events(events), Some(-1));
 //! ```
 
+use crate::affine::{IterDomain, LinearAccess};
 use crate::problem::{OffsetSolution, ReadAccess};
-use vmcu_ir::affine::{IterDomain, LinearAccess};
 
 /// One fused stage: the `In*` reads and `Out*` writes it performs at each
 /// iteration instance. Stages execute in index order within an instance.

@@ -15,7 +15,7 @@
 //! formulation, bytes for the fused multi-layer problems — chosen by the
 //! caller.
 
-use vmcu_ir::affine::{IterDomain, LinearAccess};
+use crate::affine::{IterDomain, LinearAccess};
 
 /// Inclusive bounds `[lo, hi]` on a read address; reads outside are
 /// padding accesses that never touch memory and are excluded by the exact

@@ -3,7 +3,7 @@
 //! evaluates.
 
 use proptest::prelude::*;
-use vmcu_ir::affine::{IterDomain, LinearAccess};
+use vmcu_solver::affine::{IterDomain, LinearAccess};
 use vmcu_solver::problem::{FootprintProblem, ReadAccess};
 use vmcu_solver::{analytic, enumerate, multilayer};
 

@@ -5,7 +5,7 @@
 //! CMSIS-NN: `out = sat8(round(acc · mult / 2^(31+shift)) + zero_point)`.
 //! Rounding is half-away-from-zero. [`Requant::apply`] (with
 //! [`Requant::apply_clamped`] adding the activation clamp) is the
-//! per-element definition; the IR interpreter calls it directly.
+//! per-element definition.
 //!
 //! The reference operators, the segment-aware kernels and the baseline
 //! kernels requantize whole rows through the **same**

@@ -13,15 +13,13 @@
 //!
 //! | Crate | Paper section | Role |
 //! |---|---|---|
-//! | [`vmcu_ir`] | §4, §6 | affine formulation + kernel IR/DSL |
-//! | [`vmcu_solver`] | §4, §5.2 | `min bIn − bOut` solvers (enumerative, analytic, closed-form, fused) |
+//! | [`vmcu_solver`] | §4, §5.2 | affine formulation + `min bIn − bOut` solvers (enumerative, analytic, closed-form, fused) |
 //! | [`vmcu_sim`] | §7.1 | simulated Cortex-M4/M7 devices, cost & energy models |
 //! | [`vmcu_tensor`] | — | int8 tensors, requantization, reference operators |
 //! | [`vmcu_pool`] | §3–4 | the circular segment pool with clobber detection |
 //! | [`vmcu_kernels`] | §5, §6.1 | segment-aware kernels + TinyEngine baselines |
 //! | [`vmcu_graph`] | §7 | model graphs + the Table 2 / Figure 7 zoo |
 //! | [`vmcu_plan`] | §2.3, §4, §5.2 | vMCU / TinyEngine / HMCOS planners, the deployed `Schedule` + the multi-layer fusion pass |
-//! | [`vmcu_codegen`] | §6 | IR → C emission and the IR interpreter |
 //!
 //! ## Quickstart — plan once, run many
 //!
@@ -61,9 +59,7 @@ pub use error::EngineError;
 pub use exec::StagedLayer;
 
 // Re-export the workspace crates under their natural names.
-pub use vmcu_codegen;
 pub use vmcu_graph;
-pub use vmcu_ir;
 pub use vmcu_kernels;
 pub use vmcu_plan;
 pub use vmcu_pool;

@@ -284,3 +284,57 @@ fn handbook_cross_links_are_bidirectional() {
         );
     }
 }
+
+/// Package names of the `crates/*` entries in the root manifest's
+/// `[workspace] members` list.
+fn workspace_crate_names() -> Vec<String> {
+    let root = repo_root();
+    let manifest = std::fs::read_to_string(root.join("Cargo.toml")).unwrap();
+    let mut names: Vec<String> = manifest
+        .lines()
+        .skip_while(|l| *l != "members = [")
+        .skip(1)
+        .take_while(|l| l.trim() != "]")
+        .filter_map(|l| l.trim().trim_end_matches(',').strip_prefix("\"crates/"))
+        .map(|dir| {
+            let dir = dir.trim_end_matches('"');
+            let crate_manifest =
+                std::fs::read_to_string(root.join("crates").join(dir).join("Cargo.toml"))
+                    .unwrap_or_else(|e| panic!("reading crates/{dir}/Cargo.toml: {e}"));
+            crate_manifest
+                .lines()
+                .find_map(|l| l.strip_prefix("name = \""))
+                .and_then(|n| n.strip_suffix('"'))
+                .unwrap_or_else(|| panic!("crates/{dir}/Cargo.toml has no package name"))
+                .to_owned()
+        })
+        .collect();
+    names.sort();
+    names
+}
+
+#[test]
+fn readme_crate_map_lists_exactly_the_workspace_crates() {
+    // A deleted crate must lose its row and a new crate must gain one:
+    // the table under `## Crate map` names every `crates/*` member once.
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).unwrap();
+    let mut rows: Vec<String> = readme
+        .lines()
+        .skip_while(|l| *l != "## Crate map")
+        .skip(1)
+        .take_while(|l| !l.starts_with("## "))
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split_once('`'))
+        .map(|(name, _)| name.to_owned())
+        .collect();
+    rows.sort();
+    let crates = workspace_crate_names();
+    assert!(
+        crates.len() >= 2,
+        "expected the workspace members to list crates/*, found {crates:?}"
+    );
+    assert_eq!(
+        rows, crates,
+        "README's crate map rows (left) must equal the crates/* workspace members (right)"
+    );
+}
