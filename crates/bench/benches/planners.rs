@@ -89,11 +89,30 @@ fn bench_audit(c: &mut Criterion) {
     g.finish();
 }
 
+/// One whole `Engine::deploy` per ladder device: planning plus the
+/// firmware-image check, which sizes the image without allocating the
+/// device's Flash, so a deploy to a 4 MB-Flash device costs what one to
+/// a 128 KB one does.
+fn bench_deploy(c: &mut Criterion) {
+    let mut g = c.benchmark_group("deploy");
+    let graph = zoo::mbv2_block_unfused();
+    let weights = graph.random_weights(7);
+    for device in Device::simd_ladder() {
+        let engine = Engine::new(device.clone()).planner(PlannerKind::Vmcu(IbScheme::RowBuffer));
+        g.bench_function(
+            format!("deploy/mbv2-block-unfused/vmcu-rowbuffer/{}", device.name),
+            |b| b.iter(|| engine.deploy(black_box(&graph), &weights)),
+        );
+    }
+    g.finish();
+}
+
 criterion_group!(
     benches,
     bench_planning,
     bench_headroom,
     bench_plan_passes,
-    bench_audit
+    bench_audit,
+    bench_deploy
 );
 criterion_main!(benches);

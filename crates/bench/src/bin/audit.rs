@@ -25,6 +25,7 @@ fn planner_kinds() -> Vec<PlannerKind> {
     vec![
         PlannerKind::Vmcu(IbScheme::RowBuffer),
         PlannerKind::Vmcu(IbScheme::PixelWindow),
+        PlannerKind::Vmcu(IbScheme::SlidingWindow),
         PlannerKind::VmcuFused(IbScheme::RowBuffer),
         PlannerKind::VmcuPatched(IbScheme::RowBuffer),
         PlannerKind::TinyEngine,

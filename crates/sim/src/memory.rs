@@ -86,6 +86,9 @@ impl std::error::Error for MemError {}
 #[derive(Debug, Clone)]
 pub struct Ram {
     data: Vec<u8>,
+    /// One past the highest byte written since the last clear; every
+    /// byte at or above it is zero.
+    high_water: usize,
     #[cfg(feature = "shadow")]
     live: ByteSet,
 }
@@ -95,6 +98,7 @@ impl Ram {
     pub fn new(capacity: usize) -> Self {
         Self {
             data: vec![0; capacity],
+            high_water: 0,
             #[cfg(feature = "shadow")]
             live: ByteSet::new(capacity),
         }
@@ -103,6 +107,23 @@ impl Ram {
     /// RAM capacity in bytes.
     pub fn capacity(&self) -> usize {
         self.data.len()
+    }
+
+    /// One past the highest byte that [`write`](Self::write),
+    /// [`fill`](Self::fill) or a RAM-to-RAM copy
+    /// ([`Machine::ram_copy`](crate::Machine::ram_copy)) touched since the last
+    /// [`clear`](Self::clear) (0 when nothing was written): the RAM a
+    /// run observably used. A failed access leaves it unchanged.
+    pub fn high_water(&self) -> usize {
+        self.high_water
+    }
+
+    /// Raises the write mark over the in-range `[addr, addr + len)`; an
+    /// empty access touches no byte.
+    fn touch(&mut self, addr: usize, len: usize) {
+        if len > 0 {
+            self.high_water = self.high_water.max(addr + len);
+        }
     }
 
     fn check(&self, addr: usize, len: usize) -> Result<(), MemError> {
@@ -141,6 +162,7 @@ impl Ram {
         self.check(addr, bytes.len())?;
         #[cfg(feature = "shadow")]
         self.shadow_check(addr, bytes.len())?;
+        self.touch(addr, bytes.len());
         self.data[addr..addr + bytes.len()].copy_from_slice(bytes);
         Ok(())
     }
@@ -159,6 +181,7 @@ impl Ram {
         self.check(dst, len)?;
         #[cfg(feature = "shadow")]
         self.shadow_check(dst, len)?;
+        self.touch(dst, len);
         self.data.copy_within(src..src + len, dst);
         Ok(())
     }
@@ -174,15 +197,21 @@ impl Ram {
         self.check(addr, len)?;
         #[cfg(feature = "shadow")]
         self.shadow_check(addr, len)?;
+        self.touch(addr, len);
         self.data[addr..addr + len].fill(value);
         Ok(())
     }
 
-    /// Zeroes all of RAM in place, keeping the allocation. A cleared RAM
-    /// is indistinguishable from a freshly booted one, which lets a
-    /// long-lived worker reuse its simulated SRAM across inferences.
+    /// Returns RAM to its boot state (all zero, nothing written) in
+    /// place, keeping the allocation, so a long-lived worker reuses its
+    /// simulated SRAM across inferences. Only the prefix below
+    /// [`high_water`](Self::high_water) can hold a nonzero byte, so only
+    /// that prefix is zeroed: a step that wrote 20 KB of a 512 KB RAM
+    /// clears 20 KB. The shadow liveness map, which marks bytes without
+    /// writing them, is reset whole.
     pub fn clear(&mut self) {
-        self.data.fill(0);
+        self.data[..self.high_water].fill(0);
+        self.high_water = 0;
         #[cfg(feature = "shadow")]
         self.live.set(0, self.live.capacity(), false);
     }
@@ -255,20 +284,33 @@ impl Flash {
         self.len_used
     }
 
+    /// The Flash capacity rule: the base address of a `len`-byte image
+    /// appended after `used` programmed bytes of a `capacity`-byte Flash.
+    /// [`Flash::program`] places every image by it, so a firmware image
+    /// can be sized and checked without allocating a Flash.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::FlashOutOfRange`] when the image would end past
+    /// `capacity`.
+    pub fn place(used: usize, len: usize, capacity: usize) -> Result<usize, MemError> {
+        if used + len > capacity {
+            return Err(MemError::FlashOutOfRange {
+                addr: used,
+                len,
+                capacity,
+            });
+        }
+        Ok(used)
+    }
+
     /// Appends an image to flash, returning its base address.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::FlashOutOfRange`] when the image does not fit.
     pub fn program(&mut self, bytes: &[u8]) -> Result<usize, MemError> {
-        let addr = self.len_used;
-        if addr + bytes.len() > self.data.len() {
-            return Err(MemError::FlashOutOfRange {
-                addr,
-                len: bytes.len(),
-                capacity: self.data.len(),
-            });
-        }
+        let addr = Self::place(self.len_used, bytes.len(), self.data.len())?;
         self.data[addr..addr + bytes.len()].copy_from_slice(bytes);
         self.len_used += bytes.len();
         Ok(addr)
@@ -399,6 +441,42 @@ mod tests {
         ram.clear();
         assert_eq!(ram.read(0, 32).unwrap(), &[0; 32]);
         assert_eq!(ram.capacity(), 32);
+    }
+
+    #[test]
+    fn high_water_marks_the_highest_byte_written_since_clear() {
+        let mut ram = Ram::new(32);
+        assert_eq!(ram.high_water(), 0);
+        ram.fill(4, 6, 1).unwrap();
+        assert_eq!(ram.high_water(), 10);
+        // Lower writes and empty accesses do not move it; failed ones
+        // neither.
+        ram.write(0, &[2; 3]).unwrap();
+        ram.write(31, &[]).unwrap();
+        assert!(ram.write(30, &[3; 4]).is_err());
+        assert_eq!(ram.high_water(), 10);
+        ram.copy(0, 20, 5).unwrap();
+        assert_eq!(ram.high_water(), 25);
+        ram.clear();
+        assert_eq!(ram.high_water(), 0);
+        assert_eq!(ram.read(0, 32).unwrap(), &[0; 32]);
+    }
+
+    #[test]
+    fn flash_place_is_the_program_capacity_rule() {
+        assert_eq!(Flash::place(3, 5, 8), Ok(3));
+        assert_eq!(
+            Flash::place(3, 6, 8),
+            Err(MemError::FlashOutOfRange {
+                addr: 3,
+                len: 6,
+                capacity: 8
+            })
+        );
+        let mut flash = Flash::new(8);
+        flash.program(&[0; 3]).unwrap();
+        assert_eq!(flash.program(&[0; 6]), Flash::place(3, 6, 8));
+        assert_eq!(flash.program(&[0; 5]), Flash::place(3, 5, 8));
     }
 
     #[test]

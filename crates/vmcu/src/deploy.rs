@@ -28,13 +28,13 @@ use crate::engine::{
     check_epilogues, check_fits, check_input, check_weights, InferenceReport, PlannerKind,
 };
 use crate::error::EngineError;
-use crate::exec::{self, stage_graph, ExecCtx, StagedLayer};
+use crate::exec::{self, stage_graph, weight_images, ExecCtx, StagedLayer};
 use std::sync::Arc;
 use std::time::Instant;
 use vmcu_graph::{Graph, LayerWeights};
 use vmcu_plan::planner::MemoryPlanner;
 use vmcu_plan::{ChainPlan, FusionPlan, MemoryPlan, OrderPlan, PatchPlan, Schedule, SplitPlan};
-use vmcu_sim::{Device, Machine};
+use vmcu_sim::{Device, Flash, Machine};
 use vmcu_tensor::Tensor;
 
 /// Every plan artifact an inference needs, memoized at deploy time.
@@ -97,9 +97,12 @@ impl Deployment {
         Ok(dep)
     }
 
-    /// Plans and stages without the whole-graph fit check — the chained
-    /// mode validates only its (smaller) chain window, so it must not be
-    /// gated on per-layer deployability.
+    /// Plans and checks the firmware image without the whole-graph fit
+    /// check — the chained mode validates only its (smaller) chain
+    /// window, so it must not be gated on per-layer deployability. The
+    /// image is checked without a machine: its size is the sum of every
+    /// layer's [`weight_images`], each placed by [`Flash::place`], the
+    /// rule `Flash::program` applies when a session stages them.
     pub(crate) fn new_unchecked(
         device: Device,
         kind: PlannerKind,
@@ -137,13 +140,16 @@ impl Deployment {
             chain,
         };
         // Validate the firmware image up front so `session()` cannot
-        // fail: a dry-run staging into a probe machine exercises the
-        // exact code path sessions use (layer/weights kinds, Flash
-        // capacity), so the validation can never drift from it.
-        let mut probe = Machine::new(device.clone());
-        stage_graph(&mut probe, graph.layers(), weights)?;
-        let image_bytes = probe.flash.used();
-        drop(probe);
+        // fail: `stage_graph` programs the same images in the same order
+        // under the same capacity rule, so it stages exactly these bytes
+        // and fails where this does.
+        let mut image_bytes = 0;
+        for (layer, w) in graph.layers().iter().zip(weights) {
+            for image in weight_images(layer, w)? {
+                image_bytes =
+                    Flash::place(image_bytes, image.len(), device.flash_bytes)? + image.len();
+            }
+        }
         let planning_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(Self {
             inner: Arc::new(DeployInner {
@@ -254,8 +260,8 @@ impl Deployment {
     }
 
     /// Size of the staged firmware image (all weights programmed into
-    /// Flash), measured once at deploy time from the dry-run probe —
-    /// the bytes a hot-swap must re-program.
+    /// Flash), summed once at deploy time from the images a session
+    /// stages — the bytes a hot-swap must re-program.
     ///
     /// # Examples
     ///
@@ -532,7 +538,7 @@ mod tests {
     #[test]
     fn staging_is_priced_from_the_probe_image() {
         let (dep, _) = deployed();
-        // The probe image at deploy equals what a live session stages.
+        // The image deploy sums equals what a live session stages.
         let s = dep.session();
         assert_eq!(dep.image_bytes(), s.staged_flash_bytes());
         // And the simulated staging price is the flash-write cost of

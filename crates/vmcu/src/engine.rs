@@ -162,6 +162,13 @@ pub struct LayerReport {
     pub plan: LayerPlan,
     /// Counted work, latency, and energy of the layer.
     pub exec: ExecSummary,
+    /// RAM the step observably used: one past the highest simulated RAM
+    /// byte it wrote ([`vmcu_sim::Ram::high_water`]), its input staging
+    /// included — the executed counterpart of
+    /// [`plan.planned_bytes()`](LayerPlan::planned_bytes). 0 for a
+    /// split-stage link hop, which runs on no machine; in a chained
+    /// inference, the mark of the whole run so far.
+    pub observed_peak_bytes: usize,
 }
 
 /// Whole-run record.
@@ -346,6 +353,7 @@ impl Engine {
                 name: name.to_owned(),
                 plan,
                 exec,
+                observed_peak_bytes: m.ram.high_water(),
             },
         ))
     }

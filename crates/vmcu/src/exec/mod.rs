@@ -76,8 +76,36 @@ impl StagedLayer {
     }
 }
 
-/// Programs one layer's weights into Flash, returning the staged
-/// addresses (`w1`, `wdw`, `w2` in that order for inverted
+/// One layer's weight images in staging order: one image for
+/// pointwise, conv2d, depthwise and dense layers, `w1`, `wdw`, `w2` for
+/// an inverted bottleneck, none for merges. [`stage_layer`] programs
+/// exactly these, so their byte lengths sum to the layer's share of the
+/// firmware image.
+///
+/// # Errors
+///
+/// Returns [`EngineError::Unsupported`] for a layer/weights kind
+/// mismatch.
+pub fn weight_images<'w>(
+    layer: &LayerDesc,
+    weights: &'w LayerWeights,
+) -> Result<Vec<&'w Tensor<i8>>, EngineError> {
+    match (layer, weights) {
+        (LayerDesc::Pointwise(_), LayerWeights::Pointwise(t))
+        | (LayerDesc::Conv2d(_), LayerWeights::Conv2d(t))
+        | (LayerDesc::Depthwise(_), LayerWeights::Depthwise(t))
+        | (LayerDesc::Dense(_), LayerWeights::Dense(t)) => Ok(vec![t]),
+        (LayerDesc::Ib(_), LayerWeights::Ib { w1, wdw, w2 }) => Ok(vec![w1, wdw, w2]),
+        (LayerDesc::Add(_) | LayerDesc::Concat(_), LayerWeights::None) => Ok(Vec::new()),
+        _ => Err(EngineError::Unsupported {
+            kind: layer.kind(),
+            executor: "staging",
+        }),
+    }
+}
+
+/// Programs one layer's [`weight_images`] into Flash, returning the
+/// staged addresses (`w1`, `wdw`, `w2` in that order for inverted
 /// bottlenecks).
 ///
 /// # Errors
@@ -89,24 +117,15 @@ pub fn stage_layer(
     layer: &LayerDesc,
     weights: &LayerWeights,
 ) -> Result<StagedLayer, EngineError> {
-    match (layer, weights) {
-        (LayerDesc::Pointwise(_), LayerWeights::Pointwise(t))
-        | (LayerDesc::Conv2d(_), LayerWeights::Conv2d(t))
-        | (LayerDesc::Depthwise(_), LayerWeights::Depthwise(t))
-        | (LayerDesc::Dense(_), LayerWeights::Dense(t)) => {
-            Ok(StagedLayer::Single(m.host_program_flash(&t.as_bytes())?))
-        }
-        (LayerDesc::Ib(_), LayerWeights::Ib { w1, wdw, w2 }) => Ok(StagedLayer::Ib {
-            w1: m.host_program_flash(&w1.as_bytes())?,
-            wdw: m.host_program_flash(&wdw.as_bytes())?,
-            w2: m.host_program_flash(&w2.as_bytes())?,
-        }),
-        (LayerDesc::Add(_) | LayerDesc::Concat(_), LayerWeights::None) => Ok(StagedLayer::None),
-        _ => Err(EngineError::Unsupported {
-            kind: layer.kind(),
-            executor: "staging",
-        }),
-    }
+    let addrs = weight_images(layer, weights)?
+        .into_iter()
+        .map(|t| m.host_program_flash(&t.as_bytes()))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(match addrs[..] {
+        [addr] => StagedLayer::Single(addr),
+        [w1, wdw, w2] => StagedLayer::Ib { w1, wdw, w2 },
+        _ => StagedLayer::None,
+    })
 }
 
 /// Stages a whole graph's weights into Flash in layer order — the
@@ -376,10 +395,11 @@ fn exec_work(
 
 /// Executes the deployed schedule for one input: one step per plan row,
 /// RAM reset to boot state before each step (counters keep accumulating;
-/// reports use deltas), every activation held host-side for its
-/// consumers — the host-side hand-off between split stages *is* the
-/// modelled network hop, priced by the deterministic [`LinkModel`] with
-/// no machine counters touched.
+/// reports use deltas; each row observes the RAM write mark its step
+/// left), every activation held host-side for its consumers — the
+/// host-side hand-off between split stages *is* the modelled network
+/// hop, priced by the deterministic [`LinkModel`] with no machine
+/// counters touched.
 pub(crate) fn infer(
     ctx: &ExecCtx<'_>,
     m: &mut Machine,
@@ -391,24 +411,28 @@ pub(crate) fn infer(
     let mut layers = Vec::with_capacity(ctx.plans.memory.layers.len());
     for (row, step) in steps(&ctx.plans.schedule, n).iter().enumerate() {
         let plan = ctx.step_plan(row)?;
-        let exec = match step {
+        let (exec, observed_peak_bytes) = match step {
             Step::Run(work) => {
                 m.ram.clear();
                 let before = m.snapshot();
                 let (node, out) = exec_work(ctx, m, work, &acts, input)?;
                 acts[node] = Some(out);
-                m.summarize_since(&before)
+                (m.summarize_since(&before), m.ram.high_water())
             }
-            Step::Link(bytes) => ExecSummary {
-                counters: Counters::default(),
-                latency_ms: link.transfer_ms(*bytes as u64),
-                energy_mj: link.transfer_energy_mj(*bytes as u64),
-            },
+            Step::Link(bytes) => (
+                ExecSummary {
+                    counters: Counters::default(),
+                    latency_ms: link.transfer_ms(*bytes as u64),
+                    energy_mj: link.transfer_energy_mj(*bytes as u64),
+                },
+                0,
+            ),
         };
         layers.push(LayerReport {
             name: plan.name.clone(),
             plan,
             exec,
+            observed_peak_bytes,
         });
     }
     let output = acts

@@ -157,6 +157,7 @@ pub(crate) fn infer_chained(
                 fits: true,
             },
             exec,
+            observed_peak_bytes: m.ram.high_water(),
         });
     }
     let out_bytes = graph.layers().last().expect("non-empty graph").out_bytes();

@@ -27,6 +27,7 @@ fn all_planner_kinds() -> Vec<PlannerKind> {
     vec![
         PlannerKind::Vmcu(IbScheme::RowBuffer),
         PlannerKind::Vmcu(IbScheme::PixelWindow),
+        PlannerKind::Vmcu(IbScheme::SlidingWindow),
         PlannerKind::VmcuFused(IbScheme::RowBuffer),
         PlannerKind::VmcuPatched(IbScheme::RowBuffer),
         PlannerKind::TinyEngine,
