@@ -61,6 +61,54 @@ fn bench_fused_ib(c: &mut Criterion) {
     g.finish();
 }
 
+/// The depthwise layer of `wide-expand-chain` (40×40×96, 3×3, stride 1),
+/// the widest depthwise of the repository benchmark's inference mix,
+/// under the vMCU segment kernel and the TinyEngine in-place kernel.
+fn bench_depthwise(c: &mut Criterion) {
+    let mut g = c.benchmark_group("depthwise-sim");
+    g.sample_size(10);
+    let graph = zoo::wide_expand_chain();
+    let layer = graph.layers()[1].clone();
+    let w = LayerWeights::random(&layer, 7);
+    let input = random::tensor_i8(&layer.in_shape(), 8);
+    let dev = Device::stm32_f767zi();
+    for (name, kind) in [
+        ("vmcu", PlannerKind::Vmcu(IbScheme::RowBuffer)),
+        ("tinyengine", PlannerKind::TinyEngine),
+    ] {
+        g.bench_function(name, |b| {
+            let engine = Engine::new(dev.clone()).planner(kind);
+            b.iter(|| {
+                engine
+                    .run_layer("dw40", black_box(&layer), &w, &input)
+                    .unwrap()
+            });
+        });
+    }
+    g.finish();
+}
+
+/// One `Session::infer` of `wide-expand-chain` under `VmcuPatched` on
+/// the F411RE: the slowest inference but one of the repository
+/// benchmark's mix, a patched front of pointwise, depthwise and
+/// pointwise slabs.
+fn bench_patched_inference(c: &mut Criterion) {
+    let mut g = c.benchmark_group("infer");
+    g.sample_size(10);
+    let graph = zoo::wide_expand_chain();
+    let weights = graph.random_weights(9);
+    let input = random::tensor_i8(&graph.in_shape(), 10);
+    let mut session = Engine::new(Device::stm32_f411re())
+        .planner(PlannerKind::VmcuPatched(IbScheme::RowBuffer))
+        .deploy(&graph, &weights)
+        .unwrap()
+        .session();
+    g.bench_function("wide-expand-chain/VmcuPatched", |b| {
+        b.iter(|| session.infer(black_box(&input)).unwrap());
+    });
+    g.finish();
+}
+
 /// The correctness oracle every `Session::infer` output is compared with:
 /// the two heaviest `run_reference` calls of the repository benchmark's
 /// inference mix.
@@ -132,6 +180,8 @@ criterion_group!(
     benches,
     bench_pointwise,
     bench_fused_ib,
+    bench_depthwise,
+    bench_patched_inference,
     bench_reference_oracle,
     bench_requant_row
 );

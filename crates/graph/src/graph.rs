@@ -11,7 +11,7 @@
 //! builds the chain special case with the same shape validation as
 //! before.
 
-use crate::layer::{LayerDesc, LayerWeights};
+use crate::layer::{DegenerateLayer, LayerDesc, LayerWeights};
 use std::fmt;
 
 /// One input edge of a graph node.
@@ -84,6 +84,14 @@ pub enum GraphBuildError {
     },
     /// The graph has no nodes.
     Empty,
+    /// A node's layer parameters are degenerate
+    /// ([`LayerDesc::check_params`]).
+    Degenerate {
+        /// Offending node.
+        node: usize,
+        /// The rejected parameter.
+        error: DegenerateLayer,
+    },
 }
 
 impl fmt::Display for GraphBuildError {
@@ -105,6 +113,7 @@ impl fmt::Display for GraphBuildError {
                 write!(f, "node {node} is not the output and has no consumer")
             }
             GraphBuildError::Empty => write!(f, "graph has no nodes"),
+            GraphBuildError::Degenerate { node, error } => write!(f, "node {node}: {error}"),
         }
     }
 }
@@ -118,25 +127,33 @@ impl From<ShapeMismatchError> for GraphBuildError {
 }
 
 impl Graph {
-    /// Builds a linear graph, validating that consecutive layer shapes
+    /// Builds a linear graph, validating every layer's parameters
+    /// ([`LayerDesc::check_params`]) and that consecutive layer shapes
     /// chain.
     ///
     /// # Errors
     ///
-    /// Returns [`ShapeMismatchError`] on the first mismatching edge.
+    /// Returns [`GraphBuildError::Degenerate`] for the first degenerate
+    /// layer, else [`GraphBuildError::Shape`] on the first mismatching
+    /// edge.
     pub fn linear(
         name: impl Into<String>,
         layers: Vec<LayerDesc>,
-    ) -> Result<Self, ShapeMismatchError> {
+    ) -> Result<Self, GraphBuildError> {
+        for (node, layer) in layers.iter().enumerate() {
+            layer
+                .check_params()
+                .map_err(|error| GraphBuildError::Degenerate { node, error })?;
+        }
         for i in 1..layers.len() {
             let produced = layers[i - 1].out_shape();
             let expected = layers[i].in_shape();
             if produced != expected {
-                return Err(ShapeMismatchError {
+                return Err(GraphBuildError::Shape(ShapeMismatchError {
                     layer: i,
                     produced,
                     expected,
-                });
+                }));
             }
         }
         let inputs = (0..layers.len())
@@ -157,7 +174,9 @@ impl Graph {
 
     /// Builds a DAG from `(layer, inputs)` pairs in topological order.
     ///
-    /// Validation: every edge must point to the graph input or an
+    /// Validation: every layer's parameters must pass
+    /// [`LayerDesc::check_params`] (checked before any of its sizes is
+    /// computed), every edge must point to the graph input or an
     /// earlier node, arity must match the layer kind (merges take two
     /// inputs, everything else one), every produced shape must match the
     /// consumer's expected shape at that position, all `GraphInput`
@@ -177,6 +196,9 @@ impl Graph {
         let mut graph_in: Option<Vec<usize>> = None;
         let mut consumed = vec![false; nodes.len()];
         for (i, (layer, ins)) in nodes.iter().enumerate() {
+            layer
+                .check_params()
+                .map_err(|error| GraphBuildError::Degenerate { node: i, error })?;
             let expected_shapes = layer.in_shapes();
             if ins.len() != expected_shapes.len() {
                 return Err(GraphBuildError::Arity {
@@ -328,6 +350,9 @@ mod tests {
     #[test]
     fn mismatches_are_rejected_with_context() {
         let err = Graph::linear("g", vec![pw(8, 4, 8), pw(8, 16, 16)]).unwrap_err();
+        let GraphBuildError::Shape(err) = err else {
+            panic!("expected a shape mismatch, got {err}")
+        };
         assert_eq!(err.layer, 1);
         assert!(err.to_string().contains("expects input shape"));
     }

@@ -5,9 +5,11 @@
 //! and the facade all agree on geometry and quantization. Merge layers
 //! (residual add, channel concat) take two inputs and carry no weights.
 
+use std::fmt;
 use vmcu_kernels::params::{
     AddParams, ConcatParams, Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
 };
+use vmcu_kernels::ChainOp;
 use vmcu_tensor::{random, Tensor};
 
 /// One layer of a model graph.
@@ -29,6 +31,36 @@ pub enum LayerDesc {
     Concat(ConcatParams),
 }
 
+/// A layer parameter no kernel and no size formula is defined for,
+/// found by [`LayerDesc::check_params`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct DegenerateLayer {
+    /// The parameter (`h`, `stride`, `r`, `s3`, …).
+    pub field: &'static str,
+    /// Why it is rejected.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for DegenerateLayer {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "layer parameter `{}` {}", self.field, self.reason)
+    }
+}
+
+impl std::error::Error for DegenerateLayer {}
+
+/// The layer a fused-chain or patch-stage operator runs as.
+impl From<ChainOp> for LayerDesc {
+    fn from(op: ChainOp) -> Self {
+        match op {
+            ChainOp::Pointwise(p) => LayerDesc::Pointwise(p),
+            ChainOp::Depthwise(p) => LayerDesc::Depthwise(p),
+            ChainOp::Conv2d(p) => LayerDesc::Conv2d(p),
+            ChainOp::Dense(p) => LayerDesc::Dense(p),
+        }
+    }
+}
+
 impl LayerDesc {
     /// Human-readable kind.
     pub fn kind(&self) -> &'static str {
@@ -48,6 +80,93 @@ impl LayerDesc {
         match self {
             LayerDesc::Add(_) | LayerDesc::Concat(_) => 2,
             _ => 1,
+        }
+    }
+
+    /// Checks the geometry every kernel and every size formula assumes,
+    /// computing no size itself: no zero dimension, segment or stride,
+    /// no kernel larger than its padded input, and an inverted
+    /// bottleneck with a unit projection stride (the only one its fused
+    /// kernel runs) and an odd depthwise kernel (an even one shrinks the
+    /// map by a pixel, so its residual add would pair misaligned
+    /// pixels).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first [`DegenerateLayer`] in field order.
+    pub fn check_params(&self) -> Result<(), DegenerateLayer> {
+        let bad = |field, reason| Err(DegenerateLayer { field, reason });
+        let nonzero = |fields: &[(&'static str, usize)]| match fields.iter().find(|f| f.1 == 0) {
+            Some(&(field, _)) => bad(field, "is zero"),
+            None => Ok(()),
+        };
+        // A kernel extent `k` over `dim` input pixels padded by `pad` on
+        // each side.
+        let window = |field, k: usize, dim: usize, pad: usize| match pad
+            .checked_mul(2)
+            .and_then(|p| p.checked_add(dim))
+        {
+            None => bad("pad", "overflows the padded input"),
+            Some(padded) if k > padded => bad(field, "is larger than its padded input"),
+            Some(_) => Ok(()),
+        };
+        match self {
+            LayerDesc::Pointwise(p) => nonzero(&[
+                ("h", p.h),
+                ("w", p.w),
+                ("c", p.c),
+                ("k", p.k),
+                ("seg", p.seg),
+            ]),
+            LayerDesc::Dense(p) => nonzero(&[("m", p.m), ("k", p.k), ("n", p.n), ("seg", p.seg)]),
+            LayerDesc::Conv2d(p) => {
+                nonzero(&[
+                    ("h", p.h),
+                    ("w", p.w),
+                    ("c", p.c),
+                    ("k", p.k),
+                    ("r", p.r),
+                    ("s", p.s),
+                    ("stride", p.stride),
+                    ("seg", p.seg),
+                ])?;
+                window("r", p.r, p.h, p.pad)?;
+                window("s", p.s, p.w, p.pad)
+            }
+            LayerDesc::Depthwise(p) => {
+                nonzero(&[
+                    ("h", p.h),
+                    ("w", p.w),
+                    ("c", p.c),
+                    ("r", p.r),
+                    ("s", p.s),
+                    ("stride", p.stride),
+                ])?;
+                window("r", p.r, p.h, p.pad)?;
+                window("s", p.s, p.w, p.pad)
+            }
+            LayerDesc::Ib(p) => {
+                nonzero(&[
+                    ("hw", p.hw),
+                    ("c_in", p.c_in),
+                    ("c_mid", p.c_mid),
+                    ("c_out", p.c_out),
+                    ("rs", p.rs),
+                    ("s1", p.s1),
+                    ("s2", p.s2),
+                ])?;
+                if p.s3 != 1 {
+                    return bad("s3", "is not 1 (the fused kernel projects at unit stride)");
+                }
+                if p.rs % 2 == 0 {
+                    return bad("rs", "is even (the depthwise output would lose a pixel)");
+                }
+                Ok(())
+            }
+            LayerDesc::Add(p) => nonzero(&[("h", p.h), ("w", p.w), ("c", p.c), ("seg", p.seg)]),
+            LayerDesc::Concat(p) => {
+                nonzero(&[("h", p.h), ("w", p.w), ("c_a", p.c_a), ("c_b", p.c_b)])
+            }
         }
     }
 

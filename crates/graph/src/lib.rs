@@ -25,4 +25,4 @@ pub mod layer;
 pub mod zoo;
 
 pub use graph::{Graph, GraphBuildError, NodeInput, ShapeMismatchError};
-pub use layer::{LayerDesc, LayerWeights};
+pub use layer::{DegenerateLayer, LayerDesc, LayerWeights};

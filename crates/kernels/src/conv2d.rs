@@ -6,11 +6,11 @@
 //! row's window can touch them, which is what lets the output chase the
 //! input through the circular pool.
 
-use crate::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::Conv2dParams;
 use crate::trace::{exec_distance, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
-use vmcu_sim::Machine;
+use vmcu_sim::{Counters, Machine};
 
 /// Exclusive upper bound of input rows that are dead once output row `p`
 /// has been produced (shared by the kernel, its trace, and the im2col
@@ -67,9 +67,19 @@ pub fn conv2d_exec_footprint(p: &Conv2dParams) -> usize {
 /// Runs the 2D convolution kernel. Input `[H,W,C]` at pool address `b_in`,
 /// output `[P,Q,K]` at `b_out`, weights `[R,S,C,K]` in Flash at `w_base`.
 ///
+/// The device computes each output pixel one `seg`-lane tile at a time,
+/// loading every in-bounds tap's input segments through the pool and the
+/// matching weight rows from Flash per tile; the counters charge exactly
+/// that. The host reads the weights once per call — Flash is immutable
+/// during an inference — and per pixel does one checked pool read per
+/// tap, one `K`-lane dot per tap, one requant and one checked store,
+/// then adds the pixel's price: the fixed part, `tap * taps`, and each
+/// segment access at its own wrap split.
+///
 /// # Errors
 ///
-/// Propagates pool violations and memory errors.
+/// Propagates pool violations and memory errors, including a weight
+/// image that does not fit in Flash.
 ///
 /// # Panics
 ///
@@ -87,65 +97,71 @@ pub fn run_conv2d(
     if let Some(b) = bias {
         assert_eq!(b.len(), p.k, "bias length mismatch");
     }
-    let seg = p.seg;
     let (p_out, q_out) = (p.out_h(), p.out_w());
-    let mut a_reg = vec![0u8; seg];
-    let mut w_tile = vec![0u8; seg * seg];
-    let mut acc = vec![0i32; seg];
-    let mut out_reg = vec![0u8; seg];
+    let tap_bytes = p.c * p.k;
+    let weights = m.flash.read(w_base, p.r * p.s * tap_bytes)?;
+    let cost = m.device.cost;
+    // Per in-bounds tap, apart from its pool loads: for every output
+    // tile and input segment, one FlashLoad per weight row, a fully
+    // unrolled `Dot` and its back-edge.
+    let mut tap = Counters::new();
+    // Per output pixel, apart from its taps and pool stores: each output
+    // tile's splat, requant epilogue and back-edge.
+    let mut pixel = Counters::new();
+    for (_, kw) in tiles(p.k, p.seg) {
+        for (_, cw) in tiles(p.c, p.seg) {
+            let mut weight_row = Counters::new();
+            weight_row.charge_flash_load(&cost, kw as u64);
+            tap += weight_row * cw as u64;
+            tap.charge_macs(&cost, (cw * kw) as u64, true);
+            tap.charge_branches(&cost, 1);
+        }
+        pixel.cycles += broadcast_cycles(kw);
+        pixel.charge_requant(&cost, kw as u64);
+        pixel.charge_branches(&cost, 1);
+    }
+    // Every output tile reloads each tap's input segments.
+    let reloads = p.k.div_ceil(p.seg) as u64;
+    let mut a_reg = vec![0u8; p.c];
+    let mut acc = vec![0i32; p.k];
+    let mut out_reg = vec![0u8; p.k];
     let mut next_free = 0usize;
     for pi in 0..p_out {
         for qi in 0..q_out {
-            let mut k0 = 0;
-            while k0 < p.k {
-                let kw = seg.min(p.k - k0);
-                broadcast(m, &mut acc[..kw], 0);
-                if let Some(b) = bias {
-                    for (a, &bv) in acc[..kw].iter_mut().zip(&b[k0..k0 + kw]) {
-                        *a = bv;
-                    }
+            match bias {
+                Some(b) => acc.copy_from_slice(b),
+                None => acc.fill(0),
+            }
+            let mut loads = Counters::new();
+            let mut taps = 0u64;
+            for ri in 0..p.r {
+                let y = (pi * p.stride + ri) as isize - p.pad as isize;
+                if y < 0 || y >= p.h as isize {
+                    continue;
                 }
-                for ri in 0..p.r {
-                    let y = (pi * p.stride + ri) as isize - p.pad as isize;
-                    if y < 0 || y >= p.h as isize {
+                for si in 0..p.s {
+                    let x = (qi * p.stride + si) as isize - p.pad as isize;
+                    if x < 0 || x >= p.w as isize {
                         continue;
                     }
-                    for si in 0..p.s {
-                        let x = (qi * p.stride + si) as isize - p.pad as isize;
-                        if x < 0 || x >= p.w as isize {
-                            continue;
-                        }
-                        let mut c0 = 0;
-                        while c0 < p.c {
-                            let cw = seg.min(p.c - c0);
-                            let in_addr = ((y as usize * p.w + x as usize) * p.c + c0) as i64;
-                            pool.load(m, b_in + in_addr, &mut a_reg[..cw])?;
-                            for cc in 0..cw {
-                                let row = w_base + ((ri * p.s + si) * p.c + c0 + cc) * p.k + k0;
-                                m.flash_load(row, &mut w_tile[cc * kw..cc * kw + kw])?;
-                            }
-                            dot_tile_u8(
-                                m,
-                                &a_reg[..cw],
-                                &w_tile[..cw * kw],
-                                kw,
-                                &mut acc[..kw],
-                                true,
-                            );
-                            m.charge_branches(1);
-                            c0 += cw;
-                        }
+                    let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
+                    let a = pool.read_span(m, in_addr, &mut a_reg)?;
+                    let w = &weights[(ri * p.s + si) * tap_bytes..][..tap_bytes];
+                    dot_accumulate_u8(a, w, p.k, &mut acc);
+                    for (c0, cw) in tiles(p.c, p.seg) {
+                        loads += pool.price_load(&cost, in_addr + c0 as i64, cw);
                     }
+                    taps += 1;
                 }
-                requant_row(m, &acc[..kw], p.rq, p.clamp, &mut out_reg[..kw]);
-                pool.store(
-                    m,
-                    &out_reg[..kw],
-                    b_out + ((pi * q_out + qi) * p.k + k0) as i64,
-                )?;
-                m.charge_branches(1);
-                k0 += kw;
             }
+            requant_into(&acc, p.rq, p.clamp, &mut out_reg);
+            let out_addr = b_out + ((pi * q_out + qi) * p.k) as i64;
+            pool.store_span(m, &out_reg, out_addr)?;
+            let mut price = pixel + tap * taps + loads * reloads;
+            for (k0, kw) in tiles(p.k, p.seg) {
+                price += pool.price_store(&cost, out_addr + k0 as i64, kw);
+            }
+            m.counters += price;
         }
         let upto = free_upto(p, pi);
         if upto > next_free {

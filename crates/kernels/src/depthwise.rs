@@ -7,11 +7,11 @@
 //! the same bytes — the paper notes vMCU matches TinyEngine's in-place
 //! optimization for these layers (§7.2).
 
-use crate::intrinsics::{broadcast, requant_row};
+use crate::intrinsics::{broadcast_cycles, requant_into};
 use crate::params::DepthwiseParams;
 use crate::trace::{exec_distance, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
-use vmcu_sim::Machine;
+use vmcu_sim::{Counters, Machine};
 
 fn free_upto(p: &DepthwiseParams, row: usize) -> usize {
     if row + 1 == p.out_h() {
@@ -60,9 +60,17 @@ pub fn depthwise_exec_footprint(p: &DepthwiseParams) -> usize {
 /// Runs the depthwise kernel. Input `[H,W,C]` at pool address `b_in`,
 /// output `[P,Q,C]` at `b_out`, weights `[R,S,C]` in Flash at `w_base`.
 ///
+/// The device loads each in-bounds tap's input pixel through the pool
+/// and its `C` weights from Flash; the counters charge exactly that. The
+/// host reads the weights once per call — Flash is immutable during an
+/// inference — and each tap in place through a checked pool read, and
+/// adds per pixel the fixed price, `tap * taps` and each pool access at
+/// its own wrap split.
+///
 /// # Errors
 ///
-/// Propagates pool violations and memory errors.
+/// Propagates pool violations and memory errors, including a weight
+/// image that does not fit in Flash.
 ///
 /// # Panics
 ///
@@ -81,17 +89,32 @@ pub fn run_depthwise(
         assert_eq!(b.len(), p.c, "bias length mismatch");
     }
     let (p_out, q_out) = (p.out_h(), p.out_w());
+    let weights = m.flash.read(w_base, p.r * p.s * p.c)?;
+    let (cost, c) = (m.device.cost, p.c as u64);
+    // Per in-bounds tap, apart from its pool load: the weight row's
+    // FlashLoad and one fully unrolled `C`-lane MAC tile. `tap * taps`
+    // keeps each tap's own rounding.
+    let mut tap = Counters::new();
+    tap.charge_flash_load(&cost, c);
+    tap.charge_macs(&cost, c, true);
+    // Per output pixel, apart from its pool store: the accumulator
+    // splat, the requant epilogue and the back-edge.
+    let mut pixel = Counters::new();
+    pixel.cycles += broadcast_cycles(p.c);
+    pixel.charge_requant(&cost, c);
+    pixel.charge_branches(&cost, 1);
     let mut a_reg = vec![0u8; p.c];
-    let mut w_reg = vec![0u8; p.c];
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
     let mut next_free = 0usize;
     for pi in 0..p_out {
         for qi in 0..q_out {
-            broadcast(m, &mut acc, 0);
-            if let Some(b) = bias {
-                acc.copy_from_slice(b);
+            match bias {
+                Some(b) => acc.copy_from_slice(b),
+                None => acc.fill(0),
             }
+            let mut price = pixel;
+            let mut taps = 0u64;
             for ri in 0..p.r {
                 let y = (pi * p.stride + ri) as isize - p.pad as isize;
                 if y < 0 || y >= p.h as isize {
@@ -102,18 +125,20 @@ pub fn run_depthwise(
                     if x < 0 || x >= p.w as isize {
                         continue;
                     }
-                    let in_addr = ((y as usize * p.w + x as usize) * p.c) as i64;
-                    pool.load(m, b_in + in_addr, &mut a_reg)?;
-                    m.flash_load(w_base + (ri * p.s + si) * p.c, &mut w_reg)?;
-                    for c in 0..p.c {
-                        acc[c] += i32::from(a_reg[c] as i8) * i32::from(w_reg[c] as i8);
+                    let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
+                    let a = pool.read_span(m, in_addr, &mut a_reg)?;
+                    let w = &weights[(ri * p.s + si) * p.c..][..p.c];
+                    for ((acc, &a), &w) in acc.iter_mut().zip(a).zip(w) {
+                        *acc += i32::from(a as i8) * i32::from(w as i8);
                     }
-                    m.charge_macs(p.c as u64, true);
+                    price += pool.price_load(&cost, in_addr, p.c);
+                    taps += 1;
                 }
             }
-            requant_row(m, &acc, p.rq, p.clamp, &mut out_reg);
-            pool.store(m, &out_reg, b_out + ((pi * q_out + qi) * p.c) as i64)?;
-            m.charge_branches(1);
+            requant_into(&acc, p.rq, p.clamp, &mut out_reg);
+            let out_addr = b_out + ((pi * q_out + qi) * p.c) as i64;
+            pool.store_span(m, &out_reg, out_addr)?;
+            m.counters += price + tap * taps + pool.price_store(&cost, out_addr, p.c);
         }
         let upto = free_upto(p, pi);
         if upto > next_free {

@@ -4,16 +4,18 @@
 //! circular pool and registers (`RAMLoad`/`RAMStore` with modulo boundary
 //! checks); the inner level feeds the `Dot` micro-kernel. After each input
 //! row is fully consumed it is freed (`RAMFree`), letting subsequent
-//! output segments reuse its pool slots.
+//! output segments reuse its pool slots. The counters charge that
+//! segment sequence; the host computes a whole row at a time (see
+//! [`run_fc`]).
 //!
 //! [`fc_exec_trace`] reproduces the kernel's exact store/free order for
 //! the planner; [`fc_exec_distance`] is the offset the kernel needs.
 
-use crate::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::FcParams;
 use crate::trace::{exec_distance, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
-use vmcu_sim::Machine;
+use vmcu_sim::{CostModel, Counters, Machine};
 
 /// Dry-run of the kernel's store/free schedule (byte addresses relative to
 /// the tensor bases).
@@ -48,6 +50,36 @@ pub fn fc_exec_footprint(p: &FcParams) -> usize {
     (p.in_bytes() + d).max(p.out_bytes())
 }
 
+/// Counters one row of [`run_fc`] charges on the device apart from its
+/// segment accesses, which are priced per row by the pool
+/// ([`SegmentPool::price_load`], [`SegmentPool::price_store`]). Per
+/// output tile of `seg` lanes: the accumulator splat; per input segment
+/// the weight tile's `FlashLoad` (one burst when the tile spans whole
+/// weight rows, else one load per row), a fully unrolled `Dot` and its
+/// back-edge; then the requant epilogue and the tile's back-edge. One
+/// more back-edge closes the row.
+fn fc_row_price(cost: &CostModel, p: &FcParams) -> Counters {
+    let mut row = Counters::new();
+    for (_, nw) in tiles(p.n, p.seg) {
+        row.cycles += broadcast_cycles(nw);
+        for (_, kw) in tiles(p.k, p.seg) {
+            if nw == p.n {
+                row.charge_flash_load(cost, (kw * nw) as u64);
+            } else {
+                let mut weight_row = Counters::new();
+                weight_row.charge_flash_load(cost, nw as u64);
+                row += weight_row * kw as u64;
+            }
+            row.charge_macs(cost, (kw * nw) as u64, true);
+            row.charge_branches(cost, 1);
+        }
+        row.charge_requant(cost, nw as u64);
+        row.charge_branches(cost, 1);
+    }
+    row.charge_branches(cost, 1);
+    row
+}
+
 /// Runs the fully-connected kernel.
 ///
 /// * input int8 tensor at pool logical address `b_in` (row-major `[M,K]`),
@@ -55,10 +87,20 @@ pub fn fc_exec_footprint(p: &FcParams) -> usize {
 /// * weights in Flash at `w_base` (row-major `[K,N]`),
 /// * optional per-output bias.
 ///
+/// The device moves one `seg`-byte segment per access: each output tile
+/// reloads the row's input segments and streams its weight tile from
+/// Flash; the counters charge exactly that. The host reads the weights
+/// once per call — Flash is immutable during an inference — and per row
+/// does one checked pool read of the input row, one `N`-lane dot, one
+/// requant and one checked store, then adds the row's price: the fixed
+/// part (splats, weight FlashLoads, MAC tiles, requant, back-edges)
+/// plus each segment access at its own wrap split.
+///
 /// # Errors
 ///
 /// Propagates pool violations (clobber/dead-read when the offset is too
-/// tight) and memory errors.
+/// tight) and memory errors, including a weight image that does not fit
+/// in Flash.
 ///
 /// # Panics
 ///
@@ -75,60 +117,35 @@ pub fn run_fc(
     if let Some(b) = bias {
         assert_eq!(b.len(), p.n, "bias length mismatch");
     }
-    let seg = p.seg;
-    let mut a_reg = vec![0u8; seg];
-    let mut w_tile = vec![0u8; seg * seg];
-    let mut acc = vec![0i32; seg];
-    let mut out_reg = vec![0u8; seg];
+    let weights = m.flash.read(w_base, p.k * p.n)?;
+    let cost = m.device.cost;
+    let row_price = fc_row_price(&cost, p);
+    // Every output tile reloads the whole input row.
+    let reloads = p.n.div_ceil(p.seg) as u64;
+    let mut a_reg = vec![0u8; p.k];
+    let mut acc = vec![0i32; p.n];
+    let mut out_reg = vec![0u8; p.n];
     for mi in 0..p.m {
-        let mut n0 = 0;
-        while n0 < p.n {
-            let nw = seg.min(p.n - n0);
-            // Accumulator initialisation (RegAlloc + bias broadcast).
-            broadcast(m, &mut acc[..nw], 0);
-            if let Some(b) = bias {
-                for (a, &bv) in acc[..nw].iter_mut().zip(&b[n0..n0 + nw]) {
-                    *a = bv;
-                }
-            }
-            let mut k0 = 0;
-            while k0 < p.k {
-                let kw = seg.min(p.k - k0);
-                // RAMLoad of the input segment (modulo-checked).
-                pool.load(m, b_in + (mi * p.k + k0) as i64, &mut a_reg[..kw])?;
-                // FlashLoad of the weight tile rows W[k0..k0+kw, n0..n0+nw];
-                // a tile spanning full rows streams as one long burst.
-                if nw == p.n {
-                    m.flash_load(w_base + k0 * p.n, &mut w_tile[..kw * nw])?;
-                } else {
-                    for kk in 0..kw {
-                        let row = w_base + (k0 + kk) * p.n + n0;
-                        m.flash_load(row, &mut w_tile[kk * nw..kk * nw + nw])?;
-                    }
-                }
-                // Inner level: fully unrolled Dot micro-kernels, reading
-                // int8 straight out of the staging registers (no per-tile
-                // sign-conversion allocations on the host).
-                dot_tile_u8(
-                    m,
-                    &a_reg[..kw],
-                    &w_tile[..kw * nw],
-                    nw,
-                    &mut acc[..nw],
-                    true,
-                );
-                m.charge_branches(1);
-                k0 += kw;
-            }
-            requant_row(m, &acc[..nw], p.rq, p.clamp, &mut out_reg[..nw]);
-            // RAMStore of the output segment.
-            pool.store(m, &out_reg[..nw], b_out + (mi * p.n + n0) as i64)?;
-            m.charge_branches(1);
-            n0 += nw;
+        let (row_in, row_out) = (b_in + (mi * p.k) as i64, b_out + (mi * p.n) as i64);
+        let a = pool.read_span(m, row_in, &mut a_reg)?;
+        match bias {
+            Some(b) => acc.copy_from_slice(b),
+            None => acc.fill(0),
         }
+        dot_accumulate_u8(a, &weights, p.n, &mut acc);
+        requant_into(&acc, p.rq, p.clamp, &mut out_reg);
+        pool.store_span(m, &out_reg, row_out)?;
         // RAMFree of the fully consumed input row.
-        pool.free(b_in + (mi * p.k) as i64, p.k)?;
-        m.charge_branches(1);
+        pool.free(row_in, p.k)?;
+        let mut loads = Counters::new();
+        for (k0, kw) in tiles(p.k, p.seg) {
+            loads += pool.price_load(&cost, row_in + k0 as i64, kw);
+        }
+        let mut price = row_price + loads * reloads;
+        for (n0, nw) in tiles(p.n, p.seg) {
+            price += pool.price_store(&cost, row_out + n0 as i64, nw);
+        }
+        m.counters += price;
     }
     Ok(())
 }

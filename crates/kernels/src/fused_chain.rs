@@ -19,12 +19,12 @@
 //! planner's offset ([`chain_exec_distance`]) derives from that trace —
 //! correct by construction and verified empirically by the checked pool.
 
-use crate::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::{Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
 use crate::trace::{exec_distance, ExecEvent};
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
-use vmcu_sim::Machine;
+use vmcu_sim::{CostModel, Counters, Machine};
 
 /// One fusable operator of a chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -392,79 +392,110 @@ struct Ring {
 }
 
 /// Execution context shared by every row computation of one chain run:
-/// the chain, its ring placements, the per-operator Flash bases, and the
+/// the chain, its ring placements, every operator's weights (read once
+/// per run — Flash is immutable during an inference), and the
 /// chain-input pool address.
 struct ChainExec<'a> {
     chain: &'a FusedChain,
     rings: Vec<Ring>,
-    flash: &'a [usize],
+    weights: Vec<Vec<u8>>,
     b_in: i64,
+    cost: CostModel,
+}
+
+/// Host registers of [`ChainExec::compute_row`], sized once per run for
+/// the widest operator.
+struct Regs {
+    a: Vec<u8>,
+    acc: Vec<i32>,
 }
 
 impl ChainExec<'_> {
-    /// Loads `dst.len()` bytes at `offset` within row `row` of tensor
-    /// `stage`: the pool for the chain input, the workspace ring
-    /// otherwise.
-    fn load(
+    /// Reads `len` bytes at `offset` within row `row` of tensor `stage`
+    /// in place — a checked pool read for the chain input, the workspace
+    /// ring otherwise — with the modelled price of that `RAMLoad`.
+    #[allow(clippy::too_many_arguments)]
+    fn read<'m>(
         &self,
-        m: &mut Machine,
-        pool: &mut SegmentPool,
+        m: &'m Machine,
+        pool: &SegmentPool,
         stage: usize,
         row: usize,
         offset: usize,
-        dst: &mut [u8],
-    ) -> Result<(), PoolError> {
+        len: usize,
+        scratch: &'m mut [u8],
+    ) -> Result<(&'m [u8], Counters), PoolError> {
         if stage == 0 {
             let irb = self.chain.ops[0].in_row_bytes();
-            pool.load(m, self.b_in + (row * irb + offset) as i64, dst)
+            let addr = self.b_in + (row * irb + offset) as i64;
+            let bytes = pool.read_span(m, addr, &mut scratch[..len])?;
+            Ok((bytes, pool.price_load(&self.cost, addr, len)))
         } else {
             let ring = &self.rings[stage - 1];
             let addr = ring.base + (row % ring.rows) * ring.row_bytes + offset;
-            m.ram_load(addr, dst)?;
-            Ok(())
+            let mut price = Counters::new();
+            price.charge_ram_load(&self.cost, len as u64);
+            Ok((m.ram.read(addr, len)?, price))
         }
     }
 
     /// Computes one output row of operator `op_idx` (reading tensor
-    /// `op_idx`, bit-exact against the reference operators) into `out`.
+    /// `op_idx`, bit-exact against the reference operators) into `out`,
+    /// charging what the device loop does: per pixel its loads, the
+    /// operator's weight FlashLoads, splat, `Dot`s and requant.
     fn compute_row(
         &self,
         m: &mut Machine,
-        pool: &mut SegmentPool,
+        pool: &SegmentPool,
         op_idx: usize,
         row: usize,
         out: &mut [u8],
+        regs: &mut Regs,
     ) -> Result<(), PoolError> {
-        let w_base = self.flash[op_idx];
+        let cost = &self.cost;
+        let w = &self.weights[op_idx];
+        let mut price = Counters::new();
         match self.chain.ops[op_idx] {
             ChainOp::Pointwise(p) => {
-                let mut w_tile = vec![0u8; p.c * p.k];
-                m.flash_load(w_base, &mut w_tile)?;
-                let mut a = vec![0u8; p.c];
-                let mut acc = vec![0i32; p.k];
+                let (c, k) = (p.c as u64, p.k as u64);
+                price.charge_flash_load(cost, c * k);
+                let mut pixel = Counters::new();
+                pixel.cycles += broadcast_cycles(p.k);
+                pixel.charge_macs(cost, c * k, true);
+                pixel.charge_requant(cost, k);
+                let acc = &mut regs.acc[..p.k];
                 for x in 0..p.w {
-                    self.load(m, pool, op_idx, row, x * p.c, &mut a)?;
-                    broadcast(m, &mut acc, 0);
-                    dot_tile_u8(m, &a, &w_tile, p.k, &mut acc, true);
-                    requant_row(m, &acc, p.rq, p.clamp, &mut out[x * p.k..(x + 1) * p.k]);
+                    let (a, load) = self.read(m, pool, op_idx, row, x * p.c, p.c, &mut regs.a)?;
+                    acc.fill(0);
+                    dot_accumulate_u8(a, w, p.k, acc);
+                    requant_into(acc, p.rq, p.clamp, &mut out[x * p.k..(x + 1) * p.k]);
+                    price += load + pixel;
                 }
             }
             ChainOp::Dense(p) => {
-                let mut w_tile = vec![0u8; p.k * p.n];
-                m.flash_load(w_base, &mut w_tile)?;
-                let mut a = vec![0u8; p.k];
-                let mut acc = vec![0i32; p.n];
-                self.load(m, pool, op_idx, row, 0, &mut a)?;
-                broadcast(m, &mut acc, 0);
-                dot_tile_u8(m, &a, &w_tile, p.n, &mut acc, true);
-                requant_row(m, &acc, p.rq, p.clamp, out);
+                let (k, n) = (p.k as u64, p.n as u64);
+                let (a, load) = self.read(m, pool, op_idx, row, 0, p.k, &mut regs.a)?;
+                let acc = &mut regs.acc[..p.n];
+                acc.fill(0);
+                dot_accumulate_u8(a, w, p.n, acc);
+                requant_into(acc, p.rq, p.clamp, out);
+                price += load;
+                price.charge_flash_load(cost, k * n);
+                price.cycles += broadcast_cycles(p.n);
+                price.charge_macs(cost, k * n, true);
+                price.charge_requant(cost, n);
             }
             ChainOp::Depthwise(p) => {
-                let mut a = vec![0u8; p.c];
-                let mut w_row = vec![0u8; p.c];
-                let mut acc = vec![0i32; p.c];
+                let c = p.c as u64;
+                let mut tap = Counters::new();
+                tap.charge_flash_load(cost, c);
+                tap.charge_macs(cost, c, true);
+                let mut pixel = Counters::new();
+                pixel.cycles += broadcast_cycles(p.c);
+                pixel.charge_requant(cost, c);
+                let acc = &mut regs.acc[..p.c];
                 for q in 0..p.out_w() {
-                    broadcast(m, &mut acc, 0);
+                    acc.fill(0);
                     let mut taps = 0u64;
                     for ri in 0..p.r {
                         let y = (row * p.stride + ri) as isize - p.pad as isize;
@@ -476,26 +507,34 @@ impl ChainExec<'_> {
                             if x < 0 || x >= p.w as isize {
                                 continue;
                             }
-                            self.load(m, pool, op_idx, y as usize, x as usize * p.c, &mut a)?;
-                            m.flash_load(w_base + (ri * p.s + si) * p.c, &mut w_row)?;
-                            for c in 0..p.c {
-                                acc[c] += i32::from(a[c] as i8) * i32::from(w_row[c] as i8);
+                            let at = x as usize * p.c;
+                            let (a, load) =
+                                self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
+                            let wr = &w[(ri * p.s + si) * p.c..][..p.c];
+                            for ((acc, &a), &wv) in acc.iter_mut().zip(a).zip(wr) {
+                                *acc += i32::from(a as i8) * i32::from(wv as i8);
                             }
+                            price += load;
                             taps += 1;
                         }
                     }
-                    // One batched charge per pixel (counter-identical to the
-                    // per-tap charges the loop used to make).
-                    m.charge_macs_batched(p.c as u64, taps, true);
-                    requant_row(m, &acc, p.rq, p.clamp, &mut out[q * p.c..(q + 1) * p.c]);
+                    requant_into(acc, p.rq, p.clamp, &mut out[q * p.c..(q + 1) * p.c]);
+                    price += pixel + tap * taps;
                 }
             }
             ChainOp::Conv2d(p) => {
-                let mut a = vec![0u8; p.c];
-                let mut w_tile = vec![0u8; p.c * p.k];
-                let mut acc = vec![0i32; p.k];
+                let (c, k) = (p.c as u64, p.k as u64);
+                let tap_bytes = p.c * p.k;
+                let mut tap = Counters::new();
+                tap.charge_flash_load(cost, c * k);
+                tap.charge_macs(cost, c * k, true);
+                let mut pixel = Counters::new();
+                pixel.cycles += broadcast_cycles(p.k);
+                pixel.charge_requant(cost, k);
+                let acc = &mut regs.acc[..p.k];
                 for q in 0..p.out_w() {
-                    broadcast(m, &mut acc, 0);
+                    acc.fill(0);
+                    let mut taps = 0u64;
                     for ri in 0..p.r {
                         let y = (row * p.stride + ri) as isize - p.pad as isize;
                         if y < 0 || y >= p.h as isize {
@@ -506,17 +545,44 @@ impl ChainExec<'_> {
                             if x < 0 || x >= p.w as isize {
                                 continue;
                             }
-                            self.load(m, pool, op_idx, y as usize, x as usize * p.c, &mut a)?;
-                            m.flash_load(w_base + (ri * p.s + si) * p.c * p.k, &mut w_tile)?;
-                            dot_tile_u8(m, &a, &w_tile, p.k, &mut acc, true);
+                            let at = x as usize * p.c;
+                            let (a, load) =
+                                self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
+                            let wt = &w[(ri * p.s + si) * tap_bytes..][..tap_bytes];
+                            dot_accumulate_u8(a, wt, p.k, acc);
+                            price += load;
+                            taps += 1;
                         }
                     }
-                    requant_row(m, &acc, p.rq, p.clamp, &mut out[q * p.k..(q + 1) * p.k]);
+                    requant_into(acc, p.rq, p.clamp, &mut out[q * p.k..(q + 1) * p.k]);
+                    price += pixel + tap * taps;
                 }
             }
         }
-        m.charge_branches(1);
+        price.charge_branches(cost, 1);
+        m.counters += price;
         Ok(())
+    }
+}
+
+/// Weight bytes of one chain operator (its Flash image).
+fn op_weight_bytes(op: &ChainOp) -> usize {
+    match op {
+        ChainOp::Pointwise(p) => p.c * p.k,
+        ChainOp::Dense(p) => p.k * p.n,
+        ChainOp::Depthwise(p) => p.r * p.s * p.c,
+        ChainOp::Conv2d(p) => p.r * p.s * p.c * p.k,
+    }
+}
+
+/// Bytes one read of tensor `op`'s input moves (a pixel, or a dense row),
+/// and the widest accumulator row `op` fills.
+fn op_regs(op: &ChainOp) -> (usize, usize) {
+    match op {
+        ChainOp::Pointwise(p) => (p.c, p.k),
+        ChainOp::Dense(p) => (p.k, p.n),
+        ChainOp::Depthwise(p) => (p.c, p.c),
+        ChainOp::Conv2d(p) => (p.c, p.k),
     }
 }
 
@@ -528,9 +594,15 @@ impl ChainExec<'_> {
 /// * line-buffer rings at RAM address `ws_base`
 ///   (≥ [`chain_workspace_bytes`] minus the staging row).
 ///
+/// The device reloads each operator's weights from Flash per row (per
+/// tap for depthwise and conv2d) and each input pixel per use; the
+/// counters charge exactly that. The host reads every operator's weights
+/// once per call and its inputs in place.
+///
 /// # Errors
 ///
-/// Propagates pool violations (offset too tight) and memory errors.
+/// Propagates pool violations (offset too tight) and memory errors,
+/// including a weight image that does not fit in Flash.
 ///
 /// # Panics
 ///
@@ -565,11 +637,27 @@ pub fn run_fused_chain(
         });
         base += rows * row_bytes;
     }
+    let weights = chain
+        .ops
+        .iter()
+        .zip(flash)
+        .map(|(op, &w_base)| m.flash.read(w_base, op_weight_bytes(op)))
+        .collect::<Result<Vec<_>, _>>()?;
     let exec = ChainExec {
         chain,
         rings,
-        flash,
+        weights,
         b_in,
+        cost: m.device.cost,
+    };
+    let (a_len, acc_len) = chain
+        .ops
+        .iter()
+        .map(op_regs)
+        .fold((0, 0), |(a, c), (a2, c2)| (a.max(a2), c.max(c2)));
+    let mut regs = Regs {
+        a: vec![0u8; a_len],
+        acc: vec![0i32; acc_len],
     };
     let mut row_buf = vec![
         0u8;
@@ -584,13 +672,13 @@ pub fn run_fused_chain(
         match step {
             ChainStep::ProduceRow { stage, row } => {
                 let rb = chain.ops[stage].in_row_bytes();
-                exec.compute_row(m, pool, stage - 1, row, &mut row_buf[..rb])?;
+                exec.compute_row(m, pool, stage - 1, row, &mut row_buf[..rb], &mut regs)?;
                 let ring = &exec.rings[stage - 1];
                 let addr = ring.base + (row % ring.rows) * ring.row_bytes;
                 m.ram_store(addr, &row_buf[..rb])?;
             }
             ChainStep::StoreOutRow(p) => {
-                exec.compute_row(m, pool, n - 1, p, &mut row_buf[..orb])?;
+                exec.compute_row(m, pool, n - 1, p, &mut row_buf[..orb], &mut regs)?;
                 pool.store(m, &row_buf[..orb], b_out + (p * orb) as i64)?;
             }
             ChainStep::FreeInRows { from, to } => {

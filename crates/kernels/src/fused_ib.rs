@@ -23,11 +23,11 @@
 //! shared schedule ([`ib_schedule`]), so the planner's offsets are correct
 //! by construction and verified empirically by the checked pool.
 
-use crate::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::IbParams;
 use crate::trace::{exec_distance, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
-use vmcu_sim::Machine;
+use vmcu_sim::{Counters, Machine};
 use vmcu_tensor::{quant::sat8, reference, Tensor};
 
 /// Workspace scheme of the fused kernel.
@@ -195,28 +195,87 @@ pub fn ib_reference(
     }
 }
 
-/// Internal per-pixel pw1 evaluation: reads an `A` pixel from the pool,
-/// expands it to `C_mid` int8 values.
-#[allow(clippy::too_many_arguments)]
-fn expand_pixel(
-    m: &mut Machine,
-    pool: &mut SegmentPool,
-    p: &IbParams,
-    b_in: i64,
-    y: usize,
-    x: usize,
-    flash: &IbFlash,
-    w1_tile: &mut [u8],
-    out: &mut [u8],
-) -> Result<(), PoolError> {
-    let mut a_reg = vec![0u8; p.c_in];
-    pool.load(m, b_in + ((y * p.hw + x) * p.c_in) as i64, &mut a_reg)?;
-    m.flash_load(flash.w1, w1_tile)?;
-    let mut acc = vec![0i32; p.c_mid];
-    broadcast(m, &mut acc, 0);
-    dot_tile_u8(m, &a_reg, w1_tile, p.c_mid, &mut acc, true);
-    requant_row(m, &acc, p.rq1, p.clamp1, out);
-    Ok(())
+/// Host state of one fused-module run: the three weight images, read
+/// once per call (Flash is immutable during an inference), the pw1
+/// registers and the per-pixel prices apart from pool accesses.
+struct IbHost {
+    w1: Vec<u8>,
+    wdw: Vec<u8>,
+    w2: Vec<u8>,
+    a_reg: Vec<u8>,
+    acc_mid: Vec<i32>,
+    /// One expanded pixel: the `[C_in, C_mid]` tile's FlashLoad, the
+    /// splat, the `Dot`, the requant and the workspace `RAMStore`.
+    expand: Counters,
+    /// One in-bounds depthwise tap: the workspace `RAMLoad`, the weight
+    /// row's FlashLoad and one `C_mid`-lane MAC tile.
+    tap: Counters,
+    /// One output pixel apart from its taps: the depthwise splat and
+    /// requant, the projection's FlashLoad, splat, `Dot` and requant, the
+    /// residual add and the back-edge.
+    out: Counters,
+}
+
+impl IbHost {
+    fn new(m: &Machine, p: &IbParams, flash: &IbFlash) -> Result<Self, PoolError> {
+        let cost = m.device.cost;
+        let (c_in, c_mid, c_out) = (p.c_in as u64, p.c_mid as u64, p.c_out as u64);
+        let mut expand = Counters::new();
+        expand.charge_flash_load(&cost, c_in * c_mid);
+        expand.cycles += broadcast_cycles(p.c_mid);
+        expand.charge_macs(&cost, c_in * c_mid, true);
+        expand.charge_requant(&cost, c_mid);
+        expand.charge_ram_store(&cost, c_mid);
+        let mut tap = Counters::new();
+        tap.charge_ram_load(&cost, c_mid);
+        tap.charge_flash_load(&cost, c_mid);
+        tap.charge_macs(&cost, c_mid, true);
+        let mut out = Counters::new();
+        out.cycles += broadcast_cycles(p.c_mid);
+        out.charge_requant(&cost, c_mid);
+        out.cycles += broadcast_cycles(p.c_out);
+        out.charge_flash_load(&cost, c_mid * c_out);
+        out.charge_macs(&cost, c_mid * c_out, true);
+        out.charge_requant(&cost, c_out);
+        if p.has_residual() {
+            out.cycles += c_out;
+        }
+        out.charge_branches(&cost, 1);
+        Ok(Self {
+            w1: m.flash.read(flash.w1, p.c_in * p.c_mid)?,
+            wdw: m.flash.read(flash.wdw, p.rs * p.rs * p.c_mid)?,
+            w2: m.flash.read(flash.w2, p.c_mid * p.c_out)?,
+            a_reg: vec![0u8; p.c_in],
+            acc_mid: vec![0i32; p.c_mid],
+            expand,
+            tap,
+            out,
+        })
+    }
+
+    /// pw1 of one `A` pixel: reads it through the pool, expands it to
+    /// `C_mid` int8 values and stores them at workspace address `ws`.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_pixel(
+        &mut self,
+        m: &mut Machine,
+        pool: &SegmentPool,
+        p: &IbParams,
+        b_in: i64,
+        y: usize,
+        x: usize,
+        ws: usize,
+        b_pixel: &mut [u8],
+    ) -> Result<(), PoolError> {
+        let addr = b_in + ((y * p.hw + x) * p.c_in) as i64;
+        let a = pool.read_span(m, addr, &mut self.a_reg)?;
+        self.acc_mid.fill(0);
+        dot_accumulate_u8(a, &self.w1, p.c_mid, &mut self.acc_mid);
+        requant_into(&self.acc_mid, p.rq1, p.clamp1, b_pixel);
+        m.ram.write(ws, b_pixel)?;
+        m.counters += self.expand + pool.price_load(&m.device.cost, addr, p.c_in);
+        Ok(())
+    }
 }
 
 /// Runs the fused inverted-bottleneck kernel.
@@ -227,9 +286,16 @@ fn expand_pixel(
 /// * workspace at RAM address `ws_base`
 ///   (≥ [`ib_workspace_bytes`] minus the two register pixels).
 ///
+/// The device streams the `[C_in, C_mid]` tile per expanded pixel, one
+/// workspace pixel and one weight row per depthwise tap and the
+/// `[C_mid, C_out]` tile per output pixel; the counters charge exactly
+/// that. The host reads the three weight images once per call and the
+/// taps in place, and adds `tap * taps` per output pixel.
+///
 /// # Errors
 ///
-/// Propagates pool violations (offset too tight) and memory errors.
+/// Propagates pool violations (offset too tight) and memory errors,
+/// including a weight image that does not fit in Flash.
 // Bases and offsets stay unbundled to mirror the on-device kernel ABI
 // (§6.1), where each lands in its own register-passed argument.
 #[allow(clippy::too_many_arguments)]
@@ -246,14 +312,14 @@ pub fn run_fused_ib(
     let (h1, h2) = (p.hw1(), p.hw2());
     let (w1_w, w2_w) = (h1, h2);
     let pad = p.pad();
-    let mut w1_tile = vec![0u8; p.c_in * p.c_mid];
-    let mut w2_tile = vec![0u8; p.c_mid * p.c_out];
-    let mut wdw_reg = vec![0u8; p.c_mid];
+    let mut host = IbHost::new(m, p, flash)?;
+    let cost = m.device.cost;
     let mut b_pixel = vec![0u8; p.c_mid];
     let mut c_pixel = vec![0u8; p.c_mid];
     let mut d_pixel = vec![0u8; p.c_out];
     let mut acc_mid = vec![0i32; p.c_mid];
     let mut acc_out = vec![0i32; p.c_out];
+    let mut a_reg = vec![0u8; p.c_in];
     let row_bytes = p.hw * p.c_in;
 
     for step in ib_schedule(p, scheme) {
@@ -263,18 +329,8 @@ pub fn run_fused_ib(
                 // ring never exceeds the image height).
                 let slot = b % p.rs.min(h1);
                 for x1 in 0..w1_w {
-                    expand_pixel(
-                        m,
-                        pool,
-                        p,
-                        b_in,
-                        b * p.s1,
-                        x1 * p.s1,
-                        flash,
-                        &mut w1_tile,
-                        &mut b_pixel,
-                    )?;
-                    m.ram_store(ws_base + (slot * w1_w + x1) * p.c_mid, &b_pixel)?;
+                    let ws = ws_base + (slot * w1_w + x1) * p.c_mid;
+                    host.expand_pixel(m, pool, p, b_in, b * p.s1, x1 * p.s1, ws, &mut b_pixel)?;
                 }
                 m.charge_branches(1);
             }
@@ -304,29 +360,28 @@ pub fn run_fused_ib(
                             if x1 < 0 || x1 >= w1_w as isize || x1 < new_from {
                                 continue;
                             }
-                            expand_pixel(
-                                m,
-                                pool,
-                                p,
-                                b_in,
-                                b as usize * p.s1,
-                                x1 as usize * p.s1,
-                                flash,
-                                &mut w1_tile,
-                                &mut b_pixel,
-                            )?;
                             // Column-ring slot so the window slides without
                             // copies.
                             let slot = match scheme {
                                 IbScheme::SlidingWindow => x1 as usize % p.rs,
                                 _ => s,
                             };
-                            m.ram_store(ws_base + (r * p.rs + slot) * p.c_mid, &b_pixel)?;
+                            let ws = ws_base + (r * p.rs + slot) * p.c_mid;
+                            host.expand_pixel(
+                                m,
+                                pool,
+                                p,
+                                b_in,
+                                b as usize * p.s1,
+                                x1 as usize * p.s1,
+                                ws,
+                                &mut b_pixel,
+                            )?;
                         }
                     }
                 }
-                // Depthwise over the window.
-                broadcast(m, &mut acc_mid, 0);
+                // Depthwise over the window, each tap read in place.
+                acc_mid.fill(0);
                 let mut taps = 0u64;
                 for r in 0..p.rs {
                     let b = (pi * p.s2 + r) as isize - pad as isize;
@@ -348,36 +403,34 @@ pub fn run_fused_ib(
                                 ws_base + (r * p.rs + x1 as usize % p.rs) * p.c_mid
                             }
                         };
-                        m.ram_load(ws_addr, &mut b_pixel)?;
-                        m.flash_load(flash.wdw + (r * p.rs + s) * p.c_mid, &mut wdw_reg)?;
-                        for c in 0..p.c_mid {
-                            acc_mid[c] += i32::from(b_pixel[c] as i8) * i32::from(wdw_reg[c] as i8);
+                        let bv = m.ram.read(ws_addr, p.c_mid)?;
+                        let w = &host.wdw[(r * p.rs + s) * p.c_mid..][..p.c_mid];
+                        for ((acc, &bv), &w) in acc_mid.iter_mut().zip(bv).zip(w) {
+                            *acc += i32::from(bv as i8) * i32::from(w as i8);
                         }
                         taps += 1;
                     }
                 }
-                // Batched per pixel, counter-identical to per-tap charges.
-                m.charge_macs_batched(p.c_mid as u64, taps, true);
-                requant_row(m, &acc_mid, p.rq2, p.clamp2, &mut c_pixel);
+                requant_into(&acc_mid, p.rq2, p.clamp2, &mut c_pixel);
                 // Project (pw2).
-                broadcast(m, &mut acc_out, 0);
-                m.flash_load(flash.w2, &mut w2_tile)?;
-                dot_tile_u8(m, &c_pixel, &w2_tile, p.c_out, &mut acc_out, true);
-                requant_row(m, &acc_out, p.rq3, p.clamp3, &mut d_pixel);
+                acc_out.fill(0);
+                dot_accumulate_u8(&c_pixel, &host.w2, p.c_out, &mut acc_out);
+                requant_into(&acc_out, p.rq3, p.clamp3, &mut d_pixel);
+                let mut price = host.out + host.tap * taps;
                 // Residual add with the original A pixel.
                 if p.has_residual() {
-                    let mut a_reg = vec![0u8; p.c_in];
-                    pool.load(m, b_in + ((pi * p.hw + qi) * p.c_in) as i64, &mut a_reg)?;
-                    for c in 0..p.c_out {
-                        d_pixel[c] =
-                            sat8(i64::from(d_pixel[c] as i8) + i64::from(a_reg[c] as i8)) as u8;
+                    let addr = b_in + ((pi * p.hw + qi) * p.c_in) as i64;
+                    let a = pool.read_span(m, addr, &mut a_reg)?;
+                    for (d, &a) in d_pixel.iter_mut().zip(a) {
+                        *d = sat8(i64::from(*d as i8) + i64::from(a as i8)) as u8;
                     }
-                    m.charge_cycles(p.c_out as u64);
+                    price += pool.price_load(&cost, addr, p.c_in);
                 }
                 // Store E — the segment goes back into the pool, possibly
                 // replacing a freed A segment.
-                pool.store(m, &d_pixel, b_out + ((pi * w2_w + qi) * p.c_out) as i64)?;
-                m.charge_branches(1);
+                let out_addr = b_out + ((pi * w2_w + qi) * p.c_out) as i64;
+                pool.store_span(m, &d_pixel, out_addr)?;
+                m.counters += price + pool.price_store(&cost, out_addr, p.c_out);
             }
             IbStep::FreeRows { from, to } => {
                 pool.free(b_in + (from * row_bytes) as i64, (to - from) * row_bytes)?;

@@ -93,7 +93,9 @@ pub(crate) fn dot_accumulate_u8(a: &[u8], b: &[u8], b_stride: usize, acc: &mut [
         let r3 = &b[(k + 3) * b_stride..(k + 3) * b_stride + ni];
         for (n, accv) in acc.iter_mut().enumerate() {
             // In-order per-lane adds: identical arithmetic to the scalar
-            // k-loop, including any intermediate saturation behaviour.
+            // k-loop. Nothing saturates: the `i32` adds wrap in release
+            // builds and panic on overflow in debug ones, exactly as the
+            // scalar loop's do.
             let mut s = *accv;
             s += a0 * i32::from(r0[n] as i8);
             s += a1 * i32::from(r1[n] as i8);
@@ -172,6 +174,14 @@ pub fn broadcast(m: &mut Machine, dst: &mut [i32], value: i32) {
 /// Cycles a [`broadcast`] of `lanes` registers costs: one per 4 lanes.
 pub(crate) fn broadcast_cycles(lanes: usize) -> u64 {
     (lanes as u64).div_ceil(4)
+}
+
+/// The segment tiling of a `total`-element dimension: `(start, width)`
+/// of each `seg`-wide tile in order, the last one ragged.
+pub(crate) fn tiles(total: usize, seg: usize) -> impl Iterator<Item = (usize, usize)> + Clone {
+    (0..total)
+        .step_by(seg)
+        .map(move |s| (s, seg.min(total - s)))
 }
 
 /// Requantizes a row of int32 accumulators to int8 with a fused

@@ -22,10 +22,10 @@
 //! machine — [`PatchedFront::halo_overhead`] reports the exact ratio the
 //! planner's overhead cap (`vmcu_plan::patch`) constrains.
 
-use crate::conv2d::{conv2d_exec_distance, conv2d_exec_footprint, run_conv2d};
-use crate::depthwise::{depthwise_exec_distance, depthwise_exec_footprint, run_depthwise};
+use crate::conv2d::{conv2d_exec_distance, run_conv2d};
+use crate::depthwise::{depthwise_exec_distance, run_depthwise};
 use crate::fused_chain::ChainOp;
-use crate::pointwise::{pointwise_exec_distance, pointwise_exec_footprint, run_pointwise};
+use crate::pointwise::{pointwise_exec_distance, run_pointwise};
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
@@ -457,37 +457,58 @@ fn paste_block(
 }
 
 /// Runs one sliced operator through its segment-aware kernel on a fresh
-/// pool window (the same window the planner prices), returning the
-/// produced bytes.
+/// pool window (the same window the planner prices) at executable
+/// distance `d`, returning the produced bytes.
 fn run_sliced(
     m: &mut Machine,
     op: &ChainOp,
+    d: i64,
     input: &[u8],
     w_base: usize,
 ) -> Result<Vec<u8>, PoolError> {
-    match op {
-        ChainOp::Pointwise(p) => {
-            let d = pointwise_exec_distance(p);
-            let mut pool = SegmentPool::new(m, 0, pointwise_exec_footprint(p), p.seg)?;
-            pool.host_fill_live(m, 0, input)?;
-            run_pointwise(m, &mut pool, p, 0, -d, w_base, None)?;
-            pool.host_read(m, -d, p.out_bytes())
-        }
-        ChainOp::Depthwise(p) => {
-            let d = depthwise_exec_distance(p);
-            let mut pool = SegmentPool::new(m, 0, depthwise_exec_footprint(p), p.c)?;
-            pool.host_fill_live(m, 0, input)?;
-            run_depthwise(m, &mut pool, p, 0, -d, w_base, None)?;
-            pool.host_read(m, -d, p.out_bytes())
-        }
-        ChainOp::Conv2d(p) => {
-            let d = conv2d_exec_distance(p);
-            let mut pool = SegmentPool::new(m, 0, conv2d_exec_footprint(p), p.seg)?;
-            pool.host_fill_live(m, 0, input)?;
-            run_conv2d(m, &mut pool, p, 0, -d, w_base, None)?;
-            pool.host_read(m, -d, p.out_bytes())
-        }
+    let (in_bytes, out_bytes, seg) = match op {
+        ChainOp::Pointwise(p) => (p.in_bytes(), p.out_bytes(), p.seg),
+        ChainOp::Depthwise(p) => (p.in_bytes(), p.out_bytes(), p.c),
+        ChainOp::Conv2d(p) => (p.in_bytes(), p.out_bytes(), p.seg),
         ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
+    };
+    let window = (in_bytes + d.max(0) as usize).max(out_bytes);
+    let mut pool = SegmentPool::new(m, 0, window, seg)?;
+    pool.host_fill_live(m, 0, input)?;
+    match op {
+        ChainOp::Pointwise(p) => run_pointwise(m, &mut pool, p, 0, -d, w_base, None)?,
+        ChainOp::Depthwise(p) => run_depthwise(m, &mut pool, p, 0, -d, w_base, None)?,
+        ChainOp::Conv2d(p) => run_conv2d(m, &mut pool, p, 0, -d, w_base, None)?,
+        ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
+    }
+    pool.host_read(m, -d, out_bytes)
+}
+
+/// The executable distance of a sliced operator's segment kernel.
+fn sliced_exec_distance(op: &ChainOp) -> i64 {
+    match op {
+        ChainOp::Pointwise(p) => pointwise_exec_distance(p),
+        ChainOp::Depthwise(p) => depthwise_exec_distance(p),
+        ChainOp::Conv2d(p) => conv2d_exec_distance(p),
+        ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
+    }
+}
+
+impl PatchedFront {
+    /// The executable distance each sliced operator runs at, as
+    /// `distance` derives it: `[t][i]` for stage `i` of patch
+    /// `t = ty·gx + tx` — what [`run_patched_front_at`] takes, so a
+    /// deployment derives them once instead of per inference.
+    pub fn stage_distances(&self, distance: impl Fn(&ChainOp) -> i64) -> Vec<Vec<i64>> {
+        (0..self.grid.gy)
+            .flat_map(|ty| (0..self.grid.gx).map(move |tx| (ty, tx)))
+            .map(|(ty, tx)| {
+                self.patch_stages(ty, tx)
+                    .iter()
+                    .map(|s| distance(&s.op))
+                    .collect()
+            })
+            .collect()
     }
 }
 
@@ -501,6 +522,9 @@ fn run_sliced(
 ///   engine's layer-at-a-time convention),
 /// * per-operator weights in Flash at `flash[i]` (programmed once,
 ///   shared by every patch).
+///
+/// Each sliced operator's distance is derived from its dry-run trace on
+/// every call; [`run_patched_front_at`] takes them precomputed.
 ///
 /// # Errors
 ///
@@ -517,10 +541,39 @@ pub fn run_patched_front(
     input: &Tensor<i8>,
     flash: &[usize],
 ) -> Result<Tensor<i8>, PoolError> {
+    let distances = front.stage_distances(sliced_exec_distance);
+    run_patched_front_at(m, front, input, flash, &distances)
+}
+
+/// [`run_patched_front`] with every sliced operator's executable
+/// distance given, as [`PatchedFront::stage_distances`] lists them.
+///
+/// # Errors
+///
+/// Propagates pool violations (planner/kernel disagreement, including a
+/// distance too small for its slice) and memory errors.
+///
+/// # Panics
+///
+/// Panics when `flash` does not name one base per operator, the input
+/// shape does not match the front, or `distances` does not name one
+/// distance per patch stage.
+pub fn run_patched_front_at(
+    m: &mut Machine,
+    front: &PatchedFront,
+    input: &Tensor<i8>,
+    flash: &[usize],
+    distances: &[Vec<i64>],
+) -> Result<Tensor<i8>, PoolError> {
     assert_eq!(
         flash.len(),
         front.ops.len(),
         "one flash base per front operator"
+    );
+    assert_eq!(
+        distances.len(),
+        front.grid.patches(),
+        "one distance list per patch"
     );
     let (ih, iw, ic) = front.in_dims();
     assert_eq!(input.shape(), [ih, iw, ic], "front input shape mismatch");
@@ -530,9 +583,11 @@ pub fn run_patched_front(
     for ty in 0..front.grid.gy {
         for tx in 0..front.grid.gx {
             let stages = front.patch_stages(ty, tx);
+            let stage_d = &distances[ty * front.grid.gx + tx];
+            assert_eq!(stage_d.len(), stages.len(), "one distance per stage");
             let mut cur = extract_region(&in_bytes, ih, iw, ic, &stages[0].slab);
             for (i, stage) in stages.iter().enumerate() {
-                let block = run_sliced(m, &stage.op, &cur, flash[i])?;
+                let block = run_sliced(m, &stage.op, stage_d[i], &cur, flash[i])?;
                 let (_, _, c) = out_dims(&stage.op);
                 match stages.get(i + 1) {
                     Some(next) => {

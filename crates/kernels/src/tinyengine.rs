@@ -101,7 +101,7 @@ pub fn run_pointwise_te(
         assert_eq!(b.len(), p.k, "bias length mismatch");
     }
     let (h_out, w_out) = ((p.h - 1) / stride + 1, (p.w - 1) / stride + 1);
-    let weights = m.flash.read(w_base, p.c * p.k)?.to_vec();
+    let weights = m.flash.read(w_base, p.c * p.k)?;
     let pixel = pointwise_pixel_charge(&m.device.cost, p.c, p.k);
     let mut acc = vec![0i32; p.k];
     let mut out_reg = vec![0u8; p.k];
@@ -154,7 +154,7 @@ pub fn run_depthwise_te_inplace(
 ) -> Result<(), MemError> {
     let (h_out, w_out) = (p.out_h(), p.out_w());
     let row_bytes = p.w * p.c;
-    let weights = m.flash.read(w_base, p.r * p.s * p.c)?.to_vec();
+    let weights = m.flash.read(w_base, p.r * p.s * p.c)?;
     let (cost, c) = (m.device.cost, p.c as u64);
     // Per in-bounds tap: the ring RAMLoad, the weight FlashLoad and one
     // `C`-lane MAC tile at fixed-depth unrolling. `tap * taps` keeps each

@@ -35,7 +35,7 @@
 //! ```
 
 use std::fmt;
-use vmcu_sim::{ByteSet, Machine, MemError};
+use vmcu_sim::{ByteSet, CostModel, Counters, Machine, MemError};
 
 /// A pool-access failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -258,40 +258,41 @@ impl SegmentPool {
         [(start, first), (0, len - first)]
     }
 
-    // ---- costed kernel operations -----------------------------------------
-
-    /// `RAMLoad` through the pool: reads `dst.len()` logical bytes starting
-    /// at `logical`, charging one modulo plus the machine's load cost.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolError::DeadRead`] in checked mode when any byte is not
-    /// live, or a memory error from the machine.
-    pub fn load(&mut self, m: &mut Machine, logical: i64, dst: &mut [u8]) -> Result<(), PoolError> {
-        m.charge_modulo(1);
+    /// Copies the access's physical spans into `dst` in logical order,
+    /// checking each whole before it is read; returns how many bytes were
+    /// copied before the first span that failed.
+    fn copy_out(
+        &self,
+        m: &Machine,
+        logical: i64,
+        dst: &mut [u8],
+    ) -> (usize, Result<(), PoolError>) {
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, dst.len()) {
             if n == 0 {
                 continue;
             }
             if let Some((logical, phys)) = self.offending(logical, off, phys, n, false) {
-                return Err(PoolError::DeadRead { logical, phys });
+                return (off, Err(PoolError::DeadRead { logical, phys }));
             }
-            m.ram_load(self.base + phys, &mut dst[off..off + n])?;
+            match m.ram.read(self.base + phys, n) {
+                Ok(bytes) => dst[off..off + n].copy_from_slice(bytes),
+                Err(e) => return (off, Err(e.into())),
+            }
             off += n;
         }
-        Ok(())
+        (off, Ok(()))
     }
 
-    /// `RAMStore` through the pool: writes `src` at `logical`, charging one
-    /// modulo plus the machine's store cost, and marks the bytes live.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PoolError::Clobber`] in checked mode when any target byte
-    /// is still live, or a memory error from the machine.
-    pub fn store(&mut self, m: &mut Machine, src: &[u8], logical: i64) -> Result<(), PoolError> {
-        m.charge_modulo(1);
+    /// Writes `src`'s physical spans in logical order, checking each
+    /// whole before it is written and marking it live after; returns how
+    /// many bytes were written before the first span that failed.
+    fn copy_in(
+        &mut self,
+        m: &mut Machine,
+        src: &[u8],
+        logical: i64,
+    ) -> (usize, Result<(), PoolError>) {
         #[cfg(feature = "shadow")]
         self.flush_shadow(m);
         let mut off = 0usize;
@@ -300,13 +301,151 @@ impl SegmentPool {
                 continue;
             }
             if let Some((logical, phys)) = self.offending(logical, off, phys, n, true) {
-                return Err(PoolError::Clobber { logical, phys });
+                return (off, Err(PoolError::Clobber { logical, phys }));
             }
-            m.ram_store(self.base + phys, &src[off..off + n])?;
+            if let Err(e) = m.ram.write(self.base + phys, &src[off..off + n]) {
+                return (off, Err(e.into()));
+            }
             #[cfg(feature = "shadow")]
             m.ram.shadow_mark_live(self.base + phys, n);
             self.mark_live(phys, n);
             off += n;
+        }
+        (off, Ok(()))
+    }
+
+    // ---- costed kernel operations -----------------------------------------
+
+    /// The modelled price of one `RAMLoad` of `len` bytes at `logical`:
+    /// one modulo, plus one RAM load per physical span of its wrap split.
+    /// [`load`](Self::load) charges exactly this; a kernel that moves a
+    /// whole pixel with [`read_span`](Self::read_span) adds it per
+    /// segment access it models.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the window, like [`load`](Self::load).
+    pub fn price_load(&self, cost: &CostModel, logical: i64, len: usize) -> Counters {
+        self.price(cost, logical, len, Counters::charge_ram_load)
+    }
+
+    /// The modelled price of one `RAMStore` of `len` bytes at `logical`:
+    /// one modulo, plus one RAM store per physical span of its wrap split
+    /// (what [`store`](Self::store) charges).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the window, like [`store`](Self::store).
+    pub fn price_store(&self, cost: &CostModel, logical: i64, len: usize) -> Counters {
+        self.price(cost, logical, len, Counters::charge_ram_store)
+    }
+
+    fn price(
+        &self,
+        cost: &CostModel,
+        logical: i64,
+        len: usize,
+        span: fn(&mut Counters, &CostModel, u64),
+    ) -> Counters {
+        let mut c = Counters::new();
+        c.charge_modulo(cost, 1);
+        for (_, n) in self.spans(logical, len) {
+            if n > 0 {
+                span(&mut c, cost, n as u64);
+            }
+        }
+        c
+    }
+
+    /// `RAMLoad` through the pool: reads `dst.len()` logical bytes starting
+    /// at `logical`, charging [`price_load`](Self::price_load). A load
+    /// that fails in its wrapped span keeps (and is charged for) the
+    /// first span.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PoolError::DeadRead`] in checked mode when any byte is not
+    /// live, or a memory error from the machine.
+    pub fn load(&mut self, m: &mut Machine, logical: i64, dst: &mut [u8]) -> Result<(), PoolError> {
+        let (done, res) = self.copy_out(m, logical, dst);
+        m.counters += self.price_load(&m.device.cost, logical, done);
+        res
+    }
+
+    /// `RAMStore` through the pool: writes `src` at `logical`, charging
+    /// [`price_store`](Self::price_store), and marks the bytes live. A
+    /// store that fails in its wrapped span keeps (and is charged for)
+    /// the first span.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PoolError::Clobber`] in checked mode when any target byte
+    /// is still live, or a memory error from the machine.
+    pub fn store(&mut self, m: &mut Machine, src: &[u8], logical: i64) -> Result<(), PoolError> {
+        let (done, res) = self.copy_in(m, src, logical);
+        m.counters += self.price_store(&m.device.cost, logical, done);
+        res
+    }
+
+    // ---- uncharged whole-span operations ------------------------------------
+
+    /// The checked read of a [`load`](Self::load), uncharged: the
+    /// `scratch.len()` logical bytes at `logical`, borrowed straight from
+    /// RAM when they do not wrap the window and copied into `scratch`
+    /// when they do. A kernel that reads a whole pixel at once charges
+    /// the segment loads it models with [`price_load`](Self::price_load).
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`PoolError::DeadRead`] naming the first dead byte in
+    /// logical order (checked mode), as `load` would.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the read exceeds the window, like [`load`](Self::load).
+    pub fn read_span<'a>(
+        &self,
+        m: &'a Machine,
+        logical: i64,
+        scratch: &'a mut [u8],
+    ) -> Result<&'a [u8], PoolError> {
+        let len = scratch.len();
+        match self.spans(logical, len) {
+            [(phys, n), (_, 0)] => {
+                if let Some((logical, phys)) = self.offending(logical, 0, phys, n, false) {
+                    return Err(PoolError::DeadRead { logical, phys });
+                }
+                Ok(m.ram.read(self.base + phys, n)?)
+            }
+            _ => {
+                self.copy_out(m, logical, scratch).1?;
+                Ok(scratch)
+            }
+        }
+    }
+
+    /// The checked store of a [`store`](Self::store), uncharged: writes
+    /// `src` at `logical` span by span, marks it live (peak, shadow map
+    /// and RAM write mark included) and reports the first live byte in
+    /// logical order as the [`PoolError::Clobber`] `store` would. A store
+    /// longer than the window is written window by window, so its wrap
+    /// onto its own first bytes is that clobber. A kernel that stores a
+    /// whole pixel at once charges the segment stores it models with
+    /// [`price_store`](Self::price_store).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PoolError::Clobber`] in checked mode when any target byte
+    /// is still live (the bytes before its span stay written), or a
+    /// memory error from the machine.
+    pub fn store_span(
+        &mut self,
+        m: &mut Machine,
+        src: &[u8],
+        logical: i64,
+    ) -> Result<(), PoolError> {
+        for (i, part) in src.chunks(self.len).enumerate() {
+            self.copy_in(m, part, logical + (i * self.len) as i64).1?;
         }
         Ok(())
     }

@@ -109,6 +109,12 @@ impl Counters {
         self.branches += n;
         self.cycles += n * cost.branch_cycles;
     }
+
+    /// `n` address-modulo operations (circular-buffer boundary checks).
+    pub fn charge_modulo(&mut self, cost: &CostModel, n: u64) {
+        self.modulo_ops += n;
+        self.cycles += n * cost.modulo_cycles;
+    }
 }
 
 impl Add for Counters {

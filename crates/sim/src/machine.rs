@@ -116,7 +116,7 @@ impl Machine {
     ///
     /// Returns [`MemError`] on out-of-range addresses.
     pub fn flash_load(&mut self, addr: usize, dst: &mut [u8]) -> Result<(), MemError> {
-        dst.copy_from_slice(self.flash.read(addr, dst.len())?);
+        self.flash.read_into(addr, dst)?;
         self.counters
             .charge_flash_load(&self.device.cost, dst.len() as u64);
         Ok(())
@@ -158,8 +158,7 @@ impl Machine {
     /// Charges `n` address-modulo operations (circular-buffer boundary
     /// checks).
     pub fn charge_modulo(&mut self, n: u64) {
-        self.counters.modulo_ops += n;
-        self.counters.cycles += n * self.device.cost.modulo_cycles;
+        self.counters.charge_modulo(&self.device.cost, n);
     }
 
     /// Charges `n` taken branches (loop back-edges).
@@ -341,6 +340,7 @@ mod tests {
         m.charge_macs(26, false);
         m.charge_requant(3);
         m.charge_branches(2);
+        m.charge_modulo(4);
         let cost = m.device.cost;
         let mut priced = Counters::new();
         priced.charge_ram_load(&cost, 13);
@@ -350,6 +350,7 @@ mod tests {
         priced.charge_macs(&cost, 26, false);
         priced.charge_requant(&cost, 3);
         priced.charge_branches(&cost, 2);
+        priced.charge_modulo(&cost, 4);
         assert_eq!(m.snapshot(), priced);
     }
 

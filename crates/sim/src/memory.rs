@@ -259,29 +259,34 @@ impl Ram {
 /// Simulated Flash: written once while building the firmware image,
 /// read-only afterwards (weights live here; §4 excludes them from RAM
 /// management).
+///
+/// Only the programmed prefix is stored: every byte at or past
+/// [`used`](Self::used) reads as erased (0xFF), so booting a device with
+/// megabytes of Flash to stage a few KB of weights allocates a few KB.
 #[derive(Debug, Clone)]
 pub struct Flash {
+    /// The programmed images, back to back from address 0.
     data: Vec<u8>,
-    len_used: usize,
+    capacity: usize,
 }
 
 impl Flash {
-    /// Allocates `capacity` bytes of erased (0xFF) flash.
+    /// A `capacity`-byte flash, all erased (0xFF).
     pub fn new(capacity: usize) -> Self {
         Self {
-            data: vec![0xFF; capacity],
-            len_used: 0,
+            data: Vec::new(),
+            capacity,
         }
     }
 
     /// Flash capacity in bytes.
     pub fn capacity(&self) -> usize {
-        self.data.len()
+        self.capacity
     }
 
     /// Bytes consumed by programmed images.
     pub fn used(&self) -> usize {
-        self.len_used
+        self.data.len()
     }
 
     /// The Flash capacity rule: the base address of a `len`-byte image
@@ -310,40 +315,55 @@ impl Flash {
     ///
     /// Returns [`MemError::FlashOutOfRange`] when the image does not fit.
     pub fn program(&mut self, bytes: &[u8]) -> Result<usize, MemError> {
-        let addr = Self::place(self.len_used, bytes.len(), self.data.len())?;
-        self.data[addr..addr + bytes.len()].copy_from_slice(bytes);
-        self.len_used += bytes.len();
+        let addr = Self::place(self.data.len(), bytes.len(), self.capacity)?;
+        self.data.extend_from_slice(bytes);
         Ok(addr)
     }
 
     /// Erases all programmed images, returning the flash to its erased
-    /// (0xFF) state without reallocating. Only the used prefix is
-    /// rewritten, so re-deploying small firmware images on a large flash
-    /// stays cheap.
+    /// (0xFF) state: the programmed prefix is dropped, its allocation
+    /// kept for the next image.
     pub fn reset(&mut self) {
-        self.data[..self.len_used].fill(0xFF);
-        self.len_used = 0;
+        self.data.clear();
     }
 
-    /// Reads `len` bytes at `addr`.
+    fn check(&self, addr: usize, len: usize) -> Result<usize, MemError> {
+        addr.checked_add(len)
+            .filter(|&end| end <= self.capacity)
+            .ok_or(MemError::FlashOutOfRange {
+                addr,
+                len,
+                capacity: self.capacity,
+            })
+    }
+
+    /// Copies the `dst.len()` bytes at `addr` into `dst`; erased bytes
+    /// read 0xFF.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MemError::FlashOutOfRange`] when the range exceeds
+    /// capacity, leaving `dst` unchanged.
+    pub fn read_into(&self, addr: usize, dst: &mut [u8]) -> Result<(), MemError> {
+        let end = self.check(addr, dst.len())?;
+        let programmed = self.data.get(addr..end.min(self.data.len())).unwrap_or(&[]);
+        dst[..programmed.len()].copy_from_slice(programmed);
+        dst[programmed.len()..].fill(0xFF);
+        Ok(())
+    }
+
+    /// Reads `len` bytes at `addr` into a new buffer; erased bytes read
+    /// 0xFF.
     ///
     /// # Errors
     ///
     /// Returns [`MemError::FlashOutOfRange`] when the range exceeds
     /// capacity.
-    pub fn read(&self, addr: usize, len: usize) -> Result<&[u8], MemError> {
-        if addr
-            .checked_add(len)
-            .is_some_and(|end| end <= self.data.len())
-        {
-            Ok(&self.data[addr..addr + len])
-        } else {
-            Err(MemError::FlashOutOfRange {
-                addr,
-                len,
-                capacity: self.data.len(),
-            })
-        }
+    pub fn read(&self, addr: usize, len: usize) -> Result<Vec<u8>, MemError> {
+        self.check(addr, len)?;
+        let mut out = vec![0; len];
+        self.read_into(addr, &mut out)?;
+        Ok(out)
     }
 }
 
@@ -513,6 +533,33 @@ mod tests {
     fn erased_flash_reads_ff() {
         let flash = Flash::new(4);
         assert_eq!(flash.read(0, 4).unwrap(), &[0xFF; 4]);
+    }
+
+    #[test]
+    fn reads_straddling_the_programmed_end_see_erased_bytes() {
+        let mut flash = Flash::new(16);
+        flash.program(&[1, 2, 3]).unwrap();
+        assert_eq!(flash.read(1, 5).unwrap(), &[2, 3, 0xFF, 0xFF, 0xFF]);
+        assert_eq!(flash.read(10, 6).unwrap(), &[0xFF; 6]);
+        let mut dst = [0u8; 4];
+        flash.read_into(2, &mut dst).unwrap();
+        assert_eq!(dst, [3, 0xFF, 0xFF, 0xFF]);
+        // Out-of-range reads leave the destination untouched.
+        assert_eq!(
+            flash.read_into(14, &mut dst),
+            Err(MemError::FlashOutOfRange {
+                addr: 14,
+                len: 4,
+                capacity: 16
+            })
+        );
+        assert_eq!(dst, [3, 0xFF, 0xFF, 0xFF]);
+        assert!(flash.read(usize::MAX, 2).is_err());
+        // Only the programmed prefix is stored.
+        assert_eq!(flash.data.len(), 3);
+        flash.reset();
+        assert!(flash.data.is_empty());
+        assert_eq!(flash.read(0, 3).unwrap(), &[0xFF; 3]);
     }
 
     #[cfg(feature = "shadow")]

@@ -12,38 +12,15 @@
 use crate::replay::{check_distance, replay_into, replay_layer, LayerSpec, PoolModel};
 use crate::schedule::{audit_schedule, canonical_frees};
 use crate::violation::{AuditReport, Violation};
+pub use vmcu::exec::layer_events;
 use vmcu::Deployment;
 use vmcu_graph::{Graph, LayerDesc};
-use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes, ChainOp};
-use vmcu_kernels::trace::{exec_distance, ExecEvent};
+use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes};
+use vmcu_kernels::trace::exec_distance;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::chain_solver_distance;
 use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, OrderPlan, PatchPlan, Schedule, SplitPlan};
 use vmcu_sim::Device;
-
-/// The dry-run store/free trace the deployed kernel would emit for one
-/// layer — the byte-interval event stream the whole audit replays.
-pub fn layer_events(layer: &LayerDesc, scheme: IbScheme) -> Vec<ExecEvent> {
-    match layer {
-        LayerDesc::Pointwise(p) => vmcu_kernels::fc::fc_exec_trace(&p.as_fc()),
-        LayerDesc::Conv2d(p) => vmcu_kernels::conv2d::conv2d_exec_trace(p),
-        LayerDesc::Depthwise(p) => vmcu_kernels::depthwise::depthwise_exec_trace(p),
-        LayerDesc::Dense(p) => vmcu_kernels::fc::fc_exec_trace(p),
-        LayerDesc::Ib(p) => vmcu_kernels::fused_ib::ib_exec_trace(p, scheme),
-        LayerDesc::Add(p) => vmcu_kernels::merge::add_exec_trace(p),
-        LayerDesc::Concat(p) => vmcu_kernels::merge::concat_exec_trace(p),
-    }
-}
-
-/// The layer a sliced patch-stage operator runs as.
-fn op_layer(op: &ChainOp) -> LayerDesc {
-    match *op {
-        ChainOp::Pointwise(p) => LayerDesc::Pointwise(p),
-        ChainOp::Depthwise(p) => LayerDesc::Depthwise(p),
-        ChainOp::Conv2d(p) => LayerDesc::Conv2d(p),
-        ChainOp::Dense(p) => LayerDesc::Dense(p),
-    }
-}
 
 /// Audits one layer in the overlapped per-node layout the vMCU kernels
 /// run in: input at logical 0, output at `−D`, window `(in+max(D,0)) ∨ out`.
@@ -282,7 +259,7 @@ pub fn audit_patch_plan(
                 }
                 for (si, stage) in front.patch_stages(ty, tx).iter().enumerate() {
                     let stage_site = format!("{site} stage {si} ({})", stage.op.kind());
-                    let layer = op_layer(&stage.op);
+                    let layer = LayerDesc::from(stage.op);
                     let events = layer_events(&layer, scheme);
                     let (in_len, out_len) = (layer.in_bytes(), layer.out_bytes());
                     let d = exec_distance(in_len, events.iter().copied());

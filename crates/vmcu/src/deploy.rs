@@ -28,7 +28,7 @@ use crate::engine::{
     check_epilogues, check_fits, check_input, check_weights, InferenceReport, PlannerKind,
 };
 use crate::error::EngineError;
-use crate::exec::{self, stage_graph, weight_images, ExecCtx, StagedLayer};
+use crate::exec::{self, stage_graph, weight_images, ExecCtx, ExecDistances, StagedLayer};
 use std::sync::Arc;
 use std::time::Instant;
 use vmcu_graph::{Graph, LayerWeights};
@@ -311,20 +311,22 @@ impl Deployment {
     }
 
     /// The deployed state an inference runs against, with the weights
-    /// staged at `staged`.
-    fn ctx<'a>(&'a self, staged: &'a [StagedLayer]) -> ExecCtx<'a> {
+    /// staged at `staged` and the pool offsets `distances`.
+    fn ctx<'a>(&'a self, staged: &'a [StagedLayer], distances: &'a ExecDistances) -> ExecCtx<'a> {
         ExecCtx {
             kind: self.inner.kind,
             device: &self.inner.device,
             graph: &self.inner.graph,
             plans: &self.inner.plans,
             staged,
+            distances,
         }
     }
 
-    /// Creates a session: boots a machine for the device and stages the
-    /// firmware image (all weights into Flash) once. Everything that can
-    /// fail was validated at deploy time.
+    /// Creates a session: boots a machine for the device, stages the
+    /// firmware image (all weights into Flash) and derives the schedule's
+    /// pool offsets once. Everything that can fail was validated at
+    /// deploy time.
     ///
     /// # Panics
     ///
@@ -335,10 +337,13 @@ impl Deployment {
         let staged = stage_graph(&mut machine, self.inner.graph.layers(), &self.inner.weights)
             .expect("deploy validated layer kinds and flash capacity");
         let staged_flash_bytes = machine.flash.used();
+        let inner = &self.inner;
+        let distances = ExecDistances::new(inner.kind, &inner.graph, &inner.plans.schedule);
         Session {
             deployment: self.clone(),
             machine,
             staged,
+            distances,
             staged_flash_bytes,
             inferences: 0,
         }
@@ -355,6 +360,7 @@ pub struct Session {
     deployment: Deployment,
     machine: Machine,
     staged: Vec<StagedLayer>,
+    distances: ExecDistances,
     staged_flash_bytes: usize,
     inferences: u64,
 }
@@ -422,7 +428,7 @@ impl Session {
     /// run, and pool/memory errors on internal bugs.
     pub fn infer(&mut self, input: &Tensor<i8>) -> Result<InferenceReport, EngineError> {
         self.prepare_inference(input)?;
-        let ctx = self.deployment.ctx(&self.staged);
+        let ctx = self.deployment.ctx(&self.staged, &self.distances);
         let report = exec::infer(&ctx, &mut self.machine, input)?;
         self.inferences += 1;
         Ok(report)
@@ -442,7 +448,7 @@ impl Session {
         input: &Tensor<i8>,
     ) -> Result<(InferenceReport, ChainPlan), EngineError> {
         self.prepare_inference(input)?;
-        let ctx = self.deployment.ctx(&self.staged);
+        let ctx = self.deployment.ctx(&self.staged, &self.distances);
         let out = exec::infer_chained(&ctx, &mut self.machine, input)?;
         self.inferences += 1;
         Ok(out)

@@ -14,7 +14,7 @@
 
 use crate::deploy::Deployment;
 use crate::error::EngineError;
-use crate::exec::{exec_node, stage_layer};
+use crate::exec::{exec_node, node_distance, stage_layer};
 use vmcu_graph::{Graph, LayerDesc, LayerWeights};
 use vmcu_kernels::IbScheme;
 use vmcu_plan::planner::MemoryPlanner;
@@ -324,7 +324,9 @@ impl Engine {
     ///
     /// # Errors
     ///
-    /// Returns [`EngineError::ShapeMismatch`] when the input or weights
+    /// Returns [`EngineError::DegenerateLayer`] for degenerate layer
+    /// parameters ([`LayerDesc::check_params`]),
+    /// [`EngineError::ShapeMismatch`] when the input or weights
     /// do not match the layer, [`EngineError::BadEpilogue`] for an
     /// out-of-range requantization or activation clamp,
     /// [`EngineError::DoesNotFit`] when the plan
@@ -338,6 +340,9 @@ impl Engine {
         weights: &LayerWeights,
         input: &Tensor<i8>,
     ) -> Result<(Tensor<i8>, LayerReport), EngineError> {
+        layer
+            .check_params()
+            .map_err(|error| EngineError::DegenerateLayer { layer: 0, error })?;
         check_input(&layer.in_shape(), input)?;
         check_weights(0, layer, weights)?;
         check_epilogues(0, layer)?;
@@ -345,7 +350,8 @@ impl Engine {
         let mut m = Machine::new(self.device.clone());
         let staged = stage_layer(&mut m, layer, weights)?;
         let before = m.snapshot();
-        let output = exec_node(self.kind, &mut m, layer, staged, &[input])?;
+        let d = node_distance(self.kind, layer);
+        let output = exec_node(self.kind, &mut m, layer, staged, &[input], d)?;
         let exec = m.summarize_since(&before);
         Ok((
             output,

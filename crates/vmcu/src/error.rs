@@ -1,6 +1,7 @@
 //! Facade error type.
 
 use std::fmt;
+use vmcu_graph::DegenerateLayer;
 use vmcu_pool::PoolError;
 use vmcu_sim::MemError;
 
@@ -50,6 +51,19 @@ pub enum EngineError {
         /// The value found.
         found: String,
     },
+    /// A layer's parameters are degenerate (a zero dimension or stride,
+    /// a kernel larger than its padded input, an inverted bottleneck
+    /// with a non-unit projection stride or an even kernel): rejected
+    /// before any of its sizes is computed. Graphs refuse such layers at
+    /// construction; this is how
+    /// [`Engine::run_layer`](crate::Engine::run_layer) refuses a bare
+    /// one.
+    DegenerateLayer {
+        /// Index of the layer (0 for `run_layer`).
+        layer: usize,
+        /// The rejected parameter.
+        error: DegenerateLayer,
+    },
     /// Deployed session state leaked between inferences — an invariant
     /// staged at deploy time (e.g. the flash firmware image) changed
     /// during `infer`. Indicates an execution bug; surfaced as a typed
@@ -97,6 +111,7 @@ impl fmt::Display for EngineError {
                 "layer {layer}: epilogue `{field}` = {found} is out of range (a clamp needs \
                  min <= max, a multiplier [2^30, 2^31), a total shift 31 + shift in [1, 63])"
             ),
+            EngineError::DegenerateLayer { layer, error } => write!(f, "layer {layer}: {error}"),
             EngineError::StateLeak {
                 what,
                 expected,
@@ -117,6 +132,7 @@ impl std::error::Error for EngineError {
         match self {
             EngineError::Pool(e) => Some(e),
             EngineError::Mem(e) => Some(e),
+            EngineError::DegenerateLayer { error, .. } => Some(error),
             _ => None,
         }
     }

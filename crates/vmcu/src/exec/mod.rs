@@ -31,8 +31,10 @@ use crate::engine::{InferenceReport, LayerReport, PlannerKind};
 use crate::error::EngineError;
 use vmcu_graph::{Graph, LayerDesc, LayerWeights, NodeInput};
 use vmcu_kernels::fused_chain::run_fused_chain;
-use vmcu_kernels::merge::{add_exec_distance, concat_exec_distance, run_add, run_concat};
-use vmcu_kernels::patched::{run_patched_front, PatchedFront};
+use vmcu_kernels::merge::{run_add, run_concat};
+use vmcu_kernels::patched::{run_patched_front_at, PatchedFront};
+use vmcu_kernels::trace::{exec_distance, ExecEvent};
+use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::FusedGroup;
 use vmcu_plan::{FusionNode, LayerPlan, Schedule};
 use vmcu_pool::SegmentPool;
@@ -146,6 +148,70 @@ pub fn stage_graph(
         .collect()
 }
 
+/// The dry-run store/free trace the deployed kernel emits for one layer
+/// — the byte-interval event stream `vmcu_verify` replays, and the one
+/// the executor derives its pool offsets from ([`layer_exec_distance`]).
+pub fn layer_events(layer: &LayerDesc, scheme: IbScheme) -> Vec<ExecEvent> {
+    match layer {
+        LayerDesc::Pointwise(p) => vmcu_kernels::fc::fc_exec_trace(&p.as_fc()),
+        LayerDesc::Conv2d(p) => vmcu_kernels::conv2d::conv2d_exec_trace(p),
+        LayerDesc::Depthwise(p) => vmcu_kernels::depthwise::depthwise_exec_trace(p),
+        LayerDesc::Dense(p) => vmcu_kernels::fc::fc_exec_trace(p),
+        LayerDesc::Ib(p) => vmcu_kernels::fused_ib::ib_exec_trace(p, scheme),
+        LayerDesc::Add(p) => vmcu_kernels::merge::add_exec_trace(p),
+        LayerDesc::Concat(p) => vmcu_kernels::merge::concat_exec_trace(p),
+    }
+}
+
+/// The executable `bIn − bOut` distance the segment kernel runs `layer`
+/// at: [`exec_distance`] of its [`layer_events`], the derivation the
+/// auditor cross-checks.
+pub fn layer_exec_distance(layer: &LayerDesc, scheme: IbScheme) -> i64 {
+    exec_distance(layer.in_bytes(), layer_events(layer, scheme))
+}
+
+/// The distance `kind`'s body for `layer` runs at: every vMCU body and
+/// every merge overlaps its output with its input at the layer's
+/// executable distance (a merge has no fused IB, so the scheme is
+/// moot); the baselines' single-input bodies place tensors disjointly
+/// and take none.
+pub(crate) fn node_distance(kind: PlannerKind, layer: &LayerDesc) -> i64 {
+    match kind.scheme() {
+        Some(scheme) => layer_exec_distance(layer, scheme),
+        None if layer.is_merge() => layer_exec_distance(layer, IbScheme::RowBuffer),
+        None => 0,
+    }
+}
+
+/// The pool offsets a deployment's schedule executes at, derived once
+/// per session instead of once per inference: each graph node's
+/// [`node_distance`] and each patched-front stage's distance (fused
+/// groups and chain plans memoize theirs at deploy time).
+#[derive(Debug)]
+pub(crate) struct ExecDistances {
+    nodes: Vec<i64>,
+    front: Vec<Vec<i64>>,
+}
+
+impl ExecDistances {
+    pub(crate) fn new(kind: PlannerKind, graph: &Graph, schedule: &Schedule) -> Self {
+        let front = match (schedule, kind.scheme()) {
+            (Schedule::Patched(patch), Some(scheme)) => patch.front.as_ref().map(|front| {
+                front.stage_distances(|op| layer_exec_distance(&LayerDesc::from(*op), scheme))
+            }),
+            _ => None,
+        };
+        Self {
+            nodes: graph
+                .layers()
+                .iter()
+                .map(|l| node_distance(kind, l))
+                .collect(),
+            front: front.unwrap_or_default(),
+        }
+    }
+}
+
 /// Everything an inference sees: deployed, immutable state prepared once
 /// by `Engine::deploy`.
 #[derive(Debug, Clone, Copy)]
@@ -160,6 +226,8 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) plans: &'a PlanSet,
     /// Per-layer staged Flash addresses, in graph order.
     pub(crate) staged: &'a [StagedLayer],
+    /// The schedule's pool offsets.
+    pub(crate) distances: &'a ExecDistances,
 }
 
 impl ExecCtx<'_> {
@@ -201,6 +269,7 @@ fn exec_merge(
     layer: &LayerDesc,
     inputs: &[&Tensor<i8>],
     mode: MergeMode,
+    d: i64,
 ) -> Result<Tensor<i8>, EngineError> {
     let [a, b] = inputs else {
         return Err(EngineError::Unsupported {
@@ -210,8 +279,7 @@ fn exec_merge(
     };
     match layer {
         LayerDesc::Add(p) => {
-            let (d, window) =
-                merge_layout(mode, p.in_bytes(), p.out_bytes(), || add_exec_distance(p));
+            let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), d);
             let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.tensor_bytes() as i64, &b.as_bytes())?;
@@ -220,9 +288,7 @@ fn exec_merge(
             Ok(Tensor::from_bytes(&[p.h, p.w, p.c], &out))
         }
         LayerDesc::Concat(p) => {
-            let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), || {
-                concat_exec_distance(p)
-            });
+            let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), d);
             let mut pool = SegmentPool::new(m, 0, window, p.seg())?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.a_bytes() as i64, &b.as_bytes())?;
@@ -238,47 +304,41 @@ fn exec_merge(
 }
 
 /// `(distance, window)` of a merge: the overlapped layout runs at the
-/// kernel's executable distance, the disjoint one parks the output past
-/// both operands.
-fn merge_layout(
-    mode: MergeMode,
-    in_bytes: usize,
-    out_bytes: usize,
-    distance: impl FnOnce() -> i64,
-) -> (i64, usize) {
+/// kernel's executable distance `d`, the disjoint one parks the output
+/// past both operands.
+fn merge_layout(mode: MergeMode, in_bytes: usize, out_bytes: usize, d: i64) -> (i64, usize) {
     match mode {
-        MergeMode::Overlap => {
-            let d = distance();
-            (
-                d,
-                (in_bytes as i64 + d.max(0)).max(out_bytes as i64) as usize,
-            )
-        }
+        MergeMode::Overlap => (
+            d,
+            (in_bytes as i64 + d.max(0)).max(out_bytes as i64) as usize,
+        ),
         MergeMode::Disjoint => (-(in_bytes as i64), in_bytes + out_bytes),
     }
 }
 
 /// Executes one graph node given all of its input tensors in slot order,
-/// with the kernel body the policy selects. The machine's RAM is
-/// caller-cleared; Flash is never touched.
+/// with the kernel body the policy selects, at the node's
+/// [`node_distance`] `d`. The machine's RAM is caller-cleared; Flash is
+/// never touched.
 pub(crate) fn exec_node(
     kind: PlannerKind,
     m: &mut Machine,
     layer: &LayerDesc,
     staged: StagedLayer,
     inputs: &[&Tensor<i8>],
+    d: i64,
 ) -> Result<Tensor<i8>, EngineError> {
     match (kind.scheme(), inputs) {
-        (Some(scheme), [input]) => vmcu::exec_layer(m, layer, staged, input, scheme),
-        (Some(_), _) => exec_merge(m, layer, inputs, MergeMode::Overlap),
+        (Some(scheme), [input]) => vmcu::exec_layer(m, layer, staged, input, scheme, d),
+        (Some(_), _) => exec_merge(m, layer, inputs, MergeMode::Overlap, d),
         (None, [input]) => tinyengine::exec_layer(m, layer, staged, input, kind.name()),
         // TinyEngine adds in place (one operand slot doubles as the
         // output); HMCOS has no in-place update, and neither baseline
         // overlaps a concat.
         (None, _) if kind == PlannerKind::TinyEngine && matches!(layer, LayerDesc::Add(_)) => {
-            exec_merge(m, layer, inputs, MergeMode::Overlap)
+            exec_merge(m, layer, inputs, MergeMode::Overlap, d)
         }
-        (None, _) => exec_merge(m, layer, inputs, MergeMode::Disjoint),
+        (None, _) => exec_merge(m, layer, inputs, MergeMode::Disjoint, d),
     }
 }
 
@@ -366,7 +426,14 @@ fn exec_work(
     match *work {
         Work::Node(v) => {
             let inputs: Vec<&Tensor<i8>> = graph.node_inputs(v).iter().map(tensor).collect();
-            let out = exec_node(ctx.kind, m, &graph.layers()[v], ctx.staged[v], &inputs)?;
+            let out = exec_node(
+                ctx.kind,
+                m,
+                &graph.layers()[v],
+                ctx.staged[v],
+                &inputs,
+                ctx.distances.nodes[v],
+            )?;
             Ok((v, out))
         }
         Work::Fused { group, offset } => {
@@ -388,7 +455,11 @@ fn exec_work(
                 .iter()
                 .map(|s| s.single("vMCU-patched"))
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok((len - 1, run_patched_front(m, front, input, &flash)?))
+            let distances = &ctx.distances.front;
+            Ok((
+                len - 1,
+                run_patched_front_at(m, front, input, &flash, distances)?,
+            ))
         }
     }
 }

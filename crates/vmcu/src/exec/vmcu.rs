@@ -5,11 +5,11 @@ use super::{ExecCtx, StagedLayer};
 use crate::engine::{InferenceReport, LayerReport, PlannerKind};
 use crate::error::EngineError;
 use vmcu_graph::LayerDesc;
-use vmcu_kernels::conv2d::{conv2d_exec_distance, run_conv2d};
-use vmcu_kernels::depthwise::{depthwise_exec_distance, run_depthwise};
-use vmcu_kernels::fc::{fc_exec_distance, run_fc};
-use vmcu_kernels::fused_ib::{ib_exec_distance, run_fused_ib, IbFlash};
-use vmcu_kernels::pointwise::{pointwise_exec_distance, run_pointwise};
+use vmcu_kernels::conv2d::run_conv2d;
+use vmcu_kernels::depthwise::run_depthwise;
+use vmcu_kernels::fc::run_fc;
+use vmcu_kernels::fused_ib::{run_fused_ib, IbFlash};
+use vmcu_kernels::pointwise::run_pointwise;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::{ChainPlan, LayerPlan};
 use vmcu_pool::SegmentPool;
@@ -61,21 +61,23 @@ fn run_kernel(
 
 /// The segment-level body of one single-input layer: input at logical
 /// 0, output at `−d`, the pool window sized to the kernel's executable
-/// `bIn − bOut` distance. Every vMCU policy runs its per-node steps (and
-/// the singletons of its fused, patched and split schedules) through it.
+/// `bIn − bOut` distance `d` ([`super::layer_exec_distance`]). Every vMCU
+/// policy runs its per-node steps (and the singletons of its fused,
+/// patched and split schedules) through it.
 pub(super) fn exec_layer(
     m: &mut Machine,
     layer: &LayerDesc,
     staged: StagedLayer,
     input: &Tensor<i8>,
     scheme: IbScheme,
+    d: i64,
 ) -> Result<Tensor<i8>, EngineError> {
-    let (d, seg) = match layer {
-        LayerDesc::Pointwise(p) => (pointwise_exec_distance(p), p.seg),
-        LayerDesc::Conv2d(p) => (conv2d_exec_distance(p), p.seg),
-        LayerDesc::Depthwise(p) => (depthwise_exec_distance(p), p.c),
-        LayerDesc::Dense(p) => (fc_exec_distance(p), p.seg),
-        LayerDesc::Ib(p) => (ib_exec_distance(p, scheme), p.seg()),
+    let seg = match layer {
+        LayerDesc::Pointwise(p) => p.seg,
+        LayerDesc::Conv2d(p) => p.seg,
+        LayerDesc::Depthwise(p) => p.c,
+        LayerDesc::Dense(p) => p.seg,
+        LayerDesc::Ib(p) => p.seg(),
         LayerDesc::Add(_) | LayerDesc::Concat(_) => {
             return Err(EngineError::Unsupported {
                 kind: layer.kind(),

@@ -1,11 +1,14 @@
 //! Malformed input and weights are rejected with a typed
-//! [`EngineError::ShapeMismatch`], and out-of-range requantization
-//! epilogues with [`EngineError::BadEpilogue`], under every policy —
-//! before any kernel runs, so they never panic and never yield an output.
+//! [`EngineError::ShapeMismatch`], out-of-range requantization
+//! epilogues with [`EngineError::BadEpilogue`], and degenerate layer
+//! parameters with [`GraphBuildError::Degenerate`] at graph construction
+//! and [`EngineError::DegenerateLayer`] in `Engine::run_layer`, under
+//! every policy — before any kernel runs, so they never panic and never
+//! yield an output.
 
 use vmcu::prelude::*;
-use vmcu::vmcu_graph::{exec::run_reference, zoo};
-use vmcu::vmcu_kernels::{Conv2dParams, FcParams};
+use vmcu::vmcu_graph::{exec::run_reference, zoo, GraphBuildError, NodeInput};
+use vmcu::vmcu_kernels::{Conv2dParams, DepthwiseParams, FcParams};
 use vmcu::vmcu_tensor::random;
 
 fn all_kinds() -> [PlannerKind; 7] {
@@ -376,5 +379,96 @@ fn epilogues_at_the_domain_edges_deploy_and_infer() {
             .infer(&input)
             .unwrap();
         assert_eq!(report.output, expect, "{kind:?}");
+    }
+}
+
+/// Layers no kernel is defined for, each with the parameter the error
+/// names: an IB projection stride of 2 (used to panic in `deploy` under
+/// vMCU and in `infer` under TinyEngine), zero strides (a division by
+/// zero in `deploy`), even IB kernels with a residual (an output one
+/// pixel short, its residual added from misaligned pixels), a depthwise
+/// kernel larger than its unpadded input (an output size that wrapped
+/// in release builds), and zero dimensions and segments.
+fn degenerate_layers() -> Vec<(LayerDesc, &'static str)> {
+    let rq = Requant::from_scale(1.0 / 64.0, 0);
+    let ib = |rs, strides| LayerDesc::Ib(IbParams::new(8, 4, 12, 4, rs, strides));
+    let dw = |hw, rs, stride, pad| {
+        LayerDesc::Depthwise(DepthwiseParams::new(hw, hw, 4, rs, rs, stride, pad, rq))
+    };
+    let mut no_seg = PointwiseParams::new(4, 4, 8, 8, rq);
+    no_seg.seg = 0;
+    vec![
+        (ib(3, (1, 1, 2)), "s3"),
+        (ib(3, (0, 1, 1)), "s1"),
+        (ib(3, (1, 0, 1)), "s2"),
+        (ib(2, (1, 1, 1)), "rs"),
+        (ib(4, (1, 1, 1)), "rs"),
+        (dw(8, 3, 0, 1), "stride"),
+        (dw(2, 5, 1, 0), "r"),
+        (
+            LayerDesc::Conv2d(Conv2dParams::new(6, 6, 3, 4, 3, 3, 0, 1, rq)),
+            "stride",
+        ),
+        (
+            LayerDesc::Conv2d(Conv2dParams::new(6, 2, 3, 4, 3, 5, 1, 1, rq)),
+            "s",
+        ),
+        (
+            LayerDesc::Pointwise(PointwiseParams::new(4, 4, 0, 8, rq)),
+            "c",
+        ),
+        (LayerDesc::Pointwise(no_seg), "seg"),
+        (LayerDesc::Dense(FcParams::new(4, 8, 0, rq)), "n"),
+    ]
+}
+
+#[test]
+fn degenerate_layers_are_rejected_at_graph_construction() {
+    let rq = Requant::from_scale(1.0 / 64.0, 0);
+    let head = LayerDesc::Pointwise(PointwiseParams::new(8, 8, 4, 4, rq));
+    for (layer, field) in degenerate_layers() {
+        let names = |err: &GraphBuildError, node: usize| matches!(err, GraphBuildError::Degenerate { node: n, error } if *n == node && error.field == field);
+        let err = Graph::linear("bad", vec![layer.clone()]).unwrap_err();
+        assert!(names(&err, 0), "{layer:?}: {err}");
+        assert!(err.to_string().contains(field), "{err}");
+        // Behind a valid node, in a DAG: rejected before its shapes are
+        // matched.
+        let err = Graph::dag(
+            "bad",
+            vec![
+                (head.clone(), vec![NodeInput::GraphInput]),
+                (layer.clone(), vec![NodeInput::Node(0)]),
+            ],
+        )
+        .unwrap_err();
+        assert!(names(&err, 1), "{layer:?}: {err}");
+    }
+}
+
+/// The parameters are checked first, so neither the input nor the
+/// weights (which a zero dimension could not even shape) matter.
+#[test]
+fn run_layer_rejects_degenerate_layers_under_every_policy() {
+    let dev = Device::stm32_f767zi();
+    let input = random::tensor_i8(&[2, 2, 2], 19);
+    let weights = [
+        LayerWeights::None,
+        LayerWeights::Dense(random::tensor_i8(&[8, 8], 18)),
+    ];
+    for (layer, field) in degenerate_layers() {
+        for kind in all_kinds() {
+            for w in &weights {
+                let result = Engine::new(dev.clone())
+                    .planner(kind)
+                    .run_layer("bad", &layer, w, &input);
+                match result {
+                    Err(EngineError::DegenerateLayer { layer: 0, error })
+                        if error.field == field => {}
+                    other => panic!(
+                        "{kind:?} {layer:?}: expected DegenerateLayer `{field}`, got {other:?}"
+                    ),
+                }
+            }
+        }
     }
 }
