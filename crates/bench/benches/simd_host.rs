@@ -11,6 +11,7 @@ use vmcu::vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_workspace_bytes, run_fused_chain, FusedChain,
 };
 use vmcu::vmcu_kernels::intrinsics::dot_tile_u8;
+use vmcu::vmcu_kernels::trace::pool_window;
 use vmcu::vmcu_kernels::{ChainOp, PointwiseParams};
 use vmcu::vmcu_pool::SegmentPool;
 use vmcu::vmcu_sim::Machine;
@@ -60,8 +61,8 @@ fn bench_fused_chain_rows(c: &mut Criterion) {
                 .map(|w| m.host_program_flash(&w.as_bytes()).unwrap())
                 .collect();
             let d = chain_exec_distance(&chain);
-            let window = (chain.in_bytes() + d.max(0) as usize).max(chain.out_bytes());
-            let mut pool = SegmentPool::new(&m, 0, window, chain.seg()).unwrap();
+            let window = pool_window(chain.in_bytes(), chain.out_bytes(), d);
+            let mut pool = SegmentPool::new(&m, 0, window).unwrap();
             pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
             run_fused_chain(&mut m, &mut pool, &chain, 0, -d, &flash, window).unwrap();
             black_box(m.counters.cycles);

@@ -26,20 +26,20 @@
 //! the deploy-once worker path) must not rise above the baseline — the
 //! replanning win is gated, not just claimed.
 //!
-//! The gate can additionally hold the SIMD kernel win: pass
+//! The gate can additionally hold the SIMD kernel report: pass
 //! `--simd-current BENCH_simd.json --simd-baseline ci/bench_simd_baseline.json`
-//! and each device's vectorized GEMM cycles/MAC must not rise above the
-//! committed baseline (cycles/MAC are simulated, so unchanged code
-//! compares exactly), and no benchmark-internal check may have failed.
+//! and the whole report, host-time fields stripped, must equal the
+//! committed baseline (every remaining number is simulated, so unchanged
+//! code compares exactly), and every benchmark-internal check must pass.
 //!
 //! A second, standalone mode holds the bit-reproducibility contract
 //! across *processes*: `bench_gate --identical A.json B.json` compares
 //! two `fleet_throughput` reports field by field after stripping the
 //! host-time fields (`planning_ms`, `host_wall_ms`,
-//! `host_requests_per_sec`) — every remaining number is simulated
-//! device time and must compare bit-identical, or the gate fails. CI
-//! runs `fleet_throughput` twice and feeds both files through this
-//! mode.
+//! `host_requests_per_sec`, `host_ns_per_mac`) — every remaining number
+//! is simulated device time and must compare bit-identical, or the gate
+//! fails. CI runs `fleet_throughput` twice and feeds both files through
+//! this mode.
 //!
 //! Usage:
 //! `bench_gate [--current BENCH_fleet.json] [--baseline ci/bench_baseline.json] [--max-drop 0.20] [--simd-current PATH --simd-baseline PATH]`
@@ -221,51 +221,19 @@ fn gate_online(current: &[OnlineRow], baseline: &[OnlineRow], max_drop: f64) -> 
     ok
 }
 
-/// Gates the SIMD kernel report: per-device vectorized cycles/MAC must
-/// not exceed the committed baseline (simulated numbers compare exactly
-/// on an unchanged tree), and the report's own checks must all pass.
+/// Gates the SIMD kernel report: with host time stripped it must equal
+/// the committed baseline (simulated numbers compare exactly on an
+/// unchanged tree), and the report's own checks must all pass.
 fn gate_simd(current_path: &str, baseline_path: &str) -> bool {
     let current = load(current_path);
     let baseline = load(baseline_path);
-    let devices = |doc: &Json, path: &str| -> Vec<(String, f64)> {
-        doc.get("devices")
-            .and_then(Json::as_array)
-            .unwrap_or_else(|| panic!("{path}: missing `devices` array"))
-            .iter()
-            .map(|row| {
-                let name = row
-                    .get("device")
-                    .and_then(Json::as_str)
-                    .unwrap_or_else(|| panic!("{path}: device row missing `device`"))
-                    .to_owned();
-                let cpm = row
-                    .get("dot_vectorized_cycles_per_mac")
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| {
-                        panic!("{path}: device row missing `dot_vectorized_cycles_per_mac`")
-                    });
-                (name, cpm)
-            })
-            .collect()
-    };
-    let mut ok = true;
     println!("simd gate: {current_path} vs baseline {baseline_path}");
-    let cur_devices = devices(&current, current_path);
-    for (name, base_cpm) in devices(&baseline, baseline_path) {
-        let Some((_, cur_cpm)) = cur_devices.iter().find(|(n, _)| *n == name) else {
-            println!("  [FAIL] {name}: device missing from current SIMD report");
-            ok = false;
-            continue;
-        };
-        // Simulated cycles are deterministic: any rise is a real kernel
-        // or cost-model regression, not noise.
-        let passed = *cur_cpm <= base_cpm + 1e-9;
-        println!(
-            "  [{}] {name} vectorized cycles/MAC: {cur_cpm:.4} vs baseline {base_cpm:.4}",
-            if passed { "PASS" } else { "FAIL" }
-        );
-        ok &= passed;
-    }
+    let mut ok = strip_host_time(&current).to_string_pretty()
+        == strip_host_time(&baseline).to_string_pretty();
+    println!(
+        "  [{}] report (minus host time) equals the baseline",
+        if ok { "PASS" } else { "FAIL" }
+    );
     for check in current
         .get("checks")
         .and_then(Json::as_array)
@@ -284,7 +252,12 @@ fn gate_simd(current_path: &str, baseline_path: &str) -> bool {
 
 /// Host-side wall-clock fields: the only numbers in a report that are
 /// allowed to differ between two runs of the same build.
-const HOST_TIME_KEYS: &[&str] = &["planning_ms", "host_wall_ms", "host_requests_per_sec"];
+const HOST_TIME_KEYS: &[&str] = &[
+    "planning_ms",
+    "host_wall_ms",
+    "host_requests_per_sec",
+    "host_ns_per_mac",
+];
 
 /// Recursively drops the host-time fields, leaving only simulated (and
 /// therefore bit-reproducible) content.

@@ -57,7 +57,7 @@ fn front_cycles(device: Device, front: &PatchedFront, g: &Graph, seed: u64) -> u
             m.host_program_flash(&bytes).expect("flash fits")
         })
         .collect();
-    run_patched_front(&mut m, front, &input, &flash).expect("front runs");
+    run_patched_front(&mut m, front, &input, &flash, &front.stage_distances()).expect("front runs");
     m.counters.cycles
 }
 

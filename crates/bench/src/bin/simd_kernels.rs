@@ -7,28 +7,28 @@
 //!   micro-kernel priced at `lanes_used = 1` (the scalar lowering a
 //!   capability-unaware compiler emits) and at the device's native width;
 //!   reported as simulated cycles/MAC and the scalar/vectorized ratio;
-//! * **conv2d im2col end-to-end** — the full im2col + matmul lowering on
-//!   a representative 3×3 conv, scalar vs vectorized, bit-exactness
-//!   checked against the direct segment-aware kernel;
-//! * **host ns/MAC** — wall-clock time of the direct conv2d kernel on
-//!   this machine (the register-tiled `dot_tile_u8` hot loop), which is
-//!   what CI trends to catch host-side slowdowns of the simulator itself.
+//! * **conv2d direct cycles** — the segment-aware conv2d kernel on a
+//!   representative 3×3 conv;
+//! * **host ns/MAC** — wall-clock time of that kernel on this machine,
+//!   which is what CI trends to catch host-side slowdowns of the
+//!   simulator itself.
 //!
 //! Emits `BENCH_simd.json`. Exit status is non-zero unless the
 //! vectorized GEMM beats scalar by ≥ 1.8× cycles/MAC on both DSP boards
-//! (Cortex-M4 and M7) and every lowering is bit-exact on every device.
+//! (Cortex-M4 and M7).
 //!
 //! Flags: `--out PATH`.
 
 use std::time::Instant;
 use vmcu::vmcu_pool::SegmentPool;
 use vmcu_bench::json::Json;
-use vmcu_kernels::conv2d::{conv2d_exec_distance, run_conv2d};
-use vmcu_kernels::im2col::run_conv2d_im2col;
+use vmcu_kernels::conv2d::run_conv2d;
 use vmcu_kernels::intrinsics::dot_tile_lanes;
 use vmcu_kernels::params::Conv2dParams;
+use vmcu_kernels::trace::pool_window;
+use vmcu_kernels::ChainOp;
 use vmcu_sim::{Device, Machine};
-use vmcu_tensor::{random, Requant, Tensor};
+use vmcu_tensor::{random, Requant};
 
 fn parse_out() -> String {
     let mut out = "BENCH_simd.json".to_owned();
@@ -56,7 +56,6 @@ fn dot_cycles_per_mac(device: &Device, lanes: u64) -> f64 {
 }
 
 struct ConvRun {
-    out: Tensor<i8>,
     cycles: u64,
     macs: u64,
     wall_ns: u128,
@@ -66,30 +65,21 @@ fn conv_workload() -> Conv2dParams {
     Conv2dParams::new(12, 12, 8, 8, 3, 3, 1, 1, Requant::from_scale(1.0 / 64.0, 0))
 }
 
-/// Runs the conv either direct (`lanes = None`) or through the im2col
-/// lowering at the given lane count, returning output + counters + wall
-/// time.
-fn run_conv(device: &Device, lanes: Option<u64>) -> ConvRun {
+/// Runs the direct conv2d kernel, returning its counters and wall time.
+fn run_conv(device: &Device) -> ConvRun {
     let p = conv_workload();
     let mut m = Machine::new(device.clone());
     let input = random::tensor_i8(&[p.h, p.w, p.c], 31);
     let weight = random::tensor_i8(&[p.r, p.s, p.c, p.k], 32);
     let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-    let dist = conv2d_exec_distance(&p);
-    let window = (p.in_bytes() + dist.max(0) as usize).max(p.out_bytes());
-    let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+    let dist = ChainOp::Conv2d(p).exec_distance();
+    let window = pool_window(p.in_bytes(), p.out_bytes(), dist);
+    let mut pool = SegmentPool::new(&m, 0, window).unwrap();
     pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
     let t0 = Instant::now();
-    match lanes {
-        None => run_conv2d(&mut m, &mut pool, &p, 0, -dist, w_base, None).unwrap(),
-        Some(l) => {
-            run_conv2d_im2col(&mut m, &mut pool, &p, 0, -dist, w_base, None, window, l).unwrap();
-        }
-    }
+    run_conv2d(&mut m, &mut pool, &p, 0, -dist, w_base, None).unwrap();
     let wall_ns = t0.elapsed().as_nanos();
-    let out = pool.host_read(&m, -dist, p.out_bytes()).unwrap();
     ConvRun {
-        out: Tensor::from_bytes(&[p.out_h(), p.out_w(), p.k], &out),
         cycles: m.counters.cycles,
         macs: m.counters.macs,
         wall_ns,
@@ -101,25 +91,17 @@ fn main() {
     println!("simd_kernels: scalar vs vectorized across the capability ladder");
     let mut rows = Vec::new();
     let mut dsp_ratios = Vec::new();
-    let mut all_bit_exact = true;
     for device in Device::simd_ladder() {
         let lanes = device.cost.simd.lanes;
         let scalar_cpm = dot_cycles_per_mac(&device, 1);
         let vector_cpm = dot_cycles_per_mac(&device, lanes);
         let ratio = scalar_cpm / vector_cpm;
 
-        let direct = run_conv(&device, None);
-        let im2col_scalar = run_conv(&device, Some(1));
-        let im2col_vector = run_conv(&device, Some(lanes));
-        let bit_exact = im2col_scalar.out == direct.out && im2col_vector.out == direct.out;
-        all_bit_exact &= bit_exact;
+        let direct = run_conv(&device);
 
         // Host ns/MAC from the fastest of a few direct-kernel repetitions
         // (minimum damps scheduler noise).
-        let best_ns = (0..5)
-            .map(|_| run_conv(&device, None).wall_ns)
-            .min()
-            .unwrap();
+        let best_ns = (0..5).map(|_| run_conv(&device).wall_ns).min().unwrap();
         let host_ns_per_mac = best_ns as f64 / direct.macs as f64;
 
         if matches!(device.cost.simd.lanes, 2) {
@@ -127,8 +109,8 @@ fn main() {
         }
         println!(
             "  {:<14} lanes {lanes}  dot {scalar_cpm:.3} -> {vector_cpm:.3} cyc/MAC ({ratio:.2}x)  \
-             conv2d im2col {} -> {} cycles  host {host_ns_per_mac:.1} ns/MAC  bit-exact {}",
-            device.name, im2col_scalar.cycles, im2col_vector.cycles, bit_exact
+             conv2d direct {} cycles  host {host_ns_per_mac:.1} ns/MAC",
+            device.name, direct.cycles
         );
         rows.push(Json::Object(vec![
             ("device".into(), Json::str(device.name.clone())),
@@ -141,18 +123,9 @@ fn main() {
             ),
             ("dot_speedup".into(), Json::from(ratio)),
             (
-                "conv2d_im2col_scalar_cycles".into(),
-                Json::from(im2col_scalar.cycles as usize),
-            ),
-            (
-                "conv2d_im2col_vectorized_cycles".into(),
-                Json::from(im2col_vector.cycles as usize),
-            ),
-            (
                 "conv2d_direct_cycles".into(),
                 Json::from(direct.cycles as usize),
             ),
-            ("bit_exact_vs_direct".into(), Json::Bool(bit_exact)),
             ("host_ns_per_mac".into(), Json::from(host_ns_per_mac)),
         ]));
     }
@@ -161,22 +134,15 @@ fn main() {
         .iter()
         .map(|(_, r)| *r)
         .fold(f64::INFINITY, f64::min);
-    let checks = [
-        (
-            "dsp_vectorization_beats_1p8x",
-            dsp_ratios.len() == 2 && min_dsp_ratio >= 1.8,
-            format!(
-                "scalar/vectorized cycles per MAC ratio {:.2} on {} DSP boards (need >= 1.80)",
-                min_dsp_ratio,
-                dsp_ratios.len()
-            ),
+    let checks = [(
+        "dsp_vectorization_beats_1p8x",
+        dsp_ratios.len() == 2 && min_dsp_ratio >= 1.8,
+        format!(
+            "scalar/vectorized cycles per MAC ratio {:.2} on {} DSP boards (need >= 1.80)",
+            min_dsp_ratio,
+            dsp_ratios.len()
         ),
-        (
-            "lowerings_bit_exact_on_every_device",
-            all_bit_exact,
-            "im2col scalar and vectorized outputs match the direct kernel".to_owned(),
-        ),
-    ];
+    )];
 
     let doc = Json::Object(vec![
         ("id".into(), Json::str("simd_kernels")),

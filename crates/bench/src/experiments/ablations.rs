@@ -6,7 +6,7 @@ use crate::table::{kb, Table};
 
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
-use vmcu::vmcu_kernels::fused_ib::{ib_exec_footprint, ib_workspace_bytes};
+use vmcu::vmcu_kernels::fused_ib::ib_workspace_bytes;
 use vmcu::vmcu_solver::closed_form::gemm_min_footprint;
 use vmcu::vmcu_tensor::random;
 
@@ -44,10 +44,12 @@ pub fn ablation_ib_scheme() -> ExpResult {
         let rb = run(IbScheme::RowBuffer);
         let sw = run(IbScheme::SlidingWindow);
         let pw = run(IbScheme::PixelWindow);
-        let rb_bytes = ib_exec_footprint(&p, IbScheme::RowBuffer)
-            + ib_workspace_bytes(&p, IbScheme::RowBuffer);
-        let pw_bytes = ib_exec_footprint(&p, IbScheme::PixelWindow)
-            + ib_workspace_bytes(&p, IbScheme::PixelWindow);
+        let planned = |scheme| {
+            let (window, workspace) = VmcuPlanner { scheme }.plan_layer(&layer);
+            window + workspace
+        };
+        let rb_bytes = planned(IbScheme::RowBuffer);
+        let pw_bytes = planned(IbScheme::PixelWindow);
         t.row(vec![
             m.name.to_owned(),
             kb(rb_bytes),

@@ -6,10 +6,13 @@
 //! (residual add, channel concat) take two inputs and carry no weights.
 
 use std::fmt;
+use vmcu_kernels::fused_ib::{ib_exec_trace, ib_workspace_bytes};
+use vmcu_kernels::merge::{add_exec_trace, concat_exec_trace};
 use vmcu_kernels::params::{
     AddParams, ConcatParams, Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
 };
-use vmcu_kernels::ChainOp;
+use vmcu_kernels::trace::{exec_distance, ExecEvent};
+use vmcu_kernels::{ChainOp, IbScheme};
 use vmcu_tensor::{random, Tensor};
 
 /// One layer of a model graph.
@@ -173,6 +176,50 @@ impl LayerDesc {
     /// Whether this is a branch-merging layer.
     pub fn is_merge(&self) -> bool {
         self.arity() == 2
+    }
+
+    /// The fused-chain operator this layer runs as; `None` for inverted
+    /// bottlenecks (already their own fused unit) and merges (a chain
+    /// threads exactly one tensor).
+    pub fn chain_op(&self) -> Option<ChainOp> {
+        match self {
+            LayerDesc::Pointwise(p) => Some(ChainOp::Pointwise(*p)),
+            LayerDesc::Depthwise(p) => Some(ChainOp::Depthwise(*p)),
+            LayerDesc::Conv2d(p) => Some(ChainOp::Conv2d(*p)),
+            LayerDesc::Dense(p) => Some(ChainOp::Dense(*p)),
+            LayerDesc::Ib(_) | LayerDesc::Add(_) | LayerDesc::Concat(_) => None,
+        }
+    }
+
+    /// The dry-run store/free trace the layer's segment kernel emits
+    /// (`scheme` picks an inverted bottleneck's workspace scheme): what
+    /// the planners place its output by and `vmcu_verify` replays.
+    pub fn exec_events(&self, scheme: IbScheme) -> Vec<ExecEvent> {
+        if let Some(op) = self.chain_op() {
+            return op.exec_events();
+        }
+        match self {
+            LayerDesc::Ib(p) => ib_exec_trace(p, scheme),
+            LayerDesc::Add(p) => add_exec_trace(p),
+            LayerDesc::Concat(p) => concat_exec_trace(p),
+            _ => unreachable!("chain operators return above"),
+        }
+    }
+
+    /// The executable `bIn − bOut` distance the segment kernel runs the
+    /// layer at: [`exec_distance`] of [`Self::exec_events`].
+    pub fn exec_distance(&self, scheme: IbScheme) -> i64 {
+        exec_distance(self.in_bytes(), self.exec_events(scheme))
+    }
+
+    /// Workspace bytes the segment kernel keeps beside its pool window:
+    /// an inverted bottleneck's expanded rows or window under `scheme`,
+    /// none for every other kind.
+    pub fn workspace_bytes(&self, scheme: IbScheme) -> usize {
+        match self {
+            LayerDesc::Ib(p) => ib_workspace_bytes(p, scheme),
+            _ => 0,
+        }
     }
 
     /// Input activation bytes (summed over all inputs for merges).

@@ -8,20 +8,9 @@
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::Conv2dParams;
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::{free_upto, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
-
-/// Exclusive upper bound of input rows that are dead once output row `p`
-/// has been produced (shared by the kernel, its trace, and the im2col
-/// lowering, which reproduces the same store/free order).
-pub(crate) fn free_upto(p: &Conv2dParams, row: usize) -> usize {
-    if row + 1 == p.out_h() {
-        p.h
-    } else {
-        p.h.min(((row + 1) * p.stride).saturating_sub(p.pad))
-    }
-}
 
 /// Dry-run of the kernel's store/free schedule (byte addresses).
 pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
@@ -41,7 +30,7 @@ pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
                 k0 += kw;
             }
         }
-        let upto = free_upto(p, pi);
+        let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
         if upto > next_free {
             ev.push(ExecEvent::Free {
                 addr: (next_free * row_bytes) as i64,
@@ -51,17 +40,6 @@ pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
         }
     }
     ev
-}
-
-/// Minimal executable `bIn − bOut` (bytes).
-pub fn conv2d_exec_distance(p: &Conv2dParams) -> i64 {
-    exec_distance(p.in_bytes(), conv2d_exec_trace(p))
-}
-
-/// Peak pool bytes when running with [`conv2d_exec_distance`].
-pub fn conv2d_exec_footprint(p: &Conv2dParams) -> usize {
-    let d = conv2d_exec_distance(p).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
 }
 
 /// Runs the 2D convolution kernel. Input `[H,W,C]` at pool address `b_in`,
@@ -163,7 +141,7 @@ pub fn run_conv2d(
             }
             m.counters += price;
         }
-        let upto = free_upto(p, pi);
+        let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
                 b_in + (next_free * p.w * p.c) as i64,
@@ -179,18 +157,27 @@ pub fn run_conv2d(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::pool_window;
+    use crate::ChainOp;
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Requant, Tensor};
+
+    fn footprint(p: &Conv2dParams) -> usize {
+        pool_window(
+            p.in_bytes(),
+            p.out_bytes(),
+            ChainOp::Conv2d(*p).exec_distance(),
+        )
+    }
 
     fn run_case(p: &Conv2dParams, extra: i64) -> Result<(Tensor<i8>, Machine), PoolError> {
         let mut m = Machine::new(Device::stm32_f411re());
         let input = random::tensor_i8(&[p.h, p.w, p.c], 31);
         let weight = random::tensor_i8(&[p.r, p.s, p.c, p.k], 32);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = conv2d_exec_distance(p) + extra;
-        let used = d.max(0) as usize;
-        let window = (p.in_bytes() + used).max(p.out_bytes());
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+        let d = ChainOp::Conv2d(*p).exec_distance() + extra;
+        let window = pool_window(p.in_bytes(), p.out_bytes(), d);
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_conv2d(&mut m, &mut pool, p, 0, -d, w_base, None)?;
         let out = pool.host_read(&m, -d, p.out_bytes())?;
@@ -245,7 +232,7 @@ mod tests {
     #[test]
     fn footprint_beats_disjoint_for_equal_channels() {
         let p = Conv2dParams::new(16, 16, 8, 8, 3, 3, 1, 1, Requant::identity());
-        let fp = conv2d_exec_footprint(&p);
+        let fp = footprint(&p);
         assert!(fp < p.in_bytes() + p.out_bytes());
     }
 
@@ -254,7 +241,7 @@ mod tests {
         // Output shrinks 4x; the writer never catches the reader, so the
         // footprint stays close to the input size.
         let p = Conv2dParams::new(16, 16, 8, 8, 3, 3, 2, 1, Requant::identity());
-        let fp = conv2d_exec_footprint(&p);
+        let fp = footprint(&p);
         assert!(fp < p.in_bytes() + p.in_bytes() / 4);
     }
 

@@ -9,17 +9,9 @@
 
 use crate::intrinsics::{broadcast_cycles, requant_into};
 use crate::params::DepthwiseParams;
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::{free_upto, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
-
-fn free_upto(p: &DepthwiseParams, row: usize) -> usize {
-    if row + 1 == p.out_h() {
-        p.h
-    } else {
-        p.h.min(((row + 1) * p.stride).saturating_sub(p.pad))
-    }
-}
 
 /// Dry-run of the kernel's store/free schedule (byte addresses).
 pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
@@ -34,7 +26,7 @@ pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
                 len: p.c,
             });
         }
-        let upto = free_upto(p, pi);
+        let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
         if upto > next_free {
             ev.push(ExecEvent::Free {
                 addr: (next_free * row_bytes) as i64,
@@ -44,17 +36,6 @@ pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
         }
     }
     ev
-}
-
-/// Minimal executable `bIn − bOut` (bytes).
-pub fn depthwise_exec_distance(p: &DepthwiseParams) -> i64 {
-    exec_distance(p.in_bytes(), depthwise_exec_trace(p))
-}
-
-/// Peak pool bytes when running with [`depthwise_exec_distance`].
-pub fn depthwise_exec_footprint(p: &DepthwiseParams) -> usize {
-    let d = depthwise_exec_distance(p).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
 }
 
 /// Runs the depthwise kernel. Input `[H,W,C]` at pool address `b_in`,
@@ -140,7 +121,7 @@ pub fn run_depthwise(
             pool.store_span(m, &out_reg, out_addr)?;
             m.counters += price + tap * taps + pool.price_store(&cost, out_addr, p.c);
         }
-        let upto = free_upto(p, pi);
+        let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
                 b_in + (next_free * p.w * p.c) as i64,
@@ -156,6 +137,8 @@ pub fn run_depthwise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::pool_window;
+    use crate::ChainOp;
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Requant, Tensor};
 
@@ -164,10 +147,9 @@ mod tests {
         let input = random::tensor_i8(&[p.h, p.w, p.c], 41);
         let weight = random::tensor_i8(&[p.r, p.s, p.c], 42);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = depthwise_exec_distance(p) + extra;
-        let used = d.max(0) as usize;
-        let window = (p.in_bytes() + used).max(p.out_bytes());
-        let mut pool = SegmentPool::new(&m, 0, window, p.c).unwrap();
+        let d = ChainOp::Depthwise(*p).exec_distance() + extra;
+        let window = pool_window(p.in_bytes(), p.out_bytes(), d);
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_depthwise(&mut m, &mut pool, p, 0, -d, w_base, None)?;
         let out = pool.host_read(&m, -d, p.out_bytes())?;
@@ -203,7 +185,8 @@ mod tests {
         // Depthwise stride-1: output trails input by ~ one window row, so
         // the footprint is input + O(rows), matching TinyEngine's in-place.
         let p = DepthwiseParams::new(16, 16, 8, 3, 3, 1, 1, Requant::identity());
-        let fp = depthwise_exec_footprint(&p);
+        let d = ChainOp::Depthwise(p).exec_distance();
+        let fp = pool_window(p.in_bytes(), p.out_bytes(), d);
         let row = p.w * p.c;
         assert!(fp <= p.in_bytes() + 3 * row, "fp={fp}");
         assert!(fp < p.in_bytes() + p.out_bytes());

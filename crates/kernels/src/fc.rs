@@ -8,12 +8,13 @@
 //! segment sequence; the host computes a whole row at a time (see
 //! [`run_fc`]).
 //!
-//! [`fc_exec_trace`] reproduces the kernel's exact store/free order for
-//! the planner; [`fc_exec_distance`] is the offset the kernel needs.
+//! [`fc_exec_trace`] reproduces the kernel's exact store/free order; the
+//! planner places the output at its [`exec_distance`](crate::trace::exec_distance)
+//! ([`ChainOp::exec_distance`](crate::ChainOp::exec_distance)).
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::FcParams;
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::ExecEvent;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{CostModel, Counters, Machine};
 
@@ -37,17 +38,6 @@ pub fn fc_exec_trace(p: &FcParams) -> Vec<ExecEvent> {
         });
     }
     ev
-}
-
-/// Minimal executable `bIn − bOut` for this kernel (bytes).
-pub fn fc_exec_distance(p: &FcParams) -> i64 {
-    exec_distance(p.in_bytes(), fc_exec_trace(p))
-}
-
-/// Peak pool bytes when running with [`fc_exec_distance`].
-pub fn fc_exec_footprint(p: &FcParams) -> usize {
-    let d = fc_exec_distance(p).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
 }
 
 /// Counters one row of [`run_fc`] charges on the device apart from its
@@ -153,8 +143,14 @@ pub fn run_fc(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::pool_window;
+    use crate::ChainOp;
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Requant, Tensor, NO_CLAMP};
+
+    fn distance(p: &FcParams) -> i64 {
+        ChainOp::Dense(*p).exec_distance()
+    }
 
     /// Runs the kernel end-to-end in a minimal pool and returns the output
     /// tensor plus the machine for counter inspection.
@@ -163,10 +159,9 @@ mod tests {
         let input = random::tensor_i8(&[p.m, p.k], 11);
         let weight = random::tensor_i8(&[p.k, p.n], 22);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = fc_exec_distance(p) + extra_bytes;
-        let used = d.max(0) as usize;
-        let window = (p.in_bytes() + used).max(p.out_bytes());
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+        let d = distance(p) + extra_bytes;
+        let window = pool_window(p.in_bytes(), p.out_bytes(), d);
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         let b_in: i64 = 0;
         let b_out = b_in - d;
         pool.host_fill_live(&mut m, b_in, &input.as_bytes())
@@ -214,8 +209,8 @@ mod tests {
         let weight = Tensor::from_vec(&[4, 3], vec![0i8; 12]);
         let bias = [5i32, -6, 7];
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = fc_exec_distance(&p).max(0) as usize;
-        let mut pool = SegmentPool::new(&m, 0, p.in_bytes() + d + p.out_bytes(), p.seg).unwrap();
+        let d = distance(&p).max(0) as usize;
+        let mut pool = SegmentPool::new(&m, 0, p.in_bytes() + d + p.out_bytes()).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_fc(&mut m, &mut pool, &p, 0, -(d as i64), w_base, Some(&bias)).unwrap();
         let out = pool.host_read(&m, -(d as i64), 6).unwrap();
@@ -240,7 +235,7 @@ mod tests {
     #[test]
     fn overlap_saves_memory_vs_disjoint() {
         let p = FcParams::new(16, 32, 16, Requant::from_scale(1.0 / 64.0, 0));
-        let fp = fc_exec_footprint(&p);
+        let fp = pool_window(p.in_bytes(), p.out_bytes(), distance(&p));
         assert!(fp < p.in_bytes() + p.out_bytes());
         assert!(fp >= p.in_bytes().max(p.out_bytes()));
     }
@@ -267,8 +262,8 @@ mod tests {
             rq: Requant::identity(),
             clamp: NO_CLAMP,
         };
-        let d = fc_exec_distance(&p);
+        let d = distance(&p);
         assert_eq!(d, 2);
-        assert_eq!(fc_exec_footprint(&p), 8); // one above the ideal 7
+        assert_eq!(pool_window(p.in_bytes(), p.out_bytes(), d), 8); // one above the ideal 7
     }
 }

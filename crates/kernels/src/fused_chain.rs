@@ -19,6 +19,9 @@
 //! planner's offset ([`chain_exec_distance`]) derives from that trace —
 //! correct by construction and verified empirically by the checked pool.
 
+use crate::conv2d::conv2d_exec_trace;
+use crate::depthwise::depthwise_exec_trace;
+use crate::fc::fc_exec_trace;
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::{Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
 use crate::trace::{exec_distance, ExecEvent};
@@ -100,14 +103,31 @@ impl ChainOp {
         }
     }
 
-    /// Segment-size hint for the pool (§5.3 channel rule).
-    pub fn seg(&self) -> usize {
+    /// Input bytes.
+    pub fn in_bytes(&self) -> usize {
+        self.in_rows() * self.in_row_bytes()
+    }
+
+    /// Output bytes.
+    pub fn out_bytes(&self) -> usize {
+        self.out_rows() * self.out_row_bytes()
+    }
+
+    /// The dry-run store/free trace of the operator's single-layer
+    /// segment kernel — the one place an operator kind picks its trace.
+    pub fn exec_events(&self) -> Vec<ExecEvent> {
         match self {
-            ChainOp::Pointwise(p) => p.seg,
-            ChainOp::Depthwise(p) => p.c,
-            ChainOp::Conv2d(p) => p.seg,
-            ChainOp::Dense(p) => p.seg,
+            ChainOp::Pointwise(p) => fc_exec_trace(&p.as_fc()),
+            ChainOp::Depthwise(p) => depthwise_exec_trace(p),
+            ChainOp::Conv2d(p) => conv2d_exec_trace(p),
+            ChainOp::Dense(p) => fc_exec_trace(p),
         }
+    }
+
+    /// Minimal executable `bIn − bOut` (bytes) of the single-layer
+    /// kernel: [`exec_distance`] of [`Self::exec_events`].
+    pub fn exec_distance(&self) -> i64 {
+        exec_distance(self.in_bytes(), self.exec_events())
     }
 
     /// Highest input row (unclamped, may be negative with padding) needed
@@ -213,7 +233,7 @@ impl FusedChain {
     /// Panics if the chain is empty — construction requires at least
     /// one operator.
     pub fn in_bytes(&self) -> usize {
-        self.ops[0].in_rows() * self.ops[0].in_row_bytes()
+        self.ops[0].in_bytes()
     }
 
     /// Chain output bytes.
@@ -223,8 +243,7 @@ impl FusedChain {
     /// Panics if the chain is empty — construction requires at least
     /// one operator.
     pub fn out_bytes(&self) -> usize {
-        let last = self.ops.last().expect("non-empty chain");
-        last.out_rows() * last.out_row_bytes()
+        self.ops.last().expect("non-empty chain").out_bytes()
     }
 
     /// Ring capacity (in rows) for intermediate tensor `i` (`1 ≤ i < n`):
@@ -237,11 +256,6 @@ impl FusedChain {
         assert!(i >= 1 && i < self.ops.len(), "intermediate index");
         let (r, _, _) = self.ops[i].row_window();
         r.min(self.heights()[i])
-    }
-
-    /// Segment-size hint for the pool window (first operator's rule).
-    pub fn seg(&self) -> usize {
-        self.ops[0].seg().max(1)
     }
 }
 
@@ -359,13 +373,6 @@ pub fn chain_exec_trace(chain: &FusedChain) -> Vec<ExecEvent> {
 /// Minimal executable `bIn − bOut` (bytes) for the fused chain.
 pub fn chain_exec_distance(chain: &FusedChain) -> i64 {
     exec_distance(chain.in_bytes(), chain_exec_trace(chain))
-}
-
-/// Peak pool bytes (input/output window only; ring buffers are reported
-/// by [`chain_workspace_bytes`]).
-pub fn chain_exec_footprint(chain: &FusedChain) -> usize {
-    let d = chain_exec_distance(chain).max(0) as usize;
-    (chain.in_bytes() + d).max(chain.out_bytes())
 }
 
 /// Workspace bytes beside the pool: one line-buffer ring per intermediate
@@ -693,6 +700,7 @@ pub fn run_fused_chain(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::pool_window;
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Requant, Tensor};
 
@@ -770,9 +778,9 @@ mod tests {
             .map(|w| m.host_program_flash(&w.as_bytes()).unwrap())
             .collect();
         let d = chain_exec_distance(chain) + extra;
-        let window = (chain.in_bytes() + d.max(0) as usize).max(chain.out_bytes());
+        let window = pool_window(chain.in_bytes(), chain.out_bytes(), d);
         let ws = chain_workspace_bytes(chain);
-        let mut pool = SegmentPool::new(&m, 0, window, chain.seg()).unwrap();
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         assert!(window + ws < m.ram.capacity());
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_fused_chain(&mut m, &mut pool, chain, 0, -d, &flash, window)?;
@@ -874,7 +882,7 @@ mod tests {
             assert!(run_case(&chain, 0).is_ok());
             assert!(
                 matches!(run_case(&chain, -1).unwrap_err(), PoolError::Clobber { .. }),
-                "one byte short must clobber"
+                "one byte closer must clobber"
             );
         }
     }
@@ -884,8 +892,13 @@ mod tests {
         // The paper's multi-layer claim: the fused chain never pays the
         // expanded intermediate, layer-at-a-time planning does.
         let chain = mbv2_like();
-        let fused = chain_exec_footprint(&chain) + chain_workspace_bytes(&chain);
-        let mid_bytes = chain.ops()[1].in_rows() * chain.ops()[1].in_row_bytes();
+        let window = pool_window(
+            chain.in_bytes(),
+            chain.out_bytes(),
+            chain_exec_distance(&chain),
+        );
+        let fused = window + chain_workspace_bytes(&chain);
+        let mid_bytes = chain.ops()[1].in_bytes();
         assert!(
             fused < mid_bytes,
             "fused {fused} must undercut even one copy of the intermediate {mid_bytes}"

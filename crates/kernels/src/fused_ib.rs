@@ -25,7 +25,7 @@
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::IbParams;
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::ExecEvent;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
 use vmcu_tensor::{quant::sat8, reference, Tensor};
@@ -152,18 +152,6 @@ pub fn ib_exec_trace(p: &IbParams, scheme: IbScheme) -> Vec<ExecEvent> {
             }),
         })
         .collect()
-}
-
-/// Minimal executable `bIn − bOut` (bytes) for the fused module.
-pub fn ib_exec_distance(p: &IbParams, scheme: IbScheme) -> i64 {
-    exec_distance(p.in_bytes(), ib_exec_trace(p, scheme))
-}
-
-/// Peak pool bytes (input/output window only; workspace is reported by
-/// [`ib_workspace_bytes`]).
-pub fn ib_exec_footprint(p: &IbParams, scheme: IbScheme) -> usize {
-    let d = ib_exec_distance(p, scheme).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
 }
 
 /// Workspace bytes beside the pool: the expanded-row ring (RowBuffer) or
@@ -444,8 +432,15 @@ pub fn run_fused_ib(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{exec_distance, pool_window};
     use vmcu_sim::Device;
     use vmcu_tensor::{random, Requant};
+
+    /// The module's executable distance and the pool window it runs in.
+    fn layout(p: &IbParams, scheme: IbScheme) -> (i64, usize) {
+        let d = exec_distance(p.in_bytes(), ib_exec_trace(p, scheme));
+        (d, pool_window(p.in_bytes(), p.out_bytes(), d))
+    }
 
     fn weights(p: &IbParams) -> (Tensor<i8>, Tensor<i8>, Tensor<i8>) {
         (
@@ -464,11 +459,10 @@ mod tests {
             wdw: m.host_program_flash(&wdw.as_bytes()).unwrap(),
             w2: m.host_program_flash(&w2.as_bytes()).unwrap(),
         };
-        let d = ib_exec_distance(p, scheme) + extra;
-        let used = d.max(0) as usize;
-        let window = (p.in_bytes() + used).max(p.out_bytes());
+        let d = layout(p, scheme).0 + extra;
+        let window = pool_window(p.in_bytes(), p.out_bytes(), d);
         let ws = ib_workspace_bytes(p, scheme);
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg()).unwrap();
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         let ws_base = window; // workspace right after the pool window
         assert!(ws_base + ws < m.ram.capacity());
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
@@ -566,7 +560,7 @@ mod tests {
                     run_case(&p, scheme, -1).unwrap_err(),
                     PoolError::Clobber { .. }
                 ),
-                "{scheme:?} must clobber one byte short"
+                "{scheme:?} must clobber one byte closer"
             );
         }
     }
@@ -581,7 +575,7 @@ mod tests {
             IbScheme::PixelWindow,
             IbScheme::SlidingWindow,
         ] {
-            let total = ib_exec_footprint(&p, scheme) + ib_workspace_bytes(&p, scheme);
+            let total = layout(&p, scheme).1 + ib_workspace_bytes(&p, scheme);
             assert!(
                 total < p.in_bytes() + p.mid_bytes(),
                 "{scheme:?}: {total} vs A+B {}",
@@ -606,9 +600,8 @@ mod tests {
                 wdw: m.host_program_flash(&wdw.as_bytes()).unwrap(),
                 w2: m.host_program_flash(&w2.as_bytes()).unwrap(),
             };
-            let d = ib_exec_distance(&p, scheme);
-            let window = ib_exec_footprint(&p, scheme);
-            let mut pool = SegmentPool::new(&m, 0, window, p.seg()).unwrap();
+            let (d, window) = layout(&p, scheme);
+            let mut pool = SegmentPool::new(&m, 0, window).unwrap();
             pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
             run_fused_ib(&mut m, &mut pool, &p, scheme, 0, -d, &flash, window).unwrap();
             m.counters.macs

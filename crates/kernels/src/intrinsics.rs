@@ -136,9 +136,9 @@ pub fn dot_tile_u8(
 
 /// Lane-blocked `Dot`: the same bit-exact accumulation as
 /// [`dot_tile_u8`], charged at `lanes_used` SIMD lanes per instruction
-/// ([`Machine::charge_macs_lanes`]). This is the matmul micro-kernel of
-/// the im2col lowering — `lanes_used = 1` prices the scalar lowering a
-/// capability-unaware compiler emits, `lanes_used = device lanes` the
+/// ([`Machine::charge_macs_lanes`]): a GEMM micro-kernel priced as a
+/// lowering would issue it — `lanes_used = 1` prices the scalar lowering
+/// a capability-unaware compiler emits, `lanes_used = device lanes` the
 /// fully vectorized one.
 pub fn dot_tile_lanes(
     m: &mut Machine,
@@ -157,7 +157,7 @@ pub fn dot_tile_lanes(
     m.charge_macs_lanes((ki * ni) as u64, fully_unrolled, lanes_used);
     if lanes_used > 1 {
         // Fixed per-tile register packing setup (SXTB16 widening /
-        // predication), explicit here because the im2col matmul issues
+        // predication), explicit here because a lowered matmul issues
         // one packed tile per call; the direct kernels fold steady-state
         // packing into `mac_cycles_x100`.
         m.charge_cycles(m.device.cost.simd.packing_cycles);

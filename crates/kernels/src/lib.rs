@@ -9,7 +9,7 @@
 //!   segment-aware kernels (Figures 4 and 5) running against the circular
 //!   [`vmcu_pool::SegmentPool`], each paired with a dry-run trace that
 //!   tells the planner the exact pointer distance the implementation
-//!   needs;
+//!   needs ([`ChainOp::exec_events`] picks it);
 //! * [`fused_ib`] — the fused inverted-bottleneck kernel (Figure 6) in
 //!   both workspace schemes;
 //! * [`fused_chain`] — the generalized multi-layer fused chain kernel
@@ -17,28 +17,27 @@
 //! * [`merge`] — branch-merging kernels (elementwise residual add,
 //!   channel concat) that free operand slices as they are consumed so
 //!   the fused output overlaps the dying inputs;
-//! * [`im2col`] — im2col + matmul lowering for conv2d/fc: receptive
-//!   fields gathered into staging RAM (RAM-to-RAM copy traffic), then a
-//!   branch-free GEMM through the lane-blocked `Dot` micro-kernel;
 //! * [`patched`] — patch-based front-stage execution: spatial tiles of
 //!   the output run through the single-layer kernels slice by slice,
 //!   with receptive-field halos recomputed (and charged) honestly;
 //! * [`tinyengine`] — the TinyEngine-policy baseline kernels (tensor-level
 //!   memory, im2col, fixed-depth unrolling, in-place depthwise);
-//! * [`trace`] — the executable-schedule trace machinery and the
-//!   free-based distance bound;
+//! * [`trace`] — the executable-schedule trace machinery, the
+//!   free-based distance bound and the pool window it implies;
 //! * [`params`] — shared layer parameter blocks.
 //!
 //! Every kernel is tested bit-exact against `vmcu_tensor::reference`, and
 //! every planner distance is validated empirically: kernels run clean at
-//! the planned offset and clobber deterministically one byte short of it.
+//! the planned offset, and one byte closer they clobber deterministically
+//! when the distance is tight — when the store that sets it lands on the
+//! first unfreed input byte. A distance set by a store after the last
+//! free only keeps the output inside the window (see [`trace`]).
 
 pub mod conv2d;
 pub mod depthwise;
 pub mod fc;
 pub mod fused_chain;
 pub mod fused_ib;
-pub mod im2col;
 pub mod intrinsics;
 pub mod merge;
 pub mod params;
@@ -49,7 +48,6 @@ pub mod trace;
 
 pub use fused_chain::{ChainOp, FusedChain};
 pub use fused_ib::{IbFlash, IbScheme};
-pub use im2col::{run_conv2d_im2col, run_fc_im2col};
 pub use merge::{run_add, run_concat};
 pub use params::{
     AddParams, ConcatParams, Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,

@@ -10,11 +10,14 @@
 //! storing the fused pixel, needing only `Cb` bytes of slack per pixel.
 //!
 //! [`add_exec_trace`]/[`concat_exec_trace`] reproduce the exact
-//! store/free order for the planner; the distances are validated
-//! empirically (clean at the planned offset, clobber one byte short).
+//! store/free order for the planner. The kernels run clean at the
+//! planned distance; one byte closer they clobber only when the store
+//! that sets it lands on the first unfreed operand byte, as in an add of
+//! more than one segment or a concat of more than one pixel (see
+//! [`crate::trace`]).
 
 use crate::params::{AddParams, ConcatParams};
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::ExecEvent;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
 
@@ -54,23 +57,13 @@ pub fn add_exec_trace(p: &AddParams) -> Vec<ExecEvent> {
     ev
 }
 
-/// Minimal executable `bIn − bOut` for the add kernel (bytes).
-pub fn add_exec_distance(p: &AddParams) -> i64 {
-    exec_distance(p.in_bytes(), add_exec_trace(p))
-}
-
-/// Peak pool bytes when running with [`add_exec_distance`].
-pub fn add_exec_footprint(p: &AddParams) -> usize {
-    let d = add_exec_distance(p).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
-}
-
 /// Runs the elementwise residual add.
 ///
 /// * operand `A` at pool logical address `b_in`,
 /// * operand `B` at `b_in + tensor_bytes`,
-/// * output written at `b_out` (pass `b_in − add_exec_distance(p)` for
-///   the overlapped layout, or any disjoint address).
+/// * output written at `b_out` (`b_in` minus the executable distance of
+///   [`add_exec_trace`] for the overlapped layout, or any disjoint
+///   address).
 ///
 /// # Errors
 ///
@@ -124,17 +117,6 @@ pub fn concat_exec_trace(p: &ConcatParams) -> Vec<ExecEvent> {
     ev
 }
 
-/// Minimal executable `bIn − bOut` for the concat kernel (bytes).
-pub fn concat_exec_distance(p: &ConcatParams) -> i64 {
-    exec_distance(p.in_bytes(), concat_exec_trace(p))
-}
-
-/// Peak pool bytes when running with [`concat_exec_distance`].
-pub fn concat_exec_footprint(p: &ConcatParams) -> usize {
-    let d = concat_exec_distance(p).max(0) as usize;
-    (p.in_bytes() + d).max(p.out_bytes())
-}
-
 /// Runs the channel concatenation.
 ///
 /// * operand `A` (`[H,W,Ca]`) at pool logical address `b_in`,
@@ -169,16 +151,25 @@ pub fn run_concat(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{exec_distance, pool_window};
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Tensor};
+
+    fn add_distance(p: &AddParams) -> i64 {
+        exec_distance(p.in_bytes(), add_exec_trace(p))
+    }
+
+    fn concat_distance(p: &ConcatParams) -> i64 {
+        exec_distance(p.in_bytes(), concat_exec_trace(p))
+    }
 
     fn run_add_case(p: &AddParams, extra: i64) -> Result<Tensor<i8>, PoolError> {
         let mut m = Machine::new(Device::stm32_f411re());
         let a = random::tensor_i8(&[p.h, p.w, p.c], 31);
         let b = random::tensor_i8(&[p.h, p.w, p.c], 32);
-        let d = add_exec_distance(p) + extra;
-        let window = (p.in_bytes() as i64 + d.max(0)).max(p.out_bytes() as i64) as usize;
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+        let d = add_distance(p) + extra;
+        let mut pool =
+            SegmentPool::new(&m, 0, pool_window(p.in_bytes(), p.out_bytes(), d)).unwrap();
         pool.host_fill_live(&mut m, 0, &a.as_bytes()).unwrap();
         pool.host_fill_live(&mut m, p.tensor_bytes() as i64, &b.as_bytes())
             .unwrap();
@@ -191,9 +182,9 @@ mod tests {
         let mut m = Machine::new(Device::stm32_f411re());
         let a = random::tensor_i8(&[p.h, p.w, p.c_a], 41);
         let b = random::tensor_i8(&[p.h, p.w, p.c_b], 42);
-        let d = concat_exec_distance(p) + extra;
-        let window = (p.in_bytes() as i64 + d.max(0)).max(p.out_bytes() as i64) as usize;
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg()).unwrap();
+        let d = concat_distance(p) + extra;
+        let mut pool =
+            SegmentPool::new(&m, 0, pool_window(p.in_bytes(), p.out_bytes(), d)).unwrap();
         pool.host_fill_live(&mut m, 0, &a.as_bytes()).unwrap();
         pool.host_fill_live(&mut m, p.a_bytes() as i64, &b.as_bytes())
             .unwrap();
@@ -216,8 +207,11 @@ mod tests {
         // In-slot reuse: no slack at all, so the footprint is exactly the
         // two operands (vs 3·T for a disjoint output).
         let p = AddParams::new(6, 5, 8);
-        assert_eq!(add_exec_distance(&p), 0);
-        assert_eq!(add_exec_footprint(&p), 2 * p.tensor_bytes());
+        assert_eq!(add_distance(&p), 0);
+        assert_eq!(
+            pool_window(p.in_bytes(), p.out_bytes(), 0),
+            2 * p.tensor_bytes()
+        );
         assert!(run_add_case(&p, 0).is_ok());
         let err = run_add_case(&p, -1).unwrap_err();
         assert!(
@@ -249,9 +243,10 @@ mod tests {
     #[test]
     fn concat_overlap_saves_memory_vs_disjoint() {
         let p = ConcatParams::new(8, 8, 12, 4);
-        let fp = concat_exec_footprint(&p);
+        let d = concat_distance(&p);
+        let fp = pool_window(p.in_bytes(), p.out_bytes(), d);
         // Per-pixel frees leave at most (pixels-1)·Cb bytes of slack.
-        assert_eq!(concat_exec_distance(&p), ((p.pixels() - 1) * p.c_b) as i64);
+        assert_eq!(d, ((p.pixels() - 1) * p.c_b) as i64);
         assert!(fp < p.in_bytes() + p.out_bytes());
         assert!(fp >= p.in_bytes().max(p.out_bytes()));
     }

@@ -422,11 +422,6 @@ impl IbParams {
     pub fn out_bytes(&self) -> usize {
         self.out_hw() * self.out_hw() * self.c_out
     }
-
-    /// Segment size in elements (§5.3: min of in/out channel size).
-    pub fn seg(&self) -> usize {
-        self.c_in.min(self.c_out)
-    }
 }
 
 /// Elementwise residual add `A[H,W,C] + B[H,W,C] → Out[H,W,C]` with int8
@@ -511,11 +506,6 @@ impl ConcatParams {
     /// Output size in bytes.
     pub fn out_bytes(&self) -> usize {
         self.pixels() * (self.c_a + self.c_b)
-    }
-
-    /// Segment size in elements: one output pixel's channel vector.
-    pub fn seg(&self) -> usize {
-        self.c_a + self.c_b
     }
 }
 

@@ -22,10 +22,11 @@
 //! machine — [`PatchedFront::halo_overhead`] reports the exact ratio the
 //! planner's overhead cap (`vmcu_plan::patch`) constrains.
 
-use crate::conv2d::{conv2d_exec_distance, run_conv2d};
-use crate::depthwise::{depthwise_exec_distance, run_depthwise};
+use crate::conv2d::run_conv2d;
+use crate::depthwise::run_depthwise;
 use crate::fused_chain::ChainOp;
-use crate::pointwise::{pointwise_exec_distance, run_pointwise};
+use crate::pointwise::run_pointwise;
+use crate::trace::pool_window;
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
@@ -466,14 +467,7 @@ fn run_sliced(
     input: &[u8],
     w_base: usize,
 ) -> Result<Vec<u8>, PoolError> {
-    let (in_bytes, out_bytes, seg) = match op {
-        ChainOp::Pointwise(p) => (p.in_bytes(), p.out_bytes(), p.seg),
-        ChainOp::Depthwise(p) => (p.in_bytes(), p.out_bytes(), p.c),
-        ChainOp::Conv2d(p) => (p.in_bytes(), p.out_bytes(), p.seg),
-        ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
-    };
-    let window = (in_bytes + d.max(0) as usize).max(out_bytes);
-    let mut pool = SegmentPool::new(m, 0, window, seg)?;
+    let mut pool = SegmentPool::new(m, 0, pool_window(op.in_bytes(), op.out_bytes(), d))?;
     pool.host_fill_live(m, 0, input)?;
     match op {
         ChainOp::Pointwise(p) => run_pointwise(m, &mut pool, p, 0, -d, w_base, None)?,
@@ -481,31 +475,21 @@ fn run_sliced(
         ChainOp::Conv2d(p) => run_conv2d(m, &mut pool, p, 0, -d, w_base, None)?,
         ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
     }
-    pool.host_read(m, -d, out_bytes)
-}
-
-/// The executable distance of a sliced operator's segment kernel.
-fn sliced_exec_distance(op: &ChainOp) -> i64 {
-    match op {
-        ChainOp::Pointwise(p) => pointwise_exec_distance(p),
-        ChainOp::Depthwise(p) => depthwise_exec_distance(p),
-        ChainOp::Conv2d(p) => conv2d_exec_distance(p),
-        ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
-    }
+    pool.host_read(m, -d, op.out_bytes())
 }
 
 impl PatchedFront {
-    /// The executable distance each sliced operator runs at, as
-    /// `distance` derives it: `[t][i]` for stage `i` of patch
-    /// `t = ty·gx + tx` — what [`run_patched_front_at`] takes, so a
+    /// The executable distance each sliced operator runs at
+    /// ([`ChainOp::exec_distance`]): `[t][i]` for stage `i` of patch
+    /// `t = ty·gx + tx` — what [`run_patched_front`] takes, so a
     /// deployment derives them once instead of per inference.
-    pub fn stage_distances(&self, distance: impl Fn(&ChainOp) -> i64) -> Vec<Vec<i64>> {
+    pub fn stage_distances(&self) -> Vec<Vec<i64>> {
         (0..self.grid.gy)
             .flat_map(|ty| (0..self.grid.gx).map(move |tx| (ty, tx)))
             .map(|(ty, tx)| {
                 self.patch_stages(ty, tx)
                     .iter()
-                    .map(|s| distance(&s.op))
+                    .map(|s| s.op.exec_distance())
                     .collect()
             })
             .collect()
@@ -521,32 +505,9 @@ impl PatchedFront {
 /// * model input as a host tensor (re-staged per patch, matching the
 ///   engine's layer-at-a-time convention),
 /// * per-operator weights in Flash at `flash[i]` (programmed once,
-///   shared by every patch).
-///
-/// Each sliced operator's distance is derived from its dry-run trace on
-/// every call; [`run_patched_front_at`] takes them precomputed.
-///
-/// # Errors
-///
-/// Propagates pool violations (planner/kernel disagreement) and memory
-/// errors.
-///
-/// # Panics
-///
-/// Panics when `flash` does not name one base per operator or the input
-/// shape does not match the front.
-pub fn run_patched_front(
-    m: &mut Machine,
-    front: &PatchedFront,
-    input: &Tensor<i8>,
-    flash: &[usize],
-) -> Result<Tensor<i8>, PoolError> {
-    let distances = front.stage_distances(sliced_exec_distance);
-    run_patched_front_at(m, front, input, flash, &distances)
-}
-
-/// [`run_patched_front`] with every sliced operator's executable
-/// distance given, as [`PatchedFront::stage_distances`] lists them.
+///   shared by every patch),
+/// * every sliced operator's executable distance, as
+///   [`PatchedFront::stage_distances`] lists them.
 ///
 /// # Errors
 ///
@@ -558,7 +519,7 @@ pub fn run_patched_front(
 /// Panics when `flash` does not name one base per operator, the input
 /// shape does not match the front, or `distances` does not name one
 /// distance per patch stage.
-pub fn run_patched_front_at(
+pub fn run_patched_front(
     m: &mut Machine,
     front: &PatchedFront,
     input: &Tensor<i8>,
@@ -693,7 +654,8 @@ mod tests {
             .iter()
             .map(|w| m.host_program_flash(&w.as_bytes()).unwrap())
             .collect();
-        let got = run_patched_front(&mut m, &front, &input, &flash).unwrap();
+        let distances = front.stage_distances();
+        let got = run_patched_front(&mut m, &front, &input, &flash, &distances).unwrap();
         let want = front_reference(front.ops(), &weights, &input);
         (got, want, m)
     }

@@ -6,20 +6,10 @@
 //! single-layer workload of the paper's Figure 7/8 evaluation (pointwise
 //! and depthwise convolutions dominate the CNNs deployed on MCUs, §7.2).
 
-use crate::fc::{fc_exec_distance, fc_exec_footprint, run_fc};
+use crate::fc::run_fc;
 use crate::params::PointwiseParams;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
-
-/// Minimal executable `bIn − bOut` (bytes) for the pointwise kernel.
-pub fn pointwise_exec_distance(p: &PointwiseParams) -> i64 {
-    fc_exec_distance(&p.as_fc())
-}
-
-/// Peak pool bytes when running with [`pointwise_exec_distance`].
-pub fn pointwise_exec_footprint(p: &PointwiseParams) -> usize {
-    fc_exec_footprint(&p.as_fc())
-}
 
 /// Runs the pointwise kernel. Input `[H,W,C]` at pool address `b_in`,
 /// output `[H,W,K]` at `b_out`, weights `[C,K]` in Flash at `w_base`.
@@ -42,17 +32,24 @@ pub fn run_pointwise(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::pool_window;
+    use crate::ChainOp;
     use vmcu_sim::Device;
     use vmcu_tensor::{random, reference, Requant, Tensor};
+
+    /// The kernel's executable distance and the pool window it runs in.
+    fn layout(p: &PointwiseParams) -> (i64, usize) {
+        let d = ChainOp::Pointwise(*p).exec_distance();
+        (d, pool_window(p.in_bytes(), p.out_bytes(), d))
+    }
 
     fn run_case(p: &PointwiseParams) -> (Tensor<i8>, Machine) {
         let mut m = Machine::new(Device::stm32_f411re());
         let input = random::tensor_i8(&[p.h, p.w, p.c], 5);
         let weight = random::tensor_i8(&[p.c, p.k], 6);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = pointwise_exec_distance(p);
-        let window = pointwise_exec_footprint(p);
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+        let (d, window) = layout(p);
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_pointwise(&mut m, &mut pool, p, 0, -d, w_base, None).unwrap();
         let out = pool.host_read(&m, -d, p.out_bytes()).unwrap();
@@ -83,7 +80,7 @@ mod tests {
     fn equal_channels_footprint_is_near_half_of_disjoint() {
         // The Figure 7 headline: C == K layers approach 50% RAM reduction.
         let p = PointwiseParams::new(20, 20, 16, 16, Requant::identity());
-        let fp = pointwise_exec_footprint(&p) as f64;
+        let fp = layout(&p).1 as f64;
         let disjoint = (p.in_bytes() + p.out_bytes()) as f64;
         let reduction = 1.0 - fp / disjoint;
         assert!(
@@ -99,9 +96,8 @@ mod tests {
         let input = random::tensor_i8(&[p.h, p.w, p.c], 5);
         let weight = random::tensor_i8(&[p.c, p.k], 6);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = pointwise_exec_distance(&p);
-        let window = pointwise_exec_footprint(&p);
-        let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+        let (d, window) = layout(&p);
+        let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
         run_pointwise(&mut m, &mut pool, &p, 0, -d, w_base, None).unwrap();
         // The empirical high-water mark can never exceed the planned window.

@@ -12,9 +12,15 @@
 //!
 //! Each kernel exposes a dry-run trace generator emitting exactly the
 //! store/free order of its implementation; planners use [`exec_distance`]
-//! on that trace to place the output pointer, and the checked pool
-//! verifies the result empirically (clean at `D_exec`, clobber at
-//! `D_exec − 1`).
+//! on that trace to place the output pointer in a [`pool_window`], and
+//! the checked pool verifies the result empirically. Every kernel runs
+//! clean at `D_exec`. When the store that sets `D_exec` lands on the
+//! first unfreed input byte, `D_exec` is tight: one byte closer, that
+//! store clobbers a live byte. A `D_exec` set by a store after the last
+//! free (the frontier is then the input end, a byte nobody holds) only
+//! keeps the output inside the window, and one byte closer runs clean: a
+//! depthwise `h=8, w=6, c=3, r=1, s=4`, stride 1, pad 2, whose last
+//! output rows are padding only, plans 108 and runs clean at 107.
 
 use vmcu_sim::ByteSet;
 
@@ -85,6 +91,25 @@ pub fn exec_distance(in_size: usize, events: impl IntoIterator<Item = ExecEvent>
     }
 }
 
+/// The pool window a segment kernel runs in at distance `d`: the input
+/// plus the empty bytes a positive `d` parks ahead of it, or the output
+/// when that is larger — `max(in + max(d, 0), out)`.
+pub fn pool_window(in_bytes: usize, out_bytes: usize, d: i64) -> usize {
+    (in_bytes + d.max(0) as usize).max(out_bytes)
+}
+
+/// Exclusive upper bound of the input rows a row-sliding kernel no
+/// longer reads once it has stored output row `row`: the rows above the
+/// next output row's window (`h` input rows, `out_h` output rows, window
+/// `stride`, `pad` rows of top padding), and all of them after the last.
+pub(crate) fn free_upto(h: usize, out_h: usize, stride: usize, pad: usize, row: usize) -> usize {
+    if row + 1 == out_h {
+        h
+    } else {
+        h.min(((row + 1) * stride).saturating_sub(pad))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,6 +153,13 @@ mod tests {
         ];
         // First store: frontier 4, last byte 1 -> D = -2.
         assert_eq!(exec_distance(8, events), -2);
+    }
+
+    #[test]
+    fn window_holds_input_plus_headroom_or_the_output() {
+        assert_eq!(pool_window(8, 4, 2), 10);
+        assert_eq!(pool_window(8, 4, -3), 8);
+        assert_eq!(pool_window(4, 9, 2), 9);
     }
 
     #[test]

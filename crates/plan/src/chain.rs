@@ -7,13 +7,8 @@
 //! traces, composed into absolute bases — and sizes the single window as
 //! the maximum per-layer span.
 
-use vmcu_graph::{Graph, LayerDesc};
-use vmcu_kernels::conv2d::conv2d_exec_distance;
-use vmcu_kernels::depthwise::depthwise_exec_distance;
-use vmcu_kernels::fc::fc_exec_distance;
-use vmcu_kernels::fused_ib::{ib_exec_distance, ib_workspace_bytes};
-use vmcu_kernels::merge::{add_exec_distance, concat_exec_distance};
-use vmcu_kernels::pointwise::pointwise_exec_distance;
+use vmcu_graph::Graph;
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
 
 /// The planned chain: one pool window, one base pointer per tensor.
@@ -39,21 +34,6 @@ impl ChainPlan {
     }
 }
 
-/// Executable distance and workspace for one layer under vMCU policy.
-fn layer_distance(layer: &LayerDesc, scheme: IbScheme) -> (i64, usize) {
-    match layer {
-        LayerDesc::Pointwise(p) => (pointwise_exec_distance(p), 0),
-        LayerDesc::Conv2d(p) => (conv2d_exec_distance(p), 0),
-        LayerDesc::Depthwise(p) => (depthwise_exec_distance(p), 0),
-        LayerDesc::Dense(p) => (fc_exec_distance(p), 0),
-        LayerDesc::Ib(p) => (ib_exec_distance(p, scheme), ib_workspace_bytes(p, scheme)),
-        // Merges never appear on a linear chain (arity 2), but the
-        // kernels publish executable distances, so the match stays total.
-        LayerDesc::Add(p) => (add_exec_distance(p), 0),
-        LayerDesc::Concat(p) => (concat_exec_distance(p), 0),
-    }
-}
-
 /// Plans a linear graph into one circular pool.
 ///
 /// # Panics
@@ -68,14 +48,13 @@ pub fn plan_chain(graph: &Graph, scheme: IbScheme) -> ChainPlan {
     let mut workspace = 0usize;
     let mut peak_layer = 0usize;
     for (i, layer) in graph.layers().iter().enumerate() {
-        let (d, ws) = layer_distance(layer, scheme);
-        let used = d.max(0) as usize;
-        let span = (layer.in_bytes() + used).max(layer.out_bytes());
+        let d = layer.exec_distance(scheme);
+        let span = pool_window(layer.in_bytes(), layer.out_bytes(), d);
         if span > window {
             window = span;
             peak_layer = i;
         }
-        workspace = workspace.max(ws);
+        workspace = workspace.max(layer.workspace_bytes(scheme));
         distances.push(d);
         let b_in = *bases.last().expect("bases starts non-empty");
         bases.push(b_in - d);
@@ -92,7 +71,7 @@ pub fn plan_chain(graph: &Graph, scheme: IbScheme) -> ChainPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vmcu_graph::zoo;
+    use vmcu_graph::{zoo, LayerDesc};
     use vmcu_kernels::params::PointwiseParams;
     use vmcu_tensor::Requant;
 

@@ -60,22 +60,10 @@ use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_schedule, chain_workspace_bytes, ChainStep, FusedChain,
 };
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::{ChainOp, IbScheme};
 use vmcu_sim::Device;
 use vmcu_solver::multilayer::{min_distance_events, Event};
-
-/// Maps a fusable layer to its chain operator; `None` breaks the chain.
-pub fn chain_op(layer: &LayerDesc) -> Option<ChainOp> {
-    match layer {
-        LayerDesc::Pointwise(p) => Some(ChainOp::Pointwise(*p)),
-        LayerDesc::Depthwise(p) => Some(ChainOp::Depthwise(*p)),
-        LayerDesc::Conv2d(p) => Some(ChainOp::Conv2d(*p)),
-        LayerDesc::Dense(p) => Some(ChainOp::Dense(*p)),
-        LayerDesc::Ib(_) => None,
-        // Merges take two inputs; a fused chain threads exactly one.
-        LayerDesc::Add(_) | LayerDesc::Concat(_) => None,
-    }
-}
 
 /// A fused run of consecutive graph layers.
 #[derive(Debug, Clone, PartialEq)]
@@ -264,10 +252,7 @@ fn fused_group(start: usize, ops: Vec<ChainOp>) -> FusedGroup {
     let end = start + ops.len();
     let chain = FusedChain::new(ops).expect("graph-validated shapes chain");
     let exec_distance = chain_exec_distance(&chain);
-    // Derive the window from the distance instead of calling
-    // `chain_exec_footprint` — that would rebuild the whole schedule a
-    // second time for every range the fusion table builds.
-    let window = (chain.in_bytes() + exec_distance.max(0) as usize).max(chain.out_bytes());
+    let window = pool_window(chain.in_bytes(), chain.out_bytes(), exec_distance);
     let workspace = chain_workspace_bytes(&chain);
     FusedGroup {
         start,
@@ -309,7 +294,7 @@ impl FusionTable {
         Self {
             ops: layers
                 .iter()
-                .map(|l| chain_op(l).filter(|_| chain))
+                .map(|l| l.chain_op().filter(|_| chain))
                 .collect(),
             single: layers.iter().map(|l| single.plan_layer(l)).collect(),
             groups: HashMap::new(),
@@ -528,7 +513,10 @@ mod tests {
         // layer is the peak either way, and the rings only add), but the
         // expand/project prefix alone undercuts its unfused peak.
         let g = Graph::linear("prefix", vec![pw(12, 8, 32), pw(12, 32, 8), pw(12, 8, 64)]).unwrap();
-        let whole = fused_group(0, g.layers().iter().map(|l| chain_op(l).unwrap()).collect());
+        let whole = fused_group(
+            0,
+            g.layers().iter().map(|l| l.chain_op().unwrap()).collect(),
+        );
         let unfused_peak = g
             .layers()
             .iter()

@@ -24,25 +24,25 @@
 //! [`crate::capacity::peak_demand_bytes`] and fleet admission pick the
 //! patched pricing up unchanged.
 
-use crate::fusion::{chain_op, FusionPlan, FusionTable};
+use crate::fusion::{FusionPlan, FusionTable};
 use crate::planner::{LayerPlan, MemoryPlanner};
 use crate::schedule::Schedule;
 use crate::vmcu_planner::VmcuPlanner;
 use std::collections::HashMap;
 use vmcu_graph::{Graph, LayerDesc};
-use vmcu_kernels::conv2d::conv2d_exec_footprint;
-use vmcu_kernels::depthwise::depthwise_exec_footprint;
 use vmcu_kernels::patched::{PatchGrid, PatchedFront};
-use vmcu_kernels::pointwise::pointwise_exec_footprint;
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::{ChainOp, IbScheme};
 use vmcu_sim::Device;
 
 /// Maps a spatially patchable layer to its operator; `None` ends the
 /// front stage. Patchable layers are the fusable ones
-/// ([`chain_op`]) minus fully-connected layers, which have no spatial
-/// axes.
+/// ([`LayerDesc::chain_op`]) minus fully-connected layers, which have no
+/// spatial axes.
 pub fn patch_op(layer: &LayerDesc) -> Option<ChainOp> {
-    chain_op(layer).filter(|op| !matches!(op, ChainOp::Dense(_)))
+    layer
+        .chain_op()
+        .filter(|op| !matches!(op, ChainOp::Dense(_)))
 }
 
 /// Length of the patchable front stage: the maximal prefix of layers
@@ -127,12 +127,7 @@ impl PatchPlan {
 /// Peak pool bytes of one sliced operator — exactly the window
 /// `vmcu_kernels::patched::run_patched_front` executes it in.
 fn sliced_footprint(op: &ChainOp) -> usize {
-    match op {
-        ChainOp::Pointwise(p) => pointwise_exec_footprint(p),
-        ChainOp::Depthwise(p) => depthwise_exec_footprint(p),
-        ChainOp::Conv2d(p) => conv2d_exec_footprint(p),
-        ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
-    }
+    pool_window(op.in_bytes(), op.out_bytes(), op.exec_distance())
 }
 
 /// Peak sliced per-layer footprint and total sliced MACs across every

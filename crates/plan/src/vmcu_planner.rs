@@ -7,12 +7,7 @@
 
 use crate::planner::MemoryPlanner;
 use vmcu_graph::LayerDesc;
-use vmcu_kernels::conv2d::conv2d_exec_footprint;
-use vmcu_kernels::depthwise::depthwise_exec_footprint;
-use vmcu_kernels::fc::fc_exec_footprint;
-use vmcu_kernels::fused_ib::{ib_exec_footprint, ib_workspace_bytes};
-use vmcu_kernels::merge::{add_exec_footprint, concat_exec_footprint};
-use vmcu_kernels::pointwise::pointwise_exec_footprint;
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
 
 /// Segment-level planner (the paper's system).
@@ -35,22 +30,15 @@ impl MemoryPlanner for VmcuPlanner {
         "vMCU"
     }
 
+    /// Every kind — merges included, whose output overlaps the first
+    /// operand's segments — runs in the pool window of its executable
+    /// distance, beside its workspace.
     fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize) {
-        match layer {
-            LayerDesc::Pointwise(p) => (pointwise_exec_footprint(p), 0),
-            LayerDesc::Conv2d(p) => (conv2d_exec_footprint(p), 0),
-            LayerDesc::Depthwise(p) => (depthwise_exec_footprint(p), 0),
-            LayerDesc::Dense(p) => (fc_exec_footprint(p), 0),
-            LayerDesc::Ib(p) => (
-                ib_exec_footprint(p, self.scheme),
-                ib_workspace_bytes(p, self.scheme),
-            ),
-            // Merges overlap output onto the first operand's segments:
-            // the add window is exactly the two inputs, the concat window
-            // saves one branch's worth over disjoint in+out.
-            LayerDesc::Add(p) => (add_exec_footprint(p), 0),
-            LayerDesc::Concat(p) => (concat_exec_footprint(p), 0),
-        }
+        let d = layer.exec_distance(self.scheme);
+        (
+            pool_window(layer.in_bytes(), layer.out_bytes(), d),
+            layer.workspace_bytes(self.scheme),
+        )
     }
 }
 

@@ -14,8 +14,9 @@
 //! mode the pool turns any violation — a store clobbering live data, a
 //! read of dead bytes, a double free — into a typed [`PoolError`]
 //! instead of a silent wrong answer. The planners' minimality claims are validated
-//! empirically against this: running a kernel with the solver's offset
-//! succeeds; shrinking the pool by one segment makes it fail.
+//! empirically against this: a kernel runs clean at its planned offset,
+//! and where that offset is tight (`vmcu_kernels::trace`) one byte closer
+//! clobbers.
 //!
 //! # Examples
 //!
@@ -25,7 +26,7 @@
 //!
 //! let mut m = Machine::new(Device::stm32_f411re());
 //! // An 8-byte pool holding a 6-byte input that we stream over.
-//! let mut pool = SegmentPool::new(&m, 0, 8, 2).unwrap();
+//! let mut pool = SegmentPool::new(&m, 0, 8).unwrap();
 //! pool.host_fill_live(&mut m, 0, &[1, 2, 3, 4, 5, 6]).unwrap();
 //! let mut reg = [0u8; 2];
 //! pool.load(&mut m, 0, &mut reg).unwrap();   // read segment 0
@@ -123,7 +124,6 @@ impl From<MemError> for PoolError {
 pub struct SegmentPool {
     base: usize,
     len: usize,
-    seg_bytes: usize,
     live: ByteSet,
     live_count: usize,
     peak_live: usize,
@@ -141,9 +141,9 @@ pub struct SegmentPool {
 }
 
 impl SegmentPool {
-    /// Creates a pool over RAM bytes `[base, base + len)` with the given
-    /// kernel-specific segment size (used for cost accounting; liveness is
-    /// tracked per byte).
+    /// Creates a pool over RAM bytes `[base, base + len)`. Liveness is
+    /// tracked per byte; a kernel's segment size only shapes the
+    /// accesses it makes and what they are charged.
     ///
     /// # Errors
     ///
@@ -152,10 +152,9 @@ impl SegmentPool {
     ///
     /// # Panics
     ///
-    /// Panics if `len` or `seg_bytes` is zero.
-    pub fn new(m: &Machine, base: usize, len: usize, seg_bytes: usize) -> Result<Self, PoolError> {
+    /// Panics if `len` is zero.
+    pub fn new(m: &Machine, base: usize, len: usize) -> Result<Self, PoolError> {
         assert!(len > 0, "pool window must be non-empty");
-        assert!(seg_bytes > 0, "segment size must be positive");
         if base + len > m.ram.capacity() {
             return Err(PoolError::WindowOutOfRam {
                 base,
@@ -166,7 +165,6 @@ impl SegmentPool {
         Ok(Self {
             base,
             len,
-            seg_bytes,
             live: ByteSet::new(len),
             live_count: 0,
             peak_live: 0,
@@ -200,11 +198,6 @@ impl SegmentPool {
     /// Pool window length in bytes.
     pub fn window_len(&self) -> usize {
         self.len
-    }
-
-    /// Kernel-specific segment size in bytes.
-    pub fn seg_bytes(&self) -> usize {
-        self.seg_bytes
     }
 
     /// Currently live bytes.
@@ -532,15 +525,15 @@ mod tests {
     use super::*;
     use vmcu_sim::Device;
 
-    fn setup(pool_len: usize, seg: usize) -> (Machine, SegmentPool) {
+    fn setup(pool_len: usize) -> (Machine, SegmentPool) {
         let m = Machine::new(Device::stm32_f411re());
-        let pool = SegmentPool::new(&m, 0, pool_len, seg).unwrap();
+        let pool = SegmentPool::new(&m, 0, pool_len).unwrap();
         (m, pool)
     }
 
     #[test]
     fn modulo_addressing_wraps() {
-        let (_, pool) = setup(10, 2);
+        let (_, pool) = setup(10);
         assert_eq!(pool.phys(0), 0);
         assert_eq!(pool.phys(10), 0);
         assert_eq!(pool.phys(13), 3);
@@ -549,7 +542,7 @@ mod tests {
 
     #[test]
     fn load_store_round_trip_and_costs() {
-        let (mut m, mut pool) = setup(16, 4);
+        let (mut m, mut pool) = setup(16);
         pool.store(&mut m, &[9, 8, 7, 6], 4).unwrap();
         let mut buf = [0u8; 4];
         pool.load(&mut m, 4, &mut buf).unwrap();
@@ -560,7 +553,7 @@ mod tests {
 
     #[test]
     fn wrapping_store_splits_across_boundary() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1, 2, 3, 4], 6).unwrap(); // bytes 6,7,0,1
         assert_eq!(m.host_read_ram(6, 2).unwrap(), vec![1, 2]);
         assert_eq!(m.host_read_ram(0, 2).unwrap(), vec![3, 4]);
@@ -571,7 +564,7 @@ mod tests {
 
     #[test]
     fn clobber_is_detected() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         // Same physical slot via wrap-around: logical 8 maps to offset 0.
         let err = pool.store(&mut m, &[2; 4], 8).unwrap_err();
@@ -580,7 +573,7 @@ mod tests {
 
     #[test]
     fn free_then_reuse_is_legal() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.free(0, 4).unwrap();
         pool.store(&mut m, &[2; 4], 8).unwrap(); // same slot, now free
@@ -590,7 +583,7 @@ mod tests {
 
     #[test]
     fn dead_read_is_detected() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         let mut buf = [0u8; 2];
         let err = pool.load(&mut m, 0, &mut buf).unwrap_err();
         assert!(matches!(err, PoolError::DeadRead { .. }));
@@ -598,7 +591,7 @@ mod tests {
 
     #[test]
     fn double_free_is_detected() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.free(0, 4).unwrap();
         assert!(matches!(pool.free(0, 4), Err(PoolError::DoubleFree { .. })));
@@ -608,7 +601,7 @@ mod tests {
     /// logical address, counting the first span's length like `load`.
     #[test]
     fn wrapping_double_free_reports_the_dead_byte() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.host_fill_live(&mut m, 4, &[1; 4]).unwrap(); // phys 4..8
         let mut buf = [0u8; 4];
         assert_eq!(
@@ -626,7 +619,7 @@ mod tests {
     #[cfg(not(feature = "shadow"))]
     #[test]
     fn unchecked_mode_allows_silent_clobber() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.set_checked(false);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.store(&mut m, &[2; 4], 8).unwrap(); // silently overwrites
@@ -641,7 +634,7 @@ mod tests {
     #[cfg(feature = "shadow")]
     #[test]
     fn shadow_backstop_catches_unchecked_clobber() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.set_checked(false);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         let err = pool.store(&mut m, &[2; 4], 8).unwrap_err();
@@ -660,17 +653,17 @@ mod tests {
     #[cfg(feature = "shadow")]
     #[test]
     fn shadow_fresh_pool_claims_window() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         drop(pool);
-        let mut pool2 = SegmentPool::new(&m, 0, 8, 4).unwrap();
+        let mut pool2 = SegmentPool::new(&m, 0, 8).unwrap();
         pool2.store(&mut m, &[2; 4], 0).unwrap();
         assert_eq!(m.ram.shadow_live_bytes(), 4);
     }
 
     #[test]
     fn peak_tracks_high_water_mark() {
-        let (mut m, mut pool) = setup(16, 4);
+        let (mut m, mut pool) = setup(16);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.store(&mut m, &[1; 4], 4).unwrap();
         pool.free(0, 8).unwrap();
@@ -681,7 +674,7 @@ mod tests {
 
     #[test]
     fn host_fill_and_read_are_free_of_cost() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         pool.host_fill_live(&mut m, 6, &[1, 2, 3, 4]).unwrap(); // wraps
         assert_eq!(pool.host_read(&m, 6, 4).unwrap(), vec![1, 2, 3, 4]);
         assert_eq!(m.counters.cycles, 0);
@@ -693,7 +686,7 @@ mod tests {
         let m = Machine::new(Device::stm32_f411re());
         let cap = m.ram.capacity();
         assert!(matches!(
-            SegmentPool::new(&m, cap - 4, 8, 2),
+            SegmentPool::new(&m, cap - 4, 8),
             Err(PoolError::WindowOutOfRam { .. })
         ));
     }
@@ -701,7 +694,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds pool window")]
     fn oversized_access_panics() {
-        let (mut m, mut pool) = setup(8, 4);
+        let (mut m, mut pool) = setup(8);
         let mut buf = [0u8; 16];
         let _ = pool.load(&mut m, 0, &mut buf);
     }

@@ -12,7 +12,6 @@
 use crate::replay::{check_distance, replay_into, replay_layer, LayerSpec, PoolModel};
 use crate::schedule::{audit_schedule, canonical_frees};
 use crate::violation::{AuditReport, Violation};
-pub use vmcu::exec::layer_events;
 use vmcu::Deployment;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes};
@@ -26,7 +25,7 @@ use vmcu_sim::Device;
 /// run in: input at logical 0, output at `−D`, window `(in+max(D,0)) ∨ out`.
 /// Returns the violations plus the number of distances cross-checked.
 pub fn audit_node(site: &str, layer: &LayerDesc, scheme: IbScheme) -> (Vec<Violation>, usize) {
-    let events = layer_events(layer, scheme);
+    let events = layer.exec_events(scheme);
     let in_len = layer.in_bytes();
     let out_len = layer.out_bytes();
     let planned = exec_distance(in_len, events.iter().copied());
@@ -133,7 +132,7 @@ pub fn audit_chain_plan(
     pool.fill("chain input", plan.bases[0], in_len, &mut v);
     for (i, layer) in graph.layers().iter().enumerate() {
         let site = format!("chain layer {i} ({})", layer.kind());
-        let events = layer_events(layer, scheme);
+        let events = layer.exec_events(scheme);
         let in_bytes = layer.in_bytes();
         // The base chaining identity: b_out = b_in − D.
         if plan.bases[i + 1] != plan.bases[i] - plan.distances[i] {
@@ -260,7 +259,7 @@ pub fn audit_patch_plan(
                 for (si, stage) in front.patch_stages(ty, tx).iter().enumerate() {
                     let stage_site = format!("{site} stage {si} ({})", stage.op.kind());
                     let layer = LayerDesc::from(stage.op);
-                    let events = layer_events(&layer, scheme);
+                    let events = layer.exec_events(scheme);
                     let (in_len, out_len) = (layer.in_bytes(), layer.out_bytes());
                     let d = exec_distance(in_len, events.iter().copied());
                     v.extend(check_distance(&stage_site, d, in_len, &events));

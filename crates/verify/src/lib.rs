@@ -44,7 +44,7 @@ pub mod violation;
 
 pub use audit::{
     audit, audit_chain_plan, audit_fused_group, audit_fusion_plan, audit_node, audit_patch_plan,
-    audit_split_plan, layer_events,
+    audit_split_plan,
 };
 pub use replay::{
     check_distance, derive_min_distance, replay_layer, solver_min_distance, LayerSpec, PoolModel,

@@ -32,8 +32,8 @@ use crate::error::EngineError;
 use vmcu_graph::{Graph, LayerDesc, LayerWeights, NodeInput};
 use vmcu_kernels::fused_chain::run_fused_chain;
 use vmcu_kernels::merge::{run_add, run_concat};
-use vmcu_kernels::patched::{run_patched_front_at, PatchedFront};
-use vmcu_kernels::trace::{exec_distance, ExecEvent};
+use vmcu_kernels::patched::{run_patched_front, PatchedFront};
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::FusedGroup;
 use vmcu_plan::{FusionNode, LayerPlan, Schedule};
@@ -148,37 +148,15 @@ pub fn stage_graph(
         .collect()
 }
 
-/// The dry-run store/free trace the deployed kernel emits for one layer
-/// — the byte-interval event stream `vmcu_verify` replays, and the one
-/// the executor derives its pool offsets from ([`layer_exec_distance`]).
-pub fn layer_events(layer: &LayerDesc, scheme: IbScheme) -> Vec<ExecEvent> {
-    match layer {
-        LayerDesc::Pointwise(p) => vmcu_kernels::fc::fc_exec_trace(&p.as_fc()),
-        LayerDesc::Conv2d(p) => vmcu_kernels::conv2d::conv2d_exec_trace(p),
-        LayerDesc::Depthwise(p) => vmcu_kernels::depthwise::depthwise_exec_trace(p),
-        LayerDesc::Dense(p) => vmcu_kernels::fc::fc_exec_trace(p),
-        LayerDesc::Ib(p) => vmcu_kernels::fused_ib::ib_exec_trace(p, scheme),
-        LayerDesc::Add(p) => vmcu_kernels::merge::add_exec_trace(p),
-        LayerDesc::Concat(p) => vmcu_kernels::merge::concat_exec_trace(p),
-    }
-}
-
-/// The executable `bIn − bOut` distance the segment kernel runs `layer`
-/// at: [`exec_distance`] of its [`layer_events`], the derivation the
-/// auditor cross-checks.
-pub fn layer_exec_distance(layer: &LayerDesc, scheme: IbScheme) -> i64 {
-    exec_distance(layer.in_bytes(), layer_events(layer, scheme))
-}
-
 /// The distance `kind`'s body for `layer` runs at: every vMCU body and
 /// every merge overlaps its output with its input at the layer's
-/// executable distance (a merge has no fused IB, so the scheme is
-/// moot); the baselines' single-input bodies place tensors disjointly
-/// and take none.
+/// executable distance ([`LayerDesc::exec_distance`]; a merge has no
+/// fused IB, so the scheme is moot); the baselines' single-input bodies
+/// place tensors disjointly and take none.
 pub(crate) fn node_distance(kind: PlannerKind, layer: &LayerDesc) -> i64 {
     match kind.scheme() {
-        Some(scheme) => layer_exec_distance(layer, scheme),
-        None if layer.is_merge() => layer_exec_distance(layer, IbScheme::RowBuffer),
+        Some(scheme) => layer.exec_distance(scheme),
+        None if layer.is_merge() => layer.exec_distance(IbScheme::RowBuffer),
         None => 0,
     }
 }
@@ -195,10 +173,8 @@ pub(crate) struct ExecDistances {
 
 impl ExecDistances {
     pub(crate) fn new(kind: PlannerKind, graph: &Graph, schedule: &Schedule) -> Self {
-        let front = match (schedule, kind.scheme()) {
-            (Schedule::Patched(patch), Some(scheme)) => patch.front.as_ref().map(|front| {
-                front.stage_distances(|op| layer_exec_distance(&LayerDesc::from(*op), scheme))
-            }),
+        let front = match schedule {
+            Schedule::Patched(patch) => patch.front.as_ref().map(PatchedFront::stage_distances),
             _ => None,
         };
         Self {
@@ -280,7 +256,7 @@ fn exec_merge(
     match layer {
         LayerDesc::Add(p) => {
             let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), d);
-            let mut pool = SegmentPool::new(m, 0, window, p.seg)?;
+            let mut pool = SegmentPool::new(m, 0, window)?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.tensor_bytes() as i64, &b.as_bytes())?;
             run_add(m, &mut pool, p, 0, -d)?;
@@ -289,7 +265,7 @@ fn exec_merge(
         }
         LayerDesc::Concat(p) => {
             let (d, window) = merge_layout(mode, p.in_bytes(), p.out_bytes(), d);
-            let mut pool = SegmentPool::new(m, 0, window, p.seg())?;
+            let mut pool = SegmentPool::new(m, 0, window)?;
             pool.host_fill_live(m, 0, &a.as_bytes())?;
             pool.host_fill_live(m, p.a_bytes() as i64, &b.as_bytes())?;
             run_concat(m, &mut pool, p, 0, -d)?;
@@ -308,10 +284,7 @@ fn exec_merge(
 /// past both operands.
 fn merge_layout(mode: MergeMode, in_bytes: usize, out_bytes: usize, d: i64) -> (i64, usize) {
     match mode {
-        MergeMode::Overlap => (
-            d,
-            (in_bytes as i64 + d.max(0)).max(out_bytes as i64) as usize,
-        ),
+        MergeMode::Overlap => (d, pool_window(in_bytes, out_bytes, d)),
         MergeMode::Disjoint => (-(in_bytes as i64), in_bytes + out_bytes),
     }
 }
@@ -443,7 +416,7 @@ fn exec_work(
                 .map(|s| s.single("vMCU-fused"))
                 .collect::<Result<Vec<_>, _>>()?;
             let d = group.exec_distance;
-            let mut pool = SegmentPool::new(m, 0, group.window, group.chain.seg())?;
+            let mut pool = SegmentPool::new(m, 0, group.window)?;
             pool.host_fill_live(m, 0, &tensor(&graph.node_inputs(start)[0]).as_bytes())?;
             run_fused_chain(m, &mut pool, &group.chain, 0, -d, &flash, group.window)?;
             let out_layer = &graph.layers()[end - 1];
@@ -458,7 +431,7 @@ fn exec_work(
             let distances = &ctx.distances.front;
             Ok((
                 len - 1,
-                run_patched_front_at(m, front, input, &flash, distances)?,
+                run_patched_front(m, front, input, &flash, distances)?,
             ))
         }
     }

@@ -10,6 +10,7 @@ use vmcu_kernels::depthwise::run_depthwise;
 use vmcu_kernels::fc::run_fc;
 use vmcu_kernels::fused_ib::{run_fused_ib, IbFlash};
 use vmcu_kernels::pointwise::run_pointwise;
+use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::{ChainPlan, LayerPlan};
 use vmcu_pool::SegmentPool;
@@ -61,7 +62,7 @@ fn run_kernel(
 
 /// The segment-level body of one single-input layer: input at logical
 /// 0, output at `−d`, the pool window sized to the kernel's executable
-/// `bIn − bOut` distance `d` ([`super::layer_exec_distance`]). Every vMCU
+/// `bIn − bOut` distance `d` ([`LayerDesc::exec_distance`]). Every vMCU
 /// policy runs its per-node steps (and the singletons of its fused,
 /// patched and split schedules) through it.
 pub(super) fn exec_layer(
@@ -72,21 +73,8 @@ pub(super) fn exec_layer(
     scheme: IbScheme,
     d: i64,
 ) -> Result<Tensor<i8>, EngineError> {
-    let seg = match layer {
-        LayerDesc::Pointwise(p) => p.seg,
-        LayerDesc::Conv2d(p) => p.seg,
-        LayerDesc::Depthwise(p) => p.c,
-        LayerDesc::Dense(p) => p.seg,
-        LayerDesc::Ib(p) => p.seg(),
-        LayerDesc::Add(_) | LayerDesc::Concat(_) => {
-            return Err(EngineError::Unsupported {
-                kind: layer.kind(),
-                executor: "vMCU",
-            })
-        }
-    };
-    let window = (layer.in_bytes() + d.max(0) as usize).max(layer.out_bytes());
-    let mut pool = SegmentPool::new(m, 0, window, seg)?;
+    let window = pool_window(layer.in_bytes(), layer.out_bytes(), d);
+    let mut pool = SegmentPool::new(m, 0, window)?;
     pool.host_fill_live(m, 0, &input.as_bytes())?;
     run_kernel(m, &mut pool, layer, staged, scheme, 0, -d, window)?;
     let out = pool.host_read(m, -d, layer.out_bytes())?;
@@ -123,13 +111,7 @@ pub(crate) fn infer_chained(
             available: ctx.device.ram_bytes,
         });
     }
-    let seg = match graph.layers().first() {
-        Some(LayerDesc::Ib(p)) => p.seg(),
-        Some(LayerDesc::Pointwise(p)) => p.seg,
-        Some(LayerDesc::Dense(p)) => p.seg,
-        _ => 1,
-    };
-    let mut pool = SegmentPool::new(m, 0, plan.window, seg.max(1))?;
+    let mut pool = SegmentPool::new(m, 0, plan.window)?;
     let ws_base = plan.window;
     pool.host_fill_live(m, plan.bases[0], &input.as_bytes())?;
     let mut layers = Vec::with_capacity(graph.len());

@@ -6,10 +6,6 @@
 
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
-use vmcu::vmcu_kernels::conv2d::{conv2d_exec_distance, run_conv2d};
-use vmcu::vmcu_kernels::im2col::{conv2d_im2col_workspace_bytes, run_conv2d_im2col};
-use vmcu::vmcu_kernels::params::Conv2dParams;
-use vmcu::vmcu_pool::SegmentPool;
 use vmcu::vmcu_sim::Machine;
 use vmcu::vmcu_tensor::random;
 
@@ -132,7 +128,7 @@ fn check_dag_seed(seed: u64) {
     }
 }
 
-/// Tiny splitmix-style generator so conv shapes derive deterministically
+/// Tiny splitmix-style generator so charge shapes derive deterministically
 /// from the seed without pulling in an RNG dependency.
 fn mix(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -140,65 +136,6 @@ fn mix(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
-}
-
-/// Random conv2d workloads: the im2col + lane-blocked matmul lowering
-/// must be bit-exact against the direct segment-aware kernel at scalar
-/// width and at every ladder device's native lane count. This is the
-/// seeded differential net for the SIMD lowering, mirroring the
-/// planner-level suites above.
-#[test]
-fn im2col_lowering_matches_direct_kernel_on_random_convs() {
-    let base = base_seed();
-    for seed in base..base + 8 {
-        let mut s = seed;
-        let pick = |state: &mut u64, lo: usize, span: usize| lo + (mix(state) as usize) % span;
-        let r = [1, 3][pick(&mut s, 0, 2)];
-        let p = Conv2dParams::new(
-            pick(&mut s, 5, 6),
-            pick(&mut s, 5, 6),
-            pick(&mut s, 2, 7),
-            pick(&mut s, 2, 7),
-            r,
-            r,
-            1,
-            if r > 1 { pick(&mut s, 0, 2) } else { 0 },
-            Requant::from_scale(1.0 / 64.0, 0),
-        );
-        let input = random::tensor_i8(&[p.h, p.w, p.c], seed ^ 0x51);
-        let weight = random::tensor_i8(&[p.r, p.s, p.c, p.k], seed ^ 0x52);
-        let dist = conv2d_exec_distance(&p);
-        let window = (p.in_bytes() + dist.max(0) as usize).max(p.out_bytes());
-
-        let run = |device: &Device, lanes: Option<u64>| -> Vec<u8> {
-            let mut m = Machine::new(device.clone());
-            let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-            let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
-            pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-            match lanes {
-                None => run_conv2d(&mut m, &mut pool, &p, 0, -dist, w_base, None).unwrap(),
-                Some(l) => {
-                    run_conv2d_im2col(&mut m, &mut pool, &p, 0, -dist, w_base, None, window, l)
-                        .unwrap();
-                }
-            }
-            pool.host_read(&m, -dist, p.out_bytes()).unwrap()
-        };
-
-        for device in Device::simd_ladder() {
-            assert!(conv2d_im2col_workspace_bytes(&p) > 0);
-            let direct = run(&device, None);
-            for lanes in [1, device.cost.simd.lanes] {
-                assert_eq!(
-                    run(&device, Some(lanes)),
-                    direct,
-                    "VMCU_TEST_SEED={seed} reproduces: im2col lanes={lanes} diverges \
-                     from direct on {}",
-                    device.name
-                );
-            }
-        }
-    }
 }
 
 /// Batched MAC charging (one call per tile row) must be counter-identical

@@ -338,3 +338,148 @@ fn readme_crate_map_lists_exactly_the_workspace_crates() {
         "README's crate map rows (left) must equal the crates/* workspace members (right)"
     );
 }
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("reading {}: {e}", dir.display()))
+    {
+        let path = entry.expect("readable directory entry").path();
+        if path.is_dir() {
+            files.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            files.push(path);
+        }
+    }
+    files
+}
+
+/// The directory of the workspace package `name`: the root package or a
+/// `crates/*` member.
+fn package_dir(name: &str) -> PathBuf {
+    let root = repo_root();
+    if name == "vmcu-repro" {
+        return root;
+    }
+    std::fs::read_dir(root.join("crates"))
+        .expect("crates/ directory exists")
+        .map(|e| e.expect("readable crates entry").path())
+        .find(|dir| {
+            std::fs::read_to_string(dir.join("Cargo.toml"))
+                .is_ok_and(|m| m.lines().any(|l| l == format!("name = \"{name}\"")))
+        })
+        .unwrap_or_else(|| panic!("no workspace package named `{name}`"))
+}
+
+/// The Rust sources of the workspace package `name`: its `src/` and
+/// `tests/` (the root package's `crates/` belong to other packages).
+fn package_sources(name: &str) -> Vec<PathBuf> {
+    let dir = package_dir(name);
+    ["src", "tests"]
+        .iter()
+        .map(|sub| dir.join(sub))
+        .filter(|d| d.is_dir())
+        .flat_map(|d| rust_files(&d))
+        .collect()
+}
+
+/// The backticked `cargo …` commands in the table rows of `vmcu_bench`'s
+/// `REPRODUCTION_MAP` (the claim → command table it renders into
+/// `EXPERIMENTS.md`), read from its source.
+fn reproduction_map_commands() -> Vec<String> {
+    let src = std::fs::read_to_string(repo_root().join("crates/bench/src/lib.rs")).unwrap();
+    let start = src
+        .find("const REPRODUCTION_MAP: &str = \"")
+        .expect("crates/bench/src/lib.rs defines REPRODUCTION_MAP");
+    let map = &src[start..];
+    let map = &map[..map
+        .find("\";")
+        .expect("REPRODUCTION_MAP is a closed string")];
+    map.lines()
+        .filter(|l| l.starts_with('|'))
+        .flat_map(|l| l.split('`').skip(1).step_by(2))
+        .filter(|c| c.starts_with("cargo "))
+        .map(str::to_owned)
+        .collect()
+}
+
+#[test]
+fn reproduction_map_commands_name_existing_targets_and_tests() {
+    // A claim's command must still run what it names: every `--bin` is
+    // a binary, every `--test` a test file of the package, and every
+    // test filter the start of a `fn` name in those test files (or in
+    // the package) — so it names the tests it claims, not a word inside
+    // an unrelated test's name.
+    let root = repo_root();
+    let commands = reproduction_map_commands();
+    let (mut bins, mut tests, mut filters) = (0, 0, 0);
+    for cmd in &commands {
+        let words: Vec<&str> = cmd.split_whitespace().collect();
+        // Arguments after `--` go to the binary, not to cargo.
+        let cargo_args = words.split(|w| *w == "--").next().unwrap_or_default();
+        let mut package = "vmcu-repro";
+        let mut test_names = Vec::new();
+        let mut test_filters = Vec::new();
+        let mut args = cargo_args.iter().skip(2);
+        while let Some(&arg) = args.next() {
+            let mut value = || {
+                *args
+                    .next()
+                    .unwrap_or_else(|| panic!("`{cmd}`: {arg} needs a value"))
+            };
+            match arg {
+                "-p" => package = value(),
+                "--test" => test_names.push(value()),
+                "--bin" => {
+                    let name = value();
+                    let found = std::fs::read_dir(root.join("crates")).unwrap().any(|e| {
+                        e.unwrap()
+                            .path()
+                            .join(format!("src/bin/{name}.rs"))
+                            .exists()
+                    });
+                    assert!(found, "`{cmd}`: no binary `{name}` under crates/*/src/bin");
+                    bins += 1;
+                }
+                flag if flag.starts_with('-') => {}
+                filter => test_filters.push(filter),
+            }
+        }
+        let mut test_files: Vec<PathBuf> = test_names
+            .iter()
+            .map(|name| {
+                let file = package_dir(package).join(format!("tests/{name}.rs"));
+                assert!(file.exists(), "`{cmd}`: no test file {}", file.display());
+                file
+            })
+            .collect();
+        tests += test_files.len();
+        if test_filters.is_empty() {
+            continue;
+        }
+        assert_eq!(
+            cargo_args[1], "test",
+            "`{cmd}`: only `cargo test` takes filters"
+        );
+        if test_files.is_empty() {
+            test_files = package_sources(package);
+        }
+        let sources: String = test_files
+            .iter()
+            .map(|f| std::fs::read_to_string(f).unwrap())
+            .collect();
+        for filter in test_filters {
+            assert!(
+                sources.contains(&format!("fn {filter}")),
+                "`{cmd}`: filter `{filter}` begins no `fn` name in {package}'s {} file(s)",
+                test_files.len()
+            );
+            filters += 1;
+        }
+    }
+    assert!(
+        bins > 0 && tests > 0 && filters > 0,
+        "parsed {} commands: {bins} --bin, {tests} --test, {filters} filters",
+        commands.len()
+    );
+}

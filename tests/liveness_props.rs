@@ -535,7 +535,7 @@ mod pool {
         let device = Device::stm32_f411re();
         let base = 24;
         let (mut m, mut o) = (Machine::new(device.clone()), Machine::new(device));
-        let mut pool = SegmentPool::new(&m, base, window, 4).unwrap();
+        let mut pool = SegmentPool::new(&m, base, window).unwrap();
         pool.set_checked(checked);
         let mut oracle = OraclePool::new(base, window);
         oracle.checked = checked;

@@ -5,10 +5,12 @@
 //! and kernels are truly *coordinated*.
 
 use proptest::prelude::*;
-use vmcu::vmcu_kernels::fc::{fc_exec_distance, run_fc};
-use vmcu::vmcu_kernels::fused_ib::{ib_exec_distance, run_fused_ib, IbFlash};
+use vmcu::vmcu_graph::LayerDesc;
+use vmcu::vmcu_kernels::fc::run_fc;
+use vmcu::vmcu_kernels::fused_ib::{run_fused_ib, IbFlash};
 use vmcu::vmcu_kernels::params::{FcParams, IbParams};
-use vmcu::vmcu_kernels::IbScheme;
+use vmcu::vmcu_kernels::trace::pool_window;
+use vmcu::vmcu_kernels::{ChainOp, IbScheme};
 use vmcu::vmcu_pool::{PoolError, SegmentPool};
 use vmcu::vmcu_sim::{Device, Machine};
 use vmcu::vmcu_tensor::{random, Requant};
@@ -18,8 +20,8 @@ fn run_fc_at(p: &FcParams, d: i64) -> Result<(), PoolError> {
     let input = random::tensor_i8(&[p.m, p.k], 1);
     let weight = random::tensor_i8(&[p.k, p.n], 2);
     let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-    let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-    let mut pool = SegmentPool::new(&m, 0, window, p.seg).unwrap();
+    let window = pool_window(p.in_bytes(), p.out_bytes(), d);
+    let mut pool = SegmentPool::new(&m, 0, window).unwrap();
     pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
     run_fc(&mut m, &mut pool, p, 0, -d, w_base, None)?;
     Ok(())
@@ -36,8 +38,8 @@ fn run_ib_at(p: &IbParams, scheme: IbScheme, d: i64) -> Result<(), PoolError> {
         wdw: m.host_program_flash(&wdw.as_bytes()).unwrap(),
         w2: m.host_program_flash(&w2.as_bytes()).unwrap(),
     };
-    let window = (p.in_bytes() + d.max(0) as usize).max(p.out_bytes());
-    let mut pool = SegmentPool::new(&m, 0, window, p.seg()).unwrap();
+    let window = pool_window(p.in_bytes(), p.out_bytes(), d);
+    let mut pool = SegmentPool::new(&m, 0, window).unwrap();
     pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
     run_fused_ib(&mut m, &mut pool, p, scheme, 0, -d, &flash, window)?;
     Ok(())
@@ -52,7 +54,7 @@ proptest! {
         m in 1usize..6, k in 1usize..12, n in 1usize..12
     ) {
         let p = FcParams::new(m, k, n, Requant::from_scale(1.0 / 32.0, 0));
-        let d = fc_exec_distance(&p);
+        let d = ChainOp::Dense(p).exec_distance();
         prop_assert!(run_fc_at(&p, d).is_ok(), "kernel must run clean at D");
         prop_assert!(
             matches!(run_fc_at(&p, d - 1), Err(PoolError::Clobber { .. })),
@@ -73,7 +75,7 @@ proptest! {
     ) {
         let scheme = [IbScheme::RowBuffer, IbScheme::PixelWindow, IbScheme::SlidingWindow][scheme_pick];
         let p = IbParams::new(hw, c_in, c_in * expand, c_in, 3, (s1, s2, 1));
-        let d = ib_exec_distance(&p, scheme);
+        let d = LayerDesc::Ib(p).exec_distance(scheme);
         prop_assert!(run_ib_at(&p, scheme, d).is_ok(), "module must run clean at D");
         prop_assert!(
             matches!(run_ib_at(&p, scheme, d - 1), Err(PoolError::Clobber { .. })),

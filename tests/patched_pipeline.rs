@@ -204,7 +204,8 @@ fn seeded_random_fronts_stay_bit_exact_under_forced_grids() {
                     m.host_program_flash(&bytes).unwrap()
                 })
                 .collect();
-            let got = run_patched_front(&mut m, &front, &input, &flash).unwrap();
+            let distances = front.stage_distances();
+            let got = run_patched_front(&mut m, &front, &input, &flash, &distances).unwrap();
             assert_eq!(
                 &got, expected_front,
                 "seed {seed} grid {grid} front diverges"

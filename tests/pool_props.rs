@@ -8,7 +8,7 @@ use vmcu::vmcu_sim::{Device, Machine};
 
 fn setup(window: usize) -> (Machine, SegmentPool) {
     let m = Machine::new(Device::stm32_f411re());
-    let pool = SegmentPool::new(&m, 0, window, 4).unwrap();
+    let pool = SegmentPool::new(&m, 0, window).unwrap();
     (m, pool)
 }
 

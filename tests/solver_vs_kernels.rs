@@ -4,9 +4,9 @@
 //! bounded by the kernels' free granularity — one input row.
 
 use proptest::prelude::*;
-use vmcu::vmcu_kernels::depthwise::depthwise_exec_distance;
-use vmcu::vmcu_kernels::fc::fc_exec_distance;
-use vmcu::vmcu_kernels::params::{DepthwiseParams, FcParams};
+use vmcu::vmcu_kernels::params::{DepthwiseParams, FcParams, PointwiseParams};
+use vmcu::vmcu_kernels::trace::pool_window;
+use vmcu::vmcu_kernels::ChainOp;
 use vmcu::vmcu_solver::{analytic, enumerate, FootprintProblem};
 use vmcu::vmcu_tensor::Requant;
 
@@ -28,7 +28,7 @@ proptest! {
             rq: Requant::identity(),
             clamp: vmcu::vmcu_tensor::NO_CLAMP,
         };
-        let exec = fc_exec_distance(&params);
+        let exec = ChainOp::Dense(params).exec_distance();
         prop_assert!(
             exec >= affine,
             "executable distance {exec} below the affine lower bound {affine}"
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn depthwise_is_near_in_place(h in 4usize..10, w in 4usize..10, c in 1usize..6) {
         let params = DepthwiseParams::new(h, w, c, 3, 3, 1, 1, Requant::identity());
-        let exec = depthwise_exec_distance(&params);
+        let exec = ChainOp::Depthwise(params).exec_distance();
         let row = (w * c) as i64;
         prop_assert!(exec <= 3 * row, "distance {exec} exceeds the 3-row window");
         let footprint = (params.in_bytes() as i64 + exec.max(0)) as usize;
@@ -59,15 +59,15 @@ proptest! {
         let seg = c.min(kk);
         let p = FootprintProblem::pointwise(hw * hw, c * seg, kk * seg, seg);
         let affine_bytes = enumerate::solve(&p).footprint * seg;
-        let params = vmcu::vmcu_kernels::params::PointwiseParams::new(
+        let params = PointwiseParams::new(
             hw as usize,
             hw as usize,
             (c * seg) as usize,
             (kk * seg) as usize,
             Requant::identity(),
         );
-        let exec_bytes =
-            vmcu::vmcu_kernels::pointwise::pointwise_exec_footprint(&params) as i64;
+        let d = ChainOp::Pointwise(params).exec_distance();
+        let exec_bytes = pool_window(params.in_bytes(), params.out_bytes(), d) as i64;
         prop_assert!(
             exec_bytes >= affine_bytes,
             "executable {exec_bytes} below affine bound {affine_bytes}"

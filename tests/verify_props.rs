@@ -19,8 +19,8 @@ use vmcu::vmcu_kernels::params::FcParams;
 use vmcu::vmcu_kernels::trace::exec_distance;
 use vmcu::vmcu_plan::chain::plan_chain;
 use vmcu_verify::{
-    audit, audit_chain_plan, audit_schedule, canonical_frees, check_distance, layer_events,
-    replay_layer, LayerSpec, Violation,
+    audit, audit_chain_plan, audit_schedule, canonical_frees, check_distance, replay_layer,
+    LayerSpec, Violation,
 };
 
 fn all_planner_kinds() -> Vec<PlannerKind> {
@@ -93,7 +93,7 @@ proptest! {
     #[test]
     fn shrunk_distance_is_detected(m in 1usize..6, k in 1usize..12, n in 1usize..12) {
         let layer = LayerDesc::Dense(FcParams::new(m, k, n, Requant::identity()));
-        let events = layer_events(&layer, IbScheme::RowBuffer);
+        let events = layer.exec_events(IbScheme::RowBuffer);
         let in_len = layer.in_bytes();
         let out_len = layer.out_bytes();
         let d = exec_distance(in_len, events.iter().copied());

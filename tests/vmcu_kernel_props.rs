@@ -20,20 +20,22 @@
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use vmcu::vmcu_kernels::conv2d::{conv2d_exec_distance, run_conv2d};
-use vmcu::vmcu_kernels::depthwise::{depthwise_exec_distance, run_depthwise};
-use vmcu::vmcu_kernels::fc::{fc_exec_distance, run_fc};
+use vmcu::vmcu_graph::LayerDesc;
+use vmcu::vmcu_kernels::conv2d::run_conv2d;
+use vmcu::vmcu_kernels::depthwise::run_depthwise;
+use vmcu::vmcu_kernels::fc::run_fc;
 use vmcu::vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_schedule, chain_workspace_bytes, run_fused_chain, ChainOp,
     ChainStep, FusedChain,
 };
 use vmcu::vmcu_kernels::fused_ib::{
-    ib_exec_distance, ib_schedule, ib_workspace_bytes, run_fused_ib, IbFlash, IbScheme, IbStep,
+    ib_schedule, ib_workspace_bytes, run_fused_ib, IbFlash, IbScheme, IbStep,
 };
 use vmcu::vmcu_kernels::intrinsics::{broadcast, dot_tile_u8, requant_row};
 use vmcu::vmcu_kernels::params::{
     Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
 };
+use vmcu::vmcu_kernels::trace::pool_window;
 use vmcu::vmcu_pool::{PoolError, SegmentPool};
 use vmcu::vmcu_sim::{Device, Machine};
 use vmcu::vmcu_tensor::{quant::sat8, random, Requant};
@@ -706,7 +708,7 @@ impl Layout {
 /// of output and executable distance `d`, widened by `slack` and with
 /// the input placed `shift` bytes into the window.
 fn planned(in_bytes: usize, out_bytes: usize, d: i64, slack: usize, shift: usize) -> Layout {
-    let window = (in_bytes + d.max(0) as usize).max(out_bytes).max(1) + slack;
+    let window = pool_window(in_bytes, out_bytes, d).max(1) + slack;
     Layout {
         window,
         ram_base: 8 + shift % 13,
@@ -721,7 +723,6 @@ fn planned(in_bytes: usize, out_bytes: usize, d: i64, slack: usize, shift: usize
 fn boot(
     device: &Device,
     layout: Layout,
-    seg: usize,
     input: &[u8],
     images: &[&[u8]],
 ) -> (Machine, SegmentPool, Vec<usize>) {
@@ -731,7 +732,7 @@ fn boot(
         .iter()
         .map(|w| m.host_program_flash(w).unwrap())
         .collect();
-    let mut pool = SegmentPool::new(&m, layout.ram_base, layout.window, seg.max(1)).unwrap();
+    let mut pool = SegmentPool::new(&m, layout.ram_base, layout.window).unwrap();
     pool.host_fill_live(&mut m, layout.b_in, input).unwrap();
     (m, pool, bases)
 }
@@ -752,8 +753,8 @@ fn assert_same(
     kernel: Run<'_>,
     definition: Run<'_>,
 ) -> Result<Option<PoolError>, TestCaseError> {
-    let (mut got, mut got_pool, bases) = boot(device, layout, case.seg, case.input, case.images);
-    let (mut want, mut want_pool, _) = boot(device, layout, case.seg, case.input, case.images);
+    let (mut got, mut got_pool, bases) = boot(device, layout, case.input, case.images);
+    let (mut want, mut want_pool, _) = boot(device, layout, case.input, case.images);
     let got_result = kernel(&mut got, &mut got_pool, &bases, layout);
     let want_result = definition(&mut want, &mut want_pool, &bases, layout);
     prop_assert!(
@@ -787,11 +788,10 @@ fn assert_same(
     Ok(want_result.err())
 }
 
-/// What a kernel case stages: the input bytes, the pool's segment size
-/// and the weight images in Flash order.
+/// What a kernel case stages: the input bytes and the weight images in
+/// Flash order.
 struct Case<'a> {
     input: &'a [u8],
-    seg: usize,
     images: &'a [&'a [u8]],
 }
 
@@ -857,8 +857,8 @@ proptest! {
         let weights = noise(k * n, seed + 1);
         let bias = (with_bias == 1).then(|| random::bias_i32(n, seed + 2));
         let bias = bias.as_deref();
-        let layout = planned(p.in_bytes(), p.out_bytes(), fc_exec_distance(&p), slack, shift);
-        let case = Case { input: &input, seg: p.seg, images: &[&weights] };
+        let layout = planned(p.in_bytes(), p.out_bytes(), ChainOp::Dense(p).exec_distance(), slack, shift);
+        let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
@@ -883,8 +883,8 @@ proptest! {
         let fc = p.as_fc();
         let input = noise(p.in_bytes(), seed);
         let weights = noise(c * k, seed + 1);
-        let layout = planned(p.in_bytes(), p.out_bytes(), fc_exec_distance(&fc), slack, shift);
-        let case = Case { input: &input, seg: p.seg, images: &[&weights] };
+        let layout = planned(p.in_bytes(), p.out_bytes(), ChainOp::Pointwise(p).exec_distance(), slack, shift);
+        let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
@@ -917,9 +917,9 @@ proptest! {
         let weights = noise(r * s * c, seed + 1);
         let bias = (with_bias == 1).then(|| random::bias_i32(c, seed + 2));
         let bias = bias.as_deref();
-        let d = depthwise_exec_distance(&p);
+        let d = ChainOp::Depthwise(p).exec_distance();
         let layout = planned(p.in_bytes(), p.out_bytes(), d, slack, shift);
-        let case = Case { input: &input, seg: c, images: &[&weights] };
+        let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
@@ -949,9 +949,9 @@ proptest! {
         let weights = noise(r * s * c * k, seed + 1);
         let bias = (with_bias == 1).then(|| random::bias_i32(k, seed + 2));
         let bias = bias.as_deref();
-        let d = conv2d_exec_distance(&p);
+        let d = ChainOp::Conv2d(p).exec_distance();
         let layout = planned(p.in_bytes(), p.out_bytes(), d, slack, shift);
-        let case = Case { input: &input, seg: p.seg, images: &[&weights] };
+        let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
@@ -987,10 +987,10 @@ proptest! {
         let w1 = noise(p.c_in * p.c_mid, seed + 1);
         let wdw = noise(p.rs * p.rs * p.c_mid, seed + 2);
         let w2 = noise(p.c_mid * p.c_out, seed + 3);
-        let d = ib_exec_distance(&p, scheme);
+        let d = LayerDesc::Ib(p).exec_distance(scheme);
         let layout = planned(p.in_bytes(), p.out_bytes(), d, slack, shift);
         prop_assert!(layout.ws_base() + ib_workspace_bytes(&p, scheme) < 36 * 1024);
-        let case = Case { input: &input, seg: p.seg(), images: &[&w1, &wdw, &w2] };
+        let case = Case { input: &input, images: &[&w1, &wdw, &w2] };
         let flash = |w: &[usize]| IbFlash { w1: w[0], wdw: w[1], w2: w[2] };
         assert_same_at_every_layout(
             &case,
@@ -1055,7 +1055,7 @@ proptest! {
         let d = chain_exec_distance(&chain);
         let layout = planned(chain.in_bytes(), chain.out_bytes(), d, slack, shift);
         prop_assert!(layout.ws_base() + chain_workspace_bytes(&chain) < 36 * 1024);
-        let case = Case { input: &input, seg: chain.seg(), images: &images };
+        let case = Case { input: &input, images: &images };
         assert_same_at_every_layout(
             &case,
             layout,
@@ -1105,7 +1105,6 @@ fn tight_distances_fail_alike_one_byte_closer() {
         let input = noise(fc.in_bytes(), 1);
         let case = Case {
             input: &input,
-            seg: fc.seg,
             images: &[&w_fc],
         };
         check(
@@ -1113,7 +1112,7 @@ fn tight_distances_fail_alike_one_byte_closer() {
             planned(
                 fc.in_bytes(),
                 fc.out_bytes(),
-                fc_exec_distance(&fc),
+                ChainOp::Dense(fc).exec_distance(),
                 3,
                 shift,
             ),
@@ -1123,7 +1122,6 @@ fn tight_distances_fail_alike_one_byte_closer() {
         let input = noise(dw.in_bytes(), 2);
         let case = Case {
             input: &input,
-            seg: dw.c,
             images: &[&w_dw],
         };
         check(
@@ -1131,7 +1129,7 @@ fn tight_distances_fail_alike_one_byte_closer() {
             planned(
                 dw.in_bytes(),
                 dw.out_bytes(),
-                depthwise_exec_distance(&dw),
+                ChainOp::Depthwise(dw).exec_distance(),
                 3,
                 shift,
             ),
@@ -1141,7 +1139,6 @@ fn tight_distances_fail_alike_one_byte_closer() {
         let input = noise(conv.in_bytes(), 3);
         let case = Case {
             input: &input,
-            seg: conv.seg,
             images: &[&w_conv],
         };
         check(
@@ -1149,7 +1146,7 @@ fn tight_distances_fail_alike_one_byte_closer() {
             planned(
                 conv.in_bytes(),
                 conv.out_bytes(),
-                conv2d_exec_distance(&conv),
+                ChainOp::Conv2d(conv).exec_distance(),
                 3,
                 shift,
             ),
@@ -1159,7 +1156,6 @@ fn tight_distances_fail_alike_one_byte_closer() {
         let input = noise(ib.in_bytes(), 4);
         let case = Case {
             input: &input,
-            seg: ib.seg(),
             images: &[&w1, &wdw, &w2],
         };
         for scheme in SCHEMES {
@@ -1173,7 +1169,7 @@ fn tight_distances_fail_alike_one_byte_closer() {
                 planned(
                     ib.in_bytes(),
                     ib.out_bytes(),
-                    ib_exec_distance(&ib, scheme),
+                    LayerDesc::Ib(ib).exec_distance(scheme),
                     3,
                     shift,
                 ),
@@ -1207,7 +1203,6 @@ fn tight_distances_fail_alike_one_byte_closer() {
         let input = noise(chain.in_bytes(), 5);
         let case = Case {
             input: &input,
-            seg: chain.seg(),
             images: &[&c1, &c2],
         };
         let d = chain_exec_distance(&chain);
