@@ -9,10 +9,11 @@ use std::hint::black_box;
 use vmcu::prelude::*;
 use vmcu_serve::{ArrivalProfile, Fleet, FleetConfig, ModelCatalog, OnlineConfig};
 
-/// 100k Poisson requests at 150 req/s on four 128 KB F411RE workers:
-/// `Vmcu(RowBuffer)` hot-swaps ~2.7k times, while the patched prices keep
-/// every model `VmcuPatched(RowBuffer)` deploys co-resident, so it never
-/// swaps. (On two workers both policies swap.)
+/// 100k Poisson requests at 150 req/s on 128 KB F411RE workers. On four
+/// workers neither `Vmcu(RowBuffer)` nor `VmcuPatched(RowBuffer)` swaps:
+/// each worker keeps the resident set the router placed on it. One
+/// worker cannot hold the catalog, so `Vmcu(RowBuffer)` there hot-swaps
+/// ~5.6k times.
 fn bench_online(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve-online");
     g.sample_size(10);
@@ -23,15 +24,21 @@ fn bench_online(c: &mut Criterion) {
         100_000,
         2024,
     );
-    for (name, planner) in [
-        ("vmcu-rowbuffer", PlannerKind::Vmcu(IbScheme::RowBuffer)),
+    for (name, workers, planner) in [
+        ("vmcu-rowbuffer", 4, PlannerKind::Vmcu(IbScheme::RowBuffer)),
         (
             "vmcu-patched-rowbuffer",
+            4,
             PlannerKind::VmcuPatched(IbScheme::RowBuffer),
+        ),
+        (
+            "vmcu-rowbuffer-1worker",
+            1,
+            PlannerKind::Vmcu(IbScheme::RowBuffer),
         ),
     ] {
         let fleet = Fleet::new(
-            FleetConfig::new(Device::stm32_f411re(), 4, planner),
+            FleetConfig::new(Device::stm32_f411re(), workers, planner),
             ModelCatalog::standard(),
         );
         g.bench_function(format!("run_online/poisson-100k/{name}"), |b| {

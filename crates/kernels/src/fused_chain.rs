@@ -321,17 +321,18 @@ pub fn chain_schedule(chain: &FusedChain) -> Vec<ChainStep> {
         steps.push(ChainStep::StoreOutRow(p));
         // Retire input rows nothing downstream will read again: the next
         // stage-1 row to produce (or, for a single-op chain, the next
-        // output row) bounds the live input window from below.
+        // output row) bounds the live input window from below. A row
+        // of padding only needs nothing past the input end.
         let in_lo = if n == 1 {
             if p + 1 == heights[1] {
                 heights[0]
             } else {
-                chain.ops[0].need_lo(p + 1)
+                chain.ops[0].need_lo(p + 1).min(heights[0])
             }
         } else if produced[1] == heights[1] {
             heights[0]
         } else {
-            chain.ops[0].need_lo(produced[1])
+            chain.ops[0].need_lo(produced[1]).min(heights[0])
         };
         if in_lo > freed {
             steps.push(ChainStep::FreeInRows {

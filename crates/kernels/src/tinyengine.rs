@@ -132,9 +132,31 @@ pub fn run_pointwise_te(
     Ok(())
 }
 
+/// Rows of original input [`run_depthwise_te_inplace`] has staged once
+/// it starts output row `pi`: every row up to the last one that row's
+/// window reads (at least row 0).
+fn dw_staged_rows(p: &DepthwiseParams, pi: usize) -> usize {
+    (pi * p.stride + p.r - 1).saturating_sub(p.pad).min(p.h - 1) + 1
+}
+
+/// Whether [`run_depthwise_te_inplace`] stages its whole input before
+/// the first output row. Staging each row just before the first window
+/// that reads it is only sound while every output row ends at or before
+/// the rows staged so far; padding wider than the window (an output
+/// wider or taller than the input) breaks that, and an output row
+/// would overwrite an original row a later window still reads.
+pub fn dw_stages_whole_input(p: &DepthwiseParams) -> bool {
+    let last = dw_staged_rows(p, p.out_h().saturating_sub(1));
+    (0..p.out_h()).any(|pi| {
+        let staged = dw_staged_rows(p, pi);
+        staged < last && (pi + 1) * p.out_w() > staged * p.w
+    })
+}
+
 /// Runs the TinyEngine-style in-place depthwise convolution: the output
 /// overwrites the input buffer at `buf`; a ring at `ring` keeps the
-/// original values of the last `R` input rows.
+/// original values of the last `R` input rows (of all `H` rows when
+/// [`dw_stages_whole_input`]).
 ///
 /// The device loads each in-bounds tap's ring pixel and `C` weights; the
 /// counters charge exactly that. The host reads the `R·S·C` weights once
@@ -172,12 +194,14 @@ pub fn run_depthwise_te_inplace(
     pixel.charge_branches(&cost, 1);
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
-    let ring_rows = p.r.min(p.h); // the ring never exceeds the image height
+    let whole = dw_stages_whole_input(p);
+    // The ring never exceeds the image height.
+    let ring_rows = if whole { p.h } else { p.r.min(p.h) };
     let mut copied_upto = 0usize; // rows [0, copied_upto) staged in the ring
     for pi in 0..h_out {
         // Stage the original rows this output row's window needs.
-        let hi_row = (pi * p.stride + p.r - 1).saturating_sub(p.pad).min(p.h - 1);
-        while copied_upto <= hi_row {
+        let staged = if whole { p.h } else { dw_staged_rows(p, pi) };
+        while copied_upto < staged {
             m.ram_copy(
                 buf + copied_upto * row_bytes,
                 ring + (copied_upto % ring_rows) * row_bytes,
@@ -443,6 +467,32 @@ mod tests {
             out,
             reference::depthwise(&input, &weight, None, p.stride, p.pad, p.rq, p.clamp)
         );
+    }
+
+    #[test]
+    fn te_depthwise_inplace_stages_what_a_wide_padding_would_overwrite() {
+        // Pad 2 around a 1-row window: the output (12×7) outruns the
+        // input (8×6), so row-by-row staging would read clobbered rows.
+        let p = DepthwiseParams::new(8, 6, 3, 1, 4, 1, 2, Requant::from_scale(1.0 / 64.0, 0));
+        assert!(dw_stages_whole_input(&p));
+        let mut m = Machine::new(Device::stm32_f767zi());
+        let input = random::tensor_i8(&[p.h, p.w, p.c], 7);
+        let weight = random::tensor_i8(&[p.r, p.s, p.c], 8);
+        let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
+        m.host_write_ram(0, &input.as_bytes()).unwrap();
+        let ring = p.in_bytes().max(p.out_bytes());
+        run_depthwise_te_inplace(&mut m, &p, 0, ring, w_base).unwrap();
+        let out = m.host_read_ram(0, p.out_bytes()).unwrap();
+        let out = Tensor::from_bytes(&[p.out_h(), p.out_w(), p.c], &out);
+        assert_eq!(
+            out,
+            reference::depthwise(&input, &weight, None, p.stride, p.pad, p.rq, p.clamp)
+        );
+        // Same-size and strided outputs keep the R-row ring.
+        for (r, stride, pad) in [(3, 1, 1), (5, 2, 2), (1, 2, 0)] {
+            let q = DepthwiseParams::new(8, 8, 4, r, r, stride, pad, p.rq);
+            assert!(!dw_stages_whole_input(&q), "{q:?}");
+        }
     }
 
     #[test]

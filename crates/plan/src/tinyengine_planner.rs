@@ -10,6 +10,7 @@
 
 use crate::planner::MemoryPlanner;
 use vmcu_graph::LayerDesc;
+use vmcu_kernels::tinyengine::dw_stages_whole_input;
 
 /// Tensor-level planner with TinyEngine policies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,11 +47,14 @@ impl MemoryPlanner for TinyEnginePlanner {
                 (p.in_bytes() + p.out_bytes(), 2 * p.r * p.s * p.c)
             }
             LayerDesc::Depthwise(p) => {
-                // In-place + ring of R original rows.
-                (
-                    p.in_bytes().max(p.out_bytes()),
-                    dw_ring_rows(p.r, p.pad, p.stride, p.h) * p.w * p.c,
-                )
+                // In-place + ring of R original rows, or of all of them
+                // when padding lets the output outrun the staged rows.
+                let rows = if dw_stages_whole_input(p) {
+                    p.h
+                } else {
+                    dw_ring_rows(p.r, p.pad, p.stride, p.h)
+                };
+                (p.in_bytes().max(p.out_bytes()), rows * p.w * p.c)
             }
             LayerDesc::Dense(p) => (p.in_bytes() + p.out_bytes(), 0),
             LayerDesc::Ib(p) => {

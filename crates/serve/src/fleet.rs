@@ -336,8 +336,10 @@ impl Fleet {
     ///
     /// 1. **Routing (sequential, deterministic).** The seeded stream is
     ///    generated and each request pinned to a device by the
-    ///    locality-first [`Router`]. Requests to models that never
-    ///    deployed are rejected here.
+    ///    residency-aware [`Router`], which places each device's
+    ///    resident set from the models' footprints and the device
+    ///    budgets. Requests to models that never deployed are rejected
+    ///    here.
     /// 2. **Serving (parallel).** One thread per device runs an
     ///    integer-microsecond event loop: pull arrivals, pop the
     ///    earliest deadline, shed if expired, hot-swap the model in if
@@ -397,18 +399,31 @@ impl Fleet {
             })
             .collect();
 
-        // Phase 1: seeded arrivals, routed deterministically.
+        // Phase 1: seeded arrivals, routed deterministically to devices
+        // whose resident sets hold their models.
+        let ram_budget = self.config.device.usable_ram_bytes();
+        let flash_budget = self.config.device.flash_bytes;
+        let footprints: Vec<Option<(usize, usize)>> = models
+            .iter()
+            .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
+            .collect();
         let slo_us = (cfg.slo_ms * 1e3).round() as u64;
         let arrivals = cfg.profile.stream(cfg.requests, models.len(), cfg.seed);
-        let mut router = Router::new(self.config.workers, cfg.requests);
+        let mut router = Router::new(
+            self.config.workers,
+            cfg.requests,
+            &footprints,
+            ram_budget,
+            flash_budget,
+        );
         let mut lanes: Vec<Vec<OnlineJob>> = vec![Vec::new(); self.config.workers];
         let mut rejected = 0usize;
         for (seq, a) in arrivals.iter().enumerate() {
-            if models[a.model].is_none() {
+            let Some(worker) = router.route(a.model) else {
                 rejected += 1;
                 continue;
-            }
-            lanes[router.route(a.model)].push(OnlineJob {
+            };
+            lanes[worker].push(OnlineJob {
                 at_us: a.at_us,
                 deadline_us: a.at_us + slo_us,
                 seq: seq as u64,
@@ -418,8 +433,6 @@ impl Fleet {
         let routing_plan_calls = vmcu_plan::telemetry::plan_calls() - plan_calls_before;
 
         // Phase 2: one thread per device drains its lane.
-        let ram_budget = self.config.device.usable_ram_bytes();
-        let flash_budget = self.config.device.flash_bytes;
         let runs = std::thread::scope(|scope| {
             let handles: Vec<_> = lanes
                 .iter()

@@ -162,29 +162,29 @@ pub(crate) fn node_distance(kind: PlannerKind, layer: &LayerDesc) -> i64 {
 }
 
 /// The pool offsets a deployment's schedule executes at, derived once
-/// per session instead of once per inference: each graph node's
-/// [`node_distance`] and each patched-front stage's distance (fused
-/// groups and chain plans memoize theirs at deploy time).
+/// per session instead of once per inference: the [`node_distance`] of
+/// each node the schedule runs as a single-node step and each
+/// patched-front stage's distance (fused groups memoize theirs at
+/// deploy time, so the nodes they cover get none).
 #[derive(Debug)]
 pub(crate) struct ExecDistances {
+    /// Per graph node; read only at the node's single-node step.
     nodes: Vec<i64>,
     front: Vec<Vec<i64>>,
 }
 
 impl ExecDistances {
     pub(crate) fn new(kind: PlannerKind, graph: &Graph, schedule: &Schedule) -> Self {
-        let front = match schedule {
-            Schedule::Patched(patch) => patch.front.as_ref().map(PatchedFront::stage_distances),
-            _ => None,
-        };
-        Self {
-            nodes: graph
-                .layers()
-                .iter()
-                .map(|l| node_distance(kind, l))
-                .collect(),
-            front: front.unwrap_or_default(),
+        let mut nodes = vec![0; graph.len()];
+        let mut front = Vec::new();
+        for step in steps(schedule, graph.len()) {
+            match step {
+                Step::Run(Work::Node(v)) => nodes[v] = node_distance(kind, &graph.layers()[v]),
+                Step::Run(Work::Front { front: f, .. }) => front = f.stage_distances(),
+                Step::Run(Work::Fused { .. }) | Step::Link(_) => {}
+            }
         }
+        Self { nodes, front }
     }
 }
 

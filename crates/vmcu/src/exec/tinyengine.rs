@@ -59,7 +59,9 @@ pub(super) fn exec_layer(
         LayerDesc::Depthwise(p) => {
             let w_base = staged.single(executor)?;
             m.host_write_ram(0, &input.as_bytes())?;
-            run_depthwise_te_inplace(m, p, 0, p.in_bytes(), w_base)?;
+            // The ring sits past the whole buffer the output overwrites.
+            let ring = p.in_bytes().max(p.out_bytes());
+            run_depthwise_te_inplace(m, p, 0, ring, w_base)?;
             let out = m.host_read_ram(0, p.out_bytes())?;
             Ok(Tensor::from_bytes(&[p.out_h(), p.out_w(), p.c], &out))
         }

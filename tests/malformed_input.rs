@@ -10,6 +10,7 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec::run_reference, zoo, GraphBuildError, NodeInput};
 use vmcu::vmcu_kernels::{Conv2dParams, DepthwiseParams, FcParams};
 use vmcu::vmcu_tensor::random;
+use vmcu_verify::audit;
 
 fn all_kinds() -> [PlannerKind; 7] {
     [
@@ -380,6 +381,47 @@ fn epilogues_at_the_domain_edges_deploy_and_infer() {
             .unwrap();
         assert_eq!(report.output, expect, "{kind:?}");
     }
+}
+
+/// A depthwise that pads by more than its window (`r = 1`, pad 2) leads
+/// a chain whose first two and last two depthwise rows see padding
+/// only, so the next input row a fused chain needs runs past the input
+/// end. Freeing rows up to it used to panic ("free past input end")
+/// inside `Engine::deploy` under every policy that fuses the chain.
+/// Every policy now deploys it or returns a typed error; each
+/// deployment audits clean and infers bit-exact against the reference.
+#[test]
+fn a_chain_led_by_padding_wider_than_its_window_never_panics() {
+    let rq = Requant::from_scale(1.0 / 64.0, 0);
+    let g = Graph::linear(
+        "pad-past-window-chain",
+        vec![
+            LayerDesc::Depthwise(DepthwiseParams::new(8, 6, 3, 1, 4, 1, 2, rq)),
+            LayerDesc::Pointwise(PointwiseParams::new(12, 7, 3, 3, rq)),
+        ],
+    )
+    .expect("valid layers");
+    let weights = g.random_weights(23);
+    let input = random::tensor_i8(&g.in_shape(), 24);
+    let expect = run_reference(&g, &weights, &input).pop().unwrap();
+    let mut deployed = 0;
+    for kind in all_kinds() {
+        let Ok(dep) = Engine::new(Device::stm32_f411re())
+            .planner(kind)
+            .deploy(&g, &weights)
+        else {
+            continue;
+        };
+        let report = audit(&dep);
+        assert!(report.is_clean(), "{kind:?}: {report}");
+        let out = dep
+            .session()
+            .infer(&input)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert_eq!(out.output, expect, "{kind:?}");
+        deployed += 1;
+    }
+    assert_eq!(deployed, all_kinds().len());
 }
 
 /// Layers no kernel is defined for, each with the parameter the error

@@ -186,6 +186,40 @@ fn hot_swaps_are_priced_with_flash_staging_time() {
 }
 
 #[test]
+fn two_devices_keep_every_model_they_serve_resident() {
+    // The repository benchmark's fleet: each F411RE's home set fits it,
+    // and the router sends a request only to a device whose resident
+    // set holds its model, so no staging ever evicts. One device serving
+    // the whole catalog still swaps (above).
+    let fleet = fleet_128kb(2);
+    let cfg = OnlineConfig::new(
+        ArrivalProfile::Poisson {
+            rate_per_sec: 150.0,
+        },
+        20_000,
+        2024,
+    );
+    let report = fleet.run_online(&cfg);
+    let s = &report.stats;
+    assert_eq!((s.swaps, s.evictions), (0, 0));
+    let deployed = fleet
+        .catalog()
+        .models()
+        .iter()
+        .filter(|m| fleet.deployment(m.name).is_some())
+        .count() as u64;
+    assert!(
+        s.stagings >= deployed && s.stagings <= 2 * deployed,
+        "each deployed model staged once on each device that serves it: {}",
+        s.stagings
+    );
+    assert!(
+        report.workers.iter().all(|w| w.served > 0),
+        "both devices serve"
+    );
+}
+
+#[test]
 fn simulated_inference_latency_is_input_independent() {
     // The load-bearing fact behind the worker's one-probe-per-model
     // service calibration: the simulated cost model prices a layer from

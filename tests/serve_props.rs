@@ -17,6 +17,7 @@
 //! any edit to the online loop or to `OnlineStats`.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::collections::HashMap;
 use vmcu::prelude::*;
 use vmcu::vmcu_plan::telemetry;
@@ -228,8 +229,19 @@ fn definition_run_online(
         })
         .collect();
     let workers = fleet.config().workers;
+    let device = &fleet.config().device;
     let slo_us = (cfg.slo_ms * 1e3).round() as u64;
-    let mut router = Router::new(workers, cfg.requests);
+    let footprints: Vec<Option<(usize, usize)>> = models
+        .iter()
+        .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
+        .collect();
+    let mut router = Router::new(
+        workers,
+        cfg.requests,
+        &footprints,
+        device.usable_ram_bytes(),
+        device.flash_bytes,
+    );
     let mut lanes = vec![Vec::new(); workers];
     let mut rejected = 0;
     let arrivals = cfg.profile.stream(cfg.requests, models.len(), cfg.seed);
@@ -238,14 +250,14 @@ fn definition_run_online(
             rejected += 1;
             continue;
         }
-        lanes[router.route(a.model)].push(QueuedRequest {
+        let worker = router.route(a.model).expect("a deployed model has a home");
+        lanes[worker].push(QueuedRequest {
             deadline_us: a.at_us + slo_us,
             seq: seq as u64,
             at_us: a.at_us,
             model: a.model,
         });
     }
-    let device = &fleet.config().device;
     let mut completions = Vec::new();
     let mut worker_stats = Vec::new();
     for lane in &lanes {
@@ -484,4 +496,193 @@ fn the_generators_cover_ties_and_uneven_halves() {
     distinct.sort_unstable();
     distinct.dedup();
     assert!(distinct.len() < 60, "{} distinct of 100", distinct.len());
+}
+
+// ---- routing: resident sets placed from footprints and budgets ----------
+
+/// One routing case: device budgets, per-model `(ram, flash)`
+/// footprints (`None` for a model that never deployed) and an arrival
+/// sequence of catalog indices, one past the catalog included.
+#[derive(Debug, Clone)]
+struct RoutingCase {
+    workers: usize,
+    ram_budget: usize,
+    flash_budget: usize,
+    footprints: Vec<Option<(usize, usize)>>,
+    requests: Vec<usize>,
+}
+
+/// 1–4 devices, 1–9 models of which about one in five never deployed,
+/// footprints up to a per-case fraction of each budget (so home sets
+/// both fit and overflow), and streams of up to 800 arrivals, two in
+/// three to one hot model so lanes run apart and the router spills.
+fn routing_case() -> impl Strategy<Value = RoutingCase> {
+    (
+        1usize..=4,
+        1usize..=4_000,
+        1usize..=4_000,
+        1usize..=9,
+        1usize..=4,
+    )
+        .prop_flat_map(|(workers, ram_budget, flash_budget, models, spread)| {
+            let footprint = (0u8..5, 0..=ram_budget / spread, 0..=flash_budget / spread)
+                .prop_map(|(kind, ram, flash)| (kind > 0).then_some((ram, flash)));
+            (
+                prop::collection::vec(footprint, models..=models),
+                0..models,
+                prop::collection::vec((0u8..3, 0..=models), 0..=800),
+            )
+                .prop_map(move |(footprints, hot, draws)| RoutingCase {
+                    workers,
+                    ram_budget,
+                    flash_budget,
+                    footprints,
+                    requests: draws
+                        .into_iter()
+                        .map(|(pick, m)| if pick == 0 { m } else { hot })
+                        .collect(),
+                })
+        })
+}
+
+/// What routing one case did: the lanes, whether every device's home
+/// set fits it, and how many requests left their home device.
+struct Routed {
+    lanes: Vec<Vec<usize>>,
+    every_home_fits: bool,
+    spilled: usize,
+}
+
+/// Checks the placement against its definition — a device holds its
+/// home models, then each other deployed model, in catalog order, that
+/// fits both budgets beside what it holds so far — then routes the
+/// stream, checking each request lands on a device that holds its
+/// model.
+fn route_case(case: &RoutingCase) -> Result<Routed, TestCaseError> {
+    let RoutingCase {
+        workers,
+        ram_budget,
+        flash_budget,
+        ref footprints,
+        ref requests,
+    } = *case;
+    let mut router = Router::new(
+        workers,
+        requests.len(),
+        footprints,
+        ram_budget,
+        flash_budget,
+    );
+    let fits = |(ram, flash): (usize, usize)| ram <= ram_budget && flash <= flash_budget;
+    let mut every_home_fits = true;
+    for device in 0..workers {
+        let home = |m: usize| m % workers == device;
+        let mut used = (0, 0);
+        for (m, f) in footprints.iter().enumerate() {
+            if let (true, Some((ram, flash))) = (home(m), f) {
+                used = (used.0 + ram, used.1 + flash);
+            }
+        }
+        let home_fits = fits(used);
+        every_home_fits &= home_fits;
+        for (m, f) in footprints.iter().enumerate() {
+            let held = router.holders(m).contains(&device);
+            let Some((ram, flash)) = *f else {
+                prop_assert!(!held, "device {device} holds undeployed model {m}");
+                continue;
+            };
+            if home(m) {
+                prop_assert!(held, "device {device} must hold its home model {m}");
+                continue;
+            }
+            let beside = (used.0 + ram, used.1 + flash);
+            prop_assert!(
+                held == fits(beside),
+                "device {device}, model {m} {:?} beside {used:?}: held {held}",
+                (ram, flash)
+            );
+            if held {
+                used = beside;
+            }
+        }
+        prop_assert!(
+            !home_fits || fits(used),
+            "device {device}: home set fits but the placed set {used:?} does not"
+        );
+    }
+    let mut lanes = vec![Vec::new(); workers];
+    let mut spilled = 0;
+    for &m in requests {
+        let deployed = footprints.get(m).is_some_and(Option::is_some);
+        match router.route(m) {
+            Some(device) => {
+                prop_assert!(deployed, "model {m} never deployed but was routed");
+                prop_assert!(
+                    router.holders(m).contains(&device),
+                    "model {m} routed to device {device}, outside {:?}",
+                    router.holders(m)
+                );
+                spilled += usize::from(device != m % workers);
+                lanes[device].push(m);
+            }
+            None => prop_assert!(!deployed, "deployed model {m} was not routed"),
+        }
+    }
+    let assigned: Vec<usize> = router.assigned().iter().map(|&n| n as usize).collect();
+    let lane_lengths: Vec<usize> = lanes.iter().map(Vec::len).collect();
+    prop_assert_eq!(assigned, lane_lengths);
+    Ok(Routed {
+        lanes,
+        every_home_fits,
+        spilled,
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Every deployed model's holders include its home; a device whose
+    /// home set fits holds a set that fits; requests only reach devices
+    /// that hold their model; and when every home set fits, replaying
+    /// each lane through a residency ledger evicts nothing.
+    #[test]
+    fn routing_stays_inside_resident_sets_that_fit(case in routing_case()) {
+        let routed = route_case(&case)?;
+        if routed.every_home_fits {
+            for (device, lane) in routed.lanes.iter().enumerate() {
+                let mut ledger = ResidencyLedger::new(case.ram_budget, case.flash_budget);
+                for &m in lane {
+                    let (ram, flash) = case.footprints[m].expect("routed models are deployed");
+                    let admit = ledger.request(m, ram, flash);
+                    prop_assert!(
+                        matches!(admit, Admit::Hit | Admit::Staged { .. }),
+                        "device {device}, model {m}: {admit:?}"
+                    );
+                }
+                prop_assert_eq!(ledger.evictions(), 0);
+            }
+        }
+    }
+}
+
+/// The routing generator reaches the cases the property is about: home
+/// sets that fit and home sets that overflow, and streams that spill
+/// off their home device.
+#[test]
+fn the_routing_generator_covers_fits_overflows_and_spills() {
+    let mut rng = proptest::TestRng::from_name("serve_props::routing_coverage");
+    let (mut fit, mut overflow, mut spill) = (0, 0, 0);
+    for _ in 0..200 {
+        let routed = route_case(&routing_case().generate(&mut rng)).expect("property holds");
+        if routed.every_home_fits {
+            fit += 1;
+            spill += usize::from(routed.spilled > 0);
+        } else {
+            overflow += 1;
+        }
+    }
+    assert!(
+        fit > 50 && overflow > 25 && spill > 25,
+        "{fit} fit, {overflow} overflow, {spill} spill"
+    );
 }

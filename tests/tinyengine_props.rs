@@ -19,8 +19,8 @@ use std::mem::discriminant;
 use vmcu::vmcu_kernels::intrinsics::{broadcast, dot_tile_u8, requant_row};
 use vmcu::vmcu_kernels::params::{DepthwiseParams, IbParams, PointwiseParams};
 use vmcu::vmcu_kernels::tinyengine::{
-    run_add_te_inplace, run_depthwise_te_inplace, run_ib_te, run_pointwise_te, TeIbLayout,
-    TePointwiseLayout, TE_COL_TILE,
+    dw_stages_whole_input, run_add_te_inplace, run_depthwise_te_inplace, run_ib_te,
+    run_pointwise_te, TeIbLayout, TePointwiseLayout, TE_COL_TILE,
 };
 use vmcu::vmcu_sim::{Device, Machine, MemError};
 use vmcu::vmcu_tensor::{random, Requant};
@@ -100,11 +100,17 @@ fn definition_depthwise_te_inplace(
     let mut w_reg = vec![0u8; p.c];
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
-    let ring_rows = p.r.min(p.h); // the ring never exceeds the image height
+    // All rows up front when padding lets the output outrun them.
+    let whole = dw_stages_whole_input(p);
+    let ring_rows = if whole { p.h } else { p.r.min(p.h) };
     let mut copied_upto = 0usize; // rows [0, copied_upto) staged in the ring
     for pi in 0..h_out {
         // Stage the original rows this output row's window needs.
-        let hi_row = (pi * p.stride + p.r - 1).saturating_sub(p.pad).min(p.h - 1);
+        let hi_row = if whole {
+            p.h - 1
+        } else {
+            (pi * p.stride + p.r - 1).saturating_sub(p.pad).min(p.h - 1)
+        };
         while copied_upto <= hi_row {
             m.ram_copy(
                 buf + copied_upto * row_bytes,
@@ -340,7 +346,8 @@ proptest! {
         p.clamp = clamp;
         let buf_bytes = p.in_bytes().max(p.out_bytes());
         let ring = offset + buf_bytes + gap;
-        let ram = noise(ring + r.min(h) * w * c + 16, seed);
+        let ring_rows = if dw_stages_whole_input(&p) { h } else { r.min(h) };
+        let ram = noise(ring + ring_rows * w * c + 16, seed);
         let weights = noise(r * s * c, seed + 1);
         for device in devices() {
             assert_same_as_definition(
