@@ -1,8 +1,8 @@
-//! Criterion micro-benchmarks for the online serving event loop: the
-//! host time of one seeded stream through `Fleet::run_online`. A
-//! staging is ledger bookkeeping plus a simulated charge, so a policy
-//! that hot-swaps thousands of times should cost about as much host time
-//! as one that never swaps.
+//! Criterion micro-benchmarks for the online serving pass: the host time
+//! of one seeded stream through `Fleet::run_online`. A staging is ledger
+//! bookkeeping plus a simulated charge, so a policy that hot-swaps
+//! thousands of times should cost about as much host time as one that
+//! never swaps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -11,9 +11,10 @@ use vmcu_serve::{ArrivalProfile, Fleet, FleetConfig, ModelCatalog, OnlineConfig}
 
 /// 100k Poisson requests at 150 req/s on 128 KB F411RE workers. On four
 /// workers neither `Vmcu(RowBuffer)` nor `VmcuPatched(RowBuffer)` swaps:
-/// each worker keeps the resident set the router placed on it. One
-/// worker cannot hold the catalog, so `Vmcu(RowBuffer)` there hot-swaps
-/// ~5.6k times.
+/// each worker keeps the resident set the router placed on it. Two
+/// workers under `Vmcu(RowBuffer)` is the repository benchmark's fleet
+/// (`serve_poisson`), and swaps neither. One worker cannot hold the
+/// catalog, so `Vmcu(RowBuffer)` there hot-swaps ~5.6k times.
 fn bench_online(c: &mut Criterion) {
     let mut g = c.benchmark_group("serve-online");
     g.sample_size(10);
@@ -26,6 +27,11 @@ fn bench_online(c: &mut Criterion) {
     );
     for (name, workers, planner) in [
         ("vmcu-rowbuffer", 4, PlannerKind::Vmcu(IbScheme::RowBuffer)),
+        (
+            "vmcu-rowbuffer-2workers",
+            2,
+            PlannerKind::Vmcu(IbScheme::RowBuffer),
+        ),
         (
             "vmcu-patched-rowbuffer",
             4,

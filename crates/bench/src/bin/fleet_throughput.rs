@@ -14,8 +14,9 @@
 //!   order search's ≤-contract on the branchy zoo and that
 //!   `branchy-oom-net` deploys only under the reorder policy.
 //! * **`online`** — sustained online runs ([`Fleet::run_online`]): a
-//!   seeded million-request arrival stream through per-device EDF
-//!   queues with deadline shedding and LRU model hot-swap. Every
+//!   seeded million-request arrival stream dispatched across the
+//!   devices by their simulated clocks, served in deadline order with
+//!   deadline shedding and LRU model hot-swap. Every
 //!   planner serves the Poisson stream; the vMCU policy additionally
 //!   serves the bursty and diurnal profiles, and the Poisson stream on
 //!   a single device (`vMCU-1worker`), which cannot keep the catalog
@@ -25,8 +26,8 @@
 //!
 //! All simulated metrics are bit-reproducible across machines — one
 //! online row is re-run in-process and compared bit-for-bit as a check.
-//! The CI bench gate (`bench_gate`) consumes the emitted file and gates
-//! p99 sojourn and shed rate against `ci/bench_baseline.json`.
+//! The CI bench gate (`bench_gate`) compares the emitted file, host time
+//! aside, exactly with `ci/bench_baseline.json`.
 //!
 //! Flags: `--light` (shorter batch stream for CI), `--workers N`,
 //! `--requests N` (batch), `--seed S`, `--out PATH`, `--online`
@@ -495,9 +496,10 @@ fn main() {
             online_stats.iter().all(|(_, _, s)| s.failed == 0),
             "typed engine errors during online serving".to_owned(),
         ));
-        // Steady state: under EDF + shedding the completion tail must
-        // not drift between the first and second half of the run — a
-        // diverging queue would blow the second half up.
+        // Steady state: served in deadline order and shed, the
+        // completion tail must not drift between the first and second
+        // half of the run — a diverging queue would blow the second
+        // half up.
         let stable = online_stats
             .iter()
             .filter(|(_, _, s)| s.completed >= 1_000)

@@ -78,7 +78,7 @@ every test is `cargo test --test <name>` from the repository root.
 | RAM savings as fleet admission capacity | `fleet_throughput` + serve suite | `cargo run --release --bin fleet_throughput -- --light`; `cargo test --test serve_fleet` |
 | RAM savings as online serving capacity: million-request seeded streams, SLO shedding, hot-swap priced at Flash-programming cost (`docs/SERVING.md`) | `fleet_throughput` online rows + online suite | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online` |
 | Online serving is bit-reproducible across hosts (simulated clocks, libm-free arrival sampling) | `online_bit_reproducible` bench check + determinism tests | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online online_runs_are_bit_reproducible` |
-| Online p99 sojourn and shed rate regression gate (CI) | `bench_gate` online rows vs `ci/bench_baseline.json` | `cargo run --release --bin bench_gate` |
+| Fleet regression gate (CI): every simulated batch and online number equals the committed baseline | `bench_gate` vs `ci/bench_baseline.json`, host time stripped | `cargo run --release --bin bench_gate` |
 | §5.1 packed-SIMD MACs: vectorized GEMM ≥ 1.8× fewer cycles/MAC on DSP boards | `simd_kernels` + `BENCH_simd.json` | `cargo run --release --bin simd_kernels` |
 | Serving + SIMD regression gate (CI) | `bench_gate` vs `ci/bench_baseline.json`, `ci/bench_simd_baseline.json` | `cargo run --release --bin bench_gate -- --simd-current BENCH_simd.json --simd-baseline ci/bench_simd_baseline.json` |
 | Segment-size / IB-scheme ablations | `ablation_segment_size`, `ablation_ib_scheme` | `cargo run --release --bin ablation_segment_size` |

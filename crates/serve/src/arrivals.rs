@@ -192,13 +192,25 @@ impl ArrivalProfile {
     ///
     /// Panics when `models == 0` or a profile parameter is non-positive.
     pub fn stream(&self, requests: usize, models: usize, seed: u64) -> Vec<Arrival> {
+        self.arrivals(requests, models, seed).collect()
+    }
+
+    /// The arrivals of [`stream`](Self::stream), drawn one at a time as
+    /// the caller consumes them, so a pass over the stream holds none of
+    /// it in memory.
+    pub(crate) fn arrivals(
+        &self,
+        requests: usize,
+        models: usize,
+        seed: u64,
+    ) -> impl ExactSizeIterator<Item = Arrival> {
         assert!(models > 0, "cannot draw requests over an empty catalog");
         self.validate();
+        let profile = *self;
         let peak = self.peak_rate();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut out = Vec::with_capacity(requests);
         let mut t_us: u64 = 0;
-        while out.len() < requests {
+        (0..requests).map(move |_| loop {
             // Candidate from the homogeneous envelope process at the
             // peak rate; at least 1µs so the clock always advances.
             let dt_sec = -det_ln(unit_open(&mut rng)) / peak;
@@ -206,17 +218,16 @@ impl ArrivalProfile {
             // Lewis thinning: keep the candidate with probability
             // rate(t)/peak. Homogeneous profiles skip the accept draw so
             // the Poisson stream costs one draw per arrival.
-            let rate = self.rate_at(t_us);
+            let rate = profile.rate_at(t_us);
             if rate < peak && unit_open(&mut rng) >= rate / peak {
                 continue;
             }
-            out.push(Arrival {
+            break Arrival {
                 at_us: t_us,
                 model: rng.gen_range(0..models),
                 seed: rng.next_u64(),
-            });
-        }
-        out
+            };
+        })
     }
 }
 

@@ -1,14 +1,18 @@
-//! The fleet scheduler: deploy once, then admission, dispatch, parallel
-//! execution, aggregation.
+//! The fleet scheduler: deploy once, then serve a batch
+//! ([`Fleet::run_batch`]) or an online stream ([`Fleet::run_online`]).
 //!
 //! Planning and serving are split the way the paper splits them:
 //!
 //! 0. **Deployment (once per fleet).** [`Fleet::new`] deploys every
 //!    catalog model that fits the device — fit validated, every plan
 //!    artifact memoized, weights owned — and prices each model from its
-//!    cached [`MemoryPlan`](vmcu_plan::MemoryPlan). Serving a batch
-//!    replans nothing; [`FleetStats`] reports planning time and plan
-//!    calls separately from inference time.
+//!    cached [`MemoryPlan`](vmcu_plan::MemoryPlan). It then calibrates
+//!    each deployed model's online service time with one inference.
+//!    Serving replans nothing; [`FleetStats`] reports planning time and
+//!    plan calls separately from inference time.
+//!
+//! A batch then runs in three phases:
+//!
 //! 1. **Admission (sequential, deterministic).** Requests are considered
 //!    in submission order; the [`AdmissionController`] prices each model
 //!    from the pre-seeded demand cache and pins admitted requests to a
@@ -20,6 +24,11 @@
 //!    simulated device time, so the report is bit-identical across runs
 //!    and machines. Only [`FleetStats::host_wall_ms`] and
 //!    [`FleetStats::planning_ms`] are real time.
+//!
+//! An online stream runs in one pass on the calling thread: each
+//! arrival is dispatched against the devices' simulated clocks and
+//! served, or shed, on the chosen device at once (see
+//! [`Fleet::run_online`]).
 
 use crate::admission::AdmissionController;
 use crate::arrivals::ArrivalProfile;
@@ -27,7 +36,7 @@ use crate::catalog::ModelCatalog;
 use crate::queue::Router;
 use crate::request::{Outcome, RequestSpec};
 use crate::stats::{FleetStats, OnlineStats, OnlineWorkerStats, PlanningStats, WorkerStats};
-use crate::worker::{model_weight_seed, run_online, OnlineJob, OnlineModel, Worker};
+use crate::worker::{model_weight_seed, OnlineDevice, OnlineModel, Worker};
 use std::collections::HashMap;
 use std::time::Instant;
 use vmcu::prelude::Deployment;
@@ -39,7 +48,7 @@ use vmcu_sim::Device;
 pub struct FleetConfig {
     /// The device model every worker simulates.
     pub device: Device,
-    /// Number of devices (worker threads).
+    /// Number of devices.
     pub workers: usize,
     /// Planning/execution policy for the whole fleet.
     pub planner: PlannerKind,
@@ -80,7 +89,8 @@ pub struct OnlineConfig {
     /// Stream seed — same seed, same run, bit for bit.
     pub seed: u64,
     /// Latency SLO in simulated milliseconds: each request's deadline is
-    /// its arrival time plus this. Requests not *started* by their
+    /// its arrival time plus this (saturating: an SLO past the end of
+    /// the simulated clock never sheds). Requests not *started* by their
     /// deadline are shed; requests finished past it count as SLO
     /// violations.
     pub slo_ms: f64,
@@ -137,7 +147,8 @@ impl FleetReport {
 
 /// A fleet of simulated MCUs serving inference requests: one shared
 /// [`Deployment`] per deployable catalog model (plan once), per-model
-/// [`Session`](vmcu::Session)s on each worker (run many).
+/// [`Session`](vmcu::Session)s on each batch worker (run many), and one
+/// calibrated service profile per model for online serving.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     config: FleetConfig,
@@ -152,11 +163,20 @@ pub struct Fleet {
     prices: Vec<(String, Vec<usize>)>,
     /// Deploy-phase accounting, reported with every batch.
     planning: PlanningStats,
+    /// Each catalog model's online serving surface (footprint, staging
+    /// price, calibrated service), by catalog index; `None` for a model
+    /// that did not deploy.
+    online: Vec<Option<OnlineModel>>,
+    /// Online dispatch over the resident sets those footprints place.
+    router: Router,
 }
 
 impl Fleet {
     /// Creates a fleet and deploys the catalog: every model is planned
     /// exactly once here, no matter how many batches or requests follow.
+    /// Each deployed model is then calibrated for online serving: one
+    /// inference on a fresh session prices every online request to it.
+    /// [`PlanningStats::deploy_ms`] times the deployment alone.
     ///
     /// # Panics
     ///
@@ -201,12 +221,32 @@ impl Fleet {
             deploy_plan_calls: vmcu_plan::telemetry::plan_calls() - plan_calls_before,
             serve_plan_calls: 0,
         };
+        let online: Vec<Option<OnlineModel>> = catalog
+            .models()
+            .iter()
+            .map(|m| {
+                let dep = deployments.get(m.name)?;
+                Some(OnlineModel::calibrate(m.name, dep))
+            })
+            .collect();
+        let footprints: Vec<Option<(usize, usize)>> = online
+            .iter()
+            .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
+            .collect();
+        let router = Router::new(
+            config.workers,
+            &footprints,
+            config.device.usable_ram_bytes(),
+            config.device.flash_bytes,
+        );
         Self {
             config,
             catalog,
             deployments,
             prices,
             planning,
+            online,
+            router,
         }
     }
 
@@ -329,25 +369,31 @@ impl Fleet {
     }
 
     /// Runs a seeded online serving simulation: a continuous arrival
-    /// stream through per-device EDF queues with deadline-based shedding
-    /// and LRU model hot-swap.
+    /// stream dispatched across the devices by their simulated clocks,
+    /// with deadline-based shedding and LRU model hot-swap.
     ///
-    /// Three phases, mirroring [`run_batch`](Self::run_batch):
+    /// One pass over the seeded stream, on the calling thread. Each
+    /// arrival is
     ///
-    /// 1. **Routing (sequential, deterministic).** The seeded stream is
-    ///    generated and each request pinned to a device by the
-    ///    residency-aware [`Router`], which places each device's
-    ///    resident set from the models' footprints and the device
-    ///    budgets. Requests to models that never deployed are rejected
-    ///    here.
-    /// 2. **Serving (parallel).** One thread per device runs an
-    ///    integer-microsecond event loop: pull arrivals, pop the
-    ///    earliest deadline, shed if expired, hot-swap the model in if
-    ///    not resident (charging [`Deployment::staging_ms`] of simulated
-    ///    time), and serve for the model's calibrated service time.
-    /// 3. **Aggregation.** Per-worker records merge into [`OnlineStats`]
-    ///    — every simulated number bit-reproducible across hosts and
-    ///    runs ([`OnlineStats::simulated`]).
+    /// 1. **dispatched** by the residency-aware [`Router`]: to its
+    ///    model's home device, unless another device whose resident set
+    ///    holds the model can start it more than one calibrated service
+    ///    time sooner (then to the one that starts it soonest). A device
+    ///    starts a request at the later of its clock and the arrival.
+    ///    Requests to models that never deployed are rejected here;
+    /// 2. **shed** if it cannot start before its deadline (costing no
+    ///    device time), or else **staged** if its model is not resident
+    ///    (charging [`Deployment::staging_ms`] of simulated time, and
+    ///    evicting least-recently-used models as needed) and **served**
+    ///    for the model's calibrated service time, on that device at
+    ///    once.
+    ///
+    /// Under the run's single SLO a request's deadline order is its
+    /// arrival order, so serving each device's requests as they arrive
+    /// is its earliest-deadline-first schedule. The per-device records
+    /// then merge into [`OnlineStats`] — every simulated number
+    /// bit-reproducible across hosts and runs
+    /// ([`OnlineStats::simulated`]).
     ///
     /// # Examples
     ///
@@ -371,8 +417,9 @@ impl Fleet {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg.slo_ms` is not a positive finite latency, or if a
-    /// worker thread itself panics.
+    /// Panics if `cfg.slo_ms` is not a positive finite latency, or if
+    /// `cfg.profile` has a non-positive parameter and the catalog is
+    /// not empty.
     pub fn run_online(&self, cfg: &OnlineConfig) -> OnlineReport {
         assert!(
             cfg.slo_ms.is_finite() && cfg.slo_ms > 0.0,
@@ -380,84 +427,56 @@ impl Fleet {
         );
         let started = Instant::now();
         let plan_calls_before = vmcu_plan::telemetry::plan_calls();
-
-        // Phase 0: resolve the serving surface per catalog index from
-        // the cached deployments — footprints and staging prices, no
-        // replanning.
-        let models: Vec<Option<OnlineModel>> = self
-            .catalog
-            .models()
-            .iter()
-            .map(|m| {
-                self.deployments.get(m.name).map(|dep| OnlineModel {
-                    name: m.name.to_owned(),
-                    ram_bytes: dep.peak_demand_bytes(),
-                    flash_bytes: dep.image_bytes(),
-                    staging_us: (dep.staging_ms() * 1e3).round() as u64,
-                    deployment: dep.clone(),
-                })
-            })
-            .collect();
-
-        // Phase 1: seeded arrivals, routed deterministically to devices
-        // whose resident sets hold their models.
+        let workers = self.config.workers;
         let ram_budget = self.config.device.usable_ram_bytes();
         let flash_budget = self.config.device.flash_bytes;
-        let footprints: Vec<Option<(usize, usize)>> = models
-            .iter()
-            .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
-            .collect();
         let slo_us = (cfg.slo_ms * 1e3).round() as u64;
-        let arrivals = cfg.profile.stream(cfg.requests, models.len(), cfg.seed);
-        let mut router = Router::new(
-            self.config.workers,
-            cfg.requests,
-            &footprints,
-            ram_budget,
-            flash_budget,
-        );
-        let mut lanes: Vec<Vec<OnlineJob>> = vec![Vec::new(); self.config.workers];
-        let mut rejected = 0usize;
-        for (seq, a) in arrivals.iter().enumerate() {
-            let Some(worker) = router.route(a.model) else {
-                rejected += 1;
-                continue;
-            };
-            lanes[worker].push(OnlineJob {
-                at_us: a.at_us,
-                deadline_us: a.at_us + slo_us,
-                seq: seq as u64,
-                model: a.model,
-            });
-        }
-        let routing_plan_calls = vmcu_plan::telemetry::plan_calls() - plan_calls_before;
-
-        // Phase 2: one thread per device drains its lane.
-        let runs = std::thread::scope(|scope| {
-            let handles: Vec<_> = lanes
-                .iter()
-                .map(|jobs| {
-                    let models = &models;
-                    scope.spawn(move || run_online(models, jobs, ram_budget, flash_budget))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread must not panic"))
-                .collect::<Vec<_>>()
-        });
-
-        // Phase 3: merge and aggregate.
-        let mut completions = Vec::new();
-        let mut worker_stats = Vec::with_capacity(runs.len());
-        for run in runs {
-            completions.extend(run.completions);
-            worker_stats.push(run.stats);
+        let mut clocks = vec![0u64; workers];
+        // Any device may serve every request: sized up front, no log
+        // ever grows, and the first has room for all of them to merge.
+        let mut devices: Vec<OnlineDevice> = (0..workers)
+            .map(|_| OnlineDevice::new(ram_budget, flash_budget, cfg.requests))
+            .collect();
+        let mut rejected = 0;
+        if self.online.is_empty() {
+            // Nothing deployed, and no model to draw a stream over: every
+            // offered request is rejected.
+            rejected = cfg.requests;
+        } else {
+            for a in cfg
+                .profile
+                .arrivals(cfg.requests, self.online.len(), cfg.seed)
+            {
+                let Some(model) = &self.online[a.model] else {
+                    rejected += 1;
+                    continue;
+                };
+                let device = self
+                    .router
+                    .dispatch(a.model, a.at_us, model.service_us(), &clocks)
+                    .expect("a deployed model's home device holds it");
+                // A deadline past the end of the clock never sheds.
+                let deadline_us = a.at_us.saturating_add(slo_us);
+                devices[device].serve(&mut clocks[device], a.model, model, a.at_us, deadline_us);
+            }
         }
         let planning = PlanningStats {
-            serve_plan_calls: routing_plan_calls,
+            serve_plan_calls: vmcu_plan::telemetry::plan_calls() - plan_calls_before,
             ..self.planning.clone()
         };
+        // Each device logged in completion order: concatenated, the logs
+        // are a few sorted runs for the aggregation's merge.
+        let mut completions = Vec::new();
+        let mut worker_stats = Vec::with_capacity(workers);
+        for (device, clock_us) in devices.into_iter().zip(clocks) {
+            let (log, stats) = device.finish(clock_us);
+            if worker_stats.is_empty() {
+                completions = log;
+            } else {
+                completions.extend_from_slice(&log);
+            }
+            worker_stats.push(stats);
+        }
         let stats = OnlineStats::aggregate(
             cfg.requests,
             rejected,

@@ -6,8 +6,7 @@
 //! can admit**. A [`Fleet`] deploys every catalog model **once** at
 //! construction (one shared [`vmcu::Deployment`] per model — fit
 //! validated, plans memoized, weights owned), owns N simulated
-//! Cortex-M4/M7 devices (one `std::thread` worker each, serving through
-//! per-model [`vmcu::Session`]s with zero replanning), and prices
+//! Cortex-M4/M7 devices that serve with zero replanning, and prices
 //! admission from the cached deployment plans. A batch run reports
 //! requests/sec, admission rate, and p50/p99 latency — all in simulated
 //! device time, so every number is bit-reproducible across hosts (the CI
@@ -18,10 +17,15 @@
 //!
 //! The primary serving path is the **online simulator**
 //! ([`Fleet::run_online`]): a seeded [`ArrivalProfile`] generates a
-//! continuous request stream, each device runs an earliest-deadline-
-//! first queue with deadline-based shedding, and models hot-swap on and
-//! off devices with every staging charged simulated Flash-programming
-//! time ([`vmcu::Deployment::staging_ms`]). See `docs/SERVING.md` for
+//! continuous request stream, the [`Router`] sends each request to the
+//! device holding its model that can start it soonest (its home device
+//! unless another starts it more than one service time sooner), each
+//! device serves its requests in deadline order and sheds those that
+//! cannot start in time, and models hot-swap on and off devices with
+//! every staging charged simulated Flash-programming time
+//! ([`vmcu::Deployment::staging_ms`]). Service times are calibrated once
+//! per model when the fleet is built, so a million-request run is one
+//! pass over the stream on one host thread. See `docs/SERVING.md` for
 //! the operations handbook.
 //!
 //! ```
@@ -44,8 +48,9 @@
 //! ```
 //!
 //! The legacy **batch path** ([`Fleet::run_batch`]) admits one seeded
-//! batch up front and drains it — still the cleanest way to measure the
-//! paper's admission-capacity claim:
+//! batch up front and drains it, one `std::thread` per device running
+//! real inferences through per-model [`vmcu::Session`]s — still the
+//! cleanest way to measure the paper's admission-capacity claim:
 //!
 //! ```
 //! use vmcu_serve::{Fleet, FleetConfig, ModelCatalog, random_stream};
@@ -80,7 +85,7 @@ pub use admission::AdmissionController;
 pub use arrivals::{Arrival, ArrivalProfile};
 pub use catalog::ModelCatalog;
 pub use fleet::{Fleet, FleetConfig, FleetReport, OnlineConfig, OnlineReport};
-pub use queue::{EdfQueue, QueuedRequest, Router};
+pub use queue::Router;
 pub use request::{random_stream, Completion, Outcome, RejectReason, RequestSpec};
 pub use stats::{
     percentile_ms, percentile_us, FleetStats, OnlineStats, OnlineWorkerStats, PlanningStats,

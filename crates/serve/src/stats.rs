@@ -95,7 +95,7 @@ pub struct FleetStats {
 /// every field here is bit-reproducible across hosts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct OnlineWorkerStats {
-    /// Requests routed to this device's queue.
+    /// Requests dispatched to this device.
     pub routed: usize,
     /// Requests served to completion.
     pub served: usize,
@@ -119,12 +119,14 @@ pub struct OnlineWorkerStats {
     pub busy_us: u64,
     /// Simulated staging time charged, µs.
     pub staging_us: u64,
-    /// The device clock when the queue drained, µs.
+    /// The device clock after its last request, µs.
     pub clock_us: u64,
     /// Simulated energy, mJ.
     pub energy_mj: f64,
-    /// Planning passes during the run (always 0 — workers execute
-    /// memoized plans).
+    /// Planning passes this device's serving performed: always 0, as
+    /// it charges calibrated service times and runs no inference. The
+    /// whole online pass's plan calls are
+    /// [`OnlineStats::serve_plan_calls`].
     pub plan_calls: u64,
 }
 
@@ -137,7 +139,7 @@ pub struct OnlineWorkerStats {
 pub struct OnlineStats {
     /// Requests in the arrival stream.
     pub offered: usize,
-    /// Requests routed to a device queue (`offered - rejected`).
+    /// Requests dispatched to a device (`offered - rejected`).
     pub routed: usize,
     /// Requests refused at routing: the model never deployed on this
     /// fleet (planner capacity rejection), so no device can serve it.
@@ -219,8 +221,12 @@ impl OnlineStats {
         // few sorted runs: the stable sort merges them in linear time.
         completions.sort();
         let completed = completions.len();
-        let sojourns: Vec<u64> = completions.iter().map(|&(_, s)| s).collect();
-        let (first, second) = sojourns.split_at(completed / 2);
+        let mut sojourns: Vec<u64> = completions.iter().map(|&(_, s)| s).collect();
+        // Ranking permutes only the slice it ranks, so both halves are
+        // ranked in place before the whole sample is.
+        let (first, second) = sojourns.split_at_mut(completed / 2);
+        let p99_first_half_ms = nearest_rank_us(first, 0.99);
+        let p99_second_half_ms = nearest_rank_us(second, 0.99);
         let routed = offered - rejected;
         let shed = workers.iter().map(|w| w.shed).sum::<usize>();
         let clock_us = workers.iter().map(|w| w.clock_us).max().unwrap_or(0);
@@ -239,10 +245,10 @@ impl OnlineStats {
                 shed as f64 / routed as f64
             },
             slo_violations: workers.iter().map(|w| w.slo_violations).sum(),
-            p50_sojourn_ms: percentile_us(&sojourns, 0.50),
-            p99_sojourn_ms: percentile_us(&sojourns, 0.99),
-            p99_first_half_ms: percentile_us(first, 0.99),
-            p99_second_half_ms: percentile_us(second, 0.99),
+            p50_sojourn_ms: nearest_rank_us(&mut sojourns, 0.50),
+            p99_sojourn_ms: nearest_rank_us(&mut sojourns, 0.99),
+            p99_first_half_ms,
+            p99_second_half_ms,
             stagings: workers.iter().map(|w| w.stagings).sum(),
             swaps: workers.iter().map(|w| w.swaps).sum(),
             evictions: workers.iter().map(|w| w.evictions).sum(),
@@ -276,12 +282,17 @@ impl OnlineStats {
 ///
 /// Panics if `q` is outside `[0, 1]`.
 pub fn percentile_us(samples: &[u64], q: f64) -> f64 {
+    nearest_rank_us(&mut samples.to_vec(), q)
+}
+
+/// [`percentile_us`] selecting in place: permutes `samples`.
+fn nearest_rank_us(samples: &mut [u64], q: f64) -> f64 {
     assert!((0.0..=1.0).contains(&q), "quantile must be in [0, 1]");
     if samples.is_empty() {
         return 0.0;
     }
     let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
-    *samples.to_vec().select_nth_unstable(rank - 1).1 as f64 / 1e3
+    *samples.select_nth_unstable(rank - 1).1 as f64 / 1e3
 }
 
 /// Nearest-rank percentile of an unsorted sample (`q` in `[0, 1]`).

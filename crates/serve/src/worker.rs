@@ -1,16 +1,22 @@
-//! The worker: one thread owning one simulated device.
+//! The devices: batch workers and online devices.
 //!
-//! A worker is handed its batch slice (requests pinned to its device by
-//! admission control) and executes them sequentially — an MCU runs one
-//! inference at a time. It never plans: models arrive as shared
-//! [`Deployment`]s (plans memoized, weights owned, built once by the
-//! fleet), and the worker opens one [`Session`] per resident model — the
-//! device's SRAM plus the model's flashed weights — that serves every
-//! request to that model. The per-thread plan-call counter
-//! ([`vmcu_plan::telemetry`]) is reported in [`WorkerStats`] so the
-//! zero-replanning contract is gated, not just claimed.
+//! A batch [`Worker`] is one thread owning one simulated device. It is
+//! handed its batch slice (requests pinned to its device by admission
+//! control) and executes them sequentially — an MCU runs one inference
+//! at a time. It never plans: models arrive as shared [`Deployment`]s
+//! (plans memoized, weights owned, built once by the fleet), and the
+//! worker opens one [`Session`] per resident model — the device's SRAM
+//! plus the model's flashed weights — that serves every request to that
+//! model. The per-thread plan-call counter ([`vmcu_plan::telemetry`]) is
+//! reported in [`WorkerStats`] so the zero-replanning contract is gated,
+//! not just claimed.
+//!
+//! An [`OnlineDevice`] runs no inference at all: the fleet calibrates
+//! each model once at construction ([`OnlineModel::calibrate`]), and
+//! the device charges that calibrated service time, plus staging time
+//! on each staging, to its simulated clock as the online pass hands it
+//! requests.
 
-use crate::queue::{EdfQueue, QueuedRequest};
 use crate::request::{Completion, RequestSpec};
 use crate::stats::{OnlineWorkerStats, WorkerStats};
 use crate::swap::{Admit, ResidencyLedger};
@@ -120,163 +126,152 @@ impl<'a> Worker<'a> {
     }
 }
 
-/// A request routed to one device's online queue (times in simulated
-/// microseconds; `model` is a catalog index).
+/// Calibrated per-model service cost. The simulated cost model is
+/// shape-driven — latency and energy do not depend on input *values* —
+/// so one real inference per model prices every request to that model
+/// on every device. `tests/serve_online.rs` pins that input-independence.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OnlineJob {
-    pub at_us: u64,
-    pub deadline_us: u64,
-    pub seq: u64,
-    pub model: usize,
+pub(crate) struct ServiceProfile {
+    pub service_us: u64,
+    pub energy_mj: f64,
 }
 
 /// The serving surface of one catalog model, resolved once by the
-/// fleet: the shared deployment plus its residency footprint and
-/// staging price (all derived from the cached plans — no replanning).
+/// fleet at construction: its residency footprint and staging price
+/// (derived from the cached plans — no replanning) and its calibrated
+/// service cost.
 #[derive(Debug, Clone)]
 pub(crate) struct OnlineModel {
-    pub name: String,
-    pub deployment: Deployment,
     /// Peak SRAM demand while serving (residency RAM budget share).
     pub ram_bytes: usize,
     /// Firmware image size (residency Flash budget share).
     pub flash_bytes: usize,
     /// Simulated staging price, µs — charged on every staging.
     pub staging_us: u64,
+    /// Calibrated service cost; `None` when the calibrating inference
+    /// failed, in which case every request served to the model fails.
+    pub service: Option<ServiceProfile>,
 }
 
-/// Calibrated per-model service cost. The simulated cost model is
-/// shape-driven — latency and energy do not depend on input *values* —
-/// so one real inference per (device, model) prices every request to
-/// that model. `tests/serve_online.rs` pins that input-independence.
-#[derive(Debug, Clone, Copy)]
-struct ServiceProfile {
-    service_us: u64,
-    energy_mj: f64,
+impl OnlineModel {
+    /// Prices `deployment` for online serving, running one real
+    /// inference on a fresh session to calibrate its service cost.
+    pub(crate) fn calibrate(name: &str, deployment: &Deployment) -> Self {
+        let input = random::tensor_i8(
+            &deployment.graph().in_shape(),
+            model_weight_seed(name) ^ 0xCA11_B7A7,
+        );
+        let service = deployment
+            .session()
+            .infer(&input)
+            .ok()
+            .map(|report| ServiceProfile {
+                service_us: ((report.latency_ms() * 1e3).round() as u64).max(1),
+                energy_mj: report.energy_mj(),
+            });
+        Self {
+            ram_bytes: deployment.peak_demand_bytes(),
+            flash_bytes: deployment.image_bytes(),
+            staging_us: (deployment.staging_ms() * 1e3).round() as u64,
+            service,
+        }
+    }
+
+    /// The calibrated service time the router weighs (0 when
+    /// calibration failed: such a request costs no service time).
+    pub(crate) fn service_us(&self) -> u64 {
+        self.service.map_or(0, |s| s.service_us)
+    }
 }
 
-/// Result of one device's online run.
+/// One simulated device in an online run: its residency ledger,
+/// statistics and completion log. Its clock lives beside it, in the
+/// clock array the router dispatches against.
 #[derive(Debug)]
-pub(crate) struct OnlineWorkerRun {
+pub(crate) struct OnlineDevice {
+    ledger: ResidencyLedger,
+    stats: OnlineWorkerStats,
     /// `(completion_us, sojourn_us)` per served request, in completion
     /// order.
-    pub completions: Vec<(u64, u64)>,
-    pub stats: OnlineWorkerStats,
+    log: Vec<(u64, u64)>,
 }
 
-/// Drains one device's arrival lane through an EDF queue with
-/// deadline-based shedding and LRU hot-swap.
-///
-/// The event loop runs on an integer microsecond clock: pull arrivals
-/// that have occurred, pop the most urgent queued request, shed it if
-/// its deadline already passed, otherwise make its model resident
-/// (charging staging time on every staging) and serve it for its
-/// calibrated service time. Staging is ledger bookkeeping plus the
-/// simulated charge; the only [`Session`] the loop builds is the one
-/// that calibrates a model on its first service. `jobs` must be sorted
-/// by arrival time (routing preserves arrival order).
-pub(crate) fn run_online(
-    models: &[Option<OnlineModel>],
-    jobs: &[OnlineJob],
-    ram_budget: usize,
-    flash_budget: usize,
-) -> OnlineWorkerRun {
-    let plan_calls_before = vmcu_plan::telemetry::plan_calls();
-    let mut stats = OnlineWorkerStats {
-        routed: jobs.len(),
-        ..Default::default()
-    };
-    let mut completions = Vec::with_capacity(jobs.len());
-    let mut ledger = ResidencyLedger::new(ram_budget, flash_budget);
-    // Calibrated service profiles survive eviction: a model that swaps
-    // back in pays staging time again, but never re-calibrates.
-    let mut profiles: Vec<Option<Result<ServiceProfile, ()>>> = vec![None; models.len()];
-    let mut queue = EdfQueue::new();
-    let mut next_arrival = 0usize;
-    let mut now: u64 = 0;
-    loop {
-        while next_arrival < jobs.len() && jobs[next_arrival].at_us <= now {
-            let j = jobs[next_arrival];
-            queue.push(QueuedRequest {
-                deadline_us: j.deadline_us,
-                seq: j.seq,
-                at_us: j.at_us,
-                model: j.model,
-            });
-            next_arrival += 1;
+impl OnlineDevice {
+    /// An idle device with nothing resident, whose completion log has
+    /// room for `log_capacity` requests.
+    pub(crate) fn new(ram_budget: usize, flash_budget: usize, log_capacity: usize) -> Self {
+        Self {
+            ledger: ResidencyLedger::new(ram_budget, flash_budget),
+            stats: OnlineWorkerStats::default(),
+            log: Vec::with_capacity(log_capacity),
         }
-        let Some(job) = queue.pop() else {
-            if next_arrival < jobs.len() {
-                // Idle until the next arrival.
-                now = now.max(jobs[next_arrival].at_us);
-                continue;
-            }
-            break;
-        };
-        // Shed-on-deadline: a request whose deadline passed before
-        // service could start is dropped, costing no device time.
-        if now >= job.deadline_us {
-            stats.shed += 1;
-            continue;
+    }
+
+    /// Serves one request to catalog model `index`, arriving at `at_us`
+    /// with deadline `deadline_us`, on a device whose work so far ends
+    /// at `clock`. Requests reach a device in arrival order, which under
+    /// one SLO is deadline order, so this is the device's
+    /// earliest-deadline-first event loop taken one request at a time:
+    /// idle until the arrival, shed the request if its deadline already
+    /// passed (costing no device time), otherwise make its model
+    /// resident (charging staging time on every staging) and serve it
+    /// for its calibrated service time.
+    pub(crate) fn serve(
+        &mut self,
+        clock: &mut u64,
+        index: usize,
+        model: &OnlineModel,
+        at_us: u64,
+        deadline_us: u64,
+    ) {
+        self.stats.routed += 1;
+        *clock = (*clock).max(at_us);
+        if *clock >= deadline_us {
+            self.stats.shed += 1;
+            return;
         }
-        let model = models[job.model]
-            .as_ref()
-            .expect("routing rejects undeployed models");
         // Residency: stage (and possibly hot-swap) before serving. The
         // staging price comes from the Session API surface
         // (`Deployment::staging_ms`), charged exactly once per staging.
-        match ledger.request(job.model, model.ram_bytes, model.flash_bytes) {
+        match self
+            .ledger
+            .request(index, model.ram_bytes, model.flash_bytes)
+        {
             Admit::Hit => {}
             Admit::Staged { .. } => {
-                now += model.staging_us;
-                stats.staging_us += model.staging_us;
+                *clock += model.staging_us;
+                self.stats.staging_us += model.staging_us;
             }
             // A deployed model always fits an empty device (deploy
             // validated RAM and Flash), so this cannot happen.
             Admit::TooLarge => unreachable!("deployed models fit their device"),
         }
-        // Calibrate on first service: one real inference on a fresh
-        // session prices the model; every later request reuses the
-        // profile.
-        let profile = match profiles[job.model] {
-            Some(p) => p,
-            None => {
-                let input = random::tensor_i8(
-                    &model.deployment.graph().in_shape(),
-                    model_weight_seed(&model.name) ^ 0xCA11_B7A7,
-                );
-                let measured = model
-                    .deployment
-                    .session()
-                    .infer(&input)
-                    .map(|report| ServiceProfile {
-                        service_us: ((report.latency_ms() * 1e3).round() as u64).max(1),
-                        energy_mj: report.energy_mj(),
-                    })
-                    .map_err(|_| ());
-                profiles[job.model] = Some(measured);
-                measured
-            }
+        let Some(service) = model.service else {
+            self.stats.failed += 1;
+            return;
         };
-        let Ok(profile) = profile else {
-            stats.failed += 1;
-            continue;
-        };
-        now += profile.service_us;
-        stats.served += 1;
-        stats.busy_us += profile.service_us;
-        stats.energy_mj += profile.energy_mj;
-        if now > job.deadline_us {
-            stats.slo_violations += 1;
+        *clock += service.service_us;
+        self.stats.served += 1;
+        self.stats.busy_us += service.service_us;
+        self.stats.energy_mj += service.energy_mj;
+        if *clock > deadline_us {
+            self.stats.slo_violations += 1;
         }
-        completions.push((now, now - job.at_us));
+        self.log.push((*clock, *clock - at_us));
     }
-    stats.clock_us = now;
-    stats.stagings = ledger.stagings();
-    stats.swaps = ledger.swaps();
-    stats.evictions = ledger.evictions();
-    stats.plan_calls = vmcu_plan::telemetry::plan_calls() - plan_calls_before;
-    OnlineWorkerRun { completions, stats }
+
+    /// The device's completion log and statistics, its clock having
+    /// ended at `clock_us`.
+    pub(crate) fn finish(self, clock_us: u64) -> (Vec<(u64, u64)>, OnlineWorkerStats) {
+        let stats = OnlineWorkerStats {
+            clock_us,
+            stagings: self.ledger.stagings(),
+            swaps: self.ledger.swaps(),
+            evictions: self.ledger.evictions(),
+            ..self.stats
+        };
+        (self.log, stats)
+    }
 }
 
 #[cfg(test)]
@@ -348,97 +343,81 @@ mod tests {
         assert_eq!(run.stats.plan_calls, 0, "workers must never replan");
     }
 
-    fn online_models_for(names: &[&str]) -> Vec<Option<OnlineModel>> {
+    fn online_models_for(names: &[&str]) -> Vec<OnlineModel> {
         let deployments = deployments_for(names);
         names
             .iter()
-            .map(|name| {
-                let dep = deployments[*name].clone();
-                Some(OnlineModel {
-                    name: (*name).to_owned(),
-                    ram_bytes: dep.peak_demand_bytes(),
-                    flash_bytes: dep.image_bytes(),
-                    staging_us: (dep.staging_ms() * 1e3).round() as u64,
-                    deployment: dep,
-                })
-            })
+            .map(|name| OnlineModel::calibrate(name, &deployments[*name]))
             .collect()
+    }
+
+    /// Serves `(model, at_us, deadline_us)` requests in order on one
+    /// device and returns its log and statistics.
+    fn serve_all(
+        models: &[OnlineModel],
+        requests: &[(usize, u64, u64)],
+        ram_budget: usize,
+    ) -> (Vec<(u64, u64)>, OnlineWorkerStats) {
+        let mut device = OnlineDevice::new(ram_budget, usize::MAX, requests.len());
+        let mut clock = 0;
+        for &(index, at_us, deadline_us) in requests {
+            device.serve(&mut clock, index, &models[index], at_us, deadline_us);
+        }
+        device.finish(clock)
     }
 
     #[test]
     fn online_worker_charges_staging_exactly_once_per_staging() {
         let models = online_models_for(&["vww-s5", "demo-linear-net"]);
-        let ram = |m: &Option<OnlineModel>| m.as_ref().unwrap().ram_bytes;
-        let staging = |m: &Option<OnlineModel>| m.as_ref().unwrap().staging_us;
-        assert!(ram(&models[0]) > 0 && ram(&models[1]) > 0);
+        assert!(models[0].ram_bytes > 0 && models[1].ram_bytes > 0);
+        assert!(models.iter().all(|m| m.service.is_some()));
         // A RAM budget that fits either model alone but never both:
         // every alternation is a hot swap.
-        let ram_budget = ram(&models[0]).max(ram(&models[1]));
-        let jobs: Vec<OnlineJob> = (0..4)
-            .map(|i| OnlineJob {
-                at_us: 0,
-                deadline_us: u64::MAX,
-                seq: i,
-                model: (i % 2) as usize,
-            })
-            .collect();
-        let run = run_online(&models, &jobs, ram_budget, usize::MAX);
-        assert_eq!(run.stats.served, 4);
-        assert_eq!(run.stats.shed, 0);
-        assert_eq!(run.stats.failed, 0);
+        let ram_budget = models[0].ram_bytes.max(models[1].ram_bytes);
+        let requests: Vec<_> = (0..4).map(|i| (i % 2, 0, u64::MAX)).collect();
+        let (log, stats) = serve_all(&models, &requests, ram_budget);
+        assert_eq!(stats.routed, 4);
+        assert_eq!(stats.served, 4);
+        assert_eq!(stats.shed, 0);
+        assert_eq!(stats.failed, 0);
         // 0,1,0,1 with room for one resident: 4 stagings, the last 3
         // evict (hot swaps).
-        assert_eq!(run.stats.stagings, 4);
-        assert_eq!(run.stats.swaps, 3);
-        assert_eq!(run.stats.evictions, 3);
+        assert_eq!(stats.stagings, 4);
+        assert_eq!(stats.swaps, 3);
+        assert_eq!(stats.evictions, 3);
         // The staging clock charge is exactly stagings × per-model
         // price — once per staging, never more, never less.
-        let expected = 2 * staging(&models[0]) + 2 * staging(&models[1]);
-        assert_eq!(run.stats.staging_us, expected);
-        assert!(run.stats.clock_us >= run.stats.staging_us + run.stats.busy_us);
-        assert_eq!(run.stats.plan_calls, 0, "online serving must not plan");
+        let expected = 2 * models[0].staging_us + 2 * models[1].staging_us;
+        assert_eq!(stats.staging_us, expected);
+        // Nothing idles: the clock is staging plus service, and each
+        // completion is that clock so far.
+        assert_eq!(stats.clock_us, stats.staging_us + stats.busy_us);
+        assert_eq!(log.last(), Some(&(stats.clock_us, stats.clock_us)));
+        assert_eq!(stats.plan_calls, 0, "online serving must not plan");
         // And the whole run is deterministic.
-        let again = run_online(&models, &jobs, ram_budget, usize::MAX);
-        assert_eq!(run.completions, again.completions);
-        assert_eq!(run.stats, again.stats);
+        assert_eq!(serve_all(&models, &requests, ram_budget), (log, stats));
     }
 
     #[test]
     fn online_worker_sheds_expired_requests_at_dispatch() {
         let models = online_models_for(&["demo-linear-net"]);
-        // Two requests arrive together; the deadline only covers one
-        // service time, so EDF serves the more urgent and sheds the
-        // other when its turn comes too late.
-        let probe = run_online(
-            &models,
-            &[OnlineJob {
-                at_us: 0,
-                deadline_us: u64::MAX,
-                seq: 0,
-                model: 0,
-            }],
-            usize::MAX,
-            usize::MAX,
-        );
-        let service_us = probe.stats.busy_us;
+        let service_us = models[0].service_us();
         assert!(service_us > 0);
-        let staging_us = models[0].as_ref().unwrap().staging_us;
-        // Deadline lands exactly when the first service completes: the
-        // first request finishes on time, the second is expired at
-        // dispatch.
-        let deadline = staging_us + service_us;
-        let jobs: Vec<OnlineJob> = (0..2)
-            .map(|i| OnlineJob {
-                at_us: 0,
-                deadline_us: deadline,
-                seq: i,
-                model: 0,
-            })
-            .collect();
-        let run = run_online(&models, &jobs, usize::MAX, usize::MAX);
-        assert_eq!(run.stats.served, 1);
-        assert_eq!(run.stats.shed, 1, "the second request expired in queue");
-        assert_eq!(run.stats.slo_violations, 0);
+        // Two requests arrive together; the deadline lands exactly when
+        // the first service completes, so the first finishes on time and
+        // the second has expired when its turn comes.
+        let deadline = models[0].staging_us + service_us;
+        let (log, stats) = serve_all(&models, &[(0, 0, deadline), (0, 0, deadline)], usize::MAX);
+        assert_eq!(stats.served, 1);
+        assert_eq!(stats.shed, 1, "the second request expired in queue");
+        assert_eq!(stats.slo_violations, 0);
+        assert_eq!(log, [(deadline, deadline)]);
+        // A request that arrives after the device went idle waits for
+        // nothing: the clock jumps to its arrival.
+        let at = 10 * deadline;
+        let (log, stats) = serve_all(&models, &[(0, 0, deadline), (0, at, u64::MAX)], usize::MAX);
+        assert_eq!(log, [(deadline, deadline), (at + service_us, service_us)]);
+        assert_eq!(stats.clock_us, at + service_us);
     }
 
     #[test]

@@ -221,7 +221,7 @@ fn two_devices_keep_every_model_they_serve_resident() {
 
 #[test]
 fn simulated_inference_latency_is_input_independent() {
-    // The load-bearing fact behind the worker's one-probe-per-model
+    // The load-bearing fact behind the fleet's one-probe-per-model
     // service calibration: the simulated cost model prices a layer from
     // shapes and plans, never from activation values, so two inferences
     // with different inputs report identical latency and energy.
@@ -243,4 +243,52 @@ fn simulated_inference_latency_is_input_independent() {
     );
     assert_eq!(a.latency_ms(), b.latency_ms());
     assert_eq!(a.energy_mj(), b.energy_mj());
+}
+
+#[test]
+fn slos_past_the_end_of_the_clock_serve_like_a_long_finite_one() {
+    // A deadline is arrival plus SLO in integer microseconds. An SLO of
+    // ~1.85e16 ms or more saturates to `u64::MAX` µs, and the deadline
+    // must saturate with it rather than wrap around and shed everything.
+    // A 20k stream spans ~133 simulated seconds, so a 1e13 ms SLO
+    // already sheds nothing and is never missed.
+    let fleet = fleet_128kb(2);
+    let run = |slo_ms: f64| {
+        let profile = ArrivalProfile::Poisson {
+            rate_per_sec: 150.0,
+        };
+        fleet
+            .run_online(&OnlineConfig::new(profile, 20_000, 2024).with_slo_ms(slo_ms))
+            .stats
+            .simulated()
+    };
+    let finite = run(1e13);
+    assert_eq!((finite.shed, finite.slo_violations), (0, 0));
+    assert_eq!(finite.completed, finite.routed);
+    for slo_ms in [1.9e16, 1e18, f64::MAX] {
+        assert_eq!(run(slo_ms), finite, "SLO {slo_ms} ms");
+    }
+}
+
+#[test]
+fn an_empty_catalog_rejects_every_offered_request() {
+    // Nothing deploys, so there is no model to draw arrivals over: every
+    // offered request is rejected, as the batch path rejects them.
+    let fleet = Fleet::new(
+        FleetConfig::new(
+            Device::stm32_f411re(),
+            2,
+            PlannerKind::Vmcu(IbScheme::RowBuffer),
+        ),
+        ModelCatalog::new(vec![]),
+    );
+    let profile = ArrivalProfile::Poisson {
+        rate_per_sec: 150.0,
+    };
+    let s = fleet
+        .run_online(&OnlineConfig::new(profile, 1_000, 2024))
+        .stats;
+    assert_eq!((s.offered, s.rejected, s.routed), (1_000, 1_000, 0));
+    assert_eq!((s.completed, s.shed, s.failed), (0, 0, 0));
+    assert_eq!((s.shed_rate, s.p99_sojourn_ms), (0.0, 0.0));
 }

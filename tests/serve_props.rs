@@ -1,33 +1,43 @@
-//! The online event loop against the per-staging session loop it
+//! The online pass against the routed, per-staging session loop it
 //! replaced.
 //!
-//! `Fleet::run_online` treats a staging as what it models: a residency
-//! ledger entry plus the deployment's simulated staging time. The only
-//! `Session` a device builds is the one that calibrates a model on its
-//! first service. `OnlineStats::aggregate` merges the workers'
-//! completion-ordered logs instead of re-sorting them, and
-//! `percentile_us` selects its nearest rank instead of sorting a copy.
+//! `Fleet::run_online` walks the arrival stream once. It dispatches each
+//! request against the devices' simulated clocks, then sheds it or
+//! stages and serves it on the chosen device at once, charging service
+//! times the fleet calibrated once per model at construction. A staging
+//! is a residency ledger entry plus the deployment's simulated staging
+//! time. `OnlineStats::aggregate` merges the devices' completion-ordered
+//! logs instead of re-sorting them, and `percentile_us` selects its
+//! nearest rank instead of sorting a copy.
+//!
 //! The loop they replaced is kept here as `definition_run_online`, built
-//! only from the crate's public parts: the seeded arrival stream, the
-//! `Router`, one `EdfQueue` and `ResidencyLedger` per device, a
-//! `Deployment::session()` opened on every staging and calibrated on,
-//! and the sort-based aggregation. Every per-worker record and the whole
-//! simulated `OnlineStats` must match it bit for bit across arrival
-//! profiles, policies, fleet sizes and SLOs. This file is the gate for
-//! any edit to the online loop or to `OnlineStats`.
+//! only from the crate's public parts and independent of its dispatch
+//! code. It routes the seeded stream with its own placement
+//! (`definition_holders`), rule (`definition_dispatch`) and FIFO clock
+//! arithmetic, then drains each device's lane through an
+//! earliest-deadline-first heap and a `ResidencyLedger`, with a
+//! `Deployment::session()` opened on every staging and calibrated on at
+//! a model's first service, and aggregates by sorting. The clock
+//! arithmetic must predict every lane's drain — completions, sheds and
+//! final clock — before anything is compared with the library. Then
+//! every per-worker record and the whole simulated `OnlineStats` must
+//! match it bit for bit across arrival profiles, policies, fleet sizes
+//! and SLOs. This file is the gate for any edit to the online pass, the
+//! `Router` or `OnlineStats`.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use vmcu::prelude::*;
 use vmcu::vmcu_plan::telemetry;
 use vmcu::vmcu_tensor::random;
 use vmcu_serve::{
-    percentile_us, Admit, ArrivalProfile, EdfQueue, Fleet, FleetConfig, ModelCatalog, OnlineConfig,
-    OnlineStats, OnlineWorkerStats, PlanningStats, QueuedRequest, ResidencyLedger, Router,
+    percentile_us, Admit, ArrivalProfile, Fleet, FleetConfig, ModelCatalog, OnlineConfig,
+    OnlineStats, OnlineWorkerStats, PlanningStats, ResidencyLedger, Router,
 };
 
-// ---- oracles: the per-staging session loop and sort-based statistics ----
+// ---- oracles: the routed per-staging session loop, sorted statistics ----
 
 /// The fleet's per-model weight seed (FNV-1a over the name); xored with
 /// a constant it seeds the calibration input.
@@ -111,6 +121,33 @@ fn definition_aggregate(
     }
 }
 
+/// One queued request, ordered by urgency: the derived `Ord` compares
+/// the deadline first, then the unique arrival sequence number.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct QueuedRequest {
+    deadline_us: u64,
+    seq: u64,
+    at_us: u64,
+    model: usize,
+}
+
+/// An earliest-deadline-first queue: pops the earliest deadline, ties
+/// in arrival order.
+#[derive(Debug, Default)]
+struct EdfQueue {
+    heap: BinaryHeap<Reverse<QueuedRequest>>,
+}
+
+impl EdfQueue {
+    fn push(&mut self, request: QueuedRequest) {
+        self.heap.push(Reverse(request));
+    }
+
+    fn pop(&mut self) -> Option<QueuedRequest> {
+        self.heap.pop().map(|Reverse(r)| r)
+    }
+}
+
 /// One deployed catalog model as a device sees it.
 struct Served<'a> {
     name: &'static str,
@@ -118,6 +155,22 @@ struct Served<'a> {
     ram_bytes: usize,
     flash_bytes: usize,
     staging_us: u64,
+}
+
+/// One inference on a fresh session of `model` with the calibration
+/// input: its service time (µs, at least 1) and energy, or `None` if it
+/// fails.
+fn calibrate(model: &Served, session: &mut Session) -> Option<(u64, f64)> {
+    let input = random::tensor_i8(
+        &model.deployment.graph().in_shape(),
+        model_weight_seed(model.name) ^ 0xCA11_B7A7,
+    );
+    session.infer(&input).ok().map(|r| {
+        (
+            ((r.latency_ms() * 1e3).round() as u64).max(1),
+            r.energy_mj(),
+        )
+    })
 }
 
 /// One device's lane through an EDF queue, with a session opened on
@@ -138,7 +191,7 @@ fn definition_worker(
     let mut ledger = ResidencyLedger::new(ram_budget, flash_budget);
     let mut sessions: HashMap<usize, Session> = HashMap::new();
     let mut profiles: Vec<Option<Option<(u64, f64)>>> = vec![None; models.len()];
-    let mut queue = EdfQueue::new();
+    let mut queue = EdfQueue::default();
     let mut next = 0usize;
     let mut now = 0u64;
     loop {
@@ -171,21 +224,10 @@ fn definition_worker(
             Admit::TooLarge => panic!("a deployed model fits an empty device"),
         }
         let profile = *profiles[job.model].get_or_insert_with(|| {
-            let input = random::tensor_i8(
-                &model.deployment.graph().in_shape(),
-                model_weight_seed(model.name) ^ 0xCA11_B7A7,
-            );
-            sessions
+            let session = sessions
                 .get_mut(&job.model)
-                .expect("a resident model has a session")
-                .infer(&input)
-                .ok()
-                .map(|r| {
-                    (
-                        ((r.latency_ms() * 1e3).round() as u64).max(1),
-                        r.energy_mj(),
-                    )
-                })
+                .expect("a resident model has a session");
+            calibrate(model, session)
         });
         let Some((service_us, energy_mj)) = profile else {
             stats.failed += 1;
@@ -208,11 +250,89 @@ fn definition_worker(
     (completions, stats)
 }
 
+/// Resident-set placement by its definition: each device holds its home
+/// models (`model % workers`), then each other deployed model, in
+/// catalog order, that fits both budgets beside what it holds so far.
+/// Returns each model's holders in index order.
+fn definition_holders(
+    workers: usize,
+    footprints: &[Option<(usize, usize)>],
+    ram_budget: usize,
+    flash_budget: usize,
+) -> Vec<Vec<usize>> {
+    let mut holders = vec![Vec::new(); footprints.len()];
+    for device in 0..workers {
+        let mut used = (0, 0);
+        for (m, f) in footprints.iter().enumerate() {
+            if let (true, Some((ram, flash))) = (m % workers == device, *f) {
+                used = (used.0 + ram, used.1 + flash);
+                holders[m].push(device);
+            }
+        }
+        for (m, f) in footprints.iter().enumerate() {
+            let Some((ram, flash)) = *f else { continue };
+            let beside = (used.0 + ram, used.1 + flash);
+            if m % workers != device && beside.0 <= ram_budget && beside.1 <= flash_budget {
+                used = beside;
+                holders[m].push(device);
+            }
+        }
+    }
+    holders
+}
+
+/// How a request picks among its model's holders.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Dispatch {
+    /// The fleet's rule: home, unless a holder starts it more than one
+    /// service time sooner; then the earliest holder.
+    OneServiceMargin,
+    /// The earliest holder, whatever the home device.
+    EarliestStart,
+}
+
+/// The holder of a request's model that `rule` picks, given when each
+/// device could start it. `holders` is in index order and holds `home`.
+fn definition_dispatch(
+    rule: Dispatch,
+    home: usize,
+    holders: &[usize],
+    start: impl Fn(usize) -> u64,
+    service_us: u64,
+) -> usize {
+    assert!(holders.contains(&home), "a held model's home holds it");
+    let soonest = holders.iter().map(|&d| start(d)).min().expect("held");
+    // Holders are in index order: the first to start soonest is the
+    // lowest index among them.
+    let earliest = *holders
+        .iter()
+        .find(|&&d| start(d) == soonest)
+        .expect("the minimum is attained");
+    match rule {
+        Dispatch::EarliestStart => earliest,
+        Dispatch::OneServiceMargin if start(home) - soonest > service_us => earliest,
+        Dispatch::OneServiceMargin => home,
+    }
+}
+
+/// One device as the router's clock arithmetic sees it: requests served
+/// in arrival order, each idling the device to its arrival, shed past
+/// its deadline, staged and served otherwise.
+struct Predicted {
+    clock_us: u64,
+    ledger: ResidencyLedger,
+    shed: usize,
+    completions: Vec<(u64, u64)>,
+}
+
 /// The whole online run, one device after another: route the seeded
-/// stream, drain each lane, aggregate. Host-time fields come out zero.
+/// stream by `rule` with the clock arithmetic, drain each lane through
+/// the EDF loop, check that the arithmetic predicted every drain, and
+/// aggregate. Host-time fields come out zero.
 fn definition_run_online(
     fleet: &Fleet,
     cfg: &OnlineConfig,
+    rule: Dispatch,
 ) -> (Vec<OnlineWorkerStats>, OnlineStats) {
     let models: Vec<Option<Served>> = fleet
         .catalog()
@@ -228,41 +348,88 @@ fn definition_run_online(
             })
         })
         .collect();
+    let services: Vec<Option<u64>> = models
+        .iter()
+        .map(|m| {
+            let m = m.as_ref()?;
+            calibrate(m, &mut m.deployment.session()).map(|(service_us, _)| service_us)
+        })
+        .collect();
     let workers = fleet.config().workers;
-    let device = &fleet.config().device;
-    let slo_us = (cfg.slo_ms * 1e3).round() as u64;
+    let (ram_budget, flash_budget) = (
+        fleet.config().device.usable_ram_bytes(),
+        fleet.config().device.flash_bytes,
+    );
     let footprints: Vec<Option<(usize, usize)>> = models
         .iter()
         .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
         .collect();
-    let mut router = Router::new(
-        workers,
-        cfg.requests,
-        &footprints,
-        device.usable_ram_bytes(),
-        device.flash_bytes,
-    );
+    let holders = definition_holders(workers, &footprints, ram_budget, flash_budget);
+    let slo_us = (cfg.slo_ms * 1e3).round() as u64;
+    let mut devices: Vec<Predicted> = (0..workers)
+        .map(|_| Predicted {
+            clock_us: 0,
+            ledger: ResidencyLedger::new(ram_budget, flash_budget),
+            shed: 0,
+            completions: Vec::new(),
+        })
+        .collect();
     let mut lanes = vec![Vec::new(); workers];
     let mut rejected = 0;
-    let arrivals = cfg.profile.stream(cfg.requests, models.len(), cfg.seed);
+    let arrivals = if models.is_empty() {
+        rejected = cfg.requests;
+        Vec::new()
+    } else {
+        cfg.profile.stream(cfg.requests, models.len(), cfg.seed)
+    };
     for (seq, a) in arrivals.iter().enumerate() {
-        if models[a.model].is_none() {
+        let Some(model) = &models[a.model] else {
             rejected += 1;
             continue;
-        }
-        let worker = router.route(a.model).expect("a deployed model has a home");
-        lanes[worker].push(QueuedRequest {
-            deadline_us: a.at_us + slo_us,
+        };
+        let service_us = services[a.model].unwrap_or(0);
+        let start = |d: usize| devices[d].clock_us.max(a.at_us);
+        let d = definition_dispatch(
+            rule,
+            a.model % workers,
+            &holders[a.model],
+            start,
+            service_us,
+        );
+        let deadline_us = a.at_us.saturating_add(slo_us);
+        lanes[d].push(QueuedRequest {
+            deadline_us,
             seq: seq as u64,
             at_us: a.at_us,
             model: a.model,
         });
+        let device = &mut devices[d];
+        let mut now = device.clock_us.max(a.at_us);
+        if now >= deadline_us {
+            device.shed += 1;
+        } else {
+            if let Admit::Staged { .. } =
+                device
+                    .ledger
+                    .request(a.model, model.ram_bytes, model.flash_bytes)
+            {
+                now += model.staging_us;
+            }
+            if services[a.model].is_some() {
+                now += service_us;
+                device.completions.push((now, now - a.at_us));
+            }
+        }
+        device.clock_us = now;
     }
     let mut completions = Vec::new();
     let mut worker_stats = Vec::new();
-    for lane in &lanes {
-        let (log, stats) =
-            definition_worker(&models, lane, device.usable_ram_bytes(), device.flash_bytes);
+    for (d, (lane, predicted)) in lanes.iter().zip(devices).enumerate() {
+        let (log, stats) = definition_worker(&models, lane, ram_budget, flash_budget);
+        let case = format!("{rule:?}, device {d}");
+        assert_eq!(log, predicted.completions, "{case}: completions");
+        assert_eq!(stats.shed, predicted.shed, "{case}: shed");
+        assert_eq!(stats.clock_us, predicted.clock_us, "{case}: clock");
         completions.extend(log);
         worker_stats.push(stats);
     }
@@ -282,7 +449,7 @@ fn definition_run_online(
     (worker_stats, stats)
 }
 
-// ---- the event loop against the oracle ----------------------------------
+// ---- the online pass against the oracle --------------------------------
 
 fn profiles() -> [ArrivalProfile; 3] {
     [
@@ -306,7 +473,7 @@ fn profiles() -> [ArrivalProfile; 3] {
 /// Runs every profile at every SLO on 1–3 F411RE workers under
 /// `planner` and compares each run with the oracle. Across the runs,
 /// requests must be shed, models swapped and SLOs missed, so every
-/// branch of the loop is compared.
+/// branch of the pass is compared.
 fn assert_matches_definition(planner: PlannerKind) {
     let (mut shed, mut swaps, mut late) = (0, 0, 0);
     for workers in 1..=3 {
@@ -319,7 +486,8 @@ fn assert_matches_definition(planner: PlannerKind) {
                 let seed = 2024 + workers as u64;
                 let cfg = OnlineConfig::new(profile, 2_500, seed).with_slo_ms(slo_ms);
                 let report = fleet.run_online(&cfg);
-                let (want_workers, want_stats) = definition_run_online(&fleet, &cfg);
+                let (want_workers, want_stats) =
+                    definition_run_online(&fleet, &cfg, Dispatch::OneServiceMargin);
                 let case = format!(
                     "{planner:?}, {workers} worker(s), {}, SLO {slo_ms} ms",
                     profile.name()
@@ -351,6 +519,71 @@ fn tinyengine_online_runs_match_the_per_staging_session_loop() {
 #[test]
 fn patched_online_runs_match_the_per_staging_session_loop() {
     assert_matches_definition(PlannerKind::VmcuPatched(IbScheme::RowBuffer));
+}
+
+/// Why the rule keeps a one-service margin. Two F411REs under
+/// `VmcuPatched(RowBuffer)` are overloaded at 150 req/s: both hold
+/// `hires-front-stage`, whose 112.8 ms requests alone need about 1.9
+/// device-seconds per second. Sending every request to the holder that
+/// starts it soonest spreads that model over both devices and crowds
+/// their other models out; the margin keeps it home while home keeps
+/// up, so the fleet completes at least as many requests.
+#[test]
+fn the_margin_completes_at_least_what_earliest_start_does_under_overload() {
+    let fleet = Fleet::new(
+        FleetConfig::new(
+            Device::stm32_f411re(),
+            2,
+            PlannerKind::VmcuPatched(IbScheme::RowBuffer),
+        ),
+        ModelCatalog::standard(),
+    );
+    let profile = ArrivalProfile::Poisson {
+        rate_per_sec: 150.0,
+    };
+    for slo_ms in [20.0, 60.0, 250.0] {
+        let cfg = OnlineConfig::new(profile, 20_000, 2024).with_slo_ms(slo_ms);
+        let margin = fleet.run_online(&cfg).stats;
+        let (_, earliest) = definition_run_online(&fleet, &cfg, Dispatch::EarliestStart);
+        assert!(
+            margin.completed >= earliest.completed,
+            "SLO {slo_ms} ms: {} completed with the margin, {} by earliest start",
+            margin.completed,
+            earliest.completed
+        );
+    }
+}
+
+#[test]
+fn edf_pops_in_deadline_order() {
+    let mut q = EdfQueue::default();
+    for (seq, deadline_us) in [500u64, 100, 900, 300, 700].into_iter().enumerate() {
+        q.push(QueuedRequest {
+            deadline_us,
+            seq: seq as u64,
+            at_us: 0,
+            model: 0,
+        });
+    }
+    let popped: Vec<u64> = std::iter::from_fn(|| q.pop())
+        .map(|r| r.deadline_us)
+        .collect();
+    assert_eq!(popped, [100, 300, 500, 700, 900]);
+}
+
+#[test]
+fn deadline_ties_break_by_arrival_order() {
+    let mut q = EdfQueue::default();
+    for seq in [7, 3, 5] {
+        q.push(QueuedRequest {
+            deadline_us: 100,
+            seq,
+            at_us: 0,
+            model: 0,
+        });
+    }
+    let popped: Vec<u64> = std::iter::from_fn(|| q.pop()).map(|r| r.seq).collect();
+    assert_eq!(popped, [3, 5, 7]);
 }
 
 // ---- the statistics against their sort-based definitions ---------------
@@ -501,21 +734,24 @@ fn the_generators_cover_ties_and_uneven_halves() {
 // ---- routing: resident sets placed from footprints and budgets ----------
 
 /// One routing case: device budgets, per-model `(ram, flash)`
-/// footprints (`None` for a model that never deployed) and an arrival
-/// sequence of catalog indices, one past the catalog included.
+/// footprints (`None` for a model that never deployed) and service
+/// times, and an arrival sequence of `(gap_us, model)` pairs, one past
+/// the catalog included.
 #[derive(Debug, Clone)]
 struct RoutingCase {
     workers: usize,
     ram_budget: usize,
     flash_budget: usize,
     footprints: Vec<Option<(usize, usize)>>,
-    requests: Vec<usize>,
+    services: Vec<u64>,
+    requests: Vec<(u64, usize)>,
 }
 
 /// 1–4 devices, 1–9 models of which about one in five never deployed,
 /// footprints up to a per-case fraction of each budget (so home sets
 /// both fit and overflow), and streams of up to 800 arrivals, two in
-/// three to one hot model so lanes run apart and the router spills.
+/// three to one hot model, arriving faster than they are served so
+/// devices queue and the router spills.
 fn routing_case() -> impl Strategy<Value = RoutingCase> {
     (
         1usize..=4,
@@ -529,17 +765,19 @@ fn routing_case() -> impl Strategy<Value = RoutingCase> {
                 .prop_map(|(kind, ram, flash)| (kind > 0).then_some((ram, flash)));
             (
                 prop::collection::vec(footprint, models..=models),
+                prop::collection::vec(1u64..=100, models..=models),
                 0..models,
-                prop::collection::vec((0u8..3, 0..=models), 0..=800),
+                prop::collection::vec((0u8..3, 0..=models, 0u64..=40), 0..=800),
             )
-                .prop_map(move |(footprints, hot, draws)| RoutingCase {
+                .prop_map(move |(footprints, services, hot, draws)| RoutingCase {
                     workers,
                     ram_budget,
                     flash_budget,
                     footprints,
+                    services,
                     requests: draws
                         .into_iter()
-                        .map(|(pick, m)| if pick == 0 { m } else { hot })
+                        .map(|(pick, m, gap)| (gap, if pick == 0 { m } else { hot }))
                         .collect(),
                 })
         })
@@ -553,84 +791,74 @@ struct Routed {
     spilled: usize,
 }
 
-/// Checks the placement against its definition — a device holds its
-/// home models, then each other deployed model, in catalog order, that
-/// fits both budgets beside what it holds so far — then routes the
-/// stream, checking each request lands on a device that holds its
-/// model.
+/// Checks the placement against its definition — every deployed model's
+/// holders include its home, and a device whose home set fits holds a
+/// set that fits — then dispatches the stream against device clocks
+/// that advance by each request's service time, checking each request
+/// lands on a device that holds its model.
 fn route_case(case: &RoutingCase) -> Result<Routed, TestCaseError> {
     let RoutingCase {
         workers,
         ram_budget,
         flash_budget,
         ref footprints,
+        ref services,
         ref requests,
     } = *case;
-    let mut router = Router::new(
-        workers,
-        requests.len(),
-        footprints,
-        ram_budget,
-        flash_budget,
-    );
+    let router = Router::new(workers, footprints, ram_budget, flash_budget);
+    let holders = definition_holders(workers, footprints, ram_budget, flash_budget);
+    for (m, f) in footprints.iter().enumerate() {
+        prop_assert!(
+            router.holders(m) == holders[m],
+            "model {m}: {:?} placed on {:?}, by definition on {:?}",
+            f,
+            router.holders(m),
+            holders[m]
+        );
+        prop_assert!(
+            holders[m].contains(&(m % workers)) == f.is_some(),
+            "model {m} {f:?}: holders {:?}",
+            holders[m]
+        );
+    }
     let fits = |(ram, flash): (usize, usize)| ram <= ram_budget && flash <= flash_budget;
     let mut every_home_fits = true;
     for device in 0..workers {
-        let home = |m: usize| m % workers == device;
-        let mut used = (0, 0);
-        for (m, f) in footprints.iter().enumerate() {
-            if let (true, Some((ram, flash))) = (home(m), f) {
-                used = (used.0 + ram, used.1 + flash);
-            }
-        }
-        let home_fits = fits(used);
+        let sum = |held: &dyn Fn(usize) -> bool| {
+            (footprints.iter().enumerate())
+                .filter_map(|(m, f)| f.filter(|_| held(m)))
+                .fold((0, 0), |(r, f), (ram, flash)| (r + ram, f + flash))
+        };
+        let home_fits = fits(sum(&|m| m % workers == device));
         every_home_fits &= home_fits;
-        for (m, f) in footprints.iter().enumerate() {
-            let held = router.holders(m).contains(&device);
-            let Some((ram, flash)) = *f else {
-                prop_assert!(!held, "device {device} holds undeployed model {m}");
-                continue;
-            };
-            if home(m) {
-                prop_assert!(held, "device {device} must hold its home model {m}");
-                continue;
-            }
-            let beside = (used.0 + ram, used.1 + flash);
-            prop_assert!(
-                held == fits(beside),
-                "device {device}, model {m} {:?} beside {used:?}: held {held}",
-                (ram, flash)
-            );
-            if held {
-                used = beside;
-            }
-        }
+        let placed = sum(&|m| holders[m].contains(&device));
         prop_assert!(
-            !home_fits || fits(used),
-            "device {device}: home set fits but the placed set {used:?} does not"
+            !home_fits || fits(placed),
+            "device {device}: home set fits but the placed set {placed:?} does not"
         );
     }
+    let mut clocks = vec![0u64; workers];
     let mut lanes = vec![Vec::new(); workers];
-    let mut spilled = 0;
-    for &m in requests {
+    let (mut at_us, mut spilled) = (0, 0);
+    for &(gap, m) in requests {
+        at_us += gap;
         let deployed = footprints.get(m).is_some_and(Option::is_some);
-        match router.route(m) {
+        let service_us = services.get(m).copied().unwrap_or(1);
+        match router.dispatch(m, at_us, service_us, &clocks) {
             Some(device) => {
                 prop_assert!(deployed, "model {m} never deployed but was routed");
                 prop_assert!(
-                    router.holders(m).contains(&device),
+                    holders[m].contains(&device),
                     "model {m} routed to device {device}, outside {:?}",
-                    router.holders(m)
+                    holders[m]
                 );
                 spilled += usize::from(device != m % workers);
+                clocks[device] = clocks[device].max(at_us) + service_us;
                 lanes[device].push(m);
             }
             None => prop_assert!(!deployed, "deployed model {m} was not routed"),
         }
     }
-    let assigned: Vec<usize> = router.assigned().iter().map(|&n| n as usize).collect();
-    let lane_lengths: Vec<usize> = lanes.iter().map(Vec::len).collect();
-    prop_assert_eq!(assigned, lane_lengths);
     Ok(Routed {
         lanes,
         every_home_fits,
@@ -684,5 +912,135 @@ fn the_routing_generator_covers_fits_overflows_and_spills() {
     assert!(
         fit > 50 && overflow > 25 && spill > 25,
         "{fit} fit, {overflow} overflow, {spill} spill"
+    );
+}
+
+// ---- dispatch: the rule against its definition --------------------------
+
+/// One dispatch decision: a placement of 1–6 models on 1–4 devices, the
+/// request's model (one past the catalog included), its arrival and
+/// service time, and the device clocks, all drawn from coarse grids so
+/// that equal starts and starts exactly one service apart are common.
+#[derive(Debug, Clone)]
+struct DispatchCase {
+    workers: usize,
+    footprints: Vec<Option<(usize, usize)>>,
+    model: usize,
+    at_us: u64,
+    service_us: u64,
+    clocks: Vec<u64>,
+}
+
+/// The RAM budget of a dispatch case; each model takes up to two fifths
+/// of it, so models are held by one device, several, or all.
+const DISPATCH_RAM: usize = 100;
+
+fn dispatch_case() -> impl Strategy<Value = DispatchCase> {
+    (1usize..=4, 1usize..=6).prop_flat_map(|(workers, models)| {
+        let footprint = (0u8..6, 0..=DISPATCH_RAM * 2 / 5)
+            .prop_map(|(kind, ram)| (kind > 0).then_some((ram, 1)));
+        (
+            prop::collection::vec(footprint, models..=models),
+            0..=models,
+            0u64..=4,
+            (0u64..=5).prop_map(|s| s * 10),
+            prop::collection::vec(0u64..=8, workers..=workers),
+        )
+            .prop_map(
+                move |(footprints, model, at, service_us, clocks)| DispatchCase {
+                    workers,
+                    footprints,
+                    model,
+                    at_us: at * 10,
+                    service_us,
+                    clocks: clocks.into_iter().map(|c| c * 10).collect(),
+                },
+            )
+    })
+}
+
+/// Dispatches one case through the library and checks it against
+/// `definition_dispatch`. Returns the holders and the chosen device
+/// (`None` when no device holds the model).
+fn dispatch_one(case: &DispatchCase) -> Result<(Vec<usize>, Option<usize>), TestCaseError> {
+    let DispatchCase {
+        workers,
+        ref footprints,
+        model,
+        at_us,
+        service_us,
+        ref clocks,
+    } = *case;
+    let router = Router::new(workers, footprints, DISPATCH_RAM, usize::MAX);
+    let holders = definition_holders(workers, footprints, DISPATCH_RAM, usize::MAX)
+        .get(model)
+        .cloned()
+        .unwrap_or_default();
+    let got = router.dispatch(model, at_us, service_us, clocks);
+    if holders.is_empty() {
+        prop_assert_eq!(got, None);
+    } else {
+        let start = |d: usize| clocks[d].max(at_us);
+        let want = definition_dispatch(
+            Dispatch::OneServiceMargin,
+            model % workers,
+            &holders,
+            start,
+            service_us,
+        );
+        prop_assert!(
+            got == Some(want),
+            "holders {holders:?}: {got:?}, want {want}"
+        );
+    }
+    Ok((holders, got))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// The result is the home device unless some holder starts the
+    /// request more than one service time sooner; otherwise the holder
+    /// that starts it soonest, lowest index on ties; never a device
+    /// outside the holders, and none for a model no device holds.
+    #[test]
+    fn dispatch_goes_home_unless_a_holder_starts_a_service_sooner(case in dispatch_case()) {
+        dispatch_one(&case)?;
+    }
+}
+
+/// The dispatch generator reaches the cases the rule distinguishes:
+/// requests that stay home though another holder starts sooner (within
+/// the margin, the margin met exactly among them), requests that leave
+/// home, ties for the earliest start among other holders, and models no
+/// device holds.
+#[test]
+fn the_dispatch_generator_covers_margins_ties_and_strays() {
+    let mut rng = proptest::TestRng::from_name("serve_props::dispatch_coverage");
+    let (mut held_home, mut exact, mut spilled, mut tied, mut unheld) = (0, 0, 0, 0, 0);
+    for _ in 0..2_000 {
+        let case = dispatch_case().generate(&mut rng);
+        let (holders, got) = dispatch_one(&case).expect("property holds");
+        let Some(device) = got else {
+            unheld += 1;
+            continue;
+        };
+        let start = |d: usize| case.clocks[d].max(case.at_us);
+        let home = case.model % case.workers;
+        let soonest = holders.iter().map(|&d| start(d)).min().expect("held");
+        if device == home && start(home) > soonest {
+            held_home += 1;
+            exact += usize::from(start(home) - soonest == case.service_us);
+        }
+        if device != home {
+            spilled += 1;
+            let earliest = holders.iter().filter(|&&d| start(d) == soonest).count();
+            tied += usize::from(earliest > 1);
+        }
+    }
+    assert!(
+        held_home > 50 && exact > 20 && spilled > 100 && tied > 20 && unheld > 50,
+        "{held_home} held home ({exact} exactly one service), {spilled} spilled \
+         ({tied} tied), {unheld} unheld"
     );
 }
