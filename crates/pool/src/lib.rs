@@ -10,10 +10,10 @@
 //!
 //! [`SegmentPool`] tracks liveness at byte granularity in a word-packed
 //! [`ByteSet`]: every access is split into at most two physical spans
-//! (one modulo), and each span is checked and marked whole. In checked
-//! mode the pool turns any violation — a store clobbering live data, a
-//! read of dead bytes, a double free — into a typed [`PoolError`]
-//! instead of a silent wrong answer. The planners' minimality claims are validated
+//! (one modulo), and each span is checked and marked whole. The pool
+//! turns any violation — a store clobbering live data, a read of dead
+//! bytes, a double free — into a typed [`PoolError`] instead of a silent
+//! wrong answer. The planners' minimality claims are validated
 //! empirically against this: a kernel runs clean at its planned offset,
 //! and where that offset is tight (`vmcu_kernels::trace`) one byte closer
 //! clobbers.
@@ -115,11 +115,12 @@ impl From<MemError> for PoolError {
 
 /// The circular segment pool over a RAM window.
 ///
-/// With the `shadow` feature, the pool mirrors its byte liveness into the
-/// machine's RAM shadow map ([`vmcu_sim::Ram`]): stores mark bytes live,
-/// frees mark them dead, and `Ram::write` itself rejects any store over a
-/// live byte. This is the memory-layer backstop — it still fires when
-/// pool-level checking has been disabled with [`SegmentPool::set_checked`].
+/// The pool mirrors its byte liveness into the machine's RAM shadow map
+/// ([`vmcu_sim::Ram`]): stores and host fills mark bytes live, frees mark
+/// them dead (at the pool's next store or fill, which has the machine),
+/// and `Ram::write` itself rejects any store over a live byte. This is
+/// the memory-layer backstop: it catches raw `Machine` stores that bypass
+/// the pool, such as a fused chain's row rings or a workspace.
 #[derive(Debug, Clone)]
 pub struct SegmentPool {
     base: usize,
@@ -127,16 +128,13 @@ pub struct SegmentPool {
     live: ByteSet,
     live_count: usize,
     peak_live: usize,
-    checked: bool,
     /// Frees not yet mirrored to the RAM shadow map. [`Self::free`] has no
     /// machine handle, so frees are queued here and flushed by the next
     /// pool operation that does.
-    #[cfg(feature = "shadow")]
     pending_dead: Vec<(usize, usize)>,
     /// Whether the shadow map for this window has been claimed (reset)
     /// yet. A fresh pool owns its window outright, so stale liveness from
     /// a previous pool over the same bytes is cleared on first use.
-    #[cfg(feature = "shadow")]
     shadow_claimed: bool,
 }
 
@@ -168,17 +166,13 @@ impl SegmentPool {
             live: ByteSet::new(len),
             live_count: 0,
             peak_live: 0,
-            checked: true,
-            #[cfg(feature = "shadow")]
             pending_dead: Vec::new(),
-            #[cfg(feature = "shadow")]
             shadow_claimed: false,
         })
     }
 
     /// Mirrors queued frees (and, on first use, the window claim) into the
     /// RAM shadow map before a write-side pool operation touches memory.
-    #[cfg(feature = "shadow")]
     fn flush_shadow(&mut self, m: &mut Machine) {
         if !self.shadow_claimed {
             m.ram.shadow_mark_dead(self.base, self.len);
@@ -187,12 +181,6 @@ impl SegmentPool {
         for (addr, n) in self.pending_dead.drain(..) {
             m.ram.shadow_mark_dead(addr, n);
         }
-    }
-
-    /// Disables clobber/dead-read checking (production mode — matches
-    /// on-device behaviour where violations are silent).
-    pub fn set_checked(&mut self, checked: bool) {
-        self.checked = checked;
     }
 
     /// Pool window length in bytes.
@@ -221,9 +209,9 @@ impl SegmentPool {
         self.peak_live = self.peak_live.max(self.live_count);
     }
 
-    /// In checked mode, the first byte of the span `[phys, phys + n)`
-    /// whose liveness is `live`, as `(logical, phys)`; `off` is the
-    /// span's offset into an access that starts at `logical`.
+    /// The first byte of the span `[phys, phys + n)` whose liveness is
+    /// `live`, as `(logical, phys)`; `off` is the span's offset into an
+    /// access that starts at `logical`.
     fn offending(
         &self,
         logical: i64,
@@ -232,9 +220,6 @@ impl SegmentPool {
         n: usize,
         live: bool,
     ) -> Option<(i64, usize)> {
-        if !self.checked {
-            return None;
-        }
         let p = self.live.first(phys, n, live)?;
         Some((logical + (off + p - phys) as i64, p))
     }
@@ -286,7 +271,6 @@ impl SegmentPool {
         src: &[u8],
         logical: i64,
     ) -> (usize, Result<(), PoolError>) {
-        #[cfg(feature = "shadow")]
         self.flush_shadow(m);
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, src.len()) {
@@ -299,7 +283,6 @@ impl SegmentPool {
             if let Err(e) = m.ram.write(self.base + phys, &src[off..off + n]) {
                 return (off, Err(e.into()));
             }
-            #[cfg(feature = "shadow")]
             m.ram.shadow_mark_live(self.base + phys, n);
             self.mark_live(phys, n);
             off += n;
@@ -357,8 +340,8 @@ impl SegmentPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::DeadRead`] in checked mode when any byte is not
-    /// live, or a memory error from the machine.
+    /// Returns [`PoolError::DeadRead`] when any byte is not live, or a
+    /// memory error from the machine.
     pub fn load(&mut self, m: &mut Machine, logical: i64, dst: &mut [u8]) -> Result<(), PoolError> {
         let (done, res) = self.copy_out(m, logical, dst);
         m.counters += self.price_load(&m.device.cost, logical, done);
@@ -372,8 +355,8 @@ impl SegmentPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::Clobber`] in checked mode when any target byte
-    /// is still live, or a memory error from the machine.
+    /// Returns [`PoolError::Clobber`] when any target byte is still live,
+    /// or a memory error from the machine.
     pub fn store(&mut self, m: &mut Machine, src: &[u8], logical: i64) -> Result<(), PoolError> {
         let (done, res) = self.copy_in(m, src, logical);
         m.counters += self.price_store(&m.device.cost, logical, done);
@@ -391,7 +374,7 @@ impl SegmentPool {
     /// # Errors
     ///
     /// Returns the [`PoolError::DeadRead`] naming the first dead byte in
-    /// logical order (checked mode), as `load` would.
+    /// logical order, as `load` would.
     ///
     /// # Panics
     ///
@@ -428,9 +411,9 @@ impl SegmentPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::Clobber`] in checked mode when any target byte
-    /// is still live (the bytes before its span stay written), or a
-    /// memory error from the machine.
+    /// Returns [`PoolError::Clobber`] when any target byte is still live
+    /// (the bytes before its span stay written), or a memory error from
+    /// the machine.
     pub fn store_span(
         &mut self,
         m: &mut Machine,
@@ -449,23 +432,22 @@ impl SegmentPool {
     ///
     /// # Errors
     ///
-    /// Returns [`PoolError::DoubleFree`] in checked mode when any byte is
-    /// already free. The bytes before the first free one are retired
-    /// before the error returns.
+    /// Returns [`PoolError::DoubleFree`] when any byte is already free.
+    /// The bytes before the first free one are retired, in the shadow map
+    /// too, before the error returns.
     pub fn free(&mut self, logical: i64, len: usize) -> Result<(), PoolError> {
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, len) {
             let dead = self.offending(logical, off, phys, n, false);
             let retired = dead.map_or(n, |(_, p)| p - phys);
             self.live_count -= self.live.set(phys, retired, false);
-            if let Some((logical, _)) = dead {
-                return Err(PoolError::DoubleFree { logical });
-            }
             // No machine handle here; queue the shadow update for the next
             // pool operation that has one.
-            #[cfg(feature = "shadow")]
-            if n > 0 {
-                self.pending_dead.push((self.base + phys, n));
+            if retired > 0 {
+                self.pending_dead.push((self.base + phys, retired));
+            }
+            if let Some((logical, _)) = dead {
+                return Err(PoolError::DoubleFree { logical });
             }
             off += n;
         }
@@ -486,7 +468,6 @@ impl SegmentPool {
         logical: i64,
         data: &[u8],
     ) -> Result<(), PoolError> {
-        #[cfg(feature = "shadow")]
         self.flush_shadow(m);
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, data.len()) {
@@ -494,7 +475,6 @@ impl SegmentPool {
                 continue;
             }
             m.host_write_ram(self.base + phys, &data[off..off + n])?;
-            #[cfg(feature = "shadow")]
             m.ram.shadow_mark_live(self.base + phys, n);
             self.mark_live(phys, n);
             off += n;
@@ -595,6 +575,12 @@ mod tests {
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.free(0, 4).unwrap();
         assert!(matches!(pool.free(0, 4), Err(PoolError::DoubleFree { .. })));
+        // A free that runs past the live bytes retires them before the
+        // error, in the RAM shadow map too, so a store over them is legal.
+        pool.store(&mut m, &[2; 4], 0).unwrap();
+        assert_eq!(pool.free(0, 6), Err(PoolError::DoubleFree { logical: 4 }));
+        assert_eq!(pool.live_bytes(), 0);
+        pool.store(&mut m, &[3; 4], 0).unwrap();
     }
 
     /// A free that wraps the window names the first dead byte by its
@@ -616,41 +602,8 @@ mod tests {
         assert_eq!(pool.live_bytes(), 2);
     }
 
-    #[cfg(not(feature = "shadow"))]
-    #[test]
-    fn unchecked_mode_allows_silent_clobber() {
-        let (mut m, mut pool) = setup(8);
-        pool.set_checked(false);
-        pool.store(&mut m, &[1; 4], 0).unwrap();
-        pool.store(&mut m, &[2; 4], 8).unwrap(); // silently overwrites
-        let mut buf = [0u8; 4];
-        pool.load(&mut m, 0, &mut buf).unwrap();
-        assert_eq!(buf, [2; 4]);
-    }
-
-    /// The memory-layer backstop: even with pool checking disabled
-    /// (production mode), the RAM shadow map still rejects a store over
-    /// live bytes.
-    #[cfg(feature = "shadow")]
-    #[test]
-    fn shadow_backstop_catches_unchecked_clobber() {
-        let (mut m, mut pool) = setup(8);
-        pool.set_checked(false);
-        pool.store(&mut m, &[1; 4], 0).unwrap();
-        let err = pool.store(&mut m, &[2; 4], 8).unwrap_err();
-        assert!(matches!(
-            err,
-            PoolError::Mem(MemError::ShadowClobber { addr: 0, len: 4 })
-        ));
-        // Freeing through the pool restores the invariant.
-        pool.free(0, 4).unwrap();
-        pool.store(&mut m, &[2; 4], 8).unwrap();
-        assert_eq!(m.ram.shadow_live_bytes(), 4);
-    }
-
     /// A fresh pool claims its window: stale liveness left by a previous
     /// pool over the same bytes does not poison the new one.
-    #[cfg(feature = "shadow")]
     #[test]
     fn shadow_fresh_pool_claims_window() {
         let (mut m, mut pool) = setup(8);

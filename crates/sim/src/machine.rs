@@ -102,8 +102,8 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Returns [`MemError`] on out-of-range addresses (and, under the
-    /// `shadow` feature, on a store over live bytes), charging nothing.
+    /// Returns [`MemError`] on out-of-range addresses or a store over
+    /// bytes live in the shadow map, charging nothing.
     pub fn ram_copy(&mut self, src: usize, dst: usize, len: usize) -> Result<(), MemError> {
         self.ram.copy(src, dst, len)?;
         self.counters.charge_ram_copy(&self.device.cost, len as u64);

@@ -6,7 +6,6 @@
 //! go through them, so out-of-range addressing is a typed error rather
 //! than silent corruption.
 
-#[cfg(feature = "shadow")]
 use crate::ByteSet;
 use std::fmt;
 
@@ -31,11 +30,8 @@ pub enum MemError {
         /// Flash capacity.
         capacity: usize,
     },
-    /// A store hit a byte the shadow liveness map says is still live.
-    ///
-    /// Only raised by builds with the `shadow` feature; the variant exists
-    /// unconditionally so downstream matches do not change shape with the
-    /// feature set.
+    /// A store hit a byte that [`Ram`]'s shadow liveness map says is
+    /// still live.
     ShadowClobber {
         /// First live byte the store would overwrite.
         addr: usize,
@@ -77,20 +73,22 @@ impl std::error::Error for MemError {}
 
 /// Simulated SRAM.
 ///
-/// With the `shadow` feature, RAM additionally carries a byte liveness
-/// map (a word-packed [`ByteSet`](crate::ByteSet)) mirrored from the
-/// segment pool: every store first checks that no target byte is still
-/// live, so an executor that drifts from its certified plan (double
-/// store, store before free) is caught at the memory layer even when
-/// pool-level checking is disabled.
+/// RAM carries a shadow byte-liveness map (a word-packed
+/// [`ByteSet`]) mirrored from the segment pool: every store first checks
+/// that no target byte is still live, so an executor that drifts from its
+/// certified plan (double store, store before free, a raw store into a
+/// pool's live bytes) is caught at the memory layer.
 #[derive(Debug, Clone)]
 pub struct Ram {
     data: Vec<u8>,
     /// One past the highest byte written since the last clear; every
     /// byte at or above it is zero.
     high_water: usize,
-    #[cfg(feature = "shadow")]
+    /// The shadow liveness map, one bit per byte.
     live: ByteSet,
+    /// One past the highest byte marked live since the last clear; no
+    /// byte at or above it is live.
+    live_mark: usize,
 }
 
 impl Ram {
@@ -99,8 +97,8 @@ impl Ram {
         Self {
             data: vec![0; capacity],
             high_water: 0,
-            #[cfg(feature = "shadow")]
             live: ByteSet::new(capacity),
+            live_mark: 0,
         }
     }
 
@@ -156,11 +154,10 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`MemError::RamOutOfRange`] when the range exceeds
-    /// capacity, or (under the `shadow` feature) [`MemError::ShadowClobber`]
-    /// when a target byte is still live in the shadow map.
+    /// capacity, or [`MemError::ShadowClobber`] when a target byte is
+    /// still live in the shadow map.
     pub fn write(&mut self, addr: usize, bytes: &[u8]) -> Result<(), MemError> {
         self.check(addr, bytes.len())?;
-        #[cfg(feature = "shadow")]
         self.shadow_check(addr, bytes.len())?;
         self.touch(addr, bytes.len());
         self.data[addr..addr + bytes.len()].copy_from_slice(bytes);
@@ -173,13 +170,12 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`MemError::RamOutOfRange`] when either range exceeds
-    /// capacity (`src` is checked first), or (under the `shadow` feature)
-    /// [`MemError::ShadowClobber`] when a `dst` byte is still live in the
-    /// shadow map. RAM is unchanged on error.
+    /// capacity (`src` is checked first), or [`MemError::ShadowClobber`]
+    /// when a `dst` byte is still live in the shadow map. RAM is unchanged
+    /// on error.
     pub(crate) fn copy(&mut self, src: usize, dst: usize, len: usize) -> Result<(), MemError> {
         self.check(src, len)?;
         self.check(dst, len)?;
-        #[cfg(feature = "shadow")]
         self.shadow_check(dst, len)?;
         self.touch(dst, len);
         self.data.copy_within(src..src + len, dst);
@@ -191,68 +187,78 @@ impl Ram {
     /// # Errors
     ///
     /// Returns [`MemError::RamOutOfRange`] when the range exceeds
-    /// capacity, or (under the `shadow` feature) [`MemError::ShadowClobber`]
-    /// when a target byte is still live in the shadow map.
+    /// capacity, or [`MemError::ShadowClobber`] when a target byte is
+    /// still live in the shadow map.
     pub fn fill(&mut self, addr: usize, len: usize, value: u8) -> Result<(), MemError> {
         self.check(addr, len)?;
-        #[cfg(feature = "shadow")]
         self.shadow_check(addr, len)?;
         self.touch(addr, len);
         self.data[addr..addr + len].fill(value);
         Ok(())
     }
 
-    /// Returns RAM to its boot state (all zero, nothing written) in
-    /// place, keeping the allocation, so a long-lived worker reuses its
-    /// simulated SRAM across inferences. Only the prefix below
+    /// Returns RAM to its boot state (all zero, nothing written, nothing
+    /// live) in place, keeping the allocation, so a long-lived worker
+    /// reuses its simulated SRAM across inferences. Only the prefix below
     /// [`high_water`](Self::high_water) can hold a nonzero byte, so only
     /// that prefix is zeroed: a step that wrote 20 KB of a 512 KB RAM
-    /// clears 20 KB. The shadow liveness map, which marks bytes without
-    /// writing them, is reset whole.
+    /// clears 20 KB. Likewise only the shadow map below
+    /// [`shadow_live_mark`](Self::shadow_live_mark) can hold a live byte,
+    /// so only that prefix of the map is reset.
     pub fn clear(&mut self) {
         self.data[..self.high_water].fill(0);
         self.high_water = 0;
-        #[cfg(feature = "shadow")]
-        self.live.set(0, self.live.capacity(), false);
+        self.live.set(0, self.live_mark, false);
+        self.live_mark = 0;
     }
 
-    #[cfg(feature = "shadow")]
+    /// Fails when a byte of the in-range `[addr, addr + len)` is live;
+    /// only the part below the liveness mark can be.
     fn shadow_check(&self, addr: usize, len: usize) -> Result<(), MemError> {
-        match self.live.first(addr, len, true) {
+        let end = (addr + len).min(self.live_mark);
+        if addr >= end {
+            return Ok(());
+        }
+        match self.live.first(addr, end - addr, true) {
             Some(a) => Err(MemError::ShadowClobber {
                 addr: a,
-                len: self.live.count(addr, len),
+                len: self.live.count(a, end - a),
             }),
             None => Ok(()),
         }
     }
 
-    /// Marks the part of `[addr, addr + len)` inside RAM live or dead.
-    #[cfg(feature = "shadow")]
-    fn shadow_mark(&mut self, addr: usize, len: usize, live: bool) {
-        let end = (addr + len).min(self.live.capacity());
-        let lo = addr.min(end);
-        self.live.set(lo, end - lo, live);
-    }
-
     /// Marks `[addr, addr + len)` live in the shadow map (pool mirror;
-    /// called after a pool store or host fill).
-    #[cfg(feature = "shadow")]
+    /// called after a pool store or host fill). The part past the end of
+    /// RAM is ignored.
     pub fn shadow_mark_live(&mut self, addr: usize, len: usize) {
-        self.shadow_mark(addr, len, true);
+        let end = addr.saturating_add(len).min(self.live.capacity());
+        if addr < end {
+            self.live.set(addr, end - addr, true);
+            self.live_mark = self.live_mark.max(end);
+        }
     }
 
     /// Marks `[addr, addr + len)` dead in the shadow map (pool mirror;
-    /// called when the pool frees those bytes).
-    #[cfg(feature = "shadow")]
+    /// called when the pool frees those bytes). Only the part below the
+    /// liveness mark can be live, so only that part is touched.
     pub fn shadow_mark_dead(&mut self, addr: usize, len: usize) {
-        self.shadow_mark(addr, len, false);
+        let end = addr.saturating_add(len).min(self.live_mark);
+        if addr < end {
+            self.live.set(addr, end - addr, false);
+        }
     }
 
     /// Number of bytes currently live in the shadow map.
-    #[cfg(feature = "shadow")]
     pub fn shadow_live_bytes(&self) -> usize {
         self.live.count(0, self.live.capacity())
+    }
+
+    /// One past the highest byte marked live since the last
+    /// [`clear`](Self::clear) (0 when none was): no byte at or above it
+    /// is live, and a clear resets the shadow map below it only.
+    pub fn shadow_live_mark(&self) -> usize {
+        self.live_mark
     }
 }
 
@@ -562,7 +568,6 @@ mod tests {
         assert_eq!(flash.read(0, 3).unwrap(), &[0xFF; 3]);
     }
 
-    #[cfg(feature = "shadow")]
     #[test]
     fn shadow_catches_store_over_live_bytes() {
         let mut ram = Ram::new(16);
@@ -580,7 +585,6 @@ mod tests {
         ram.write(6, &[9, 9, 9]).unwrap();
     }
 
-    #[cfg(feature = "shadow")]
     #[test]
     fn shadow_catches_copy_over_live_bytes() {
         let mut ram = Ram::new(16);
@@ -597,7 +601,6 @@ mod tests {
         assert_eq!(ram.read(12, 4).unwrap(), &[1, 2, 3, 4]);
     }
 
-    #[cfg(feature = "shadow")]
     #[test]
     fn shadow_map_resets_with_clear() {
         let mut ram = Ram::new(8);

@@ -366,15 +366,15 @@ fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 
 // ---- the pool -----------------------------------------------------------
 
-/// The pool against its oracle. Under the `shadow` feature the RAM shadow
-/// map adds errors of its own, which the oracle does not model;
-/// `shadow::ram_shadow_matches_oracle` covers that map.
-#[cfg(not(feature = "shadow"))]
+/// The pool against its oracle. The oracle models the RAM shadow map the
+/// pool mirrors its liveness into: a host fill over a live byte fails
+/// there, while a store over one is refused by the pool first.
+/// `shadow::ram_shadow_matches_oracle` covers the map itself.
 mod pool {
     use super::*;
     use proptest::TestCaseError;
     use vmcu::vmcu_pool::{PoolError, SegmentPool};
-    use vmcu::vmcu_sim::{Device, Machine};
+    use vmcu::vmcu_sim::{Device, Machine, MemError};
 
     /// `SegmentPool`'s liveness with one `bool` per byte. The one change from
     /// the per-byte original: a `DoubleFree` in the wrapped span of a free
@@ -386,7 +386,6 @@ mod pool {
         live: Vec<bool>,
         live_count: usize,
         peak_live: usize,
-        checked: bool,
     }
 
     impl OraclePool {
@@ -397,7 +396,6 @@ mod pool {
                 live: vec![false; len],
                 live_count: 0,
                 peak_live: 0,
-                checked: true,
             }
         }
 
@@ -435,14 +433,12 @@ mod pool {
                 if n == 0 {
                     continue;
                 }
-                if self.checked {
-                    for p in phys..phys + n {
-                        if !self.live[p] {
-                            return Err(PoolError::DeadRead {
-                                logical: logical + (off + (p - phys)) as i64,
-                                phys: p,
-                            });
-                        }
+                for p in phys..phys + n {
+                    if !self.live[p] {
+                        return Err(PoolError::DeadRead {
+                            logical: logical + (off + (p - phys)) as i64,
+                            phys: p,
+                        });
                     }
                 }
                 m.ram_load(self.base + phys, &mut dst[off..off + n])?;
@@ -458,14 +454,12 @@ mod pool {
                 if n == 0 {
                     continue;
                 }
-                if self.checked {
-                    for p in phys..phys + n {
-                        if self.live[p] {
-                            return Err(PoolError::Clobber {
-                                logical: logical + (off + (p - phys)) as i64,
-                                phys: p,
-                            });
-                        }
+                for p in phys..phys + n {
+                    if self.live[p] {
+                        return Err(PoolError::Clobber {
+                            logical: logical + (off + (p - phys)) as i64,
+                            phys: p,
+                        });
                     }
                 }
                 m.ram_store(self.base + phys, &src[off..off + n])?;
@@ -481,7 +475,7 @@ mod pool {
             let mut off = 0usize;
             for (phys, n) in self.spans(logical, len) {
                 for p in phys..phys + n {
-                    if self.checked && !self.live[p] {
+                    if !self.live[p] {
                         return Err(PoolError::DoubleFree {
                             logical: logical + (off + (p - phys)) as i64,
                         });
@@ -493,6 +487,8 @@ mod pool {
             Ok(())
         }
 
+        /// A span over live bytes fails in the RAM shadow map, naming the
+        /// first live byte by its RAM address and the span's live count.
         fn host_fill_live(
             &mut self,
             m: &mut Machine,
@@ -503,6 +499,13 @@ mod pool {
             for (phys, n) in self.spans(logical, data.len()) {
                 if n == 0 {
                     continue;
+                }
+                let span = &self.live[phys..phys + n];
+                if let Some(p) = span.iter().position(|&l| l) {
+                    return Err(PoolError::Mem(MemError::ShadowClobber {
+                        addr: self.base + phys + p,
+                        len: span.iter().filter(|&&l| l).count(),
+                    }));
                 }
                 m.host_write_ram(self.base + phys, &data[off..off + n])?;
                 for p in phys..phys + n {
@@ -527,18 +530,12 @@ mod pool {
 
     /// Runs `ops` through a `SegmentPool` and the oracle side by side, each
     /// on its own machine, comparing every result and the state after it.
-    fn pool_matches_oracle(
-        window: usize,
-        ops: &[PoolOp],
-        checked: bool,
-    ) -> Result<(), TestCaseError> {
+    fn pool_matches_oracle(window: usize, ops: &[PoolOp]) -> Result<(), TestCaseError> {
         let device = Device::stm32_f411re();
         let base = 24;
         let (mut m, mut o) = (Machine::new(device.clone()), Machine::new(device));
         let mut pool = SegmentPool::new(&m, base, window).unwrap();
-        pool.set_checked(checked);
         let mut oracle = OraclePool::new(base, window);
-        oracle.checked = checked;
         for (i, &(kind, addr, raw_len)) in ops.iter().enumerate() {
             let len = raw_len % (window + 1);
             let data: Vec<u8> = (0..len).map(|b| (i * 31 + b) as u8).collect();
@@ -580,17 +577,12 @@ mod pool {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Checked mode: clobbers, dead reads and double frees surface with
-        /// the same address, after the same partial side effects.
+        /// Clobbers, dead reads, double frees and shadow-map clobbers
+        /// surface with the same address, after the same partial side
+        /// effects.
         #[test]
         fn checked_pool_matches_oracle(case in pool_ops()) {
-            pool_matches_oracle(case.0, &case.1, true)?;
-        }
-
-        /// Unchecked mode: every access succeeds and liveness still counts.
-        #[test]
-        fn unchecked_pool_matches_oracle(case in pool_ops()) {
-            pool_matches_oracle(case.0, &case.1, false)?;
+            pool_matches_oracle(case.0, &case.1)?;
         }
 
         /// Frees of a whole wrapping window after streaming through it: a
@@ -604,14 +596,13 @@ mod pool {
                 ops.extend([(0u8, at, step), (1, at, step), (2, at, step)]);
             }
             ops.push((2, 0, window));
-            pool_matches_oracle(window, &ops, true)?;
+            pool_matches_oracle(window, &ops)?;
         }
     }
 }
 
 // ---- the shadow map -----------------------------------------------------
 
-#[cfg(feature = "shadow")]
 mod shadow {
     use super::*;
     use vmcu::vmcu_sim::{MemError, Ram};
@@ -620,27 +611,33 @@ mod shadow {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// `Ram`'s shadow map against one `bool` per byte: marks clip at the
-        /// end of RAM, and a store over live bytes reports the first one and
-        /// how many there are.
+        /// end of RAM, a store over live bytes reports the first one and
+        /// how many there are, and a clear resets the whole map. The
+        /// liveness mark, below which alone a clear resets the map, is one
+        /// past the highest byte marked live since the last clear.
         #[test]
         fn ram_shadow_matches_oracle(
-            ops in prop::collection::vec((0u8..3, 0usize..=300, 0usize..=150), 1..=60),
+            ops in prop::collection::vec((0u8..4, 0usize..=300, 0usize..=150), 1..=60),
         ) {
             const CAP: usize = 260;
             let mut ram = Ram::new(CAP);
             let mut live = vec![false; CAP];
+            let mut mark = 0;
             for (i, &(kind, addr, len)) in ops.iter().enumerate() {
                 match kind {
                     0 | 1 => {
                         let end = (addr + len).min(CAP);
                         live[addr.min(end)..end].fill(kind == 0);
                         if kind == 0 {
+                            if addr < end {
+                                mark = mark.max(end);
+                            }
                             ram.shadow_mark_live(addr, len);
                         } else {
                             ram.shadow_mark_dead(addr, len);
                         }
                     }
-                    _ => {
+                    2 => {
                         let want = if addr + len > CAP {
                             Err(MemError::RamOutOfRange { addr, len, capacity: CAP })
                         } else {
@@ -655,10 +652,15 @@ mod shadow {
                         };
                         prop_assert_eq!((i, ram.write(addr, &vec![7; len])), (i, want));
                     }
+                    _ => {
+                        live.fill(false);
+                        mark = 0;
+                        ram.clear();
+                    }
                 }
                 prop_assert_eq!(
-                    (i, ram.shadow_live_bytes()),
-                    (i, live.iter().filter(|&&l| l).count())
+                    (i, ram.shadow_live_bytes(), ram.shadow_live_mark()),
+                    (i, live.iter().filter(|&&l| l).count(), mark)
                 );
             }
         }
