@@ -6,8 +6,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
+use vmcu::vmcu_kernels::depthwise::depthwise_exec_trace;
 use vmcu::vmcu_kernels::fc::fc_exec_trace;
-use vmcu::vmcu_kernels::trace::exec_distance;
+use vmcu::vmcu_kernels::merge::add_exec_trace;
+use vmcu::vmcu_kernels::params::{AddParams, DepthwiseParams};
+use vmcu::vmcu_kernels::trace::{exec_distance, ExecEvent};
 use vmcu::vmcu_plan::headroom::{max_image_scale, tinyengine_budget};
 use vmcu::vmcu_plan::planner::named_ib_layers;
 use vmcu::vmcu_plan::{fuse_graph, plan_order, plan_split};
@@ -69,7 +72,9 @@ fn bench_plan_passes(c: &mut Criterion) {
 
 /// The byte-liveness bookkeeping behind certification and planning: the
 /// static auditor replaying a whole deployment, and the kernels'
-/// executable-distance bound over one layer's store/free trace.
+/// executable-distance bound over one layer's store/free trace: a
+/// pointwise and a depthwise layer, which free in address order, and a
+/// residual add, which frees its second operand above the frontier.
 fn bench_audit(c: &mut Criterion) {
     let mut g = c.benchmark_group("audit");
     g.sample_size(10);
@@ -82,10 +87,22 @@ fn bench_audit(c: &mut Criterion) {
         b.iter(|| vmcu_verify::audit(black_box(&dep)));
     });
     let fc = PointwiseParams::new(40, 40, 16, 96, Requant::identity()).as_fc();
-    let trace = fc_exec_trace(&fc);
-    g.bench_function("exec_distance/pointwise-40x40-16-96", |b| {
-        b.iter(|| exec_distance(fc.in_bytes(), black_box(&trace).iter().copied()));
-    });
+    let dw = DepthwiseParams::new(40, 40, 96, 3, 3, 1, 1, Requant::identity());
+    let add = AddParams::new(40, 40, 16);
+    let traces: [(&str, usize, Vec<ExecEvent>); 3] = [
+        ("pointwise-40x40-16-96", fc.in_bytes(), fc_exec_trace(&fc)),
+        (
+            "depthwise-40x40x96",
+            dw.in_bytes(),
+            depthwise_exec_trace(&dw),
+        ),
+        ("add-40x40x16", add.in_bytes(), add_exec_trace(&add)),
+    ];
+    for (name, in_bytes, trace) in &traces {
+        g.bench_function(format!("exec_distance/{name}"), |b| {
+            b.iter(|| exec_distance(*in_bytes, black_box(trace).iter().copied()));
+        });
+    }
     g.finish();
 }
 

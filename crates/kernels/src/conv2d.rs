@@ -8,34 +8,35 @@
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::Conv2dParams;
-use crate::trace::{free_upto, ExecEvent};
+use crate::trace::{free_upto, push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
 
-/// Dry-run of the kernel's store/free schedule (byte addresses).
+/// Dry-run of the kernel's store/free schedule (byte addresses): each
+/// output row's segment stores as one run, then the input rows it
+/// retires.
 pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
-    let (q_out, k) = (p.out_w(), p.k);
+    let out_row = p.out_w() * p.k;
     let row_bytes = p.w * p.c;
     let mut ev = Vec::new();
     let mut next_free = 0usize;
     for pi in 0..p.out_h() {
-        for qi in 0..q_out {
-            let mut k0 = 0;
-            while k0 < k {
-                let kw = p.seg.min(k - k0);
-                ev.push(ExecEvent::Store {
-                    addr: ((pi * q_out + qi) * k + k0) as i64,
-                    len: kw,
-                });
-                k0 += kw;
-            }
-        }
+        push_event(
+            &mut ev,
+            ExecEvent::Store {
+                addr: (pi * out_row) as i64,
+                len: out_row,
+            },
+        );
         let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
         if upto > next_free {
-            ev.push(ExecEvent::Free {
-                addr: (next_free * row_bytes) as i64,
-                len: (upto - next_free) * row_bytes,
-            });
+            push_event(
+                &mut ev,
+                ExecEvent::Free {
+                    addr: (next_free * row_bytes) as i64,
+                    len: (upto - next_free) * row_bytes,
+                },
+            );
             next_free = upto;
         }
     }
@@ -144,6 +145,7 @@ pub fn run_conv2d(
         let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
+                m,
                 b_in + (next_free * p.w * p.c) as i64,
                 (upto - next_free) * p.w * p.c,
             )?;

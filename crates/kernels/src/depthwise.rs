@@ -9,29 +9,34 @@
 
 use crate::intrinsics::{broadcast_cycles, requant_into};
 use crate::params::DepthwiseParams;
-use crate::trace::{free_upto, ExecEvent};
+use crate::trace::{free_upto, push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
 
-/// Dry-run of the kernel's store/free schedule (byte addresses).
+/// Dry-run of the kernel's store/free schedule (byte addresses): each
+/// output row's pixel stores as one run, then the input rows it retires.
 pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
-    let q_out = p.out_w();
+    let out_row = p.out_w() * p.c;
     let row_bytes = p.w * p.c;
     let mut ev = Vec::new();
     let mut next_free = 0usize;
     for pi in 0..p.out_h() {
-        for qi in 0..q_out {
-            ev.push(ExecEvent::Store {
-                addr: ((pi * q_out + qi) * p.c) as i64,
-                len: p.c,
-            });
-        }
+        push_event(
+            &mut ev,
+            ExecEvent::Store {
+                addr: (pi * out_row) as i64,
+                len: out_row,
+            },
+        );
         let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
         if upto > next_free {
-            ev.push(ExecEvent::Free {
-                addr: (next_free * row_bytes) as i64,
-                len: (upto - next_free) * row_bytes,
-            });
+            push_event(
+                &mut ev,
+                ExecEvent::Free {
+                    addr: (next_free * row_bytes) as i64,
+                    len: (upto - next_free) * row_bytes,
+                },
+            );
             next_free = upto;
         }
     }
@@ -124,6 +129,7 @@ pub fn run_depthwise(
         let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
+                m,
                 b_in + (next_free * p.w * p.c) as i64,
                 (upto - next_free) * p.w * p.c,
             )?;

@@ -14,28 +14,30 @@
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
 use crate::params::FcParams;
-use crate::trace::ExecEvent;
+use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{CostModel, Counters, Machine};
 
 /// Dry-run of the kernel's store/free schedule (byte addresses relative to
-/// the tensor bases).
+/// the tensor bases): each output row's segment stores as one run, then
+/// the free of its input row.
 pub fn fc_exec_trace(p: &FcParams) -> Vec<ExecEvent> {
     let mut ev = Vec::new();
     for mi in 0..p.m {
-        let mut n0 = 0;
-        while n0 < p.n {
-            let nw = p.seg.min(p.n - n0);
-            ev.push(ExecEvent::Store {
-                addr: (mi * p.n + n0) as i64,
-                len: nw,
-            });
-            n0 += nw;
-        }
-        ev.push(ExecEvent::Free {
-            addr: (mi * p.k) as i64,
-            len: p.k,
-        });
+        push_event(
+            &mut ev,
+            ExecEvent::Store {
+                addr: (mi * p.n) as i64,
+                len: p.n,
+            },
+        );
+        push_event(
+            &mut ev,
+            ExecEvent::Free {
+                addr: (mi * p.k) as i64,
+                len: p.k,
+            },
+        );
     }
     ev
 }
@@ -126,7 +128,7 @@ pub fn run_fc(
         requant_into(&acc, p.rq, p.clamp, &mut out_reg);
         pool.store_span(m, &out_reg, row_out)?;
         // RAMFree of the fully consumed input row.
-        pool.free(row_in, p.k)?;
+        pool.free(m, row_in, p.k)?;
         let mut loads = Counters::new();
         for (k0, kw) in tiles(p.k, p.seg) {
             loads += pool.price_load(&cost, row_in + k0 as i64, kw);

@@ -24,7 +24,7 @@ use crate::depthwise::depthwise_exec_trace;
 use crate::fc::fc_exec_trace;
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::{Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
-use crate::trace::{exec_distance, ExecEvent};
+use crate::trace::{exec_distance, push_event, ExecEvent};
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{CostModel, Counters, Machine};
@@ -355,20 +355,22 @@ pub fn chain_schedule(chain: &FusedChain) -> Vec<ChainStep> {
 pub fn chain_exec_trace(chain: &FusedChain) -> Vec<ExecEvent> {
     let irb = chain.ops[0].in_row_bytes();
     let orb = chain.ops.last().expect("non-empty chain").out_row_bytes();
-    chain_schedule(chain)
-        .into_iter()
-        .filter_map(|step| match step {
-            ChainStep::ProduceRow { .. } => None,
-            ChainStep::StoreOutRow(p) => Some(ExecEvent::Store {
+    let mut ev = Vec::new();
+    for step in chain_schedule(chain) {
+        let event = match step {
+            ChainStep::ProduceRow { .. } => continue,
+            ChainStep::StoreOutRow(p) => ExecEvent::Store {
                 addr: (p * orb) as i64,
                 len: orb,
-            }),
-            ChainStep::FreeInRows { from, to } => Some(ExecEvent::Free {
+            },
+            ChainStep::FreeInRows { from, to } => ExecEvent::Free {
                 addr: (from * irb) as i64,
                 len: (to - from) * irb,
-            }),
-        })
-        .collect()
+            },
+        };
+        push_event(&mut ev, event);
+    }
+    ev
 }
 
 /// Minimal executable `bIn − bOut` (bytes) for the fused chain.
@@ -690,7 +692,7 @@ pub fn run_fused_chain(
                 pool.store(m, &row_buf[..orb], b_out + (p * orb) as i64)?;
             }
             ChainStep::FreeInRows { from, to } => {
-                pool.free(b_in + (from * irb) as i64, (to - from) * irb)?;
+                pool.free(m, b_in + (from * irb) as i64, (to - from) * irb)?;
                 m.charge_branches(1);
             }
         }

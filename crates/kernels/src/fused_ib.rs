@@ -25,7 +25,7 @@
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
 use crate::params::IbParams;
-use crate::trace::ExecEvent;
+use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
 use vmcu_tensor::{quant::sat8, reference, Tensor};
@@ -134,24 +134,28 @@ pub fn ib_schedule(p: &IbParams, scheme: IbScheme) -> Vec<IbStep> {
     steps
 }
 
-/// Dry-run store/free trace (byte addresses relative to tensor bases).
+/// Dry-run store/free trace (byte addresses relative to tensor bases):
+/// each output row's pixel stores as one run, then the input rows it
+/// retires.
 pub fn ib_exec_trace(p: &IbParams, scheme: IbScheme) -> Vec<ExecEvent> {
     let w2 = p.hw2();
     let row_bytes = p.hw * p.c_in;
-    ib_schedule(p, scheme)
-        .into_iter()
-        .filter_map(|step| match step {
-            IbStep::BRow(_) => None,
-            IbStep::OutPixel(pi, qi) => Some(ExecEvent::Store {
+    let mut ev = Vec::new();
+    for step in ib_schedule(p, scheme) {
+        let event = match step {
+            IbStep::BRow(_) => continue,
+            IbStep::OutPixel(pi, qi) => ExecEvent::Store {
                 addr: ((pi * w2 + qi) * p.c_out) as i64,
                 len: p.c_out,
-            }),
-            IbStep::FreeRows { from, to } => Some(ExecEvent::Free {
+            },
+            IbStep::FreeRows { from, to } => ExecEvent::Free {
                 addr: (from * row_bytes) as i64,
                 len: (to - from) * row_bytes,
-            }),
-        })
-        .collect()
+            },
+        };
+        push_event(&mut ev, event);
+    }
+    ev
 }
 
 /// Workspace bytes beside the pool: the expanded-row ring (RowBuffer) or
@@ -421,7 +425,7 @@ pub fn run_fused_ib(
                 m.counters += price + pool.price_store(&cost, out_addr, p.c_out);
             }
             IbStep::FreeRows { from, to } => {
-                pool.free(b_in + (from * row_bytes) as i64, (to - from) * row_bytes)?;
+                pool.free(m, b_in + (from * row_bytes) as i64, (to - from) * row_bytes)?;
                 m.charge_branches(1);
             }
         }

@@ -17,7 +17,7 @@
 //! [`crate::trace`]).
 
 use crate::params::{AddParams, ConcatParams};
-use crate::trace::ExecEvent;
+use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::Machine;
 
@@ -40,18 +40,22 @@ pub fn add_exec_trace(p: &AddParams) -> Vec<ExecEvent> {
         let len = p.seg.min(t - off);
         // Both operand segments die before the output segment lands in
         // the slot the A segment vacated.
-        ev.push(ExecEvent::Free {
-            addr: off as i64,
-            len,
-        });
-        ev.push(ExecEvent::Free {
-            addr: (t + off) as i64,
-            len,
-        });
-        ev.push(ExecEvent::Store {
-            addr: off as i64,
-            len,
-        });
+        for event in [
+            ExecEvent::Free {
+                addr: off as i64,
+                len,
+            },
+            ExecEvent::Free {
+                addr: (t + off) as i64,
+                len,
+            },
+            ExecEvent::Store {
+                addr: off as i64,
+                len,
+            },
+        ] {
+            push_event(&mut ev, event);
+        }
         off += len;
     }
     ev
@@ -86,8 +90,8 @@ pub fn run_add(
         pool.load(m, b_in + off as i64, &mut a_reg[..len])?;
         pool.load(m, b_in + (t + off) as i64, &mut b_reg[..len])?;
         sat_add_bytes(m, &a_reg[..len], &b_reg[..len], &mut out_reg[..len]);
-        pool.free(b_in + off as i64, len)?;
-        pool.free(b_in + (t + off) as i64, len)?;
+        pool.free(m, b_in + off as i64, len)?;
+        pool.free(m, b_in + (t + off) as i64, len)?;
         pool.store(m, &out_reg[..len], b_out + off as i64)?;
         m.charge_branches(1);
         off += len;
@@ -101,18 +105,22 @@ pub fn concat_exec_trace(p: &ConcatParams) -> Vec<ExecEvent> {
     let co = p.c_a + p.c_b;
     let mut ev = Vec::new();
     for px in 0..p.pixels() {
-        ev.push(ExecEvent::Free {
-            addr: (px * p.c_a) as i64,
-            len: p.c_a,
-        });
-        ev.push(ExecEvent::Free {
-            addr: (a + px * p.c_b) as i64,
-            len: p.c_b,
-        });
-        ev.push(ExecEvent::Store {
-            addr: (px * co) as i64,
-            len: co,
-        });
+        for event in [
+            ExecEvent::Free {
+                addr: (px * p.c_a) as i64,
+                len: p.c_a,
+            },
+            ExecEvent::Free {
+                addr: (a + px * p.c_b) as i64,
+                len: p.c_b,
+            },
+            ExecEvent::Store {
+                addr: (px * co) as i64,
+                len: co,
+            },
+        ] {
+            push_event(&mut ev, event);
+        }
     }
     ev
 }
@@ -139,8 +147,8 @@ pub fn run_concat(
     for px in 0..p.pixels() {
         pool.load(m, b_in + (px * p.c_a) as i64, &mut px_reg[..p.c_a])?;
         pool.load(m, b_in + a + (px * p.c_b) as i64, &mut px_reg[p.c_a..])?;
-        pool.free(b_in + (px * p.c_a) as i64, p.c_a)?;
-        pool.free(b_in + a + (px * p.c_b) as i64, p.c_b)?;
+        pool.free(m, b_in + (px * p.c_a) as i64, p.c_a)?;
+        pool.free(m, b_in + a + (px * p.c_b) as i64, p.c_b)?;
         pool.store(m, &px_reg, b_out + (px * co) as i64)?;
         m.charge_cycles(co as u64);
         m.charge_branches(1);

@@ -11,18 +11,21 @@
 //! ```
 //!
 //! Each kernel exposes a dry-run trace generator emitting exactly the
-//! store/free order of its implementation; planners use [`exec_distance`]
-//! on that trace to place the output pointer in a [`pool_window`], and
-//! the checked pool verifies the result empirically. Every kernel runs
-//! clean at `D_exec`. When the store that sets `D_exec` lands on the
-//! first unfreed input byte, `D_exec` is tight: one byte closer, that
-//! store clobbers a live byte. A `D_exec` set by a store after the last
-//! free (the frontier is then the input end, a byte nobody holds) only
-//! keeps the output inside the window, and one byte closer runs clean: a
-//! depthwise `h=8, w=6, c=3, r=1, s=4`, stride 1, pad 2, whose last
-//! output rows are padding only, plans 108 and runs clean at 107.
-
-use vmcu_sim::ByteSet;
+//! store/free order of its implementation, at run granularity: every
+//! event goes through `push_event`, which extends the previous event
+//! instead when the new one continues it, so a depthwise or
+//! inverted-bottleneck output row, or a pointwise pixel, is one store.
+//! Merging continuing events changes no distance, window or replay
+//! verdict. Planners use [`exec_distance`] on that trace to place the
+//! output pointer in a [`pool_window`], and the checked pool verifies
+//! the result empirically. Every kernel runs clean at `D_exec`. When the
+//! store that sets `D_exec` lands on the first unfreed input byte,
+//! `D_exec` is tight: one byte closer, that store clobbers a live byte.
+//! A `D_exec` set by a store after the last free (the frontier is then
+//! the input end, a byte nobody holds) only keeps the output inside the
+//! window, and one byte closer runs clean: a depthwise `h=8, w=6, c=3,
+//! r=1, s=4`, stride 1, pad 2, whose last output rows are padding only,
+//! plans 108 and runs clean at 107.
 
 /// One event of an executable kernel schedule, in address units of bytes
 /// relative to the tensor bases.
@@ -44,6 +47,23 @@ pub enum ExecEvent {
     },
 }
 
+/// Appends `event` to a trace, or extends the trace's last event when
+/// `event` continues it: a store that starts where the previous store
+/// ends, or a free that starts where the previous free ends. Every trace
+/// generator emits through this, so its traces are at run granularity.
+pub(crate) fn push_event(events: &mut Vec<ExecEvent>, event: ExecEvent) {
+    use ExecEvent::{Free, Store};
+    match (events.last_mut(), event) {
+        (Some(Store { addr, len }), Store { addr: a, len: n })
+        | (Some(Free { addr, len }), Free { addr: a, len: n })
+            if *addr + *len as i64 == a =>
+        {
+            *len += n;
+        }
+        _ => events.push(event),
+    }
+}
+
 /// Computes the minimal executable distance `bIn − bOut` for a trace over
 /// an input of `in_size` bytes.
 ///
@@ -52,27 +72,48 @@ pub enum ExecEvent {
 /// (yielding a positive `D`, i.e. empty segments ahead of the input, as in
 /// Figure 1(c)).
 ///
+/// The freed input is the frontier (every byte below it is freed, the
+/// byte at it is not) plus a short list of merged freed spans above it.
+/// A free that starts at the frontier moves it, and absorbs the lowest
+/// span when it now reaches it; any other free merges with its
+/// neighbours in the list. Kernels free in address order, so the list
+/// stays empty, or holds the second operand of a merge as one span.
+///
 /// # Panics
 ///
-/// Panics if a free is out of range or duplicated — traces come from our
-/// own kernels, so this indicates a kernel bug.
+/// Panics if a free is out of range or duplicated (naming the first
+/// double-freed byte) — traces come from our own kernels, so this
+/// indicates a kernel bug.
 pub fn exec_distance(in_size: usize, events: impl IntoIterator<Item = ExecEvent>) -> i64 {
-    let mut freed = ByteSet::new(in_size);
-    let mut frontier: usize = 0; // first unfreed input byte
+    // Every input byte below `frontier` is freed and the byte at it is
+    // not. `spans` holds the freed `[start, end)` runs above it, disjoint
+    // and non-adjacent, highest first: the lowest, which a free at the
+    // frontier may reach, pops off the end.
+    let mut frontier: usize = 0;
+    let mut spans: Vec<(usize, usize)> = Vec::new();
     let mut d = i64::MIN;
     for ev in events {
         match ev {
             ExecEvent::Free { addr, len } => {
                 assert!(addr >= 0, "free below input base");
-                let start = addr as usize;
-                assert!(start + len <= in_size, "free past input end");
-                if let Some(b) = freed.first(start, len, true) {
-                    panic!("double free at input byte {b}");
+                let (start, end) = (addr as usize, addr as usize + len);
+                assert!(end <= in_size, "free past input end");
+                if len == 0 {
+                    continue;
                 }
-                freed.set(start, len, true);
-                frontier = freed
-                    .first(frontier, in_size - frontier, false)
-                    .unwrap_or(in_size);
+                if start == frontier {
+                    frontier = end;
+                    if let Some(&(lo, hi)) = spans.last() {
+                        assert!(lo >= end, "double free at input byte {lo}");
+                        if lo == end {
+                            frontier = hi;
+                            spans.pop();
+                        }
+                    }
+                } else {
+                    assert!(start > frontier, "double free at input byte {start}");
+                    free_above_frontier(&mut spans, start, end);
+                }
             }
             ExecEvent::Store { addr, len } => {
                 if len == 0 {
@@ -88,6 +129,38 @@ pub fn exec_distance(in_size: usize, events: impl IntoIterator<Item = ExecEvent>
         -(in_size as i64)
     } else {
         d
+    }
+}
+
+/// Adds the freed input bytes `[start, end)`, which lie above the
+/// frontier, to `spans` (highest first), merging with the span below
+/// and the span above when they touch it.
+///
+/// # Panics
+///
+/// Panics at the first byte of `[start, end)` that a span already holds.
+fn free_above_frontier(spans: &mut Vec<(usize, usize)>, start: usize, end: usize) {
+    // `spans[..i]` start above `start`; `spans[i]` is the span below.
+    let i = spans.partition_point(|&(lo, _)| lo > start);
+    let below = spans.get(i).filter(|&&(_, hi)| hi >= start).copied();
+    let above = i
+        .checked_sub(1)
+        .map(|j| spans[j])
+        .filter(|&(lo, _)| lo <= end);
+    if let Some((_, hi)) = below {
+        assert!(hi == start, "double free at input byte {start}");
+    }
+    if let Some((lo, _)) = above {
+        assert!(lo == end, "double free at input byte {lo}");
+    }
+    match (below, above) {
+        (Some(_), Some((_, hi))) => {
+            spans[i].1 = hi;
+            spans.remove(i - 1);
+        }
+        (Some(_), None) => spans[i].1 = end,
+        (None, Some(_)) => spans[i - 1].0 = start,
+        (None, None) => spans.insert(i, (start, end)),
     }
 }
 
@@ -171,6 +244,60 @@ mod tests {
     #[should_panic(expected = "double free")]
     fn double_free_is_a_kernel_bug() {
         let _ = exec_distance(4, [Free { addr: 0, len: 2 }, Free { addr: 1, len: 2 }]);
+    }
+
+    #[test]
+    fn push_event_extends_only_a_continued_event() {
+        let mut ev = Vec::new();
+        for e in [
+            Store { addr: 0, len: 4 },
+            Store { addr: 4, len: 2 }, // continues the store
+            Free { addr: 0, len: 4 },
+            Free { addr: 8, len: 4 }, // a gap: a new free
+            Free { addr: 12, len: 4 },
+            Store { addr: 6, len: 1 }, // the previous event is a free
+        ] {
+            push_event(&mut ev, e);
+        }
+        assert_eq!(
+            ev,
+            [
+                Store { addr: 0, len: 6 },
+                Free { addr: 0, len: 4 },
+                Free { addr: 8, len: 8 },
+                Store { addr: 6, len: 1 },
+            ]
+        );
+    }
+
+    #[test]
+    fn spans_above_the_frontier_merge_and_are_absorbed() {
+        let events = [
+            Free { addr: 4, len: 2 },
+            Free { addr: 8, len: 2 },
+            Free { addr: 6, len: 2 }, // joins both neighbours: [4, 10)
+            Free { addr: 12, len: 2 },
+            Free { addr: 11, len: 1 },  // joins the span above: [11, 14)
+            Store { addr: 0, len: 1 },  // frontier 0: D = 1
+            Free { addr: 0, len: 4 },   // reaches [4, 10): frontier 10
+            Store { addr: 9, len: 1 },  // D = 9 - 10 + 1 = 0
+            Free { addr: 10, len: 1 },  // reaches [11, 14): frontier 14
+            Store { addr: 15, len: 1 }, // D = 15 - 14 + 1 = 2
+        ];
+        assert_eq!(exec_distance(16, events), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free at input byte 9")]
+    fn double_free_above_the_frontier_names_its_first_byte() {
+        let _ = exec_distance(
+            16,
+            [
+                Free { addr: 9, len: 3 },
+                Free { addr: 4, len: 2 },
+                Free { addr: 7, len: 4 },
+            ],
+        );
     }
 
     #[test]

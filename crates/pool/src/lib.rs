@@ -30,7 +30,7 @@
 //! pool.host_fill_live(&mut m, 0, &[1, 2, 3, 4, 5, 6]).unwrap();
 //! let mut reg = [0u8; 2];
 //! pool.load(&mut m, 0, &mut reg).unwrap();   // read segment 0
-//! pool.free(0, 2).unwrap();                  // retire it
+//! pool.free(&mut m, 0, 2).unwrap();          // retire it
 //! pool.store(&mut m, &reg.clone(), 6).unwrap(); // reuse the slot via wrap
 //! assert_eq!(pool.live_bytes(), 6);
 //! ```
@@ -117,10 +117,10 @@ impl From<MemError> for PoolError {
 ///
 /// The pool mirrors its byte liveness into the machine's RAM shadow map
 /// ([`vmcu_sim::Ram`]): stores and host fills mark bytes live, frees mark
-/// them dead (at the pool's next store or fill, which has the machine),
-/// and `Ram::write` itself rejects any store over a live byte. This is
-/// the memory-layer backstop: it catches raw `Machine` stores that bypass
-/// the pool, such as a fused chain's row rings or a workspace.
+/// them dead at once, and `Ram::write` itself rejects any store over a
+/// live byte. This is the memory-layer backstop: it catches raw
+/// `Machine` stores that bypass the pool, such as a fused chain's row
+/// rings or a workspace.
 #[derive(Debug, Clone)]
 pub struct SegmentPool {
     base: usize,
@@ -128,10 +128,6 @@ pub struct SegmentPool {
     live: ByteSet,
     live_count: usize,
     peak_live: usize,
-    /// Frees not yet mirrored to the RAM shadow map. [`Self::free`] has no
-    /// machine handle, so frees are queued here and flushed by the next
-    /// pool operation that does.
-    pending_dead: Vec<(usize, usize)>,
     /// Whether the shadow map for this window has been claimed (reset)
     /// yet. A fresh pool owns its window outright, so stale liveness from
     /// a previous pool over the same bytes is cleared on first use.
@@ -166,20 +162,17 @@ impl SegmentPool {
             live: ByteSet::new(len),
             live_count: 0,
             peak_live: 0,
-            pending_dead: Vec::new(),
             shadow_claimed: false,
         })
     }
 
-    /// Mirrors queued frees (and, on first use, the window claim) into the
-    /// RAM shadow map before a write-side pool operation touches memory.
-    fn flush_shadow(&mut self, m: &mut Machine) {
+    /// Claims the window in the RAM shadow map on first use, before a
+    /// write-side pool operation touches memory. A free needs no claim:
+    /// it retires only bytes a store or fill has made live.
+    fn claim_shadow(&mut self, m: &mut Machine) {
         if !self.shadow_claimed {
             m.ram.shadow_mark_dead(self.base, self.len);
             self.shadow_claimed = true;
-        }
-        for (addr, n) in self.pending_dead.drain(..) {
-            m.ram.shadow_mark_dead(addr, n);
         }
     }
 
@@ -271,7 +264,7 @@ impl SegmentPool {
         src: &[u8],
         logical: i64,
     ) -> (usize, Result<(), PoolError>) {
-        self.flush_shadow(m);
+        self.claim_shadow(m);
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, src.len()) {
             if n == 0 {
@@ -435,17 +428,13 @@ impl SegmentPool {
     /// Returns [`PoolError::DoubleFree`] when any byte is already free.
     /// The bytes before the first free one are retired, in the shadow map
     /// too, before the error returns.
-    pub fn free(&mut self, logical: i64, len: usize) -> Result<(), PoolError> {
+    pub fn free(&mut self, m: &mut Machine, logical: i64, len: usize) -> Result<(), PoolError> {
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, len) {
             let dead = self.offending(logical, off, phys, n, false);
             let retired = dead.map_or(n, |(_, p)| p - phys);
             self.live_count -= self.live.set(phys, retired, false);
-            // No machine handle here; queue the shadow update for the next
-            // pool operation that has one.
-            if retired > 0 {
-                self.pending_dead.push((self.base + phys, retired));
-            }
+            m.ram.shadow_mark_dead(self.base + phys, retired);
             if let Some((logical, _)) = dead {
                 return Err(PoolError::DoubleFree { logical });
             }
@@ -468,7 +457,7 @@ impl SegmentPool {
         logical: i64,
         data: &[u8],
     ) -> Result<(), PoolError> {
-        self.flush_shadow(m);
+        self.claim_shadow(m);
         let mut off = 0usize;
         for (phys, n) in self.spans(logical, data.len()) {
             if n == 0 {
@@ -555,7 +544,7 @@ mod tests {
     fn free_then_reuse_is_legal() {
         let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
-        pool.free(0, 4).unwrap();
+        pool.free(&mut m, 0, 4).unwrap();
         pool.store(&mut m, &[2; 4], 8).unwrap(); // same slot, now free
         assert_eq!(pool.live_bytes(), 4);
         assert_eq!(pool.peak_live_bytes(), 4);
@@ -573,12 +562,18 @@ mod tests {
     fn double_free_is_detected() {
         let (mut m, mut pool) = setup(8);
         pool.store(&mut m, &[1; 4], 0).unwrap();
-        pool.free(0, 4).unwrap();
-        assert!(matches!(pool.free(0, 4), Err(PoolError::DoubleFree { .. })));
+        pool.free(&mut m, 0, 4).unwrap();
+        assert!(matches!(
+            pool.free(&mut m, 0, 4),
+            Err(PoolError::DoubleFree { .. })
+        ));
         // A free that runs past the live bytes retires them before the
         // error, in the RAM shadow map too, so a store over them is legal.
         pool.store(&mut m, &[2; 4], 0).unwrap();
-        assert_eq!(pool.free(0, 6), Err(PoolError::DoubleFree { logical: 4 }));
+        assert_eq!(
+            pool.free(&mut m, 0, 6),
+            Err(PoolError::DoubleFree { logical: 4 })
+        );
         assert_eq!(pool.live_bytes(), 0);
         pool.store(&mut m, &[3; 4], 0).unwrap();
     }
@@ -597,7 +592,10 @@ mod tests {
                 phys: 0
             })
         );
-        assert_eq!(pool.free(6, 4), Err(PoolError::DoubleFree { logical: 8 }));
+        assert_eq!(
+            pool.free(&mut m, 6, 4),
+            Err(PoolError::DoubleFree { logical: 8 })
+        );
         // The live first span (logical 6, 7) was retired before the error.
         assert_eq!(pool.live_bytes(), 2);
     }
@@ -619,7 +617,7 @@ mod tests {
         let (mut m, mut pool) = setup(16);
         pool.store(&mut m, &[1; 4], 0).unwrap();
         pool.store(&mut m, &[1; 4], 4).unwrap();
-        pool.free(0, 8).unwrap();
+        pool.free(&mut m, 0, 8).unwrap();
         pool.store(&mut m, &[1; 4], 8).unwrap();
         assert_eq!(pool.live_bytes(), 4);
         assert_eq!(pool.peak_live_bytes(), 8);

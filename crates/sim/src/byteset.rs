@@ -1,11 +1,10 @@
 //! Word-packed sets of byte offsets.
 //!
 //! vMCU's memory saving rests on byte-exact liveness (§3–§4): a store may
-//! reuse a pool byte only once its last reader has freed it. Every layer
-//! that checks this discipline — the checked segment pool, the shadow map
-//! behind [`Ram`](crate::Ram), the kernels' executable-distance bound and
-//! the static auditor — keeps the same thing: one bit per byte of a
-//! window. [`ByteSet`] packs those bits 64 to a `u64` word and answers
+//! reuse a pool byte only once its last reader has freed it. The layers
+//! that check this discipline — the checked segment pool, the shadow map
+//! behind [`Ram`](crate::Ram) and the static auditor — keep the same
+//! thing: one bit per byte of a window. [`ByteSet`] packs those bits 64 to a `u64` word and answers
 //! every question about a span `[lo, lo + n)` with one masked operation
 //! per word the span touches, never one per byte.
 

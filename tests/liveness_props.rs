@@ -13,6 +13,7 @@
 //! byte-liveness code.
 
 use proptest::prelude::*;
+use proptest::TestCaseError;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use vmcu::vmcu_kernels::trace::{exec_distance, ExecEvent};
 use vmcu::vmcu_solver::multilayer::min_distance_events;
@@ -354,6 +355,144 @@ fn valid_trace(
     events
 }
 
+/// A merge-shaped trace over operands of `a` and `b` bytes staged back to
+/// back: per step, the next segment of each operand is freed in turn
+/// (`b_first` swaps the two), then the next of `stores` lands. The
+/// operands' segment sizes differ, so one runs out before the other.
+fn merge_trace(
+    (a, b): (usize, usize),
+    (seg_a, seg_b): (usize, usize),
+    b_first: bool,
+    stores: &[(i64, usize)],
+) -> Vec<ExecEvent> {
+    let segments = |lo: usize, len: usize, seg: usize| {
+        (0..len)
+            .step_by(seg)
+            .map(move |off| ExecEvent::Free {
+                addr: (lo + off) as i64,
+                len: seg.min(len - off),
+            })
+            .collect::<Vec<_>>()
+    };
+    let (mut first, mut second) = (segments(0, a, seg_a), segments(a, b, seg_b));
+    if b_first {
+        std::mem::swap(&mut first, &mut second);
+    }
+    let mut stores = stores.iter();
+    let mut events = Vec::new();
+    for i in 0..first.len().max(second.len()) {
+        events.extend(first.get(i).copied());
+        events.extend(second.get(i).copied());
+        if let Some(&(addr, len)) = stores.next() {
+            events.push(ExecEvent::Store { addr, len });
+        }
+    }
+    events.extend(stores.map(|&(addr, len)| ExecEvent::Store { addr, len }));
+    events
+}
+
+/// A trace whose chunk frees leave gaps and close them later: the input
+/// cut at `cuts` into chunks, chunk `i` in class `i % 3`, the classes
+/// freed in the order `classes` (each class ascending or, with
+/// `descending`, descending), a store after each free. The first class
+/// freed leaves gaps on both sides of each chunk; the second closes each
+/// gap from one side (from the left or from the right, by the class
+/// order); the third closes the rest from both sides. Chunk 0 frees at
+/// the frontier, and with its class first the frontier absorbs spans.
+fn gap_trace(
+    in_len: usize,
+    cuts: &[usize],
+    classes: [usize; 3],
+    descending: bool,
+    stores: &[(i64, usize)],
+) -> Vec<ExecEvent> {
+    let mut bounds: Vec<usize> = cuts.iter().map(|c| c % (in_len + 1)).collect();
+    bounds.extend([0, in_len]);
+    bounds.sort_unstable();
+    bounds.dedup();
+    let chunks: Vec<(usize, usize)> = bounds.windows(2).map(|w| (w[0], w[1] - w[0])).collect();
+    let mut order = Vec::new();
+    for class in classes {
+        let mut ids: Vec<usize> = (class..chunks.len()).step_by(3).collect();
+        if descending {
+            ids.reverse();
+        }
+        order.extend(ids);
+    }
+    let mut stores = stores.iter().cycle();
+    let mut events = Vec::new();
+    for i in order {
+        let (addr, len) = chunks[i];
+        events.push(ExecEvent::Free {
+            addr: addr as i64,
+            len,
+        });
+        if let Some(&(a, n)) = stores.next() {
+            events.push(ExecEvent::Store { addr: a, len: n });
+        }
+    }
+    events
+}
+
+/// The six orders of the three chunk classes.
+const CLASS_ORDERS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
+/// `events` with `Free { addr, len }` spliced in at `at`: a free of bytes
+/// the trace frees elsewhere, which panics at the first byte freed twice.
+fn with_double_free(events: &[ExecEvent], at: usize, addr: i64, len: usize) -> Vec<ExecEvent> {
+    let mut out = events.to_vec();
+    out.insert(at % (events.len() + 1), ExecEvent::Free { addr, len });
+    out
+}
+
+/// The three distances of a valid trace against their oracles; then the
+/// frontier after every prefix, read as the distance of the prefix
+/// followed by one store far above every other (so that store sets it);
+/// then, with a free of freed bytes spliced in (`splice` picks where and
+/// which), `exec_distance`'s panic message.
+fn distances_match_oracles(
+    in_len: usize,
+    events: &[ExecEvent],
+    splice: (usize, usize, usize),
+) -> Result<(), TestCaseError> {
+    let want = oracle_exec_distance(in_len, events.iter().copied());
+    prop_assert_eq!(exec_distance(in_len, events.iter().copied()), want);
+    prop_assert_eq!(
+        derive_min_distance(in_len, events),
+        oracle_derive_min_distance(in_len, events)
+    );
+    prop_assert_eq!(
+        solver_min_distance(in_len, events),
+        oracle_solver_min_distance(in_len, events)
+    );
+    let probe = ExecEvent::Store {
+        addr: 1 << 20,
+        len: 1,
+    };
+    for k in 0..=events.len() {
+        let prefix = events[..k].iter().copied().chain([probe]);
+        prop_assert_eq!(
+            (k, exec_distance(in_len, prefix.clone())),
+            (k, oracle_exec_distance(in_len, prefix))
+        );
+    }
+    let (at, addr, len) = splice;
+    let addr = addr % in_len;
+    let bad = with_double_free(events, at, addr as i64, len.min(in_len - addr));
+    prop_assert_eq!(
+        outcome(|| exec_distance(in_len, bad.iter().copied())),
+        outcome(|| oracle_exec_distance(in_len, bad.iter().copied()))
+    );
+    Ok(())
+}
+
 /// The panic message of `f`, or its value.
 fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|e| {
@@ -368,7 +507,8 @@ fn outcome<T>(f: impl FnOnce() -> T) -> Result<T, String> {
 
 /// The pool against its oracle. The oracle models the RAM shadow map the
 /// pool mirrors its liveness into: a host fill over a live byte fails
-/// there, while a store over one is refused by the pool first.
+/// there, while a store over one is refused by the pool first, and a raw
+/// machine store sees every pool store, fill and free at once.
 /// `shadow::ram_shadow_matches_oracle` covers the map itself.
 mod pool {
     use super::*;
@@ -515,16 +655,30 @@ mod pool {
             }
             Ok(())
         }
+
+        /// A raw `Machine` store of `src` at window offset `phys`, which
+        /// the shadow map refuses over any byte the pool holds live.
+        fn raw_store(&self, m: &mut Machine, phys: usize, src: &[u8]) -> Result<(), MemError> {
+            let span = &self.live[phys..phys + src.len()];
+            match span.iter().position(|&l| l) {
+                Some(p) => Err(MemError::ShadowClobber {
+                    addr: self.base + phys + p,
+                    len: span.iter().filter(|&&l| l).count(),
+                }),
+                None => m.ram_store(self.base + phys, src),
+            }
+        }
     }
 
-    /// One pool operation: kind (store, load, free, fill), logical address,
-    /// and a raw length reduced modulo `window + 1`.
+    /// One pool operation: kind (store, load, free, fill, raw machine
+    /// store inside the window), logical address, and a raw length
+    /// reduced modulo `window + 1`.
     type PoolOp = (u8, i64, usize);
 
     fn pool_ops() -> impl Strategy<Value = (usize, Vec<PoolOp>)> {
         (
             1usize..=200,
-            prop::collection::vec((0u8..4, -450i64..=450, 0usize..=200), 1..=60),
+            prop::collection::vec((0u8..5, -450i64..=450, 0usize..=200), 1..=60),
         )
     }
 
@@ -549,11 +703,19 @@ mod pool {
                     pool.load(&mut m, addr, &mut got),
                     oracle.load(&mut o, addr, &mut want),
                 ),
-                2 => (pool.free(addr, len), oracle.free(addr, len)),
-                _ => (
+                2 => (pool.free(&mut m, addr, len), oracle.free(addr, len)),
+                3 => (
                     pool.host_fill_live(&mut m, addr, &data),
                     oracle.host_fill_live(&mut o, addr, &data),
                 ),
+                _ => {
+                    let phys = oracle.phys(addr);
+                    let src = &data[..len.min(window - phys)];
+                    (
+                        m.ram_store(base + phys, src).map_err(PoolError::Mem),
+                        oracle.raw_store(&mut o, phys, src).map_err(PoolError::Mem),
+                    )
+                }
             };
             prop_assert_eq!(
                 (
@@ -739,6 +901,36 @@ proptest! {
         prop_assert_eq!(exec_distance(in_len, events.iter().copied()), want);
         prop_assert_eq!(derive_min_distance(in_len, &events), oracle_derive_min_distance(in_len, &events));
         prop_assert_eq!(solver_min_distance(in_len, &events), oracle_solver_min_distance(in_len, &events));
+    }
+
+    /// Merge-shaped traces: two operands freed in turn, segment by
+    /// segment, with stores between (the second operand's frees land
+    /// above the frontier).
+    #[test]
+    fn distances_match_oracles_on_merge_traces(
+        sizes in (1usize..=150, 1usize..=150, 1usize..=40, 1usize..=40),
+        b_first in 0u8..2,
+        stores in prop::collection::vec((-100i64..=400, 0usize..=60), 0..=40),
+        splice in (0usize..100, 0usize..300, 1usize..=20),
+    ) {
+        let (a, b, seg_a, seg_b) = sizes;
+        let events = merge_trace((a, b), (seg_a, seg_b), b_first == 1, &stores);
+        distances_match_oracles(a + b, &events, splice)?;
+    }
+
+    /// Chunk frees that leave gaps and close them from the left, from the
+    /// right and from both sides, under every order of the chunk classes.
+    #[test]
+    fn distances_match_oracles_on_gap_closing_traces(
+        in_len in 1usize..=300,
+        cuts in prop::collection::vec(0usize..=300, 2..=16),
+        order in (0usize..6, 0u8..2),
+        stores in prop::collection::vec((-100i64..=400, 0usize..=80), 1..=16),
+        splice in (0usize..100, 0usize..300, 1usize..=40),
+    ) {
+        let (classes, descending) = (CLASS_ORDERS[order.0], order.1 == 1);
+        let events = gap_trace(in_len, &cuts, classes, descending, &stores);
+        distances_match_oracles(in_len, &events, splice)?;
     }
 
     /// Malformed frees (negative, past the end, overlapping): the replay

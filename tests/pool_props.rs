@@ -45,7 +45,7 @@ proptest! {
             let mut b = [0u8; 1];
             pool.load(&mut m, i, &mut b).unwrap();
             prop_assert_eq!(b[0], i as u8);
-            pool.free(i, 1).unwrap();
+            pool.free(&mut m, i, 1).unwrap();
         }
         prop_assert_eq!(pool.live_bytes(), 0);
         prop_assert_eq!(pool.peak_live_bytes(), 1);
@@ -82,7 +82,7 @@ proptest! {
                 live += 1;
                 peak = peak.max(live);
             } else if frontier < next {
-                pool.free(frontier, 1).unwrap();
+                pool.free(&mut m, frontier, 1).unwrap();
                 frontier += 1;
                 live -= 1;
             }

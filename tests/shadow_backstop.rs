@@ -70,9 +70,8 @@ fn dag_nets_run_clean_under_shadow() {
     }
 }
 
-/// A raw store over a pool-live byte fails and leaves RAM unchanged; the
-/// pool hands its frees to the map at its next store or fill, after which
-/// the same raw store succeeds.
+/// A raw store over a pool-live byte fails and leaves RAM unchanged; once
+/// the pool frees the byte, the same raw store succeeds.
 #[test]
 fn raw_store_over_a_pool_live_byte_is_caught() {
     let mut m = Machine::new(Device::stm32_f411re());
@@ -83,7 +82,7 @@ fn raw_store_over_a_pool_live_byte_is_caught() {
         Err(MemError::ShadowClobber { addr: 18, len: 2 })
     );
     assert_eq!(m.host_read_ram(16, 8).unwrap(), [1, 1, 1, 1, 0, 0, 0, 0]);
-    pool.free(0, 4).unwrap();
+    pool.free(&mut m, 0, 4).unwrap();
     pool.store(&mut m, &[2; 2], 4).unwrap(); // RAM 20..22
     assert_eq!(
         m.ram_store(18, &[9; 4]),
@@ -96,4 +95,17 @@ fn raw_store_over_a_pool_live_byte_is_caught() {
         pool.store(&mut m, &[3; 2], 12),
         Err(PoolError::Clobber { phys: 4, .. })
     ));
+}
+
+/// A pool free reaches the shadow map at once: a raw store over the
+/// freed bytes succeeds before the pool makes any other access.
+#[test]
+fn raw_store_over_a_freed_byte_succeeds_at_once() {
+    let mut m = Machine::new(Device::stm32_f411re());
+    let mut pool = SegmentPool::new(&m, 16, 8).unwrap();
+    pool.store(&mut m, &[1; 4], 0).unwrap(); // RAM 16..20
+    pool.free(&mut m, 0, 4).unwrap();
+    assert_eq!(pool.live_bytes(), 0);
+    assert_eq!(m.ram_store(16, &[9; 4]), Ok(()));
+    assert_eq!(m.host_read_ram(16, 8).unwrap(), [9, 9, 9, 9, 0, 0, 0, 0]);
 }

@@ -106,7 +106,7 @@ fn definition_fc(
             n0 += nw;
         }
         // RAMFree of the fully consumed input row.
-        pool.free(b_in + (mi * p.k) as i64, p.k)?;
+        pool.free(m, b_in + (mi * p.k) as i64, p.k)?;
         m.charge_branches(1);
     }
     Ok(())
@@ -174,6 +174,7 @@ fn definition_depthwise(
         let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
+                m,
                 b_in + (next_free * p.w * p.c) as i64,
                 (upto - next_free) * p.w * p.c,
             )?;
@@ -262,6 +263,7 @@ fn definition_conv2d(
         let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {
             pool.free(
+                m,
                 b_in + (next_free * p.w * p.c) as i64,
                 (upto - next_free) * p.w * p.c,
             )?;
@@ -429,7 +431,7 @@ fn definition_fused_ib(
                 m.charge_branches(1);
             }
             IbStep::FreeRows { from, to } => {
-                pool.free(b_in + (from * row_bytes) as i64, (to - from) * row_bytes)?;
+                pool.free(m, b_in + (from * row_bytes) as i64, (to - from) * row_bytes)?;
                 m.charge_branches(1);
             }
         }
@@ -631,7 +633,7 @@ fn definition_fused_chain(
                 pool.store(m, &row_buf[..orb], b_out + (p * orb) as i64)?;
             }
             ChainStep::FreeInRows { from, to } => {
-                pool.free(b_in + (from * irb) as i64, (to - from) * irb)?;
+                pool.free(m, b_in + (from * irb) as i64, (to - from) * irb)?;
                 m.charge_branches(1);
             }
         }
