@@ -4,12 +4,15 @@
 //! Two sections land in `BENCH_fleet.json`:
 //!
 //! * **`planners`** — the legacy batch rows: the same seeded request
-//!   batch offered to an N-device 128 KB fleet under vMCU, vMCU-fused,
-//!   vMCU-patched, TinyEngine, HMCOS, vMCU-split, and vMCU-reorder
-//!   planning (requests/sec, admission rate, p50/p99 latency). The
-//!   split rows exercise the multi-device pipeline: the
-//!   `hires-split-only` model OOMs every single device and is served
-//!   only by the split fleet — checked deterministically every run.
+//!   batch, present at t = 0, offered to an N-device 128 KB fleet under
+//!   vMCU, vMCU-fused, vMCU-patched, TinyEngine, HMCOS, vMCU-split, and
+//!   vMCU-reorder planning (requests/sec, admission rate, p50/p99
+//!   latency). A batch admits exactly the requests whose model deployed
+//!   and dispatches them by the online path's `Router` rule. The split
+//!   rows exercise the split schedule: the `hires-split-only` model OOMs
+//!   every single device, deploys only under the split policy, and runs
+//!   all its stages and link hops on the one device that holds it —
+//!   checked deterministically every run.
 //!   The reorder check (`reorder_peak_never_worse`) verifies the DAG
 //!   order search's ≤-contract on the branchy zoo and that
 //!   `branchy-oom-net` deploys only under the reorder policy.
@@ -399,8 +402,9 @@ fn main() {
         // The split tentpole, as a deterministic serving check: the
         // hires-split-only zoo model OOMs every single 128 KB device,
         // so a 2-worker fleet rejects its request under single-device
-        // vMCU planning and completes it under the split policy (the
-        // pipeline commits one stage arena per device).
+        // vMCU planning and completes it under the split policy, which
+        // deploys it at its bottleneck stage's RAM and runs every stage
+        // on the device that holds it.
         let hires = vec![vmcu_serve::RequestSpec {
             id: 0,
             model: "hires-split-only".into(),

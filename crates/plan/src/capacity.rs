@@ -1,14 +1,14 @@
-//! Capacity lookups: how much SRAM a whole model demands under a policy,
-//! and how many instances of it a device can host concurrently.
+//! Capacity lookups: a whole model's plan and its peak SRAM demand
+//! under a policy.
 //!
-//! This is the planning surface the fleet scheduler's admission
-//! controller (`vmcu-serve`) is built on: a model's *peak demand* is the
-//! maximum per-layer `activations + workspace` bytes its planner reports,
-//! and a device admits models until their summed demands exhaust the
-//! SRAM left after runtime overhead. Because vMCU's segment-level plans
-//! peak far below tensor-level plans (§7), the same device admits
-//! strictly more concurrent vMCU models — the paper's RAM savings
-//! restated as serving capacity.
+//! A model's *peak demand* is the maximum per-node `activations +
+//! workspace` bytes its planner reports, without the device's fixed
+//! runtime overhead. It is the SRAM a device commits to keep the model
+//! resident, and the price fleet serving (`vmcu-serve`) places each
+//! device's resident set by, read from the cached deployment plan.
+//! Because vMCU's segment-level plans peak far below tensor-level plans
+//! (§7), the same device holds more vMCU models at once — the paper's
+//! RAM savings restated as serving capacity.
 
 use crate::planner::{MemoryPlan, MemoryPlanner};
 use vmcu_graph::{Graph, LayerDesc};
@@ -72,16 +72,6 @@ pub fn peak_demand_bytes(planner: &dyn MemoryPlanner, graph: &Graph) -> usize {
     planner.model_demand_bytes(graph)
 }
 
-/// How many instances of this model fit a device's usable SRAM at once
-/// (0 when even one does not fit).
-pub fn concurrent_capacity(planner: &dyn MemoryPlanner, graph: &Graph, device: &Device) -> usize {
-    let demand = peak_demand_bytes(planner, graph);
-    if demand == 0 {
-        return 0;
-    }
-    device.usable_ram_bytes() / demand
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,35 +112,36 @@ mod tests {
 
     #[test]
     fn vmcu_capacity_beats_tinyengine_on_fig7_case1() {
-        // Figure 7 case 1 at 128 KB: vMCU hosts one instance, TinyEngine
-        // hosts none — the deployability gap as a capacity number.
+        // Figure 7 case 1 at 128 KB: vMCU's peak fits the device's usable
+        // RAM, TinyEngine's does not — the deployability gap as a
+        // capacity number.
         let case = &zoo::fig7_cases()[0];
         let g = Graph::linear(case.name.clone(), vec![LayerDesc::Pointwise(case.params)]).unwrap();
-        let device = Device::stm32_f411re();
-        let vm = concurrent_capacity(&VmcuPlanner::default(), &g, &device);
-        let te = concurrent_capacity(&TinyEnginePlanner, &g, &device);
-        assert!(vm >= 1, "vMCU must host Fig. 7 case 1 ({vm})");
-        assert_eq!(te, 0, "TinyEngine must not fit case 1 at 128 KB");
+        let usable = Device::stm32_f411re().usable_ram_bytes();
+        let vm = peak_demand_bytes(&VmcuPlanner::default(), &g);
+        let te = peak_demand_bytes(&TinyEnginePlanner, &g);
+        assert!(
+            vm <= usable,
+            "vMCU must fit Fig. 7 case 1 ({vm} > {usable})"
+        );
+        assert!(
+            te > usable,
+            "TinyEngine must not fit case 1 at 128 KB ({te})"
+        );
     }
 
     #[test]
     fn small_modules_pack_more_densely_under_vmcu() {
         let s5 = &zoo::mcunet_5fps_vww()[4];
         let g = Graph::linear(s5.name, vec![LayerDesc::Ib(s5.params)]).unwrap();
-        let device = Device::stm32_f411re();
-        let vm = concurrent_capacity(&VmcuPlanner::default(), &g, &device);
-        let te = concurrent_capacity(&TinyEnginePlanner, &g, &device);
-        assert!(
-            vm > te,
-            "vMCU capacity {vm} must exceed TinyEngine capacity {te}"
-        );
+        let vm = peak_demand_bytes(&VmcuPlanner::default(), &g);
+        let te = peak_demand_bytes(&TinyEnginePlanner, &g);
+        assert!(vm < te, "vMCU demand {vm} must undercut TinyEngine's {te}");
     }
 
     #[test]
     fn empty_capacity_is_zero_not_divide_by_zero() {
         let g = Graph::linear("empty", vec![]).unwrap();
-        let device = Device::stm32_f411re();
         assert_eq!(peak_demand_bytes(&VmcuPlanner::default(), &g), 0);
-        assert_eq!(concurrent_capacity(&VmcuPlanner::default(), &g, &device), 0);
     }
 }

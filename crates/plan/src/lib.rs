@@ -11,9 +11,8 @@
 //! * [`HmcosPlanner`] — scheduling only, no in-place (weakest on linear
 //!   chains);
 //! * [`headroom`] — the Figure 11/12 NAS-headroom searches;
-//! * [`capacity`] — whole-graph peak-demand and concurrent-capacity
-//!   lookups, the admission-control surface used by fleet serving
-//!   (`vmcu-serve`);
+//! * [`capacity`] — whole-graph plans and peak SRAM demand, the price
+//!   fleet serving (`vmcu-serve`) places resident sets by;
 //! * [`fusion`] — the multi-layer segment fusion pass and the
 //!   fusion-aware [`FusedPlanner`], which groups fusable layer runs into
 //!   single fused chains so fat intermediates never materialize;
@@ -66,7 +65,7 @@ pub mod telemetry;
 pub mod tinyengine_planner;
 pub mod vmcu_planner;
 
-pub use capacity::{concurrent_capacity, peak_demand_bytes, plan_graph};
+pub use capacity::{peak_demand_bytes, plan_graph};
 pub use chain::{plan_chain, ChainPlan};
 pub use fusion::{fuse_graph, FusedPlanner, FusionNode, FusionPlan};
 pub use hmcos_planner::HmcosPlanner;

@@ -100,7 +100,9 @@ impl SplitPlan {
     }
 
     /// The plan's bottleneck: the maximum per-stage peak demand (no
-    /// runtime overhead) — the number admission prices each device at.
+    /// runtime overhead). It is the split model's peak demand
+    /// ([`Schedule::demand_bytes`]): the SRAM a serving fleet holds for
+    /// the whole model on one device.
     pub fn max_stage_demand_bytes(&self) -> usize {
         self.stages
             .iter()
@@ -113,12 +115,6 @@ impl SplitPlan {
     /// construction exactly the sum of the cut-edge tensor sizes.
     pub fn transfer_bytes(&self) -> usize {
         self.stages.iter().map(|s| s.cut_bytes).sum()
-    }
-
-    /// Per-stage peak demands in pipeline order (the admission
-    /// controller's multi-device price vector).
-    pub fn stage_demands(&self) -> Vec<usize> {
-        self.stages.iter().map(|s| s.demand_bytes).collect()
     }
 }
 

@@ -4,40 +4,45 @@
 //! Planning and serving are split the way the paper splits them:
 //!
 //! 0. **Deployment (once per fleet).** [`Fleet::new`] deploys every
-//!    catalog model that fits the device — fit validated, every plan
-//!    artifact memoized, weights owned — and prices each model from its
-//!    cached [`MemoryPlan`](vmcu_plan::MemoryPlan). It then calibrates
-//!    each deployed model's online service time with one inference.
-//!    Serving replans nothing; [`FleetStats`] reports planning time and
-//!    plan calls separately from inference time.
+//!    catalog model — fit validated, every plan artifact memoized,
+//!    weights owned — and keeps one verdict per model: served, or the
+//!    typed [`RejectReason`] it did not deploy with. It calibrates each
+//!    served model's service time with one inference, and the
+//!    [`Router`] places every device's resident set from the served
+//!    models' RAM and Flash footprints. Serving replans nothing;
+//!    [`FleetStats`] reports planning time and plan calls separately
+//!    from inference time.
 //!
-//! A batch then runs in three phases:
+//! Both paths then admit exactly the requests whose model the router
+//! holds, and dispatch each one by the same rule,
+//! [`Router::dispatch`]. A batch runs in three phases:
 //!
-//! 1. **Admission (sequential, deterministic).** Requests are considered
-//!    in submission order; the [`AdmissionController`] prices each model
-//!    from the pre-seeded demand cache and pins admitted requests to a
-//!    device. Rejections are final for the batch.
+//! 1. **Admission and dispatch (sequential, deterministic).** Every
+//!    request is present at t = 0. In submission order, each is
+//!    rejected with its model's verdict or dispatched against the
+//!    devices' clocks, and the chosen device's clock advances by the
+//!    model's calibrated service time. No staging is charged.
 //! 2. **Execution (parallel).** One `std::thread` per device drains its
-//!    pinned slice through per-model [`Session`](vmcu::Session)s. Which
+//!    slice through per-model [`Session`](vmcu::Session)s. Which
 //!    *host* thread finishes first varies run to run, but every number
 //!    reported — latencies, energy, makespan, requests/sec — is
 //!    simulated device time, so the report is bit-identical across runs
 //!    and machines. Only [`FleetStats::host_wall_ms`] and
 //!    [`FleetStats::planning_ms`] are real time.
+//! 3. **Merge.** Outcomes return in submission order and the
+//!    per-device records aggregate into [`FleetStats`].
 //!
 //! An online stream runs in one pass on the calling thread: each
 //! arrival is dispatched against the devices' simulated clocks and
 //! served, or shed, on the chosen device at once (see
 //! [`Fleet::run_online`]).
 
-use crate::admission::AdmissionController;
 use crate::arrivals::ArrivalProfile;
 use crate::catalog::ModelCatalog;
 use crate::queue::Router;
-use crate::request::{Outcome, RequestSpec};
+use crate::request::{Outcome, RejectReason, RequestSpec};
 use crate::stats::{FleetStats, OnlineStats, OnlineWorkerStats, PlanningStats, WorkerStats};
-use crate::worker::{model_weight_seed, OnlineDevice, OnlineModel, Worker};
-use std::collections::HashMap;
+use crate::worker::{model_weight_seed, Job, OnlineDevice, OnlineModel, Worker};
 use std::time::Instant;
 use vmcu::prelude::Deployment;
 use vmcu::{EngineError, PlannerKind};
@@ -146,37 +151,32 @@ impl FleetReport {
 }
 
 /// A fleet of simulated MCUs serving inference requests: one shared
-/// [`Deployment`] per deployable catalog model (plan once), per-model
-/// [`Session`](vmcu::Session)s on each batch worker (run many), and one
-/// calibrated service profile per model for online serving.
+/// [`Deployment`] per served catalog model (plan once), per-model
+/// [`Session`](vmcu::Session)s on each batch worker (run many), one
+/// calibrated service profile per model, and one [`Router`] that places
+/// and dispatches for both the batch and the online path.
 #[derive(Debug, Clone)]
 pub struct Fleet {
     config: FleetConfig,
     catalog: ModelCatalog,
-    /// One deployment per catalog model that fits the device under the
-    /// fleet's policy — shared by every worker.
-    deployments: HashMap<String, Deployment>,
-    /// Per-stage demand prices per catalog model, harvested from the
-    /// cached deployment plans (or from the typed deploy rejection), so
-    /// admission never replans. Single-element under every single-device
-    /// policy; one entry per pipeline stage under the split policy.
-    prices: Vec<(String, Vec<usize>)>,
-    /// Deploy-phase accounting, reported with every batch.
+    /// Deploy-phase accounting, reported with every run.
     planning: PlanningStats,
-    /// Each catalog model's online serving surface (footprint, staging
-    /// price, calibrated service), by catalog index; `None` for a model
-    /// that did not deploy.
-    online: Vec<Option<OnlineModel>>,
-    /// Online dispatch over the resident sets those footprints place.
+    /// Each catalog model's verdict, by catalog index: its serving
+    /// surface (deployment, footprint, staging price, calibrated
+    /// service), or why the fleet cannot serve it.
+    models: Vec<Result<OnlineModel, RejectReason>>,
+    /// Dispatch over the resident sets the served footprints place.
     router: Router,
 }
 
 impl Fleet {
     /// Creates a fleet and deploys the catalog: every model is planned
     /// exactly once here, no matter how many batches or requests follow.
-    /// Each deployed model is then calibrated for online serving: one
-    /// inference on a fresh session prices every online request to it.
-    /// [`PlanningStats::deploy_ms`] times the deployment alone.
+    /// Each deployed model is then calibrated: one inference on a fresh
+    /// session prices every request to it. A model with no layers is
+    /// not deployed ([`RejectReason::EmptyModel`]); one that does not
+    /// deploy keeps its typed reason. [`PlanningStats::deploy_ms`] times
+    /// the deployment alone.
     ///
     /// # Panics
     ///
@@ -186,52 +186,36 @@ impl Fleet {
         let started = Instant::now();
         let plan_calls_before = vmcu_plan::telemetry::plan_calls();
         let engine = vmcu::Engine::new(config.device.clone()).planner(config.planner);
-        let mut deployments = HashMap::new();
-        let mut prices = Vec::with_capacity(catalog.models().len());
-        for model in catalog.models() {
-            let weights = model.graph.random_weights(model_weight_seed(model.name));
-            match engine.deploy(&model.graph, &weights) {
-                Ok(dep) => {
-                    // Split deployments price as their per-stage demand
-                    // vector (admission places each stage on its own
-                    // device); everything else prices at its peak.
-                    let stages = match dep.split_plan() {
-                        Some(split) => split.stage_demands(),
-                        None => vec![dep.peak_demand_bytes()],
-                    };
-                    prices.push((model.name.to_owned(), stages));
-                    deployments.insert(model.name.to_owned(), dep);
+        let deployed: Vec<Result<Deployment, RejectReason>> = catalog
+            .models()
+            .iter()
+            .map(|model| {
+                if model.graph.is_empty() {
+                    return Err(RejectReason::EmptyModel);
                 }
-                // The typed rejection already carries the planned demand
-                // (bottleneck bytes incl. runtime overhead) — harvest it
-                // so even non-deployable models are priced exactly once.
-                Err(EngineError::DoesNotFit { needed, .. }) => {
-                    prices.push((
-                        model.name.to_owned(),
-                        vec![needed.saturating_sub(config.device.runtime_overhead_bytes)],
-                    ));
-                }
-                // Anything else (unstageable weights, flash overflow) is
-                // left unpriced; admission prices it on first sight.
-                Err(_) => {}
-            }
-        }
+                let weights = model.graph.random_weights(model_weight_seed(model.name));
+                engine.deploy(&model.graph, &weights).map_err(|e| match e {
+                    EngineError::DoesNotFit {
+                        needed, available, ..
+                    } => RejectReason::TooLargeForDevice { needed, available },
+                    e => RejectReason::DeployFailed(e.to_string()),
+                })
+            })
+            .collect();
         let planning = PlanningStats {
             deploy_ms: started.elapsed().as_secs_f64() * 1e3,
             deploy_plan_calls: vmcu_plan::telemetry::plan_calls() - plan_calls_before,
             serve_plan_calls: 0,
         };
-        let online: Vec<Option<OnlineModel>> = catalog
+        let models: Vec<Result<OnlineModel, RejectReason>> = catalog
             .models()
             .iter()
-            .map(|m| {
-                let dep = deployments.get(m.name)?;
-                Some(OnlineModel::calibrate(m.name, dep))
-            })
+            .zip(deployed)
+            .map(|(m, dep)| dep.map(|dep| OnlineModel::calibrate(m.name, dep)))
             .collect();
-        let footprints: Vec<Option<(usize, usize)>> = online
+        let footprints: Vec<Option<(usize, usize)>> = models
             .iter()
-            .map(|m| m.as_ref().map(|m| (m.ram_bytes, m.flash_bytes)))
+            .map(|m| m.as_ref().ok().map(|m| (m.ram_bytes, m.flash_bytes)))
             .collect();
         let router = Router::new(
             config.workers,
@@ -242,10 +226,8 @@ impl Fleet {
         Self {
             config,
             catalog,
-            deployments,
-            prices,
             planning,
-            online,
+            models,
             router,
         }
     }
@@ -260,10 +242,16 @@ impl Fleet {
         &self.catalog
     }
 
-    /// The shared deployment of a catalog model, if it fits the device
-    /// under the fleet's policy.
+    /// The shared deployment of a catalog model, if the fleet serves it.
     pub fn deployment(&self, model: &str) -> Option<&Deployment> {
-        self.deployments.get(model)
+        let (_, verdict) = self.verdict(model)?;
+        verdict.as_ref().ok().map(|m| &m.deployment)
+    }
+
+    /// A catalog model's index and verdict, by name.
+    fn verdict(&self, model: &str) -> Option<(usize, &Result<OnlineModel, RejectReason>)> {
+        let index = self.catalog.models().iter().position(|m| m.name == model)?;
+        Some((index, &self.models[index]))
     }
 
     /// Deploy-phase accounting (host planning time, plan calls).
@@ -273,6 +261,13 @@ impl Fleet {
 
     /// Runs one batch of requests through admission and the worker pool.
     ///
+    /// Every request is present at t = 0. In submission order, a request
+    /// whose model the fleet does not serve is rejected with that
+    /// model's verdict; any other goes where [`Router::dispatch`] sends
+    /// it, and that device's clock advances by the model's calibrated
+    /// service time. Each device then runs its requests through real
+    /// inferences. No staging time is charged.
+    ///
     /// # Panics
     ///
     /// Panics if a worker thread itself panics (its panic is
@@ -281,35 +276,31 @@ impl Fleet {
         let started = Instant::now();
         let plan_calls_before = vmcu_plan::telemetry::plan_calls();
 
-        // Phase 1: deterministic admission + dispatch, priced from the
-        // cached deployment plans.
-        let mut controller = AdmissionController::with_priced_stage_demands(
-            self.config.device.clone(),
-            self.config.planner,
-            self.config.workers,
-            self.prices.iter().cloned(),
-        );
+        // Phase 1: deterministic admission and dispatch.
+        let mut clocks = vec![0u64; self.config.workers];
         // Jobs carry their submission slot: ids are caller-supplied and
         // need not be unique, so slots are the merge key.
-        let mut assignments: Vec<Vec<(usize, RequestSpec)>> = vec![Vec::new(); self.config.workers];
+        let mut assignments: Vec<Vec<Job<'_>>> = vec![Vec::new(); self.config.workers];
         // Outcome slots by position; filled in as results arrive.
         let mut outcomes: Vec<Option<Outcome>> = vec![None; requests.len()];
         let mut rejected = 0usize;
         for (slot, req) in requests.iter().enumerate() {
-            let Some(model) = self.catalog.get(&req.model) else {
-                outcomes[slot] = Some(Outcome::Rejected(
-                    crate::request::RejectReason::UnknownModel,
-                ));
-                rejected += 1;
-                continue;
-            };
-            match controller.admit(&req.model, &model.graph) {
-                Ok(worker) => assignments[worker].push((slot, req.clone())),
-                Err(reason) => {
-                    outcomes[slot] = Some(Outcome::Rejected(reason));
-                    rejected += 1;
+            let reason = match self.verdict(&req.model) {
+                Some((index, Ok(model))) => {
+                    let service_us = model.service_us();
+                    let device = self
+                        .router
+                        .dispatch(index, 0, service_us, &clocks)
+                        .expect("a served model's home device holds it");
+                    clocks[device] += service_us;
+                    assignments[device].push((slot, req, &model.deployment));
+                    continue;
                 }
-            }
+                Some((_, Err(reason))) => reason.clone(),
+                None => RejectReason::UnknownModel,
+            };
+            outcomes[slot] = Some(Outcome::Rejected(reason));
+            rejected += 1;
         }
         let admission_plan_calls = vmcu_plan::telemetry::plan_calls() - plan_calls_before;
 
@@ -318,10 +309,7 @@ impl Fleet {
             let handles: Vec<_> = assignments
                 .iter()
                 .enumerate()
-                .map(|(index, jobs)| {
-                    let deployments = &self.deployments;
-                    scope.spawn(move || Worker::new(index, deployments).run(jobs))
-                })
+                .map(|(index, jobs)| scope.spawn(move || Worker::new(index).run(jobs)))
                 .collect();
             handles
                 .into_iter()
@@ -380,7 +368,7 @@ impl Fleet {
     ///    holds the model can start it more than one calibrated service
     ///    time sooner (then to the one that starts it soonest). A device
     ///    starts a request at the later of its clock and the arrival.
-    ///    Requests to models that never deployed are rejected here;
+    ///    Requests to models the fleet does not serve are rejected here;
     /// 2. **shed** if it cannot start before its deadline (costing no
     ///    device time), or else **staged** if its model is not resident
     ///    (charging [`Deployment::staging_ms`] of simulated time, and
@@ -438,23 +426,23 @@ impl Fleet {
             .map(|_| OnlineDevice::new(ram_budget, flash_budget, cfg.requests))
             .collect();
         let mut rejected = 0;
-        if self.online.is_empty() {
+        if self.models.is_empty() {
             // Nothing deployed, and no model to draw a stream over: every
             // offered request is rejected.
             rejected = cfg.requests;
         } else {
             for a in cfg
                 .profile
-                .arrivals(cfg.requests, self.online.len(), cfg.seed)
+                .arrivals(cfg.requests, self.models.len(), cfg.seed)
             {
-                let Some(model) = &self.online[a.model] else {
+                let Ok(model) = &self.models[a.model] else {
                     rejected += 1;
                     continue;
                 };
                 let device = self
                     .router
                     .dispatch(a.model, a.at_us, model.service_us(), &clocks)
-                    .expect("a deployed model's home device holds it");
+                    .expect("a served model's home device holds it");
                 // A deadline past the end of the clock never sheds.
                 let deadline_us = a.at_us.saturating_add(slo_us);
                 devices[device].serve(&mut clocks[device], a.model, model, a.at_us, deadline_us);
@@ -531,8 +519,7 @@ mod tests {
     fn serving_replans_nothing_after_deploy() {
         // The deploy-once acceptance criterion at fleet scale: planning
         // happens in Fleet::new; admitting and serving a whole batch
-        // performs zero planning passes (every catalog model deploys
-        // under the patched policy, so nothing is priced late).
+        // performs zero planning passes.
         let f = fleet(PlannerKind::VmcuPatched(IbScheme::RowBuffer), 2);
         assert!(f.planning().deploy_plan_calls > 0, "deploy must plan");
         let requests = random_stream(f.catalog().models(), 32, 11);
@@ -588,11 +575,9 @@ mod tests {
         let requests = random_stream(ModelCatalog::standard().models(), 24, 11);
         let one = fleet(PlannerKind::Vmcu(IbScheme::RowBuffer), 1).run_batch(&requests);
         let four = fleet(PlannerKind::Vmcu(IbScheme::RowBuffer), 4).run_batch(&requests);
-        // More devices never hurt: admission can only grow (more SRAM to
-        // commit residencies against) and throughput must rise. The
-        // makespan itself is not monotone — a single capacity-limited
-        // device admits *less* of the offered load, so it can finish its
-        // smaller batch sooner.
+        // More devices never hurt: admission cannot shrink (a request is
+        // admitted when its model deployed, on any width) and
+        // throughput must rise.
         assert!(four.stats.admitted >= one.stats.admitted);
         assert!(four.stats.requests_per_sec > one.stats.requests_per_sec);
         // Everything the small fleet served, the big one serves too.

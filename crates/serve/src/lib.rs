@@ -6,8 +6,11 @@
 //! can admit**. A [`Fleet`] deploys every catalog model **once** at
 //! construction (one shared [`vmcu::Deployment`] per model — fit
 //! validated, plans memoized, weights owned), owns N simulated
-//! Cortex-M4/M7 devices that serve with zero replanning, and prices
-//! admission from the cached deployment plans. A batch run reports
+//! Cortex-M4/M7 devices that serve with zero replanning, and places
+//! each device's resident set of models once, from the deployments'
+//! cached RAM and Flash footprints ([`Router`]). Both serving paths
+//! admit exactly the requests whose model that placement holds, and
+//! reject only models the fleet could not deploy. A batch run reports
 //! requests/sec, admission rate, and p50/p99 latency — all in simulated
 //! device time, so every number is bit-reproducible across hosts (the CI
 //! bench gate depends on this) — with planning time and plan calls
@@ -47,10 +50,12 @@
 //! );
 //! ```
 //!
-//! The legacy **batch path** ([`Fleet::run_batch`]) admits one seeded
-//! batch up front and drains it, one `std::thread` per device running
-//! real inferences through per-model [`vmcu::Session`]s — still the
-//! cleanest way to measure the paper's admission-capacity claim:
+//! The legacy **batch path** ([`Fleet::run_batch`]) offers one seeded
+//! batch at t = 0, dispatches it with the same [`Router`] rule as the
+//! online path, and drains it, one `std::thread` per device running
+//! real inferences through per-model [`vmcu::Session`]s. It charges no
+//! staging time. It is still the cleanest way to measure the paper's
+//! admission-capacity claim:
 //!
 //! ```
 //! use vmcu_serve::{Fleet, FleetConfig, ModelCatalog, random_stream};
@@ -71,7 +76,6 @@
 //! 128 KB get rejected by tensor-level planning — the paper's Figure 7
 //! deployability gap, measured as fleet throughput.
 
-pub mod admission;
 pub mod arrivals;
 pub mod catalog;
 pub mod fleet;
@@ -81,7 +85,6 @@ pub mod stats;
 pub mod swap;
 mod worker;
 
-pub use admission::AdmissionController;
 pub use arrivals::{Arrival, ArrivalProfile};
 pub use catalog::ModelCatalog;
 pub use fleet::{Fleet, FleetConfig, FleetReport, OnlineConfig, OnlineReport};

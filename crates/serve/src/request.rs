@@ -2,7 +2,8 @@
 //!
 //! A request names a model from the fleet's [catalog](crate::ModelCatalog)
 //! and carries a seed for its synthetic input; what comes back is either a
-//! completed execution record or a typed rejection from admission control.
+//! completed execution record or a typed rejection: the model is not in
+//! the catalog, or the fleet could not deploy it.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -20,14 +21,14 @@ pub struct RequestSpec {
     pub seed: u64,
 }
 
-/// Why admission control refused a request.
+/// Why the fleet refused a request: its model is not in the catalog, or
+/// the fleet could not deploy it. Both serving paths reject exactly
+/// these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RejectReason {
     /// The model name is not in the fleet's catalog.
     UnknownModel,
-    /// The model plans to zero SRAM demand (e.g. an empty graph): there
-    /// is nothing to execute, and admitting it would sidestep capacity
-    /// accounting entirely.
+    /// The model's graph has no layers: there is nothing to execute.
     EmptyModel,
     /// Even an empty device cannot host this model under the fleet's
     /// planner — the paper's "fails to run" outcome.
@@ -38,26 +39,22 @@ pub enum RejectReason {
         /// Device SRAM capacity.
         available: usize,
     },
-    /// Every device's remaining SRAM is already committed to resident
-    /// models.
-    NoCapacity {
-        /// Peak SRAM demand the request would have added.
-        needed: usize,
-    },
+    /// The model did not deploy for another reason, such as a firmware
+    /// image larger than the device's Flash; carries the rendered
+    /// engine error.
+    DeployFailed(String),
 }
 
 impl fmt::Display for RejectReason {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             RejectReason::UnknownModel => f.write_str("model not in catalog"),
-            RejectReason::EmptyModel => f.write_str("model plans to zero SRAM demand"),
+            RejectReason::EmptyModel => f.write_str("model has no layers"),
             RejectReason::TooLargeForDevice { needed, available } => write!(
                 f,
                 "model needs {needed} bytes but the device has {available}"
             ),
-            RejectReason::NoCapacity { needed } => {
-                write!(f, "no device has {needed} bytes of SRAM left")
-            }
+            RejectReason::DeployFailed(error) => write!(f, "model did not deploy: {error}"),
         }
     }
 }
@@ -80,7 +77,7 @@ pub struct Completion {
 pub enum Outcome {
     /// Admitted and executed.
     Completed(Completion),
-    /// Refused by admission control.
+    /// Refused at admission: the fleet does not serve the model.
     Rejected(RejectReason),
     /// Admitted but failed during execution — a planner/kernel bug
     /// surfaced as a typed engine error (rendered); never expected in a
@@ -145,8 +142,8 @@ mod tests {
         }
         .to_string();
         assert!(s.contains("253000") && s.contains("131072"));
-        assert!(RejectReason::NoCapacity { needed: 9 }
+        assert!(RejectReason::DeployFailed("flash overflow".into())
             .to_string()
-            .contains('9'));
+            .contains("flash overflow"));
     }
 }

@@ -37,10 +37,11 @@ pub struct PlanningStats {
     /// Planning passes performed at deploy time (once per fleet, not per
     /// batch). Deterministic.
     pub deploy_plan_calls: u64,
-    /// Planning passes performed while serving the batch: admission
-    /// pricing plus worker execution. Near zero on the deploy-once path
-    /// (only models that failed to deploy are priced on first sight).
-    /// Deterministic.
+    /// Planning passes performed while serving: admission and dispatch
+    /// plus worker execution. Always 0 on the deploy-once path —
+    /// admission reads the placement [`Fleet::new`](crate::Fleet::new)
+    /// made and workers run memoized plans — and measured, so the
+    /// contract is gated. Deterministic.
     pub serve_plan_calls: u64,
 }
 
@@ -49,11 +50,12 @@ pub struct PlanningStats {
 pub struct FleetStats {
     /// Requests offered to the fleet.
     pub offered: usize,
-    /// Requests admitted by the controller.
+    /// Requests admitted: dispatched to a device that holds their model.
     pub admitted: usize,
     /// Requests admitted and executed to completion.
     pub completed: usize,
-    /// Requests refused by admission control.
+    /// Requests refused at admission: their model is not in the
+    /// catalog, or the fleet could not deploy it.
     pub rejected: usize,
     /// Admitted requests that failed during execution (a planner/kernel
     /// bug surfaced as a typed error; always 0 in a healthy build).
@@ -141,8 +143,8 @@ pub struct OnlineStats {
     pub offered: usize,
     /// Requests dispatched to a device (`offered - rejected`).
     pub routed: usize,
-    /// Requests refused at routing: the model never deployed on this
-    /// fleet (planner capacity rejection), so no device can serve it.
+    /// Requests refused at routing: the model is one the fleet could not
+    /// deploy, so no device holds it.
     pub rejected: usize,
     /// Requests served to completion.
     pub completed: usize,

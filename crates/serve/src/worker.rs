@@ -1,15 +1,15 @@
 //! The devices: batch workers and online devices.
 //!
 //! A batch [`Worker`] is one thread owning one simulated device. It is
-//! handed its batch slice (requests pinned to its device by admission
-//! control) and executes them sequentially — an MCU runs one inference
-//! at a time. It never plans: models arrive as shared [`Deployment`]s
-//! (plans memoized, weights owned, built once by the fleet), and the
-//! worker opens one [`Session`] per resident model — the device's SRAM
-//! plus the model's flashed weights — that serves every request to that
-//! model. The per-thread plan-call counter ([`vmcu_plan::telemetry`]) is
-//! reported in [`WorkerStats`] so the zero-replanning contract is gated,
-//! not just claimed.
+//! handed its batch slice — each request with the shared [`Deployment`]
+//! admission resolved for it — and executes the slice sequentially: an
+//! MCU runs one inference at a time. It never plans: deployments arrive
+//! with their plans memoized and weights owned, built once by the
+//! fleet, and the worker opens one [`Session`] per resident model — the
+//! device's SRAM plus the model's flashed weights — that serves every
+//! request to that model. The per-thread plan-call counter
+//! ([`vmcu_plan::telemetry`]) is reported in [`WorkerStats`] so the
+//! zero-replanning contract is gated, not just claimed.
 //!
 //! An [`OnlineDevice`] runs no inference at all: the fleet calibrates
 //! each model once at construction ([`OnlineModel::calibrate`]), and
@@ -53,47 +53,35 @@ pub(crate) struct WorkerRun {
     pub stats: WorkerStats,
 }
 
+/// One batch job: the request's submission slot, the request, and the
+/// deployment of its model.
+pub(crate) type Job<'a> = (usize, &'a RequestSpec, &'a Deployment);
+
 /// One simulated device plus its per-model sessions.
 #[derive(Debug)]
-pub(crate) struct Worker<'a> {
+pub(crate) struct Worker {
     index: usize,
-    /// Shared deployments, one per deployable catalog model.
-    deployments: &'a HashMap<String, Deployment>,
     /// One session per model resident on this device.
     sessions: HashMap<String, Session>,
 }
 
-impl<'a> Worker<'a> {
-    pub(crate) fn new(index: usize, deployments: &'a HashMap<String, Deployment>) -> Self {
+impl Worker {
+    pub(crate) fn new(index: usize) -> Self {
         Self {
             index,
-            deployments,
             sessions: HashMap::new(),
         }
     }
 
-    /// Executes the worker's slice of the batch (submission slot + spec
-    /// pairs) in submission order.
-    pub(crate) fn run(mut self, jobs: &[(usize, RequestSpec)]) -> WorkerRun {
+    /// Executes the worker's slice of the batch in submission order.
+    pub(crate) fn run(mut self, jobs: &[Job<'_>]) -> WorkerRun {
         let plan_calls_before = vmcu_plan::telemetry::plan_calls();
         let mut run = WorkerRun {
             completed: Vec::with_capacity(jobs.len()),
             failed: Vec::new(),
             stats: WorkerStats::default(),
         };
-        for (slot, job) in jobs {
-            // Admission prices RAM only, so in principle a model can be
-            // admitted that never deployed (e.g. its firmware image
-            // exceeded Flash). Degrade to a typed per-request failure —
-            // the legacy per-request execution error — not a panic that
-            // would abort the whole batch.
-            let Some(deployment) = self.deployments.get(&job.model) else {
-                run.failed.push((
-                    *slot,
-                    format!("model `{}` is not deployed on this fleet", job.model),
-                ));
-                continue;
-            };
+        for &(slot, job, deployment) in jobs {
             let session = self
                 .sessions
                 .entry(job.model.clone())
@@ -109,7 +97,7 @@ impl<'a> Worker<'a> {
                         run.stats.counters += layer.exec.counters;
                     }
                     run.completed.push((
-                        *slot,
+                        slot,
                         Completion {
                             worker: self.index,
                             latency_ms,
@@ -118,7 +106,7 @@ impl<'a> Worker<'a> {
                         },
                     ));
                 }
-                Err(e) => run.failed.push((*slot, e.to_string())),
+                Err(e) => run.failed.push((slot, e.to_string())),
             }
         }
         run.stats.plan_calls = vmcu_plan::telemetry::plan_calls() - plan_calls_before;
@@ -137,11 +125,13 @@ pub(crate) struct ServiceProfile {
 }
 
 /// The serving surface of one catalog model, resolved once by the
-/// fleet at construction: its residency footprint and staging price
-/// (derived from the cached plans — no replanning) and its calibrated
-/// service cost.
+/// fleet at construction: its shared deployment, its residency
+/// footprint and staging price (derived from the cached plans — no
+/// replanning) and its calibrated service cost.
 #[derive(Debug, Clone)]
 pub(crate) struct OnlineModel {
+    /// The model's deployment, shared by every batch worker.
+    pub deployment: Deployment,
     /// Peak SRAM demand while serving (residency RAM budget share).
     pub ram_bytes: usize,
     /// Firmware image size (residency Flash budget share).
@@ -154,9 +144,9 @@ pub(crate) struct OnlineModel {
 }
 
 impl OnlineModel {
-    /// Prices `deployment` for online serving, running one real
-    /// inference on a fresh session to calibrate its service cost.
-    pub(crate) fn calibrate(name: &str, deployment: &Deployment) -> Self {
+    /// Prices `deployment` for serving, running one real inference on a
+    /// fresh session to calibrate its service cost.
+    pub(crate) fn calibrate(name: &str, deployment: Deployment) -> Self {
         let input = random::tensor_i8(
             &deployment.graph().in_shape(),
             model_weight_seed(name) ^ 0xCA11_B7A7,
@@ -174,6 +164,7 @@ impl OnlineModel {
             flash_bytes: deployment.image_bytes(),
             staging_us: (deployment.staging_ms() * 1e3).round() as u64,
             service,
+            deployment,
         }
     }
 
@@ -300,37 +291,29 @@ mod tests {
         assert_ne!(model_weight_seed("vww-s5"), model_weight_seed("vww-s6"));
     }
 
+    /// A request to `model` with input seed `seed`.
+    fn request(id: u64, model: &str, seed: u64) -> RequestSpec {
+        RequestSpec {
+            id,
+            model: model.into(),
+            seed,
+        }
+    }
+
     #[test]
     fn worker_executes_jobs_and_aggregates_device_time() {
         let deployments = deployments_for(&["vww-s5", "demo-linear-net"]);
-        let jobs = vec![
-            (
-                0,
-                RequestSpec {
-                    id: 0,
-                    model: "vww-s5".into(),
-                    seed: 1,
-                },
-            ),
-            (
-                1,
-                RequestSpec {
-                    id: 1,
-                    model: "vww-s5".into(),
-                    seed: 2,
-                },
-            ),
-            (
-                2,
-                RequestSpec {
-                    id: 2,
-                    model: "demo-linear-net".into(),
-                    seed: 3,
-                },
-            ),
+        let requests = [
+            request(0, "vww-s5", 1),
+            request(1, "vww-s5", 2),
+            request(2, "demo-linear-net", 3),
         ];
-        let worker = Worker::new(0, &deployments);
-        let run = worker.run(&jobs);
+        let jobs: Vec<Job<'_>> = requests
+            .iter()
+            .enumerate()
+            .map(|(slot, r)| (slot, r, &deployments[&r.model]))
+            .collect();
+        let run = Worker::new(0).run(&jobs);
         assert_eq!(run.completed.len(), 3);
         assert!(run.failed.is_empty());
         assert_eq!(run.stats.executed, 3);
@@ -347,7 +330,7 @@ mod tests {
         let deployments = deployments_for(names);
         names
             .iter()
-            .map(|name| OnlineModel::calibrate(name, &deployments[*name]))
+            .map(|name| OnlineModel::calibrate(name, deployments[*name].clone()))
             .collect()
     }
 
@@ -427,23 +410,12 @@ mod tests {
         let weights = model
             .graph
             .random_weights(model_weight_seed("demo-linear-net"));
-        let deployments: HashMap<String, Deployment> = [(
-            "demo-linear-net".to_owned(),
-            Engine::new(Device::stm32_f767zi())
-                .planner(PlannerKind::TinyEngine)
-                .deploy(&model.graph, &weights)
-                .unwrap(),
-        )]
-        .into();
-        let jobs = vec![(
-            0,
-            RequestSpec {
-                id: 0,
-                model: "demo-linear-net".into(),
-                seed: 9,
-            },
-        )];
-        let mk = || Worker::new(0, &deployments).run(&jobs);
+        let deployment = Engine::new(Device::stm32_f767zi())
+            .planner(PlannerKind::TinyEngine)
+            .deploy(&model.graph, &weights)
+            .unwrap();
+        let req = request(0, "demo-linear-net", 9);
+        let mk = || Worker::new(0).run(&[(0, &req, &deployment)]);
         let (a, b) = (mk(), mk());
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.stats, b.stats);

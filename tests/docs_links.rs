@@ -231,7 +231,7 @@ fn split_handbook_cross_links_are_bidirectional() {
         "## The partitioner",
         "## Link-model semantics",
         "## Execution and reporting",
-        "## Serving against aggregate RAM",
+        "## Serving a split model on its home device",
         "## Worked example: `hires-split-only`",
         "## Verifying the claims",
     ] {

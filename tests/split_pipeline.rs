@@ -4,8 +4,8 @@
 //! networked MCUs. The suite checks the whole story — deployment, bit
 //! exactness against the reference executor, link pricing (every cut
 //! edge charged exactly once, plan and execution agreeing byte for
-//! byte), serving admission against the fleet's aggregate RAM, online
-//! conservation, and bit-reproducibility across repeated runs.
+//! byte), batch serving of a model no single-device policy deploys,
+//! online conservation, and bit-reproducibility across repeated runs.
 
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
@@ -193,8 +193,9 @@ fn serving_admits_the_split_model_against_aggregate_ram() {
         single.outcomes[0].1
     );
 
-    // Split planning on the same fleet: the pipeline commits one stage
-    // arena per device and the requests complete.
+    // Split planning on the same fleet: the model deploys at its
+    // bottleneck stage's RAM, its home device holds it, and the
+    // requests complete there.
     let fleet = Fleet::new(FleetConfig::new(device, 4, split_kind(4)), catalog);
     let report = fleet.run_batch(&[hires(1), hires(2), hires(3)]);
     assert_eq!(report.stats.completed, 3);
