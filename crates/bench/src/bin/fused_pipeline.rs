@@ -40,7 +40,7 @@ fn main() {
         ("wide-expand-chain", zoo::wide_expand_chain()),
         ("demo-linear-net", zoo::demo_linear_net()),
     ];
-    let fused_planner = FusedPlanner::default();
+    let fused_planner = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse);
     let vmcu_planner = VmcuPlanner::default();
 
     println!("fused_pipeline: peak demand (bytes) on {device}");

@@ -77,7 +77,7 @@ fn run_conv(device: &Device) -> ConvRun {
     let mut pool = SegmentPool::new(&m, 0, window).unwrap();
     pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
     let t0 = Instant::now();
-    run_conv2d(&mut m, &mut pool, &p, 0, -dist, w_base, None).unwrap();
+    run_conv2d(&mut m, &mut pool, &p, 0, -dist, w_base).unwrap();
     let wall_ns = t0.elapsed().as_nanos();
     ConvRun {
         cycles: m.counters.cycles,

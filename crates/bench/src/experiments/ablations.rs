@@ -45,7 +45,7 @@ pub fn ablation_ib_scheme() -> ExpResult {
         let sw = run(IbScheme::SlidingWindow);
         let pw = run(IbScheme::PixelWindow);
         let planned = |scheme| {
-            let (window, workspace) = VmcuPlanner { scheme }.plan_layer(&layer);
+            let (window, workspace) = VmcuPlanner::new(scheme, VmcuPass::Nodes).plan_layer(&layer);
             window + workspace
         };
         let rb_bytes = planned(IbScheme::RowBuffer);

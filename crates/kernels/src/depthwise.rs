@@ -57,11 +57,6 @@ pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
 ///
 /// Propagates pool violations and memory errors, including a weight
 /// image that does not fit in Flash.
-///
-/// # Panics
-///
-/// Panics if `bias` has the wrong length.
-#[allow(clippy::too_many_arguments)]
 pub fn run_depthwise(
     m: &mut Machine,
     pool: &mut SegmentPool,
@@ -69,11 +64,7 @@ pub fn run_depthwise(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.c, "bias length mismatch");
-    }
     let (p_out, q_out) = (p.out_h(), p.out_w());
     let weights = m.flash.read(w_base, p.r * p.s * p.c)?;
     let (cost, c) = (m.device.cost, p.c as u64);
@@ -95,10 +86,7 @@ pub fn run_depthwise(
     let mut next_free = 0usize;
     for pi in 0..p_out {
         for qi in 0..q_out {
-            match bias {
-                Some(b) => acc.copy_from_slice(b),
-                None => acc.fill(0),
-            }
+            acc.fill(0);
             let mut price = pixel;
             let mut taps = 0u64;
             for ri in 0..p.r {
@@ -157,7 +145,7 @@ mod tests {
         let window = pool_window(p.in_bytes(), p.out_bytes(), d);
         let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-        run_depthwise(&mut m, &mut pool, p, 0, -d, w_base, None)?;
+        run_depthwise(&mut m, &mut pool, p, 0, -d, w_base)?;
         let out = pool.host_read(&m, -d, p.out_bytes())?;
         Ok(Tensor::from_bytes(&[p.out_h(), p.out_w(), p.c], &out))
     }

@@ -76,8 +76,7 @@ fn fc_row_price(cost: &CostModel, p: &FcParams) -> Counters {
 ///
 /// * input int8 tensor at pool logical address `b_in` (row-major `[M,K]`),
 /// * output written at pool logical address `b_out` (row-major `[M,N]`),
-/// * weights in Flash at `w_base` (row-major `[K,N]`),
-/// * optional per-output bias.
+/// * weights in Flash at `w_base` (row-major `[K,N]`).
 ///
 /// The device moves one `seg`-byte segment per access: each output tile
 /// reloads the row's input segments and streams its weight tile from
@@ -93,10 +92,6 @@ fn fc_row_price(cost: &CostModel, p: &FcParams) -> Counters {
 /// Propagates pool violations (clobber/dead-read when the offset is too
 /// tight) and memory errors, including a weight image that does not fit
 /// in Flash.
-///
-/// # Panics
-///
-/// Panics if `bias` has the wrong length.
 pub fn run_fc(
     m: &mut Machine,
     pool: &mut SegmentPool,
@@ -104,11 +99,7 @@ pub fn run_fc(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.n, "bias length mismatch");
-    }
     let weights = m.flash.read(w_base, p.k * p.n)?;
     let cost = m.device.cost;
     let row_price = fc_row_price(&cost, p);
@@ -120,10 +111,7 @@ pub fn run_fc(
     for mi in 0..p.m {
         let (row_in, row_out) = (b_in + (mi * p.k) as i64, b_out + (mi * p.n) as i64);
         let a = pool.read_span(m, row_in, &mut a_reg)?;
-        match bias {
-            Some(b) => acc.copy_from_slice(b),
-            None => acc.fill(0),
-        }
+        acc.fill(0);
         dot_accumulate_u8(a, &weights, p.n, &mut acc);
         requant_into(&acc, p.rq, p.clamp, &mut out_reg);
         pool.store_span(m, &out_reg, row_out)?;
@@ -168,7 +156,7 @@ mod tests {
         let b_out = b_in - d;
         pool.host_fill_live(&mut m, b_in, &input.as_bytes())
             .unwrap();
-        run_fc(&mut m, &mut pool, p, b_in, b_out, w_base, None)?;
+        run_fc(&mut m, &mut pool, p, b_in, b_out, w_base)?;
         let out = pool.host_read(&m, b_out, p.out_bytes())?;
         Ok((Tensor::from_bytes(&[p.m, p.n], &out), m))
     }
@@ -201,24 +189,6 @@ mod tests {
         p.clamp = (0, 127); // fused ReLU
         let (out, _) = run_case(&p, 0).unwrap();
         assert_eq!(out, reference_out(&p, 11, 22));
-    }
-
-    #[test]
-    fn bias_is_applied() {
-        let p = FcParams::new(2, 4, 3, Requant::identity());
-        let mut m = Machine::new(Device::stm32_f411re());
-        let input = Tensor::from_vec(&[2, 4], vec![1i8; 8]);
-        let weight = Tensor::from_vec(&[4, 3], vec![0i8; 12]);
-        let bias = [5i32, -6, 7];
-        let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
-        let d = distance(&p).max(0) as usize;
-        let mut pool = SegmentPool::new(&m, 0, p.in_bytes() + d + p.out_bytes()).unwrap();
-        pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-        run_fc(&mut m, &mut pool, &p, 0, -(d as i64), w_base, Some(&bias)).unwrap();
-        let out = pool.host_read(&m, -(d as i64), 6).unwrap();
-        let out = Tensor::from_bytes(&[2, 3], &out);
-        let expected = reference::dense(&input, &weight, Some(&bias), p.rq, p.clamp);
-        assert_eq!(out, expected);
     }
 
     #[test]

@@ -470,9 +470,9 @@ fn run_sliced(
     let mut pool = SegmentPool::new(m, 0, pool_window(op.in_bytes(), op.out_bytes(), d))?;
     pool.host_fill_live(m, 0, input)?;
     match op {
-        ChainOp::Pointwise(p) => run_pointwise(m, &mut pool, p, 0, -d, w_base, None)?,
-        ChainOp::Depthwise(p) => run_depthwise(m, &mut pool, p, 0, -d, w_base, None)?,
-        ChainOp::Conv2d(p) => run_conv2d(m, &mut pool, p, 0, -d, w_base, None)?,
+        ChainOp::Pointwise(p) => run_pointwise(m, &mut pool, p, 0, -d, w_base)?,
+        ChainOp::Depthwise(p) => run_depthwise(m, &mut pool, p, 0, -d, w_base)?,
+        ChainOp::Conv2d(p) => run_conv2d(m, &mut pool, p, 0, -d, w_base)?,
         ChainOp::Dense(_) => unreachable!("patched fronts hold spatial operators only"),
     }
     pool.host_read(m, -d, op.out_bytes())

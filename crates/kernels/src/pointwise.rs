@@ -24,9 +24,8 @@ pub fn run_pointwise(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    run_fc(m, pool, &p.as_fc(), b_in, b_out, w_base, bias)
+    run_fc(m, pool, &p.as_fc(), b_in, b_out, w_base)
 }
 
 #[cfg(test)]
@@ -51,7 +50,7 @@ mod tests {
         let (d, window) = layout(p);
         let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-        run_pointwise(&mut m, &mut pool, p, 0, -d, w_base, None).unwrap();
+        run_pointwise(&mut m, &mut pool, p, 0, -d, w_base).unwrap();
         let out = pool.host_read(&m, -d, p.out_bytes()).unwrap();
         (Tensor::from_bytes(&[p.h, p.w, p.k], &out), m)
     }
@@ -99,7 +98,7 @@ mod tests {
         let (d, window) = layout(&p);
         let mut pool = SegmentPool::new(&m, 0, window).unwrap();
         pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-        run_pointwise(&mut m, &mut pool, &p, 0, -d, w_base, None).unwrap();
+        run_pointwise(&mut m, &mut pool, &p, 0, -d, w_base).unwrap();
         // The empirical high-water mark can never exceed the planned window.
         assert!(pool.peak_live_bytes() <= window);
         assert!(pool.peak_live_bytes() >= p.in_bytes());

@@ -85,21 +85,13 @@ fn pointwise_pixel_charge(cost: &CostModel, c: usize, k: usize) -> Counters {
 ///
 /// Returns memory errors on layout mistakes, including a weight image
 /// that does not fit in Flash.
-///
-/// # Panics
-///
-/// Panics if `bias` has the wrong length.
 pub fn run_pointwise_te(
     m: &mut Machine,
     p: &PointwiseParams,
     stride: usize,
     layout: TePointwiseLayout,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), MemError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.k, "bias length mismatch");
-    }
     let (h_out, w_out) = ((p.h - 1) / stride + 1, (p.w - 1) / stride + 1);
     let weights = m.flash.read(w_base, p.c * p.k)?;
     let pixel = pointwise_pixel_charge(&m.device.cost, p.c, p.k);
@@ -117,10 +109,7 @@ pub fn run_pointwise_te(
         }
         for qi in 0..w_out {
             let a = m.ram.read(layout.im2col + qi * p.c, p.c)?;
-            match bias {
-                Some(b) => acc.copy_from_slice(b),
-                None => acc.fill(0),
-            }
+            acc.fill(0);
             dot_accumulate_u8(a, &weights, p.k, &mut acc);
             requant_into(&acc, p.rq, p.clamp, &mut out_reg);
             m.ram
@@ -345,7 +334,6 @@ pub fn run_ib_te(
             im2col: layout.im2col,
         },
         w1_base,
-        None,
     )?;
     // Depthwise in place over B.
     let dw = DepthwiseParams {
@@ -380,7 +368,6 @@ pub fn run_ib_te(
             im2col: layout.im2col,
         },
         w2_base,
-        None,
     )?;
     if p.has_residual() {
         run_add_te_inplace(m, layout.a, layout.d, p.out_bytes())?;
@@ -408,7 +395,7 @@ mod tests {
             im2col: p.in_bytes() + p.out_bytes(),
         };
         m.host_write_ram(0, &input.as_bytes()).unwrap();
-        run_pointwise_te(&mut m, &p, 1, layout, w_base, None).unwrap();
+        run_pointwise_te(&mut m, &p, 1, layout, w_base).unwrap();
         let out = m.host_read_ram(layout.output, p.out_bytes()).unwrap();
         let out = Tensor::from_bytes(&[p.h, p.w, p.k], &out);
         assert_eq!(
@@ -428,7 +415,7 @@ mod tests {
             output: p.in_bytes(),
             im2col: p.in_bytes() + p.out_bytes(),
         };
-        run_pointwise_te(&mut m, &p, 1, layout, w_base, None).unwrap();
+        run_pointwise_te(&mut m, &p, 1, layout, w_base).unwrap();
         // im2col copies the input once (read+write) on top of the GEMM's
         // own reads.
         assert!(m.counters.ram_write_bytes >= (p.in_bytes() + p.out_bytes()) as u64);

@@ -11,20 +11,8 @@
 //! RAM savings restated as serving capacity.
 
 use crate::planner::{MemoryPlan, MemoryPlanner};
-use vmcu_graph::{Graph, LayerDesc};
+use vmcu_graph::Graph;
 use vmcu_sim::Device;
-
-/// Names each layer of a linear graph `kind#index` — the same naming the
-/// facade engine uses in its reports, so plans and execution logs line
-/// up.
-pub fn named_graph_layers(graph: &Graph) -> Vec<(String, LayerDesc)> {
-    graph
-        .layers()
-        .iter()
-        .enumerate()
-        .map(|(i, l)| (format!("{}#{i}", l.kind()), l.clone()))
-        .collect()
-}
 
 /// Plans a whole model for a device — one plan entry per execution node
 /// (per layer for per-layer planners, per fused group for the fusion
@@ -52,19 +40,19 @@ pub fn plan_graph(planner: &dyn MemoryPlanner, graph: &Graph, device: &Device) -
 ///
 /// # Examples
 ///
-/// The admission-control pricing surface: segment-level planning demands
-/// far less than tensor-level planning for the same model, and the fused
+/// The fleet placement price: segment-level planning demands far less
+/// than tensor-level planning for the same model, and the fused
 /// multi-layer pipeline undercuts both on chains with fat intermediates:
 ///
 /// ```
-/// use vmcu_plan::fusion::FusedPlanner;
-/// use vmcu_plan::{peak_demand_bytes, TinyEnginePlanner, VmcuPlanner};
+/// use vmcu_plan::{peak_demand_bytes, TinyEnginePlanner, VmcuPass, VmcuPlanner};
 /// use vmcu_graph::zoo;
+/// use vmcu_kernels::IbScheme;
 ///
 /// let g = zoo::mbv2_block_unfused();
 /// let te = peak_demand_bytes(&TinyEnginePlanner, &g);
 /// let vm = peak_demand_bytes(&VmcuPlanner::default(), &g);
-/// let fused = peak_demand_bytes(&FusedPlanner::default(), &g);
+/// let fused = peak_demand_bytes(&VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse), &g);
 /// assert!(vm < te);
 /// assert!(fused < vm);
 /// ```
@@ -77,16 +65,7 @@ mod tests {
     use super::*;
     use crate::tinyengine_planner::TinyEnginePlanner;
     use crate::vmcu_planner::VmcuPlanner;
-    use vmcu_graph::zoo;
-
-    #[test]
-    fn named_layers_match_graph_order() {
-        let g = zoo::demo_linear_net();
-        let named = named_graph_layers(&g);
-        assert_eq!(named.len(), g.len());
-        assert_eq!(named[0].0, "pointwise#0");
-        assert_eq!(named[1].0, "inverted-bottleneck#1");
-    }
+    use vmcu_graph::{zoo, LayerDesc};
 
     #[test]
     fn plan_graph_covers_every_layer() {

@@ -26,10 +26,10 @@
 //!   the §5.2 optimum a finer-grained schedule could reach. Tests assert
 //!   `solver ≤ executable`.
 //!
-//! [`FusedPlanner`] packages the pass as a [`MemoryPlanner`]: single
-//! layers price exactly like [`VmcuPlanner`], whole models price at the
-//! fused plan's peak, so [`crate::capacity::peak_demand_bytes`] (and with
-//! it fleet admission control) picks the fusion savings up for free.
+//! [`VmcuPass::Fuse`] runs the pass inside [`VmcuPlanner`]: single
+//! layers price as they do under every vMCU pass, whole models price at
+//! the fused plan's peak, so [`crate::capacity::peak_demand_bytes`] (and
+//! with it fleet placement) picks the fusion savings up for free.
 //!
 //! # Examples
 //!
@@ -38,8 +38,8 @@
 //! layer, because the expanded intermediate never materializes:
 //!
 //! ```
-//! use vmcu_plan::fusion::{fuse_graph, FusedPlanner};
-//! use vmcu_plan::{peak_demand_bytes, VmcuPlanner};
+//! use vmcu_plan::fusion::fuse_graph;
+//! use vmcu_plan::{peak_demand_bytes, VmcuPass, VmcuPlanner};
 //! use vmcu_graph::zoo;
 //! use vmcu_kernels::IbScheme;
 //!
@@ -47,16 +47,15 @@
 //! let plan = fuse_graph(&g, IbScheme::RowBuffer);
 //! assert_eq!(plan.fused_groups(), 1); // all three layers fuse
 //!
-//! let fused = peak_demand_bytes(&FusedPlanner::default(), &g);
+//! let fused = peak_demand_bytes(&VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse), &g);
 //! let unfused = peak_demand_bytes(&VmcuPlanner::default(), &g);
 //! assert!(fused < unfused);
 //! ```
 
 use crate::planner::{LayerPlan, MemoryPlanner};
-use crate::schedule::Schedule;
-use crate::vmcu_planner::VmcuPlanner;
+use crate::vmcu_planner::{VmcuPass, VmcuPlanner};
 use std::collections::HashMap;
-use vmcu_graph::{Graph, LayerDesc};
+use vmcu_graph::Graph;
 use vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_schedule, chain_workspace_bytes, ChainStep, FusedChain,
 };
@@ -99,7 +98,7 @@ impl FusedGroup {
 
     /// The plan entry for this group on `device` — the single source of
     /// the name/kind/measured/fits accounting behind
-    /// [`Schedule::memory_plan`].
+    /// [`Schedule::memory_plan`](crate::Schedule::memory_plan).
     pub fn layer_plan(&self, device: &Device) -> LayerPlan {
         let measured = self.demand_bytes() + device.runtime_overhead_bytes;
         LayerPlan {
@@ -151,7 +150,7 @@ impl FusionNode {
     }
 
     /// The plan entry for this node on `device` — the fused, patched-tail
-    /// and split-stage rows of [`Schedule::memory_plan`].
+    /// and split-stage rows of [`Schedule::memory_plan`](crate::Schedule::memory_plan).
     pub fn layer_plan(&self, graph: &Graph, device: &Device) -> LayerPlan {
         match self {
             FusionNode::Single {
@@ -288,7 +287,7 @@ impl FusionTable {
     /// Prices every layer of `graph` on its own under `scheme`; no
     /// chain is built until a range asks for it.
     pub(crate) fn new(graph: &Graph, scheme: IbScheme) -> Self {
-        let single = VmcuPlanner { scheme };
+        let single = VmcuPlanner::new(scheme, VmcuPass::Nodes);
         let chain = graph.is_chain();
         let layers = graph.layers();
         Self {
@@ -381,52 +380,17 @@ pub fn fuse_graph(graph: &Graph, scheme: IbScheme) -> FusionPlan {
     FusionTable::new(graph, scheme).plan(0, graph.len())
 }
 
-/// The fusion-aware vMCU planner: single layers price exactly like
-/// [`VmcuPlanner`], whole models price at the fused plan's peak.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FusedPlanner {
-    /// Workspace scheme for fused inverted-bottleneck singletons.
-    pub scheme: IbScheme,
-}
-
-impl Default for FusedPlanner {
-    fn default() -> Self {
-        Self {
-            scheme: IbScheme::RowBuffer,
-        }
-    }
-}
-
-impl MemoryPlanner for FusedPlanner {
-    fn name(&self) -> &'static str {
-        "vMCU-fused"
-    }
-
-    fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize) {
-        VmcuPlanner {
-            scheme: self.scheme,
-        }
-        .plan_layer(layer)
-    }
-
-    /// Fused chains thread exactly one activation stream, so branchy
-    /// DAGs run node by node.
-    fn schedule(&self, graph: &Graph) -> Schedule {
-        if graph.is_chain() {
-            Schedule::Fused(fuse_graph(graph, self.scheme))
-        } else {
-            Schedule::Nodes(None)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::peak_demand_bytes;
-    use vmcu_graph::zoo;
+    use vmcu_graph::{zoo, LayerDesc};
     use vmcu_kernels::params::{IbParams, PointwiseParams};
     use vmcu_tensor::Requant;
+
+    fn fused() -> VmcuPlanner {
+        VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse)
+    }
 
     fn pw(h: usize, c: usize, k: usize) -> LayerDesc {
         LayerDesc::Pointwise(PointwiseParams::new(h, h, c, k, Requant::identity()))
@@ -439,7 +403,7 @@ mod tests {
         assert_eq!(plan.fused_groups(), 0);
         assert_eq!(plan.nodes.len(), 1);
         assert_eq!(
-            peak_demand_bytes(&FusedPlanner::default(), &g),
+            peak_demand_bytes(&fused(), &g),
             peak_demand_bytes(&VmcuPlanner::default(), &g),
             "no-op fusion must price exactly like single-layer vMCU"
         );
@@ -481,13 +445,12 @@ mod tests {
 
     #[test]
     fn fused_demand_never_exceeds_single_layer_vmcu() {
-        // The benefit check makes this structural; admission control's
-        // "fused admits at least vMCU" guarantee rests on it.
+        // The benefit check makes this structural; fleet placement's
+        // "fused holds at least what vMCU holds" guarantee rests on it.
         for seed in 0..30 {
             let g = zoo::random_linear_net(seed, 5);
             assert!(
-                peak_demand_bytes(&FusedPlanner::default(), &g)
-                    <= peak_demand_bytes(&VmcuPlanner::default(), &g),
+                peak_demand_bytes(&fused(), &g) <= peak_demand_bytes(&VmcuPlanner::default(), &g),
                 "seed {seed}"
             );
         }
@@ -498,7 +461,7 @@ mod tests {
         // The acceptance criterion: a zoo model where multi-layer fusion
         // strictly beats single-layer segment planning.
         let g = zoo::mbv2_block_unfused();
-        let fused = peak_demand_bytes(&FusedPlanner::default(), &g);
+        let fused = peak_demand_bytes(&fused(), &g);
         let vmcu = peak_demand_bytes(&VmcuPlanner::default(), &g);
         assert!(
             fused < vmcu,
@@ -564,7 +527,7 @@ mod tests {
     fn plan_model_reports_fused_nodes_with_fit() {
         let g = zoo::mbv2_block_unfused();
         let device = Device::stm32_f411re();
-        let plan = FusedPlanner::default().plan_model(&g, &device);
+        let plan = fused().plan_model(&g, &device);
         assert_eq!(plan.layers.len(), 1);
         assert_eq!(plan.layers[0].kind, "fused-chain");
         assert_eq!(plan.layers[0].name, "fused[0..3]");
@@ -572,7 +535,7 @@ mod tests {
         // Demand surfaces agree.
         assert_eq!(
             plan.bottleneck_bytes() - device.runtime_overhead_bytes,
-            FusedPlanner::default().model_demand_bytes(&g)
+            fused().model_demand_bytes(&g)
         );
     }
 
@@ -585,7 +548,7 @@ mod tests {
             "layer-at-a-time vMCU must not fit the wide chain at 128 KB"
         );
         assert!(
-            crate::capacity::plan_graph(&FusedPlanner::default(), &g, &device).deployable(),
+            crate::capacity::plan_graph(&fused(), &g, &device).deployable(),
             "the fused pipeline must fit the wide chain at 128 KB"
         );
     }

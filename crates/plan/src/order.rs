@@ -17,8 +17,7 @@
 //!
 //! The searched plan is **structurally** never worse than the default
 //! order: if the search cannot beat the identity order it falls back to
-//! it, the same ≤-fallback contract `PatchedPlanner` and `SplitPlanner`
-//! honor.
+//! it, the same ≤-fallback contract the patch and split passes honor.
 //!
 //! Per-step resident bytes for the step executing node `v`:
 //!
@@ -33,10 +32,7 @@
 //! plan with an unchanged peak.
 
 use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
-use crate::schedule::Schedule;
-use crate::vmcu_planner::VmcuPlanner;
 use vmcu_graph::{Graph, NodeInput};
-use vmcu_kernels::IbScheme;
 use vmcu_sim::Device;
 
 /// Largest node count planned with the exact bitmask DP; larger graphs
@@ -420,41 +416,12 @@ pub fn plan_order<P: MemoryPlanner + ?Sized>(planner: &P, graph: &Graph) -> Orde
     }
 }
 
-/// The reorder policy: vMCU per-node windows, executed in the searched
-/// minimum-peak topological order. `plan_model` rows follow the
-/// execution order, so the plan's bottleneck *is* the searched peak.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReorderPlanner {
-    inner: VmcuPlanner,
-}
-
-impl ReorderPlanner {
-    /// Creates the planner for a workspace scheme.
-    pub fn new(scheme: IbScheme) -> Self {
-        Self {
-            inner: VmcuPlanner { scheme },
-        }
-    }
-}
-
-impl MemoryPlanner for ReorderPlanner {
-    fn name(&self) -> &'static str {
-        "vmcu-reorder"
-    }
-
-    fn plan_layer(&self, layer: &vmcu_graph::LayerDesc) -> (usize, usize) {
-        self.inner.plan_layer(layer)
-    }
-
-    fn schedule(&self, graph: &Graph) -> Schedule {
-        Schedule::Nodes(Some(plan_order(self, graph)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vmcu_planner::{VmcuPass, VmcuPlanner};
     use vmcu_graph::zoo;
+    use vmcu_kernels::IbScheme;
 
     fn vmcu() -> VmcuPlanner {
         VmcuPlanner::default()
@@ -531,7 +498,7 @@ mod tests {
     fn planner_rows_follow_the_searched_order() {
         let g = zoo::branchy_oom_net();
         let device = vmcu_sim::Device::stm32_f411re();
-        let rp = ReorderPlanner::default();
+        let rp = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Reorder);
         let plan = rp.plan_model(&g, &device);
         let order = plan_order(&rp, &g);
         assert_eq!(plan.layers.len(), g.len());

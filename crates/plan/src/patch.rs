@@ -20,14 +20,13 @@
 //! demand never exceeds the fused plan's, which never exceeds
 //! single-layer vMCU's.
 //!
-//! [`PatchedPlanner`] packages the pass as a [`MemoryPlanner`], so
-//! [`crate::capacity::peak_demand_bytes`] and fleet admission pick the
-//! patched pricing up unchanged.
+//! [`VmcuPass::Patch`](crate::VmcuPass::Patch) runs the pass inside
+//! [`VmcuPlanner`](crate::VmcuPlanner) at the [`MAX_HALO_OVERHEAD`] cap,
+//! so [`crate::capacity::peak_demand_bytes`] and fleet placement pick
+//! the patched pricing up unchanged.
 
 use crate::fusion::{FusionPlan, FusionTable};
-use crate::planner::{LayerPlan, MemoryPlanner};
-use crate::schedule::Schedule;
-use crate::vmcu_planner::VmcuPlanner;
+use crate::planner::LayerPlan;
 use std::collections::HashMap;
 use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::patched::{PatchGrid, PatchedFront};
@@ -58,6 +57,10 @@ pub fn patchable_prefix(graph: &Graph) -> usize {
 /// Grid sizes the search tries along each axis (clamped to the
 /// front-stage output extent).
 pub const GRID_CANDIDATES: [usize; 6] = [1, 2, 3, 4, 6, 8];
+
+/// The halo-recompute cap every deployed patch plan is searched under:
+/// at most 50% extra front MACs over the unpatched front.
+pub const MAX_HALO_OVERHEAD: f64 = 0.5;
 
 /// A whole-graph patched execution plan: the patched front stage (when
 /// patching pays) plus the fused plan of the tail.
@@ -292,59 +295,28 @@ pub fn plan(graph: &Graph, scheme: IbScheme, max_overhead: f64) -> PatchPlan {
     }
 }
 
-/// The patch-aware vMCU planner: single layers price exactly like
-/// [`VmcuPlanner`], whole models price at the patched plan's peak
-/// (falling back to the fused plan when patching does not pay).
+/// The patch pass under a workspace scheme, searched at the
+/// [`MAX_HALO_OVERHEAD`] cap — the plan
+/// [`VmcuPass::Patch`](crate::VmcuPass::Patch) deploys on chains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PatchedPlanner {
     /// Workspace scheme for fused inverted-bottleneck singletons in the
     /// tail.
     pub scheme: IbScheme,
-    /// Halo-recompute cap in percent of the unpatched front MACs.
-    pub max_overhead_pct: u32,
 }
 
 impl Default for PatchedPlanner {
     fn default() -> Self {
         Self {
             scheme: IbScheme::RowBuffer,
-            max_overhead_pct: 50,
         }
     }
 }
 
 impl PatchedPlanner {
-    /// The recompute cap as a fraction.
-    pub fn max_overhead(&self) -> f64 {
-        f64::from(self.max_overhead_pct) / 100.0
-    }
-
-    /// Plans `graph` under this planner's scheme and cap.
+    /// Plans `graph` under this planner's scheme and the halo cap.
     pub fn patch_plan(&self, graph: &Graph) -> PatchPlan {
-        plan(graph, self.scheme, self.max_overhead())
-    }
-}
-
-impl MemoryPlanner for PatchedPlanner {
-    fn name(&self) -> &'static str {
-        "vMCU-patched"
-    }
-
-    fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize) {
-        VmcuPlanner {
-            scheme: self.scheme,
-        }
-        .plan_layer(layer)
-    }
-
-    /// Patch grids tile a straight spatial front, so branchy DAGs run
-    /// node by node.
-    fn schedule(&self, graph: &Graph) -> Schedule {
-        if graph.is_chain() {
-            Schedule::Patched(self.patch_plan(graph))
-        } else {
-            Schedule::Nodes(None)
-        }
+        plan(graph, self.scheme, MAX_HALO_OVERHEAD)
     }
 }
 
@@ -352,8 +324,13 @@ impl MemoryPlanner for PatchedPlanner {
 mod tests {
     use super::*;
     use crate::capacity::peak_demand_bytes;
-    use crate::fusion::FusedPlanner;
+    use crate::planner::MemoryPlanner;
+    use crate::vmcu_planner::{VmcuPass, VmcuPlanner};
     use vmcu_graph::zoo;
+
+    fn planner(pass: VmcuPass) -> VmcuPlanner {
+        VmcuPlanner::new(IbScheme::RowBuffer, pass)
+    }
 
     #[test]
     fn unpatchable_front_falls_back_to_the_fused_plan() {
@@ -362,19 +339,19 @@ mod tests {
         // must never price above the fused plan.
         let g = zoo::demo_linear_net();
         assert_eq!(patchable_prefix(&g), 1);
-        let patched = peak_demand_bytes(&PatchedPlanner::default(), &g);
-        let fused = peak_demand_bytes(&FusedPlanner::default(), &g);
+        let patched = peak_demand_bytes(&planner(VmcuPass::Patch), &g);
+        let fused = peak_demand_bytes(&planner(VmcuPass::Fuse), &g);
         assert!(patched <= fused);
     }
 
     #[test]
     fn patched_demand_never_exceeds_fused_on_random_nets() {
-        // The structural guarantee fleet admission relies on.
+        // The structural guarantee fleet placement relies on.
         for seed in 0..30 {
             let g = zoo::random_linear_net(seed, 5);
             assert!(
-                peak_demand_bytes(&PatchedPlanner::default(), &g)
-                    <= peak_demand_bytes(&FusedPlanner::default(), &g),
+                peak_demand_bytes(&planner(VmcuPass::Patch), &g)
+                    <= peak_demand_bytes(&planner(VmcuPass::Fuse), &g),
                 "seed {seed}"
             );
         }
@@ -387,14 +364,14 @@ mod tests {
         assert!(pplan.is_patched());
         assert_eq!(pplan.front_len, 4, "the four spatial layers patch");
         assert!(pplan.grid().patches() > 1, "a real grid is chosen");
-        assert!(pplan.halo_overhead <= 0.5);
+        assert!(pplan.halo_overhead <= MAX_HALO_OVERHEAD);
         let device = Device::stm32_f411re();
-        let plan = crate::capacity::plan_graph(&PatchedPlanner::default(), &g, &device);
+        let plan = crate::capacity::plan_graph(&planner(VmcuPass::Patch), &g, &device);
         assert!(plan.deployable(), "patched hires must fit 128 KB");
         // Every whole-tensor policy pays the 147 KB input and OOMs.
         for planner in [
             &VmcuPlanner::default() as &dyn MemoryPlanner,
-            &FusedPlanner::default(),
+            &planner(VmcuPass::Fuse),
             &crate::TinyEnginePlanner,
             &crate::HmcosPlanner,
         ] {
@@ -423,7 +400,7 @@ mod tests {
     fn plan_model_reports_the_patched_front_entry() {
         let g = zoo::hires_front_stage();
         let device = Device::stm32_f411re();
-        let planner = PatchedPlanner::default();
+        let planner = planner(VmcuPass::Patch);
         let plan = planner.plan_model(&g, &device);
         assert_eq!(plan.layers[0].kind, "patched-front");
         assert!(plan.layers[0].name.starts_with("patched[0..4]@"));
@@ -458,7 +435,7 @@ mod tests {
     #[test]
     fn empty_and_tailless_graphs_plan_cleanly() {
         let empty = Graph::linear("empty", vec![]).unwrap();
-        assert_eq!(peak_demand_bytes(&PatchedPlanner::default(), &empty), 0);
+        assert_eq!(peak_demand_bytes(&planner(VmcuPass::Patch), &empty), 0);
         // A graph that is all front: the tail fusion plan is empty.
         let g = zoo::mbv2_block_unfused();
         let pplan = PatchedPlanner::default().patch_plan(&g);

@@ -79,9 +79,13 @@ impl MemoryPlan {
 /// A memory-planning policy.
 ///
 /// Planners are stateless policy objects (`Send + Sync`), so one
-/// resolved planner can be cached in a deployment or an admission
-/// controller and shared across worker threads instead of being re-boxed
-/// per call.
+/// resolved planner can be cached in a deployment and shared across
+/// worker threads instead of being re-boxed per call. There is one
+/// implementor per policy of the paper's comparison:
+/// [`VmcuPlanner`](crate::VmcuPlanner) (whose
+/// [`VmcuPass`](crate::VmcuPass) picks the schedule),
+/// [`TinyEnginePlanner`](crate::TinyEnginePlanner) and
+/// [`HmcosPlanner`](crate::HmcosPlanner).
 pub trait MemoryPlanner: Send + Sync {
     /// Planner name for reports.
     fn name(&self) -> &'static str;
@@ -90,8 +94,8 @@ pub trait MemoryPlanner: Send + Sync {
     fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize);
 
     /// The schedule this policy deploys `graph` with. The default runs
-    /// every node in its own window in index order; graph-aware planners
-    /// (fusion, patching, split, reorder) override it.
+    /// every node in its own window in index order;
+    /// [`VmcuPlanner`](crate::VmcuPlanner) overrides it with its pass.
     fn schedule(&self, graph: &Graph) -> Schedule {
         let _ = graph;
         Schedule::Nodes(None)

@@ -7,19 +7,20 @@
 //! per-device split stages — and [`Schedule::memory_plan`] prices it.
 //! [`MemoryPlanner::plan_model`] and
 //! [`MemoryPlanner::model_demand_bytes`] both derive from
-//! [`MemoryPlanner::schedule`], so admission pricing and deployment can
+//! [`MemoryPlanner::schedule`], so fleet placement and deployment can
 //! never disagree, and the engine executes exactly the schedule it was
 //! priced by.
 //!
 //! # Examples
 //!
 //! ```
-//! use vmcu_plan::{FusedPlanner, MemoryPlanner, Schedule};
+//! use vmcu_plan::{MemoryPlanner, Schedule, VmcuPass, VmcuPlanner};
 //! use vmcu_graph::zoo;
+//! use vmcu_kernels::IbScheme;
 //! use vmcu_sim::Device;
 //!
 //! let g = zoo::mbv2_block_unfused();
-//! let planner = FusedPlanner::default();
+//! let planner = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse);
 //! let schedule = planner.schedule(&g);
 //! assert!(matches!(schedule, Schedule::Fused(_)));
 //! let plan = schedule.memory_plan(&planner, &g, &Device::stm32_f411re());
@@ -125,8 +126,8 @@ impl Schedule {
     }
 
     /// Peak SRAM demand of the schedule (activations + workspace at the
-    /// bottleneck step, no runtime overhead) — the admission-control
-    /// price.
+    /// bottleneck step, no runtime overhead) — the price fleet placement
+    /// reads.
     pub fn demand_bytes<P: MemoryPlanner + ?Sized>(&self, planner: &P, graph: &Graph) -> usize {
         match self {
             Schedule::Nodes(Some(order)) => order.peak_bytes,
@@ -157,25 +158,26 @@ fn fusion_rows<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FusedPlanner, PatchedPlanner, ReorderPlanner, SplitPlanner, VmcuPlanner};
+    use crate::{VmcuPass, VmcuPlanner};
     use vmcu_graph::zoo;
+    use vmcu_kernels::IbScheme;
 
     #[test]
     fn chain_only_schedules_fall_back_to_nodes_on_dags() {
         let g = zoo::mbv2_residual_dag();
-        for planner in [
-            &FusedPlanner::default() as &dyn MemoryPlanner,
-            &PatchedPlanner::default(),
-            &SplitPlanner::default(),
-            &VmcuPlanner::default(),
+        let vmcu = |pass| VmcuPlanner::new(IbScheme::RowBuffer, pass);
+        for pass in [
+            VmcuPass::Fuse,
+            VmcuPass::Patch,
+            VmcuPass::Split { devices: 4 },
+            VmcuPass::Nodes,
         ] {
             assert!(
-                matches!(planner.schedule(&g), Schedule::Nodes(None)),
-                "{}",
-                planner.name()
+                matches!(vmcu(pass).schedule(&g), Schedule::Nodes(None)),
+                "{pass:?}"
             );
         }
-        assert!(ReorderPlanner::default().schedule(&g).order().is_some());
+        assert!(vmcu(VmcuPass::Reorder).schedule(&g).order().is_some());
     }
 
     #[test]
@@ -187,11 +189,12 @@ mod tests {
             zoo::hires_front_stage(),
             zoo::two_head_net(),
         ] {
+            let vmcu = |pass| VmcuPlanner::new(IbScheme::RowBuffer, pass);
             for planner in [
-                &VmcuPlanner::default() as &dyn MemoryPlanner,
-                &FusedPlanner::default(),
-                &PatchedPlanner::default(),
-                &ReorderPlanner::default(),
+                &vmcu(VmcuPass::Nodes) as &dyn MemoryPlanner,
+                &vmcu(VmcuPass::Fuse),
+                &vmcu(VmcuPass::Patch),
+                &vmcu(VmcuPass::Reorder),
                 &crate::TinyEnginePlanner,
             ] {
                 let schedule = planner.schedule(&g);

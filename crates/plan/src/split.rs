@@ -25,7 +25,7 @@
 //!
 //! ```
 //! use vmcu_plan::split::plan_split;
-//! use vmcu_plan::{peak_demand_bytes, FusedPlanner};
+//! use vmcu_plan::{peak_demand_bytes, VmcuPass, VmcuPlanner};
 //! use vmcu_graph::zoo;
 //! use vmcu_kernels::IbScheme;
 //!
@@ -33,14 +33,13 @@
 //! let split = plan_split(&g, 4, IbScheme::RowBuffer);
 //! assert!(split.stages().len() >= 2);
 //! // Splitting strictly relieves the single-device fused bottleneck.
-//! assert!(split.max_stage_demand_bytes() < peak_demand_bytes(&FusedPlanner::default(), &g));
+//! let fused = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse);
+//! assert!(split.max_stage_demand_bytes() < peak_demand_bytes(&fused, &g));
 //! ```
 
 use crate::fusion::{FusionNode, FusionPlan, FusionTable};
-use crate::planner::MemoryPlanner;
-use crate::schedule::Schedule;
-use crate::vmcu_planner::VmcuPlanner;
-use vmcu_graph::{Graph, LayerDesc};
+use crate::vmcu_planner::{VmcuPass, VmcuPlanner};
+use vmcu_graph::Graph;
 use vmcu_kernels::IbScheme;
 
 /// One per-device stage of a split plan: a contiguous layer range, the
@@ -101,8 +100,8 @@ impl SplitPlan {
 
     /// The plan's bottleneck: the maximum per-stage peak demand (no
     /// runtime overhead). It is the split model's peak demand
-    /// ([`Schedule::demand_bytes`]): the SRAM a serving fleet holds for
-    /// the whole model on one device.
+    /// ([`Schedule::demand_bytes`](crate::Schedule::demand_bytes)): the
+    /// SRAM a serving fleet holds for the whole model on one device.
     pub fn max_stage_demand_bytes(&self) -> usize {
         self.stages
             .iter()
@@ -150,8 +149,9 @@ fn stage_local(mut plan: FusionPlan, start: usize) -> FusionPlan {
 /// prefers **fewest stages** (a model that fits one device is not split
 /// needlessly), then the earliest cut points. Each candidate range is
 /// priced exactly as the fusion pass prices it as a graph of its own, so
-/// a 1-stage plan's demand equals
-/// [`crate::FusedPlanner::model_demand_bytes`] exactly.
+/// a 1-stage plan's demand equals the [`VmcuPass::Fuse`] planner's
+/// [`model_demand_bytes`](crate::MemoryPlanner::model_demand_bytes)
+/// exactly.
 pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     crate::telemetry::record_plan_call();
     partition(&mut FusionTable::new(graph, scheme), graph, devices, scheme)
@@ -170,7 +170,8 @@ fn partition(table: &mut FusionTable, graph: &Graph, devices: u8, scheme: IbSche
     if !graph.is_chain() {
         let fusion = table.plan(0, n);
         let order: Vec<usize> = (0..n).collect();
-        let demand_bytes = crate::order::peak_for_order(&VmcuPlanner { scheme }, graph, &order);
+        let demand_bytes =
+            crate::order::peak_for_order(&VmcuPlanner::new(scheme, VmcuPass::Nodes), graph, &order);
         return SplitPlan {
             stages: vec![SplitStage {
                 device: 0,
@@ -256,58 +257,17 @@ fn partition(table: &mut FusionTable, graph: &Graph, devices: u8, scheme: IbSche
     SplitPlan { stages }
 }
 
-/// The split-aware planner: single layers price exactly like
-/// [`VmcuPlanner`], whole models price at the partition's **max
-/// per-stage peak** — the demand each device in the pipeline must
-/// individually satisfy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SplitPlanner {
-    /// Maximum number of networked devices to cut across (2–8 in the
-    /// split-CNN setting; clamped to 1..=8).
-    pub devices: u8,
-    /// Workspace scheme for fused inverted-bottleneck singletons inside
-    /// each stage.
-    pub scheme: IbScheme,
-}
-
-impl Default for SplitPlanner {
-    fn default() -> Self {
-        Self {
-            devices: 4,
-            scheme: IbScheme::RowBuffer,
-        }
-    }
-}
-
-impl MemoryPlanner for SplitPlanner {
-    fn name(&self) -> &'static str {
-        "vMCU-split"
-    }
-
-    fn plan_layer(&self, layer: &LayerDesc) -> (usize, usize) {
-        VmcuPlanner {
-            scheme: self.scheme,
-        }
-        .plan_layer(layer)
-    }
-
-    /// Layer-wise cuts partition a chain; a branchy DAG stays whole on
-    /// one device and runs node by node.
-    fn schedule(&self, graph: &Graph) -> Schedule {
-        if graph.is_chain() {
-            Schedule::Split(plan_split(graph, self.devices, self.scheme))
-        } else {
-            Schedule::Nodes(None)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::capacity::peak_demand_bytes;
-    use crate::fusion::FusedPlanner;
+    use crate::planner::MemoryPlanner;
+    use crate::schedule::Schedule;
     use vmcu_graph::zoo;
+
+    fn planner(pass: VmcuPass) -> VmcuPlanner {
+        VmcuPlanner::new(IbScheme::RowBuffer, pass)
+    }
 
     #[test]
     fn stages_tile_the_graph_and_respect_the_device_cap() {
@@ -338,7 +298,7 @@ mod tests {
         assert_eq!(split.device_count(), 1);
         assert_eq!(
             split.max_stage_demand_bytes(),
-            peak_demand_bytes(&FusedPlanner::default(), &g)
+            peak_demand_bytes(&planner(VmcuPass::Fuse), &g)
         );
         assert_eq!(split.transfer_bytes(), 0);
     }
@@ -349,9 +309,9 @@ mod tests {
         // partition's max stage demand is ≤ the fused peak ≤ vMCU's.
         for seed in 0..20 {
             let g = zoo::random_linear_net(seed, 4);
-            let split = peak_demand_bytes(&SplitPlanner::default(), &g);
-            let fused = peak_demand_bytes(&FusedPlanner::default(), &g);
-            let vmcu = peak_demand_bytes(&crate::VmcuPlanner::default(), &g);
+            let split = peak_demand_bytes(&planner(VmcuPass::Split { devices: 4 }), &g);
+            let fused = peak_demand_bytes(&planner(VmcuPass::Fuse), &g);
+            let vmcu = peak_demand_bytes(&VmcuPlanner::default(), &g);
             assert!(split <= fused, "seed {seed}: split {split} > fused {fused}");
             assert!(fused <= vmcu, "seed {seed}");
         }
@@ -380,7 +340,7 @@ mod tests {
     fn plan_model_orders_stage_nodes_then_links() {
         let g = zoo::hires_split_only();
         let device = vmcu_sim::Device::stm32_f411re();
-        let planner = SplitPlanner::default();
+        let planner = planner(VmcuPass::Split { devices: 4 });
         let schedule = planner.schedule(&g);
         let Schedule::Split(split) = &schedule else {
             panic!("a chain splits");

@@ -4,30 +4,78 @@
 //! traces ([`vmcu_kernels::trace`]): the planner reports exactly the pool
 //! window each kernel implementation needs, so every number here is
 //! *executable* — validated empirically by the checked pool in tests.
+//!
+//! Every vMCU policy prices single layers this way; they differ only in
+//! the pass that shapes a whole model into a [`Schedule`], which
+//! [`VmcuPass`] names: nodes one at a time, in the default or a searched
+//! order ([`crate::order`]), fused chains ([`crate::fusion`]), a patched
+//! front ([`crate::patch`]) or per-device split stages
+//! ([`crate::split`]).
 
+use crate::fusion::fuse_graph;
+use crate::order::plan_order;
+use crate::patch;
 use crate::planner::MemoryPlanner;
-use vmcu_graph::LayerDesc;
+use crate::schedule::Schedule;
+use crate::split::plan_split;
+use vmcu_graph::{Graph, LayerDesc};
 use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
+
+/// The pass that builds a vMCU deployment's [`Schedule`]. Each pass is
+/// never worse than running the nodes one at a time in index order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VmcuPass {
+    /// Every node in its own pool window, in index order.
+    Nodes,
+    /// Every node in its own pool window, in the searched minimum-peak
+    /// topological order ([`plan_order`]).
+    Reorder,
+    /// Runs of fusable layers as single fused chains ([`fuse_graph`]).
+    Fuse,
+    /// A patched spatial front stage and a fused tail ([`patch::plan`],
+    /// halo recompute capped at [`patch::MAX_HALO_OVERHEAD`]).
+    Patch,
+    /// Contiguous per-device stages joined by link transfers
+    /// ([`plan_split`]).
+    Split {
+        /// Maximum number of networked devices to cut across (clamped
+        /// to 1..=8 by the partitioner).
+        devices: u8,
+    },
+}
 
 /// Segment-level planner (the paper's system).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VmcuPlanner {
     /// Fused inverted-bottleneck workspace scheme.
     pub scheme: IbScheme,
+    /// The pass that builds whole-model schedules.
+    pub(crate) pass: VmcuPass,
+}
+
+impl VmcuPlanner {
+    /// The planner for a workspace scheme and a schedule pass.
+    pub fn new(scheme: IbScheme, pass: VmcuPass) -> Self {
+        Self { scheme, pass }
+    }
 }
 
 impl Default for VmcuPlanner {
     fn default() -> Self {
-        Self {
-            scheme: IbScheme::RowBuffer,
-        }
+        Self::new(IbScheme::RowBuffer, VmcuPass::Nodes)
     }
 }
 
 impl MemoryPlanner for VmcuPlanner {
     fn name(&self) -> &'static str {
-        "vMCU"
+        match self.pass {
+            VmcuPass::Nodes => "vMCU",
+            VmcuPass::Reorder => "vmcu-reorder",
+            VmcuPass::Fuse => "vMCU-fused",
+            VmcuPass::Patch => "vMCU-patched",
+            VmcuPass::Split { .. } => "vMCU-split",
+        }
     }
 
     /// Every kind — merges included, whose output overlaps the first
@@ -39,6 +87,23 @@ impl MemoryPlanner for VmcuPlanner {
             pool_window(layer.in_bytes(), layer.out_bytes(), d),
             layer.workspace_bytes(self.scheme),
         )
+    }
+
+    fn schedule(&self, graph: &Graph) -> Schedule {
+        let scheme = self.scheme;
+        match self.pass {
+            VmcuPass::Reorder => Schedule::Nodes(Some(plan_order(self, graph))),
+            VmcuPass::Fuse if graph.is_chain() => Schedule::Fused(fuse_graph(graph, scheme)),
+            VmcuPass::Patch if graph.is_chain() => {
+                Schedule::Patched(patch::plan(graph, scheme, patch::MAX_HALO_OVERHEAD))
+            }
+            VmcuPass::Split { devices } if graph.is_chain() => {
+                Schedule::Split(plan_split(graph, devices, scheme))
+            }
+            // Fused chains, patch grids and split stages thread one
+            // activation stream, so branchy DAGs run node by node.
+            _ => Schedule::Nodes(None),
+        }
     }
 }
 
@@ -84,9 +149,7 @@ mod tests {
 
     #[test]
     fn pixel_window_never_needs_more_workspace() {
-        let pw = VmcuPlanner {
-            scheme: IbScheme::PixelWindow,
-        };
+        let pw = VmcuPlanner::new(IbScheme::PixelWindow, VmcuPass::Nodes);
         let rb = VmcuPlanner::default();
         for m in zoo::mcunet_5fps_vww() {
             let layer = vmcu_graph::LayerDesc::Ib(m.params);

@@ -176,11 +176,6 @@ impl SegmentPool {
         }
     }
 
-    /// Pool window length in bytes.
-    pub fn window_len(&self) -> usize {
-        self.len
-    }
-
     /// Currently live bytes.
     pub fn live_bytes(&self) -> usize {
         self.live_count

@@ -8,10 +8,9 @@
 //! * [`Deployment`] (built via [`Engine::deploy`]) validates the weights
 //!   and device fit **once**, memoizes the planner's [`Schedule`] with
 //!   the [`MemoryPlan`] pricing it (and, for vMCU chains, the §4 chain
-//!   plan) in a [`PlanSet`], caches the resolved planner, and owns the
-//!   weights that will be staged into Flash. Deployments are cheap
-//!   to clone (`Arc`-backed) and `Send + Sync`, so a fleet shares one
-//!   per model across workers.
+//!   plan), caches the resolved planner, and owns the weights that will
+//!   be staged into Flash. Deployments are cheap to clone (`Arc`-backed)
+//!   and `Send + Sync`, so a fleet shares one per model across workers.
 //! * [`Session`] ([`Deployment::session`]) boots a machine, stages the
 //!   firmware image (weights into Flash) once, and then serves
 //!   [`Session::infer`] calls with **zero planning work** — checkable
@@ -39,16 +38,16 @@ use vmcu_tensor::Tensor;
 
 /// Every plan artifact an inference needs, memoized at deploy time.
 #[derive(Debug, Clone)]
-pub struct PlanSet {
+pub(crate) struct PlanSet {
     /// One row per step of [`schedule`](Self::schedule) — fit
     /// validation and the accounting source for every
     /// [`LayerReport`](crate::engine::LayerReport).
-    pub memory: MemoryPlan,
+    pub(crate) memory: MemoryPlan,
     /// The schedule the planner deploys the graph with, executed step
     /// for step.
-    pub schedule: Schedule,
+    pub(crate) schedule: Schedule,
     /// The §4 whole-network chain plan (vMCU policy, chain graphs only).
-    pub chain: Option<ChainPlan>,
+    pub(crate) chain: Option<ChainPlan>,
 }
 
 struct DeployInner {
@@ -190,11 +189,6 @@ impl Deployment {
     /// step).
     pub fn plan(&self) -> &MemoryPlan {
         &self.inner.plans.memory
-    }
-
-    /// All memoized plan artifacts.
-    pub fn plans(&self) -> &PlanSet {
-        &self.inner.plans
     }
 
     /// The deployed schedule.

@@ -18,10 +18,7 @@ use crate::exec::{exec_node, node_distance, stage_layer};
 use vmcu_graph::{Graph, LayerDesc, LayerWeights};
 use vmcu_kernels::IbScheme;
 use vmcu_plan::planner::MemoryPlanner;
-use vmcu_plan::{
-    FusedPlanner, HmcosPlanner, LayerPlan, MemoryPlan, PatchedPlanner, ReorderPlanner,
-    SplitPlanner, TinyEnginePlanner, VmcuPlanner,
-};
+use vmcu_plan::{HmcosPlanner, LayerPlan, MemoryPlan, TinyEnginePlanner, VmcuPass, VmcuPlanner};
 use vmcu_sim::{Device, ExecSummary, Machine};
 use vmcu_tensor::Tensor;
 
@@ -32,10 +29,13 @@ use vmcu_tensor::Tensor;
 /// [`schedule`](MemoryPlanner::schedule) decides what runs and how much
 /// RAM it takes, and to the kernel bodies that run it: segment-level
 /// for every vMCU policy ([`scheme`](PlannerKind::scheme) is `Some`),
-/// tensor-level for the TinyEngine and HMCOS baselines.
+/// tensor-level for the TinyEngine and HMCOS baselines. Every vMCU kind
+/// is a [`VmcuPlanner`] with its own [`VmcuPass`]
+/// ([`vmcu`](PlannerKind::vmcu) is the one place that maps them).
 /// [`Engine::deploy`] resolves the planner once and caches it in the
-/// [`Deployment`]; adding a policy means adding a planner and one arm
-/// here — the schedule walk never changes.
+/// [`Deployment`]; a new vMCU pass is a `VmcuPass` variant with its arms
+/// in `VmcuPlanner` and a kind mapped in `vmcu` — the schedule walk
+/// never changes.
 ///
 /// # Examples
 ///
@@ -116,25 +116,30 @@ impl PlannerKind {
         }
     }
 
+    /// The vMCU planner of a segment-level kind: its workspace scheme
+    /// and the pass that builds its schedule; `None` for the
+    /// tensor-level baselines (TinyEngine, HMCOS).
+    pub fn vmcu(&self) -> Option<VmcuPlanner> {
+        let (scheme, pass) = match *self {
+            PlannerKind::Vmcu(scheme) => (scheme, VmcuPass::Nodes),
+            PlannerKind::VmcuFused(scheme) => (scheme, VmcuPass::Fuse),
+            PlannerKind::VmcuPatched(scheme) => (scheme, VmcuPass::Patch),
+            PlannerKind::VmcuSplit { devices, scheme } => (scheme, VmcuPass::Split { devices }),
+            PlannerKind::VmcuReorder(scheme) => (scheme, VmcuPass::Reorder),
+            PlannerKind::TinyEngine | PlannerKind::Hmcos => return None,
+        };
+        Some(VmcuPlanner::new(scheme, pass))
+    }
+
     /// The planning policy object for this kind — the same one the
-    /// engine plans with, so external capacity math (admission control)
+    /// engine plans with, so external capacity math (fleet placement)
     /// can never disagree with execution. Resolve once and cache (a
     /// [`Deployment`] does); don't re-box per pricing call.
     pub fn planner(&self) -> Box<dyn MemoryPlanner> {
-        match self {
-            PlannerKind::Vmcu(scheme) => Box::new(VmcuPlanner { scheme: *scheme }),
-            PlannerKind::VmcuFused(scheme) => Box::new(FusedPlanner { scheme: *scheme }),
-            PlannerKind::VmcuPatched(scheme) => Box::new(PatchedPlanner {
-                scheme: *scheme,
-                ..PatchedPlanner::default()
-            }),
-            PlannerKind::TinyEngine => Box::new(TinyEnginePlanner),
-            PlannerKind::Hmcos => Box::new(HmcosPlanner),
-            PlannerKind::VmcuSplit { devices, scheme } => Box::new(SplitPlanner {
-                devices: *devices,
-                scheme: *scheme,
-            }),
-            PlannerKind::VmcuReorder(scheme) => Box::new(ReorderPlanner::new(*scheme)),
+        match self.vmcu() {
+            Some(vmcu) => Box::new(vmcu),
+            None if *self == PlannerKind::Hmcos => Box::new(HmcosPlanner),
+            None => Box::new(TinyEnginePlanner),
         }
     }
 
@@ -142,14 +147,7 @@ impl PlannerKind {
     /// segment-level kernels; `None` for the tensor-level baselines
     /// (TinyEngine, HMCOS), which run the baseline kernels.
     pub fn scheme(&self) -> Option<IbScheme> {
-        match self {
-            PlannerKind::Vmcu(scheme)
-            | PlannerKind::VmcuFused(scheme)
-            | PlannerKind::VmcuPatched(scheme)
-            | PlannerKind::VmcuReorder(scheme)
-            | PlannerKind::VmcuSplit { scheme, .. } => Some(*scheme),
-            PlannerKind::TinyEngine | PlannerKind::Hmcos => None,
-        }
+        self.vmcu().map(|vmcu| vmcu.scheme)
     }
 }
 
@@ -540,6 +538,43 @@ mod tests {
         assert!(report.latency_ms() > 0.0);
         assert!(report.energy_mj() > 0.0);
         assert!(report.peak_ram_bytes() > 0);
+    }
+
+    #[test]
+    fn each_kind_maps_to_one_planner_scheme_and_schedule() {
+        use vmcu_plan::Schedule;
+        fn shape(schedule: &Schedule) -> &'static str {
+            match schedule {
+                Schedule::Nodes(None) => "nodes",
+                Schedule::Nodes(Some(_)) => "ordered",
+                Schedule::Fused(_) => "fused",
+                Schedule::Patched(_) => "patched",
+                Schedule::Split(_) => "split",
+            }
+        }
+        let (chain, dag) = (zoo::mbv2_block_unfused(), zoo::mbv2_residual_dag());
+        let s = IbScheme::PixelWindow;
+        // Kind, its display name, its planner's name (the one plan rows
+        // carry), its segment scheme, and its schedule on a chain and on
+        // a DAG: the chain-only passes run a DAG node by node.
+        #[rustfmt::skip]
+        let table = [
+            (PlannerKind::Vmcu(s), "vMCU", "vMCU", Some(s), "nodes", "nodes"),
+            (PlannerKind::VmcuFused(s), "vMCU-fused", "vMCU-fused", Some(s), "fused", "nodes"),
+            (PlannerKind::VmcuPatched(s), "vMCU-patched", "vMCU-patched", Some(s), "patched", "nodes"),
+            (PlannerKind::VmcuSplit { devices: 2, scheme: s }, "vMCU-split", "vMCU-split", Some(s), "split", "nodes"),
+            (PlannerKind::VmcuReorder(s), "vMCU-reorder", "vmcu-reorder", Some(s), "ordered", "ordered"),
+            (PlannerKind::TinyEngine, "TinyEngine", "TinyEngine", None, "nodes", "nodes"),
+            (PlannerKind::Hmcos, "HMCOS", "HMCOS", None, "nodes", "nodes"),
+        ];
+        for (kind, name, planner_name, scheme, on_chain, on_dag) in table {
+            let planner = kind.planner();
+            assert_eq!(kind.name(), name, "{kind:?}");
+            assert_eq!(planner.name(), planner_name, "{kind:?}");
+            assert_eq!(kind.scheme(), scheme, "{kind:?}");
+            assert_eq!(shape(&planner.schedule(&chain)), on_chain, "{kind:?}");
+            assert_eq!(shape(&planner.schedule(&dag)), on_dag, "{kind:?}");
+        }
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Schedule execution: one walk over a deployed [`Schedule`].
 //!
 //! The planner decides *what* runs — its [`Schedule`], memoized at
-//! deploy time in the [`PlanSet`] — and one walk, `exec::infer`, runs
-//! it for every policy, one step per memory-plan row: a graph node in
-//! its own pool window, a fused chain, a patched front stage, or a link
-//! transfer between split stages. The only per-policy choice left at
-//! run time is each node's kernel body, picked from the
-//! [`PlannerKind`]:
+//! deploy time in the [`Deployment`](crate::Deployment) — and one walk,
+//! `exec::infer`, runs it for every policy, one step per memory-plan
+//! row: a graph node in its own pool window, a fused chain, a patched
+//! front stage, or a link transfer between split stages. The only
+//! per-policy choice left at run time is each node's kernel body, picked
+//! from the [`PlannerKind`]:
 //!
 //! * segment-level vMCU kernels for every vMCU policy (`exec/vmcu.rs`);
 //! * tensor-level baseline kernels for TinyEngine (`exec/tinyengine.rs`);

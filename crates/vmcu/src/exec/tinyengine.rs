@@ -22,7 +22,21 @@ pub(super) fn exec_layer(
     executor: &'static str,
 ) -> Result<Tensor<i8>, EngineError> {
     match layer {
-        LayerDesc::Pointwise(p) => {
+        LayerDesc::Pointwise(_) | LayerDesc::Dense(_) => {
+            // Dense is pointwise over M "pixels" of one column.
+            let p = match *layer {
+                LayerDesc::Pointwise(p) => p,
+                LayerDesc::Dense(p) => PointwiseParams {
+                    h: p.m,
+                    w: 1,
+                    c: p.k,
+                    k: p.n,
+                    seg: p.seg,
+                    rq: p.rq,
+                    clamp: p.clamp,
+                },
+                _ => unreachable!("the arm matches pointwise and dense layers"),
+            };
             let w_base = staged.single(executor)?;
             let layout = TePointwiseLayout {
                 input: 0,
@@ -30,31 +44,9 @@ pub(super) fn exec_layer(
                 im2col: p.in_bytes() + p.out_bytes(),
             };
             m.host_write_ram(layout.input, &input.as_bytes())?;
-            run_pointwise_te(m, p, 1, layout, w_base, None)?;
+            run_pointwise_te(m, &p, 1, layout, w_base)?;
             let out = m.host_read_ram(layout.output, p.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.h, p.w, p.k], &out))
-        }
-        LayerDesc::Dense(p) => {
-            // Dense == pointwise over M "pixels" of one column.
-            let pw = PointwiseParams {
-                h: p.m,
-                w: 1,
-                c: p.k,
-                k: p.n,
-                seg: p.seg,
-                rq: p.rq,
-                clamp: p.clamp,
-            };
-            let w_base = staged.single(executor)?;
-            let layout = TePointwiseLayout {
-                input: 0,
-                output: pw.in_bytes(),
-                im2col: pw.in_bytes() + pw.out_bytes(),
-            };
-            m.host_write_ram(layout.input, &input.as_bytes())?;
-            run_pointwise_te(m, &pw, 1, layout, w_base, None)?;
-            let out = m.host_read_ram(layout.output, pw.out_bytes())?;
-            Ok(Tensor::from_bytes(&[p.m, p.n], &out))
+            Ok(Tensor::from_bytes(&layer.out_shape(), &out))
         }
         LayerDesc::Depthwise(p) => {
             let w_base = staged.single(executor)?;

@@ -34,10 +34,10 @@ fn run_kernel(
 ) -> Result<(), EngineError> {
     let w_base = || staged.single("vMCU");
     match layer {
-        LayerDesc::Pointwise(p) => run_pointwise(m, pool, p, b_in, b_out, w_base()?, None),
-        LayerDesc::Conv2d(p) => run_conv2d(m, pool, p, b_in, b_out, w_base()?, None),
-        LayerDesc::Depthwise(p) => run_depthwise(m, pool, p, b_in, b_out, w_base()?, None),
-        LayerDesc::Dense(p) => run_fc(m, pool, p, b_in, b_out, w_base()?, None),
+        LayerDesc::Pointwise(p) => run_pointwise(m, pool, p, b_in, b_out, w_base()?),
+        LayerDesc::Conv2d(p) => run_conv2d(m, pool, p, b_in, b_out, w_base()?),
+        LayerDesc::Depthwise(p) => run_depthwise(m, pool, p, b_in, b_out, w_base()?),
+        LayerDesc::Dense(p) => run_fc(m, pool, p, b_in, b_out, w_base()?),
         LayerDesc::Ib(p) => {
             let StagedLayer::Ib { w1, wdw, w2 } = staged else {
                 return Err(EngineError::Unsupported {

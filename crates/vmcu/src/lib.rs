@@ -53,7 +53,7 @@ pub mod engine;
 pub mod error;
 pub mod exec;
 
-pub use deploy::{Deployment, PlanSet, Session};
+pub use deploy::{Deployment, Session};
 pub use engine::{Engine, InferenceReport, LayerReport, PlannerKind};
 pub use error::EngineError;
 pub use exec::StagedLayer;
@@ -75,8 +75,7 @@ pub mod prelude {
     pub use vmcu_graph::{Graph, LayerDesc, LayerWeights};
     pub use vmcu_kernels::{IbParams, IbScheme, PointwiseParams};
     pub use vmcu_plan::{
-        FusedPlanner, HmcosPlanner, MemoryPlanner, PatchedPlanner, ReorderPlanner, SplitPlanner,
-        TinyEnginePlanner, VmcuPlanner,
+        HmcosPlanner, MemoryPlanner, PatchedPlanner, TinyEnginePlanner, VmcuPass, VmcuPlanner,
     };
     pub use vmcu_sim::Device;
     pub use vmcu_tensor::{Requant, Tensor};

@@ -285,6 +285,57 @@ fn handbook_cross_links_are_bidirectional() {
     }
 }
 
+/// Names `crates/plan/src/lib.rs` re-exports at the crate root: the
+/// last path segment of every `pub use` item, braces expanded.
+fn plan_crate_exports() -> HashSet<String> {
+    let lib = std::fs::read_to_string(repo_root().join("crates/plan/src/lib.rs")).unwrap();
+    let mut names = HashSet::new();
+    for stmt in lib.split(';') {
+        let Some(rest) = stmt.trim().strip_prefix("pub use ") else {
+            continue;
+        };
+        let list = rest.split_once('{').map_or(rest, |(_, list)| list);
+        for item in list.trim_end_matches('}').split(',') {
+            if let Some(name) = item.trim().rsplit("::").next() {
+                names.insert(name.to_owned());
+            }
+        }
+    }
+    names
+}
+
+#[test]
+fn every_planner_the_docs_name_is_exported() {
+    // A deleted planner must leave the prose too: every `…Planner` type
+    // named in the README or a docs page is one `vmcu_plan` exports.
+    let exports = plan_crate_exports();
+    assert!(
+        exports.contains("VmcuPlanner") && exports.contains("MemoryPlanner"),
+        "the export parser must see the planners, found {exports:?}"
+    );
+    let root = repo_root();
+    let mut pages = vec![root.join("README.md")];
+    pages.extend(
+        std::fs::read_dir(root.join("docs"))
+            .expect("docs/ directory exists")
+            .map(|e| e.expect("readable docs entry").path())
+            .filter(|p| p.extension().is_some_and(|e| e == "md")),
+    );
+    for page in &pages {
+        let text = std::fs::read_to_string(page).unwrap();
+        for word in text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_') {
+            let named_planner = word.len() > "Planner".len()
+                && word.ends_with("Planner")
+                && word.starts_with(|c: char| c.is_ascii_uppercase());
+            assert!(
+                !named_planner || exports.contains(word),
+                "{} names `{word}`, which crates/plan/src/lib.rs does not export",
+                page.display()
+            );
+        }
+    }
+}
+
 /// Package names of the `crates/*` entries in the root manifest's
 /// `[workspace] members` list.
 fn workspace_crate_names() -> Vec<String> {

@@ -9,6 +9,10 @@ use vmcu::vmcu_plan::fusion::{fuse_graph, FusionNode};
 use vmcu::vmcu_plan::peak_demand_bytes;
 use vmcu::vmcu_tensor::random;
 
+fn fused_planner() -> VmcuPlanner {
+    VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse)
+}
+
 fn fused_kind() -> PlannerKind {
     PlannerKind::VmcuFused(IbScheme::RowBuffer)
 }
@@ -39,7 +43,7 @@ fn single_layer_chain_is_a_noop_fusion_end_to_end() {
     let plan = fuse_graph(&g, IbScheme::RowBuffer);
     assert_eq!(plan.fused_groups(), 0);
     assert_eq!(
-        peak_demand_bytes(&FusedPlanner::default(), &g),
+        peak_demand_bytes(&fused_planner(), &g),
         peak_demand_bytes(&VmcuPlanner::default(), &g)
     );
     let weights = g.random_weights(1);
@@ -126,7 +130,7 @@ fn fused_peak_ram_strictly_below_vmcu_on_a_zoo_model() {
     // Acceptance criterion: planning surface and measured execution both
     // show the fused plan strictly below single-layer vMCU planning.
     let g = zoo::mbv2_block_unfused();
-    let fused_demand = peak_demand_bytes(&FusedPlanner::default(), &g);
+    let fused_demand = peak_demand_bytes(&fused_planner(), &g);
     let vmcu_demand = peak_demand_bytes(&VmcuPlanner::default(), &g);
     assert!(fused_demand < vmcu_demand);
     let weights = g.random_weights(7);
@@ -193,8 +197,7 @@ fn deep_pointwise_tower_fuses_into_one_group() {
     assert_eq!(plan.fused_groups(), 1);
     assert_eq!(plan.nodes.len(), 1);
     assert!(
-        peak_demand_bytes(&FusedPlanner::default(), &g)
-            < peak_demand_bytes(&VmcuPlanner::default(), &g)
+        peak_demand_bytes(&fused_planner(), &g) < peak_demand_bytes(&VmcuPlanner::default(), &g)
     );
     let weights = g.random_weights(9);
     let input = random::tensor_i8(&g.in_shape(), 10);

@@ -23,7 +23,7 @@ fn run_fc_at(p: &FcParams, d: i64) -> Result<(), PoolError> {
     let window = pool_window(p.in_bytes(), p.out_bytes(), d);
     let mut pool = SegmentPool::new(&m, 0, window).unwrap();
     pool.host_fill_live(&mut m, 0, &input.as_bytes()).unwrap();
-    run_fc(&mut m, &mut pool, p, 0, -d, w_base, None)?;
+    run_fc(&mut m, &mut pool, p, 0, -d, w_base)?;
     Ok(())
 }
 

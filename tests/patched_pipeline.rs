@@ -74,12 +74,14 @@ fn patched_output_is_bit_identical_to_the_unpatched_reference() {
 
 #[test]
 fn patched_plan_prices_execution_exactly() {
-    // The admission-control surface and the engine's execution report
-    // come from the same accounting; they can never disagree.
+    // The fleet placement price and the engine's execution report come
+    // from the same accounting; they can never disagree.
     let g = zoo::hires_front_stage();
     let dev = Device::stm32_f411re();
-    let planner = PatchedPlanner::default();
-    let demand = peak_demand_bytes(&planner, &g);
+    let demand = peak_demand_bytes(
+        &*PlannerKind::VmcuPatched(IbScheme::RowBuffer).planner(),
+        &g,
+    );
     let weights = g.random_weights(111);
     let input = random::tensor_i8(&g.in_shape(), 112);
     let report = run(
@@ -141,8 +143,11 @@ fn patched_falls_back_to_fused_pricing_when_patching_does_not_pay() {
     let pplan = patch::plan(&g, IbScheme::RowBuffer, 0.5);
     assert!(!pplan.is_patched(), "tiny fronts must not patch");
     assert_eq!(
-        peak_demand_bytes(&PatchedPlanner::default(), &g),
-        peak_demand_bytes(&FusedPlanner::default(), &g),
+        peak_demand_bytes(
+            &*PlannerKind::VmcuPatched(IbScheme::RowBuffer).planner(),
+            &g
+        ),
+        peak_demand_bytes(&*PlannerKind::VmcuFused(IbScheme::RowBuffer).planner(), &g),
     );
     let weights = g.random_weights(121);
     let input = random::tensor_i8(&g.in_shape(), 122);

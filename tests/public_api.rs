@@ -23,13 +23,11 @@ const PRELUDE_SNAPSHOT: &[&str] = &[
     "vmcu_kernels::IbParams",
     "vmcu_kernels::IbScheme",
     "vmcu_kernels::PointwiseParams",
-    "vmcu_plan::FusedPlanner",
     "vmcu_plan::HmcosPlanner",
     "vmcu_plan::MemoryPlanner",
     "vmcu_plan::PatchedPlanner",
-    "vmcu_plan::ReorderPlanner",
-    "vmcu_plan::SplitPlanner",
     "vmcu_plan::TinyEnginePlanner",
+    "vmcu_plan::VmcuPass",
     "vmcu_plan::VmcuPlanner",
     "vmcu_sim::Device",
     "vmcu_tensor::Requant",

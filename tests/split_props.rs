@@ -10,7 +10,9 @@
 use proptest::prelude::*;
 use vmcu::vmcu_graph::{zoo, Graph};
 use vmcu::vmcu_kernels::IbScheme;
-use vmcu::vmcu_plan::{fuse_graph, peak_demand_bytes, plan_split, SplitStage, VmcuPlanner};
+use vmcu::vmcu_plan::{
+    fuse_graph, peak_demand_bytes, plan_split, SplitStage, VmcuPass, VmcuPlanner,
+};
 
 const SCHEMES: [IbScheme; 3] = [
     IbScheme::RowBuffer,
@@ -195,7 +197,7 @@ proptest! {
         let g = zoo::random_linear_net(seed, layers);
         let split = plan_split(&g, devices, IbScheme::RowBuffer);
         let single = peak_demand_bytes(
-            &VmcuPlanner { scheme: IbScheme::RowBuffer },
+            &VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Nodes),
             &g,
         );
         // The partitioner minimizes the max per-device peak; the trivial

@@ -35,11 +35,7 @@ fn definition_pointwise_te(
     stride: usize,
     layout: TePointwiseLayout,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), MemError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.k, "bias length mismatch");
-    }
     let (h_out, w_out) = ((p.h - 1) / stride + 1, (p.w - 1) / stride + 1);
     let mut a_reg = vec![0u8; p.c];
     let mut w_full = vec![0u8; p.c * p.k];
@@ -67,11 +63,6 @@ fn definition_pointwise_te(
                 // gap to.
                 m.ram_load(layout.im2col + qi * p.c, &mut a_reg)?;
                 broadcast(m, &mut acc[..kw], 0);
-                if let Some(b) = bias {
-                    for (a, &bv) in acc[..kw].iter_mut().zip(&b[k0..k0 + kw]) {
-                        *a = bv;
-                    }
-                }
                 // Fixed-depth unrolling: the stall penalty applies.
                 dot_tile_u8(m, &a_reg, &w_full[k0..], p.k, &mut acc[..kw], false);
                 requant_row(m, &acc[..kw], p.rq, p.clamp, &mut out_reg[..kw]);
@@ -184,7 +175,6 @@ fn definition_ib_te(
             im2col: layout.im2col,
         },
         w1_base,
-        None,
     )?;
     // Depthwise in place over B.
     let dw = DepthwiseParams {
@@ -219,7 +209,6 @@ fn definition_ib_te(
             im2col: layout.im2col,
         },
         w2_base,
-        None,
     )?;
     if p.has_residual() {
         run_add_te_inplace(m, layout.a, layout.d, p.out_bytes())?;
@@ -296,16 +285,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Pointwise over odd and even `K` (an odd `K` ends in a 1-column
-    /// tile), strides 1–3, with and without a bias, at a Flash base and
-    /// RAM layout that vary per case.
+    /// tile), strides 1–3, at a Flash base and RAM layout that vary per
+    /// case.
     #[test]
     fn pointwise_matches_the_per_tile_loop(
         dims in (1usize..=9, 1usize..=9, 1usize..=33, 1usize..=33),
-        knobs in (1usize..=3, 0u8..2, 0usize..4, 0usize..=40, 0usize..=24),
+        knobs in (1usize..=3, 0usize..4, 0usize..=40, 0usize..=24),
         seed in 0u64..1_000_000,
     ) {
         let (h, w, c, k) = dims;
-        let (stride, with_bias, pick, gap, offset) = knobs;
+        let (stride, pick, gap, offset) = knobs;
         let (rq, clamp) = requant(pick);
         let mut p = PointwiseParams::new(h, w, c, k, rq);
         p.clamp = clamp;
@@ -317,12 +306,11 @@ proptest! {
         };
         let ram = noise(layout.im2col + w_out * c + 16, seed);
         let weights = noise(c * k, seed + 1);
-        let bias = (with_bias == 1).then(|| random::bias_i32(k, seed + 2));
         for device in devices() {
             assert_same_as_definition(
                 || machine(&device, &ram, gap, &weights),
-                |m, w_base| run_pointwise_te(m, &p, stride, layout, w_base, bias.as_deref()),
-                |m, w_base| definition_pointwise_te(m, &p, stride, layout, w_base, bias.as_deref()),
+                |m, w_base| run_pointwise_te(m, &p, stride, layout, w_base),
+                |m, w_base| definition_pointwise_te(m, &p, stride, layout, w_base),
             )?;
         }
     }
@@ -454,8 +442,8 @@ fn out_of_range_layouts_still_fail_with_a_mem_error() {
             assert_both_fail(
                 what,
                 &device,
-                |m| run_pointwise_te(m, &pw, 1, layout, w_base, None),
-                |m| definition_pointwise_te(m, &pw, 1, layout, w_base, None),
+                |m| run_pointwise_te(m, &pw, 1, layout, w_base),
+                |m| definition_pointwise_te(m, &pw, 1, layout, w_base),
             );
         }
         for (what, buf, ring, w_base) in [
@@ -485,7 +473,7 @@ fn the_definition_charges_one_im2col_reload_per_tile() {
             output: 16,
             im2col: 32,
         };
-        definition_pointwise_te(&mut m, &p, 1, layout, w_base, None).unwrap();
+        definition_pointwise_te(&mut m, &p, 1, layout, w_base).unwrap();
         m.counters
     };
     let tiles = |k: usize| k.div_ceil(TE_COL_TILE) as u64;

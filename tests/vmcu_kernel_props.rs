@@ -52,11 +52,7 @@ fn definition_fc(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.n, "bias length mismatch");
-    }
     let seg = p.seg;
     let mut a_reg = vec![0u8; seg];
     let mut w_tile = vec![0u8; seg * seg];
@@ -66,13 +62,8 @@ fn definition_fc(
         let mut n0 = 0;
         while n0 < p.n {
             let nw = seg.min(p.n - n0);
-            // Accumulator initialisation (RegAlloc + bias broadcast).
+            // Accumulator initialisation (RegAlloc + broadcast).
             broadcast(m, &mut acc[..nw], 0);
-            if let Some(b) = bias {
-                for (a, &bv) in acc[..nw].iter_mut().zip(&b[n0..n0 + nw]) {
-                    *a = bv;
-                }
-            }
             let mut k0 = 0;
             while k0 < p.k {
                 let kw = seg.min(p.k - k0);
@@ -131,11 +122,7 @@ fn definition_depthwise(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.c, "bias length mismatch");
-    }
     let (p_out, q_out) = (p.out_h(), p.out_w());
     let mut a_reg = vec![0u8; p.c];
     let mut w_reg = vec![0u8; p.c];
@@ -145,9 +132,6 @@ fn definition_depthwise(
     for pi in 0..p_out {
         for qi in 0..q_out {
             broadcast(m, &mut acc, 0);
-            if let Some(b) = bias {
-                acc.copy_from_slice(b);
-            }
             for ri in 0..p.r {
                 let y = (pi * p.stride + ri) as isize - p.pad as isize;
                 if y < 0 || y >= p.h as isize {
@@ -195,11 +179,7 @@ fn definition_conv2d(
     b_in: i64,
     b_out: i64,
     w_base: usize,
-    bias: Option<&[i32]>,
 ) -> Result<(), PoolError> {
-    if let Some(b) = bias {
-        assert_eq!(b.len(), p.k, "bias length mismatch");
-    }
     let seg = p.seg;
     let (p_out, q_out) = (p.out_h(), p.out_w());
     let mut a_reg = vec![0u8; seg];
@@ -213,11 +193,6 @@ fn definition_conv2d(
             while k0 < p.k {
                 let kw = seg.min(p.k - k0);
                 broadcast(m, &mut acc[..kw], 0);
-                if let Some(b) = bias {
-                    for (a, &bv) in acc[..kw].iter_mut().zip(&b[k0..k0 + kw]) {
-                        *a = bv;
-                    }
-                }
                 for ri in 0..p.r {
                     let y = (pi * p.stride + ri) as isize - p.pad as isize;
                     if y < 0 || y >= p.h as isize {
@@ -842,30 +817,28 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Fully-connected (pointwise is its `M = H·W` view) over ragged
-    /// segment tilings, with and without a bias.
+    /// segment tilings.
     #[test]
     fn fc_matches_the_per_segment_loop(
         dims in (1usize..=7, 1usize..=24, 1usize..=24, 0usize..64),
-        knobs in (0u8..2, 0usize..4, 0usize..=9, 0usize..1000),
+        knobs in (0usize..4, 0usize..=9, 0usize..1000),
         seed in 0u64..1_000_000,
     ) {
         let (rows, k, n, raw_seg) = dims;
-        let (with_bias, pick, slack, shift) = knobs;
+        let (pick, slack, shift) = knobs;
         let (rq, clamp) = requant(pick);
         let mut p = FcParams::new(rows, k, n, rq);
         p.clamp = clamp;
         p.seg = pick_seg(raw_seg, k, n);
         let input = noise(p.in_bytes(), seed);
         let weights = noise(k * n, seed + 1);
-        let bias = (with_bias == 1).then(|| random::bias_i32(n, seed + 2));
-        let bias = bias.as_deref();
         let layout = planned(p.in_bytes(), p.out_bytes(), ChainOp::Dense(p).exec_distance(), slack, shift);
         let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
-            &|m, pool, w, at| run_fc(m, pool, &p, at.b_in, at.b_out(), w[0], bias),
-            &|m, pool, w, at| definition_fc(m, pool, &p, at.b_in, at.b_out(), w[0], bias),
+            &|m, pool, w, at| run_fc(m, pool, &p, at.b_in, at.b_out(), w[0]),
+            &|m, pool, w, at| definition_fc(m, pool, &p, at.b_in, at.b_out(), w[0]),
         )?;
     }
 
@@ -891,11 +864,9 @@ proptest! {
             &case,
             layout,
             &|m, pool, wb, at| {
-                vmcu::vmcu_kernels::pointwise::run_pointwise(
-                    m, pool, &p, at.b_in, at.b_out(), wb[0], None,
-                )
+                vmcu::vmcu_kernels::pointwise::run_pointwise(m, pool, &p, at.b_in, at.b_out(), wb[0])
             },
-            &|m, pool, wb, at| definition_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0], None),
+            &|m, pool, wb, at| definition_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0]),
         )?;
     }
 
@@ -905,28 +876,26 @@ proptest! {
     fn depthwise_matches_the_per_tap_loop(
         dims in (1usize..=8, 1usize..=8, 1usize..=20),
         kernel in (1usize..=5, 1usize..=5, 1usize..=3, 0usize..=2),
-        knobs in (0u8..2, 0usize..4, 0usize..=9, 0usize..1000),
+        knobs in (0usize..4, 0usize..=9, 0usize..1000),
         seed in 0u64..1_000_000,
     ) {
         let (h, w, c) = dims;
         let (r, s, stride, pad) = kernel;
         prop_assume!(h + 2 * pad >= r && w + 2 * pad >= s);
-        let (with_bias, pick, slack, shift) = knobs;
+        let (pick, slack, shift) = knobs;
         let (rq, clamp) = requant(pick);
         let mut p = DepthwiseParams::new(h, w, c, r, s, stride, pad, rq);
         p.clamp = clamp;
         let input = noise(p.in_bytes(), seed);
         let weights = noise(r * s * c, seed + 1);
-        let bias = (with_bias == 1).then(|| random::bias_i32(c, seed + 2));
-        let bias = bias.as_deref();
         let d = ChainOp::Depthwise(p).exec_distance();
         let layout = planned(p.in_bytes(), p.out_bytes(), d, slack, shift);
         let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
-            &|m, pool, wb, at| run_depthwise(m, pool, &p, at.b_in, at.b_out(), wb[0], bias),
-            &|m, pool, wb, at| definition_depthwise(m, pool, &p, at.b_in, at.b_out(), wb[0], bias),
+            &|m, pool, wb, at| run_depthwise(m, pool, &p, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_depthwise(m, pool, &p, at.b_in, at.b_out(), wb[0]),
         )?;
     }
 
@@ -936,29 +905,27 @@ proptest! {
     fn conv2d_matches_the_per_segment_loop(
         dims in (1usize..=6, 1usize..=6, 1usize..=9, 1usize..=9, 0usize..64),
         kernel in (1usize..=3, 1usize..=3, 1usize..=2, 0usize..=1),
-        knobs in (0u8..2, 0usize..4, 0usize..=9, 0usize..1000),
+        knobs in (0usize..4, 0usize..=9, 0usize..1000),
         seed in 0u64..1_000_000,
     ) {
         let (h, w, c, k, raw_seg) = dims;
         let (r, s, stride, pad) = kernel;
         prop_assume!(h + 2 * pad >= r && w + 2 * pad >= s);
-        let (with_bias, pick, slack, shift) = knobs;
+        let (pick, slack, shift) = knobs;
         let (rq, clamp) = requant(pick);
         let mut p = Conv2dParams::new(h, w, c, k, r, s, stride, pad, rq);
         p.clamp = clamp;
         p.seg = pick_seg(raw_seg, c, k);
         let input = noise(p.in_bytes(), seed);
         let weights = noise(r * s * c * k, seed + 1);
-        let bias = (with_bias == 1).then(|| random::bias_i32(k, seed + 2));
-        let bias = bias.as_deref();
         let d = ChainOp::Conv2d(p).exec_distance();
         let layout = planned(p.in_bytes(), p.out_bytes(), d, slack, shift);
         let case = Case { input: &input, images: &[&weights] };
         assert_same_at_every_layout(
             &case,
             layout,
-            &|m, pool, wb, at| run_conv2d(m, pool, &p, at.b_in, at.b_out(), wb[0], bias),
-            &|m, pool, wb, at| definition_conv2d(m, pool, &p, at.b_in, at.b_out(), wb[0], bias),
+            &|m, pool, wb, at| run_conv2d(m, pool, &p, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_conv2d(m, pool, &p, at.b_in, at.b_out(), wb[0]),
         )?;
     }
 
@@ -1118,8 +1085,8 @@ fn tight_distances_fail_alike_one_byte_closer() {
                 3,
                 shift,
             ),
-            &|m, pool, wb, at| run_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0], None),
-            &|m, pool, wb, at| definition_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0], None),
+            &|m, pool, wb, at| run_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_fc(m, pool, &fc, at.b_in, at.b_out(), wb[0]),
         );
         let input = noise(dw.in_bytes(), 2);
         let case = Case {
@@ -1135,8 +1102,8 @@ fn tight_distances_fail_alike_one_byte_closer() {
                 3,
                 shift,
             ),
-            &|m, pool, wb, at| run_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0], None),
-            &|m, pool, wb, at| definition_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0], None),
+            &|m, pool, wb, at| run_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0]),
         );
         let input = noise(conv.in_bytes(), 3);
         let case = Case {
@@ -1152,8 +1119,8 @@ fn tight_distances_fail_alike_one_byte_closer() {
                 3,
                 shift,
             ),
-            &|m, pool, wb, at| run_conv2d(m, pool, &conv, at.b_in, at.b_out(), wb[0], None),
-            &|m, pool, wb, at| definition_conv2d(m, pool, &conv, at.b_in, at.b_out(), wb[0], None),
+            &|m, pool, wb, at| run_conv2d(m, pool, &conv, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_conv2d(m, pool, &conv, at.b_in, at.b_out(), wb[0]),
         );
         let input = noise(ib.in_bytes(), 4);
         let case = Case {
