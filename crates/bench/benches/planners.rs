@@ -71,21 +71,46 @@ fn bench_plan_passes(c: &mut Criterion) {
 }
 
 /// The byte-liveness bookkeeping behind certification and planning: the
-/// static auditor replaying a whole deployment, and the kernels'
+/// static auditor on three deployments, and the kernels'
 /// executable-distance bound over one layer's store/free trace: a
 /// pointwise and a depthwise layer, which free in address order, and a
-/// residual add, which frees its second operand above the frontier.
+/// residual add, which frees its second operand above the frontier. The
+/// audited deployments are a repeated block in its node and chained
+/// passes, an 8×8 patch grid, and one inverted bottleneck whose layer
+/// appears at one node and one chained site.
 fn bench_audit(c: &mut Criterion) {
     let mut g = c.benchmark_group("audit");
     g.sample_size(10);
-    let graph = zoo::hires_split_only();
-    let dep = Engine::new(Device::stm32_f767zi())
-        .planner(PlannerKind::Vmcu(IbScheme::RowBuffer))
-        .deploy(&graph, &graph.random_weights(7))
-        .expect("hires_split_only deploys on the F767ZI");
-    g.bench_function("audit/hires-split-only/vmcu-rowbuffer/f767zi", |b| {
-        b.iter(|| vmcu_verify::audit(black_box(&dep)));
-    });
+    let s1 = zoo::mcunet_5fps_vww()[0].params;
+    let deployments = [
+        (
+            "hires-split-only/vmcu-rowbuffer/f767zi",
+            zoo::hires_split_only(),
+            PlannerKind::Vmcu(IbScheme::RowBuffer),
+            Device::stm32_f767zi(),
+        ),
+        (
+            "wide-expand-chain/vmcu-patched/f411re",
+            zoo::wide_expand_chain(),
+            PlannerKind::VmcuPatched(IbScheme::RowBuffer),
+            Device::stm32_f411re(),
+        ),
+        (
+            "table3-s1/vmcu-slidingwindow/f411re",
+            Graph::linear("S1", vec![LayerDesc::Ib(s1)]).expect("one layer chains"),
+            PlannerKind::Vmcu(IbScheme::SlidingWindow),
+            Device::stm32_f411re(),
+        ),
+    ];
+    for (name, graph, kind, device) in deployments {
+        let dep = Engine::new(device)
+            .planner(kind)
+            .deploy(&graph, &graph.random_weights(7))
+            .expect("every audited deployment fits its device");
+        g.bench_function(format!("audit/{name}"), |b| {
+            b.iter(|| vmcu_verify::audit(black_box(&dep)));
+        });
+    }
     let fc = PointwiseParams::new(40, 40, 16, 96, Requant::identity()).as_fc();
     let dw = DepthwiseParams::new(40, 40, 96, 3, 3, 1, 1, Requant::identity());
     let add = AddParams::new(40, 40, 16);

@@ -16,7 +16,7 @@ use vmcu_kernels::{ChainOp, IbScheme};
 use vmcu_tensor::{random, Tensor};
 
 /// One layer of a model graph.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum LayerDesc {
     /// Pointwise (1×1) convolution.
     Pointwise(PointwiseParams),

@@ -169,7 +169,7 @@ impl fmt::Display for ChainShapeError {
 impl std::error::Error for ChainShapeError {}
 
 /// A fused multi-layer chain.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FusedChain {
     ops: Vec<ChainOp>,
 }

@@ -315,7 +315,7 @@ impl DepthwiseParams {
 
 /// Inverted bottleneck module (Figure 6 / Table 2): pointwise expand →
 /// depthwise → pointwise project (+ residual add when shapes allow).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct IbParams {
     /// Input height/width (square images throughout Table 2).
     pub hw: usize,
@@ -427,7 +427,7 @@ impl IbParams {
 /// Elementwise residual add `A[H,W,C] + B[H,W,C] → Out[H,W,C]` with int8
 /// saturation. The two operands are staged consecutively in the pool
 /// (`A` at the base, `B` right behind it).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AddParams {
     /// Height.
     pub h: usize,
@@ -465,7 +465,7 @@ impl AddParams {
 /// Channel concatenation `A[H,W,Ca] ⧺ B[H,W,Cb] → Out[H,W,Ca+Cb]`.
 /// Operands are staged consecutively (`A` then `B`); the output
 /// interleaves their channel vectors per pixel.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ConcatParams {
     /// Height.
     pub h: usize,

@@ -8,52 +8,165 @@
 //! last-consumer liveness through [`crate::schedule`]; for every
 //! overlapped segment it re-derives the minimum execution distance two
 //! independent ways and cross-checks the plan against both.
+//!
+//! A layer often appears at many sites of one deployment: in the node
+//! pass and again in the chained pass, in every tile of a patch grid, in
+//! every repeated block. One audit derives what depends on the layer
+//! alone once, into a table of certificates that lives for the call, and
+//! every site checks its own planned distance, window and budget against
+//! that certificate.
 
-use crate::replay::{check_distance, replay_into, replay_layer, LayerSpec, PoolModel};
+use crate::replay::{
+    derive_min_distance, distance_violations, replay_into, replay_layer, solver_min_distance,
+    LayerSpec, PoolModel,
+};
 use crate::schedule::{audit_schedule, canonical_frees};
 use crate::violation::{AuditReport, Violation};
+use std::collections::HashMap;
 use vmcu::Deployment;
 use vmcu_graph::{Graph, LayerDesc};
-use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes};
-use vmcu_kernels::trace::exec_distance;
+use vmcu_kernels::fused_chain::{chain_exec_trace, chain_workspace_bytes, FusedChain};
+use vmcu_kernels::trace::{exec_distance, ExecEvent};
 use vmcu_kernels::IbScheme;
-use vmcu_plan::fusion::chain_solver_distance;
+use vmcu_plan::fusion::{chain_solver_distance, FusedGroup};
 use vmcu_plan::{ChainPlan, FusionNode, FusionPlan, OrderPlan, PatchPlan, Schedule, SplitPlan};
 use vmcu_sim::Device;
 
-/// Audits one layer in the overlapped per-node layout the vMCU kernels
-/// run in: input at logical 0, output at `−D`, window `(in+max(D,0)) ∨ out`.
-/// Returns the violations plus the number of distances cross-checked.
-pub fn audit_node(site: &str, layer: &LayerDesc, scheme: IbScheme) -> (Vec<Violation>, usize) {
-    let events = layer.exec_events(scheme);
-    let in_len = layer.in_bytes();
-    let out_len = layer.out_bytes();
-    let planned = exec_distance(in_len, events.iter().copied());
-    let mut v = check_distance(site, planned, in_len, &events);
-    let window = (in_len + planned.max(0) as usize).max(out_len).max(1);
-    v.extend(replay_layer(&LayerSpec {
-        site,
-        in_len,
-        out_len,
-        distance: planned,
-        window,
-        events: &events,
-    }));
-    (v, 1)
+/// What one audit derives once per distinct layer: the segment kernel's
+/// dry-run trace, the distance it runs the layer at, that distance's
+/// minimum re-derived two independent ways, and the standalone replay.
+struct LayerCert {
+    /// The kernel's store/free trace.
+    events: Vec<ExecEvent>,
+    /// Executable `b_in − b_out` of the trace: the distance every node
+    /// step and patch-tile stage runs the layer at.
+    distance: i64,
+    /// The per-node window `(in + max(D, 0)) ∨ out` at `distance`.
+    window: usize,
+    /// Minimum distance by interval replay ([`derive_min_distance`]).
+    derived: i64,
+    /// Minimum distance by the solver bound ([`solver_min_distance`]).
+    solver: i64,
+    /// [`replay_layer`]'s verdict at `distance` in `window`, unlabelled.
+    replay: Vec<Violation>,
+}
+
+impl LayerCert {
+    fn derive(layer: &LayerDesc, scheme: IbScheme) -> Self {
+        let events = layer.exec_events(scheme);
+        let (in_len, out_len) = (layer.in_bytes(), layer.out_bytes());
+        let distance = exec_distance(in_len, events.iter().copied());
+        let window = (in_len + distance.max(0) as usize).max(out_len).max(1);
+        let replay = replay_layer(&LayerSpec {
+            site: "",
+            in_len,
+            out_len,
+            distance,
+            window,
+            events: &events,
+        });
+        LayerCert {
+            derived: derive_min_distance(in_len, &events),
+            solver: solver_min_distance(in_len, &events),
+            events,
+            distance,
+            window,
+            replay,
+        }
+    }
+}
+
+/// What one audit derives once per distinct fused group, keyed by
+/// everything its replay reads (the chain, the planned distance and the
+/// window): the chain's minimum distance re-derived two independent
+/// ways, its §5.2 solver lower bound, the ring workspace it needs, and
+/// the replay at the planned distance in the planned window.
+struct GroupCert {
+    derived: i64,
+    solver: i64,
+    lower: Option<i64>,
+    workspace: usize,
+    /// [`replay_layer`]'s verdict, unlabelled.
+    replay: Vec<Violation>,
+}
+
+impl GroupCert {
+    fn derive(group: &FusedGroup) -> Self {
+        let chain = &group.chain;
+        let events = chain_exec_trace(chain);
+        let in_len = chain.in_bytes();
+        GroupCert {
+            derived: derive_min_distance(in_len, &events),
+            solver: solver_min_distance(in_len, &events),
+            lower: chain_solver_distance(chain),
+            workspace: chain_workspace_bytes(chain),
+            replay: replay_layer(&LayerSpec {
+                site: "",
+                in_len,
+                out_len: chain.out_bytes(),
+                distance: group.exec_distance,
+                window: group.window.max(1),
+                events: &events,
+            }),
+        }
+    }
+}
+
+/// One audit's certificates: each distinct layer (under the audit's IB
+/// scheme) and each distinct fused group, derived at the first site that
+/// reads it. A table lives for one call; nothing carries over. Every
+/// site that reads it checks one distance, so `distances_checked`
+/// counts the sites.
+pub(crate) struct Certificates {
+    scheme: IbScheme,
+    layers: HashMap<LayerDesc, LayerCert>,
+    groups: HashMap<(FusedChain, i64, usize), GroupCert>,
+}
+
+impl Certificates {
+    pub(crate) fn new(scheme: IbScheme) -> Self {
+        Certificates {
+            scheme,
+            layers: HashMap::new(),
+            groups: HashMap::new(),
+        }
+    }
+
+    fn layer(&mut self, layer: &LayerDesc) -> &LayerCert {
+        let scheme = self.scheme;
+        self.layers
+            .entry(layer.clone())
+            .or_insert_with(|| LayerCert::derive(layer, scheme))
+    }
+
+    fn group(&mut self, group: &FusedGroup) -> &GroupCert {
+        self.groups
+            .entry((group.chain.clone(), group.exec_distance, group.window))
+            .or_insert_with(|| GroupCert::derive(group))
+    }
+}
+
+/// A certificate's replay verdict as found at `site`.
+fn replay_at<'a>(replay: &'a [Violation], site: &'a str) -> impl Iterator<Item = Violation> + 'a {
+    replay.iter().map(move |v| v.clone().at(site))
+}
+
+/// Audits one layer site in the overlapped per-node layout the vMCU
+/// kernels run in: input at logical 0, output at `−D`, window
+/// `(in+max(D,0)) ∨ out`, with `D` the layer's executable distance.
+fn audit_node(site: &str, cert: &LayerCert) -> Vec<Violation> {
+    let mut v = distance_violations(site, cert.distance, cert.derived, cert.solver);
+    v.extend(replay_at(&cert.replay, site));
+    v
 }
 
 /// Audits one fused group against its planned window, workspace, and
 /// execution distance (including the §5.2 solver lower bound).
-pub fn audit_fused_group(
-    site: &str,
-    group: &vmcu_plan::fusion::FusedGroup,
-) -> (Vec<Violation>, usize) {
+fn audit_fused_group(site: &str, group: &FusedGroup, certs: &mut Certificates) -> Vec<Violation> {
     let chain = &group.chain;
-    let events = chain_exec_trace(chain);
-    let in_len = chain.in_bytes();
-    let out_len = chain.out_bytes();
-    let mut v = check_distance(site, group.exec_distance, in_len, &events);
-    if let Some(lower) = chain_solver_distance(chain) {
+    let cert = certs.group(group);
+    let mut v = distance_violations(site, group.exec_distance, cert.derived, cert.solver);
+    if let Some(lower) = cert.lower {
         if group.exec_distance < lower {
             v.push(Violation::DistanceTooSmall {
                 site: format!("{site} (below the §5.2 solver lower bound)"),
@@ -62,7 +175,8 @@ pub fn audit_fused_group(
             });
         }
     }
-    let need_window = (in_len + group.exec_distance.max(0) as usize).max(out_len);
+    let need_window =
+        (chain.in_bytes() + group.exec_distance.max(0) as usize).max(chain.out_bytes());
     if group.window < need_window {
         v.push(Violation::OutOfBounds {
             site: site.into(),
@@ -70,33 +184,38 @@ pub fn audit_fused_group(
             budget: group.window,
         });
     }
-    let need_ws = chain_workspace_bytes(chain);
-    if group.workspace < need_ws {
+    if group.workspace < cert.workspace {
         v.push(Violation::OutOfBounds {
             site: format!("{site} (workspace)"),
-            needed: need_ws,
+            needed: cert.workspace,
             budget: group.workspace,
         });
     }
-    v.extend(replay_layer(&LayerSpec {
-        site,
-        in_len,
-        out_len,
-        distance: group.exec_distance,
-        window: group.window.max(1),
-        events: &events,
-    }));
-    (v, 1)
+    v.extend(replay_at(&cert.replay, site));
+    v
 }
 
 /// Audits a whole-network chained deployment: every tensor base from the
 /// plan, one persistent circular window, liveness carried across layers
-/// exactly as `Session::infer_chained` executes it.
+/// exactly as `Session::infer_chained` executes it. Returns the
+/// violations plus the number of distances cross-checked.
+///
+/// [`audit`] runs this check after its node pass, on the certificates
+/// that pass derived; this entry derives its own.
 pub fn audit_chain_plan(
     graph: &Graph,
     plan: &ChainPlan,
     scheme: IbScheme,
     device: &Device,
+) -> (Vec<Violation>, usize) {
+    audit_chain(graph, plan, device, &mut Certificates::new(scheme))
+}
+
+fn audit_chain(
+    graph: &Graph,
+    plan: &ChainPlan,
+    device: &Device,
+    certs: &mut Certificates,
 ) -> (Vec<Violation>, usize) {
     let n = graph.len();
     let mut v = Vec::new();
@@ -132,7 +251,7 @@ pub fn audit_chain_plan(
     pool.fill("chain input", plan.bases[0], in_len, &mut v);
     for (i, layer) in graph.layers().iter().enumerate() {
         let site = format!("chain layer {i} ({})", layer.kind());
-        let events = layer.exec_events(scheme);
+        let cert = certs.layer(layer);
         let in_bytes = layer.in_bytes();
         // The base chaining identity: b_out = b_in − D.
         if plan.bases[i + 1] != plan.bases[i] - plan.distances[i] {
@@ -145,7 +264,12 @@ pub fn audit_chain_plan(
                 derived: plan.distances[i],
             });
         }
-        v.extend(check_distance(&site, plan.distances[i], in_bytes, &events));
+        v.extend(distance_violations(
+            &site,
+            plan.distances[i],
+            cert.derived,
+            cert.solver,
+        ));
         distances += 1;
         // The layer's span must fit the shared window.
         let span = (in_bytes + plan.distances[i].max(0) as usize).max(layer.out_bytes());
@@ -161,7 +285,7 @@ pub fn audit_chain_plan(
             &site,
             plan.bases[i],
             plan.bases[i + 1],
-            &events,
+            &cert.events,
             &mut v,
         );
     }
@@ -173,11 +297,11 @@ pub fn audit_chain_plan(
 /// Audits a fusion plan node-by-node: singles replay in their overlapped
 /// per-node layout, fused groups replay their whole-chain trace, and
 /// every node's demand must fit the device.
-pub fn audit_fusion_plan(
+fn audit_fusion_plan(
     graph: &Graph,
     plan: &FusionPlan,
-    scheme: IbScheme,
     device: &Device,
+    certs: &mut Certificates,
 ) -> (Vec<Violation>, usize, usize) {
     let mut v = Vec::new();
     let mut nodes = 0usize;
@@ -195,15 +319,13 @@ pub fn audit_fusion_plan(
                     continue;
                 };
                 let site = format!("node {index} ({})", layer.kind());
-                let (nv, nd) = audit_node(&site, layer, scheme);
-                v.extend(nv);
-                distances += nd;
+                v.extend(audit_node(&site, certs.layer(layer)));
+                distances += 1;
             }
             FusionNode::Fused(group) => {
                 let site = format!("fused[{}..={}]", group.start, group.end);
-                let (gv, gd) = audit_fused_group(&site, group);
-                v.extend(gv);
-                distances += gd;
+                v.extend(audit_fused_group(&site, group, certs));
+                distances += 1;
             }
         }
         let demand = node.demand_bytes() + device.runtime_overhead_bytes;
@@ -224,11 +346,11 @@ pub fn audit_fusion_plan(
 /// replays hazard-free in its own slab window, the slab-peak accounting
 /// behind `front_demand_bytes` is re-derived, and the tail audits as a
 /// fusion plan.
-pub fn audit_patch_plan(
+fn audit_patch_plan(
     graph: &Graph,
     plan: &PatchPlan,
-    scheme: IbScheme,
     device: &Device,
+    certs: &mut Certificates,
 ) -> (Vec<Violation>, usize, usize) {
     let mut v = Vec::new();
     let mut nodes = 0usize;
@@ -258,22 +380,10 @@ pub fn audit_patch_plan(
                 }
                 for (si, stage) in front.patch_stages(ty, tx).iter().enumerate() {
                     let stage_site = format!("{site} stage {si} ({})", stage.op.kind());
-                    let layer = LayerDesc::from(stage.op);
-                    let events = layer.exec_events(scheme);
-                    let (in_len, out_len) = (layer.in_bytes(), layer.out_bytes());
-                    let d = exec_distance(in_len, events.iter().copied());
-                    v.extend(check_distance(&stage_site, d, in_len, &events));
+                    let cert = certs.layer(&LayerDesc::from(stage.op));
+                    slab_peak = slab_peak.max(cert.window);
+                    v.extend(audit_node(&stage_site, cert));
                     distances += 1;
-                    let window = (in_len + d.max(0) as usize).max(out_len).max(1);
-                    slab_peak = slab_peak.max(window);
-                    v.extend(replay_layer(&LayerSpec {
-                        site: &stage_site,
-                        in_len,
-                        out_len,
-                        distance: d,
-                        window,
-                        events: &events,
-                    }));
                 }
             }
         }
@@ -313,7 +423,7 @@ pub fn audit_patch_plan(
             });
         }
     }
-    let (tv, tn, td) = audit_fusion_plan(graph, &plan.tail, scheme, device);
+    let (tv, tn, td) = audit_fusion_plan(graph, &plan.tail, device, certs);
     v.extend(tv);
     (v, nodes + tn, distances + td)
 }
@@ -321,11 +431,11 @@ pub fn audit_patch_plan(
 /// Audits a split deployment: the stages must partition the chain
 /// contiguously, boundary activations must agree byte-for-byte in size,
 /// and every stage audits as its own fusion plan on its own device.
-pub fn audit_split_plan(
+fn audit_split_plan(
     graph: &Graph,
     plan: &SplitPlan,
-    scheme: IbScheme,
     device: &Device,
+    certs: &mut Certificates,
 ) -> (Vec<Violation>, usize, usize) {
     let mut v = Vec::new();
     let mut nodes = 0usize;
@@ -346,7 +456,7 @@ pub fn audit_split_plan(
             });
         }
         expect_start = stage.end;
-        let (sv, sn, sd) = audit_fusion_plan(&stage.graph, &stage.fusion, scheme, device);
+        let (sv, sn, sd) = audit_fusion_plan(&stage.graph, &stage.fusion, device, certs);
         v.extend(sv.into_iter().map(|viol| viol.prefixed(&site)));
         nodes += sn;
         distances += sd;
@@ -390,13 +500,29 @@ pub fn audit_split_plan(
 /// audit follows the deployed [`Schedule`]: node schedules are checked
 /// step by step against their plan rows (and, under vMCU kernels,
 /// replayed node by node in the overlapped layout); fused, patched and
-/// split schedules are audited artifact by artifact.
+/// split schedules are audited artifact by artifact; a vMCU chain is
+/// also replayed whole through its one shared window.
+///
+/// Each call certifies each distinct layer once: its trace, executable
+/// distance, minimum distance by interval replay and by the solver
+/// bound, and standalone replay verdict (each distinct fused group
+/// likewise, per chain, planned distance and window). Every site the
+/// layer appears at (node step, fusion-plan single, patch-tile stage,
+/// chained layer) compares its own planned distance, window and budget
+/// against that certificate and reports under its own label, so the
+/// report equals the one a per-site derivation gives. Nothing is kept
+/// between calls.
 pub fn audit(dep: &Deployment) -> AuditReport {
+    // Baselines replay no vMCU kernel; the scheme is unused for them.
+    let scheme = dep.planner_kind().scheme().unwrap_or(IbScheme::RowBuffer);
+    audit_with(dep, &mut Certificates::new(scheme))
+}
+
+/// [`audit`] on a fresh table `certs` of the deployment's scheme.
+fn audit_with(dep: &Deployment, certs: &mut Certificates) -> AuditReport {
     let graph = dep.graph();
     let device = dep.device();
     let kind = dep.planner_kind();
-    // Baselines replay no vMCU kernel; the scheme is unused for them.
-    let scheme = kind.scheme().unwrap_or(IbScheme::RowBuffer);
     let n = graph.len();
     let mut report = AuditReport {
         planner: kind.name().to_string(),
@@ -454,9 +580,10 @@ pub fn audit(dep: &Deployment) -> AuditReport {
             if kind.scheme().is_some() {
                 for (i, layer) in graph.layers().iter().enumerate() {
                     let site = format!("node {i} ({})", layer.kind());
-                    let (v, d) = audit_node(&site, layer, scheme);
-                    report.violations.extend(v);
-                    report.distances_checked += d;
+                    report
+                        .violations
+                        .extend(audit_node(&site, certs.layer(layer)));
+                    report.distances_checked += 1;
                 }
             }
             if let Some(order_plan) = order_plan {
@@ -464,26 +591,26 @@ pub fn audit(dep: &Deployment) -> AuditReport {
             }
         }
         Schedule::Fused(fusion) => {
-            let (v, nodes, d) = audit_fusion_plan(graph, fusion, scheme, device);
+            let (v, nodes, d) = audit_fusion_plan(graph, fusion, device, certs);
             report.violations.extend(v);
             report.nodes_checked += nodes;
             report.distances_checked += d;
         }
         Schedule::Patched(patch) => {
-            let (v, nodes, d) = audit_patch_plan(graph, patch, scheme, device);
+            let (v, nodes, d) = audit_patch_plan(graph, patch, device, certs);
             report.violations.extend(v);
             report.nodes_checked += nodes;
             report.distances_checked += d;
         }
         Schedule::Split(split) => {
-            let (v, nodes, d) = audit_split_plan(graph, split, scheme, device);
+            let (v, nodes, d) = audit_split_plan(graph, split, device, certs);
             report.violations.extend(v);
             report.nodes_checked += nodes;
             report.distances_checked += d;
         }
     }
     if let Some(chain) = dep.chain_plan() {
-        let (v, d) = audit_chain_plan(graph, chain, scheme, device);
+        let (v, d) = audit_chain(graph, chain, device, certs);
         report.violations.extend(v);
         report.distances_checked += d;
     }
@@ -552,5 +679,55 @@ fn audit_order_plan(order_plan: &OrderPlan, step_demand_bytes: &[usize], report:
             needed: peak,
             budget: order_plan.peak_bytes,
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use vmcu::{Engine, PlannerKind};
+    use vmcu_graph::zoo;
+
+    /// Audits `dep` clean, returning the sites that read the audit's
+    /// table (one checked distance each) and the certificates derived.
+    fn counted(dep: &Deployment) -> (usize, usize) {
+        let scheme = dep.planner_kind().scheme().expect("a vMCU kind");
+        let mut certs = Certificates::new(scheme);
+        let report = audit_with(dep, &mut certs);
+        assert!(report.is_clean(), "{report}");
+        let derived = certs.layers.len() + certs.groups.len();
+        (report.distances_checked, derived)
+    }
+
+    fn deploy(graph: &Graph, kind: PlannerKind, device: Device) -> Deployment {
+        Engine::new(device)
+            .planner(kind)
+            .deploy(graph, &graph.random_weights(7))
+            .expect("deploys")
+    }
+
+    #[test]
+    fn audit_certifies_each_distinct_layer_once() {
+        // Pins the work, not the wall clock. `hires_split_only` repeats
+        // one three-layer block seven times behind an inverted
+        // bottleneck: 22 node sites and 22 chained sites name 4 layers.
+        let dep = deploy(
+            &zoo::hires_split_only(),
+            PlannerKind::Vmcu(IbScheme::RowBuffer),
+            Device::stm32_f767zi(),
+        );
+        assert_eq!(counted(&dep), (44, 4), "layer sites, certificates");
+
+        // An 8×8 patch grid runs the 3-layer front 64 times; the sliced
+        // operators of interior and border tiles take 6 shapes.
+        let dep = deploy(
+            &zoo::wide_expand_chain(),
+            PlannerKind::VmcuPatched(IbScheme::RowBuffer),
+            Device::stm32_f411re(),
+        );
+        let front = dep.patch_plan().and_then(|p| p.front.as_ref());
+        let grid = front.expect("the front is patched").grid();
+        assert_eq!((grid.gy, grid.gx), (8, 8));
+        assert_eq!(counted(&dep), (192, 6), "tile-stage sites, certificates");
     }
 }

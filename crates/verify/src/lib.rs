@@ -17,9 +17,12 @@
 //!    event bound), matches what the plan carries.
 //!
 //! Findings are typed [`Violation`]s with the offending layer and byte
-//! range; a clean [`AuditReport`] is the certification. Mutation tests
-//! (corrupted base, shrunk distance, dropped free) keep the checker
-//! honest — see `tests/verify_props.rs` and docs/VERIFY.md.
+//! range; a clean [`AuditReport`] is the certification. [`audit()`] is
+//! the entry point: each call derives what depends on a layer alone once
+//! per distinct layer, and checks every site the layer appears at
+//! against it. Mutation tests (corrupted base, shrunk distance, dropped
+//! free) keep the checker honest — see `tests/verify_props.rs` and
+//! docs/VERIFY.md.
 //!
 //! # Example
 //!
@@ -42,10 +45,7 @@ pub mod replay;
 pub mod schedule;
 pub mod violation;
 
-pub use audit::{
-    audit, audit_chain_plan, audit_fused_group, audit_fusion_plan, audit_node, audit_patch_plan,
-    audit_split_plan,
-};
+pub use audit::{audit, audit_chain_plan};
 pub use replay::{
     check_distance, derive_min_distance, replay_layer, solver_min_distance, LayerSpec, PoolModel,
 };

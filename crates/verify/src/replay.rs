@@ -348,6 +348,18 @@ pub fn check_distance(
 ) -> Vec<Violation> {
     let derived = derive_min_distance(in_len, events);
     let solver = solver_min_distance(in_len, events);
+    distance_violations(site, planned, derived, solver)
+}
+
+/// [`check_distance`]'s verdict on `planned` from the trace's minimum
+/// distance already derived by replay (`derived`) and by the solver
+/// bound (`solver`).
+pub(crate) fn distance_violations(
+    site: &str,
+    planned: i64,
+    derived: i64,
+    solver: i64,
+) -> Vec<Violation> {
     let mut out = Vec::new();
     if solver != derived {
         out.push(Violation::DistanceTooSmall {

@@ -94,14 +94,27 @@ impl Violation {
     /// e.g. by the split stage it was found in.
     #[must_use]
     pub fn prefixed(mut self, prefix: &str) -> Self {
+        let site = self.site_mut();
+        *site = format!("{prefix}: {site}");
+        self
+    }
+
+    /// The same finding reported at `site`, e.g. a certified layer's
+    /// replay verdict at one of the sites the layer appears.
+    #[must_use]
+    pub(crate) fn at(mut self, site: &str) -> Self {
+        *self.site_mut() = site.into();
+        self
+    }
+
+    fn site_mut(&mut self) -> &mut String {
         let (Violation::Clobber { site, .. }
         | Violation::OutOfBounds { site, .. }
         | Violation::Leak { site, .. }
         | Violation::DoubleFree { site, .. }
         | Violation::DistanceTooSmall { site, .. }
-        | Violation::UseAfterFree { site, .. }) = &mut self;
-        *site = format!("{prefix}: {site}");
-        self
+        | Violation::UseAfterFree { site, .. }) = self;
+        site
     }
 
     /// Stable kind tag (the taxonomy of docs/VERIFY.md).

@@ -213,3 +213,53 @@ proptest! {
         }
     }
 }
+
+/// Mutation class: shrunk distance at one occurrence of a repeated
+/// layer. An audit certifies each distinct layer once and every site
+/// reads that certificate, so the check of the planned distance must
+/// still run at each site: shrinking the chained distance at one
+/// occurrence (the first, which derives the certificate, or a later one,
+/// which reads it) must give `DistanceTooSmall` at exactly that site and
+/// nothing at the layer's other sites.
+#[test]
+fn shrunk_distance_at_one_occurrence_of_a_repeated_layer_is_detected() {
+    let graph = zoo::hires_split_only();
+    let layers = graph.layers();
+    let plan = plan_chain(&graph, IbScheme::RowBuffer);
+    let device = Device::stm32_f767zi();
+    let (clean, _) = audit_chain_plan(&graph, &plan, IbScheme::RowBuffer, &device);
+    assert!(
+        clean.is_empty(),
+        "unmutated plan must audit clean: {clean:?}"
+    );
+    let site = |i: usize| format!("chain layer {i} ({})", layers[i].kind());
+    let mut mutated = 0;
+    for i in 0..layers.len() {
+        let others: Vec<usize> = (0..layers.len())
+            .filter(|&j| j != i && layers[j] == layers[i])
+            .collect();
+        if others.is_empty() {
+            continue;
+        }
+        let mut shrunk = plan.clone();
+        shrunk.distances[i] -= 1;
+        for idx in 0..shrunk.distances.len() {
+            shrunk.bases[idx + 1] = shrunk.bases[idx] - shrunk.distances[idx];
+        }
+        let (v, _) = audit_chain_plan(&graph, &shrunk, IbScheme::RowBuffer, &device);
+        let too_small: Vec<&str> = v
+            .iter()
+            .filter(|x| matches!(x, Violation::DistanceTooSmall { .. }))
+            .map(Violation::site)
+            .collect();
+        assert_eq!(too_small, [site(i)], "layer {i} shrunk: {v:?}");
+        for j in others {
+            assert!(
+                v.iter().all(|x| x.site() != site(j)),
+                "layer {i} shrunk, its occurrence {j} flagged: {v:?}"
+            );
+        }
+        mutated += 1;
+    }
+    assert_eq!(mutated, 21, "every block layer repeats seven times");
+}
