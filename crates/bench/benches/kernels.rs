@@ -106,6 +106,26 @@ fn bench_patched_inference(c: &mut Criterion) {
     g.bench_function("wide-expand-chain/VmcuPatched", |b| {
         b.iter(|| session.infer(black_box(&input)).unwrap());
     });
+    // ImageNet B4 on the F767ZI: the module whose inference sets the
+    // repository benchmark's `infer_ms_p99`, most of its MACs in
+    // depthwise taps.
+    let b4 = &zoo::mcunet_320kb_imagenet()[3];
+    let graph = Graph::linear(b4.name, vec![LayerDesc::Ib(b4.params)]).unwrap();
+    let weights = graph.random_weights(11);
+    let input = random::tensor_i8(&graph.in_shape(), 12);
+    for (name, kind) in [
+        ("Vmcu(RowBuffer)", PlannerKind::Vmcu(IbScheme::RowBuffer)),
+        ("TinyEngine", PlannerKind::TinyEngine),
+    ] {
+        let mut session = Engine::new(Device::stm32_f767zi())
+            .planner(kind)
+            .deploy(&graph, &weights)
+            .unwrap()
+            .session();
+        g.bench_function(format!("B4/{name}"), |b| {
+            b.iter(|| session.infer(black_box(&input)).unwrap());
+        });
+    }
     g.finish();
 }
 

@@ -1,5 +1,7 @@
-//! Criterion micro-benchmarks for the host-side hot loops this PR series
-//! optimizes: the register-tiled `dot_tile_u8` GEMM micro-kernel and the
+//! Criterion micro-benchmarks for the simulator's host-side hot loops:
+//! the `Dot` core every host MAC runs through (timed via `dot_tile_u8`,
+//! four rows deep over weights widened to `i16` once, outside the timed
+//! loop, as the kernels widen each Flash image once per call) and the
 //! fused-chain row schedule. These measure how fast the *simulator*
 //! executes on the host — the Rust-level cost of one simulated inference
 //! — not simulated MCU cycles.
@@ -10,7 +12,7 @@ use vmcu::prelude::*;
 use vmcu::vmcu_kernels::fused_chain::{
     chain_exec_distance, chain_workspace_bytes, run_fused_chain, FusedChain,
 };
-use vmcu::vmcu_kernels::intrinsics::dot_tile_u8;
+use vmcu::vmcu_kernels::intrinsics::{dot_tile_u8, widen};
 use vmcu::vmcu_kernels::trace::pool_window;
 use vmcu::vmcu_kernels::{ChainOp, PointwiseParams};
 use vmcu::vmcu_pool::SegmentPool;
@@ -22,6 +24,7 @@ fn bench_dot_tile(c: &mut Criterion) {
     g.sample_size(10);
     let a: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
     let b_mat: Vec<u8> = (0..64 * 16u32).map(|i| (i * 91 + 5) as u8).collect();
+    let b_mat = widen(&b_mat);
     let dev = Device::stm32_f767zi();
     g.bench_function("ki64-ni16-x256", |bch| {
         let mut m = Machine::new(dev.clone());

@@ -23,7 +23,7 @@ use std::time::Instant;
 use vmcu::vmcu_pool::SegmentPool;
 use vmcu_bench::json::Json;
 use vmcu_kernels::conv2d::run_conv2d;
-use vmcu_kernels::intrinsics::dot_tile_lanes;
+use vmcu_kernels::intrinsics::{dot_tile_lanes, widen};
 use vmcu_kernels::params::Conv2dParams;
 use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::ChainOp;
@@ -48,6 +48,7 @@ fn dot_cycles_per_mac(device: &Device, lanes: u64) -> f64 {
     let mut m = Machine::new(device.clone());
     let a: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
     let b: Vec<u8> = (0..64 * 8u32).map(|i| (i * 91 + 5) as u8).collect();
+    let b = widen(&b);
     let mut acc = [0i32; 8];
     for _ in 0..64 {
         dot_tile_lanes(&mut m, &a, &b, 8, &mut acc, true, lanes);

@@ -6,7 +6,7 @@
 //! row's window can touch them, which is what lets the output chase the
 //! input through the circular pool.
 
-use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate, read_weights, requant_into, tiles};
 use crate::params::Conv2dParams;
 use crate::trace::{free_upto, push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
@@ -50,8 +50,9 @@ pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
 /// loading every in-bounds tap's input segments through the pool and the
 /// matching weight rows from Flash per tile; the counters charge exactly
 /// that. The host reads the weights once per call — Flash is immutable
-/// during an inference — and per pixel does one checked pool read per
-/// tap, one `K`-lane dot per tap, one requant and one checked store,
+/// during an inference — widened to `i16`, and per pixel does one
+/// checked pool read per tap, one `K`-lane dot per tap, one requant and
+/// one checked store,
 /// then adds the pixel's price: the fixed part, `tap * taps`, and each
 /// segment access at its own wrap split.
 ///
@@ -69,7 +70,7 @@ pub fn run_conv2d(
 ) -> Result<(), PoolError> {
     let (p_out, q_out) = (p.out_h(), p.out_w());
     let tap_bytes = p.c * p.k;
-    let weights = m.flash.read(w_base, p.r * p.s * tap_bytes)?;
+    let weights = read_weights(m, w_base, p.r * p.s * tap_bytes)?;
     let cost = m.device.cost;
     // Per in-bounds tap, apart from its pool loads: for every output
     // tile and input segment, one FlashLoad per weight row, a fully
@@ -114,7 +115,7 @@ pub fn run_conv2d(
                     let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
                     let a = pool.read_span(m, in_addr, &mut a_reg)?;
                     let w = &weights[(ri * p.s + si) * tap_bytes..][..tap_bytes];
-                    dot_accumulate_u8(a, w, p.k, &mut acc);
+                    dot_accumulate(a, w, p.k, &mut acc);
                     for (c0, cw) in tiles(p.c, p.seg) {
                         loads += pool.price_load(&cost, in_addr + c0 as i64, cw);
                     }

@@ -7,7 +7,7 @@
 //! the same bytes — the paper notes vMCU matches TinyEngine's in-place
 //! optimization for these layers (§7.2).
 
-use crate::intrinsics::{broadcast_cycles, requant_into};
+use crate::intrinsics::{broadcast_cycles, read_weights, requant_into, tap_accumulate};
 use crate::params::DepthwiseParams;
 use crate::trace::{free_upto, push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
@@ -49,9 +49,9 @@ pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
 /// The device loads each in-bounds tap's input pixel through the pool
 /// and its `C` weights from Flash; the counters charge exactly that. The
 /// host reads the weights once per call — Flash is immutable during an
-/// inference — and each tap in place through a checked pool read, and
-/// adds per pixel the fixed price, `tap * taps` and each pool access at
-/// its own wrap split.
+/// inference — widened to `i16`, and each tap in place through a checked
+/// pool read, and adds per pixel the fixed price, `tap * taps` and each
+/// pool access at its own wrap split.
 ///
 /// # Errors
 ///
@@ -66,7 +66,7 @@ pub fn run_depthwise(
     w_base: usize,
 ) -> Result<(), PoolError> {
     let (p_out, q_out) = (p.out_h(), p.out_w());
-    let weights = m.flash.read(w_base, p.r * p.s * p.c)?;
+    let weights = read_weights(m, w_base, p.r * p.s * p.c)?;
     let (cost, c) = (m.device.cost, p.c as u64);
     // Per in-bounds tap, apart from its pool load: the weight row's
     // FlashLoad and one fully unrolled `C`-lane MAC tile. `tap * taps`
@@ -101,10 +101,7 @@ pub fn run_depthwise(
                     }
                     let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
                     let a = pool.read_span(m, in_addr, &mut a_reg)?;
-                    let w = &weights[(ri * p.s + si) * p.c..][..p.c];
-                    for ((acc, &a), &w) in acc.iter_mut().zip(a).zip(w) {
-                        *acc += i32::from(a as i8) * i32::from(w as i8);
-                    }
+                    tap_accumulate(&mut acc, a, &weights[(ri * p.s + si) * p.c..][..p.c]);
                     price += pool.price_load(&cost, in_addr, p.c);
                     taps += 1;
                 }

@@ -12,7 +12,7 @@
 //! planner places the output at its [`exec_distance`](crate::trace::exec_distance)
 //! ([`ChainOp::exec_distance`](crate::ChainOp::exec_distance)).
 
-use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into, tiles};
+use crate::intrinsics::{broadcast_cycles, dot_accumulate, read_weights, requant_into, tiles};
 use crate::params::FcParams;
 use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
@@ -81,11 +81,12 @@ fn fc_row_price(cost: &CostModel, p: &FcParams) -> Counters {
 /// The device moves one `seg`-byte segment per access: each output tile
 /// reloads the row's input segments and streams its weight tile from
 /// Flash; the counters charge exactly that. The host reads the weights
-/// once per call — Flash is immutable during an inference — and per row
-/// does one checked pool read of the input row, one `N`-lane dot, one
-/// requant and one checked store, then adds the row's price: the fixed
-/// part (splats, weight FlashLoads, MAC tiles, requant, back-edges)
-/// plus each segment access at its own wrap split.
+/// once per call — Flash is immutable during an inference — and widens
+/// them to `i16` there, so no MAC sign-extends a weight byte again; per
+/// row it does one checked pool read of the input row, one `N`-lane dot,
+/// one requant and one checked store, then adds the row's price: the
+/// fixed part (splats, weight FlashLoads, MAC tiles, requant,
+/// back-edges) plus each segment access at its own wrap split.
 ///
 /// # Errors
 ///
@@ -100,7 +101,7 @@ pub fn run_fc(
     b_out: i64,
     w_base: usize,
 ) -> Result<(), PoolError> {
-    let weights = m.flash.read(w_base, p.k * p.n)?;
+    let weights = read_weights(m, w_base, p.k * p.n)?;
     let cost = m.device.cost;
     let row_price = fc_row_price(&cost, p);
     // Every output tile reloads the whole input row.
@@ -112,7 +113,7 @@ pub fn run_fc(
         let (row_in, row_out) = (b_in + (mi * p.k) as i64, b_out + (mi * p.n) as i64);
         let a = pool.read_span(m, row_in, &mut a_reg)?;
         acc.fill(0);
-        dot_accumulate_u8(a, &weights, p.n, &mut acc);
+        dot_accumulate(a, &weights, p.n, &mut acc);
         requant_into(&acc, p.rq, p.clamp, &mut out_reg);
         pool.store_span(m, &out_reg, row_out)?;
         // RAMFree of the fully consumed input row.

@@ -22,7 +22,9 @@
 use crate::conv2d::conv2d_exec_trace;
 use crate::depthwise::depthwise_exec_trace;
 use crate::fc::fc_exec_trace;
-use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
+use crate::intrinsics::{
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+};
 use crate::params::{Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
 use crate::trace::{exec_distance, push_event, ExecEvent};
 use std::fmt;
@@ -403,12 +405,12 @@ struct Ring {
 
 /// Execution context shared by every row computation of one chain run:
 /// the chain, its ring placements, every operator's weights (read once
-/// per run — Flash is immutable during an inference), and the
-/// chain-input pool address.
+/// per run — Flash is immutable during an inference — and widened to
+/// `i16`), and the chain-input pool address.
 struct ChainExec<'a> {
     chain: &'a FusedChain,
     rings: Vec<Ring>,
-    weights: Vec<Vec<u8>>,
+    weights: Vec<Vec<i16>>,
     b_in: i64,
     cost: CostModel,
 }
@@ -477,7 +479,7 @@ impl ChainExec<'_> {
                 for x in 0..p.w {
                     let (a, load) = self.read(m, pool, op_idx, row, x * p.c, p.c, &mut regs.a)?;
                     acc.fill(0);
-                    dot_accumulate_u8(a, w, p.k, acc);
+                    dot_accumulate(a, w, p.k, acc);
                     requant_into(acc, p.rq, p.clamp, &mut out[x * p.k..(x + 1) * p.k]);
                     price += load + pixel;
                 }
@@ -487,7 +489,7 @@ impl ChainExec<'_> {
                 let (a, load) = self.read(m, pool, op_idx, row, 0, p.k, &mut regs.a)?;
                 let acc = &mut regs.acc[..p.n];
                 acc.fill(0);
-                dot_accumulate_u8(a, w, p.n, acc);
+                dot_accumulate(a, w, p.n, acc);
                 requant_into(acc, p.rq, p.clamp, out);
                 price += load;
                 price.charge_flash_load(cost, k * n);
@@ -520,10 +522,7 @@ impl ChainExec<'_> {
                             let at = x as usize * p.c;
                             let (a, load) =
                                 self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
-                            let wr = &w[(ri * p.s + si) * p.c..][..p.c];
-                            for ((acc, &a), &wv) in acc.iter_mut().zip(a).zip(wr) {
-                                *acc += i32::from(a as i8) * i32::from(wv as i8);
-                            }
+                            tap_accumulate(acc, a, &w[(ri * p.s + si) * p.c..][..p.c]);
                             price += load;
                             taps += 1;
                         }
@@ -559,7 +558,7 @@ impl ChainExec<'_> {
                             let (a, load) =
                                 self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
                             let wt = &w[(ri * p.s + si) * tap_bytes..][..tap_bytes];
-                            dot_accumulate_u8(a, wt, p.k, acc);
+                            dot_accumulate(a, wt, p.k, acc);
                             price += load;
                             taps += 1;
                         }
@@ -607,7 +606,7 @@ fn op_regs(op: &ChainOp) -> (usize, usize) {
 /// The device reloads each operator's weights from Flash per row (per
 /// tap for depthwise and conv2d) and each input pixel per use; the
 /// counters charge exactly that. The host reads every operator's weights
-/// once per call and its inputs in place.
+/// once per call, widened to `i16`, and its inputs in place.
 ///
 /// # Errors
 ///
@@ -651,7 +650,7 @@ pub fn run_fused_chain(
         .ops
         .iter()
         .zip(flash)
-        .map(|(op, &w_base)| m.flash.read(w_base, op_weight_bytes(op)))
+        .map(|(op, &w_base)| read_weights(m, w_base, op_weight_bytes(op)))
         .collect::<Result<Vec<_>, _>>()?;
     let exec = ChainExec {
         chain,

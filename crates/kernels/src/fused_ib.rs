@@ -23,7 +23,9 @@
 //! shared schedule ([`ib_schedule`]), so the planner's offsets are correct
 //! by construction and verified empirically by the checked pool.
 
-use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
+use crate::intrinsics::{
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+};
 use crate::params::IbParams;
 use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
@@ -188,12 +190,13 @@ pub fn ib_reference(
 }
 
 /// Host state of one fused-module run: the three weight images, read
-/// once per call (Flash is immutable during an inference), the pw1
-/// registers and the per-pixel prices apart from pool accesses.
+/// once per call (Flash is immutable during an inference) and widened to
+/// `i16` there, the pw1 registers and the per-pixel prices apart from
+/// pool accesses.
 struct IbHost {
-    w1: Vec<u8>,
-    wdw: Vec<u8>,
-    w2: Vec<u8>,
+    w1: Vec<i16>,
+    wdw: Vec<i16>,
+    w2: Vec<i16>,
     a_reg: Vec<u8>,
     acc_mid: Vec<i32>,
     /// One expanded pixel: the `[C_in, C_mid]` tile's FlashLoad, the
@@ -234,9 +237,9 @@ impl IbHost {
         }
         out.charge_branches(&cost, 1);
         Ok(Self {
-            w1: m.flash.read(flash.w1, p.c_in * p.c_mid)?,
-            wdw: m.flash.read(flash.wdw, p.rs * p.rs * p.c_mid)?,
-            w2: m.flash.read(flash.w2, p.c_mid * p.c_out)?,
+            w1: read_weights(m, flash.w1, p.c_in * p.c_mid)?,
+            wdw: read_weights(m, flash.wdw, p.rs * p.rs * p.c_mid)?,
+            w2: read_weights(m, flash.w2, p.c_mid * p.c_out)?,
             a_reg: vec![0u8; p.c_in],
             acc_mid: vec![0i32; p.c_mid],
             expand,
@@ -262,7 +265,7 @@ impl IbHost {
         let addr = b_in + ((y * p.hw + x) * p.c_in) as i64;
         let a = pool.read_span(m, addr, &mut self.a_reg)?;
         self.acc_mid.fill(0);
-        dot_accumulate_u8(a, &self.w1, p.c_mid, &mut self.acc_mid);
+        dot_accumulate(a, &self.w1, p.c_mid, &mut self.acc_mid);
         requant_into(&self.acc_mid, p.rq1, p.clamp1, b_pixel);
         m.ram.write(ws, b_pixel)?;
         m.counters += self.expand + pool.price_load(&m.device.cost, addr, p.c_in);
@@ -281,8 +284,9 @@ impl IbHost {
 /// The device streams the `[C_in, C_mid]` tile per expanded pixel, one
 /// workspace pixel and one weight row per depthwise tap and the
 /// `[C_mid, C_out]` tile per output pixel; the counters charge exactly
-/// that. The host reads the three weight images once per call and the
-/// taps in place, and adds `tap * taps` per output pixel.
+/// that. The host reads the three weight images once per call, widened
+/// to `i16`, and the taps in place, and adds `tap * taps` per output
+/// pixel.
 ///
 /// # Errors
 ///
@@ -397,16 +401,14 @@ pub fn run_fused_ib(
                         };
                         let bv = m.ram.read(ws_addr, p.c_mid)?;
                         let w = &host.wdw[(r * p.rs + s) * p.c_mid..][..p.c_mid];
-                        for ((acc, &bv), &w) in acc_mid.iter_mut().zip(bv).zip(w) {
-                            *acc += i32::from(bv as i8) * i32::from(w as i8);
-                        }
+                        tap_accumulate(&mut acc_mid, bv, w);
                         taps += 1;
                     }
                 }
                 requant_into(&acc_mid, p.rq2, p.clamp2, &mut c_pixel);
                 // Project (pw2).
                 acc_out.fill(0);
-                dot_accumulate_u8(&c_pixel, &host.w2, p.c_out, &mut acc_out);
+                dot_accumulate(&c_pixel, &host.w2, p.c_out, &mut acc_out);
                 requant_into(&acc_out, p.rq3, p.clamp3, &mut d_pixel);
                 let mut price = host.out + host.tap * taps;
                 // Residual add with the original A pixel.

@@ -10,8 +10,15 @@
 //! * [`broadcast`] — register splat (`PKHBT` on ARM);
 //! * [`requant_row`] — the int32→int8 epilogue shared with the reference
 //!   operators, charged at a few cycles per element.
+//!
+//! Every host MAC runs through two uncharged loops: the `Dot` core
+//! behind [`dot_tile_u8`] and [`dot_tile_lanes`], and [`tap_accumulate`],
+//! one depthwise tap. Both take weights already sign-extended to `i16`
+//! ([`widen`]) — as `SXTB16` widens int8 to 16-bit lanes once before
+//! `SMLAD` streams them — so the kernels widen each weight image once
+//! per call, where they read it from Flash.
 
-use vmcu_sim::Machine;
+use vmcu_sim::{Machine, MemError};
 use vmcu_tensor::Requant;
 
 /// Cycles per element the requantization epilogue costs on the original
@@ -40,6 +47,35 @@ pub fn dot_tile(
     acc: &mut [i32],
     fully_unrolled: bool,
 ) {
+    let a: Vec<u8> = a.iter().map(|&v| v as u8).collect();
+    let b: Vec<i16> = b.iter().map(|&v| i16::from(v)).collect();
+    dot_tile_u8(m, &a, &b, b_stride, acc, fully_unrolled);
+}
+
+/// Sign-extends an int8 image stored as `u8` bytes to `i16` lanes — the
+/// `SXTB16` half of `Dot`, done once per weight image so that every MAC
+/// after it streams ready 16-bit operands.
+pub fn widen(bytes: &[u8]) -> Vec<i16> {
+    bytes.iter().map(|&v| i16::from(v as i8)).collect()
+}
+
+/// Reads the `len`-byte weight image at Flash address `base`, widened
+/// ([`widen`]); charges nothing. Kernels read each image once per call —
+/// Flash is immutable during an inference — and price the device's
+/// per-tile `FlashLoad`s themselves.
+pub(crate) fn read_weights(m: &Machine, base: usize, len: usize) -> Result<Vec<i16>, MemError> {
+    Ok(widen(&m.flash.read(base, len)?))
+}
+
+/// The one host `Dot` core: `acc[n] += Σ_k a[k] · b[k·b_stride + n]`,
+/// with `a` int8 values in `u8` registers and `b` int8 weights widened
+/// to `i16` ([`widen`]); charges nothing. The lanes are register-blocked
+/// (16, then 8, 4 and single lanes): a block's accumulators stay in
+/// registers for the whole reduction, and each lane adds its products in
+/// ascending `k` exactly as a scalar loop does. An int8 product is exact
+/// in `i16`; nothing saturates: the `i32` adds wrap in release builds and
+/// panic on overflow in debug ones, as the scalar loop's do.
+pub(crate) fn dot_accumulate(a: &[u8], b: &[i16], b_stride: usize, acc: &mut [i32]) {
     let ki = a.len();
     let ni = acc.len();
     if ki == 0 || ni == 0 {
@@ -51,77 +87,75 @@ pub fn dot_tile(
         (ki - 1) * b_stride + ni,
         b.len()
     );
-    for (k, &av) in a.iter().enumerate() {
-        let row = &b[k * b_stride..k * b_stride + ni];
-        for (n, accv) in acc.iter_mut().enumerate() {
-            *accv += i32::from(av) * i32::from(row[n]);
-        }
-    }
-    m.charge_macs((ki * ni) as u64, fully_unrolled);
+    let mut n0 = 0;
+    let rest = dot_blocks::<16>(a, b, b_stride, &mut n0, acc);
+    let rest = dot_blocks::<8>(a, b, b_stride, &mut n0, rest);
+    let rest = dot_blocks::<4>(a, b, b_stride, &mut n0, rest);
+    dot_blocks::<1>(a, b, b_stride, &mut n0, rest);
 }
 
-/// Functional core of the byte-slice `Dot` variants: accumulates
-/// `acc[n] += Σ_k a[k] · b[k·b_stride + n]` reading int8 values straight
-/// from `u8` storage, charging nothing. The reduction is register-tiled
-/// four rows deep (`chunks_exact`), keeping each accumulator lane's
-/// addition order identical to the scalar `dot_tile` loop — bit-exact,
-/// just without the per-tile `Vec` conversions and per-element bounds
-/// checks the naive loop pays on the host. Kernels that price their dots
-/// separately (the TinyEngine baseline) call it directly.
-pub(crate) fn dot_accumulate_u8(a: &[u8], b: &[u8], b_stride: usize, acc: &mut [i32]) {
-    let ki = a.len();
-    let ni = acc.len();
-    if ki == 0 || ni == 0 {
-        return;
+/// Runs [`dot_accumulate`] over every whole `L`-lane block of `acc`,
+/// whose first lane is lane `n0` of the tile, advancing `n0`; returns
+/// the lanes left over.
+#[inline(always)]
+fn dot_blocks<'a, const L: usize>(
+    a: &[u8],
+    b: &[i16],
+    b_stride: usize,
+    n0: &mut usize,
+    acc: &'a mut [i32],
+) -> &'a mut [i32] {
+    let mut blocks = acc.chunks_exact_mut(L);
+    for block in &mut blocks {
+        let mut s: [i32; L] = (&*block).try_into().expect("an L-lane block");
+        for (k, &av) in a.iter().enumerate() {
+            let av = i16::from(av as i8);
+            let row: &[i16; L] = b[k * b_stride + *n0..][..L]
+                .try_into()
+                .expect("an L-lane row");
+            for (s, &w) in s.iter_mut().zip(row) {
+                *s += i32::from(av * w);
+            }
+        }
+        block.copy_from_slice(&s);
+        *n0 += L;
     }
+    blocks.into_remainder()
+}
+
+/// One depthwise tap: `acc[c] += a[c] · w[c]` for every channel, with `a`
+/// int8 values in `u8` registers and `w` the tap's int8 weight row
+/// widened by [`widen`]; charges nothing (the kernels price each tap).
+/// Products and adds are taken as in [`dot_tile_u8`].
+///
+/// # Panics
+///
+/// Panics unless `acc`, `a` and `w` have the same length.
+pub fn tap_accumulate(acc: &mut [i32], a: &[u8], w: &[i16]) {
     assert!(
-        (ki - 1) * b_stride + ni <= b.len(),
-        "weight tile too small: need {} have {}",
-        (ki - 1) * b_stride + ni,
-        b.len()
+        a.len() == acc.len() && w.len() == acc.len(),
+        "tap lengths differ: acc {} a {} w {}",
+        acc.len(),
+        a.len(),
+        w.len()
     );
-    let mut chunks = a.chunks_exact(4);
-    let mut k = 0;
-    for ch in &mut chunks {
-        let a0 = i32::from(ch[0] as i8);
-        let a1 = i32::from(ch[1] as i8);
-        let a2 = i32::from(ch[2] as i8);
-        let a3 = i32::from(ch[3] as i8);
-        let r0 = &b[k * b_stride..k * b_stride + ni];
-        let r1 = &b[(k + 1) * b_stride..(k + 1) * b_stride + ni];
-        let r2 = &b[(k + 2) * b_stride..(k + 2) * b_stride + ni];
-        let r3 = &b[(k + 3) * b_stride..(k + 3) * b_stride + ni];
-        for (n, accv) in acc.iter_mut().enumerate() {
-            // In-order per-lane adds: identical arithmetic to the scalar
-            // k-loop. Nothing saturates: the `i32` adds wrap in release
-            // builds and panic on overflow in debug ones, exactly as the
-            // scalar loop's do.
-            let mut s = *accv;
-            s += a0 * i32::from(r0[n] as i8);
-            s += a1 * i32::from(r1[n] as i8);
-            s += a2 * i32::from(r2[n] as i8);
-            s += a3 * i32::from(r3[n] as i8);
-            *accv = s;
-        }
-        k += 4;
-    }
-    for &av in chunks.remainder() {
-        let av = i32::from(av as i8);
-        let row = &b[k * b_stride..k * b_stride + ni];
-        for (n, accv) in acc.iter_mut().enumerate() {
-            *accv += av * i32::from(row[n] as i8);
-        }
-        k += 1;
+    for ((accv, &a), &w) in acc.iter_mut().zip(a).zip(w) {
+        *accv += i32::from(i16::from(a as i8) * w);
     }
 }
 
-/// `Dot` over raw `u8` register buffers (the kernels' staging format):
-/// identical semantics and charging to [`dot_tile`], without the
-/// `Vec<i8>` conversion copies the hot loops used to pay per tile.
+/// `Dot` over `u8` activation registers (the kernels' staging format)
+/// and widened weights ([`widen`]): identical semantics and charging to
+/// [`dot_tile`]. `b` holds int8 values, as [`widen`] returns them: each
+/// product is taken in `i16`, where a wider weight could overflow.
+///
+/// # Panics
+///
+/// Panics if `b` is too short for the access pattern.
 pub fn dot_tile_u8(
     m: &mut Machine,
     a: &[u8],
-    b: &[u8],
+    b: &[i16],
     b_stride: usize,
     acc: &mut [i32],
     fully_unrolled: bool,
@@ -130,7 +164,7 @@ pub fn dot_tile_u8(
     if ki == 0 || ni == 0 {
         return;
     }
-    dot_accumulate_u8(a, b, b_stride, acc);
+    dot_accumulate(a, b, b_stride, acc);
     m.charge_macs((ki * ni) as u64, fully_unrolled);
 }
 
@@ -140,10 +174,14 @@ pub fn dot_tile_u8(
 /// lowering would issue it — `lanes_used = 1` prices the scalar lowering
 /// a capability-unaware compiler emits, `lanes_used = device lanes` the
 /// fully vectorized one.
+///
+/// # Panics
+///
+/// Panics if `b` is too short for the access pattern.
 pub fn dot_tile_lanes(
     m: &mut Machine,
     a: &[u8],
-    b: &[u8],
+    b: &[i16],
     b_stride: usize,
     acc: &mut [i32],
     fully_unrolled: bool,
@@ -153,7 +191,7 @@ pub fn dot_tile_lanes(
     if ki == 0 || ni == 0 {
         return;
     }
-    dot_accumulate_u8(a, b, b_stride, acc);
+    dot_accumulate(a, b, b_stride, acc);
     m.charge_macs_lanes((ki * ni) as u64, fully_unrolled, lanes_used);
     if lanes_used > 1 {
         // Fixed per-tile register packing setup (SXTB16 widening /
@@ -272,6 +310,7 @@ mod tests {
             let b: Vec<u8> = (0..ki * ni).map(|i| (i * 91 + 5) as u8).collect();
             let a_i8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
             let b_i8: Vec<i8> = b.iter().map(|&v| v as i8).collect();
+            let b = widen(&b);
             let mut m1 = machine();
             let mut m2 = machine();
             let mut acc1 = vec![7i32; ni];
@@ -286,7 +325,7 @@ mod tests {
     #[test]
     fn dot_tile_lanes_native_width_matches_dot_tile_u8_plus_packing() {
         let a: Vec<u8> = (0..16u8).collect();
-        let b: Vec<u8> = (0..32u8).collect();
+        let b = widen(&(0..32u8).collect::<Vec<_>>());
         let mut base = machine();
         let mut lanes = machine();
         let mut acc1 = [0i32; 2];
@@ -305,7 +344,7 @@ mod tests {
     #[test]
     fn scalar_lane_charging_costs_roughly_the_lane_ratio_more() {
         let a = [1u8; 64];
-        let b = [2u8; 128];
+        let b = [2i16; 128];
         let mut scalar = machine();
         let mut vector = machine();
         let mut acc = [0i32; 2];

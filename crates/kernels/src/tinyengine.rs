@@ -24,12 +24,15 @@
 //! is free as long as that holds. [`run_pointwise_te`] computes a whole
 //! pixel's `K` outputs in one pass and adds the pixel's tile sequence,
 //! priced once per layer, per pixel; [`run_depthwise_te_inplace`] reads
-//! its weights once per layer and each ring tap in place, and adds the
-//! per-tap and per-pixel charges. `tests/tinyengine_props.rs` holds this:
+//! each ring tap in place and adds the per-tap and per-pixel charges.
+//! Both read their weights once per layer, widened to `i16`, so no MAC
+//! sign-extends a weight byte again. `tests/tinyengine_props.rs` holds this:
 //! it keeps the per-tile and per-tap loops as oracles and requires the
 //! same RAM image and the same `Counters` from both.
 
-use crate::intrinsics::{broadcast_cycles, dot_accumulate_u8, requant_into};
+use crate::intrinsics::{
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+};
 use crate::params::{DepthwiseParams, IbParams, PointwiseParams};
 use vmcu_sim::{CostModel, Counters, Machine, MemError};
 use vmcu_tensor::quant::sat8;
@@ -79,7 +82,8 @@ fn pointwise_pixel_charge(cost: &CostModel, c: usize, k: usize) -> Counters {
 /// The device streams the weights and reloads the im2col row per column
 /// tile; the counters charge exactly that ([`TE_COL_TILE`]). The host
 /// reads the weights once per layer — Flash is immutable during an
-/// inference — and computes each pixel's `K` outputs in one dot.
+/// inference — widened to `i16`, and computes each pixel's `K` outputs
+/// in one dot.
 ///
 /// # Errors
 ///
@@ -93,7 +97,7 @@ pub fn run_pointwise_te(
     w_base: usize,
 ) -> Result<(), MemError> {
     let (h_out, w_out) = ((p.h - 1) / stride + 1, (p.w - 1) / stride + 1);
-    let weights = m.flash.read(w_base, p.c * p.k)?;
+    let weights = read_weights(m, w_base, p.c * p.k)?;
     let pixel = pointwise_pixel_charge(&m.device.cost, p.c, p.k);
     let mut acc = vec![0i32; p.k];
     let mut out_reg = vec![0u8; p.k];
@@ -110,7 +114,7 @@ pub fn run_pointwise_te(
         for qi in 0..w_out {
             let a = m.ram.read(layout.im2col + qi * p.c, p.c)?;
             acc.fill(0);
-            dot_accumulate_u8(a, &weights, p.k, &mut acc);
+            dot_accumulate(a, &weights, p.k, &mut acc);
             requant_into(&acc, p.rq, p.clamp, &mut out_reg);
             m.ram
                 .write(layout.output + (pi * w_out + qi) * p.k, &out_reg)?;
@@ -149,8 +153,8 @@ pub fn dw_stages_whole_input(p: &DepthwiseParams) -> bool {
 ///
 /// The device loads each in-bounds tap's ring pixel and `C` weights; the
 /// counters charge exactly that. The host reads the `R·S·C` weights once
-/// per layer — Flash is immutable during an inference — and each ring
-/// tap in place.
+/// per layer — Flash is immutable during an inference — widened to
+/// `i16`, and each ring tap in place.
 ///
 /// # Errors
 ///
@@ -165,7 +169,7 @@ pub fn run_depthwise_te_inplace(
 ) -> Result<(), MemError> {
     let (h_out, w_out) = (p.out_h(), p.out_w());
     let row_bytes = p.w * p.c;
-    let weights = m.flash.read(w_base, p.r * p.s * p.c)?;
+    let weights = read_weights(m, w_base, p.r * p.s * p.c)?;
     let (cost, c) = (m.device.cost, p.c as u64);
     // Per in-bounds tap: the ring RAMLoad, the weight FlashLoad and one
     // `C`-lane MAC tile at fixed-depth unrolling. `tap * taps` keeps each
@@ -215,10 +219,7 @@ pub fn run_depthwise_te_inplace(
                         ring + ((y as usize % ring_rows) * p.w + x as usize) * p.c,
                         p.c,
                     )?;
-                    let w = &weights[(ri * p.s + si) * p.c..][..p.c];
-                    for ((acc, &a), &w) in acc.iter_mut().zip(a).zip(w) {
-                        *acc += i32::from(a as i8) * i32::from(w as i8);
-                    }
+                    tap_accumulate(&mut acc, a, &weights[(ri * p.s + si) * p.c..][..p.c]);
                     taps += 1;
                 }
             }

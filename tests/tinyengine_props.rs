@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use std::mem::discriminant;
-use vmcu::vmcu_kernels::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use vmcu::vmcu_kernels::intrinsics::{broadcast, dot_tile_u8, requant_row, widen};
 use vmcu::vmcu_kernels::params::{DepthwiseParams, IbParams, PointwiseParams};
 use vmcu::vmcu_kernels::tinyengine::{
     dw_stages_whole_input, run_add_te_inplace, run_depthwise_te_inplace, run_ib_te,
@@ -54,6 +54,7 @@ fn definition_pointwise_te(
         for qi in 0..w_out {
             // Whole weight matrix streamed from Flash per pixel.
             m.flash_load(w_base, &mut w_full)?;
+            let w_full = widen(&w_full);
             let mut k0 = 0;
             while k0 < p.k {
                 let kw = TE_COL_TILE.min(p.k - k0);

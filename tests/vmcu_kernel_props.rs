@@ -17,6 +17,13 @@
 //! with the same error (or both succeed as above). This file is the gate
 //! for any edit to these kernels or to the pool's span and price
 //! helpers.
+//!
+//! Every host MAC of those kernels runs through two intrinsics, the
+//! `Dot` core (behind `dot_tile_u8` and `dot_tile_lanes`) and
+//! `tap_accumulate`, over weights widened to `i16` once per call. The
+//! last properties hold both to the per-element definition
+//! `acc[n] += Σ_k a[k]·b[k·stride + n]`, `k` ascending, on every block
+//! and remainder shape up to 40 lanes deep and wide.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -31,7 +38,9 @@ use vmcu::vmcu_kernels::fused_chain::{
 use vmcu::vmcu_kernels::fused_ib::{
     ib_schedule, ib_workspace_bytes, run_fused_ib, IbFlash, IbScheme, IbStep,
 };
-use vmcu::vmcu_kernels::intrinsics::{broadcast, dot_tile_u8, requant_row};
+use vmcu::vmcu_kernels::intrinsics::{
+    broadcast, dot_tile_lanes, dot_tile_u8, requant_row, tap_accumulate, widen,
+};
 use vmcu::vmcu_kernels::params::{
     Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
 };
@@ -82,7 +91,7 @@ fn definition_fc(
                 dot_tile_u8(
                     m,
                     &a_reg[..kw],
-                    &w_tile[..kw * nw],
+                    &widen(&w_tile[..kw * nw]),
                     nw,
                     &mut acc[..nw],
                     true,
@@ -215,7 +224,7 @@ fn definition_conv2d(
                             dot_tile_u8(
                                 m,
                                 &a_reg[..cw],
-                                &w_tile[..cw * kw],
+                                &widen(&w_tile[..cw * kw]),
                                 kw,
                                 &mut acc[..kw],
                                 true,
@@ -268,7 +277,7 @@ fn definition_expand_pixel(
     m.flash_load(flash.w1, w1_tile)?;
     let mut acc = vec![0i32; p.c_mid];
     broadcast(m, &mut acc, 0);
-    dot_tile_u8(m, &a_reg, w1_tile, p.c_mid, &mut acc, true);
+    dot_tile_u8(m, &a_reg, &widen(w1_tile), p.c_mid, &mut acc, true);
     requant_row(m, &acc, p.rq1, p.clamp1, out);
     Ok(())
 }
@@ -391,7 +400,7 @@ fn definition_fused_ib(
                 requant_row(m, &acc_mid, p.rq2, p.clamp2, &mut c_pixel);
                 broadcast(m, &mut acc_out, 0);
                 m.flash_load(flash.w2, &mut w2_tile)?;
-                dot_tile_u8(m, &c_pixel, &w2_tile, p.c_out, &mut acc_out, true);
+                dot_tile_u8(m, &c_pixel, &widen(&w2_tile), p.c_out, &mut acc_out, true);
                 requant_row(m, &acc_out, p.rq3, p.clamp3, &mut d_pixel);
                 if p.has_residual() {
                     let mut a_reg = vec![0u8; p.c_in];
@@ -474,7 +483,7 @@ fn definition_chain_row(
             for x in 0..p.w {
                 load(m, pool, row, x * p.c, &mut a)?;
                 broadcast(m, &mut acc, 0);
-                dot_tile_u8(m, &a, &w_tile, p.k, &mut acc, true);
+                dot_tile_u8(m, &a, &widen(&w_tile), p.k, &mut acc, true);
                 requant_row(m, &acc, p.rq, p.clamp, &mut out[x * p.k..(x + 1) * p.k]);
             }
         }
@@ -485,7 +494,7 @@ fn definition_chain_row(
             let mut acc = vec![0i32; p.n];
             load(m, pool, row, 0, &mut a)?;
             broadcast(m, &mut acc, 0);
-            dot_tile_u8(m, &a, &w_tile, p.n, &mut acc, true);
+            dot_tile_u8(m, &a, &widen(&w_tile), p.n, &mut acc, true);
             requant_row(m, &acc, p.rq, p.clamp, out);
         }
         ChainOp::Depthwise(p) => {
@@ -535,7 +544,7 @@ fn definition_chain_row(
                         }
                         load(m, pool, y as usize, x as usize * p.c, &mut a)?;
                         m.flash_load(w_base + (ri * p.s + si) * p.c * p.k, &mut w_tile)?;
-                        dot_tile_u8(m, &a, &w_tile, p.k, &mut acc, true);
+                        dot_tile_u8(m, &a, &widen(&w_tile), p.k, &mut acc, true);
                     }
                 }
                 requant_row(m, &acc, p.rq, p.clamp, &mut out[q * p.k..(q + 1) * p.k]);
@@ -1187,4 +1196,130 @@ fn tight_distances_fail_alike_one_byte_closer() {
         );
     }
     assert_eq!(failures, 5 * 7 * 3);
+}
+
+// ---- the host MAC intrinsics --------------------------------------------
+
+/// `len` int8 bytes in which the edges −128, −1, 0 and 127 each come up
+/// about one time in eight; the rest is seeded noise.
+fn mac_bytes(len: usize, seed: u64) -> Vec<u8> {
+    // `noise` needs a non-empty tensor, so both draw one byte more.
+    let pick = noise(len + 1, seed ^ 0x5EED);
+    noise(len + 1, seed)
+        .into_iter()
+        .zip(pick)
+        .take(len)
+        .map(|(v, pick)| match pick % 8 {
+            0 => 0x80,
+            1 => 0xFF,
+            2 => 0,
+            3 => 0x7F,
+            _ => v,
+        })
+        .collect()
+}
+
+/// Starting accumulators in `[−2^30, 2^30)`: far enough from the `i32`
+/// edges that 40 int8 products cannot overflow them.
+fn accumulators(len: usize, seed: u64) -> Vec<i32> {
+    // One byte more than needed, as in `mac_bytes`; `chunks_exact` drops it.
+    noise(4 * len + 1, seed)
+        .chunks_exact(4)
+        .map(|b| i32::from_le_bytes([b[0], b[1], b[2], b[3]]) >> 1)
+        .collect()
+}
+
+/// The per-element definition of `Dot`: `acc[n] += Σ_k a[k]·b[k·stride + n]`
+/// with `k` ascending, one int8 product at a time.
+fn definition_dot(a: &[u8], b: &[u8], stride: usize, acc: &mut [i32]) {
+    for (n, acc) in acc.iter_mut().enumerate() {
+        for (k, &a) in a.iter().enumerate() {
+            *acc += i32::from(a as i8) * i32::from(b[k * stride + n] as i8);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The `Dot` core, through both charged entry points, over every
+    /// depth and width from 0 to 40 (so every mix of 16-, 8-, 4- and
+    /// 1-lane blocks), row strides above the width and non-zero starting
+    /// accumulators: the definition's sums, and exactly the MAC charge.
+    #[test]
+    fn dot_core_matches_the_per_element_definition(
+        dims in (0usize..=40, 0usize..=40, 0usize..=8),
+        knobs in (0usize..2, 1u64..=4),
+        seed in 0u64..1_000_000,
+    ) {
+        let (k, n, pad) = dims;
+        let (unrolled, lanes) = knobs;
+        let fully_unrolled = unrolled == 1;
+        let stride = n + pad;
+        let b_len = if k == 0 { 0 } else { (k - 1) * stride + n };
+        let a = mac_bytes(k, seed);
+        let b = mac_bytes(b_len, seed + 1);
+        let mut expected = accumulators(n, seed + 2);
+        let start = expected.clone();
+        definition_dot(&a, &b, stride, &mut expected);
+        let device = Device::stm32_f767zi();
+
+        let mut m = Machine::new(device.clone());
+        let mut acc = start.clone();
+        dot_tile_u8(&mut m, &a, &widen(&b), stride, &mut acc, fully_unrolled);
+        prop_assert_eq!(&acc, &expected);
+        let mut charged = Machine::new(device.clone());
+        if k * n > 0 {
+            charged.charge_macs((k * n) as u64, fully_unrolled);
+        }
+        prop_assert_eq!(m.counters, charged.counters);
+
+        let mut m = Machine::new(device.clone());
+        let mut acc = start;
+        dot_tile_lanes(&mut m, &a, &widen(&b), stride, &mut acc, fully_unrolled, lanes);
+        prop_assert_eq!(&acc, &expected);
+        let mut charged = Machine::new(device);
+        if k * n > 0 {
+            charged.charge_macs_lanes((k * n) as u64, fully_unrolled, lanes);
+            if lanes > 1 {
+                charged.charge_cycles(charged.device.cost.simd.packing_cycles);
+            }
+        }
+        prop_assert_eq!(m.counters, charged.counters);
+    }
+
+    /// One depthwise tap over 0 to 40 channels from non-zero starting
+    /// accumulators: `acc[c] += a[c]·w[c]`, the definition at depth one.
+    #[test]
+    fn tap_matches_the_per_element_definition(
+        c in 0usize..=40,
+        seed in 0u64..1_000_000,
+    ) {
+        let a = mac_bytes(c, seed);
+        let w = mac_bytes(c, seed + 1);
+        let mut expected = accumulators(c, seed + 2);
+        let mut acc = expected.clone();
+        for (acc, (&a, &w)) in expected.iter_mut().zip(a.iter().zip(&w)) {
+            *acc += i32::from(a as i8) * i32::from(w as i8);
+        }
+        tap_accumulate(&mut acc, &a, &widen(&w));
+        prop_assert_eq!(acc, expected);
+    }
+}
+
+/// A tap whose pixel, weight row and accumulators differ in length
+/// panics instead of computing the shortest of them.
+#[test]
+fn tap_lengths_must_agree() {
+    for (acc, a, w) in [(4, 4, 3), (4, 3, 4), (3, 4, 4), (0, 0, 1)] {
+        let err = std::panic::catch_unwind(|| {
+            tap_accumulate(&mut vec![0; acc], &vec![1; a], &vec![1; w]);
+        })
+        .expect_err("mismatched tap lengths must panic");
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("tap lengths differ"), "{acc} {a} {w}: {msg}");
+    }
 }
