@@ -62,36 +62,45 @@ fn bench_fused_ib(c: &mut Criterion) {
 }
 
 /// The depthwise layer of `wide-expand-chain` (40×40×96, 3×3, stride 1),
-/// the widest depthwise of the repository benchmark's inference mix,
+/// the widest depthwise of the repository benchmark's inference mix, and
+/// the first depthwise of `hires-front-stage` (96×96×16, 3×3, stride 2),
+/// a narrow one, whose 16 channels make per-tap overhead count most,
 /// under the vMCU segment kernel and the TinyEngine in-place kernel.
 fn bench_depthwise(c: &mut Criterion) {
     let mut g = c.benchmark_group("depthwise-sim");
     g.sample_size(10);
-    let graph = zoo::wide_expand_chain();
-    let layer = graph.layers()[1].clone();
-    let w = LayerWeights::random(&layer, 7);
-    let input = random::tensor_i8(&layer.in_shape(), 8);
     let dev = Device::stm32_f767zi();
-    for (name, kind) in [
-        ("vmcu", PlannerKind::Vmcu(IbScheme::RowBuffer)),
-        ("tinyengine", PlannerKind::TinyEngine),
+    for (model, label, layer) in [
+        ("", "dw40", zoo::wide_expand_chain().layers()[1].clone()),
+        (
+            "hires-dw1/",
+            "dw96",
+            zoo::hires_front_stage().layers()[0].clone(),
+        ),
     ] {
-        g.bench_function(name, |b| {
-            let engine = Engine::new(dev.clone()).planner(kind);
-            b.iter(|| {
-                engine
-                    .run_layer("dw40", black_box(&layer), &w, &input)
-                    .unwrap()
+        let w = LayerWeights::random(&layer, 7);
+        let input = random::tensor_i8(&layer.in_shape(), 8);
+        for (name, kind) in [
+            ("vmcu", PlannerKind::Vmcu(IbScheme::RowBuffer)),
+            ("tinyengine", PlannerKind::TinyEngine),
+        ] {
+            g.bench_function(format!("{model}{name}"), |b| {
+                let engine = Engine::new(dev.clone()).planner(kind);
+                b.iter(|| {
+                    engine
+                        .run_layer(label, black_box(&layer), &w, &input)
+                        .unwrap()
+                });
             });
-        });
+        }
     }
     g.finish();
 }
 
 /// One `Session::infer` of `wide-expand-chain` under `VmcuPatched` on
 /// the F411RE: the slowest inference but one of the repository
-/// benchmark's mix, a patched front of pointwise, depthwise and
-/// pointwise slabs.
+/// benchmark's mix, so the one that sets its `infer_ms_p99`, a patched
+/// front of pointwise, depthwise and pointwise slabs.
 fn bench_patched_inference(c: &mut Criterion) {
     let mut g = c.benchmark_group("infer");
     g.sample_size(10);
@@ -106,9 +115,9 @@ fn bench_patched_inference(c: &mut Criterion) {
     g.bench_function("wide-expand-chain/VmcuPatched", |b| {
         b.iter(|| session.infer(black_box(&input)).unwrap());
     });
-    // ImageNet B4 on the F767ZI: the module whose inference sets the
-    // repository benchmark's `infer_ms_p99`, most of its MACs in
-    // depthwise taps.
+    // ImageNet B4 on the F767ZI: the next slowest calls of the
+    // repository benchmark's mix, most of their MACs in 7×7 depthwise
+    // taps.
     let b4 = &zoo::mcunet_320kb_imagenet()[3];
     let graph = Graph::linear(b4.name, vec![LayerDesc::Ib(b4.params)]).unwrap();
     let weights = graph.random_weights(11);

@@ -7,8 +7,10 @@
 //! the same bytes — the paper notes vMCU matches TinyEngine's in-place
 //! optimization for these layers (§7.2).
 
-use crate::intrinsics::{broadcast_cycles, read_weights, requant_into, tap_accumulate};
-use crate::params::DepthwiseParams;
+use crate::intrinsics::{
+    broadcast_cycles, read_weights, requant_into, reuse_runs, window_accumulate,
+};
+use crate::params::{tap_range, DepthwiseParams};
 use crate::trace::{free_upto, push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
@@ -49,9 +51,11 @@ pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
 /// The device loads each in-bounds tap's input pixel through the pool
 /// and its `C` weights from Flash; the counters charge exactly that. The
 /// host reads the weights once per call — Flash is immutable during an
-/// inference — widened to `i16`, and each tap in place through a checked
-/// pool read, and adds per pixel the fixed price, `tap * taps` and each
-/// pool access at its own wrap split.
+/// inference — widened to `i16`. Per output pixel it reads each window
+/// row's run of in-bounds taps with one checked pool read, reduces all
+/// the window's taps in the window core ([`window_accumulate`]), and
+/// adds the fixed price, `tap * taps` and each tap's pool access at its
+/// own wrap split.
 ///
 /// # Errors
 ///
@@ -80,36 +84,42 @@ pub fn run_depthwise(
     pixel.cycles += broadcast_cycles(p.c);
     pixel.charge_requant(&cost, c);
     pixel.charge_branches(&cost, 1);
-    let mut a_reg = vec![0u8; p.c];
+    // One row run of scratch per window row, for runs that wrap the pool.
+    let mut scratch = vec![0u8; p.r * p.s * p.c];
+    let (mut runs, mut w_runs) = (Vec::new(), Vec::new());
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
     let mut next_free = 0usize;
     for pi in 0..p_out {
+        let rows = tap_range(pi, p.r, p.stride, p.pad, p.h);
         for qi in 0..q_out {
-            acc.fill(0);
-            let mut price = pixel;
-            let mut taps = 0u64;
-            for ri in 0..p.r {
-                let y = (pi * p.stride + ri) as isize - p.pad as isize;
-                if y < 0 || y >= p.h as isize {
-                    continue;
-                }
-                for si in 0..p.s {
-                    let x = (qi * p.stride + si) as isize - p.pad as isize;
-                    if x < 0 || x >= p.w as isize {
-                        continue;
-                    }
-                    let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
-                    let a = pool.read_span(m, in_addr, &mut a_reg)?;
-                    tap_accumulate(&mut acc, a, &weights[(ri * p.s + si) * p.c..][..p.c]);
-                    price += pool.price_load(&cost, in_addr, p.c);
-                    taps += 1;
-                }
+            let cols = tap_range(qi, p.s, p.stride, p.pad, p.w);
+            // A window with no in-bounds column reads no row.
+            let rows = if cols.is_empty() { 0..0 } else { rows.clone() };
+            let run = cols.len() * p.c;
+            let mut price = pixel + tap * (rows.len() * cols.len()) as u64;
+            let mut a = reuse_runs(runs);
+            w_runs.clear();
+            let mut rest = &mut scratch[..];
+            for ri in rows {
+                let (y, x) = (
+                    pi * p.stride + ri - p.pad,
+                    qi * p.stride + cols.start - p.pad,
+                );
+                let in_addr = b_in + ((y * p.w + x) * p.c) as i64;
+                let (row_scratch, tail) = rest.split_at_mut(run);
+                rest = tail;
+                a.push(pool.read_span(m, in_addr, row_scratch)?);
+                w_runs.push(&weights[(ri * p.s + cols.start) * p.c..][..run]);
+                price += pool.price_loads(&cost, in_addr, cols.len(), p.c);
             }
+            acc.fill(0);
+            window_accumulate(&mut acc, &a, &w_runs);
+            runs = reuse_runs(a);
             requant_into(&acc, p.rq, p.clamp, &mut out_reg);
             let out_addr = b_out + ((pi * q_out + qi) * p.c) as i64;
             pool.store_span(m, &out_reg, out_addr)?;
-            m.counters += price + tap * taps + pool.price_store(&cost, out_addr, p.c);
+            m.counters += price + pool.price_store(&cost, out_addr, p.c);
         }
         let upto = free_upto(p.h, p_out, p.stride, p.pad, pi);
         if upto > next_free {

@@ -23,9 +23,9 @@ use crate::conv2d::conv2d_exec_trace;
 use crate::depthwise::depthwise_exec_trace;
 use crate::fc::fc_exec_trace;
 use crate::intrinsics::{
-    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, reuse_runs, window_accumulate,
 };
-use crate::params::{Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
+use crate::params::{tap_range, Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
 use crate::trace::{exec_distance, push_event, ExecEvent};
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
@@ -423,9 +423,11 @@ struct Regs {
 }
 
 impl ChainExec<'_> {
-    /// Reads `len` bytes at `offset` within row `row` of tensor `stage`
-    /// in place — a checked pool read for the chain input, the workspace
-    /// ring otherwise — with the modelled price of that `RAMLoad`.
+    /// Reads the run of `taps` consecutive `len`-byte accesses at
+    /// `offset` within row `row` of tensor `stage` in place, with one
+    /// check — a pool read for the chain input, the workspace ring
+    /// otherwise — and the modelled price of their `RAMLoad`s, each at
+    /// its own wrap split.
     #[allow(clippy::too_many_arguments)]
     fn read<'m>(
         &self,
@@ -434,20 +436,22 @@ impl ChainExec<'_> {
         stage: usize,
         row: usize,
         offset: usize,
+        taps: usize,
         len: usize,
         scratch: &'m mut [u8],
     ) -> Result<(&'m [u8], Counters), PoolError> {
+        let run = taps * len;
         if stage == 0 {
             let irb = self.chain.ops[0].in_row_bytes();
             let addr = self.b_in + (row * irb + offset) as i64;
-            let bytes = pool.read_span(m, addr, &mut scratch[..len])?;
-            Ok((bytes, pool.price_load(&self.cost, addr, len)))
+            let bytes = pool.read_span(m, addr, &mut scratch[..run])?;
+            Ok((bytes, pool.price_loads(&self.cost, addr, taps, len)))
         } else {
             let ring = &self.rings[stage - 1];
             let addr = ring.base + (row % ring.rows) * ring.row_bytes + offset;
-            let mut price = Counters::new();
-            price.charge_ram_load(&self.cost, len as u64);
-            Ok((m.ram.read(addr, len)?, price))
+            let mut load = Counters::new();
+            load.charge_ram_load(&self.cost, len as u64);
+            Ok((m.ram.read(addr, run)?, load * taps as u64))
         }
     }
 
@@ -477,7 +481,8 @@ impl ChainExec<'_> {
                 pixel.charge_requant(cost, k);
                 let acc = &mut regs.acc[..p.k];
                 for x in 0..p.w {
-                    let (a, load) = self.read(m, pool, op_idx, row, x * p.c, p.c, &mut regs.a)?;
+                    let (a, load) =
+                        self.read(m, pool, op_idx, row, x * p.c, 1, p.c, &mut regs.a)?;
                     acc.fill(0);
                     dot_accumulate(a, w, p.k, acc);
                     requant_into(acc, p.rq, p.clamp, &mut out[x * p.k..(x + 1) * p.k]);
@@ -486,7 +491,7 @@ impl ChainExec<'_> {
             }
             ChainOp::Dense(p) => {
                 let (k, n) = (p.k as u64, p.n as u64);
-                let (a, load) = self.read(m, pool, op_idx, row, 0, p.k, &mut regs.a)?;
+                let (a, load) = self.read(m, pool, op_idx, row, 0, 1, p.k, &mut regs.a)?;
                 let acc = &mut regs.acc[..p.n];
                 acc.fill(0);
                 dot_accumulate(a, w, p.n, acc);
@@ -506,29 +511,34 @@ impl ChainExec<'_> {
                 pixel.cycles += broadcast_cycles(p.c);
                 pixel.charge_requant(cost, c);
                 let acc = &mut regs.acc[..p.c];
+                let rows = tap_range(row, p.r, p.stride, p.pad, p.h);
+                let (mut runs, mut w_runs) = (Vec::new(), Vec::new());
                 for q in 0..p.out_w() {
-                    acc.fill(0);
-                    let mut taps = 0u64;
-                    for ri in 0..p.r {
-                        let y = (row * p.stride + ri) as isize - p.pad as isize;
-                        if y < 0 || y >= p.h as isize {
-                            continue;
-                        }
-                        for si in 0..p.s {
-                            let x = (q * p.stride + si) as isize - p.pad as isize;
-                            if x < 0 || x >= p.w as isize {
-                                continue;
-                            }
-                            let at = x as usize * p.c;
-                            let (a, load) =
-                                self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
-                            tap_accumulate(acc, a, &w[(ri * p.s + si) * p.c..][..p.c]);
-                            price += load;
-                            taps += 1;
-                        }
+                    let cols = tap_range(q, p.s, p.stride, p.pad, p.w);
+                    // A window with no in-bounds column reads no row.
+                    let rows = if cols.is_empty() { 0..0 } else { rows.clone() };
+                    let run = cols.len() * p.c;
+                    let mut a = reuse_runs(runs);
+                    w_runs.clear();
+                    let mut rest = &mut regs.a[..];
+                    for ri in rows.clone() {
+                        let (y, x) = (
+                            row * p.stride + ri - p.pad,
+                            q * p.stride + cols.start - p.pad,
+                        );
+                        let (scratch, tail) = rest.split_at_mut(run);
+                        rest = tail;
+                        let (bytes, load) =
+                            self.read(m, pool, op_idx, y, x * p.c, cols.len(), p.c, scratch)?;
+                        a.push(bytes);
+                        w_runs.push(&w[(ri * p.s + cols.start) * p.c..][..run]);
+                        price += load;
                     }
+                    acc.fill(0);
+                    window_accumulate(acc, &a, &w_runs);
+                    runs = reuse_runs(a);
                     requant_into(acc, p.rq, p.clamp, &mut out[q * p.c..(q + 1) * p.c]);
-                    price += pixel + tap * taps;
+                    price += pixel + tap * (rows.len() * cols.len()) as u64;
                 }
             }
             ChainOp::Conv2d(p) => {
@@ -556,7 +566,7 @@ impl ChainExec<'_> {
                             }
                             let at = x as usize * p.c;
                             let (a, load) =
-                                self.read(m, pool, op_idx, y as usize, at, p.c, &mut regs.a)?;
+                                self.read(m, pool, op_idx, y as usize, at, 1, p.c, &mut regs.a)?;
                             let wt = &w[(ri * p.s + si) * tap_bytes..][..tap_bytes];
                             dot_accumulate(a, wt, p.k, acc);
                             price += load;
@@ -584,13 +594,14 @@ fn op_weight_bytes(op: &ChainOp) -> usize {
     }
 }
 
-/// Bytes one read of tensor `op`'s input moves (a pixel, or a dense row),
-/// and the widest accumulator row `op` fills.
+/// Bytes the reads of tensor `op`'s input hold at once (a pixel, a dense
+/// row, or a depthwise window's row runs), and the widest accumulator
+/// row `op` fills.
 fn op_regs(op: &ChainOp) -> (usize, usize) {
     match op {
         ChainOp::Pointwise(p) => (p.c, p.k),
         ChainOp::Dense(p) => (p.k, p.n),
-        ChainOp::Depthwise(p) => (p.c, p.c),
+        ChainOp::Depthwise(p) => (p.r * p.s * p.c, p.c),
         ChainOp::Conv2d(p) => (p.c, p.k),
     }
 }
@@ -606,7 +617,9 @@ fn op_regs(op: &ChainOp) -> (usize, usize) {
 /// The device reloads each operator's weights from Flash per row (per
 /// tap for depthwise and conv2d) and each input pixel per use; the
 /// counters charge exactly that. The host reads every operator's weights
-/// once per call, widened to `i16`, and its inputs in place.
+/// once per call, widened to `i16`, and its inputs in place: a depthwise
+/// window one row's run of in-bounds taps per checked read, its taps
+/// reduced together in the window core ([`window_accumulate`]).
 ///
 /// # Errors
 ///

@@ -24,9 +24,9 @@
 //! by construction and verified empirically by the checked pool.
 
 use crate::intrinsics::{
-    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, reuse_runs, window_accumulate,
 };
-use crate::params::IbParams;
+use crate::params::{tap_range, IbParams};
 use crate::trace::{push_event, ExecEvent};
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
@@ -285,8 +285,11 @@ impl IbHost {
 /// workspace pixel and one weight row per depthwise tap and the
 /// `[C_mid, C_out]` tile per output pixel; the counters charge exactly
 /// that. The host reads the three weight images once per call, widened
-/// to `i16`, and the taps in place, and adds `tap * taps` per output
-/// pixel.
+/// to `i16`. Per output pixel it reads each depthwise window row's run
+/// of in-bounds taps in place from the workspace with one checked RAM
+/// read (the ring-row or slot modulo taken once per row), reduces all
+/// the window's taps in the window core ([`window_accumulate`]), and
+/// adds `tap * taps`.
 ///
 /// # Errors
 ///
@@ -316,6 +319,7 @@ pub fn run_fused_ib(
     let mut acc_mid = vec![0i32; p.c_mid];
     let mut acc_out = vec![0i32; p.c_out];
     let mut a_reg = vec![0u8; p.c_in];
+    let (mut runs, mut w_runs) = (Vec::new(), Vec::new());
     let row_bytes = p.hw * p.c_in;
 
     for step in ib_schedule(p, scheme) {
@@ -376,35 +380,46 @@ pub fn run_fused_ib(
                         }
                     }
                 }
-                // Depthwise over the window, each tap read in place.
-                acc_mid.fill(0);
-                let mut taps = 0u64;
-                for r in 0..p.rs {
-                    let b = (pi * p.s2 + r) as isize - pad as isize;
-                    if b < 0 || b >= h1 as isize {
-                        continue;
-                    }
-                    for s in 0..p.rs {
-                        let x1 = (qi * p.s2 + s) as isize - pad as isize;
-                        if x1 < 0 || x1 >= w1_w as isize {
-                            continue;
+                // Depthwise over the window: each window row's run of
+                // in-bounds taps read in place with one checked read (two
+                // where SlidingWindow's column ring wraps), the whole
+                // window reduced in the window core.
+                let cols = tap_range(qi, p.rs, p.s2, pad, w1_w);
+                // A window with no in-bounds column reads no row.
+                let rows = if cols.is_empty() {
+                    0..0
+                } else {
+                    tap_range(pi, p.rs, p.s2, pad, h1)
+                };
+                let n = cols.len();
+                let (mut a, mut w) = (reuse_runs(runs), reuse_runs(w_runs));
+                for r in rows.clone() {
+                    let (b, x1) = (pi * p.s2 + r - pad, qi * p.s2 + cols.start - pad);
+                    let w_run =
+                        |s: usize, n: usize| &host.wdw[(r * p.rs + s) * p.c_mid..][..n * p.c_mid];
+                    // The row's taps sit in a row of `slots` pixel slots
+                    // at `base`, the first in slot `slot`; only
+                    // SlidingWindow's column ring (column `x1` in slot
+                    // `x1 % R`) can wrap, and then at most once.
+                    let (base, slots, slot) = match scheme {
+                        IbScheme::RowBuffer => {
+                            (ws_base + (b % p.rs.min(h1)) * w1_w * p.c_mid, w1_w, x1)
                         }
-                        let ws_addr = match scheme {
-                            IbScheme::RowBuffer => {
-                                ws_base
-                                    + ((b as usize % p.rs.min(h1)) * w1_w + x1 as usize) * p.c_mid
-                            }
-                            IbScheme::PixelWindow => ws_base + (r * p.rs + s) * p.c_mid,
-                            IbScheme::SlidingWindow => {
-                                ws_base + (r * p.rs + x1 as usize % p.rs) * p.c_mid
-                            }
-                        };
-                        let bv = m.ram.read(ws_addr, p.c_mid)?;
-                        let w = &host.wdw[(r * p.rs + s) * p.c_mid..][..p.c_mid];
-                        tap_accumulate(&mut acc_mid, bv, w);
-                        taps += 1;
+                        IbScheme::PixelWindow => (ws_base + r * p.rs * p.c_mid, p.rs, cols.start),
+                        IbScheme::SlidingWindow => (ws_base + r * p.rs * p.c_mid, p.rs, x1 % p.rs),
+                    };
+                    let first = n.min(slots - slot);
+                    a.push(m.ram.read(base + slot * p.c_mid, first * p.c_mid)?);
+                    w.push(w_run(cols.start, first));
+                    if first < n {
+                        a.push(m.ram.read(base, (n - first) * p.c_mid)?);
+                        w.push(w_run(cols.start + first, n - first));
                     }
                 }
+                acc_mid.fill(0);
+                window_accumulate(&mut acc_mid, &a, &w);
+                (runs, w_runs) = (reuse_runs(a), reuse_runs(w));
+                let taps = (rows.len() * n) as u64;
                 requant_into(&acc_mid, p.rq2, p.clamp2, &mut c_pixel);
                 // Project (pw2).
                 acc_out.fill(0);

@@ -11,12 +11,13 @@
 //! * [`requant_row`] — the int32→int8 epilogue shared with the reference
 //!   operators, charged at a few cycles per element.
 //!
-//! Every host MAC runs through two uncharged loops: the `Dot` core
-//! behind [`dot_tile_u8`] and [`dot_tile_lanes`], and [`tap_accumulate`],
-//! one depthwise tap. Both take weights already sign-extended to `i16`
-//! ([`widen`]) — as `SXTB16` widens int8 to 16-bit lanes once before
-//! `SMLAD` streams them — so the kernels widen each weight image once
-//! per call, where they read it from Flash.
+//! Every host MAC runs through two uncharged cores: the `Dot` core
+//! behind [`dot_tile_u8`] and [`dot_tile_lanes`], and the window core
+//! [`window_accumulate`], all of one depthwise output pixel's taps
+//! ([`tap_accumulate`] is its one-tap case). Both take weights already
+//! sign-extended to `i16` ([`widen`]) — as `SXTB16` widens int8 to
+//! 16-bit lanes once before `SMLAD` streams them — so the kernels widen
+//! each weight image once per call, where they read it from Flash.
 
 use vmcu_sim::{Machine, MemError};
 use vmcu_tensor::Requant;
@@ -123,10 +124,8 @@ fn dot_blocks<'a, const L: usize>(
     blocks.into_remainder()
 }
 
-/// One depthwise tap: `acc[c] += a[c] · w[c]` for every channel, with `a`
-/// int8 values in `u8` registers and `w` the tap's int8 weight row
-/// widened by [`widen`]; charges nothing (the kernels price each tap).
-/// Products and adds are taken as in [`dot_tile_u8`].
+/// One depthwise tap: `acc[c] += a[c] · w[c]` for every channel — the
+/// one-tap case of [`window_accumulate`].
 ///
 /// # Panics
 ///
@@ -139,9 +138,91 @@ pub fn tap_accumulate(acc: &mut [i32], a: &[u8], w: &[i16]) {
         a.len(),
         w.len()
     );
-    for ((accv, &a), &w) in acc.iter_mut().zip(a).zip(w) {
-        *accv += i32::from(i16::from(a as i8) * w);
+    window_accumulate(acc, &[a], &[w]);
+}
+
+/// The one host window core: `acc[c] += Σ_t a_t[c] · w_t[c]` over the
+/// in-bounds taps `t` of one depthwise output pixel; charges nothing
+/// (the kernels price each tap). The taps come as runs, as a window row
+/// lies in memory: `a[i]` holds run `i`'s pixels back to back, int8
+/// values in `u8` registers, `acc.len()` channels each, and `w[i]`
+/// those taps' weight rows widened by [`widen`]. The channels are
+/// register-blocked like the `Dot` core's lanes (16, then 8, 4 and
+/// single channels): a block's accumulators stay in registers across
+/// every tap of the window, and each channel adds its products in
+/// ascending tap order exactly as a loop of [`tap_accumulate`] does, so
+/// release builds wrap and debug builds panic on overflow where that
+/// loop would.
+///
+/// # Panics
+///
+/// Panics unless `a` and `w` list the same number of runs and each run's
+/// pixels and weight rows are the same whole number of taps long.
+pub fn window_accumulate(acc: &mut [i32], a: &[&[u8]], w: &[&[i16]]) {
+    assert!(
+        a.len() == w.len(),
+        "tap lists differ: {} pixel runs, {} weight runs",
+        a.len(),
+        w.len()
+    );
+    let c = acc.len();
+    let whole = |n: usize| n.checked_rem(c).map_or(n == 0, |r| r == 0);
+    for (a, w) in a.iter().zip(w) {
+        assert!(
+            a.len() == w.len() && whole(a.len()),
+            "tap lengths differ: acc {c} a {} w {}",
+            a.len(),
+            w.len()
+        );
     }
+    let mut c0 = 0;
+    let rest = window_blocks::<16>(a, w, c, &mut c0, acc);
+    let rest = window_blocks::<8>(a, w, c, &mut c0, rest);
+    let rest = window_blocks::<4>(a, w, c, &mut c0, rest);
+    window_blocks::<1>(a, w, c, &mut c0, rest);
+}
+
+/// Runs [`window_accumulate`] over every whole `L`-channel block of
+/// `acc`, whose first channel is channel `c0` of the pixel's `c`,
+/// advancing `c0`; returns the channels left over.
+#[inline(always)]
+fn window_blocks<'a, const L: usize>(
+    a: &[&[u8]],
+    w: &[&[i16]],
+    c: usize,
+    c0: &mut usize,
+    acc: &'a mut [i32],
+) -> &'a mut [i32] {
+    let mut blocks = acc.chunks_exact_mut(L);
+    for block in &mut blocks {
+        let mut s: [i32; L] = (&*block).try_into().expect("an L-channel block");
+        for (a, w) in a.iter().zip(w) {
+            // The block's channels of each tap of the run, `c` apart.
+            let mut at = *c0;
+            while at < a.len() {
+                let a: &[u8; L] = a[at..][..L].try_into().expect("an L-channel pixel");
+                let w: &[i16; L] = w[at..][..L].try_into().expect("an L-channel row");
+                for ((s, &a), &w) in s.iter_mut().zip(a).zip(w) {
+                    *s += i32::from(i16::from(a as i8) * w);
+                }
+                at += c;
+            }
+        }
+        block.copy_from_slice(&s);
+        *c0 += L;
+    }
+    blocks.into_remainder()
+}
+
+/// Hands back `runs`' buffer, emptied, for borrows of another lifetime,
+/// reusing its allocation (the in-place `collect`): a kernel gathers
+/// each pixel's tap runs, borrowed from memory that the pixel's store
+/// then writes, into one buffer for the whole call.
+pub(crate) fn reuse_runs<'b, T: ?Sized>(mut runs: Vec<&T>) -> Vec<&'b T> {
+    runs.clear();
+    runs.into_iter()
+        .map(|_| -> &'b T { unreachable!("the buffer is empty") })
+        .collect()
 }
 
 /// `Dot` over `u8` activation registers (the kernels' staging format)

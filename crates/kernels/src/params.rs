@@ -4,8 +4,21 @@
 //! segment-aware vMCU kernels and the TinyEngine-policy baselines take the
 //! same parameters, so comparisons are apples-to-apples.
 
+use std::ops::Range;
 use vmcu_solver::closed_form;
 use vmcu_tensor::{Requant, NO_CLAMP};
+
+/// The in-bounds taps of output index `o` along one axis of a sliding
+/// window: the kernel offsets `i < k` whose input index
+/// `o·stride + i − pad` lies in `[0, dim)`, an empty range when none
+/// does. Padding taps are skipped, so a non-empty range's first input
+/// index is `o·stride + start − pad`.
+pub fn tap_range(o: usize, k: usize, stride: usize, pad: usize, dim: usize) -> Range<usize> {
+    let start = o * stride;
+    let lo = pad.saturating_sub(start).min(k);
+    let hi = (dim + pad).saturating_sub(start).min(k);
+    lo..hi.max(lo)
+}
 
 /// Fully-connected layer `In[M,K] × W[K,N] → Out[M,N]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -293,21 +306,14 @@ impl DepthwiseParams {
         self.out_h() * self.out_w() * self.c
     }
 
-    /// MAC count (padding taps skipped, counted exactly — the same skip
-    /// logic `run_depthwise` executes). Row and column tap validity are
-    /// independent, so the count is separable.
+    /// MAC count (padding taps skipped, counted exactly — the same
+    /// [`tap_range`] `run_depthwise` reads). Row and column tap validity
+    /// are independent, so the count is separable.
     pub fn macs(&self) -> u64 {
         let valid = |out: usize, k: usize, dim: usize| -> u64 {
-            let mut taps = 0u64;
-            for o in 0..out {
-                for i in 0..k {
-                    let y = (o * self.stride + i) as isize - self.pad as isize;
-                    if y >= 0 && y < dim as isize {
-                        taps += 1;
-                    }
-                }
-            }
-            taps
+            (0..out)
+                .map(|o| tap_range(o, k, self.stride, self.pad, dim).len() as u64)
+                .sum()
         };
         valid(self.out_h(), self.r, self.h) * valid(self.out_w(), self.s, self.w) * self.c as u64
     }
@@ -562,6 +568,34 @@ mod tests {
                 taps * p.c as u64,
                 "h={h} r={r} s={stride} p={pad}"
             );
+        }
+    }
+
+    #[test]
+    fn tap_range_matches_the_skip_loop() {
+        // Pads 0–3 against kernels 1–7 include padding wider than the
+        // window (pad ≥ k); output indices run two past the last, where
+        // every range is empty.
+        for pad in 0..=3 {
+            for stride in 1..=3 {
+                for k in 1..=7 {
+                    for dim in 1..=9 {
+                        for o in 0..(dim + 2 * pad) / stride + 3 {
+                            let skip: Vec<usize> = (0..k)
+                                .filter(|&i| {
+                                    let y = (o * stride + i) as isize - pad as isize;
+                                    y >= 0 && y < dim as isize
+                                })
+                                .collect();
+                            assert_eq!(
+                                tap_range(o, k, stride, pad, dim).collect::<Vec<_>>(),
+                                skip,
+                                "o={o} k={k} stride={stride} pad={pad} dim={dim}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

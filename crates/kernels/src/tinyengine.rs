@@ -24,16 +24,17 @@
 //! is free as long as that holds. [`run_pointwise_te`] computes a whole
 //! pixel's `K` outputs in one pass and adds the pixel's tile sequence,
 //! priced once per layer, per pixel; [`run_depthwise_te_inplace`] reads
-//! each ring tap in place and adds the per-tap and per-pixel charges.
+//! each window row's ring taps in place as one run, reduces the whole
+//! window in the window core and adds the per-tap and per-pixel charges.
 //! Both read their weights once per layer, widened to `i16`, so no MAC
 //! sign-extends a weight byte again. `tests/tinyengine_props.rs` holds this:
 //! it keeps the per-tile and per-tap loops as oracles and requires the
 //! same RAM image and the same `Counters` from both.
 
 use crate::intrinsics::{
-    broadcast_cycles, dot_accumulate, read_weights, requant_into, tap_accumulate,
+    broadcast_cycles, dot_accumulate, read_weights, requant_into, reuse_runs, window_accumulate,
 };
-use crate::params::{DepthwiseParams, IbParams, PointwiseParams};
+use crate::params::{tap_range, DepthwiseParams, IbParams, PointwiseParams};
 use vmcu_sim::{CostModel, Counters, Machine, MemError};
 use vmcu_tensor::quant::sat8;
 
@@ -154,7 +155,10 @@ pub fn dw_stages_whole_input(p: &DepthwiseParams) -> bool {
 /// The device loads each in-bounds tap's ring pixel and `C` weights; the
 /// counters charge exactly that. The host reads the `R·S·C` weights once
 /// per layer — Flash is immutable during an inference — widened to
-/// `i16`, and each ring tap in place.
+/// `i16`. Per output pixel it reads each window row's run of in-bounds
+/// taps in place from its ring row with one checked RAM read and
+/// reduces all the window's taps in the window core
+/// ([`window_accumulate`]).
 ///
 /// # Errors
 ///
@@ -185,6 +189,7 @@ pub fn run_depthwise_te_inplace(
     pixel.charge_requant(&cost, c);
     pixel.charge_ram_store(&cost, c);
     pixel.charge_branches(&cost, 1);
+    let (mut runs, mut w_runs) = (Vec::new(), Vec::new());
     let mut acc = vec![0i32; p.c];
     let mut out_reg = vec![0u8; p.c];
     let whole = dw_stages_whole_input(p);
@@ -202,27 +207,26 @@ pub fn run_depthwise_te_inplace(
             )?;
             copied_upto += 1;
         }
+        let rows = tap_range(pi, p.r, p.stride, p.pad, p.h);
         for qi in 0..w_out {
-            acc.fill(0);
-            let mut taps = 0u64;
-            for ri in 0..p.r {
-                let y = (pi * p.stride + ri) as isize - p.pad as isize;
-                if y < 0 || y >= p.h as isize {
-                    continue;
-                }
-                for si in 0..p.s {
-                    let x = (qi * p.stride + si) as isize - p.pad as isize;
-                    if x < 0 || x >= p.w as isize {
-                        continue;
-                    }
-                    let a = m.ram.read(
-                        ring + ((y as usize % ring_rows) * p.w + x as usize) * p.c,
-                        p.c,
-                    )?;
-                    tap_accumulate(&mut acc, a, &weights[(ri * p.s + si) * p.c..][..p.c]);
-                    taps += 1;
-                }
+            let cols = tap_range(qi, p.s, p.stride, p.pad, p.w);
+            // A window with no in-bounds column reads no row.
+            let rows = if cols.is_empty() { 0..0 } else { rows.clone() };
+            let run = cols.len() * p.c;
+            let taps = (rows.len() * cols.len()) as u64;
+            let mut a = reuse_runs(runs);
+            w_runs.clear();
+            for ri in rows {
+                let (y, x) = (
+                    pi * p.stride + ri - p.pad,
+                    qi * p.stride + cols.start - p.pad,
+                );
+                a.push(m.ram.read(ring + ((y % ring_rows) * p.w + x) * p.c, run)?);
+                w_runs.push(&weights[(ri * p.s + cols.start) * p.c..][..run]);
             }
+            acc.fill(0);
+            window_accumulate(&mut acc, &a, &w_runs);
+            runs = reuse_runs(a);
             requant_into(&acc, p.rq, p.clamp, &mut out_reg);
             m.ram.write(buf + (pi * w_out + qi) * p.c, &out_reg)?;
             m.counters += pixel + tap * taps;

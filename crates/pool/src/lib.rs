@@ -293,6 +293,27 @@ impl SegmentPool {
         self.price(cost, logical, len, Counters::charge_ram_load)
     }
 
+    /// The modelled price of `taps` consecutive `len`-byte `RAMLoad`s
+    /// from `logical` on: the sum of their [`price_load`](Self::price_load)s,
+    /// each at its own wrap split, priced once for all of them when the
+    /// run does not wrap the window. A kernel that reads a row run of
+    /// taps with one [`read_span`](Self::read_span) charges its per-tap
+    /// loads with this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` exceeds the window, like [`load`](Self::load).
+    pub fn price_loads(&self, cost: &CostModel, logical: i64, taps: usize, len: usize) -> Counters {
+        if self.phys(logical) + taps * len <= self.len {
+            return self.price_load(cost, logical, len) * taps as u64;
+        }
+        let mut c = Counters::new();
+        for t in 0..taps {
+            c += self.price_load(cost, logical + (t * len) as i64, len);
+        }
+        c
+    }
+
     /// The modelled price of one `RAMStore` of `len` bytes at `logical`:
     /// one modulo, plus one RAM store per physical span of its wrap split
     /// (what [`store`](Self::store) charges).
@@ -513,6 +534,27 @@ mod tests {
         assert_eq!(buf, [9, 8, 7, 6]);
         assert_eq!(m.counters.modulo_ops, 2);
         assert_eq!(m.counters.ram_write_bytes, 4);
+    }
+
+    #[test]
+    fn a_run_of_loads_prices_each_at_its_own_wrap_split() {
+        let (m, pool) = setup(10);
+        let cost = m.device.cost;
+        for logical in [-13, -3, 0, 1, 4, 7, 9, 23] {
+            for taps in 0..=3 {
+                for len in 0..=3 {
+                    let mut each = Counters::new();
+                    for t in 0..taps {
+                        each += pool.price_load(&cost, logical + (t * len) as i64, len);
+                    }
+                    assert_eq!(
+                        pool.price_loads(&cost, logical, taps, len),
+                        each,
+                        "logical {logical} taps {taps} len {len}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -18,12 +18,18 @@
 //! for any edit to these kernels or to the pool's span and price
 //! helpers.
 //!
+//! The depthwise loops read each window row's run of in-bounds taps with
+//! one checked read; a dead byte inside a tap must still fail them with
+//! the `DeadRead` the per-tap reads report, wherever the window wraps.
+//!
 //! Every host MAC of those kernels runs through two intrinsics, the
-//! `Dot` core (behind `dot_tile_u8` and `dot_tile_lanes`) and
-//! `tap_accumulate`, over weights widened to `i16` once per call. The
-//! last properties hold both to the per-element definition
-//! `acc[n] += Σ_k a[k]·b[k·stride + n]`, `k` ascending, on every block
-//! and remainder shape up to 40 lanes deep and wide.
+//! `Dot` core (behind `dot_tile_u8` and `dot_tile_lanes`) and the window
+//! core `window_accumulate` (whose one-tap case is `tap_accumulate`),
+//! over weights widened to `i16` once per call. The last properties hold
+//! both to the per-element definitions `acc[n] += Σ_k a[k]·b[k·stride + n]`,
+//! `k` ascending, on every block and remainder shape up to 40 lanes deep
+//! and wide, and `acc[c] += Σ_t a_t[c]·w_t[c]`, `t` ascending, over up
+//! to 100 channels and 49 taps.
 
 use proptest::prelude::*;
 use proptest::TestCaseError;
@@ -39,7 +45,7 @@ use vmcu::vmcu_kernels::fused_ib::{
     ib_schedule, ib_workspace_bytes, run_fused_ib, IbFlash, IbScheme, IbStep,
 };
 use vmcu::vmcu_kernels::intrinsics::{
-    broadcast, dot_tile_lanes, dot_tile_u8, requant_row, tap_accumulate, widen,
+    broadcast, dot_tile_lanes, dot_tile_u8, requant_row, tap_accumulate, widen, window_accumulate,
 };
 use vmcu::vmcu_kernels::params::{
     Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
@@ -1198,6 +1204,84 @@ fn tight_distances_fail_alike_one_byte_closer() {
     assert_eq!(failures, 5 * 7 * 3);
 }
 
+/// A dead byte inside a tap fails each depthwise loop that reads it from
+/// the pool — `run_depthwise`, and the fused chain's stage-0 read — with
+/// the same `DeadRead { logical, phys }` as its per-tap definition, both
+/// when the window wraps inside the row run that holds the byte (before
+/// it) and when it does not: one checked read per row run still names
+/// the first dead byte in logical order.
+#[test]
+fn dead_reads_name_the_same_first_byte() {
+    let rq = Requant::from_scale(1.0 / 32.0, 0);
+    let dw = DepthwiseParams::new(6, 6, 4, 3, 3, 1, 1, rq);
+    let chain = FusedChain::new(vec![
+        ChainOp::Depthwise(dw),
+        ChainOp::Pointwise(PointwiseParams::new(6, 6, 4, 8, rq)),
+    ])
+    .unwrap();
+    // Row 1, column 1, channel 2: inside the second tap of the row run
+    // `[24, 32)` that the first output pixel reads second.
+    let dead = (6 + 1) * 4 + 2usize;
+    let input = noise(dw.in_bytes(), 9);
+    let (w_dw, w_pw) = (noise(36, 10), noise(32, 11));
+    let mut checked = 0;
+    for wraps in [false, true] {
+        // Either the window wraps between input bytes 25 and 26, inside
+        // that run and before the dead byte, or the input sits at its
+        // start.
+        let layout = |in_bytes: usize, out_bytes: usize, d: i64| {
+            let window = pool_window(in_bytes, out_bytes, d) + 3;
+            Layout {
+                window,
+                ram_base: 8,
+                b_in: if wraps { (window - 26) as i64 } else { 0 },
+                d,
+            }
+        };
+        let mut fails_alike =
+            |images: &[&[u8]], at: Layout, kernel: Run<'_>, definition: Run<'_>| {
+                let logical = at.b_in + dead as i64;
+                let want = Err(PoolError::DeadRead {
+                    logical,
+                    phys: logical.rem_euclid(at.window as i64) as usize,
+                });
+                for device in devices() {
+                    for run in [kernel, definition] {
+                        let (mut m, mut pool, bases) = boot(&device, at, &input, images);
+                        pool.free(&mut m, logical, 1).unwrap();
+                        assert_eq!(run(&mut m, &mut pool, &bases, at), want, "{at:?}");
+                        checked += 1;
+                    }
+                }
+            };
+        fails_alike(
+            &[&w_dw],
+            layout(
+                dw.in_bytes(),
+                dw.out_bytes(),
+                ChainOp::Depthwise(dw).exec_distance(),
+            ),
+            &|m, pool, wb, at| run_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0]),
+            &|m, pool, wb, at| definition_depthwise(m, pool, &dw, at.b_in, at.b_out(), wb[0]),
+        );
+        fails_alike(
+            &[&w_dw, &w_pw],
+            layout(
+                chain.in_bytes(),
+                chain.out_bytes(),
+                chain_exec_distance(&chain),
+            ),
+            &|m, pool, w, at| {
+                run_fused_chain(m, pool, &chain, at.b_in, at.b_out(), w, at.ws_base())
+            },
+            &|m, pool, w, at| {
+                definition_fused_chain(m, pool, &chain, at.b_in, at.b_out(), w, at.ws_base())
+            },
+        );
+    }
+    assert_eq!(checked, 2 * 2 * 3 * 2);
+}
+
 // ---- the host MAC intrinsics --------------------------------------------
 
 /// `len` int8 bytes in which the edges −128, −1, 0 and 127 each come up
@@ -1304,6 +1388,117 @@ proptest! {
         }
         tap_accumulate(&mut acc, &a, &widen(&w));
         prop_assert_eq!(acc, expected);
+    }
+}
+
+/// `n` seeded picks in `0..bound`.
+fn picks(n: usize, bound: usize, seed: u64) -> Vec<usize> {
+    noise(4 * n + 1, seed)
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]) as usize % bound)
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The window core over 0 to 100 channels (every mix of 16-, 8-, 4-
+    /// and 1-channel blocks) and 0 to 49 taps in runs of 1 to 7, each
+    /// run's pixels at a distinct offset into one source and its weight
+    /// rows at any start row of a 9-row image, so rows repeat and come
+    /// in no particular order, from non-zero starting accumulators: the
+    /// per-element definition's sums, and those of a `tap_accumulate`
+    /// loop over the same taps.
+    #[test]
+    fn window_core_matches_the_per_element_definition(
+        dims in (0usize..=100, 0usize..=49),
+        seed in 0u64..1_000_000,
+    ) {
+        let (c, taps) = dims;
+        let mut lens = Vec::new();
+        let mut left = taps;
+        for pick in picks(taps, 7, seed) {
+            if left == 0 {
+                break;
+            }
+            let n = (pick + 1).min(left);
+            lens.push(n);
+            left -= n;
+        }
+        // Distinct run offsets: a seeded shuffle of every offset that
+        // leaves room for a 7-tap run.
+        let src = mac_bytes((taps + 7) * c + 64, seed + 1);
+        let mut offsets: Vec<usize> = (0..=src.len() - 7 * c).collect();
+        let len = offsets.len();
+        for (i, j) in picks(len, usize::MAX, seed + 2).into_iter().enumerate() {
+            offsets.swap(i, i + j % (len - i));
+        }
+        let rows = 9;
+        let w_bytes = mac_bytes(rows * c, seed + 3);
+        let w_img = widen(&w_bytes);
+        let starts = picks(lens.len(), usize::MAX, seed + 4);
+        let runs: Vec<(usize, usize, usize)> = lens
+            .iter()
+            .zip(&offsets)
+            .zip(&starts)
+            .map(|((&n, &off), &start)| (n, off, start % (rows + 1 - n)))
+            .collect();
+        let start = accumulators(c, seed + 5);
+
+        let mut expected = start.clone();
+        for &(n, off, row) in &runs {
+            for t in 0..n {
+                for (ch, acc) in expected.iter_mut().enumerate() {
+                    let a = src[off + t * c + ch] as i8;
+                    let w = w_bytes[(row + t) * c + ch] as i8;
+                    *acc += i32::from(a) * i32::from(w);
+                }
+            }
+        }
+        let mut tap_loop = start.clone();
+        for &(n, off, row) in &runs {
+            for t in 0..n {
+                let a = &src[off + t * c..][..c];
+                tap_accumulate(&mut tap_loop, a, &w_img[(row + t) * c..][..c]);
+            }
+        }
+        prop_assert_eq!(&tap_loop, &expected);
+
+        let a: Vec<&[u8]> = runs.iter().map(|&(n, off, _)| &src[off..][..n * c]).collect();
+        let w: Vec<&[i16]> = runs.iter().map(|&(n, _, row)| &w_img[row * c..][..n * c]).collect();
+        let mut acc = start;
+        window_accumulate(&mut acc, &a, &w);
+        prop_assert_eq!(acc, expected);
+    }
+}
+
+/// A window whose pixel and weight runs differ in number, or whose runs
+/// are not the same whole number of taps long, panics instead of
+/// reducing what it can.
+#[test]
+fn window_tap_lists_must_agree() {
+    let (a, w) = ([1u8; 40], [1i16; 40]);
+    let message = |a: &[&[u8]], w: &[&[i16]], c: usize| {
+        let err = std::panic::catch_unwind(|| window_accumulate(&mut vec![0; c], a, w))
+            .expect_err("mismatched tap lists must panic");
+        err.downcast_ref::<String>().cloned().unwrap_or_default()
+    };
+    for msg in [
+        message(&[&a[..4], &a[..4]], &[&w[..4]], 4),
+        message(&[&a[..4]], &[&w[..4], &w[..4]], 4),
+        message(&[], &[&w[..0]], 0),
+    ] {
+        assert!(msg.contains("tap lists differ"), "{msg}");
+    }
+    // Runs of different lengths, and runs that end inside a tap: at 20
+    // channels the 16-channel block would read a 36-byte run whole.
+    for msg in [
+        message(&[&a[..8]], &[&w[..4]], 4),
+        message(&[&a[..6]], &[&w[..6]], 4),
+        message(&[&a[..36]], &[&w[..36]], 20),
+        message(&[&a[..1]], &[&w[..1]], 0),
+    ] {
+        assert!(msg.contains("tap lengths differ"), "{msg}");
     }
 }
 
