@@ -6,11 +6,11 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;
-use vmcu::vmcu_kernels::depthwise::depthwise_exec_trace;
 use vmcu::vmcu_kernels::fc::fc_exec_trace;
 use vmcu::vmcu_kernels::merge::add_exec_trace;
 use vmcu::vmcu_kernels::params::{AddParams, DepthwiseParams};
 use vmcu::vmcu_kernels::trace::{exec_distance, ExecEvent};
+use vmcu::vmcu_kernels::ChainOp;
 use vmcu::vmcu_plan::headroom::{max_image_scale, tinyengine_budget};
 use vmcu::vmcu_plan::planner::named_ib_layers;
 use vmcu::vmcu_plan::{fuse_graph, plan_order, plan_split};
@@ -119,7 +119,7 @@ fn bench_audit(c: &mut Criterion) {
         (
             "depthwise-40x40x96",
             dw.in_bytes(),
-            depthwise_exec_trace(&dw),
+            ChainOp::Depthwise(dw).exec_events(),
         ),
         ("add-40x40x16", add.in_bytes(), add_exec_trace(&add)),
     ];

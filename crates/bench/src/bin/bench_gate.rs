@@ -2,24 +2,19 @@
 //!
 //! Compares a freshly emitted `BENCH_fleet.json` (from `fleet_throughput`)
 //! with the committed baseline **exactly**: with the host-time fields
-//! stripped (`planning_ms`, `host_wall_ms`, `host_requests_per_sec`,
-//! `host_ns_per_mac`), every remaining number — batch admission and
-//! latency, online sojourn percentiles, shed rates, swap counts,
-//! simulated energy, plan calls, the report's own checks — is simulated
-//! device time or a deterministic count, so an unchanged tree compares
-//! bit-identical and any change fails the section it lands in. A change
-//! that moves a simulated number commits a regenerated baseline and
-//! names the moved fields in CHANGES.md.
+//! stripped (`planning_ms`, `host_wall_ms`, `host_requests_per_sec`),
+//! every remaining number — batch admission and latency, online sojourn
+//! percentiles, shed rates, swap counts, simulated energy, plan calls,
+//! the report's own checks — is simulated device time or a deterministic
+//! count, so an unchanged tree compares bit-identical and any change
+//! fails the section it lands in. A change that moves a simulated number
+//! commits a regenerated baseline and names the moved fields in
+//! CHANGES.md.
 //!
 //! The gate also holds the plan-once contract by name: each planner's
 //! `plan_calls_per_request` (serving-side planning amortization, 0 on
 //! the deploy-once worker path) must not rise above the baseline — the
 //! replanning win is gated, not just claimed.
-//!
-//! The gate can additionally hold the SIMD kernel report: pass
-//! `--simd-current BENCH_simd.json --simd-baseline ci/bench_simd_baseline.json`
-//! and the whole report, host-time fields stripped, must equal the
-//! committed baseline, and every benchmark-internal check must pass.
 //!
 //! A second, standalone mode holds the bit-reproducibility contract
 //! across *processes*: `bench_gate --identical A.json B.json` compares
@@ -27,7 +22,7 @@
 //! `fleet_throughput` twice and feeds both files through this mode.
 //!
 //! Usage:
-//! `bench_gate [--current BENCH_fleet.json] [--baseline ci/bench_baseline.json] [--simd-current PATH --simd-baseline PATH]`
+//! `bench_gate [--current BENCH_fleet.json] [--baseline ci/bench_baseline.json]`
 //! `bench_gate --identical A.json B.json`
 
 use vmcu_bench::json::Json;
@@ -35,8 +30,6 @@ use vmcu_bench::json::Json;
 struct Args {
     current: String,
     baseline: String,
-    simd_current: Option<String>,
-    simd_baseline: Option<String>,
     /// `--identical A B`: standalone mode, compare two reports'
     /// simulated fields bit for bit instead of gating against the
     /// baseline.
@@ -47,8 +40,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         current: "BENCH_fleet.json".to_owned(),
         baseline: "ci/bench_baseline.json".to_owned(),
-        simd_current: None,
-        simd_baseline: None,
         identical: None,
     };
     let mut it = std::env::args().skip(1);
@@ -62,16 +53,9 @@ fn parse_args() -> Args {
                 let b = value("--identical");
                 args.identical = Some((a, b));
             }
-            "--simd-current" => args.simd_current = Some(value("--simd-current")),
-            "--simd-baseline" => args.simd_baseline = Some(value("--simd-baseline")),
             other => panic!("unknown flag `{other}`"),
         }
     }
-    assert_eq!(
-        args.simd_current.is_some(),
-        args.simd_baseline.is_some(),
-        "--simd-current and --simd-baseline must be passed together"
-    );
     args
 }
 
@@ -128,43 +112,9 @@ fn gate_plan_calls(current: &[PlannerRow], baseline: &[PlannerRow]) -> bool {
     ok
 }
 
-/// Gates the SIMD kernel report: with host time stripped it must equal
-/// the committed baseline (simulated numbers compare exactly on an
-/// unchanged tree), and the report's own checks must all pass.
-fn gate_simd(current_path: &str, baseline_path: &str) -> bool {
-    let current = load(current_path);
-    let baseline = load(baseline_path);
-    println!("simd gate: {current_path} vs baseline {baseline_path}");
-    let mut ok = strip_host_time(&current).to_string_pretty()
-        == strip_host_time(&baseline).to_string_pretty();
-    println!(
-        "  [{}] report (minus host time) equals the baseline",
-        if ok { "PASS" } else { "FAIL" }
-    );
-    for check in current
-        .get("checks")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| panic!("{current_path}: missing `checks` array"))
-    {
-        let name = check.get("name").and_then(Json::as_str).unwrap_or("?");
-        let passed = matches!(check.get("passed"), Some(Json::Bool(true)));
-        println!(
-            "  [{}] simd check {name}",
-            if passed { "PASS" } else { "FAIL" }
-        );
-        ok &= passed;
-    }
-    ok
-}
-
 /// Host-side wall-clock fields: the only numbers in a report that are
 /// allowed to differ between two runs of the same build.
-const HOST_TIME_KEYS: &[&str] = &[
-    "planning_ms",
-    "host_wall_ms",
-    "host_requests_per_sec",
-    "host_ns_per_mac",
-];
+const HOST_TIME_KEYS: &[&str] = &["planning_ms", "host_wall_ms", "host_requests_per_sec"];
 
 /// Recursively drops the host-time fields, leaving only simulated (and
 /// therefore bit-reproducible) content.
@@ -230,9 +180,6 @@ fn main() {
         &planner_rows(&load(&args.current), &args.current),
         &planner_rows(&load(&args.baseline), &args.baseline),
     );
-    if let (Some(sc), Some(sb)) = (&args.simd_current, &args.simd_baseline) {
-        ok &= gate_simd(sc, sb);
-    }
     if !ok {
         println!(
             "regression gate failed — if the change is intentional, regenerate {} from \

@@ -79,8 +79,6 @@ every test is `cargo test --test <name>` from the repository root.
 | RAM savings as online serving capacity: million-request seeded streams, SLO shedding, hot-swap priced at Flash-programming cost (`docs/SERVING.md`) | `fleet_throughput` online rows + online suite | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online` |
 | Online serving is bit-reproducible across hosts (simulated clocks, libm-free arrival sampling) | `online_bit_reproducible` bench check + determinism tests | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online online_runs_are_bit_reproducible` |
 | Fleet regression gate (CI): every simulated batch and online number equals the committed baseline | `bench_gate` vs `ci/bench_baseline.json`, host time stripped | `cargo run --release --bin bench_gate` |
-| §5.1 packed-SIMD MACs: vectorized GEMM ≥ 1.8× fewer cycles/MAC on DSP boards | `simd_kernels` + `BENCH_simd.json` | `cargo run --release --bin simd_kernels` |
-| Serving + SIMD regression gate (CI) | `bench_gate` vs `ci/bench_baseline.json`, `ci/bench_simd_baseline.json` | `cargo run --release --bin bench_gate -- --simd-current BENCH_simd.json --simd-baseline ci/bench_simd_baseline.json` |
 | Segment-size / IB-scheme ablations | `ablation_segment_size`, `ablation_ib_scheme` | `cargo run --release --bin ablation_segment_size` |
 | Multi-device split: a model that OOMs every single-device policy deploys across 2–8 networked MCUs, bit-exact, every cut-edge transfer priced (`docs/SPLIT.md`) | `split_pipeline` + `split_props` suites + `split_serves_the_oversized_model` bench check | `cargo test --test split_pipeline --test split_props`; `cargo run --release --bin fleet_throughput -- --light` |
 | Split execution is bit-exact vs the reference at 2/4/8-way cuts, and bit-identical across processes | differential suite + `bench_gate --identical` (CI runs the fleet bench twice) | `cargo test --test differential_random_nets`; `cargo run --release --bin bench_gate -- --identical BENCH_fleet.json BENCH_fleet_rerun.json` |

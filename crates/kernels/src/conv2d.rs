@@ -7,41 +7,10 @@
 //! input through the circular pool.
 
 use crate::intrinsics::{broadcast_cycles, dot_accumulate, read_weights, requant_into, tiles};
-use crate::params::Conv2dParams;
-use crate::trace::{free_upto, push_event, ExecEvent};
+use crate::params::{tap_range, Conv2dParams};
+use crate::trace::free_upto;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
-
-/// Dry-run of the kernel's store/free schedule (byte addresses): each
-/// output row's segment stores as one run, then the input rows it
-/// retires.
-pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
-    let out_row = p.out_w() * p.k;
-    let row_bytes = p.w * p.c;
-    let mut ev = Vec::new();
-    let mut next_free = 0usize;
-    for pi in 0..p.out_h() {
-        push_event(
-            &mut ev,
-            ExecEvent::Store {
-                addr: (pi * out_row) as i64,
-                len: out_row,
-            },
-        );
-        let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
-        if upto > next_free {
-            push_event(
-                &mut ev,
-                ExecEvent::Free {
-                    addr: (next_free * row_bytes) as i64,
-                    len: (upto - next_free) * row_bytes,
-                },
-            );
-            next_free = upto;
-        }
-    }
-    ev
-}
 
 /// Runs the 2D convolution kernel. Input `[H,W,C]` at pool address `b_in`,
 /// output `[P,Q,K]` at `b_out`, weights `[R,S,C,K]` in Flash at `w_base`.
@@ -50,10 +19,10 @@ pub fn conv2d_exec_trace(p: &Conv2dParams) -> Vec<ExecEvent> {
 /// loading every in-bounds tap's input segments through the pool and the
 /// matching weight rows from Flash per tile; the counters charge exactly
 /// that. The host reads the weights once per call — Flash is immutable
-/// during an inference — widened to `i16`, and per pixel does one
-/// checked pool read per tap, one `K`-lane dot per tap, one requant and
-/// one checked store,
-/// then adds the pixel's price: the fixed part, `tap * taps`, and each
+/// during an inference — widened to `i16`. Per pixel it takes each
+/// axis's in-bounds taps from [`tap_range`], does one checked pool read
+/// and one `K`-lane dot per tap, one requant and one checked store, then
+/// adds the pixel's price: the fixed part, `tap * taps`, and each
 /// segment access at its own wrap split.
 ///
 /// # Errors
@@ -98,34 +67,28 @@ pub fn run_conv2d(
     let mut out_reg = vec![0u8; p.k];
     let mut next_free = 0usize;
     for pi in 0..p_out {
+        let rows = tap_range(pi, p.r, p.stride, p.pad, p.h);
         for qi in 0..q_out {
+            let cols = tap_range(qi, p.s, p.stride, p.pad, p.w);
             acc.fill(0);
             let mut loads = Counters::new();
-            let mut taps = 0u64;
-            for ri in 0..p.r {
-                let y = (pi * p.stride + ri) as isize - p.pad as isize;
-                if y < 0 || y >= p.h as isize {
-                    continue;
-                }
-                for si in 0..p.s {
-                    let x = (qi * p.stride + si) as isize - p.pad as isize;
-                    if x < 0 || x >= p.w as isize {
-                        continue;
-                    }
-                    let in_addr = b_in + ((y as usize * p.w + x as usize) * p.c) as i64;
+            for ri in rows.clone() {
+                let y = pi * p.stride + ri - p.pad;
+                for si in cols.clone() {
+                    let x = qi * p.stride + si - p.pad;
+                    let in_addr = b_in + ((y * p.w + x) * p.c) as i64;
                     let a = pool.read_span(m, in_addr, &mut a_reg)?;
                     let w = &weights[(ri * p.s + si) * tap_bytes..][..tap_bytes];
                     dot_accumulate(a, w, p.k, &mut acc);
                     for (c0, cw) in tiles(p.c, p.seg) {
                         loads += pool.price_load(&cost, in_addr + c0 as i64, cw);
                     }
-                    taps += 1;
                 }
             }
             requant_into(&acc, p.rq, p.clamp, &mut out_reg);
             let out_addr = b_out + ((pi * q_out + qi) * p.k) as i64;
             pool.store_span(m, &out_reg, out_addr)?;
-            let mut price = pixel + tap * taps + loads * reloads;
+            let mut price = pixel + tap * (rows.len() * cols.len()) as u64 + loads * reloads;
             for (k0, kw) in tiles(p.k, p.seg) {
                 price += pool.price_store(&cost, out_addr + k0 as i64, kw);
             }
@@ -162,7 +125,15 @@ mod tests {
     }
 
     fn run_case(p: &Conv2dParams, extra: i64) -> Result<(Tensor<i8>, Machine), PoolError> {
-        let mut m = Machine::new(Device::stm32_f411re());
+        run_on(Device::stm32_f411re(), p, extra)
+    }
+
+    fn run_on(
+        device: Device,
+        p: &Conv2dParams,
+        extra: i64,
+    ) -> Result<(Tensor<i8>, Machine), PoolError> {
+        let mut m = Machine::new(device);
         let input = random::tensor_i8(&[p.h, p.w, p.c], 31);
         let weight = random::tensor_i8(&[p.r, p.s, p.c, p.k], 32);
         let w_base = m.host_program_flash(&weight.as_bytes()).unwrap();
@@ -241,5 +212,19 @@ mod tests {
         let p = Conv2dParams::new(5, 5, 2, 3, 3, 3, 1, 1, Requant::from_scale(0.05, 0));
         let (_, m) = run_case(&p, 0).unwrap();
         assert_eq!(m.counters.macs, p.macs());
+    }
+
+    #[test]
+    fn direct_cycles_are_pinned_on_the_simd_ladder() {
+        // A 12×12×8 → 8, 3×3, pad-1 conv at its executable distance: the
+        // simulated cycles of each ladder device, dearest MAC first.
+        let p = Conv2dParams::new(12, 12, 8, 8, 3, 3, 1, 1, Requant::from_scale(1.0 / 64.0, 0));
+        let mut cycles = Vec::new();
+        for device in Device::simd_ladder() {
+            let (out, m) = run_on(device, &p, 0).unwrap();
+            assert_eq!(out, expected(&p));
+            cycles.push(m.counters.cycles);
+        }
+        assert_eq!(cycles, [478_600, 209_540, 153_464, 111_408]);
     }
 }

@@ -11,39 +11,9 @@ use crate::intrinsics::{
     broadcast_cycles, read_weights, requant_into, reuse_runs, window_accumulate,
 };
 use crate::params::{tap_range, DepthwiseParams};
-use crate::trace::{free_upto, push_event, ExecEvent};
+use crate::trace::free_upto;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{Counters, Machine};
-
-/// Dry-run of the kernel's store/free schedule (byte addresses): each
-/// output row's pixel stores as one run, then the input rows it retires.
-pub fn depthwise_exec_trace(p: &DepthwiseParams) -> Vec<ExecEvent> {
-    let out_row = p.out_w() * p.c;
-    let row_bytes = p.w * p.c;
-    let mut ev = Vec::new();
-    let mut next_free = 0usize;
-    for pi in 0..p.out_h() {
-        push_event(
-            &mut ev,
-            ExecEvent::Store {
-                addr: (pi * out_row) as i64,
-                len: out_row,
-            },
-        );
-        let upto = free_upto(p.h, p.out_h(), p.stride, p.pad, pi);
-        if upto > next_free {
-            push_event(
-                &mut ev,
-                ExecEvent::Free {
-                    addr: (next_free * row_bytes) as i64,
-                    len: (upto - next_free) * row_bytes,
-                },
-            );
-            next_free = upto;
-        }
-    }
-    ev
-}
 
 /// Runs the depthwise kernel. Input `[H,W,C]` at pool address `b_in`,
 /// output `[P,Q,C]` at `b_out`, weights `[R,S,C]` in Flash at `w_base`.

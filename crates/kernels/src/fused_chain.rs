@@ -19,14 +19,12 @@
 //! planner's offset ([`chain_exec_distance`]) derives from that trace —
 //! correct by construction and verified empirically by the checked pool.
 
-use crate::conv2d::conv2d_exec_trace;
-use crate::depthwise::depthwise_exec_trace;
 use crate::fc::fc_exec_trace;
 use crate::intrinsics::{
     broadcast_cycles, dot_accumulate, read_weights, requant_into, reuse_runs, window_accumulate,
 };
 use crate::params::{tap_range, Conv2dParams, DepthwiseParams, FcParams, PointwiseParams};
-use crate::trace::{exec_distance, push_event, ExecEvent};
+use crate::trace::{exec_distance, push_event, row_window_trace, ExecEvent};
 use std::fmt;
 use vmcu_pool::{PoolError, SegmentPool};
 use vmcu_sim::{CostModel, Counters, Machine};
@@ -120,9 +118,18 @@ impl ChainOp {
     pub fn exec_events(&self) -> Vec<ExecEvent> {
         match self {
             ChainOp::Pointwise(p) => fc_exec_trace(&p.as_fc()),
-            ChainOp::Depthwise(p) => depthwise_exec_trace(p),
-            ChainOp::Conv2d(p) => conv2d_exec_trace(p),
             ChainOp::Dense(p) => fc_exec_trace(p),
+            ChainOp::Depthwise(_) | ChainOp::Conv2d(_) => {
+                let (_, stride, pad) = self.row_window();
+                row_window_trace(
+                    self.in_rows(),
+                    self.in_row_bytes(),
+                    self.out_rows(),
+                    self.out_row_bytes(),
+                    stride,
+                    pad,
+                )
+            }
         }
     }
 
@@ -551,30 +558,23 @@ impl ChainExec<'_> {
                 pixel.cycles += broadcast_cycles(p.k);
                 pixel.charge_requant(cost, k);
                 let acc = &mut regs.acc[..p.k];
+                let rows = tap_range(row, p.r, p.stride, p.pad, p.h);
                 for q in 0..p.out_w() {
+                    let cols = tap_range(q, p.s, p.stride, p.pad, p.w);
                     acc.fill(0);
-                    let mut taps = 0u64;
-                    for ri in 0..p.r {
-                        let y = (row * p.stride + ri) as isize - p.pad as isize;
-                        if y < 0 || y >= p.h as isize {
-                            continue;
-                        }
-                        for si in 0..p.s {
-                            let x = (q * p.stride + si) as isize - p.pad as isize;
-                            if x < 0 || x >= p.w as isize {
-                                continue;
-                            }
-                            let at = x as usize * p.c;
+                    for ri in rows.clone() {
+                        let y = row * p.stride + ri - p.pad;
+                        for si in cols.clone() {
+                            let at = (q * p.stride + si - p.pad) * p.c;
                             let (a, load) =
-                                self.read(m, pool, op_idx, y as usize, at, 1, p.c, &mut regs.a)?;
+                                self.read(m, pool, op_idx, y, at, 1, p.c, &mut regs.a)?;
                             let wt = &w[(ri * p.s + si) * tap_bytes..][..tap_bytes];
                             dot_accumulate(a, wt, p.k, acc);
                             price += load;
-                            taps += 1;
                         }
                     }
                     requant_into(acc, p.rq, p.clamp, &mut out[q * p.k..(q + 1) * p.k]);
-                    price += pixel + tap * taps;
+                    price += pixel + tap * (rows.len() * cols.len()) as u64;
                 }
             }
         }

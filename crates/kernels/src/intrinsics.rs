@@ -5,53 +5,22 @@
 //! [`vmcu_pool::SegmentPool`] / [`vmcu_sim::Machine`] operations. This
 //! module implements the compute intrinsics:
 //!
-//! * [`dot_tile`] — the `Dot` fixed-size int8 matmul micro-kernel
+//! * [`dot_tile_u8`] — the `Dot` fixed-size int8 matmul micro-kernel
 //!   (`SXTB16` + `SMLAD` on ARM, 2 MACs per instruction);
 //! * [`broadcast`] — register splat (`PKHBT` on ARM);
 //! * [`requant_row`] — the int32→int8 epilogue shared with the reference
-//!   operators, charged at a few cycles per element.
+//!   operators, charged at the device's per-element requant cost.
 //!
 //! Every host MAC runs through two uncharged cores: the `Dot` core
-//! behind [`dot_tile_u8`] and [`dot_tile_lanes`], and the window core
-//! [`window_accumulate`], all of one depthwise output pixel's taps
-//! ([`tap_accumulate`] is its one-tap case). Both take weights already
-//! sign-extended to `i16` ([`widen`]) — as `SXTB16` widens int8 to
-//! 16-bit lanes once before `SMLAD` streams them — so the kernels widen
-//! each weight image once per call, where they read it from Flash.
+//! behind [`dot_tile_u8`], and the window core [`window_accumulate`],
+//! all of one depthwise output pixel's taps ([`tap_accumulate`] is its
+//! one-tap case). Both take weights already sign-extended to `i16`
+//! ([`widen`]) — as `SXTB16` widens int8 to 16-bit lanes once before
+//! `SMLAD` streams them — so the kernels widen each weight image once
+//! per call, where they read it from Flash.
 
 use vmcu_sim::{Machine, MemError};
 use vmcu_tensor::Requant;
-
-/// Cycles per element the requantization epilogue costs on the original
-/// evaluation platforms (M4/M7). The live cost now comes from the device
-/// model ([`vmcu_sim::CostModel::requant_cycles_x100`], which kernels
-/// charge through [`Machine::charge_requant`]); this constant remains as
-/// the documented M4/M7 value that model reproduces.
-pub const REQUANT_CYCLES_PER_ELEM: u64 = 3;
-
-/// `Dot`: `acc[n] += Σ_k a[k] · b[k·b_stride + n]` for `n < acc.len()`,
-/// `k < a.len()` — an `a.len()`-deep reduction into `acc.len()` lanes,
-/// charged as packed-SIMD MACs.
-///
-/// `fully_unrolled` selects the pipeline-stall model: vMCU kernels fully
-/// unroll their innermost reduction loops, the TinyEngine baseline unrolls
-/// to a fixed depth (§7.2).
-///
-/// # Panics
-///
-/// Panics if `b` is too short for the access pattern.
-pub fn dot_tile(
-    m: &mut Machine,
-    a: &[i8],
-    b: &[i8],
-    b_stride: usize,
-    acc: &mut [i32],
-    fully_unrolled: bool,
-) {
-    let a: Vec<u8> = a.iter().map(|&v| v as u8).collect();
-    let b: Vec<i16> = b.iter().map(|&v| i16::from(v)).collect();
-    dot_tile_u8(m, &a, &b, b_stride, acc, fully_unrolled);
-}
 
 /// Sign-extends an int8 image stored as `u8` bytes to `i16` lanes — the
 /// `SXTB16` half of `Dot`, done once per weight image so that every MAC
@@ -225,10 +194,16 @@ pub(crate) fn reuse_runs<'b, T: ?Sized>(mut runs: Vec<&T>) -> Vec<&'b T> {
         .collect()
 }
 
-/// `Dot` over `u8` activation registers (the kernels' staging format)
-/// and widened weights ([`widen`]): identical semantics and charging to
-/// [`dot_tile`]. `b` holds int8 values, as [`widen`] returns them: each
-/// product is taken in `i16`, where a wider weight could overflow.
+/// `Dot`: `acc[n] += Σ_k a[k] · b[k·b_stride + n]` for `n < acc.len()`,
+/// `k < a.len()` — an `a.len()`-deep reduction into `acc.len()` lanes
+/// over `u8` activation registers (the kernels' staging format) and
+/// widened weights ([`widen`]), charged as packed-SIMD MACs. `b` holds
+/// int8 values, as [`widen`] returns them: each product is taken in
+/// `i16`, where a wider weight could overflow.
+///
+/// `fully_unrolled` selects the pipeline-stall model: vMCU kernels fully
+/// unroll their innermost reduction loops, the TinyEngine baseline unrolls
+/// to a fixed depth (§7.2).
 ///
 /// # Panics
 ///
@@ -247,40 +222,6 @@ pub fn dot_tile_u8(
     }
     dot_accumulate(a, b, b_stride, acc);
     m.charge_macs((ki * ni) as u64, fully_unrolled);
-}
-
-/// Lane-blocked `Dot`: the same bit-exact accumulation as
-/// [`dot_tile_u8`], charged at `lanes_used` SIMD lanes per instruction
-/// ([`Machine::charge_macs_lanes`]): a GEMM micro-kernel priced as a
-/// lowering would issue it — `lanes_used = 1` prices the scalar lowering
-/// a capability-unaware compiler emits, `lanes_used = device lanes` the
-/// fully vectorized one.
-///
-/// # Panics
-///
-/// Panics if `b` is too short for the access pattern.
-pub fn dot_tile_lanes(
-    m: &mut Machine,
-    a: &[u8],
-    b: &[i16],
-    b_stride: usize,
-    acc: &mut [i32],
-    fully_unrolled: bool,
-    lanes_used: u64,
-) {
-    let (ki, ni) = (a.len(), acc.len());
-    if ki == 0 || ni == 0 {
-        return;
-    }
-    dot_accumulate(a, b, b_stride, acc);
-    m.charge_macs_lanes((ki * ni) as u64, fully_unrolled, lanes_used);
-    if lanes_used > 1 {
-        // Fixed per-tile register packing setup (SXTB16 widening /
-        // predication), explicit here because a lowered matmul issues
-        // one packed tile per call; the direct kernels fold steady-state
-        // packing into `mac_cycles_x100`.
-        m.charge_cycles(m.device.cost.simd.packing_cycles);
-    }
 }
 
 /// `Broadcast`: fills a register row with a value (PKHBT-style splat),
@@ -334,10 +275,9 @@ mod tests {
     fn dot_tile_computes_gemm_tile() {
         let mut m = machine();
         // a = [1, 2], b = [[3, 4], [5, 6]] (stride 2): acc = [13, 16]
-        let a = [1i8, 2];
-        let b = [3i8, 4, 5, 6];
+        let b = widen(&[3, 4, 5, 6]);
         let mut acc = [0i32; 2];
-        dot_tile(&mut m, &a, &b, 2, &mut acc, true);
+        dot_tile_u8(&mut m, &[1, 2], &b, 2, &mut acc, true);
         assert_eq!(acc, [13, 16]);
         assert_eq!(m.counters.macs, 4);
     }
@@ -346,7 +286,7 @@ mod tests {
     fn dot_tile_accumulates() {
         let mut m = machine();
         let mut acc = [10i32];
-        dot_tile(&mut m, &[2], &[3], 1, &mut acc, true);
+        dot_tile_u8(&mut m, &[2], &widen(&[3]), 1, &mut acc, true);
         assert_eq!(acc, [16]);
     }
 
@@ -354,9 +294,9 @@ mod tests {
     fn dot_tile_respects_stride() {
         let mut m = machine();
         // b laid out with stride 3 but only 2 used lanes.
-        let b = [1i8, 2, 99, 4, 5, 99];
+        let b = widen(&[1, 2, 99, 4, 5, 99]);
         let mut acc = [0i32; 2];
-        dot_tile(&mut m, &[1, 1], &b, 3, &mut acc, false);
+        dot_tile_u8(&mut m, &[1, 1], &b, 3, &mut acc, false);
         assert_eq!(acc, [5, 7]);
     }
 
@@ -365,76 +305,21 @@ mod tests {
     fn dot_tile_bounds_checked() {
         let mut m = machine();
         let mut acc = [0i32; 4];
-        dot_tile(&mut m, &[1, 1], &[0; 4], 4, &mut acc, true);
+        dot_tile_u8(&mut m, &[1, 1], &[0; 4], 4, &mut acc, true);
     }
 
     #[test]
     fn partial_unroll_charges_more() {
         let mut m1 = machine();
         let mut m2 = machine();
-        let a = [1i8; 32];
-        let b = [1i8; 64];
+        let a = [1u8; 32];
+        let b = [1i16; 64];
         let mut acc = [0i32; 2];
-        dot_tile(&mut m1, &a, &b, 2, &mut acc, true);
+        dot_tile_u8(&mut m1, &a, &b, 2, &mut acc, true);
         let mut acc = [0i32; 2];
-        dot_tile(&mut m2, &a, &b, 2, &mut acc, false);
+        dot_tile_u8(&mut m2, &a, &b, 2, &mut acc, false);
         assert!(m2.counters.cycles > m1.counters.cycles);
         assert_eq!(m1.counters.macs, m2.counters.macs);
-    }
-
-    #[test]
-    fn dot_tile_u8_is_bit_exact_and_cycle_identical_to_dot_tile() {
-        // Deterministic pseudo-random contents; ragged ki exercises the
-        // chunks_exact remainder path.
-        for (ki, ni) in [(1, 1), (3, 2), (4, 4), (7, 5), (16, 2), (37, 3)] {
-            let a: Vec<u8> = (0..ki).map(|i| (i * 37 + 11) as u8).collect();
-            let b: Vec<u8> = (0..ki * ni).map(|i| (i * 91 + 5) as u8).collect();
-            let a_i8: Vec<i8> = a.iter().map(|&v| v as i8).collect();
-            let b_i8: Vec<i8> = b.iter().map(|&v| v as i8).collect();
-            let b = widen(&b);
-            let mut m1 = machine();
-            let mut m2 = machine();
-            let mut acc1 = vec![7i32; ni];
-            let mut acc2 = vec![7i32; ni];
-            dot_tile(&mut m1, &a_i8, &b_i8, ni, &mut acc1, true);
-            dot_tile_u8(&mut m2, &a, &b, ni, &mut acc2, true);
-            assert_eq!(acc1, acc2, "ki={ki} ni={ni}");
-            assert_eq!(m1.counters, m2.counters, "ki={ki} ni={ni}");
-        }
-    }
-
-    #[test]
-    fn dot_tile_lanes_native_width_matches_dot_tile_u8_plus_packing() {
-        let a: Vec<u8> = (0..16u8).collect();
-        let b = widen(&(0..32u8).collect::<Vec<_>>());
-        let mut base = machine();
-        let mut lanes = machine();
-        let mut acc1 = [0i32; 2];
-        let mut acc2 = [0i32; 2];
-        dot_tile_u8(&mut base, &a, &b, 2, &mut acc1, true);
-        let native = base.device.cost.simd.lanes;
-        dot_tile_lanes(&mut lanes, &a, &b, 2, &mut acc2, true, native);
-        assert_eq!(acc1, acc2);
-        assert_eq!(
-            lanes.counters.cycles,
-            base.counters.cycles + base.device.cost.simd.packing_cycles
-        );
-        assert_eq!(lanes.counters.macs, base.counters.macs);
-    }
-
-    #[test]
-    fn scalar_lane_charging_costs_roughly_the_lane_ratio_more() {
-        let a = [1u8; 64];
-        let b = [2i16; 128];
-        let mut scalar = machine();
-        let mut vector = machine();
-        let mut acc = [0i32; 2];
-        dot_tile_lanes(&mut scalar, &a, &b, 2, &mut acc, true, 1);
-        let mut acc = [0i32; 2];
-        let native = vector.device.cost.simd.lanes;
-        dot_tile_lanes(&mut vector, &a, &b, 2, &mut acc, true, native);
-        let ratio = scalar.counters.cycles as f64 / vector.counters.cycles as f64;
-        assert!(ratio >= 1.8, "scalar/vector cycle ratio {ratio} < 1.8");
     }
 
     #[test]
@@ -456,6 +341,6 @@ mod tests {
         for (i, &a) in acc.iter().enumerate() {
             assert_eq!(out[i] as i8, rq.apply(a));
         }
-        assert_eq!(m.counters.cycles, 4 * REQUANT_CYCLES_PER_ELEM);
+        assert_eq!(m.counters.cycles, m.device.cost.requant_cost(4));
     }
 }

@@ -20,6 +20,16 @@ pub fn tap_range(o: usize, k: usize, stride: usize, pad: usize, dim: usize) -> R
     lo..hi.max(lo)
 }
 
+/// In-bounds taps along one axis of a sliding window, summed over its
+/// `out` output indices: the axis's factor of the window's tap count.
+/// Row and column tap validity are independent, so a 2D window's taps
+/// are the product of its two axes' sums.
+fn axis_taps(out: usize, k: usize, stride: usize, pad: usize, dim: usize) -> u64 {
+    (0..out)
+        .map(|o| tap_range(o, k, stride, pad, dim).len() as u64)
+        .sum()
+}
+
 /// Fully-connected layer `In[M,K] × W[K,N] → Out[M,N]`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FcParams {
@@ -214,26 +224,12 @@ impl Conv2dParams {
         self.out_h() * self.out_w() * self.k
     }
 
-    /// MAC count (padding taps skipped, counted exactly).
+    /// MAC count (padding taps skipped, counted exactly — the same
+    /// [`tap_range`] `run_conv2d` reads).
     pub fn macs(&self) -> u64 {
-        let mut taps = 0u64;
-        for p in 0..self.out_h() {
-            for r in 0..self.r {
-                let y = (p * self.stride + r) as isize - self.pad as isize;
-                if y < 0 || y >= self.h as isize {
-                    continue;
-                }
-                for q in 0..self.out_w() {
-                    for s in 0..self.s {
-                        let x = (q * self.stride + s) as isize - self.pad as isize;
-                        if x >= 0 && x < self.w as isize {
-                            taps += 1;
-                        }
-                    }
-                }
-            }
-        }
-        taps * (self.c * self.k) as u64
+        axis_taps(self.out_h(), self.r, self.stride, self.pad, self.h)
+            * axis_taps(self.out_w(), self.s, self.stride, self.pad, self.w)
+            * (self.c * self.k) as u64
     }
 }
 
@@ -307,15 +303,11 @@ impl DepthwiseParams {
     }
 
     /// MAC count (padding taps skipped, counted exactly — the same
-    /// [`tap_range`] `run_depthwise` reads). Row and column tap validity
-    /// are independent, so the count is separable.
+    /// [`tap_range`] `run_depthwise` reads).
     pub fn macs(&self) -> u64 {
-        let valid = |out: usize, k: usize, dim: usize| -> u64 {
-            (0..out)
-                .map(|o| tap_range(o, k, self.stride, self.pad, dim).len() as u64)
-                .sum()
-        };
-        valid(self.out_h(), self.r, self.h) * valid(self.out_w(), self.s, self.w) * self.c as u64
+        axis_taps(self.out_h(), self.r, self.stride, self.pad, self.h)
+            * axis_taps(self.out_w(), self.s, self.stride, self.pad, self.w)
+            * self.c as u64
     }
 }
 
@@ -542,32 +534,41 @@ mod tests {
 
     #[test]
     fn depthwise_macs_match_the_kernel_skip_logic() {
-        // Brute-force the run_depthwise tap loop and compare with the
-        // separable closed form, across strides and window sizes.
-        for (h, r, stride, pad) in [(6, 3, 1, 1), (8, 3, 2, 1), (9, 7, 1, 3), (7, 5, 2, 2)] {
-            let p = DepthwiseParams::new(h, h, 4, r, r, stride, pad, Requant::identity());
+        // Brute-force the taps with a loop that tests every tap against
+        // the padding and compare with both separable closed forms,
+        // across strides, window sizes, non-square shapes and padding
+        // wider than the window.
+        for (h, w, r, s, stride, pad) in [
+            (6, 6, 3, 3, 1, 1),
+            (8, 8, 3, 3, 2, 1),
+            (9, 9, 7, 7, 1, 3),
+            (7, 7, 5, 5, 2, 2),
+            (5, 8, 1, 3, 1, 1),
+            (9, 4, 5, 2, 2, 2),
+            (4, 6, 1, 4, 1, 2),
+        ] {
             let mut taps = 0u64;
-            for pi in 0..p.out_h() {
-                for qi in 0..p.out_w() {
-                    for ri in 0..p.r {
-                        let y = (pi * p.stride + ri) as isize - p.pad as isize;
-                        if y < 0 || y >= p.h as isize {
+            for pi in 0..(h + 2 * pad - r) / stride + 1 {
+                for qi in 0..(w + 2 * pad - s) / stride + 1 {
+                    for ri in 0..r {
+                        let y = (pi * stride + ri) as isize - pad as isize;
+                        if y < 0 || y >= h as isize {
                             continue;
                         }
-                        for si in 0..p.s {
-                            let x = (qi * p.stride + si) as isize - p.pad as isize;
-                            if x >= 0 && x < p.w as isize {
+                        for si in 0..s {
+                            let x = (qi * stride + si) as isize - pad as isize;
+                            if x >= 0 && x < w as isize {
                                 taps += 1;
                             }
                         }
                     }
                 }
             }
-            assert_eq!(
-                p.macs(),
-                taps * p.c as u64,
-                "h={h} r={r} s={stride} p={pad}"
-            );
+            let case = format!("h={h} w={w} r={r} s={s} stride={stride} pad={pad}");
+            let dw = DepthwiseParams::new(h, w, 4, r, s, stride, pad, Requant::identity());
+            assert_eq!(dw.macs(), taps * 4, "depthwise {case}");
+            let conv = Conv2dParams::new(h, w, 4, 3, r, s, stride, pad, Requant::identity());
+            assert_eq!(conv.macs(), taps * 12, "conv2d {case}");
         }
     }
 

@@ -171,6 +171,44 @@ pub fn pool_window(in_bytes: usize, out_bytes: usize, d: i64) -> usize {
     (in_bytes + d.max(0) as usize).max(out_bytes)
 }
 
+/// Dry-run store/free schedule of a row-sliding kernel (depthwise and
+/// conv2d, byte addresses relative to the tensor bases): each of the
+/// `out_rows` output rows stores as one `out_row_bytes` run, then frees
+/// the `in_row_bytes` input rows no later output row's window reads
+/// (window `stride`, `pad` rows of top padding, `in_rows` in all).
+pub(crate) fn row_window_trace(
+    in_rows: usize,
+    in_row_bytes: usize,
+    out_rows: usize,
+    out_row_bytes: usize,
+    stride: usize,
+    pad: usize,
+) -> Vec<ExecEvent> {
+    let mut ev = Vec::new();
+    let mut next_free = 0usize;
+    for row in 0..out_rows {
+        push_event(
+            &mut ev,
+            ExecEvent::Store {
+                addr: (row * out_row_bytes) as i64,
+                len: out_row_bytes,
+            },
+        );
+        let upto = free_upto(in_rows, out_rows, stride, pad, row);
+        if upto > next_free {
+            push_event(
+                &mut ev,
+                ExecEvent::Free {
+                    addr: (next_free * in_row_bytes) as i64,
+                    len: (upto - next_free) * in_row_bytes,
+                },
+            );
+            next_free = upto;
+        }
+    }
+    ev
+}
+
 /// Exclusive upper bound of the input rows a row-sliding kernel no
 /// longer reads once it has stored output row `row`: the rows above the
 /// next output row's window (`h` input rows, `out_h` output rows, window

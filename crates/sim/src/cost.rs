@@ -16,42 +16,13 @@
 //! All fractional costs use ×100 fixed point to keep the simulator purely
 //! integral and deterministic.
 
-/// Packed-SIMD dot-product capability of a core.
-///
-/// `mac_cycles_x100` already prices a MAC issued at the core's *native*
-/// lane width (the `SXTB16`+`SMLAD` pairing on DSP-capable cores); this
-/// descriptor makes that width explicit so kernels can be priced at
-/// *other* widths — most importantly the scalar (`lanes = 1`) lowering a
-/// capability-unaware compiler would emit, which pays `lanes`× the
-/// native per-MAC cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SimdCapability {
-    /// int8 MAC lanes per multiply-accumulate instruction: 1 on scalar
-    /// M0-class cores, 2 with the DSP extension (`SMLAD`), 4 on
-    /// MVE-class (Helium) cores.
-    pub lanes: u64,
-    /// Fixed register-packing setup cycles per vectorized dot-tile
-    /// invocation (`SXTB16` widening, predication setup). Charged by the
-    /// im2col/matmul lowering per tile, not per MAC — the native direct
-    /// kernels fold steady-state packing into `mac_cycles_x100`.
-    pub packing_cycles: u64,
-}
-
-impl SimdCapability {
-    /// Scalar capability: one MAC per instruction, nothing to pack.
-    pub fn scalar() -> Self {
-        Self {
-            lanes: 1,
-            packing_cycles: 0,
-        }
-    }
-}
-
 /// Per-operation cycle costs (fixed point: `_x100` fields are cycles×100).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CostModel {
-    /// Cycles ×100 per 8-bit MAC in a fully unrolled packed-SIMD loop
-    /// *at the native lane width* ([`SimdCapability::lanes`]).
+    /// Cycles ×100 per 8-bit MAC in a fully unrolled loop at the core's
+    /// native SIMD width: packed `SMLAD` pairs on M4/M7, scalar MACs on
+    /// M0+, quad int8 lanes on M55. Every kernel charges MACs at this
+    /// one rate ([`CostModel::mac_cost`]).
     pub mac_cycles_x100: u64,
     /// Extra multiplier ×100 applied to MAC cycles when the inner loop is
     /// only partially unrolled (pipeline stalls + loop upkeep); `100`
@@ -78,8 +49,6 @@ pub struct CostModel {
     /// Cycles ×100 per element of the requantization epilogue
     /// (multiply-high + rounding shift + saturate).
     pub requant_cycles_x100: u64,
-    /// Packed-SIMD dot-product capability.
-    pub simd: SimdCapability,
 }
 
 impl CostModel {
@@ -95,10 +64,6 @@ impl CostModel {
             branch_cycles: 3,
             call_overhead_cycles: 6,
             requant_cycles_x100: 300,
-            simd: SimdCapability {
-                lanes: 2, // SXTB16 + SMLAD: two int8 MACs per instruction
-                packing_cycles: 2,
-            },
         }
     }
 
@@ -114,10 +79,6 @@ impl CostModel {
             branch_cycles: 2,
             call_overhead_cycles: 5,
             requant_cycles_x100: 300,
-            simd: SimdCapability {
-                lanes: 2,
-                packing_cycles: 1, // dual-issue hides half the widening
-            },
         }
     }
 
@@ -135,7 +96,6 @@ impl CostModel {
             branch_cycles: 4,
             call_overhead_cycles: 8,
             requant_cycles_x100: 500, // no SSAT, branchy saturation
-            simd: SimdCapability::scalar(),
         }
     }
 
@@ -152,10 +112,6 @@ impl CostModel {
             branch_cycles: 1,
             call_overhead_cycles: 4,
             requant_cycles_x100: 200, // VQRDMULH + VQSHRNB vectorize it
-            simd: SimdCapability {
-                lanes: 4,
-                packing_cycles: 1,
-            },
         }
     }
 
@@ -163,25 +119,6 @@ impl CostModel {
     /// penalty applies.
     pub fn mac_cost(&self, n: u64, fully_unrolled: bool) -> u64 {
         let base = n * self.mac_cycles_x100;
-        let scaled = if fully_unrolled {
-            base
-        } else {
-            base * self.partial_unroll_penalty_x100 / 100
-        };
-        scaled.div_ceil(100)
-    }
-
-    /// Cycles for `n` MACs issued at `lanes_used` lanes per instruction
-    /// instead of the native width: an under-filled MAC instruction still
-    /// retires in the same time, so per-MAC cost scales by
-    /// `native_lanes / lanes_used`. At the native width this is exactly
-    /// [`CostModel::mac_cost`] (same rounding, bit for bit).
-    pub fn mac_cost_lanes(&self, n: u64, fully_unrolled: bool, lanes_used: u64) -> u64 {
-        let lanes_used = lanes_used.max(1).min(self.simd.lanes);
-        if lanes_used == self.simd.lanes {
-            return self.mac_cost(n, fully_unrolled);
-        }
-        let base = n * self.mac_cycles_x100 * self.simd.lanes / lanes_used;
         let scaled = if fully_unrolled {
             base
         } else {
@@ -249,69 +186,7 @@ mod tests {
         assert_eq!(m.mac_cost(0, false), 0);
         assert_eq!(m.ram_move_cost(0), 0);
         assert_eq!(m.flash_read_cost(0), 0);
-        assert_eq!(m.mac_cost_lanes(0, true, 1), 0);
         assert_eq!(m.requant_cost(0), 0);
-    }
-
-    #[test]
-    fn native_lanes_price_identically_to_mac_cost() {
-        // The lane-aware path must not perturb existing numbers: at the
-        // native width it *is* mac_cost, including the div_ceil rounding.
-        for m in [
-            CostModel::cortex_m4(),
-            CostModel::cortex_m7(),
-            CostModel::cortex_m0(),
-            CostModel::cortex_m55(),
-        ] {
-            for n in [0u64, 1, 7, 24, 216, 1000] {
-                for unrolled in [true, false] {
-                    assert_eq!(
-                        m.mac_cost_lanes(n, unrolled, m.simd.lanes),
-                        m.mac_cost(n, unrolled)
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn scalar_lowering_pays_the_lane_ratio() {
-        // Filling one of two SMLAD lanes doubles per-MAC cost on M4/M7.
-        let m4 = CostModel::cortex_m4();
-        assert_eq!(
-            m4.mac_cost_lanes(1000, true, 1),
-            2 * m4.mac_cost(1000, true)
-        );
-        let m7 = CostModel::cortex_m7();
-        assert_eq!(
-            m7.mac_cost_lanes(1000, true, 1),
-            2 * m7.mac_cost(1000, true)
-        );
-        // A quad-lane core pays 4x for scalar code, 2x for pairwise code.
-        let m55 = CostModel::cortex_m55();
-        assert_eq!(
-            m55.mac_cost_lanes(1000, true, 1),
-            4 * m55.mac_cost(1000, true)
-        );
-        assert_eq!(
-            m55.mac_cost_lanes(1000, true, 2),
-            2 * m55.mac_cost(1000, true)
-        );
-    }
-
-    #[test]
-    fn lanes_clamp_to_the_capability() {
-        // Claiming more lanes than the hardware has cannot price below
-        // native, and lanes = 0 is treated as scalar.
-        let m4 = CostModel::cortex_m4();
-        assert_eq!(m4.mac_cost_lanes(100, true, 8), m4.mac_cost(100, true));
-        assert_eq!(
-            m4.mac_cost_lanes(100, true, 0),
-            m4.mac_cost_lanes(100, true, 1)
-        );
-        let m0 = CostModel::cortex_m0();
-        assert_eq!(m0.simd.lanes, 1);
-        assert_eq!(m0.mac_cost_lanes(100, true, 4), m0.mac_cost(100, true));
     }
 
     #[test]
@@ -352,7 +227,5 @@ mod tests {
         assert!(per_mac(CostModel::cortex_m0()) > per_mac(CostModel::cortex_m4()));
         assert!(per_mac(CostModel::cortex_m4()) > per_mac(CostModel::cortex_m7()));
         assert!(per_mac(CostModel::cortex_m7()) > per_mac(CostModel::cortex_m55()));
-        assert_eq!(CostModel::cortex_m0().simd.lanes, 1);
-        assert_eq!(CostModel::cortex_m55().simd.lanes, 4);
     }
 }

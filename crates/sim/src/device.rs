@@ -50,11 +50,6 @@ pub struct Device {
     pub cost: CostModel,
     /// Energy model.
     pub energy: EnergyModel,
-    /// SIMD dot-product lane setup: reduction length of one `Dot`
-    /// micro-kernel invocation (the paper's 2×2×16 fixed-size matmul).
-    pub dot_ki: usize,
-    /// Output lanes of one `Dot` invocation.
-    pub dot_ni: usize,
 }
 
 impl Device {
@@ -69,8 +64,6 @@ impl Device {
             runtime_overhead_bytes: 4 * 1024,
             cost: CostModel::cortex_m4(),
             energy: EnergyModel::stm32_f4(),
-            dot_ki: 16,
-            dot_ni: 2,
         }
     }
 
@@ -85,8 +78,6 @@ impl Device {
             runtime_overhead_bytes: 4 * 1024,
             cost: CostModel::cortex_m7(),
             energy: EnergyModel::stm32_f7(),
-            dot_ki: 16,
-            dot_ni: 2,
         }
     }
 
@@ -102,8 +93,6 @@ impl Device {
             runtime_overhead_bytes: 4 * 1024,
             cost: CostModel::cortex_m0(),
             energy: EnergyModel::stm32_g0(),
-            dot_ki: 8,
-            dot_ni: 1,
         }
     }
 
@@ -119,13 +108,11 @@ impl Device {
             runtime_overhead_bytes: 4 * 1024,
             cost: CostModel::cortex_m55(),
             energy: EnergyModel::corstone_m55(),
-            dot_ki: 16,
-            dot_ni: 4,
         }
     }
 
-    /// The SIMD capability ladder in ascending lane order: scalar M0+,
-    /// dual-lane M4/M7, quad-lane M55.
+    /// The SIMD capability ladder, ordered by per-MAC cost, dearest
+    /// first: the scalar M0+, the dual-lane M4 and M7, the quad-lane M55.
     pub fn simd_ladder() -> Vec<Self> {
         vec![
             Self::stm32_g071rb(),
@@ -218,12 +205,21 @@ mod tests {
 
     #[test]
     fn simd_ladder_is_ordered_by_lanes() {
+        // Scalar M0+, dual-lane (SMLAD) M4 and M7, quad-lane (MVE) M55:
+        // per-MAC cost falls along the ladder.
         let ladder = Device::simd_ladder();
-        assert_eq!(ladder.len(), 4);
-        let lanes: Vec<u64> = ladder.iter().map(|d| d.cost.simd.lanes).collect();
-        assert_eq!(lanes, [1, 2, 2, 4]);
+        let cores: Vec<Core> = ladder.iter().map(|d| d.core).collect();
+        assert_eq!(
+            cores,
+            [
+                Core::CortexM0Plus,
+                Core::CortexM4,
+                Core::CortexM7,
+                Core::CortexM55
+            ]
+        );
         for pair in ladder.windows(2) {
-            assert!(pair[0].cost.simd.lanes <= pair[1].cost.simd.lanes);
+            assert!(pair[0].cost.mac_cycles_x100 > pair[1].cost.mac_cycles_x100);
         }
     }
 
@@ -231,8 +227,7 @@ mod tests {
     fn g071rb_is_the_scalar_floor() {
         let d = Device::stm32_g071rb();
         assert_eq!(d.core, Core::CortexM0Plus);
-        assert_eq!(d.cost.simd.lanes, 1);
-        assert_eq!(d.cost.simd.packing_cycles, 0);
+        assert_eq!(d.cost.mac_cycles_x100, 400);
         assert!(d.ram_bytes < Device::stm32_f411re().ram_bytes);
         assert!(d.to_string().contains("Cortex-M0+"));
     }
@@ -241,8 +236,7 @@ mod tests {
     fn an547_is_the_quad_lane_top() {
         let d = Device::mps3_an547();
         assert_eq!(d.core, Core::CortexM55);
-        assert_eq!(d.cost.simd.lanes, 4);
-        assert_eq!(d.dot_ni, 4);
+        assert_eq!(d.cost.mac_cycles_x100, 30);
         assert!(d.to_string().contains("Cortex-M55"));
     }
 

@@ -38,7 +38,7 @@ pub mod machine;
 pub mod memory;
 
 pub use byteset::ByteSet;
-pub use cost::{CostModel, SimdCapability};
+pub use cost::CostModel;
 pub use counters::Counters;
 pub use device::{Core, Device, PlatformSummary, TABLE1_PLATFORMS};
 pub use energy::EnergyModel;

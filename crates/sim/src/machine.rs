@@ -50,16 +50,6 @@ impl Machine {
         }
     }
 
-    /// Resets the machine to its freshly booted state — zeroed RAM, erased
-    /// Flash, zeroed counters — without reallocating the simulated
-    /// memories. A fleet worker serving thousands of requests reuses one
-    /// machine instead of re-allocating hundreds of KB per inference.
-    pub fn reset(&mut self) {
-        self.ram.clear();
-        self.flash.reset();
-        self.counters = Counters::new();
-    }
-
     /// Resets the volatile state only — zeroed RAM, zeroed counters —
     /// while keeping the programmed Flash image intact. This is the
     /// between-inference reset of a deployed session: weights are flashed
@@ -126,18 +116,6 @@ impl Machine {
     pub fn charge_macs(&mut self, n: u64, fully_unrolled: bool) {
         self.counters
             .charge_macs(&self.device.cost, n, fully_unrolled);
-    }
-
-    /// Charges `n` 8-bit MACs issued at `lanes_used` SIMD lanes per
-    /// instruction ([`crate::cost::CostModel::mac_cost_lanes`]): the
-    /// pricing surface for alternative kernel lowerings. At the device's
-    /// native width this is exactly [`Machine::charge_macs`].
-    pub fn charge_macs_lanes(&mut self, n: u64, fully_unrolled: bool, lanes_used: u64) {
-        self.counters.macs += n;
-        self.counters.cycles += self
-            .device
-            .cost
-            .mac_cost_lanes(n, fully_unrolled, lanes_used);
     }
 
     /// Charges `tiles` dot tiles of `n_per_tile` MACs each in one call —
@@ -259,20 +237,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_is_indistinguishable_from_fresh_boot() {
-        let mut m = machine();
-        m.host_write_ram(0, &[9; 128]).unwrap();
-        m.host_program_flash(&[7; 64]).unwrap();
-        m.charge_macs(1000, true);
-        m.reset();
-        assert_eq!(m.snapshot(), Counters::new());
-        assert_eq!(m.host_read_ram(0, 128).unwrap(), vec![0; 128]);
-        assert_eq!(m.flash.used(), 0);
-        // Reprogramming starts at the flash base again.
-        assert_eq!(m.host_program_flash(&[1]).unwrap(), 0);
-    }
-
-    #[test]
     fn reset_volatile_keeps_the_flash_image() {
         let mut m = machine();
         let base = m.host_program_flash(&[7; 64]).unwrap();
@@ -390,16 +354,6 @@ mod tests {
         let mut merged = Machine::new(Device::stm32_f767zi());
         merged.charge_macs(216, true);
         assert_ne!(merged.snapshot().cycles, per_call.snapshot().cycles);
-    }
-
-    #[test]
-    fn lane_charging_doubles_scalar_cost_on_dsp_cores() {
-        let mut native = machine();
-        native.charge_macs_lanes(1000, true, 2);
-        let mut scalar = machine();
-        scalar.charge_macs_lanes(1000, true, 1);
-        assert_eq!(scalar.snapshot().cycles, 2 * native.snapshot().cycles);
-        assert_eq!(native.snapshot().macs, scalar.snapshot().macs);
     }
 
     #[test]

@@ -326,13 +326,6 @@ impl Flash {
         Ok(addr)
     }
 
-    /// Erases all programmed images, returning the flash to its erased
-    /// (0xFF) state: the programmed prefix is dropped, its allocation
-    /// kept for the next image.
-    pub fn reset(&mut self) {
-        self.data.clear();
-    }
-
     fn check(&self, addr: usize, len: usize) -> Result<usize, MemError> {
         addr.checked_add(len)
             .filter(|&end| end <= self.capacity)
@@ -506,17 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn flash_reset_erases_and_allows_reprogramming() {
-        let mut flash = Flash::new(8);
-        flash.program(&[1, 2, 3, 4, 5, 6]).unwrap();
-        flash.reset();
-        assert_eq!(flash.used(), 0);
-        assert_eq!(flash.read(0, 8).unwrap(), &[0xFF; 8]);
-        // The full capacity is available again after a reset.
-        assert_eq!(flash.program(&[7; 8]).unwrap(), 0);
-    }
-
-    #[test]
     fn flash_programs_sequentially() {
         let mut flash = Flash::new(32);
         let a = flash.program(&[1, 2, 3]).unwrap();
@@ -563,9 +545,6 @@ mod tests {
         assert!(flash.read(usize::MAX, 2).is_err());
         // Only the programmed prefix is stored.
         assert_eq!(flash.data.len(), 3);
-        flash.reset();
-        assert!(flash.data.is_empty());
-        assert_eq!(flash.read(0, 3).unwrap(), &[0xFF; 3]);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Run-length traces against the per-segment trace generators they merge.
 //!
-//! Every vMCU trace generator (`fc_exec_trace`, `depthwise_exec_trace`,
-//! `conv2d_exec_trace`, `ib_exec_trace`, `chain_exec_trace`,
-//! `add_exec_trace`, `concat_exec_trace`) emits through
+//! Every vMCU trace generator (`fc_exec_trace`, the row-window trace
+//! behind `ChainOp::exec_events` for depthwise and conv2d,
+//! `ib_exec_trace`, `chain_exec_trace`, `add_exec_trace`,
+//! `concat_exec_trace`) emits through
 //! `vmcu_kernels::trace::push_event`, which extends the previous event
 //! when the new one continues it. The per-segment generators they
 //! replaced are kept here as `definition_*` oracles: one event per
@@ -18,8 +19,6 @@
 use proptest::prelude::*;
 use proptest::TestCaseError;
 use vmcu::vmcu_graph::{zoo, LayerDesc};
-use vmcu::vmcu_kernels::conv2d::conv2d_exec_trace;
-use vmcu::vmcu_kernels::depthwise::depthwise_exec_trace;
 use vmcu::vmcu_kernels::fc::fc_exec_trace;
 use vmcu::vmcu_kernels::fused_chain::{
     chain_exec_trace, chain_schedule, ChainOp, ChainStep, FusedChain,
@@ -68,7 +67,7 @@ fn definition_fc(p: &FcParams) -> Vec<ExecEvent> {
     ev
 }
 
-/// `depthwise_exec_trace` with one store per output pixel.
+/// `ChainOp::Depthwise`'s trace with one store per output pixel.
 fn definition_depthwise(p: &DepthwiseParams) -> Vec<ExecEvent> {
     let q_out = p.out_w();
     let row_bytes = p.w * p.c;
@@ -93,7 +92,8 @@ fn definition_depthwise(p: &DepthwiseParams) -> Vec<ExecEvent> {
     ev
 }
 
-/// `conv2d_exec_trace` with one store per output segment of each pixel.
+/// `ChainOp::Conv2d`'s trace with one store per output segment of each
+/// pixel.
 fn definition_conv2d(p: &Conv2dParams) -> Vec<ExecEvent> {
     let (q_out, k) = (p.out_w(), p.k);
     let row_bytes = p.w * p.c;
@@ -376,7 +376,7 @@ proptest! {
         check_runs(
             layer.in_bytes(),
             layer.out_bytes(),
-            &depthwise_exec_trace(&p),
+            &ChainOp::Depthwise(p).exec_events(),
             &definition_depthwise(&p),
         )?;
     }
@@ -396,7 +396,7 @@ proptest! {
         check_runs(
             layer.in_bytes(),
             layer.out_bytes(),
-            &conv2d_exec_trace(&p),
+            &ChainOp::Conv2d(p).exec_events(),
             &definition_conv2d(&p),
         )?;
     }

@@ -23,8 +23,8 @@
 //! the `DeadRead` the per-tap reads report, wherever the window wraps.
 //!
 //! Every host MAC of those kernels runs through two intrinsics, the
-//! `Dot` core (behind `dot_tile_u8` and `dot_tile_lanes`) and the window
-//! core `window_accumulate` (whose one-tap case is `tap_accumulate`),
+//! `Dot` core (behind `dot_tile_u8`) and the window core
+//! `window_accumulate` (whose one-tap case is `tap_accumulate`),
 //! over weights widened to `i16` once per call. The last properties hold
 //! both to the per-element definitions `acc[n] += Σ_k a[k]·b[k·stride + n]`,
 //! `k` ascending, on every block and remainder shape up to 40 lanes deep
@@ -45,7 +45,7 @@ use vmcu::vmcu_kernels::fused_ib::{
     ib_schedule, ib_workspace_bytes, run_fused_ib, IbFlash, IbScheme, IbStep,
 };
 use vmcu::vmcu_kernels::intrinsics::{
-    broadcast, dot_tile_lanes, dot_tile_u8, requant_row, tap_accumulate, widen, window_accumulate,
+    broadcast, dot_tile_u8, requant_row, tap_accumulate, widen, window_accumulate,
 };
 use vmcu::vmcu_kernels::params::{
     Conv2dParams, DepthwiseParams, FcParams, IbParams, PointwiseParams,
@@ -1326,18 +1326,17 @@ fn definition_dot(a: &[u8], b: &[u8], stride: usize, acc: &mut [i32]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The `Dot` core, through both charged entry points, over every
+    /// The `Dot` core, through its charged entry point, over every
     /// depth and width from 0 to 40 (so every mix of 16-, 8-, 4- and
     /// 1-lane blocks), row strides above the width and non-zero starting
     /// accumulators: the definition's sums, and exactly the MAC charge.
     #[test]
     fn dot_core_matches_the_per_element_definition(
         dims in (0usize..=40, 0usize..=40, 0usize..=8),
-        knobs in (0usize..2, 1u64..=4),
+        unrolled in 0usize..2,
         seed in 0u64..1_000_000,
     ) {
         let (k, n, pad) = dims;
-        let (unrolled, lanes) = knobs;
         let fully_unrolled = unrolled == 1;
         let stride = n + pad;
         let b_len = if k == 0 { 0 } else { (k - 1) * stride + n };
@@ -1349,25 +1348,12 @@ proptest! {
         let device = Device::stm32_f767zi();
 
         let mut m = Machine::new(device.clone());
-        let mut acc = start.clone();
-        dot_tile_u8(&mut m, &a, &widen(&b), stride, &mut acc, fully_unrolled);
-        prop_assert_eq!(&acc, &expected);
-        let mut charged = Machine::new(device.clone());
-        if k * n > 0 {
-            charged.charge_macs((k * n) as u64, fully_unrolled);
-        }
-        prop_assert_eq!(m.counters, charged.counters);
-
-        let mut m = Machine::new(device.clone());
         let mut acc = start;
-        dot_tile_lanes(&mut m, &a, &widen(&b), stride, &mut acc, fully_unrolled, lanes);
+        dot_tile_u8(&mut m, &a, &widen(&b), stride, &mut acc, fully_unrolled);
         prop_assert_eq!(&acc, &expected);
         let mut charged = Machine::new(device);
         if k * n > 0 {
-            charged.charge_macs_lanes((k * n) as u64, fully_unrolled, lanes);
-            if lanes > 1 {
-                charged.charge_cycles(charged.device.cost.simd.packing_cycles);
-            }
+            charged.charge_macs((k * n) as u64, fully_unrolled);
         }
         prop_assert_eq!(m.counters, charged.counters);
     }
