@@ -1,18 +1,14 @@
 //! Runs every experiment, prints the tables, writes `EXPERIMENTS.md` and
 //! `results/*.json`, and exits non-zero if any shape check fails.
-//!
-//! Pass `--light` to skip the simulated executions (Figure 8, Table 3,
-//! ablations) and only run the planning experiments.
 
 use std::path::Path;
 
 fn main() {
-    let heavy = !std::env::args().any(|a| a == "--light");
-    let results = vmcu_bench::experiments::run_all(heavy);
+    let results = vmcu_bench::experiments::run_all();
     let mut all_ok = true;
     for r in &results {
-        all_ok &= vmcu_bench::report(r);
-        println!();
+        println!("{r}\n");
+        all_ok &= r.passed();
         if let Err(e) = vmcu_bench::write_json(Path::new("results"), r) {
             eprintln!("warning: could not write results JSON: {e}");
         }

@@ -13,8 +13,7 @@
 //! vacuous), or if two rows share a key (which would make them
 //! indistinguishable in the certificate).
 //!
-//! Flags: `--out PATH` (default `BENCH_audit.json`), `--light` (skip the
-//! seeded random nets for quick CI smoke runs).
+//! Flags: `--out PATH` (default `BENCH_audit.json`).
 
 use std::collections::HashSet;
 use vmcu::prelude::*;
@@ -38,7 +37,7 @@ fn planner_kinds() -> Vec<PlannerKind> {
     ]
 }
 
-fn models(light: bool) -> Vec<(String, vmcu_graph::Graph)> {
+fn models() -> Vec<(String, vmcu_graph::Graph)> {
     let mut out: Vec<(String, vmcu_graph::Graph)> = vec![
         ("demo-linear".into(), zoo::demo_linear_net()),
         ("mbv2-block-unfused".into(), zoo::mbv2_block_unfused()),
@@ -49,26 +48,22 @@ fn models(light: bool) -> Vec<(String, vmcu_graph::Graph)> {
         ("two-head-net".into(), zoo::two_head_net()),
         ("branchy-oom-net".into(), zoo::branchy_oom_net()),
     ];
-    if !light {
-        for seed in [11u64, 29, 47] {
-            out.push((
-                format!("random-linear-{seed}"),
-                zoo::random_linear_net(seed, 6),
-            ));
-            out.push((format!("random-dag-{seed}"), zoo::random_dag_net(seed, 5)));
-        }
+    for seed in [11u64, 29, 47] {
+        out.push((
+            format!("random-linear-{seed}"),
+            zoo::random_linear_net(seed, 6),
+        ));
+        out.push((format!("random-dag-{seed}"), zoo::random_dag_net(seed, 5)));
     }
     out
 }
 
 fn main() {
     let mut out_path = "BENCH_audit.json".to_owned();
-    let mut light = false;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out_path = args.next().expect("--out takes a path"),
-            "--light" => light = true,
             other => panic!("unknown flag {other}"),
         }
     }
@@ -81,7 +76,7 @@ fn main() {
     let mut distances = 0usize;
     let mut keys = HashSet::new();
     let mut duplicates = 0usize;
-    for (model_name, graph) in models(light) {
+    for (model_name, graph) in models() {
         let weights = graph.random_weights(0xA0D1);
         for device in Device::simd_ladder() {
             for kind in planner_kinds() {

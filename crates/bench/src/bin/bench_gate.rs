@@ -1,115 +1,28 @@
-//! CI bench-regression gate.
+//! CI bench-regression gate: `bench_gate A.json B.json`.
 //!
-//! Compares a freshly emitted `BENCH_fleet.json` (from `fleet_throughput`)
-//! with the committed baseline **exactly**: with the host-time fields
-//! stripped (`planning_ms`, `host_wall_ms`, `host_requests_per_sec`),
-//! every remaining number — batch admission and latency, online sojourn
-//! percentiles, shed rates, swap counts, simulated energy, plan calls,
-//! the report's own checks — is simulated device time or a deterministic
-//! count, so an unchanged tree compares bit-identical and any change
-//! fails the section it lands in. A change that moves a simulated number
-//! commits a regenerated baseline and names the moved fields in
-//! CHANGES.md.
+//! Compares two `fleet_throughput` reports **exactly**: with the
+//! host-time fields stripped (`planning_ms`, `host_wall_ms`,
+//! `host_requests_per_sec`), every remaining number — batch admission
+//! and latency, online sojourn percentiles, shed rates, swap counts,
+//! simulated energy, plan calls per request, the report's own checks —
+//! is simulated device time or a deterministic count, so two runs of an
+//! unchanged tree compare bit-identical and any change fails the section
+//! it lands in.
 //!
-//! The gate also holds the plan-once contract by name: each planner's
-//! `plan_calls_per_request` (serving-side planning amortization, 0 on
-//! the deploy-once worker path) must not rise above the baseline — the
-//! replanning win is gated, not just claimed.
-//!
-//! A second, standalone mode holds the bit-reproducibility contract
-//! across *processes*: `bench_gate --identical A.json B.json` compares
-//! two `fleet_throughput` reports the same way. CI runs
-//! `fleet_throughput` twice and feeds both files through this mode.
-//!
-//! Usage:
-//! `bench_gate [--current BENCH_fleet.json] [--baseline ci/bench_baseline.json]`
-//! `bench_gate --identical A.json B.json`
+//! CI runs it twice: against the committed baseline
+//! (`bench_gate ci/bench_baseline.json BENCH_fleet.json`), where a
+//! change that moves a simulated number commits a regenerated baseline
+//! and names the moved fields in CHANGES.md; and across two fresh
+//! `fleet_throughput` processes
+//! (`bench_gate BENCH_fleet.json BENCH_fleet_rerun.json`), the
+//! bit-reproducibility contract.
 
 use vmcu_bench::json::Json;
-
-struct Args {
-    current: String,
-    baseline: String,
-    /// `--identical A B`: standalone mode, compare two reports'
-    /// simulated fields bit for bit instead of gating against the
-    /// baseline.
-    identical: Option<(String, String)>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        current: "BENCH_fleet.json".to_owned(),
-        baseline: "ci/bench_baseline.json".to_owned(),
-        identical: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
-        match a.as_str() {
-            "--current" => args.current = value("--current"),
-            "--baseline" => args.baseline = value("--baseline"),
-            "--identical" => {
-                let a = value("--identical");
-                let b = value("--identical");
-                args.identical = Some((a, b));
-            }
-            other => panic!("unknown flag `{other}`"),
-        }
-    }
-    args
-}
 
 fn load(path: &str) -> Json {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("reading {path}: {e} (run fleet_throughput first?)"));
     Json::parse(&text).unwrap_or_else(|e| panic!("parsing {path}: {e}"))
-}
-
-struct PlannerRow {
-    name: String,
-    /// Serving-side planning amortization (`serve_plan_calls / offered`);
-    /// `None` for baselines that predate the metric.
-    plan_calls_per_request: Option<f64>,
-}
-
-fn planner_rows(doc: &Json, path: &str) -> Vec<PlannerRow> {
-    doc.get("planners")
-        .and_then(Json::as_array)
-        .unwrap_or_else(|| panic!("{path}: missing `planners` array"))
-        .iter()
-        .map(|row| PlannerRow {
-            name: row
-                .get("planner")
-                .and_then(Json::as_str)
-                .unwrap_or_else(|| panic!("{path}: planner row missing `planner`"))
-                .to_owned(),
-            plan_calls_per_request: row.get("plan_calls_per_request").and_then(Json::as_f64),
-        })
-        .collect()
-}
-
-/// The plan-once contract: no planner's serve-side plan calls per
-/// request may rise above the baseline's. Skipped for a planner whose
-/// row in either file predates the metric.
-fn gate_plan_calls(current: &[PlannerRow], baseline: &[PlannerRow]) -> bool {
-    let mut ok = true;
-    for base in baseline {
-        let name = &base.name;
-        let Some(cur) = current.iter().find(|r| r.name == *name) else {
-            println!("  [FAIL] {name}: planner missing from current report");
-            ok = false;
-            continue;
-        };
-        if let (Some(b), Some(c)) = (base.plan_calls_per_request, cur.plan_calls_per_request) {
-            let passed = c <= b;
-            println!(
-                "  [{}] {name} plan_calls_per_request: {c:.4} vs baseline {b:.4}",
-                if passed { "PASS" } else { "FAIL" }
-            );
-            ok &= passed;
-        }
-    }
-    ok
 }
 
 /// Host-side wall-clock fields: the only numbers in a report that are
@@ -132,12 +45,12 @@ fn strip_host_time(json: &Json) -> Json {
     }
 }
 
-/// The cross-process bit-reproducibility gate: two `fleet_throughput`
-/// reports must agree on every simulated field.
+/// Whether two `fleet_throughput` reports agree on every simulated
+/// field, section by section and as a whole.
 fn gate_identical(a_path: &str, b_path: &str) -> bool {
     let a = load(a_path);
     let b = load(b_path);
-    println!("identical gate: {a_path} vs {b_path} (host-time fields excluded)");
+    println!("bench gate: {a_path} vs {b_path} (host-time fields excluded)");
     let mut ok = true;
     for section in ["planners", "online", "checks"] {
         let (sa, sb) = (a.get(section), b.get(section));
@@ -163,29 +76,18 @@ fn gate_identical(a_path: &str, b_path: &str) -> bool {
 }
 
 fn main() {
-    let args = parse_args();
-    if let Some((a, b)) = &args.identical {
-        let ok = gate_identical(a, b);
-        if !ok {
-            println!(
-                "simulated fields differ across processes — a nondeterminism bug, \
-                 not a perf regression; bisect the fields above"
-            );
-        }
-        std::process::exit(i32::from(!ok));
-    }
-    println!("bench gate: {} vs baseline {}", args.current, args.baseline);
-    let mut ok = gate_identical(&args.baseline, &args.current);
-    ok &= gate_plan_calls(
-        &planner_rows(&load(&args.current), &args.current),
-        &planner_rows(&load(&args.baseline), &args.baseline),
-    );
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let [a, b] = args.as_slice() else {
+        eprintln!("usage: bench_gate A.json B.json");
+        std::process::exit(2);
+    };
+    let ok = gate_identical(a, b);
     if !ok {
         println!(
-            "regression gate failed — if the change is intentional, regenerate {} from \
-             `cargo run --release --bin fleet_throughput -- --light`, commit it, and name \
-             every moved field in CHANGES.md",
-            args.baseline
+            "simulated fields differ — a moved number against the baseline (regenerate it \
+             with `cargo run --release --bin fleet_throughput -- --light`, commit it, and \
+             name every moved field in CHANGES.md) or, across two runs of one build, a \
+             nondeterminism bug; bisect the fields above"
         );
     }
     std::process::exit(i32::from(!ok));

@@ -2,10 +2,13 @@
 //!
 //! Regenerates every table and figure of the vMCU paper's evaluation (§7)
 //! plus two ablations, as both human-readable tables and machine-checked
-//! *shape criteria*. Each experiment has a dedicated binary
-//! (`cargo run -p vmcu-bench --release --bin fig7_ram`, …); the
-//! `all_experiments` binary runs everything, writes `EXPERIMENTS.md` and
-//! `results/*.json`, and exits non-zero if any shape check fails.
+//! *shape criteria*. One binary per job: `all_experiments` runs every
+//! experiment, writes `EXPERIMENTS.md` and `results/*.json`, and exits
+//! non-zero if any shape check fails; `audit` certifies zoo × planners ×
+//! ladder; `fleet_throughput` writes the fleet-serving report and
+//! `bench_gate` compares two of them exactly. The unit test
+//! `experiments::tests::every_experiment_shape_check_passes` holds the
+//! same shape checks in `cargo test`.
 
 pub mod experiments;
 pub mod json;
@@ -15,12 +18,6 @@ pub mod table;
 use result::ExpResult;
 use std::io::Write as _;
 use std::path::Path;
-
-/// Prints an experiment and returns whether its checks passed.
-pub fn report(exp: &ExpResult) -> bool {
-    println!("{exp}");
-    exp.passed()
-}
 
 /// Writes `EXPERIMENTS.md` from a set of results.
 ///
@@ -57,31 +54,37 @@ pub fn write_experiments_md(path: &Path, results: &[ExpResult]) -> std::io::Resu
 const REPRODUCTION_MAP: &str = "\
 ## Reproduction map — paper claim → command
 
-Every binary below is `cargo run -p vmcu-bench --release --bin <name>`;
-every test is `cargo test --test <name>` from the repository root.
+Every paper table and figure below has its own section in this file,
+regenerated by `cargo run -p vmcu-bench --release --bin all_experiments`;
+`cargo test -p vmcu-bench every_experiment_shape_check_passes` runs the
+same shape checks in the test suite. Every `--test` is a test file under
+`tests/` at the repository root.
 
 | Paper figure / claim | Reproduced by | Command |
 |---|---|---|
-| Table 1 (platform classes) | `table1_hw` | `cargo run --release --bin table1_hw` |
-| Table 2 (module configurations) | `table2_configs` | `cargo run --release --bin table2_configs` |
-| Fig. 1 (motivating footprint gap) | `fig1_motivation` | `cargo run --release --bin fig1_motivation` |
-| Fig. 7 (single-layer RAM, OOM cases) | `fig7_ram` + smoke test | `cargo run --release --bin fig7_ram`; `cargo test --test workspace_smoke` |
-| Fig. 8 (energy/latency parity) | `fig8_energy_latency` | `cargo run --release --bin fig8_energy_latency` |
-| Fig. 9 (VWW RAM bottleneck 13.9 KB) | `fig9_vww_ram` | `cargo run --release --bin fig9_vww_ram` |
-| Fig. 10 (ImageNet RAM bottleneck 102.7 KB) | `fig10_imagenet_ram` | `cargo run --release --bin fig10_imagenet_ram` |
-| Fig. 11/12 (NAS headroom scaling) | `fig11_image_scaling`, `fig12_channel_scaling` | `cargo run --release --bin fig11_image_scaling` |
-| Table 3 (latency vs TinyEngine) | `table3_latency` | `cargo run --release --bin table3_latency` |
-| §5.2 multi-layer case: fused chain peak RAM strictly below layer-at-a-time vMCU | `fused_pipeline` + integration suite | `cargo run --release --bin fused_pipeline`; `cargo test --test fused_pipeline` |
+| Table 1 (platform classes) | `table1` section | `cargo run --release --bin all_experiments` |
+| Table 2 (module configurations) | `table2` section | `cargo run --release --bin all_experiments` |
+| Fig. 1 (motivating footprint gap) | `fig1` section + landmark test | `cargo run --release --bin all_experiments`; `cargo test --test paper_landmarks figure1_motivation` |
+| Fig. 7 (single-layer RAM, OOM cases) | `fig7` section + landmark and smoke tests | `cargo run --release --bin all_experiments`; `cargo test --test paper_landmarks figure7_bands_and_oom`; `cargo test --test workspace_smoke` |
+| Fig. 8 (energy/latency parity) | `fig8` section | `cargo run --release --bin all_experiments` |
+| Fig. 9 (VWW RAM bottleneck 13.9 KB) | `fig9` section + landmark test | `cargo run --release --bin all_experiments`; `cargo test --test paper_landmarks figure9_bottlenecks` |
+| Fig. 10 (ImageNet RAM bottleneck 102.7 KB) | `fig10` section + landmark test | `cargo run --release --bin all_experiments`; `cargo test --test paper_landmarks figure10_bottlenecks_and_deployability` |
+| Fig. 11/12 (NAS headroom scaling) | `fig11`, `fig12` sections + landmark test | `cargo run --release --bin all_experiments`; `cargo test --test paper_landmarks figure11_12_headroom_positive` |
+| Table 3 (latency vs TinyEngine) | `table3` section | `cargo run --release --bin all_experiments` |
+| Segment-size / IB-scheme ablations | `ablation-segment-size`, `ablation-ib-scheme` sections | `cargo run --release --bin all_experiments` |
+| Every shape check above, in the test suite | `vmcu-bench` unit test | `cargo test -p vmcu-bench every_experiment_shape_check_passes` |
+| §5.2 multi-layer case: fused chain peak RAM strictly below layer-at-a-time vMCU, and `wide_expand_chain` fits 128 KB only fused | `vmcu-plan` fusion tests + integration suite | `cargo test -p vmcu-plan fused_peak_is_strictly_below_vmcu_on_the_zoo_chain`; `cargo test -p vmcu-plan wide_chain_only_fits_fused`; `cargo test --test fused_pipeline` |
 | §5.2 fused execution is bit-exact vs the reference executor | differential suites | `cargo test --test fused_pipeline --test differential_random_nets` |
-| MCUNetV2-style front-stage peak reduction: patch-based execution deploys models whose input exceeds SRAM | `patched_pipeline` + integration suite | `cargo run --release --bin patched_pipeline`; `cargo test --test patched_pipeline` |
-| Patched execution is bit-exact and charges halo recompute honestly | differential suites + `BENCH_patch.json` | `cargo test --test patched_pipeline --test differential_random_nets` |
+| MCUNetV2-style front-stage peak reduction: patch-based execution deploys models whose input exceeds SRAM | `vmcu-plan` patch test + integration suite | `cargo test -p vmcu-plan hires_front_stage_patches_and_fits_128kb`; `cargo test --test patched_pipeline` |
+| Patched execution is bit-exact and charges halo recompute honestly | differential suites | `cargo test --test patched_pipeline --test differential_random_nets` |
+| Fusion and patching never raise peak demand (zoo chains and random nets) | `vmcu-plan` monotonicity tests | `cargo test -p vmcu-plan fused_demand_never_exceeds_single_layer_vmcu`; `cargo test -p vmcu-plan patched_demand_never_exceeds_fused_on_random_nets` |
+| Peak demand per policy on the three zoo chains (`docs/PLANNERS.md`) and `hires_front_stage`'s halo recompute | table-driven test | `cargo test --test patched_pipeline zoo_chain_demands_and_halo_recompute_are_pinned` |
 | RAM savings as fleet admission capacity | `fleet_throughput` + serve suite | `cargo run --release --bin fleet_throughput -- --light`; `cargo test --test serve_fleet` |
 | RAM savings as online serving capacity: million-request seeded streams, SLO shedding, hot-swap priced at Flash-programming cost (`docs/SERVING.md`) | `fleet_throughput` online rows + online suite | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online` |
 | Online serving is bit-reproducible across hosts (simulated clocks, libm-free arrival sampling) | `online_bit_reproducible` bench check + determinism tests | `cargo run --release --bin fleet_throughput -- --online`; `cargo test --test serve_online online_runs_are_bit_reproducible` |
-| Fleet regression gate (CI): every simulated batch and online number equals the committed baseline | `bench_gate` vs `ci/bench_baseline.json`, host time stripped | `cargo run --release --bin bench_gate` |
-| Segment-size / IB-scheme ablations | `ablation_segment_size`, `ablation_ib_scheme` | `cargo run --release --bin ablation_segment_size` |
+| Fleet regression gate (CI): every simulated batch and online number equals the committed baseline | `bench_gate` vs `ci/bench_baseline.json`, host time stripped | `cargo run --release --bin bench_gate -- ci/bench_baseline.json BENCH_fleet.json` |
 | Multi-device split: a model that OOMs every single-device policy deploys across 2–8 networked MCUs, bit-exact, every cut-edge transfer priced (`docs/SPLIT.md`) | `split_pipeline` + `split_props` suites + `split_serves_the_oversized_model` bench check | `cargo test --test split_pipeline --test split_props`; `cargo run --release --bin fleet_throughput -- --light` |
-| Split execution is bit-exact vs the reference at 2/4/8-way cuts, and bit-identical across processes | differential suite + `bench_gate --identical` (CI runs the fleet bench twice) | `cargo test --test differential_random_nets`; `cargo run --release --bin bench_gate -- --identical BENCH_fleet.json BENCH_fleet_rerun.json` |
+| Split execution is bit-exact vs the reference at 2/4/8-way cuts, and bit-identical across processes | differential suite + `bench_gate` (CI runs the fleet bench twice) | `cargo test --test differential_random_nets`; `cargo run --release --bin bench_gate -- BENCH_fleet.json BENCH_fleet_rerun.json` |
 
 ";
 

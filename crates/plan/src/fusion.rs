@@ -447,11 +447,17 @@ mod tests {
     fn fused_demand_never_exceeds_single_layer_vmcu() {
         // The benefit check makes this structural; fleet placement's
         // "fused holds at least what vMCU holds" guarantee rests on it.
-        for seed in 0..30 {
-            let g = zoo::random_linear_net(seed, 5);
+        let zoo_chains = [
+            zoo::demo_linear_net(),
+            zoo::mbv2_block_unfused(),
+            zoo::wide_expand_chain(),
+        ];
+        let random_nets = (0..30).map(|seed| zoo::random_linear_net(seed, 5));
+        for g in zoo_chains.into_iter().chain(random_nets) {
             assert!(
                 peak_demand_bytes(&fused(), &g) <= peak_demand_bytes(&VmcuPlanner::default(), &g),
-                "seed {seed}"
+                "{}",
+                g.name
             );
         }
     }

@@ -346,13 +346,21 @@ mod tests {
 
     #[test]
     fn patched_demand_never_exceeds_fused_on_random_nets() {
-        // The structural guarantee fleet placement relies on.
-        for seed in 0..30 {
-            let g = zoo::random_linear_net(seed, 5);
+        // The structural guarantee fleet placement relies on, on the zoo
+        // chains as well as the random nets.
+        let zoo_chains = [
+            zoo::demo_linear_net(),
+            zoo::mbv2_block_unfused(),
+            zoo::wide_expand_chain(),
+            zoo::hires_front_stage(),
+        ];
+        let random_nets = (0..30).map(|seed| zoo::random_linear_net(seed, 5));
+        for g in zoo_chains.into_iter().chain(random_nets) {
             assert!(
                 peak_demand_bytes(&planner(VmcuPass::Patch), &g)
                     <= peak_demand_bytes(&planner(VmcuPass::Fuse), &g),
-                "seed {seed}"
+                "{}",
+                g.name
             );
         }
     }

@@ -1,5 +1,7 @@
 //! The paper's quantitative landmarks, asserted as fast planning-only
-//! integration tests (the full tables live in the `vmcu-bench` binaries).
+//! integration tests. The full tables are `vmcu-bench`'s experiments:
+//! `all_experiments` regenerates them, and its unit test
+//! `every_experiment_shape_check_passes` runs their shape checks.
 
 use vmcu::prelude::*;
 use vmcu::vmcu_graph::zoo;

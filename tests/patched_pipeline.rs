@@ -109,6 +109,46 @@ fn halo_recompute_is_charged_and_capped() {
 }
 
 #[test]
+fn zoo_chain_demands_and_halo_recompute_are_pinned() {
+    // docs/PLANNERS.md's peak-demand table (bytes, runtime overhead
+    // excluded), one column per policy.
+    let kinds = [
+        PlannerKind::Hmcos,
+        PlannerKind::TinyEngine,
+        PlannerKind::Vmcu(IbScheme::RowBuffer),
+        PlannerKind::VmcuFused(IbScheme::RowBuffer),
+        PlannerKind::VmcuPatched(IbScheme::RowBuffer),
+    ];
+    let table = [
+        (
+            zoo::mbv2_block_unfused(),
+            [38_400, 26_560, 21_120, 11_520, 8_224],
+        ),
+        (
+            zoo::wide_expand_chain(),
+            [307_200, 183_040, 161_280, 45_440, 30_784],
+        ),
+        (
+            zoo::hires_front_stage(),
+            [184_320, 148_992, 148_224, 148_224, 23_904],
+        ),
+    ];
+    for (g, expected) in &table {
+        let measured = kinds.map(|kind| peak_demand_bytes(&*kind.planner(), g));
+        assert_eq!(&measured, expected, "{}: {kinds:?}", g.name);
+    }
+
+    // The price of hires_front_stage's 23,904 bytes: the 6x8 grid
+    // recomputes 330,632 halo MACs, 18.6% of the unpatched front.
+    let pplan = PatchedPlanner::default().patch_plan(&zoo::hires_front_stage());
+    let front = pplan.front.as_ref().expect("hires_front_stage patches");
+    assert_eq!(front.grid(), PatchGrid { gy: 6, gx: 8 });
+    assert_eq!(front.patched_macs() - front.unpatched_macs(), 330_632);
+    assert_eq!(pplan.halo_overhead, front.halo_overhead());
+    assert_eq!(format!("{:.1}%", pplan.halo_overhead * 100.0), "18.6%");
+}
+
+#[test]
 fn finer_grids_trade_cycles_for_peak_ram() {
     // The patch trade-off, measured: a finer grid must not raise the
     // front's peak slab footprint, and must cost at least as many MACs.
