@@ -1,9 +1,15 @@
 //! Runs every experiment, prints the tables, writes `EXPERIMENTS.md` and
-//! `results/*.json`, and exits non-zero if any shape check fails.
+//! `results/*.json`, and exits non-zero if any shape check fails. It
+//! takes no arguments: any argument is answered with the usage line on
+//! stderr and exit status 2.
 
 use std::path::Path;
 
 fn main() {
+    if std::env::args().len() > 1 {
+        eprintln!("usage: all_experiments");
+        std::process::exit(2);
+    }
     let results = vmcu_bench::experiments::run_all();
     let mut all_ok = true;
     for r in &results {

@@ -58,13 +58,20 @@ fn models() -> Vec<(String, vmcu_graph::Graph)> {
     out
 }
 
+/// Answers a bad command line (an unknown flag, a missing path) with the
+/// usage line on stderr and exit status 2.
+fn usage() -> ! {
+    eprintln!("usage: audit [--out PATH]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut out_path = "BENCH_audit.json".to_owned();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--out" => out_path = args.next().expect("--out takes a path"),
-            other => panic!("unknown flag {other}"),
+            "--out" => out_path = args.next().unwrap_or_else(|| usage()),
+            _ => usage(),
         }
     }
 

@@ -61,6 +61,22 @@ struct Args {
     profile: Option<String>,
 }
 
+/// Answers a bad command line (an unknown flag, a missing, unparsable or
+/// out-of-range value) with the usage line on stderr and exit status 2.
+fn usage() -> ! {
+    eprintln!(
+        "usage: fleet_throughput [--light] [--online] [--workers N] [--requests N] \
+         [--online-requests N] [--rate R] [--slo-ms F] [--profile poisson|bursty|diurnal] \
+         [--seed S] [--out PATH]"
+    );
+    std::process::exit(2);
+}
+
+/// A flag's value parsed as `T`, or the usage line.
+fn parsed<T: std::str::FromStr>(value: String) -> T {
+    value.parse().unwrap_or_else(|_| usage())
+}
+
 fn parse_args() -> Args {
     let mut args = Args {
         light: false,
@@ -76,26 +92,29 @@ fn parse_args() -> Args {
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
-        let mut value = |name: &str| it.next().unwrap_or_else(|| panic!("{name} needs a value"));
+        let mut value = || it.next().unwrap_or_else(|| usage());
         match a.as_str() {
             "--light" => args.light = true,
             "--online" => args.online_only = true,
-            "--workers" => args.workers = value("--workers").parse().expect("--workers: integer"),
-            "--requests" => {
-                args.requests = value("--requests").parse().expect("--requests: integer");
-            }
-            "--online-requests" => {
-                args.online_requests = value("--online-requests")
-                    .parse()
-                    .expect("--online-requests: integer");
-            }
-            "--rate" => args.rate = value("--rate").parse().expect("--rate: req/s"),
-            "--slo-ms" => args.slo_ms = value("--slo-ms").parse().expect("--slo-ms: ms"),
-            "--profile" => args.profile = Some(value("--profile")),
-            "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
-            "--out" => args.out = value("--out"),
-            other => panic!("unknown flag `{other}`"),
+            "--workers" => args.workers = parsed(value()),
+            "--requests" => args.requests = parsed(value()),
+            "--online-requests" => args.online_requests = parsed(value()),
+            "--rate" => args.rate = parsed(value()),
+            "--slo-ms" => args.slo_ms = parsed(value()),
+            "--profile" => args.profile = Some(value()),
+            "--seed" => args.seed = parsed(value()),
+            "--out" => args.out = value(),
+            _ => usage(),
         }
+    }
+    let positive = |x: f64| x.is_finite() && x > 0.0;
+    let known = |name: &str| profiles(args.rate).iter().any(|p| p.name() == name);
+    if args.workers == 0
+        || !positive(args.rate)
+        || !positive(args.slo_ms)
+        || !args.profile.as_deref().map_or(true, known)
+    {
+        usage();
     }
     if args.light {
         args.requests = args.requests.min(32);

@@ -71,8 +71,10 @@ pub fn plan_chain(graph: &Graph, scheme: IbScheme) -> ChainPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemoryPlanner, VmcuPass, VmcuPlanner};
     use vmcu_graph::{zoo, LayerDesc};
     use vmcu_kernels::params::PointwiseParams;
+    use vmcu_sim::Device;
     use vmcu_tensor::Requant;
 
     fn pw(h: usize, c: usize, k: usize) -> LayerDesc {
@@ -107,6 +109,51 @@ mod tests {
             .unwrap();
         assert!(plan.window >= max_tensor);
         assert!(plan.peak_layer < g.len());
+    }
+
+    #[test]
+    fn chain_total_covers_the_per_node_peak() {
+        // The window is the largest layer span and the workspace the
+        // largest layer workspace, so a chained deployment needs at least
+        // the per-node plan's peak: no model the per-node fit gate
+        // rejects fits chained.
+        let one_layer = |name: String, layer| Graph::linear(name, vec![layer]).unwrap();
+        let mut graphs = vec![
+            zoo::demo_linear_net(),
+            zoo::mbv2_block_unfused(),
+            zoo::wide_expand_chain(),
+            zoo::hires_front_stage(),
+            zoo::hires_split_only(),
+        ];
+        graphs.extend((0..60).map(|seed| zoo::random_linear_net(seed, 6)));
+        graphs.extend(
+            zoo::mcunet_5fps_vww()
+                .into_iter()
+                .chain(zoo::mcunet_320kb_imagenet())
+                .map(|m| one_layer(m.name.to_owned(), LayerDesc::Ib(m.params))),
+        );
+        graphs.extend(
+            zoo::fig7_cases()
+                .into_iter()
+                .map(|c| one_layer(c.name, LayerDesc::Pointwise(c.params))),
+        );
+        let device = Device::stm32_f411re();
+        for scheme in [
+            IbScheme::RowBuffer,
+            IbScheme::PixelWindow,
+            IbScheme::SlidingWindow,
+        ] {
+            let per_node = VmcuPlanner::new(scheme, VmcuPass::Nodes);
+            for g in &graphs {
+                let chain = plan_chain(g, scheme).total_bytes();
+                let peak = per_node.plan_model(g, &device).peak_demand_bytes();
+                assert!(
+                    chain >= peak,
+                    "{scheme:?} {}: chain {chain} < per-node peak {peak}",
+                    g.name
+                );
+            }
+        }
     }
 
     #[test]

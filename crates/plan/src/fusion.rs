@@ -28,8 +28,9 @@
 //!
 //! [`VmcuPass::Fuse`] runs the pass inside [`VmcuPlanner`]: single
 //! layers price as they do under every vMCU pass, whole models price at
-//! the fused plan's peak, so [`crate::capacity::peak_demand_bytes`] (and
-//! with it fleet placement) picks the fusion savings up for free.
+//! the fused plan's peak, so the model's
+//! [`MemoryPlan::peak_demand_bytes`](crate::MemoryPlan::peak_demand_bytes)
+//! (and with it fleet placement) picks the fusion savings up for free.
 //!
 //! # Examples
 //!
@@ -39,17 +40,19 @@
 //!
 //! ```
 //! use vmcu_plan::fusion::fuse_graph;
-//! use vmcu_plan::{peak_demand_bytes, VmcuPass, VmcuPlanner};
+//! use vmcu_plan::{MemoryPlanner, VmcuPass, VmcuPlanner};
 //! use vmcu_graph::zoo;
 //! use vmcu_kernels::IbScheme;
+//! use vmcu_sim::Device;
 //!
 //! let g = zoo::mbv2_block_unfused();
 //! let plan = fuse_graph(&g, IbScheme::RowBuffer);
 //! assert_eq!(plan.fused_groups(), 1); // all three layers fuse
 //!
-//! let fused = peak_demand_bytes(&VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse), &g);
-//! let unfused = peak_demand_bytes(&VmcuPlanner::default(), &g);
-//! assert!(fused < unfused);
+//! let dev = Device::stm32_f411re();
+//! let fused = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse).plan_model(&g, &dev);
+//! let unfused = VmcuPlanner::default().plan_model(&g, &dev);
+//! assert!(fused.peak_demand_bytes() < unfused.peak_demand_bytes());
 //! ```
 
 use crate::planner::{LayerPlan, MemoryPlanner};
@@ -89,26 +92,6 @@ impl FusedGroup {
     /// overhead).
     pub fn demand_bytes(&self) -> usize {
         self.window + self.workspace
-    }
-
-    /// Display label, shared by plan reports and execution reports.
-    pub fn label(&self) -> String {
-        format!("fused[{}..{}]", self.start, self.end)
-    }
-
-    /// The plan entry for this group on `device` — the single source of
-    /// the name/kind/measured/fits accounting behind
-    /// [`Schedule::memory_plan`](crate::Schedule::memory_plan).
-    pub fn layer_plan(&self, device: &Device) -> LayerPlan {
-        let measured = self.demand_bytes() + device.runtime_overhead_bytes;
-        LayerPlan {
-            name: self.label(),
-            kind: "fused-chain",
-            activation_bytes: self.window,
-            workspace_bytes: self.workspace,
-            measured_bytes: measured,
-            fits: measured <= device.ram_bytes,
-        }
     }
 }
 
@@ -159,17 +142,21 @@ impl FusionNode {
                 workspace_bytes,
             } => {
                 let layer = &graph.layers()[*index];
-                let measured = activation_bytes + workspace_bytes + device.runtime_overhead_bytes;
-                LayerPlan {
-                    name: format!("{}#{index}", layer.kind()),
-                    kind: layer.kind(),
-                    activation_bytes: *activation_bytes,
-                    workspace_bytes: *workspace_bytes,
-                    measured_bytes: measured,
-                    fits: measured <= device.ram_bytes,
-                }
+                LayerPlan::new(
+                    format!("{}#{index}", layer.kind()),
+                    layer.kind(),
+                    *activation_bytes,
+                    *workspace_bytes,
+                    device,
+                )
             }
-            FusionNode::Fused(g) => g.layer_plan(device),
+            FusionNode::Fused(g) => LayerPlan::new(
+                format!("fused[{}..{}]", g.start, g.end),
+                "fused-chain",
+                g.window,
+                g.workspace,
+                device,
+            ),
         }
     }
 }
@@ -182,8 +169,9 @@ pub struct FusionPlan {
 }
 
 impl FusionPlan {
-    /// Peak SRAM demand across nodes (the fused analogue of
-    /// [`crate::capacity::peak_demand_bytes`]).
+    /// Peak SRAM demand across nodes — the fused pass's own price, which
+    /// its rows' [`MemoryPlan::peak_demand_bytes`](crate::MemoryPlan::peak_demand_bytes)
+    /// equals.
     pub fn peak_demand_bytes(&self) -> usize {
         self.nodes
             .iter()
@@ -383,7 +371,7 @@ pub fn fuse_graph(graph: &Graph, scheme: IbScheme) -> FusionPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::peak_demand_bytes;
+    use crate::capacity::demand;
     use vmcu_graph::{zoo, LayerDesc};
     use vmcu_kernels::params::{IbParams, PointwiseParams};
     use vmcu_tensor::Requant;
@@ -403,8 +391,8 @@ mod tests {
         assert_eq!(plan.fused_groups(), 0);
         assert_eq!(plan.nodes.len(), 1);
         assert_eq!(
-            peak_demand_bytes(&fused(), &g),
-            peak_demand_bytes(&VmcuPlanner::default(), &g),
+            demand(&fused(), &g),
+            demand(&VmcuPlanner::default(), &g),
             "no-op fusion must price exactly like single-layer vMCU"
         );
     }
@@ -455,7 +443,7 @@ mod tests {
         let random_nets = (0..30).map(|seed| zoo::random_linear_net(seed, 5));
         for g in zoo_chains.into_iter().chain(random_nets) {
             assert!(
-                peak_demand_bytes(&fused(), &g) <= peak_demand_bytes(&VmcuPlanner::default(), &g),
+                demand(&fused(), &g) <= demand(&VmcuPlanner::default(), &g),
                 "{}",
                 g.name
             );
@@ -467,8 +455,8 @@ mod tests {
         // The acceptance criterion: a zoo model where multi-layer fusion
         // strictly beats single-layer segment planning.
         let g = zoo::mbv2_block_unfused();
-        let fused = peak_demand_bytes(&fused(), &g);
-        let vmcu = peak_demand_bytes(&VmcuPlanner::default(), &g);
+        let fused = demand(&fused(), &g);
+        let vmcu = demand(&VmcuPlanner::default(), &g);
         assert!(
             fused < vmcu,
             "fused {fused} must be strictly below single-layer vMCU {vmcu}"
@@ -538,10 +526,10 @@ mod tests {
         assert_eq!(plan.layers[0].kind, "fused-chain");
         assert_eq!(plan.layers[0].name, "fused[0..3]");
         assert!(plan.deployable());
-        // Demand surfaces agree.
+        // The rows peak at the fusion pass's own price.
         assert_eq!(
-            plan.bottleneck_bytes() - device.runtime_overhead_bytes,
-            fused().model_demand_bytes(&g)
+            plan.peak_demand_bytes(),
+            fuse_graph(&g, IbScheme::RowBuffer).peak_demand_bytes()
         );
     }
 

@@ -37,8 +37,9 @@
 //!   *single* device can hold;
 //! * [`chain`] — the §4 whole-network chain plan: one circular window
 //!   threaded through consecutive layers;
-//! * [`capacity`] — whole-graph plans and peak SRAM demand, the price
-//!   fleet serving (`vmcu-serve`) places resident sets by;
+//! * [`capacity`] — whole-graph plans ([`plan_graph`]), whose
+//!   [`MemoryPlan::peak_demand_bytes`] is the price fleet serving
+//!   (`vmcu-serve`) places resident sets by;
 //! * [`headroom`] — the Figure 11/12 NAS-headroom searches;
 //! * [`telemetry`] — a thread-local counter of planning passes, so the
 //!   deploy-once/run-many contract (`session.infer` does zero planning
@@ -73,7 +74,7 @@ pub mod telemetry;
 pub mod tinyengine_planner;
 pub mod vmcu_planner;
 
-pub use capacity::{peak_demand_bytes, plan_graph};
+pub use capacity::plan_graph;
 pub use chain::{plan_chain, ChainPlan};
 pub use fusion::{fuse_graph, FusionNode, FusionPlan};
 pub use hmcos_planner::HmcosPlanner;

@@ -209,15 +209,13 @@ pub fn plan_model_for_order<P: MemoryPlanner + ?Sized>(
         .zip(&priced)
         .map(|(&v, &(act, ws))| {
             let layer = &graph.layers()[v];
-            let measured = act + ws + device.runtime_overhead_bytes;
-            LayerPlan {
-                name: format!("{}#{v}", layer.kind()),
-                kind: layer.kind(),
-                activation_bytes: act,
-                workspace_bytes: ws,
-                measured_bytes: measured,
-                fits: measured <= device.ram_bytes,
-            }
+            LayerPlan::new(
+                format!("{}#{v}", layer.kind()),
+                layer.kind(),
+                act,
+                ws,
+                device,
+            )
         })
         .collect();
     MemoryPlan {
@@ -506,6 +504,6 @@ mod tests {
             plan.bottleneck_bytes(),
             order.peak_bytes + device.runtime_overhead_bytes
         );
-        assert_eq!(rp.model_demand_bytes(&g), order.peak_bytes);
+        assert_eq!(plan.peak_demand_bytes(), order.peak_bytes);
     }
 }

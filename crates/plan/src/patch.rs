@@ -22,8 +22,9 @@
 //!
 //! [`VmcuPass::Patch`](crate::VmcuPass::Patch) runs the pass inside
 //! [`VmcuPlanner`](crate::VmcuPlanner) at the [`MAX_HALO_OVERHEAD`] cap,
-//! so [`crate::capacity::peak_demand_bytes`] and fleet placement pick
-//! the patched pricing up unchanged.
+//! so the model's
+//! [`MemoryPlan::peak_demand_bytes`](crate::MemoryPlan::peak_demand_bytes)
+//! and fleet placement pick the patched pricing up unchanged.
 
 use crate::fusion::{FusionPlan, FusionTable};
 use crate::planner::LayerPlan;
@@ -97,8 +98,10 @@ impl PatchPlan {
             .map_or(PatchGrid { gy: 1, gx: 1 }, PatchedFront::grid)
     }
 
-    /// Peak SRAM demand across the front and the tail (the patched
-    /// analogue of [`crate::capacity::peak_demand_bytes`]).
+    /// Peak SRAM demand across the front and the tail — the patch pass's
+    /// own price, which its rows'
+    /// [`MemoryPlan::peak_demand_bytes`](crate::MemoryPlan::peak_demand_bytes)
+    /// equals.
     pub fn peak_demand_bytes(&self) -> usize {
         self.front_demand_bytes.max(self.tail.peak_demand_bytes())
     }
@@ -115,15 +118,13 @@ impl PatchPlan {
     /// surface and the engine's execution report.
     pub fn front_layer_plan(&self, device: &Device) -> Option<LayerPlan> {
         self.front.as_ref()?;
-        let measured = self.front_demand_bytes + device.runtime_overhead_bytes;
-        Some(LayerPlan {
-            name: self.label(),
-            kind: "patched-front",
-            activation_bytes: self.front_demand_bytes,
-            workspace_bytes: 0,
-            measured_bytes: measured,
-            fits: measured <= device.ram_bytes,
-        })
+        Some(LayerPlan::new(
+            self.label(),
+            "patched-front",
+            self.front_demand_bytes,
+            0,
+            device,
+        ))
     }
 }
 
@@ -235,16 +236,17 @@ fn search_grids(
 ///
 /// ```
 /// use vmcu_plan::patch::plan;
-/// use vmcu_plan::{peak_demand_bytes, VmcuPlanner};
+/// use vmcu_plan::{MemoryPlanner, VmcuPlanner};
 /// use vmcu_graph::zoo;
 /// use vmcu_kernels::IbScheme;
+/// use vmcu_sim::Device;
 ///
 /// let g = zoo::hires_front_stage();
 /// let p = plan(&g, IbScheme::RowBuffer, 0.5);
 /// assert!(p.is_patched(), "the high-res front stage must patch");
 /// assert!(p.halo_overhead <= 0.5, "the recompute cap holds");
-/// let vmcu = peak_demand_bytes(&VmcuPlanner::default(), &g);
-/// assert!(p.peak_demand_bytes() * 2 < vmcu);
+/// let vmcu = VmcuPlanner::default().plan_model(&g, &Device::stm32_f411re());
+/// assert!(p.peak_demand_bytes() * 2 < vmcu.peak_demand_bytes());
 /// ```
 ///
 /// # Panics
@@ -323,7 +325,7 @@ impl PatchedPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::peak_demand_bytes;
+    use crate::capacity::demand;
     use crate::planner::MemoryPlanner;
     use crate::vmcu_planner::{VmcuPass, VmcuPlanner};
     use vmcu_graph::zoo;
@@ -339,8 +341,8 @@ mod tests {
         // must never price above the fused plan.
         let g = zoo::demo_linear_net();
         assert_eq!(patchable_prefix(&g), 1);
-        let patched = peak_demand_bytes(&planner(VmcuPass::Patch), &g);
-        let fused = peak_demand_bytes(&planner(VmcuPass::Fuse), &g);
+        let patched = demand(&planner(VmcuPass::Patch), &g);
+        let fused = demand(&planner(VmcuPass::Fuse), &g);
         assert!(patched <= fused);
     }
 
@@ -357,8 +359,7 @@ mod tests {
         let random_nets = (0..30).map(|seed| zoo::random_linear_net(seed, 5));
         for g in zoo_chains.into_iter().chain(random_nets) {
             assert!(
-                peak_demand_bytes(&planner(VmcuPass::Patch), &g)
-                    <= peak_demand_bytes(&planner(VmcuPass::Fuse), &g),
+                demand(&planner(VmcuPass::Patch), &g) <= demand(&planner(VmcuPass::Fuse), &g),
                 "{}",
                 g.name
             );
@@ -413,10 +414,10 @@ mod tests {
         assert_eq!(plan.layers[0].kind, "patched-front");
         assert!(plan.layers[0].name.starts_with("patched[0..4]@"));
         assert!(plan.deployable());
-        // Demand surfaces agree.
+        // The rows peak at the patch pass's own price.
         assert_eq!(
-            plan.bottleneck_bytes() - device.runtime_overhead_bytes,
-            planner.model_demand_bytes(&g)
+            plan.peak_demand_bytes(),
+            PatchedPlanner::default().patch_plan(&g).peak_demand_bytes()
         );
         // The tail entries carry graph-absolute indices.
         assert!(plan.layers.iter().any(|l| l.name.contains("#4")));
@@ -443,7 +444,7 @@ mod tests {
     #[test]
     fn empty_and_tailless_graphs_plan_cleanly() {
         let empty = Graph::linear("empty", vec![]).unwrap();
-        assert_eq!(peak_demand_bytes(&planner(VmcuPass::Patch), &empty), 0);
+        assert_eq!(demand(&planner(VmcuPass::Patch), &empty), 0);
         // A graph that is all front: the tail fusion plan is empty.
         let g = zoo::mbv2_block_unfused();
         let pplan = PatchedPlanner::default().patch_plan(&g);

@@ -29,6 +29,27 @@ pub struct LayerPlan {
 }
 
 impl LayerPlan {
+    /// The row of a step holding `activation_bytes + workspace_bytes` on
+    /// `device`: measured RAM adds the runtime overhead, and the step
+    /// fits when that does not exceed device RAM.
+    pub fn new(
+        name: String,
+        kind: &'static str,
+        activation_bytes: usize,
+        workspace_bytes: usize,
+        device: &Device,
+    ) -> Self {
+        let measured_bytes = activation_bytes + workspace_bytes + device.runtime_overhead_bytes;
+        Self {
+            name,
+            kind,
+            activation_bytes,
+            workspace_bytes,
+            measured_bytes,
+            fits: measured_bytes <= device.ram_bytes,
+        }
+    }
+
     /// Activation + workspace bytes (no runtime overhead).
     pub fn planned_bytes(&self) -> usize {
         self.activation_bytes + self.workspace_bytes
@@ -70,6 +91,30 @@ impl MemoryPlan {
         self.layers[self.bottleneck()].measured_bytes
     }
 
+    /// Peak SRAM demand of the plan: the largest row's
+    /// [`planned_bytes`](LayerPlan::planned_bytes), 0 for an empty plan —
+    /// the SRAM a device commits to keep the model resident, and the
+    /// price fleet serving places resident sets by.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vmcu_plan::{MemoryPlanner, TinyEnginePlanner, VmcuPlanner};
+    /// use vmcu_sim::Device;
+    ///
+    /// let (g, dev) = (vmcu_graph::zoo::mbv2_block_unfused(), Device::stm32_f411re());
+    /// let te = TinyEnginePlanner.plan_model(&g, &dev).peak_demand_bytes();
+    /// let vm = VmcuPlanner::default().plan_model(&g, &dev).peak_demand_bytes();
+    /// assert!(vm < te, "segment-level planning undercuts tensor-level");
+    /// ```
+    pub fn peak_demand_bytes(&self) -> usize {
+        self.layers
+            .iter()
+            .map(LayerPlan::planned_bytes)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Whether every layer fits the device.
     pub fn deployable(&self) -> bool {
         self.layers.iter().all(|l| l.fits)
@@ -101,13 +146,6 @@ pub trait MemoryPlanner: Send + Sync {
         Schedule::Nodes(None)
     }
 
-    /// Peak SRAM demand of a whole model (activations + workspace at the
-    /// bottleneck step, no runtime overhead), priced from
-    /// [`schedule`](Self::schedule).
-    fn model_demand_bytes(&self, graph: &Graph) -> usize {
-        self.schedule(graph).demand_bytes(self, graph)
-    }
-
     /// Plans a whole model for a device: one entry per step of
     /// [`schedule`](Self::schedule).
     fn plan_model(&self, graph: &Graph, device: &Device) -> MemoryPlan {
@@ -121,15 +159,7 @@ pub trait MemoryPlanner: Send + Sync {
             .iter()
             .map(|(name, layer)| {
                 let (act, ws) = self.plan_layer(layer);
-                let measured = act + ws + device.runtime_overhead_bytes;
-                LayerPlan {
-                    name: name.clone(),
-                    kind: layer.kind(),
-                    activation_bytes: act,
-                    workspace_bytes: ws,
-                    measured_bytes: measured,
-                    fits: measured <= device.ram_bytes,
-                }
+                LayerPlan::new(name.clone(), layer.kind(), act, ws, device)
             })
             .collect();
         MemoryPlan {

@@ -5,11 +5,11 @@
 //! [`Schedule`] names that shape — graph nodes one at a time (in the
 //! default or a searched order), fused chains, a patched front stage, or
 //! per-device split stages — and [`Schedule::memory_plan`] prices it.
-//! [`MemoryPlanner::plan_model`] and
-//! [`MemoryPlanner::model_demand_bytes`] both derive from
-//! [`MemoryPlanner::schedule`], so fleet placement and deployment can
-//! never disagree, and the engine executes exactly the schedule it was
-//! priced by.
+//! [`MemoryPlanner::plan_model`] derives from
+//! [`MemoryPlanner::schedule`], and its plan's
+//! [`peak_demand_bytes`](MemoryPlan::peak_demand_bytes) is the one RAM
+//! price, so fleet placement and deployment can never disagree, and the
+//! engine executes exactly the schedule it was priced by.
 //!
 //! # Examples
 //!
@@ -28,7 +28,7 @@
 //! ```
 
 use crate::fusion::FusionPlan;
-use crate::order::{peak_for_order, plan_model_for_order, OrderPlan};
+use crate::order::{plan_model_for_order, OrderPlan};
 use crate::patch::PatchPlan;
 use crate::planner::{LayerPlan, MemoryPlan, MemoryPlanner};
 use crate::split::SplitPlan;
@@ -104,15 +104,13 @@ impl Schedule {
                     // fused window covers its own output), so the
                     // bottleneck stays at a stage.
                     if stage.cut_bytes > 0 {
-                        let measured = stage.cut_bytes + device.runtime_overhead_bytes;
-                        rows.push(LayerPlan {
-                            name: format!("link:dev{}->dev{}", stage.device, stage.device + 1),
-                            kind: "link",
-                            activation_bytes: stage.cut_bytes,
-                            workspace_bytes: 0,
-                            measured_bytes: measured,
-                            fits: measured <= device.ram_bytes,
-                        });
+                        rows.push(LayerPlan::new(
+                            format!("link:dev{}->dev{}", stage.device, stage.device + 1),
+                            "link",
+                            stage.cut_bytes,
+                            0,
+                            device,
+                        ));
                     }
                 }
                 rows
@@ -122,23 +120,6 @@ impl Schedule {
             planner: planner.name(),
             device: device.name.clone(),
             layers,
-        }
-    }
-
-    /// Peak SRAM demand of the schedule (activations + workspace at the
-    /// bottleneck step, no runtime overhead) — the price fleet placement
-    /// reads.
-    pub fn demand_bytes<P: MemoryPlanner + ?Sized>(&self, planner: &P, graph: &Graph) -> usize {
-        match self {
-            Schedule::Nodes(Some(order)) => order.peak_bytes,
-            Schedule::Nodes(None) => {
-                crate::telemetry::record_plan_call();
-                let identity: Vec<usize> = (0..graph.len()).collect();
-                peak_for_order(planner, graph, &identity)
-            }
-            Schedule::Fused(fusion) => fusion.peak_demand_bytes(),
-            Schedule::Patched(patch) => patch.peak_demand_bytes(),
-            Schedule::Split(split) => split.max_stage_demand_bytes(),
         }
     }
 }
@@ -182,30 +163,41 @@ mod tests {
 
     #[test]
     fn demand_matches_the_priced_bottleneck() {
+        // Each pass searches by its own peak; the rows it deploys with
+        // must peak exactly there.
         let device = Device::stm32_f767zi();
+        let vmcu = |pass| VmcuPlanner::new(IbScheme::RowBuffer, pass);
         for g in [
             zoo::demo_linear_net(),
             zoo::mbv2_block_unfused(),
             zoo::hires_front_stage(),
             zoo::two_head_net(),
         ] {
-            let vmcu = |pass| VmcuPlanner::new(IbScheme::RowBuffer, pass);
             for planner in [
                 &vmcu(VmcuPass::Nodes) as &dyn MemoryPlanner,
                 &vmcu(VmcuPass::Fuse),
                 &vmcu(VmcuPass::Patch),
+                &vmcu(VmcuPass::Split { devices: 4 }),
                 &vmcu(VmcuPass::Reorder),
                 &crate::TinyEnginePlanner,
             ] {
                 let schedule = planner.schedule(&g);
                 let plan = schedule.memory_plan(planner, &g, &device);
+                let what = format!("{} on {}", planner.name(), g.name);
                 assert_eq!(
-                    plan.bottleneck_bytes() - device.runtime_overhead_bytes,
-                    schedule.demand_bytes(planner, &g),
-                    "{} on {}",
-                    planner.name(),
-                    g.name
+                    plan.peak_demand_bytes() + device.runtime_overhead_bytes,
+                    plan.bottleneck_bytes(),
+                    "{what}"
                 );
+                let pass_peak = match &schedule {
+                    // Priced by its rows alone.
+                    Schedule::Nodes(None) => continue,
+                    Schedule::Nodes(Some(order)) => order.peak_bytes,
+                    Schedule::Fused(fusion) => fusion.peak_demand_bytes(),
+                    Schedule::Patched(patch) => patch.peak_demand_bytes(),
+                    Schedule::Split(split) => split.max_stage_demand_bytes(),
+                };
+                assert_eq!(plan.peak_demand_bytes(), pass_peak, "{what}");
             }
         }
     }

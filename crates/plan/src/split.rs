@@ -25,16 +25,18 @@
 //!
 //! ```
 //! use vmcu_plan::split::plan_split;
-//! use vmcu_plan::{peak_demand_bytes, VmcuPass, VmcuPlanner};
+//! use vmcu_plan::{MemoryPlanner, VmcuPass, VmcuPlanner};
 //! use vmcu_graph::zoo;
 //! use vmcu_kernels::IbScheme;
+//! use vmcu_sim::Device;
 //!
 //! let g = zoo::hires_split_only();
 //! let split = plan_split(&g, 4, IbScheme::RowBuffer);
 //! assert!(split.stages().len() >= 2);
 //! // Splitting strictly relieves the single-device fused bottleneck.
-//! let fused = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse);
-//! assert!(split.max_stage_demand_bytes() < peak_demand_bytes(&fused, &g));
+//! let fused = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Fuse)
+//!     .plan_model(&g, &Device::stm32_f411re());
+//! assert!(split.max_stage_demand_bytes() < fused.peak_demand_bytes());
 //! ```
 
 use crate::fusion::{FusionNode, FusionPlan, FusionTable};
@@ -99,9 +101,9 @@ impl SplitPlan {
     }
 
     /// The plan's bottleneck: the maximum per-stage peak demand (no
-    /// runtime overhead). It is the split model's peak demand
-    /// ([`Schedule::demand_bytes`](crate::Schedule::demand_bytes)): the
-    /// SRAM a serving fleet holds for the whole model on one device.
+    /// runtime overhead). It is the split model's peak demand (its rows'
+    /// [`MemoryPlan::peak_demand_bytes`](crate::MemoryPlan::peak_demand_bytes)):
+    /// the SRAM a serving fleet holds for the whole model on one device.
     pub fn max_stage_demand_bytes(&self) -> usize {
         self.stages
             .iter()
@@ -149,9 +151,8 @@ fn stage_local(mut plan: FusionPlan, start: usize) -> FusionPlan {
 /// prefers **fewest stages** (a model that fits one device is not split
 /// needlessly), then the earliest cut points. Each candidate range is
 /// priced exactly as the fusion pass prices it as a graph of its own, so
-/// a 1-stage plan's demand equals the [`VmcuPass::Fuse`] planner's
-/// [`model_demand_bytes`](crate::MemoryPlanner::model_demand_bytes)
-/// exactly.
+/// a 1-stage plan's demand equals the peak demand of the
+/// [`VmcuPass::Fuse`] planner's plan exactly.
 pub fn plan_split(graph: &Graph, devices: u8, scheme: IbScheme) -> SplitPlan {
     crate::telemetry::record_plan_call();
     partition(&mut FusionTable::new(graph, scheme), graph, devices, scheme)
@@ -260,7 +261,7 @@ fn partition(table: &mut FusionTable, graph: &Graph, devices: u8, scheme: IbSche
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::capacity::peak_demand_bytes;
+    use crate::capacity::demand;
     use crate::planner::MemoryPlanner;
     use crate::schedule::Schedule;
     use vmcu_graph::zoo;
@@ -298,7 +299,7 @@ mod tests {
         assert_eq!(split.device_count(), 1);
         assert_eq!(
             split.max_stage_demand_bytes(),
-            peak_demand_bytes(&planner(VmcuPass::Fuse), &g)
+            demand(&planner(VmcuPass::Fuse), &g)
         );
         assert_eq!(split.transfer_bytes(), 0);
     }
@@ -309,9 +310,9 @@ mod tests {
         // partition's max stage demand is ≤ the fused peak ≤ vMCU's.
         for seed in 0..20 {
             let g = zoo::random_linear_net(seed, 4);
-            let split = peak_demand_bytes(&planner(VmcuPass::Split { devices: 4 }), &g);
-            let fused = peak_demand_bytes(&planner(VmcuPass::Fuse), &g);
-            let vmcu = peak_demand_bytes(&VmcuPlanner::default(), &g);
+            let split = demand(&planner(VmcuPass::Split { devices: 4 }), &g);
+            let fused = demand(&planner(VmcuPass::Fuse), &g);
+            let vmcu = demand(&VmcuPlanner::default(), &g);
             assert!(split <= fused, "seed {seed}: split {split} > fused {fused}");
             assert!(fused <= vmcu, "seed {seed}");
         }

@@ -4,8 +4,7 @@
 //! worth anything if it is *checkable*: a session's `infer` must do zero
 //! planning work after `deploy`. Every planning entry point in this
 //! crate — [`crate::planner::MemoryPlanner::plan`], the node-schedule
-//! pricing ([`crate::order::plan_model_for_order`] and
-//! [`crate::schedule::Schedule::demand_bytes`]), the order search
+//! pricing ([`crate::order::plan_model_for_order`]), the order search
 //! ([`crate::order::plan_order`]), the fusion pass
 //! ([`crate::fusion::fuse_graph`]), the patch search
 //! ([`crate::patch::plan`]), the split partitioner

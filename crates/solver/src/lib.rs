@@ -19,8 +19,8 @@
 //! * [`closed_form`] — the paper's GEMM formulas and §5.3 segment-size
 //!   rules as fast paths.
 //!
-//! [`multilayer`] solves fused multi-stage problems (inverted bottleneck)
-//! either from affine stage descriptions or from raw execution traces.
+//! [`multilayer`] solves fused multi-stage problems (inverted bottleneck,
+//! fused chains) from raw read/write execution traces.
 //!
 //! # Examples
 //!
@@ -43,5 +43,5 @@ pub mod enumerate;
 pub mod multilayer;
 pub mod problem;
 
-pub use multilayer::{Event, FusedProblem, FusedStage};
+pub use multilayer::Event;
 pub use problem::{FootprintProblem, OffsetSolution, ReadAccess};

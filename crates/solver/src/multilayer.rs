@@ -11,14 +11,11 @@
 //!                          clobbers an In* address read at any time ≥ t
 //! ```
 //!
-//! Two equivalent interfaces are provided:
-//!
-//! * [`FusedProblem`] — stages with affine accesses over a shared fused
-//!   iteration domain, solved by lexicographic scan (exact);
-//! * [`min_distance_events`] — a raw execution trace of reads/writes, for
-//!   schedules that are easier to emit than to express affinely (the
-//!   row-buffer inverted-bottleneck pipeline and the generalized fused
-//!   chain — `vmcu_plan::fusion` bounds every chain it builds with it).
+//! [`min_distance_events`] solves it from a raw execution trace of
+//! reads and writes, for schedules that are easier to emit than to
+//! express affinely (the row-buffer inverted-bottleneck pipeline and the
+//! generalized fused chain — `vmcu_plan::fusion` bounds every chain it
+//! builds with it, and `vmcu_verify` replays deployed traces with it).
 //!
 //! # Examples
 //!
@@ -32,95 +29,6 @@
 //! let events = (0..8).flat_map(|x| [Event::Read(x), Event::Write(x)]);
 //! assert_eq!(min_distance_events(events), Some(-1));
 //! ```
-
-use crate::affine::{IterDomain, LinearAccess};
-use crate::problem::{OffsetSolution, ReadAccess};
-
-/// One fused stage: the `In*` reads and `Out*` writes it performs at each
-/// iteration instance. Stages execute in index order within an instance.
-#[derive(Debug, Clone, Default)]
-pub struct FusedStage {
-    /// Human-readable stage name (diagnostics only).
-    pub name: String,
-    /// Reads from the graph input tensor.
-    pub reads: Vec<ReadAccess>,
-    /// Writes to the graph output tensor.
-    pub writes: Vec<LinearAccess>,
-}
-
-impl FusedStage {
-    /// Creates a named stage.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            reads: Vec::new(),
-            writes: Vec::new(),
-        }
-    }
-
-    /// Adds a read access.
-    pub fn read(mut self, r: ReadAccess) -> Self {
-        self.reads.push(r);
-        self
-    }
-
-    /// Adds a write access.
-    pub fn write(mut self, w: LinearAccess) -> Self {
-        self.writes.push(w);
-        self
-    }
-}
-
-/// A fused multi-layer problem over a shared iteration domain.
-#[derive(Debug, Clone)]
-pub struct FusedProblem {
-    /// Fused iteration domain (instances run in lexicographic order).
-    pub domain: IterDomain,
-    /// Stages executed per instance, in order.
-    pub stages: Vec<FusedStage>,
-    /// Graph input size in address units.
-    pub in_size: i64,
-    /// Graph output size in address units.
-    pub out_size: i64,
-}
-
-impl FusedProblem {
-    /// Computes `D* = min (bIn* − bOut*)` by scanning the execution order
-    /// (instances lexicographically, stages in order; reads of a stage
-    /// precede its writes).
-    ///
-    /// Returns `None` when no write precedes any read (unconstrained).
-    pub fn min_distance(&self) -> Option<i64> {
-        let mut max_write: Option<i64> = None;
-        let mut best: Option<i64> = None;
-        for point in self.domain.points() {
-            for stage in &self.stages {
-                for r in &stage.reads {
-                    if !r.is_real(&point) {
-                        continue;
-                    }
-                    if let Some(mw) = max_write {
-                        let cand = mw - r.access.eval(&point);
-                        best = Some(best.map_or(cand, |b| b.max(cand)));
-                    }
-                }
-                for w in &stage.writes {
-                    let addr = w.eval(&point);
-                    max_write = Some(max_write.map_or(addr, |m| m.max(addr)));
-                }
-            }
-        }
-        best
-    }
-
-    /// Solves and packages the result.
-    pub fn solve(&self) -> OffsetSolution {
-        let d = self
-            .min_distance()
-            .unwrap_or(-(self.in_size + self.out_size));
-        OffsetSolution::from_distance(d, self.in_size, self.out_size)
-    }
-}
 
 /// One event of an execution trace over the graph input/output tensors.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,29 +65,6 @@ pub fn min_distance_events(events: impl IntoIterator<Item = Event>) -> Option<i6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::FootprintProblem;
-
-    #[test]
-    fn single_stage_fused_equals_single_layer() {
-        // A one-stage fused problem must agree with the single-layer
-        // solver on GEMM.
-        let p = FootprintProblem::gemm(3, 2, 4);
-        let fused = FusedProblem {
-            domain: p.domain.clone(),
-            stages: vec![FusedStage::new("gemm")
-                .read(p.reads[0].clone())
-                .write(p.writes[0].clone())],
-            in_size: p.in_size,
-            out_size: p.out_size,
-        };
-        // Stage order differs from the paper's j <= i convention by the
-        // intra-instance read-before-write refinement, which can only
-        // lower the distance by the same-instance term.
-        let single = crate::enumerate::min_distance(&p).unwrap();
-        let multi = fused.min_distance().unwrap();
-        assert!(multi <= single);
-        assert!(single - multi <= 1);
-    }
 
     #[test]
     fn event_trace_streaming_copy() {
@@ -210,43 +95,5 @@ mod tests {
     fn no_writes_before_reads_is_unconstrained() {
         let events = [Event::Read(0), Event::Read(5), Event::Write(3)];
         assert_eq!(min_distance_events(events), None);
-        let fused = FusedProblem {
-            domain: IterDomain::new(vec![2]),
-            stages: vec![FusedStage::new("read-only")
-                .read(ReadAccess::unbounded(LinearAccess::new(vec![1], 0)))],
-            in_size: 2,
-            out_size: 1,
-        };
-        assert_eq!(fused.min_distance(), None);
-        // Packaged solution falls back to a safely negative distance.
-        assert_eq!(fused.solve().used_distance, 0);
-    }
-
-    #[test]
-    fn residual_add_stage_tightens_distance() {
-        // Stage 1 reads ahead (window), stage 2 reads the current element
-        // (residual) and writes it. The residual read is the straggler
-        // but happens before the same-position write, so overlap remains
-        // possible with one position of slack.
-        let w = 8;
-        let domain = IterDomain::new(vec![w]);
-        let window = FusedStage::new("window").read(ReadAccess::bounded(
-            LinearAccess::new(vec![1], 1),
-            0,
-            w - 1,
-        ));
-        let residual = FusedStage::new("residual")
-            .read(ReadAccess::unbounded(LinearAccess::new(vec![1], 0)))
-            .write(LinearAccess::new(vec![1], 0));
-        let fused = FusedProblem {
-            domain,
-            stages: vec![window, residual],
-            in_size: w,
-            out_size: w,
-        };
-        // write(x) precedes reads at x+1 (window reads x+2, residual reads
-        // x+1): max(x - (x+1)) = -1 -> outputs can trail inputs in place.
-        assert_eq!(fused.min_distance(), Some(-1));
-        assert_eq!(fused.solve().footprint, w);
     }
 }

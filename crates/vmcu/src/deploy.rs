@@ -83,26 +83,14 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// The checked construction path: plans the graph, rejects
-    /// non-deployable models with a typed error naming the bottleneck.
+    /// The one construction path, and the one fit gate for a graph: it
+    /// checks the weights and epilogues, plans the graph, checks the
+    /// firmware image, and then rejects a model whose memory plan does
+    /// not fit the device with a typed error naming the bottleneck row.
+    /// The image is checked without a machine: its size is the sum of
+    /// every layer's [`weight_images`], each placed by [`Flash::place`],
+    /// the rule `Flash::program` applies when a session stages them.
     pub(crate) fn new(
-        device: Device,
-        kind: PlannerKind,
-        graph: &Graph,
-        weights: &[LayerWeights],
-    ) -> Result<Self, EngineError> {
-        let dep = Self::new_unchecked(device, kind, graph, weights)?;
-        check_fits(&dep.inner.plans.memory, &dep.inner.device)?;
-        Ok(dep)
-    }
-
-    /// Plans and checks the firmware image without the whole-graph fit
-    /// check — the chained mode validates only its (smaller) chain
-    /// window, so it must not be gated on per-layer deployability. The
-    /// image is checked without a machine: its size is the sum of every
-    /// layer's [`weight_images`], each placed by [`Flash::place`], the
-    /// rule `Flash::program` applies when a session stages them.
-    pub(crate) fn new_unchecked(
         device: Device,
         kind: PlannerKind,
         graph: &Graph,
@@ -149,6 +137,7 @@ impl Deployment {
                     Flash::place(image_bytes, image.len(), device.flash_bytes)? + image.len();
             }
         }
+        check_fits(&plans.memory, &device)?;
         let planning_ms = started.elapsed().as_secs_f64() * 1e3;
         Ok(Self {
             inner: Arc::new(DeployInner {
@@ -232,18 +221,12 @@ impl Deployment {
     }
 
     /// Peak SRAM this model commits on its device (activations +
-    /// workspace at the bottleneck node, excluding the per-device runtime
-    /// overhead) — priced from the **cached** plan, so admission control
-    /// never replans.
+    /// workspace at the bottleneck step, excluding the per-device runtime
+    /// overhead): the cached plan's
+    /// [`MemoryPlan::peak_demand_bytes`], so admission control never
+    /// replans.
     pub fn peak_demand_bytes(&self) -> usize {
-        if self.inner.plans.memory.layers.is_empty() {
-            return 0;
-        }
-        self.inner
-            .plans
-            .memory
-            .bottleneck_bytes()
-            .saturating_sub(self.inner.device.runtime_overhead_bytes)
+        self.inner.plans.memory.peak_demand_bytes()
     }
 
     /// Host milliseconds spent planning this deployment (fit validation
@@ -496,8 +479,11 @@ mod tests {
     #[test]
     fn peak_demand_prices_from_the_cached_plan() {
         let (dep, _) = deployed();
-        let expected = vmcu_plan::peak_demand_bytes(dep.planner(), dep.graph());
-        assert_eq!(dep.peak_demand_bytes(), expected);
+        // Deploy memoizes exactly the plan its planner prices the graph
+        // with, and the demand is that plan's.
+        let fresh = dep.planner().plan_model(dep.graph(), dep.device());
+        assert_eq!(dep.plan(), &fresh);
+        assert_eq!(dep.peak_demand_bytes(), fresh.peak_demand_bytes());
     }
 
     #[test]

@@ -217,18 +217,6 @@ impl Engine {
         }
     }
 
-    /// Plans the whole graph and verifies every layer fits the device.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::DoesNotFit`] for the bottleneck layer of a
-    /// non-deployable plan.
-    pub fn check_fit(&self, graph: &Graph) -> Result<MemoryPlan, EngineError> {
-        let plan = vmcu_plan::plan_graph(&*self.kind.planner(), graph, &self.device);
-        check_fits(&plan, &self.device)?;
-        Ok(plan)
-    }
-
     /// Selects the policy.
     pub fn planner(mut self, kind: PlannerKind) -> Self {
         self.kind = kind;
@@ -279,30 +267,6 @@ impl Engine {
         weights: &[LayerWeights],
     ) -> Result<Deployment, EngineError> {
         Deployment::new(self.device.clone(), self.kind, graph, weights)
-    }
-
-    /// [`deploy`](Engine::deploy) without the whole-graph per-layer fit
-    /// gate. Chain-mode execution
-    /// ([`Session::infer_chained`](crate::deploy::Session::infer_chained))
-    /// flows the entire network through **one** circular window of
-    /// `max(per-layer span)` bytes, which can fit devices the per-layer
-    /// plan does not — this is the deploy path for such chain-only
-    /// models (the chain validates its own window at inference).
-    /// Staging (layer/weights kinds, Flash capacity) is still validated.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EngineError::ShapeMismatch`] when the weights do not
-    /// match the graph, [`EngineError::BadEpilogue`] for an out-of-range
-    /// requantization or activation clamp, [`EngineError::Unsupported`]
-    /// for layer/weights kinds that cannot stage and a memory error when
-    /// the firmware image exceeds the device Flash.
-    pub fn deploy_unchecked(
-        &self,
-        graph: &Graph,
-        weights: &[LayerWeights],
-    ) -> Result<Deployment, EngineError> {
-        Deployment::new_unchecked(self.device.clone(), self.kind, graph, weights)
     }
 
     /// Plans one layer and checks device fit.
@@ -665,20 +629,6 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, EngineError::DoesNotFit { .. }), "{kind:?}");
         }
-    }
-
-    #[test]
-    fn check_fit_returns_the_full_plan_when_deployable() {
-        let g = zoo::demo_linear_net();
-        let plan = Engine::new(Device::stm32_f411re()).check_fit(&g).unwrap();
-        assert_eq!(plan.layers.len(), g.len());
-        assert!(plan.deployable());
-        // The checked deploy path succeeds for the same model and
-        // memoizes the identical plan.
-        let deployment = Engine::new(Device::stm32_f411re())
-            .deploy(&g, &g.random_weights(1))
-            .unwrap();
-        assert_eq!(deployment.plan(), &plan);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use vmcu_kernels::patched::{run_patched_front, PatchedFront};
 use vmcu_kernels::trace::pool_window;
 use vmcu_kernels::IbScheme;
 use vmcu_plan::fusion::FusedGroup;
-use vmcu_plan::{FusionNode, LayerPlan, Schedule};
+use vmcu_plan::{FusionNode, Schedule};
 use vmcu_pool::SegmentPool;
 use vmcu_sim::{Counters, Device, ExecSummary, LinkModel, Machine};
 use vmcu_tensor::Tensor;
@@ -204,23 +204,6 @@ pub(crate) struct ExecCtx<'a> {
     pub(crate) staged: &'a [StagedLayer],
     /// The schedule's pool offsets.
     pub(crate) distances: &'a ExecDistances,
-}
-
-impl ExecCtx<'_> {
-    /// The memoized plan row for schedule step `row`, re-checking device
-    /// fit defensively — a deployment constructed through the checked
-    /// path can never hit the error.
-    fn step_plan(&self, row: usize) -> Result<LayerPlan, EngineError> {
-        let lp = self.plans.memory.layers[row].clone();
-        if !lp.fits {
-            return Err(EngineError::DoesNotFit {
-                layer: lp.name,
-                needed: lp.measured_bytes,
-                available: self.device.ram_bytes,
-            });
-        }
-        Ok(lp)
-    }
 }
 
 /// How a merge kernel lays its output relative to its operands.
@@ -454,7 +437,8 @@ pub(crate) fn infer(
     let mut acts: Vec<Option<Tensor<i8>>> = vec![None; n];
     let mut layers = Vec::with_capacity(ctx.plans.memory.layers.len());
     for (row, step) in steps(&ctx.plans.schedule, n).iter().enumerate() {
-        let plan = ctx.step_plan(row)?;
+        // Every row fits: `Deployment::new` rejects any plan that does not.
+        let plan = &ctx.plans.memory.layers[row];
         let (exec, observed_peak_bytes) = match step {
             Step::Run(work) => {
                 m.ram.clear();
@@ -474,7 +458,7 @@ pub(crate) fn infer(
         };
         layers.push(LayerReport {
             name: plan.name.clone(),
-            plan,
+            plan: plan.clone(),
             exec,
             observed_peak_bytes,
         });

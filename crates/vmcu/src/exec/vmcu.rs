@@ -131,15 +131,8 @@ pub(crate) fn infer_chained(
         )?;
         let exec = m.summarize_since(&before);
         layers.push(LayerReport {
-            name,
-            plan: LayerPlan {
-                name: format!("{}#{i}", layer.kind()),
-                kind: layer.kind(),
-                activation_bytes: plan.window,
-                workspace_bytes: plan.workspace,
-                measured_bytes: needed,
-                fits: true,
-            },
+            name: name.clone(),
+            plan: LayerPlan::new(name, layer.kind(), plan.window, plan.workspace, ctx.device),
             exec,
             observed_peak_bytes: m.ram.high_water(),
         });

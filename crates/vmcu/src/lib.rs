@@ -13,7 +13,7 @@
 //!
 //! | Crate | Paper section | Role |
 //! |---|---|---|
-//! | [`vmcu_solver`] | §4, §5.2 | affine formulation + `min bIn − bOut` solvers (enumerative, analytic, closed-form, fused) |
+//! | [`vmcu_solver`] | §4, §5.2 | affine formulation + `min bIn − bOut` solvers (enumerative, analytic, closed-form; multi-layer from event traces) |
 //! | [`vmcu_sim`] | §7.1 | simulated Cortex-M4/M7 devices, cost & energy models |
 //! | [`vmcu_tensor`] | — | int8 tensors, requantization, reference operators |
 //! | [`vmcu_pool`] | §3–4 | the circular segment pool with clobber detection |

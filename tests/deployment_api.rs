@@ -451,30 +451,23 @@ fn session_infer_performs_zero_planning_after_deploy() {
 }
 
 #[test]
-fn chained_session_matches_the_legacy_chained_path() {
-    // The chained path deploys without the per-layer fit gate
-    // (`deploy_unchecked`: the chain validates its own, smaller window);
-    // a checked deployment must chain bit-identically.
+fn chained_session_repeats_and_returns_the_memoized_chain_plan() {
+    // A checked deployment chains through the §4 plan it memoized at
+    // deploy, and a second chained inference repeats the first exactly.
     let g = zoo::demo_linear_net();
     let weights = g.random_weights(0xC4A1);
     let input = random::tensor_i8(&g.in_shape(), 0xC4A2);
-    let engine = Engine::new(Device::stm32_f411re());
-    let (unchecked, unchecked_plan) = engine
-        .deploy_unchecked(&g, &weights)
-        .unwrap()
-        .session()
-        .infer_chained(&input)
+    let deployment = Engine::new(Device::stm32_f411re())
+        .deploy(&g, &weights)
         .unwrap();
-    let deployment = engine.deploy(&g, &weights).unwrap();
     let mut session = deployment.session();
-    let (new, plan) = session.infer_chained(&input).unwrap();
-    assert_eq!(unchecked.output, new.output);
-    assert_eq!(unchecked_plan, plan);
-    assert_eq!(unchecked.latency_ms(), new.latency_ms());
-    // And a second chained inference repeats exactly.
-    let (again, _) = session.infer_chained(&input).unwrap();
-    assert_eq!(new.output, again.output);
-    assert_eq!(new.latency_ms(), again.latency_ms());
+    let (first, plan) = session.infer_chained(&input).unwrap();
+    assert_eq!(Some(&plan), deployment.chain_plan());
+    let (again, again_plan) = session.infer_chained(&input).unwrap();
+    assert_eq!(again_plan, plan);
+    assert_eq!(first.output, again.output);
+    assert_eq!(first.latency_ms(), again.latency_ms());
+    assert_eq!(first.energy_mj(), again.energy_mj());
 }
 
 #[test]
@@ -499,7 +492,7 @@ fn one_deployment_serves_many_sessions() {
 #[test]
 fn deploy_rejects_what_the_planner_rejects() {
     // The deploy path carries the same typed fails-to-run outcome the
-    // paper reports — and it matches `check_fit` exactly.
+    // paper reports — naming the bottleneck row of the policy's plan.
     let g = zoo::hires_front_stage();
     let weights = g.random_weights(1);
     let dev = Device::stm32_f411re();
@@ -509,26 +502,20 @@ fn deploy_rejects_what_the_planner_rejects() {
         PlannerKind::TinyEngine,
         PlannerKind::Hmcos,
     ] {
-        let engine = Engine::new(dev.clone()).planner(kind);
-        let deploy_err = engine.deploy(&g, &weights).unwrap_err();
-        let fit_err = engine.check_fit(&g).unwrap_err();
-        match (deploy_err, fit_err) {
-            (
-                EngineError::DoesNotFit {
-                    layer: a,
-                    needed: na,
-                    ..
-                },
-                EngineError::DoesNotFit {
-                    layer: b,
-                    needed: nb,
-                    ..
-                },
-            ) => {
-                assert_eq!(a, b, "{kind:?}");
-                assert_eq!(na, nb, "{kind:?}");
+        let plan = kind.planner().plan_model(&g, &dev);
+        assert!(!plan.deployable(), "{kind:?}");
+        let worst = &plan.layers[plan.bottleneck()];
+        match Engine::new(dev.clone()).planner(kind).deploy(&g, &weights) {
+            Err(EngineError::DoesNotFit {
+                layer,
+                needed,
+                available,
+            }) => {
+                assert_eq!(layer, worst.name, "{kind:?}");
+                assert_eq!(needed, worst.measured_bytes, "{kind:?}");
+                assert_eq!(available, dev.ram_bytes, "{kind:?}");
             }
-            other => panic!("{kind:?}: expected DoesNotFit twice, got {other:?}"),
+            other => panic!("{kind:?}: expected DoesNotFit, got {other:?}"),
         }
     }
 }

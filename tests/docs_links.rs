@@ -434,11 +434,47 @@ fn package_sources(name: &str) -> Vec<PathBuf> {
         .collect()
 }
 
-/// The backticked `cargo …` commands in the table rows of `vmcu_bench`'s
-/// `REPRODUCTION_MAP` (the claim → command table it renders into
-/// `EXPERIMENTS.md`), read from its source.
-fn reproduction_map_commands() -> Vec<String> {
-    let src = std::fs::read_to_string(repo_root().join("crates/bench/src/lib.rs")).unwrap();
+/// The `cargo …` commands of a markdown page: every inline code span (a
+/// span may wrap across lines of one paragraph) and every line of its
+/// fenced blocks, split on `&&`, with a trailing `# comment` and a
+/// line-continuation `\` dropped.
+fn page_commands(text: &str) -> Vec<String> {
+    let mut pieces = Vec::new();
+    let mut paragraph = String::new();
+    let mut in_fence = false;
+    for line in text.lines() {
+        let fence = line.trim_start().starts_with("```");
+        if fence || (!in_fence && line.trim().is_empty()) {
+            pieces.extend(paragraph.split('`').skip(1).step_by(2).map(str::to_owned));
+            paragraph.clear();
+            in_fence ^= fence;
+        } else if in_fence {
+            let code = match line.find('#') {
+                Some(i) if line[..i].trim().is_empty() || line[..i].ends_with(' ') => &line[..i],
+                _ => line,
+            };
+            pieces.push(code.trim_end().trim_end_matches('\\').to_owned());
+        } else {
+            paragraph.push_str(line);
+            paragraph.push('\n');
+        }
+    }
+    pieces.extend(paragraph.split('`').skip(1).step_by(2).map(str::to_owned));
+    pieces
+        .iter()
+        .flat_map(|piece| piece.split("&&"))
+        .map(|cmd| cmd.split_whitespace().collect::<Vec<_>>().join(" "))
+        .filter(|cmd| cmd.starts_with("cargo "))
+        .collect()
+}
+
+/// Every `cargo …` command the docs give, with the page that gives it:
+/// `vmcu_bench`'s `REPRODUCTION_MAP` (the claim → command table it
+/// renders into `EXPERIMENTS.md`, read from its source), `README.md` and
+/// every `docs/*.md` page.
+fn documented_commands() -> Vec<(String, String)> {
+    let root = repo_root();
+    let src = std::fs::read_to_string(root.join("crates/bench/src/lib.rs")).unwrap();
     let start = src
         .find("const REPRODUCTION_MAP: &str = \"")
         .expect("crates/bench/src/lib.rs defines REPRODUCTION_MAP");
@@ -446,41 +482,59 @@ fn reproduction_map_commands() -> Vec<String> {
     let map = &map[..map
         .find("\";")
         .expect("REPRODUCTION_MAP is a closed string")];
-    map.lines()
-        .filter(|l| l.starts_with('|'))
-        .flat_map(|l| l.split('`').skip(1).step_by(2))
-        .filter(|c| c.starts_with("cargo "))
-        .map(str::to_owned)
+    let mut pages = vec![(
+        "crates/bench/src/lib.rs (REPRODUCTION_MAP)".to_owned(),
+        map.to_owned(),
+    )];
+    let mut docs: Vec<PathBuf> = std::fs::read_dir(root.join("docs"))
+        .expect("docs/ directory exists")
+        .map(|e| e.expect("readable docs entry").path())
+        .filter(|p| p.extension().is_some_and(|e| e == "md"))
+        .collect();
+    docs.sort();
+    for page in std::iter::once(root.join("README.md")).chain(docs) {
+        let name = page.strip_prefix(&root).unwrap().display().to_string();
+        pages.push((name, std::fs::read_to_string(&page).unwrap()));
+    }
+    pages
+        .into_iter()
+        .flat_map(|(page, text)| {
+            page_commands(&text)
+                .into_iter()
+                .map(move |cmd| (page.clone(), cmd))
+        })
         .collect()
 }
 
 #[test]
 fn reproduction_map_commands_name_existing_targets_and_tests() {
-    // A claim's command must still run what it names: every `--bin` is
-    // a binary, every `--test` a test file of the package, and every
-    // test filter the start of a `fn` name in those test files (or in
-    // the package) — so it names the tests it claims, not a word inside
-    // an unrelated test's name.
+    // A documented command must still run what it names: every `--bin`
+    // is a binary, every `--example` an example and every `--test` a
+    // test file of the package, and every test filter the start of a
+    // `fn` name in those test files (or in the package) — so it names
+    // the tests it claims, not a word inside an unrelated test's name.
     let root = repo_root();
-    let commands = reproduction_map_commands();
-    let (mut bins, mut tests, mut filters) = (0, 0, 0);
-    for cmd in &commands {
+    let commands = documented_commands();
+    let (mut bins, mut examples, mut tests, mut filters) = (0, 0, 0, 0);
+    for (page, cmd) in &commands {
         let words: Vec<&str> = cmd.split_whitespace().collect();
         // Arguments after `--` go to the binary, not to cargo.
         let cargo_args = words.split(|w| *w == "--").next().unwrap_or_default();
         let mut package = "vmcu-repro";
         let mut test_names = Vec::new();
+        let mut example_names = Vec::new();
         let mut test_filters = Vec::new();
         let mut args = cargo_args.iter().skip(2);
         while let Some(&arg) = args.next() {
             let mut value = || {
                 *args
                     .next()
-                    .unwrap_or_else(|| panic!("`{cmd}`: {arg} needs a value"))
+                    .unwrap_or_else(|| panic!("{page}: `{cmd}`: {arg} needs a value"))
             };
             match arg {
                 "-p" => package = value(),
                 "--test" => test_names.push(value()),
+                "--example" => example_names.push(value()),
                 "--bin" => {
                     let name = value();
                     let found = std::fs::read_dir(root.join("crates")).unwrap().any(|e| {
@@ -489,18 +543,37 @@ fn reproduction_map_commands_name_existing_targets_and_tests() {
                             .join(format!("src/bin/{name}.rs"))
                             .exists()
                     });
-                    assert!(found, "`{cmd}`: no binary `{name}` under crates/*/src/bin");
+                    assert!(
+                        found,
+                        "{page}: `{cmd}`: no binary `{name}` under crates/*/src/bin"
+                    );
                     bins += 1;
                 }
-                flag if flag.starts_with('-') => {}
+                "-q" | "--release" | "--workspace" | "--all-targets" | "--doc" | "--no-run" => {}
+                flag if flag.starts_with('-') => {
+                    panic!("{page}: `{cmd}`: flag `{flag}` is unknown to this check")
+                }
                 filter => test_filters.push(filter),
             }
+        }
+        for name in example_names {
+            let file = package_dir(package).join(format!("examples/{name}.rs"));
+            assert!(
+                file.exists(),
+                "{page}: `{cmd}`: no example {}",
+                file.display()
+            );
+            examples += 1;
         }
         let mut test_files: Vec<PathBuf> = test_names
             .iter()
             .map(|name| {
                 let file = package_dir(package).join(format!("tests/{name}.rs"));
-                assert!(file.exists(), "`{cmd}`: no test file {}", file.display());
+                assert!(
+                    file.exists(),
+                    "{page}: `{cmd}`: no test file {}",
+                    file.display()
+                );
                 file
             })
             .collect();
@@ -510,7 +583,7 @@ fn reproduction_map_commands_name_existing_targets_and_tests() {
         }
         assert_eq!(
             cargo_args[1], "test",
-            "`{cmd}`: only `cargo test` takes filters"
+            "{page}: `{cmd}`: only `cargo test` takes filters"
         );
         if test_files.is_empty() {
             test_files = package_sources(package);
@@ -522,15 +595,15 @@ fn reproduction_map_commands_name_existing_targets_and_tests() {
         for filter in test_filters {
             assert!(
                 sources.contains(&format!("fn {filter}")),
-                "`{cmd}`: filter `{filter}` begins no `fn` name in {package}'s {} file(s)",
+                "{page}: `{cmd}`: filter `{filter}` begins no `fn` name in {package}'s {} file(s)",
                 test_files.len()
             );
             filters += 1;
         }
     }
     assert!(
-        bins > 0 && tests > 0 && filters > 0,
-        "parsed {} commands: {bins} --bin, {tests} --test, {filters} filters",
+        bins > 0 && examples > 0 && tests > 0 && filters > 0,
+        "parsed {} commands: {bins} --bin, {examples} --example, {tests} --test, {filters} filters",
         commands.len()
     );
 }

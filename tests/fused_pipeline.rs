@@ -6,7 +6,6 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo, Graph};
 use vmcu::vmcu_kernels::params::{DepthwiseParams, IbParams, PointwiseParams};
 use vmcu::vmcu_plan::fusion::{fuse_graph, FusionNode};
-use vmcu::vmcu_plan::peak_demand_bytes;
 use vmcu::vmcu_tensor::random;
 
 fn fused_planner() -> VmcuPlanner {
@@ -15,6 +14,14 @@ fn fused_planner() -> VmcuPlanner {
 
 fn fused_kind() -> PlannerKind {
     PlannerKind::VmcuFused(IbScheme::RowBuffer)
+}
+
+/// `g`'s peak demand under `planner` (planned on the F411RE; demand
+/// carries no device term).
+fn demand(planner: &dyn MemoryPlanner, g: &Graph) -> usize {
+    planner
+        .plan_model(g, &Device::stm32_f411re())
+        .peak_demand_bytes()
 }
 
 /// Deploy-once/infer-once through the new Session API.
@@ -43,8 +50,8 @@ fn single_layer_chain_is_a_noop_fusion_end_to_end() {
     let plan = fuse_graph(&g, IbScheme::RowBuffer);
     assert_eq!(plan.fused_groups(), 0);
     assert_eq!(
-        peak_demand_bytes(&fused_planner(), &g),
-        peak_demand_bytes(&VmcuPlanner::default(), &g)
+        demand(&fused_planner(), &g),
+        demand(&VmcuPlanner::default(), &g)
     );
     let weights = g.random_weights(1);
     let input = random::tensor_i8(&g.in_shape(), 2);
@@ -103,6 +110,7 @@ fn chain_that_only_fits_fused_deploys_and_matches_reference() {
     // device outright; only the fused pipeline deploys it.
     let g = zoo::wide_expand_chain();
     let dev = Device::stm32_f411re();
+    let weights = g.random_weights(5);
     for kind in [
         PlannerKind::Vmcu(IbScheme::RowBuffer),
         PlannerKind::TinyEngine,
@@ -110,14 +118,13 @@ fn chain_that_only_fits_fused_deploys_and_matches_reference() {
     ] {
         assert!(
             matches!(
-                Engine::new(dev.clone()).planner(kind).check_fit(&g),
+                Engine::new(dev.clone()).planner(kind).deploy(&g, &weights),
                 Err(EngineError::DoesNotFit { .. })
             ),
             "{kind:?} must not fit the wide chain"
         );
     }
     let engine = Engine::new(dev).planner(fused_kind());
-    let weights = g.random_weights(5);
     let input = random::tensor_i8(&g.in_shape(), 6);
     let report = run(&engine, &g, &weights, &input).unwrap();
     let expected = exec::run_reference(&g, &weights, &input);
@@ -130,8 +137,8 @@ fn fused_peak_ram_strictly_below_vmcu_on_a_zoo_model() {
     // Acceptance criterion: planning surface and measured execution both
     // show the fused plan strictly below single-layer vMCU planning.
     let g = zoo::mbv2_block_unfused();
-    let fused_demand = peak_demand_bytes(&fused_planner(), &g);
-    let vmcu_demand = peak_demand_bytes(&VmcuPlanner::default(), &g);
+    let fused_demand = demand(&fused_planner(), &g);
+    let vmcu_demand = demand(&VmcuPlanner::default(), &g);
     assert!(fused_demand < vmcu_demand);
     let weights = g.random_weights(7);
     let input = random::tensor_i8(&g.in_shape(), 8);
@@ -196,9 +203,7 @@ fn deep_pointwise_tower_fuses_into_one_group() {
     let plan = fuse_graph(&g, IbScheme::RowBuffer);
     assert_eq!(plan.fused_groups(), 1);
     assert_eq!(plan.nodes.len(), 1);
-    assert!(
-        peak_demand_bytes(&fused_planner(), &g) < peak_demand_bytes(&VmcuPlanner::default(), &g)
-    );
+    assert!(demand(&fused_planner(), &g) < demand(&VmcuPlanner::default(), &g));
     let weights = g.random_weights(9);
     let input = random::tensor_i8(&g.in_shape(), 10);
     let report = run(

@@ -107,10 +107,6 @@ fn wrong_weights_are_typed_errors_at_deploy_under_every_policy() {
                 &format!("{kind:?} deploy, {what} weights"),
                 engine.deploy(&g, w),
             );
-            assert_shape_mismatch(
-                &format!("{kind:?} deploy_unchecked, {what} weights"),
-                engine.deploy_unchecked(&g, w),
-            );
         }
     }
 }
@@ -174,7 +170,6 @@ fn misshaped_weights_of_the_right_size_are_typed_errors_under_every_policy() {
             let at = format!("layer {layer}");
             let what = format!("{kind:?} {what}");
             assert_names(&what, &[image, &at], engine.deploy(&g, weights));
-            assert_names(&what, &[image, &at], engine.deploy_unchecked(&g, weights));
             let l = &g.layers()[*layer];
             let input = random::tensor_i8(&l.in_shape(), 13);
             assert_names(
@@ -335,7 +330,6 @@ fn bad_epilogues_are_typed_errors_at_every_entry_point_under_every_policy() {
             let engine = Engine::new(dev.clone()).planner(kind);
             let what = format!("{}/{kind:?} {field}", g.name);
             assert_bad_epilogue(&what, (layer, field), engine.deploy(&g, &weights));
-            assert_bad_epilogue(&what, (layer, field), engine.deploy_unchecked(&g, &weights));
             assert_bad_epilogue(
                 &what,
                 (0, field),

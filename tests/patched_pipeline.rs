@@ -9,9 +9,16 @@ use vmcu::prelude::*;
 use vmcu::vmcu_graph::{exec, zoo};
 use vmcu::vmcu_kernels::patched::{PatchGrid, PatchedFront};
 use vmcu::vmcu_plan::patch;
-use vmcu::vmcu_plan::peak_demand_bytes;
 use vmcu::vmcu_plan::{fuse_graph, FusionNode, FusionPlan};
 use vmcu::vmcu_tensor::random;
+
+/// `g`'s peak demand under `kind`'s planner (planned on the F411RE;
+/// demand carries no device term).
+fn demand(kind: PlannerKind, g: &Graph) -> usize {
+    kind.planner()
+        .plan_model(g, &Device::stm32_f411re())
+        .peak_demand_bytes()
+}
 
 /// Deploy-once/infer-once through the new Session API.
 fn run(
@@ -30,6 +37,7 @@ fn hires_front_stage_ooms_under_every_whole_tensor_planner() {
     let g = zoo::hires_front_stage();
     assert!(g.layers()[0].in_bytes() > 128 * 1024);
     let dev = Device::stm32_f411re();
+    let weights = g.random_weights(1);
     for kind in [
         PlannerKind::Vmcu(IbScheme::RowBuffer),
         PlannerKind::Vmcu(IbScheme::SlidingWindow),
@@ -39,7 +47,7 @@ fn hires_front_stage_ooms_under_every_whole_tensor_planner() {
     ] {
         let err = Engine::new(dev.clone())
             .planner(kind)
-            .check_fit(&g)
+            .deploy(&g, &weights)
             .unwrap_err();
         assert!(
             matches!(err, EngineError::DoesNotFit { .. }),
@@ -49,7 +57,7 @@ fn hires_front_stage_ooms_under_every_whole_tensor_planner() {
     assert!(
         Engine::new(dev)
             .planner(PlannerKind::VmcuPatched(IbScheme::RowBuffer))
-            .check_fit(&g)
+            .deploy(&g, &weights)
             .is_ok(),
         "patch-based execution must admit the spatial model"
     );
@@ -78,10 +86,7 @@ fn patched_plan_prices_execution_exactly() {
     // from the same accounting; they can never disagree.
     let g = zoo::hires_front_stage();
     let dev = Device::stm32_f411re();
-    let demand = peak_demand_bytes(
-        &*PlannerKind::VmcuPatched(IbScheme::RowBuffer).planner(),
-        &g,
-    );
+    let demand = demand(PlannerKind::VmcuPatched(IbScheme::RowBuffer), &g);
     let weights = g.random_weights(111);
     let input = random::tensor_i8(&g.in_shape(), 112);
     let report = run(
@@ -134,7 +139,7 @@ fn zoo_chain_demands_and_halo_recompute_are_pinned() {
         ),
     ];
     for (g, expected) in &table {
-        let measured = kinds.map(|kind| peak_demand_bytes(&*kind.planner(), g));
+        let measured = kinds.map(|kind| demand(kind, g));
         assert_eq!(&measured, expected, "{}: {kinds:?}", g.name);
     }
 
@@ -183,11 +188,8 @@ fn patched_falls_back_to_fused_pricing_when_patching_does_not_pay() {
     let pplan = patch::plan(&g, IbScheme::RowBuffer, 0.5);
     assert!(!pplan.is_patched(), "tiny fronts must not patch");
     assert_eq!(
-        peak_demand_bytes(
-            &*PlannerKind::VmcuPatched(IbScheme::RowBuffer).planner(),
-            &g
-        ),
-        peak_demand_bytes(&*PlannerKind::VmcuFused(IbScheme::RowBuffer).planner(), &g),
+        demand(PlannerKind::VmcuPatched(IbScheme::RowBuffer), &g),
+        demand(PlannerKind::VmcuFused(IbScheme::RowBuffer), &g),
     );
     let weights = g.random_weights(121);
     let input = random::tensor_i8(&g.in_shape(), 122);

@@ -10,9 +10,8 @@
 use proptest::prelude::*;
 use vmcu::vmcu_graph::{zoo, Graph};
 use vmcu::vmcu_kernels::IbScheme;
-use vmcu::vmcu_plan::{
-    fuse_graph, peak_demand_bytes, plan_split, SplitStage, VmcuPass, VmcuPlanner,
-};
+use vmcu::vmcu_plan::{fuse_graph, plan_split, MemoryPlanner, SplitStage, VmcuPass, VmcuPlanner};
+use vmcu::vmcu_sim::Device;
 
 const SCHEMES: [IbScheme; 3] = [
     IbScheme::RowBuffer,
@@ -196,10 +195,9 @@ proptest! {
     ) {
         let g = zoo::random_linear_net(seed, layers);
         let split = plan_split(&g, devices, IbScheme::RowBuffer);
-        let single = peak_demand_bytes(
-            &VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Nodes),
-            &g,
-        );
+        let single = VmcuPlanner::new(IbScheme::RowBuffer, VmcuPass::Nodes)
+            .plan_model(&g, &Device::stm32_f411re())
+            .peak_demand_bytes();
         // The partitioner minimizes the max per-device peak; the trivial
         // one-stage partition already fuses the whole graph, which is
         // never worse than unfused single-device vMCU — so the optimum
